@@ -5,11 +5,16 @@
 //! (encrypt-then-MAC); the wire format is `nonce || ciphertext || tag`.
 //! Opening verifies the tag before touching the ciphertext, so a tunnel hop
 //! can reject tampered or mis-keyed layers instead of forwarding garbage.
+//!
+//! Keys are laid out as in RFC 8439 §2.6: `K` keys ChaCha20 directly, the
+//! message body uses keystream blocks 1.., and block 0 under `(K, nonce)`
+//! supplies the one-message MAC key. Per message that is one ChaCha20 block
+//! and the two HMAC pad compressions before the first message byte.
 
 use rand::Rng;
 
 use crate::chacha20::{self, KEY_LEN, NONCE_LEN};
-use crate::hmac::{derive_key, hmac_sha256, verify_tag};
+use crate::hmac::{derive_key, verify_tag, HmacKey};
 
 /// Tag width (truncated HMAC-SHA-256; 16 bytes keeps per-layer overhead at
 /// 28 bytes while leaving a 2^-128 forgery bound).
@@ -72,15 +77,17 @@ impl SymmetricKey {
         &self.0
     }
 
-    /// The (encrypt, MAC) subkey split every sealed message uses. Exposed
-    /// to the crate so the fused onion codec can run the same cipher and
-    /// MAC streams incrementally; the bytes on the wire stay exactly
-    /// those of [`SymmetricKey::seal_in_place`].
-    pub(crate) fn subkeys(&self) -> ([u8; KEY_LEN], [u8; KEY_LEN]) {
-        (
-            derive_key(&self.0, "tap.enc", 0),
-            derive_key(&self.0, "tap.mac", 0),
-        )
+    /// The (cipher, MAC) keys for the message sealed under `nonce` — the
+    /// RFC 8439 §2.6 layout with HMAC-SHA-256 where the RFC has Poly1305:
+    /// `K` itself keys ChaCha20, and the first 32 bytes of keystream block
+    /// 0 under `(K, nonce)` key the MAC, expanded to its two pad midstates.
+    /// The body starts at block 1, so block 0 is never message keystream.
+    /// One ChaCha20 block and two SHA-256 compressions; nothing is cached,
+    /// a `SymmetricKey` stays its 32 bytes. Shared with the fused onion
+    /// codec so both paths put the same bytes on the wire.
+    pub(crate) fn subkeys(&self, nonce: &[u8; NONCE_LEN]) -> (&[u8; KEY_LEN], HmacKey) {
+        let block0 = chacha20::block(&self.0, 0, nonce);
+        (&self.0, HmacKey::new(&block0[..KEY_LEN]))
     }
 
     /// Encrypt and authenticate `plaintext` under a fresh nonce.
@@ -102,14 +109,15 @@ impl SymmetricKey {
             buf.len() >= SEAL_OVERHEAD,
             "seal_in_place needs room for nonce and tag"
         );
-        let (enc_key, mac_key) = self.subkeys();
         let body_end = buf.len() - TAG_LEN;
         rng.fill(&mut buf[..NONCE_LEN]);
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&buf[..NONCE_LEN]);
-        chacha20::apply_keystream(&enc_key, &nonce, 1, &mut buf[NONCE_LEN..body_end]);
-        let tag = hmac_sha256(&mac_key, &buf[..body_end]);
-        buf[body_end..].copy_from_slice(&tag[..TAG_LEN]);
+        let (enc_key, mac_key) = self.subkeys(&nonce);
+        chacha20::apply_keystream(enc_key, &nonce, 1, &mut buf[NONCE_LEN..body_end]);
+        let mut mac = mac_key.begin();
+        mac.update(&buf[..body_end]);
+        buf[body_end..].copy_from_slice(&mac.finalize()[..TAG_LEN]);
     }
 
     /// Verify and decrypt a message produced by [`SymmetricKey::seal`].
@@ -129,15 +137,16 @@ impl SymmetricKey {
         if sealed.len() < SEAL_OVERHEAD {
             return Err(CipherError::TooShort);
         }
-        let (enc_key, mac_key) = self.subkeys();
         let body_end = sealed.len() - TAG_LEN;
-        let expect = hmac_sha256(&mac_key, &sealed[..body_end]);
-        if !verify_tag(&sealed[body_end..], &expect[..TAG_LEN]) {
-            return Err(CipherError::BadTag);
-        }
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&sealed[..NONCE_LEN]);
-        chacha20::apply_keystream(&enc_key, &nonce, 1, &mut sealed[NONCE_LEN..body_end]);
+        let (enc_key, mac_key) = self.subkeys(&nonce);
+        let mut mac = mac_key.begin();
+        mac.update(&sealed[..body_end]);
+        if !verify_tag(&sealed[body_end..], &mac.finalize()[..TAG_LEN]) {
+            return Err(CipherError::BadTag);
+        }
+        chacha20::apply_keystream(enc_key, &nonce, 1, &mut sealed[NONCE_LEN..body_end]);
         Ok(NONCE_LEN..body_end)
     }
 }
@@ -187,6 +196,57 @@ mod tests {
             bad[i] ^= 0x40;
             assert_eq!(k.open(&bad), Err(CipherError::BadTag), "byte {i}");
         }
+    }
+
+    // The nonce selects the MAC key as well as the keystream, so a changed
+    // nonce must fail authentication, never decrypt to garbage.
+    #[test]
+    fn any_nonce_bit_flip_is_a_bad_tag() {
+        let (k, mut rng) = key(11);
+        let sealed = k.seal(&mut rng, b"nonce-bound");
+        for bit in 0..NONCE_LEN * 8 {
+            let mut bad = sealed.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(k.open(&bad), Err(CipherError::BadTag), "nonce bit {bit}");
+        }
+    }
+
+    #[test]
+    fn mac_key_block_is_never_body_keystream() {
+        let (k, mut rng) = key(12);
+        // Sealing zeros exposes the body keystream as the ciphertext.
+        let sealed = k.seal(&mut rng, &[0u8; 16 * chacha20::BLOCK_LEN]);
+        let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().unwrap();
+        let block0 = chacha20::block(k.as_bytes(), 0, &nonce);
+        let body = &sealed[NONCE_LEN..sealed.len() - TAG_LEN];
+        assert_eq!(
+            body[..chacha20::BLOCK_LEN],
+            chacha20::block(k.as_bytes(), 1, &nonce),
+            "the body starts at counter 1"
+        );
+        for (i, ks) in body.chunks_exact(chacha20::BLOCK_LEN).enumerate() {
+            assert_ne!(ks, block0, "body block {i} repeats the MAC-key block");
+            assert_ne!(ks[..KEY_LEN], block0[..KEY_LEN], "body block {i}");
+        }
+    }
+
+    #[test]
+    fn tag_is_hmac_under_the_first_half_of_block_zero() {
+        let (k, mut rng) = key(13);
+        let sealed = k.seal(&mut rng, b"documented construction");
+        let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().unwrap();
+        let block0 = chacha20::block(k.as_bytes(), 0, &nonce);
+        let (body, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        assert_eq!(
+            tag,
+            &crate::hmac::hmac_sha256(&block0[..KEY_LEN], body)[..TAG_LEN]
+        );
+    }
+
+    #[test]
+    fn symmetric_key_is_its_32_bytes() {
+        // No cached schedule rides along: 25 000 standing THAs hold one each.
+        assert_eq!(std::mem::size_of::<SymmetricKey>(), KEY_LEN);
     }
 
     #[test]

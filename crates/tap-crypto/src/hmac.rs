@@ -12,16 +12,19 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
     mac.finalize()
 }
 
-/// Incremental HMAC-SHA-256.
-#[derive(Clone)]
-pub struct HmacSha256 {
-    inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+/// An HMAC-SHA-256 key, expanded: the SHA-256 chaining values after the
+/// `key ^ ipad` and `key ^ opad` blocks (RFC 2104 §4). These two midstates
+/// are everything a MAC under the key needs, so the key bytes themselves
+/// are not kept.
+#[derive(Clone, Copy)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
-impl HmacSha256 {
-    /// Start a MAC under `key` (any length; long keys are pre-hashed as the
-    /// RFC requires).
+impl HmacKey {
+    /// Expand `key` (any length; long keys are pre-hashed as the RFC
+    /// requires): two compressions, one per pad block.
     pub fn new(key: &[u8]) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
@@ -29,18 +32,33 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
+        HmacKey {
+            inner: Sha256::midstate(&k.map(|b| b ^ 0x36)),
+            outer: Sha256::midstate(&k.map(|b| b ^ 0x5c)),
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+    }
+
+    /// Start a MAC under this key.
+    pub fn begin(&self) -> HmacSha256 {
         HmacSha256 {
-            inner,
-            opad_key: opad,
+            inner: Sha256::resume(self.inner, BLOCK_LEN as u64),
+            outer: self.outer,
         }
+    }
+}
+
+/// Incremental HMAC-SHA-256: the inner hash in progress plus the outer
+/// midstate it will be finished under.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: [u32; 8],
+}
+
+impl HmacSha256 {
+    /// Start a MAC under `key` — [`HmacKey::new`] then [`HmacKey::begin`].
+    pub fn new(key: &[u8]) -> Self {
+        HmacKey::new(key).begin()
     }
 
     /// Absorb message bytes.
@@ -50,10 +68,8 @@ impl HmacSha256 {
 
     /// Finish and return the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = Sha256::resume(self.outer, BLOCK_LEN as u64);
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -92,7 +108,8 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // RFC 4231 test cases 1, 2, and 3.
+    // RFC 4231 test cases 1–4, 6 and 7 (5 is the truncated-output case);
+    // `hmac_sha256` runs every one through `HmacKey::new` + `begin`.
     #[test]
     fn rfc4231_case1() {
         let key = [0x0bu8; 20];
@@ -131,6 +148,45 @@ mod tests {
             )),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn rfc4231_case4() {
+        let key: Vec<u8> = (1..=25).collect();
+        assert_eq!(
+            hex(&hmac_sha256(&key, &[0xcd; 50])),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    // RFC 4231 case 7: long key and a message longer than one block.
+    #[test]
+    fn rfc4231_case7_long_key_long_data() {
+        let key = [0xaau8; 131];
+        assert_eq!(
+            hex(&hmac_sha256(
+                &key,
+                b"This is a test using a larger than block-size key and a larger \
+                  than block-size data. The key needs to be hashed before being \
+                  used by the HMAC algorithm."
+            )),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    #[test]
+    fn one_expanded_key_begins_independent_macs() {
+        let key = HmacKey::new(b"Jefe");
+        let mut a = key.begin();
+        let mut b = key.begin();
+        a.update(b"what do ya want ");
+        b.update(b"something else");
+        a.update(b"for nothing?");
+        assert_eq!(
+            hex(&a.finalize()),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        );
+        assert_eq!(b.finalize(), hmac_sha256(b"Jefe", b"something else"));
     }
 
     #[test]

@@ -213,12 +213,12 @@ impl OnionBuilder {
 
         // Per-layer streaming cipher and MAC states.
         for (i, (key, _)) in layers.iter().enumerate() {
-            let (enc_key, mac_key) = key.subkeys();
             let s = self.layer_starts[i];
             let mut nonce = [0u8; NONCE_LEN];
             nonce.copy_from_slice(&self.buf[s..s + NONCE_LEN]);
-            self.cursors.push(KeystreamCursor::new(&enc_key, &nonce, 1));
-            self.macs.push(Some(HmacSha256::new(&mac_key)));
+            let (enc_key, mac_key) = key.subkeys(&nonce);
+            self.cursors.push(KeystreamCursor::new(enc_key, &nonce, 1));
+            self.macs.push(Some(mac_key.begin()));
         }
 
         /// XOR the keystreams of layers `depth-1 .. 0` (innermost covering
@@ -394,7 +394,9 @@ impl LayerBuf {
         }
         let p = &self.buf[plain.start..plain.start + LEN_PREFIX];
         let hlen = u32::from_be_bytes([p[0], p[1], p[2], p[3]]) as usize;
-        if plain.len() < LEN_PREFIX + hlen {
+        // `hlen` is the peer's u32: compare without adding to it, so a
+        // 32-bit host cannot overflow on 0xFFFF_FFFF.
+        if hlen > plain.len() - LEN_PREFIX {
             return Err(OnionError::Malformed);
         }
         let header = plain.start + LEN_PREFIX..plain.start + LEN_PREFIX + hlen;
@@ -726,6 +728,60 @@ mod tests {
             let layered = wrap_layered(&mut b_rng, &layers, &core);
             prop_assert_eq!(fused, layered);
             prop_assert_eq!(a_rng.gen::<u64>(), b_rng.gen::<u64>());
+        }
+        // ROADMAP 5(d): nothing a peer can put on the wire may panic a hop.
+        #[test]
+        fn prop_peel_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            seed in any::<u64>(),
+        ) {
+            let (ks, _) = keys(1, seed);
+            let mut buf = LayerBuf::new();
+            buf.load(&bytes);
+            let err = buf.peel(&ks[0]).err();
+            prop_assert!(matches!(err, Some(OnionError::Crypto(_))), "{err:?}");
+            prop_assert_eq!(buf.bytes(), &bytes[..]);
+        }
+
+        #[test]
+        fn prop_peel_rejects_truncated_and_bit_flipped_onions(
+            n in 1usize..5,
+            core in proptest::collection::vec(any::<u8>(), 0..64),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let (ks, mut rng) = keys(n, seed);
+            let layers: Vec<_> = ks.iter().map(|k| (*k, vec![0x5A; 9])).collect();
+            let onion = wrap(&mut rng, &layers, &core);
+            let truncated = &onion[..cut % onion.len()];
+            let mut flipped = onion.clone();
+            let bit = flip % (onion.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+
+            let mut buf = LayerBuf::new();
+            for damaged in [truncated, &flipped[..]] {
+                buf.load(damaged);
+                let err = buf.peel(&ks[0]).err();
+                prop_assert!(matches!(err, Some(OnionError::Crypto(_))), "{err:?}");
+                // A failed authentication must leave the buffer as loaded.
+                prop_assert_eq!(buf.bytes(), damaged);
+            }
+        }
+
+        #[test]
+        fn prop_peel_never_panics_on_an_authentic_but_arbitrary_frame(
+            plain in proptest::collection::vec(any::<u8>(), 0..200),
+            seed in any::<u64>(),
+        ) {
+            // A keyholder can seal any plaintext; the frame parser sees it
+            // only after the tag verifies, and must still bound every read.
+            let (ks, mut rng) = keys(1, seed);
+            let mut buf = LayerBuf::from_vec(ks[0].seal(&mut rng, &plain));
+            match buf.peel(&ks[0]).map(<[u8]>::len) {
+                Ok(hlen) => prop_assert_eq!(LEN_PREFIX + hlen + buf.len(), plain.len()),
+                Err(e) => prop_assert_eq!(e, OnionError::Malformed),
+            }
         }
     }
 }

@@ -17,6 +17,10 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+const IV: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -35,15 +39,28 @@ impl Default for Sha256 {
 impl Sha256 {
     /// A fresh hasher with the FIPS initial state.
     pub fn new() -> Self {
+        Sha256::resume(IV, 0)
+    }
+
+    /// A hasher that has already absorbed `len` bytes (a whole number of
+    /// blocks) and reached chaining value `state` — how [`crate::hmac`]
+    /// restarts from a key's precomputed pad block.
+    pub(crate) fn resume(state: [u32; 8], len: u64) -> Self {
+        debug_assert_eq!(len % BLOCK_LEN as u64, 0);
         Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            len: 0,
+            state,
+            len,
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
         }
+    }
+
+    /// The chaining value after absorbing exactly `block` from the initial
+    /// state.
+    pub(crate) fn midstate(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+        let mut state = IV;
+        compress(&mut state, block);
+        state
     }
 
     /// Absorb `data`.
@@ -55,78 +72,115 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let mut blocks = rest.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields whole blocks"),
+            );
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finish and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != BLOCK_LEN - 8 {
-            self.update(&[0]);
+        // FIPS 180-4 §5.1.1 in one shot: 0x80, zeros to 56 mod 64, then
+        // the bit length — spilling into a second block when the tail
+        // leaves no room for the length.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= BLOCK_LEN - 8 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        let bit_len = self.len.wrapping_mul(8);
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// One round with the working variables named in their current rotation:
+/// instead of shifting `a..h` down one place per round, the caller rotates
+/// the argument list, so eight rounds return every name to its start.
+/// `$bc` carries `b ^ c` from round to round — this round's `a ^ b` is the
+/// next round's `b ^ c` — so `Maj(a, b, c) = ((a ^ b) & (b ^ c)) ^ b`
+/// costs one fresh XOR, and `$c` itself is never read.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+     $bc:ident, $k:expr, $w:expr) => {
+        let t1 = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add($g ^ ($e & ($f ^ $g)))
+            .wrapping_add($k)
+            .wrapping_add($w);
+        $d = $d.wrapping_add(t1);
+        let ab = $a ^ $b;
+        $h = t1
+            .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add((ab & $bc) ^ $b);
+        $bc = ab;
+    };
+}
+
+/// The SHA-256 compression function over one block, read in place. The
+/// message schedule is a 16-word ring: from round 16 on, round `t`
+/// overwrites `w[t mod 16]` with `W_t` just before consuming it.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    let mut bc = b ^ c;
+    macro_rules! sched {
+        ($i:expr) => {{
+            let w15 = w[($i + 1) % 16];
+            let w2 = w[($i + 14) % 16];
+            w[$i] = w[$i]
+                .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                .wrapping_add(w[($i + 9) % 16])
+                .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+            w[$i]
+        }};
+    }
+    let (k, k_scheduled) = K.split_at(16);
+    for i in [0, 8] {
+        round!(a, b, c, d, e, f, g, h, bc, k[i], w[i]);
+        round!(h, a, b, c, d, e, f, g, bc, k[i + 1], w[i + 1]);
+        round!(g, h, a, b, c, d, e, f, bc, k[i + 2], w[i + 2]);
+        round!(f, g, h, a, b, c, d, e, bc, k[i + 3], w[i + 3]);
+        round!(e, f, g, h, a, b, c, d, bc, k[i + 4], w[i + 4]);
+        round!(d, e, f, g, h, a, b, c, bc, k[i + 5], w[i + 5]);
+        round!(c, d, e, f, g, h, a, b, bc, k[i + 6], w[i + 6]);
+        round!(b, c, d, e, f, g, h, a, bc, k[i + 7], w[i + 7]);
+    }
+    for k in k_scheduled.chunks_exact(16) {
+        for i in [0, 8] {
+            round!(a, b, c, d, e, f, g, h, bc, k[i], sched!(i));
+            round!(h, a, b, c, d, e, f, g, bc, k[i + 1], sched!(i + 1));
+            round!(g, h, a, b, c, d, e, f, bc, k[i + 2], sched!(i + 2));
+            round!(f, g, h, a, b, c, d, e, bc, k[i + 3], sched!(i + 3));
+            round!(e, f, g, h, a, b, c, d, bc, k[i + 4], sched!(i + 4));
+            round!(d, e, f, g, h, a, b, c, bc, k[i + 5], sched!(i + 5));
+            round!(c, d, e, f, g, h, a, b, bc, k[i + 6], sched!(i + 6));
+            round!(b, c, d, e, f, g, h, a, bc, k[i + 7], sched!(i + 7));
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -140,6 +194,95 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook hasher this module shipped before the rewrite — full
+    /// 64-word schedule, every block copied before compression, padding
+    /// fed through `update` a byte at a time. Kept as the oracle.
+    struct Oracle {
+        state: [u32; 8],
+        len: u64,
+        buf: Vec<u8>,
+    }
+
+    impl Oracle {
+        fn new() -> Self {
+            Oracle {
+                state: IV,
+                len: 0,
+                buf: Vec::new(),
+            }
+        }
+
+        fn update(&mut self, data: &[u8]) {
+            self.len += data.len() as u64;
+            self.buf.extend_from_slice(data);
+            while self.buf.len() >= BLOCK_LEN {
+                let block: Vec<u8> = self.buf.drain(..BLOCK_LEN).collect();
+                self.compress(&block);
+            }
+        }
+
+        fn finalize(mut self) -> [u8; DIGEST_LEN] {
+            let bit_len = self.len * 8;
+            self.update(&[0x80]);
+            while self.buf.len() != BLOCK_LEN - 8 {
+                self.update(&[0]);
+            }
+            self.update(&bit_len.to_be_bytes());
+            assert!(self.buf.is_empty());
+            let mut out = [0u8; DIGEST_LEN];
+            for (i, w) in self.state.iter().enumerate() {
+                out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+            }
+            out
+        }
+
+        fn compress(&mut self, block: &[u8]) {
+            let mut w = [0u32; 64];
+            for (i, chunk) in block.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ ((!e) & g);
+                let t1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let t2 = s0.wrapping_add(maj);
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(t2);
+            }
+            for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = s.wrapping_add(v);
+            }
+        }
+    }
+
+    fn oracle(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut h = Oracle::new();
+        h.update(data);
+        h.finalize()
+    }
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -177,6 +320,26 @@ mod tests {
         );
     }
 
+    // Every length at which the padding changes shape: empty, one byte,
+    // the last length that fits the bit count in the same block (55), the
+    // first that spills (56), block edges, and the same again one block on.
+    #[test]
+    fn padding_boundaries_match_the_oracle() {
+        let data: Vec<u8> = (0..128u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
+            assert_eq!(sha256(&data[..len]), oracle(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn resume_continues_from_a_midstate() {
+        let data: Vec<u8> = (0..200u8).collect();
+        let (head, tail) = data.split_at(BLOCK_LEN);
+        let mut h = Sha256::resume(Sha256::midstate(head.try_into().unwrap()), BLOCK_LEN as u64);
+        h.update(tail);
+        assert_eq!(h.finalize(), sha256(&data));
+    }
+
     #[test]
     fn incremental_equals_oneshot() {
         let data: Vec<u8> = (0..=255u8).cycle().take(777).collect();
@@ -185,6 +348,24 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+    }
+    proptest! {
+        #[test]
+        fn prop_any_update_split_matches_the_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..400),
+            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut at = 0;
+            for cut in cuts {
+                h.update(&data[at..cut]);
+                at = cut;
+            }
+            h.update(&data[at..]);
+            prop_assert_eq!(h.finalize(), oracle(&data));
         }
     }
 }

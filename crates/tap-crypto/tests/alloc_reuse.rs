@@ -4,10 +4,12 @@
 //! nothing — the per-transfer cost is cipher work, not the allocator.
 //!
 //! Lives in its own integration binary because `#[global_allocator]` is
-//! process-wide.
+//! process-wide. The counter is thread-local: the harness runs the tests of
+//! one binary on parallel threads, and a process-wide count would charge
+//! each test with its siblings' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,11 +18,21 @@ use tap_crypto::onion::{LayerBuf, OnionBuilder};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn note() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
+// with no destructor and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note();
         System.alloc(layout)
     }
 
@@ -30,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves or grows is an allocator round-trip too.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,11 +50,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f` and return how many allocator calls it made.
+/// Run `f` and return how many allocator calls this thread made in it.
 fn allocations_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn fixture(layers: usize) -> (Vec<(SymmetricKey, Vec<u8>)>, StdRng) {

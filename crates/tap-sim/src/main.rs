@@ -124,11 +124,20 @@ fn main() {
                 io_errors += 1;
             }
         }
+        let mut extras = series.bench_extras.clone();
+        if name == "fig6" {
+            // Probed here, outside `took`: it is a property of the codec
+            // fig6 stands on, not part of the figure's run time.
+            extras.push((
+                "cipher_gbps".into(),
+                experiments::latency::measure_cipher_gbps(),
+            ));
+        }
         wall.push(FigureRecord {
             name,
             wall_s: took.as_secs_f64(),
             rss_delta_kb,
-            extras: series.bench_extras.clone(),
+            extras,
         });
     }
     let peak_rss_kb = peak_rss_kb();
