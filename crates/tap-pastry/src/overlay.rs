@@ -16,7 +16,7 @@
 //!   prefix and strictly closer numerically).
 
 use std::collections::BTreeSet;
-
+use std::ops::Bound;
 use std::sync::Arc;
 use tap_id::{IdHashMap, IdHashSet};
 
@@ -98,6 +98,7 @@ struct OverlayInstruments {
     leafset_repairs: Arc<Counter>,
     table_evictions: Arc<Counter>,
     stale_leafset_refs: Arc<Counter>,
+    join_route_failed: Arc<Counter>,
 }
 
 impl OverlayInstruments {
@@ -107,6 +108,7 @@ impl OverlayInstruments {
             leafset_repairs: registry.counter("pastry.leafset.repairs"),
             table_evictions: registry.counter("pastry.table.evictions"),
             stale_leafset_refs: registry.counter("pastry.stale_leafset_ref"),
+            join_route_failed: registry.counter("pastry.join.route_failed"),
             registry,
         }
     }
@@ -228,6 +230,17 @@ impl Overlay {
         );
     }
 
+    /// Record (counter + journal) a join whose bootstrap route failed and
+    /// which therefore took its routing-table rows from the root alone.
+    fn note_join_route_failed(&self, id: Id, why: RouteError) {
+        self.instruments.join_route_failed.inc();
+        self.instruments.registry.emit(
+            0,
+            "pastry.join.route_failed",
+            format!("join of {id:?} took its rows from the root alone: {why}"),
+        );
+    }
+
     // ------------------------------------------------------------------
     // Snapshots
     // ------------------------------------------------------------------
@@ -304,65 +317,73 @@ impl Overlay {
     // validating that decentralized routing agrees with ground truth).
     // ------------------------------------------------------------------
 
-    /// The first live id clockwise from `from`, inclusive.
-    fn successor_inclusive(&self, from: Id) -> Id {
-        debug_assert!(!self.ring.is_empty());
+    /// Live ids clockwise from `from`, once round the ring; `first` is
+    /// `Bound::Included` or `Bound::Excluded` and says whether a live `from`
+    /// leads the walk or is left out of it. The wrap-around range is built
+    /// only when the first one runs out: a walk that stops after a few ids
+    /// pays one tree descent, not two.
+    fn clockwise_from(
+        &self,
+        from: Id,
+        first: fn(Id) -> Bound<Id>,
+    ) -> impl Iterator<Item = Id> + '_ {
+        self.ring
+            .range((first(from), Bound::Unbounded))
+            .chain(std::iter::once_with(move || self.ring.range(..from)).flatten())
+            .copied()
+    }
+
+    /// Live ids counter-clockwise from `from` (never itself), once round
+    /// the ring; `last` says whether a live `from` ends the walk. The
+    /// mirror image of [`Overlay::clockwise_from`].
+    fn counter_clockwise_from(
+        &self,
+        from: Id,
+        last: fn(Id) -> Bound<Id>,
+    ) -> impl Iterator<Item = Id> + '_ {
+        self.ring
+            .range(..from)
+            .rev()
+            .chain(
+                std::iter::once_with(move || self.ring.range((last(from), Bound::Unbounded)).rev())
+                    .flatten(),
+            )
+            .copied()
+    }
+
+    /// The first live id clockwise from `from`, inclusive (`None` on an
+    /// empty ring).
+    fn successor_inclusive(&self, from: Id) -> Option<Id> {
         self.ring
             .range(from..)
             .next()
             .or_else(|| self.ring.iter().next())
             .copied()
-            .expect("non-empty ring")
     }
 
     /// Up to `n` live ids clockwise from `from` (exclusive), in ring order.
     pub fn successors(&self, from: Id, n: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(n);
-        for id in self
-            .ring
-            .range((std::ops::Bound::Excluded(from), std::ops::Bound::Unbounded))
-            .chain(self.ring.range(..from))
-        {
-            if out.len() == n {
-                break;
-            }
-            out.push(*id);
-        }
+        let mut out = Vec::with_capacity(n.min(self.ring.len()));
+        out.extend(self.clockwise_from(from, Bound::Excluded).take(n));
         out
     }
 
     /// Up to `n` live ids counter-clockwise from `from` (exclusive).
     pub fn predecessors(&self, from: Id, n: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(n);
-        for id in self.ring.range(..from).rev().chain(
-            self.ring
-                .range((std::ops::Bound::Excluded(from), std::ops::Bound::Unbounded))
-                .rev(),
-        ) {
-            if out.len() == n {
-                break;
-            }
-            out.push(*id);
-        }
+        let mut out = Vec::with_capacity(n.min(self.ring.len()));
+        out.extend(self.counter_clockwise_from(from, Bound::Excluded).take(n));
         out
     }
 
     /// Oracle: the live node numerically closest to `key` (the key's root).
     pub fn owner_of(&self, key: Id) -> Option<Id> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        let succ = self.successor_inclusive(key);
+        let succ = self.successor_inclusive(key)?;
         if succ == key {
             return Some(succ);
         }
-        let pred = self
-            .ring
-            .range(..key)
-            .next_back()
-            .or_else(|| self.ring.iter().next_back())
-            .copied()
-            .expect("non-empty ring");
+        // `key` is not a member, so on a non-empty ring this walk has a
+        // first id (`succ` itself on a ring of one).
+        let pred = self.counter_clockwise_from(key, Bound::Excluded).next()?;
         Some(match key.cmp_distance(succ, pred) {
             std::cmp::Ordering::Greater => pred,
             _ => succ,
@@ -370,88 +391,47 @@ impl Overlay {
     }
 
     /// Oracle: the `k` live nodes numerically closest to `key`, nearest
-    /// first — PAST's replica set for the key.
+    /// first — PAST's replica set for the key. The first `k` ids of
+    /// [`Overlay::closest_iter`]: two tree descents and one allocation.
     pub fn k_closest(&self, key: Id, k: usize) -> Vec<Id> {
         let take = k.min(self.ring.len());
-        // Candidates: the k nearest on each side (the k closest overall
-        // are among them), merged by ring distance.
-        let mut cands = self.successors(key, take);
-        if self.ring.contains(&key) {
-            cands.push(key);
-        }
-        cands.extend(self.predecessors(key, take));
-        cands.sort_by(|a, b| key.cmp_distance(*a, *b));
-        cands.dedup();
-        cands.truncate(take);
-        cands
+        let mut out = Vec::with_capacity(take);
+        out.extend(self.closest_iter(key).take(take));
+        out
     }
 
-    /// Oracle: every live node in nearest-first order from `key` — the
-    /// lazy equivalent of `k_closest(key, len())`, emitting the same
-    /// sequence without materialising or sorting the whole ring. Callers
-    /// that stop after a few items (e.g. "closest responsive node") pay
-    /// O(taken) instead of O(N log N).
+    /// Oracle: every live node in nearest-first order from `key`, ordered
+    /// by [`Id::cmp_distance`] (ties and all). Lazy: callers that stop
+    /// after a few items (a replica set, "closest responsive node") pay
+    /// O(taken), and nothing is materialised or sorted.
     ///
-    /// Works by merging the clockwise and counter-clockwise ring walks:
-    /// the unvisited ids always form one contiguous arc whose *farthest*
-    /// point from `key` is interior, so the nearest unvisited id is one of
-    /// the arc's two endpoints — comparing the frontiers with
-    /// [`Id::cmp_distance`] (the exact comparator `k_closest` sorts by,
-    /// ties and all) picks it.
+    /// Works by merging the clockwise walk (which starts *at* `key`, so a
+    /// member key comes out first, at distance zero) with the
+    /// counter-clockwise walk: the unvisited ids always form one
+    /// contiguous arc whose *farthest* point from `key` is interior, so
+    /// the nearest unvisited id is one of the arc's two endpoints, and
+    /// comparing the two frontiers picks it. The ids taken so far are
+    /// therefore always ring-contiguous — the property replica repair on a
+    /// join rests on.
     pub fn closest_iter(&self, key: Id) -> impl Iterator<Item = Id> + '_ {
-        use std::ops::Bound;
-        let total = self.ring.len();
-        let mut succ = self
-            .ring
-            .range((Bound::Excluded(key), Bound::Unbounded))
-            .chain(self.ring.range(..key))
-            .copied()
-            .peekable();
-        let mut pred = self
-            .ring
-            .range(..key)
-            .rev()
-            .chain(
-                self.ring
-                    .range((Bound::Excluded(key), Bound::Unbounded))
-                    .rev(),
-            )
-            .copied()
-            .peekable();
-        let mut emit_key = self.ring.contains(&key);
-        let mut produced = 0usize;
+        let mut succ = self.clockwise_from(key, Bound::Included).peekable();
+        let mut pred = self.counter_clockwise_from(key, Bound::Included).peekable();
+        let mut left = self.ring.len();
         std::iter::from_fn(move || {
-            if produced >= total {
+            if left == 0 {
                 return None;
             }
-            produced += 1;
-            if emit_key {
-                emit_key = false;
-                return Some(key);
-            }
-            let next = match (succ.peek().copied(), pred.peek().copied()) {
-                (Some(s), Some(p)) => {
-                    if s == p {
-                        // The arc is down to its last id: both frontiers
-                        // point at it; consume both.
-                        pred.next();
-                        s
-                    } else if key.cmp_distance(s, p) == std::cmp::Ordering::Greater {
-                        p
-                    } else {
-                        s
-                    }
-                }
-                (Some(s), None) => s,
-                (None, Some(p)) => p,
-                (None, None) => unreachable!("produced < total implies an unvisited id"),
-            };
-            if succ.peek() == Some(&next) {
-                succ.next();
-            } else {
+            left -= 1;
+            // Each walk covers the whole ring, so while an id is unvisited
+            // both still have a frontier (the same id, for the last one).
+            let (s, p) = (succ.peek().copied()?, pred.peek().copied()?);
+            if key.cmp_distance(s, p) == std::cmp::Ordering::Greater {
                 pred.next();
+                Some(p)
+            } else {
+                succ.next();
+                Some(s)
             }
-            Some(next)
         })
     }
 
@@ -482,68 +462,73 @@ impl Overlay {
         }
         let half = self.config.leaf_half();
         let mut table = RoutingTable::new(id, self.config.b);
-        let mut leafset = LeafSet::new(id, half);
 
-        if !self.ring.is_empty() {
-            // Bootstrap from roughly the antipode so the join path has
-            // realistic length and donates a full set of rows.
-            let bootstrap = self.successor_inclusive(id.flip_bit(0));
-            let outcome = self
-                .route(bootstrap, id)
-                .expect("routing within a consistent overlay cannot fail");
+        // Bootstrap from roughly the antipode so the join path has
+        // realistic length and donates a full set of rows.
+        if let Some(bootstrap) = self.successor_inclusive(id.flip_bit(0)) {
+            let path = match self.route(bootstrap, id) {
+                Ok(outcome) => outcome.path,
+                // Tables worn by churn can strand a route (`Stuck`, `Loop`):
+                // the join then learns its rows from the root alone.
+                Err(why) => {
+                    self.note_join_route_failed(id, why);
+                    self.owner_of(id).into_iter().collect()
+                }
+            };
+            let root = path.last().copied();
 
             // Row i of the i-th node on the path matches the new node on at
             // least i digits (Pastry join, §3 of the Pastry paper).
-            for (i, hop) in outcome.path.iter().enumerate() {
+            for (i, hop) in path.iter().enumerate() {
                 let donor = &self.nodes[hop];
                 table.absorb_row(&donor.table, i);
                 // Later rows from the root are also valid donations.
-                if *hop == outcome.root {
+                if Some(*hop) == root {
                     for r in i..donor.table.depth() {
                         table.absorb_row(&donor.table, r);
                     }
                 }
                 table.consider(*hop);
             }
-
-            // Exact leaf set (the converged result of leaf-set exchange
-            // with the root).
-            leafset.rebuild(self.successors(id, half), self.predecessors(id, half));
-            for m in leafset.members().collect::<Vec<_>>() {
-                table.consider(m);
-            }
         }
 
-        // Announce to affected peers: every node that should hold the
-        // newcomer in its leaf set is, by window symmetry, a member of the
-        // newcomer's leaf set. Each affected peer re-derives its leaf set
-        // (the converged result of Pastry's leaf-set exchange).
-        let members: Vec<Id> = leafset.members().collect();
+        // One ring walk serves the whole event. The nodes that gain the
+        // newcomer as a leaf are, by window symmetry, the `half` ids on
+        // each side of it, and each of their own leaf sets reaches `half`
+        // further: everything lies within `2·half` ids of `id`.
         self.ring.insert(id);
         self.pos.insert(id, self.order.len());
         self.order.push(id);
+        let (window, at) = self.window(id, 2 * half);
+        let n = window.len();
+
+        // The newcomer's exact leaf set (the converged result of leaf-set
+        // exchange with the root).
+        let mut leafset = LeafSet::new(id, half);
+        let (cw, ccw) = leaf_sides(&window, at, half);
+        leafset.rebuild(cw, ccw);
+        for m in leafset.members() {
+            table.consider(m);
+        }
+        let (n_cw, n_ccw) = (leafset.clockwise().len(), leafset.counter_clockwise().len());
         self.nodes
             .insert(id, Arc::new(NodeHandle { id, table, leafset }));
-        let half = self.config.leaf_half();
-        for m in &members {
-            let cw = self.successors(*m, half);
-            let ccw = self.predecessors(*m, half);
-            // A member can be stale when callers interleave joins with
-            // batched removals; skip-and-journal instead of panicking.
-            let repaired = match self.nodes.get_mut(m) {
-                Some(slot) => {
-                    let peer = Arc::make_mut(slot);
-                    peer.leafset.rebuild(cw, ccw);
-                    peer.table.consider(id);
-                    true
-                }
-                None => false,
+
+        // Announce to its members: each re-derives its leaf set (the
+        // converged result of Pastry's leaf-set exchange).
+        for i in (1..=n_cw)
+            .map(|t| (at + t) % n)
+            .chain((1..=n_ccw).map(|t| (at + n - t) % n))
+        {
+            let (cw, ccw) = leaf_sides(&window, i, half);
+            // `ring` and `nodes` hold the same ids.
+            let Some(slot) = self.nodes.get_mut(&window[i]) else {
+                continue;
             };
-            if repaired {
-                self.instruments.leafset_repairs.inc();
-            } else {
-                self.note_stale_leafset_ref(*m);
-            }
+            let peer = Arc::make_mut(slot);
+            peer.leafset.rebuild(cw, ccw);
+            peer.table.consider(id);
+            self.instruments.leafset_repairs.inc();
         }
         true
     }
@@ -562,15 +547,19 @@ impl Overlay {
         self.nodes.remove(&id);
         self.detach_from_index(id);
 
-        // Repair leaf sets of the window around the departed node.
+        // Repair the `half` survivors on each side of the gap. Their new
+        // leaf sets reach `half` further, so one walk of `2·half` ids
+        // either side serves them all.
         let half = self.config.leaf_half();
-        let affected: Vec<Id> = self
-            .successors(id, half)
-            .into_iter()
-            .chain(self.predecessors(id, half))
-            .collect();
-        for a in affected {
-            self.repair_survivor(a, &|x| x == id);
+        let (window, at) = self.window(id, 2 * half);
+        let n = window.len();
+        let take = half.min(n);
+        for i in (0..take)
+            .map(|t| (at + t) % n)
+            .chain((1..=take).map(|t| (at + n - t) % n))
+        {
+            let sides = leaf_sides(&window, i, half);
+            self.repair_survivor(window[i], |x| x == id, sides);
         }
         true
     }
@@ -619,8 +608,10 @@ impl Overlay {
         }
 
         let removed: IdHashSet = departed.iter().map(|h| h.id).collect();
+        let half = self.config.leaf_half();
         for a in candidates {
-            self.repair_survivor(a, &|x| removed.contains(&x));
+            let sides = (self.successors(a, half), self.predecessors(a, half));
+            self.repair_survivor(a, |x| removed.contains(&x), sides);
         }
         departed.len()
     }
@@ -640,45 +631,55 @@ impl Overlay {
         }
     }
 
-    /// Re-derive survivor `a`'s leaf set against the current (post-
-    /// removal) ring when it references a dead node or is short, and
-    /// evict dead routing-table entries. `dead` decides which ids count
+    /// Install survivor `a`'s leaf-set `sides` (derived from the post-
+    /// removal ring) when its leaf set references a dead node or is short,
+    /// and evict dead routing-table entries. `dead` decides which ids count
     /// as departed. Skips (and journals) `a` itself when it is not live.
-    fn repair_survivor(&mut self, a: Id, dead: &dyn Fn(Id) -> bool) {
+    fn repair_survivor(&mut self, a: Id, dead: impl Fn(Id) -> bool, (cw, ccw): (Vec<Id>, Vec<Id>)) {
         let half = self.config.leaf_half();
+        let Some(slot) = self.nodes.get_mut(&a) else {
+            self.note_stale_leafset_ref(a);
+            return;
+        };
         // Read-only probe first so an untouched survivor stays shared
         // with any snapshot.
-        let (needs_leafset, needs_eviction) = match self.nodes.get(&a) {
-            Some(node) => (
-                node.leafset.members().any(dead) || node.leafset.len() < 2 * half,
-                node.table.entries().any(dead),
-            ),
-            None => {
-                self.note_stale_leafset_ref(a);
-                return;
-            }
-        };
+        let needs_leafset = slot.leafset.members().any(&dead) || slot.leafset.len() < 2 * half;
+        let needs_eviction = slot.table.entries().any(&dead);
         if !needs_leafset && !needs_eviction {
             return;
         }
-        let cw = self.successors(a, half);
-        let ccw = self.predecessors(a, half);
-        let repaired = match self.nodes.get_mut(&a) {
-            Some(slot) => {
-                let node = Arc::make_mut(slot);
-                if needs_leafset {
-                    node.leafset.rebuild(cw, ccw);
-                }
-                if needs_eviction {
-                    node.table.evict_where(dead);
-                }
-                needs_leafset
-            }
-            None => false,
-        };
-        if repaired {
+        let node = Arc::make_mut(slot);
+        if needs_leafset {
+            node.leafset.rebuild(cw, ccw);
             self.instruments.leafset_repairs.inc();
         }
+        if needs_eviction {
+            node.table.evict_where(dead);
+        }
+    }
+
+    /// The ring stretch a membership event at `around` can touch, in
+    /// clockwise order: the `reach` live ids on each side of `around`, and
+    /// `around` itself when live — or the whole ring, when it is no larger
+    /// than that. The second value is where `around` sits in the stretch:
+    /// its own index when live, its clockwise neighbour's when not.
+    fn window(&self, around: Id, reach: usize) -> (Vec<Id>, usize) {
+        let whole = self.ring.len() <= 2 * reach + 1;
+        let mut window = Vec::with_capacity(self.ring.len().min(2 * reach + 1));
+        if !whole {
+            window.extend(
+                self.counter_clockwise_from(around, Bound::Excluded)
+                    .take(reach),
+            );
+            window.reverse();
+        }
+        let at = window.len();
+        if self.ring.contains(&around) {
+            window.push(around);
+        }
+        let rest = if whole { usize::MAX } else { reach };
+        window.extend(self.clockwise_from(around, Bound::Excluded).take(rest));
+        (window, at)
     }
 
     // ------------------------------------------------------------------
@@ -891,6 +892,27 @@ impl Overlay {
     }
 }
 
+/// The leaf-set sides of the id at index `i` of `window` (a clockwise ring
+/// stretch from [`Overlay::window`]): the `half` ids after it and the `half`
+/// before it, nearest first. Both walks continue round the end of the
+/// stretch — exact when it is the whole ring, and never reached when it is
+/// not, because the ids asked about sit `half` or more from either end.
+fn leaf_sides(window: &[Id], i: usize, half: usize) -> (Vec<Id>, Vec<Id>) {
+    let (before, after) = (&window[..i], &window[i + 1..]);
+    let cw = after.iter().chain(before).take(half).copied().collect();
+    let ccw = before
+        .iter()
+        .rev()
+        .chain(after.iter().rev())
+        .take(half)
+        .copied()
+        .collect();
+    (cw, ccw)
+}
+
+#[cfg(test)]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1091,6 +1113,71 @@ mod tests {
         let id = ov.ids().next().unwrap();
         assert!(!ov.add_node(id));
         assert_eq!(ov.len(), 10);
+    }
+
+    #[test]
+    fn join_survives_a_stranded_bootstrap_route() {
+        // Wear the bootstrap node out the way sustained churn does: an
+        // empty routing table and a full leaf set of dead ids that does
+        // not cover the key. Its route is `Stuck`; the join must fall back
+        // to the oracle root instead of panicking.
+        let (mut ov, mut rng) = build(80, 25);
+        let id = Id::random(&mut rng);
+        let bootstrap = ov.successor_inclusive(id.flip_bit(0)).unwrap();
+        let half = ov.config().leaf_half();
+        let ghosts = |step: fn(Id, Id) -> Id| -> Vec<Id> {
+            (1..=half as u64)
+                .map(|d| step(bootstrap, Id::from_u64(d)))
+                .collect()
+        };
+        let worn = Arc::make_mut(ov.nodes.get_mut(&bootstrap).unwrap());
+        worn.table = RoutingTable::new(bootstrap, ov.config.b);
+        worn.leafset
+            .rebuild(ghosts(Id::wrapping_add), ghosts(Id::wrapping_sub));
+        assert!(matches!(
+            ov.clone().route(bootstrap, id),
+            Err(RouteError::Stuck { .. })
+        ));
+
+        let root = ov.owner_of(id).unwrap();
+        let failed = ov.metrics().counter("pastry.join.route_failed");
+        let journal = ov.metrics().install_journal(8);
+        assert!(ov.add_node(id));
+        assert_eq!(failed.get(), 1);
+        assert!(journal
+            .snapshot()
+            .iter()
+            .any(|e| e.kind == "pastry.join.route_failed"));
+
+        // The newcomer is a full member: exact leaf set, rows from the
+        // root, and routes that agree with the oracle.
+        let joined = ov.node(id).unwrap();
+        assert_eq!(joined.leafset.clockwise(), &ov.successors(id, half)[..]);
+        assert_eq!(
+            joined.leafset.counter_clockwise(),
+            &ov.predecessors(id, half)[..]
+        );
+        assert!(joined.table.entries().any(|e| e == root));
+        joined.table.assert_invariants();
+        for _ in 0..20 {
+            let key = Id::random(&mut rng);
+            assert_eq!(ov.route(id, key).unwrap().root, ov.owner_of(key).unwrap());
+        }
+        assert!(
+            ov.clone().add_random_node(&mut rng) != id,
+            "healthy joins still work"
+        );
+    }
+
+    #[test]
+    fn oracle_views_of_an_empty_ring() {
+        let ov = Overlay::new(PastryConfig::paper_defaults());
+        let key = Id::from_u64(7);
+        assert_eq!(ov.owner_of(key), None);
+        assert_eq!(ov.successor_inclusive(key), None);
+        assert!(ov.k_closest(key, 3).is_empty());
+        assert_eq!(ov.closest_iter(key).count(), 0);
+        assert!(ov.successors(key, 3).is_empty() && ov.predecessors(key, 3).is_empty());
     }
 
     #[test]

@@ -296,18 +296,22 @@ impl<V> ReplicaStore<V> {
     /// migrate a replica onto it (and the displaced farthest holder drops
     /// out of the current set — though it keeps the secret in `ever_held`).
     pub fn on_node_added(&mut self, overlay: &impl KeyRouter, node: Id) {
-        // Only objects held within the newcomer's ring neighbourhood can be
-        // affected: their previous holders are within 2k ring positions.
-        let mut candidates: IdHashSet = IdHashSet::default();
-        for n in overlay
-            .following(node, 2 * self.k + 2)
+        // Only objects one of the newcomer's two ring neighbours holds can
+        // be affected. A replica set is k ring-contiguous nodes, so a set
+        // the newcomer enters still contains a node next to it whenever
+        // k >= 2, and that node held the object before; for k = 1 the one
+        // holder it displaces is its neighbour. Every candidate is
+        // recomputed in full, so a stale holder set heals on the way.
+        let mut candidates: Vec<Id> = overlay
+            .following(node, 1)
             .into_iter()
-            .chain(overlay.preceding(node, 2 * self.k + 2))
-        {
-            if let Some(keys) = self.held.get(&n) {
-                candidates.extend(keys.iter().copied());
-            }
-        }
+            .chain(overlay.preceding(node, 1))
+            .flat_map(|n| self.held_by(n))
+            .collect();
+        // Id order: the order the `held` index fills in must not depend
+        // on a hash set's.
+        candidates.sort_unstable();
+        candidates.dedup();
         for key in candidates {
             let new_holders = overlay.replica_set(key, self.k);
             self.reassign(key, new_holders);

@@ -1,0 +1,110 @@
+#!/usr/bin/env bash
+# Same-config A/B of two revisions with tap-bench: the accepted evidence for
+# a performance claim (ROADMAP item 1; benchmark/README.md has the rules).
+#
+#   scripts/bench_ab.sh <rev-a> <rev-b> [--only <workload>] [--pairs N] [--seed0 S]
+#
+# Checks both revisions out as git worktrees under a temp dir, builds each
+# one's own benchmark/ package, runs N pairs of `tap-bench run` (pair i uses
+# seed S+i on both sides, and the sides alternate which one runs first), and
+# prints a pairs-won table and `tap-bench compare a1,…,aN b1,…,bN` — exit 1
+# if B is worse than A beyond a bound of A's BENCHMARK.json or fails more
+# ops. Needs python3. Nothing is written inside the repository; the results
+# stay in the temp dir, whose path is printed. Keep the host otherwise idle.
+set -euo pipefail
+
+usage() {
+    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+    exit 2
+}
+
+[ $# -ge 2 ] || usage
+rev_a=$1
+rev_b=$2
+shift 2
+only=()
+pairs=10
+seed0=1
+while [ $# -gt 0 ]; do
+    [ $# -ge 2 ] || usage
+    case $1 in
+        --only) only=(--only "$2") ;;
+        --pairs) pairs=$2 ;;
+        --seed0) seed0=$2 ;;
+        *) usage ;;
+    esac
+    shift 2
+done
+case $pairs$seed0 in *[!0-9]* | '') usage ;; esac
+[ "$pairs" -ge 1 ] || usage
+
+repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+work=$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")
+cleanup() {
+    for side in a b; do
+        git -C "$repo" worktree remove --force "$work/$side" 2>/dev/null || true
+    done
+    git -C "$repo" worktree prune
+    echo "bench_ab: results kept in $work/runs" >&2
+}
+trap cleanup EXIT
+
+for side in a b; do
+    rev=$rev_a
+    [ $side = b ] && rev=$rev_b
+    git -C "$repo" worktree add --detach --quiet "$work/$side" "$rev"
+    echo "bench_ab: building $side = $rev ($(git -C "$work/$side" rev-parse --short HEAD))" >&2
+    cargo build --release --offline --quiet --manifest-path "$work/$side/benchmark/Cargo.toml"
+done
+
+run_side() { # <side> <pair>
+    out=$work/runs/$1_$2/result.json
+    mkdir -p "$(dirname "$out")"
+    # From the worktree, so that `run` stamps the result with that side's sha.
+    (cd "$work/$1" && ./benchmark/target/release/tap-bench run \
+        --seed $((seed0 + $2)) ${only[@]+"${only[@]}"} --out "$out" >/dev/null)
+}
+
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi
+    echo "bench_ab: pair $i/$pairs, seed $((seed0 + i)), order: $order" >&2
+    for side in $order; do
+        run_side "$side" "$i"
+    done
+done
+
+list() { # <side>
+    seq 1 "$pairs" | sed "s|.*|$work/runs/$1_&/result.json|" | paste -sd, -
+}
+
+# What `compare` does not say: it wants one seed throughout to call the
+# simulated metrics identical, and it does not count pairs. Per pair: are the
+# sim metrics and the digest the same on both sides; per wall metric: A's
+# median and quartile distance, B's median, and the pairs B won (a gain needs
+# nine in ten, and medians further apart than A's quartiles).
+python3 - "$work/a/BENCHMARK.json" "$work/bounds.json" "$pairs" "$work/runs" ${only[@]+"${only[1]}"} <<'PY'
+import json, statistics, sys
+src, dst, pairs, runs = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+bench = json.load(open(src))
+if len(sys.argv) > 5:
+    bench["workloads"] = [w for w in bench["workloads"] if w["name"] == sys.argv[5]]
+json.dump(bench, open(dst, "w"))
+load = lambda side, i: json.load(open(f"{runs}/{side}_{i}/result.json"))["workloads"]
+a, b = ([load(side, i) for i in range(1, pairs + 1)] for side in "ab")
+sim = ("virt_p50_ms", "virt_p99_ms", "delivered_frac", "wire_bytes_per_xfer")
+print(f"{'workload':<16} {'metric':<18} {'a median (IQR)':>22} {'b median':>12} {'b/a':>7}  pairs won by b")
+for w in (w["name"] for w in bench["workloads"]):
+    for m in (m for m in bench["end_to_end"] if m["name"] not in sim):
+        va, vb = ([r[w]["end_to_end"][m["name"]]["value"] for r in side] for side in (a, b))
+        q = statistics.quantiles(va, n=4) if pairs > 1 else [va[0]] * 3
+        won = sum((y > x) if m["better"] == "higher" else (y < x) for x, y in zip(va, vb))
+        ma, mb = statistics.median(va), statistics.median(vb)
+        print(f"{w:<16} {m['name']:<18} {ma:>12.4g} ({q[2] - q[0]:.3g}) {mb:>12.4g} {mb / ma:>7.3f}  {won}/{pairs}")
+    same = sum(x[w]["sim_digest"] == y[w]["sim_digest"] and x[w]["failed"] == y[w]["failed"]
+               and all(x[w]["end_to_end"][k] == y[w]["end_to_end"][k] for k in sim)
+               for x, y in zip(a, b))
+    print(f"{w:<16} sim metrics, sim_digest and failed ops equal in {same}/{pairs} pairs")
+PY
+echo
+"$work/b/benchmark/target/release/tap-bench" compare "$(list a)" "$(list b)" \
+    --bounds "$work/bounds.json"
