@@ -3,7 +3,8 @@
 //! (single-block loop vs the 4-block interleaved kernel behind
 //! [`KeystreamCursor`]), GF(2^8) multiply-accumulate (per-byte table
 //! lookups vs split-nibble SWAR over u64 lanes), and onion sealing (one
-//! full-buffer cipher sweep per layer vs the fused single-pass codec).
+//! full-buffer cipher sweep per layer vs the fused single-pass codec) —
+//! plus the AEAD's MAC, Poly1305, beside the HMAC-SHA-256 it replaced.
 //!
 //! Every scalar/wide pair is bit-identical — proptested in `tap-crypto` —
 //! so the ratios here are pure kernel speed, not different outputs.
@@ -14,7 +15,9 @@ use rand::SeedableRng;
 
 use tap_crypto::chacha20::{self, BLOCK_LEN, KEY_LEN, NONCE_LEN};
 use tap_crypto::ec::{gf_mul_acc, gf_mul_acc_scalar};
+use tap_crypto::hmac::hmac_sha256;
 use tap_crypto::onion::{OnionBuilder, LAYER_MARGIN};
+use tap_crypto::poly1305::Poly1305;
 use tap_crypto::SymmetricKey;
 
 /// The scalar reference: one `block()` per 64 bytes, XORed in as the
@@ -46,6 +49,24 @@ fn bench_chacha20(c: &mut Criterion) {
         group.bench_function("wide", |b| {
             b.iter(|| chacha20::apply_keystream(&key, &nonce, 1, &mut buf))
         });
+        group.finish();
+    }
+}
+
+fn bench_mac(c: &mut Criterion) {
+    let key = [0x42u8; 32];
+    for len in [64usize, 3072, 65536] {
+        let mut group = c.benchmark_group(format!("mac_{len}B"));
+        group.throughput(Throughput::Bytes(len as u64));
+        let msg = vec![0xA5u8; len];
+        group.bench_function("poly1305", |b| {
+            b.iter(|| {
+                let mut mac = Poly1305::new(&key);
+                mac.update(&msg);
+                mac.tag()
+            })
+        });
+        group.bench_function("hmac_sha256", |b| b.iter(|| hmac_sha256(&key, &msg)));
         group.finish();
     }
 }
@@ -99,5 +120,11 @@ fn bench_onion_seal(c: &mut Criterion) {
     }
 }
 
-criterion_group!(kernels, bench_chacha20, bench_gf_mul_acc, bench_onion_seal);
+criterion_group!(
+    kernels,
+    bench_chacha20,
+    bench_mac,
+    bench_gf_mul_acc,
+    bench_onion_seal
+);
 criterion_main!(kernels);

@@ -10,6 +10,8 @@
 
 use rand::Rng;
 
+use tap_crypto::chacha20::NONCE_LEN;
+use tap_crypto::cipher::TAG_LEN;
 use tap_crypto::{KeyPair, PublicKey, SealedBox, SymmetricKey};
 use tap_id::{Id, ID_BYTES};
 use tap_netsim::latency::LatencyModel;
@@ -98,52 +100,71 @@ impl Request {
     }
 
     fn decode(bytes: &[u8]) -> Option<Request> {
-        let (fid, rest) = bytes.split_at_checked(ID_BYTES)?;
-        let (pk, rest) = rest.split_at_checked(32)?;
-        let (entry, rest) = rest.split_at_checked(ID_BYTES)?;
-        let (len_b, rest) = rest.split_at_checked(4)?;
-        let len = u32::from_be_bytes([len_b[0], len_b[1], len_b[2], len_b[3]]) as usize;
-        (rest.len() == len).then(|| Request {
-            fid: Id::from_bytes(fid.try_into().expect("split_at_checked sized")),
-            reply_key: PublicKey(pk.try_into().expect("sized")),
-            reply_entry: Id::from_bytes(entry.try_into().expect("sized")),
+        let (fid, rest) = bytes.split_first_chunk::<ID_BYTES>()?;
+        let (pk, rest) = rest.split_first_chunk::<32>()?;
+        let (entry, rest) = rest.split_first_chunk::<ID_BYTES>()?;
+        let (len, rest) = rest.split_first_chunk::<LEN_PREFIX>()?;
+        (rest.len() == u32::from_be_bytes(*len) as usize).then(|| Request {
+            fid: Id::from_bytes(*fid),
+            reply_key: PublicKey(*pk),
+            reply_entry: Id::from_bytes(*entry),
             reply_onion: rest.to_vec(),
         })
     }
 }
 
-/// The reply payload `({f}_Kf, {Kf}_{K_I})` and its codec.
-struct Reply {
-    file_ct: Vec<u8>,
-    key_box: SealedBox,
+/// Width of the reply's two big-endian `u32` length prefixes.
+const LEN_PREFIX: usize = 4;
+
+/// The responder's half of the reply `({f}_Kf, {Kf}_{K_I})`: draw `K_f`, seal
+/// the file under it where it lies and box `K_f` to `reply_key`, all in one
+/// buffer — `len ‖ nonce ‖ ct ‖ tag ‖ ephemeral ‖ len ‖ boxed K_f`.
+fn seal_reply<R: Rng + ?Sized>(rng: &mut R, file: &[u8], reply_key: &PublicKey) -> Vec<u8> {
+    let k_f = SymmetricKey::generate(rng);
+    let sealed_len = NONCE_LEN + file.len() + TAG_LEN;
+    // The box: ephemeral key, prefix, and a sealed 32-byte key.
+    let box_len = 32 + LEN_PREFIX + NONCE_LEN + 32 + TAG_LEN;
+    let mut out = Vec::with_capacity(LEN_PREFIX + sealed_len + box_len);
+    out.extend_from_slice(&(sealed_len as u32).to_be_bytes());
+    out.extend_from_slice(&[0; NONCE_LEN]);
+    out.extend_from_slice(file);
+    out.extend_from_slice(&[0; TAG_LEN]);
+    k_f.seal_in_place(rng, &mut out[LEN_PREFIX..]);
+    let key_box = SealedBox::seal(rng, reply_key, k_f.as_bytes());
+    out.extend_from_slice(&key_box.ephemeral.0);
+    out.extend_from_slice(&(key_box.sealed.len() as u32).to_be_bytes());
+    out.extend_from_slice(&key_box.sealed);
+    out
 }
 
-impl Reply {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.file_ct.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.file_ct);
-        out.extend_from_slice(&self.key_box.ephemeral.0);
-        out.extend_from_slice(&(self.key_box.sealed.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.key_box.sealed);
-        out
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Reply> {
-        let (len_b, rest) = bytes.split_at_checked(4)?;
-        let flen = u32::from_be_bytes([len_b[0], len_b[1], len_b[2], len_b[3]]) as usize;
-        let (file_ct, rest) = rest.split_at_checked(flen)?;
-        let (eph, rest) = rest.split_at_checked(32)?;
-        let (len_b, rest) = rest.split_at_checked(4)?;
-        let slen = u32::from_be_bytes([len_b[0], len_b[1], len_b[2], len_b[3]]) as usize;
-        (rest.len() == slen).then(|| Reply {
-            file_ct: file_ct.to_vec(),
-            key_box: SealedBox {
-                ephemeral: PublicKey(eph.try_into().expect("sized")),
-                sealed: rest.to_vec(),
-            },
+/// The initiator's half: check every offset against the bytes that arrived,
+/// unbox `K_f` with `k_i`, open the file where it lies and return `reply`
+/// narrowed to it. Anything short, overlong, mis-keyed or tampered with is
+/// [`RetrievalError::Corrupt`].
+fn open_reply(k_i: &KeyPair, mut reply: Vec<u8>) -> Result<Vec<u8>, RetrievalError> {
+    let parse = |bytes: &[u8]| {
+        let (len, rest) = bytes.split_first_chunk::<LEN_PREFIX>()?;
+        let sealed_len = u32::from_be_bytes(*len) as usize;
+        let (_, rest) = rest.split_at_checked(sealed_len)?;
+        let (ephemeral, rest) = rest.split_first_chunk::<32>()?;
+        let (len, sealed) = rest.split_first_chunk::<LEN_PREFIX>()?;
+        (sealed.len() == u32::from_be_bytes(*len) as usize).then(|| {
+            let key_box = SealedBox {
+                ephemeral: PublicKey(*ephemeral),
+                sealed: sealed.to_vec(),
+            };
+            (sealed_len, key_box)
         })
-    }
+    };
+    let (sealed_len, key_box) = parse(&reply).ok_or(RetrievalError::Corrupt)?;
+    let k_f = k_i.open(&key_box).map_err(|_| RetrievalError::Corrupt)?;
+    let k_f = SymmetricKey::from_bytes(k_f.try_into().map_err(|_| RetrievalError::Corrupt)?);
+    let file = k_f
+        .open_in_place(&mut reply[LEN_PREFIX..LEN_PREFIX + sealed_len])
+        .map_err(|_| RetrievalError::Corrupt)?;
+    reply.truncate(LEN_PREFIX + file.end);
+    reply.drain(..LEN_PREFIX + file.start);
+    Ok(reply)
 }
 
 /// Everything the retrieval protocol needs from the environment. Generic
@@ -219,12 +240,8 @@ pub fn retrieve<R: Rng + ?Sized, O: KeyRouter>(
         record.holders.contains(&responder),
         "the forward tunnel delivered to the fid root, which must hold it"
     );
-    let k_f = SymmetricKey::generate(rng);
-    let reply = Reply {
-        file_ct: k_f.seal(rng, &record.value.data),
-        key_box: SealedBox::seal(rng, &request.reply_key, k_f.as_bytes()),
-    };
-    let reply_bytes = reply.encode();
+    let reply = seal_reply(rng, &record.value.data, &request.reply_key);
+    let reply_bytes = reply.len();
 
     // ---- reply path ----
     let (delivery, reply_report) = transit::drive_instrumented(
@@ -246,18 +263,10 @@ pub fn retrieve<R: Rng + ?Sized, O: KeyRouter>(
     }
 
     // ---- initiator decrypts ----
-    let reply = Reply::decode(&reply_bytes).ok_or(RetrievalError::Corrupt)?;
-    let k_f_bytes = k_i
-        .open(&reply.key_box)
-        .map_err(|_| RetrievalError::Corrupt)?;
-    let k_f_arr: [u8; 32] = k_f_bytes.try_into().map_err(|_| RetrievalError::Corrupt)?;
-    let k_f = SymmetricKey::from_bytes(k_f_arr);
-    let file = k_f
-        .open(&reply.file_ct)
-        .map_err(|_| RetrievalError::Corrupt)?;
+    let file = open_reply(&k_i, reply)?;
 
     let report = RetrievalReport {
-        reply_bytes: reply_bytes.len(),
+        reply_bytes,
         forward: forward_report,
         reply: reply_report,
     };
@@ -334,12 +343,8 @@ pub fn retrieve_timed<R: Rng + ?Sized, O: KeyRouter, L: LatencyModel>(
         .files
         .get(request.fid)
         .ok_or(RetrievalError::NoSuchFile { fid: request.fid })?;
-    let k_f = SymmetricKey::generate(rng);
-    let reply = Reply {
-        file_ct: k_f.seal(rng, &record.value.data),
-        key_box: SealedBox::seal(rng, &request.reply_key, k_f.as_bytes()),
-    };
-    let reply_bytes = reply.encode();
+    let reply = seal_reply(rng, &record.value.data, &request.reply_key);
+    let reply_bytes = reply.len();
 
     // ---- reply path (on the wire, the file travelling alongside) ----
     let (delivery, reply_report) = driver
@@ -349,7 +354,7 @@ pub fn retrieve_timed<R: Rng + ?Sized, O: KeyRouter, L: LatencyModel>(
             responder,
             request.reply_entry,
             request.reply_onion,
-            reply_bytes.len() as u64,
+            reply_bytes as u64,
             options,
             hints,
         )
@@ -363,18 +368,10 @@ pub fn retrieve_timed<R: Rng + ?Sized, O: KeyRouter, L: LatencyModel>(
     }
 
     // ---- initiator decrypts ----
-    let reply = Reply::decode(&reply_bytes).ok_or(RetrievalError::Corrupt)?;
-    let k_f_bytes = k_i
-        .open(&reply.key_box)
-        .map_err(|_| RetrievalError::Corrupt)?;
-    let k_f_arr: [u8; 32] = k_f_bytes.try_into().map_err(|_| RetrievalError::Corrupt)?;
-    let k_f = SymmetricKey::from_bytes(k_f_arr);
-    let file = k_f
-        .open(&reply.file_ct)
-        .map_err(|_| RetrievalError::Corrupt)?;
+    let file = open_reply(&k_i, reply)?;
 
     let report = TimedRetrievalReport {
-        reply_bytes: reply_bytes.len(),
+        reply_bytes,
         forward: forward_report,
         reply: reply_report,
     };
@@ -385,8 +382,11 @@ pub fn retrieve_timed<R: Rng + ?Sized, O: KeyRouter, L: LatencyModel>(
 mod tests {
     use super::*;
     use crate::tha::ThaFactory;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tap_netsim::latency::UniformLatency;
+    use tap_netsim::{Network, NetworkConfig};
     use tap_pastry::PastryConfig;
 
     struct Fx {
@@ -590,5 +590,121 @@ mod tests {
         .unwrap();
         assert_eq!(file, b"speedy");
         assert!(report.forward.overlay_hops >= 5);
+    }
+    /// A genuine reply carrying `file`, and the key pair it is boxed to.
+    fn reply_of(file: &[u8], seed: u64) -> (KeyPair, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k_i = KeyPair::generate(&mut rng);
+        let reply = seal_reply(&mut rng, file, &k_i.public());
+        (k_i, reply)
+    }
+
+    #[test]
+    fn reply_round_trips_at_block_boundaries() {
+        for len in [0usize, 1, 63, 64, 65, 250_000] {
+            let file: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let (k_i, reply) = reply_of(&file, len as u64);
+            // The layout `retrieve` reports as `reply_bytes`: two prefixes,
+            // the sealed file, the ephemeral key and the sealed `K_f`.
+            assert_eq!(reply.len(), 4 + (len + 28) + 32 + 4 + (32 + 28));
+            assert_eq!(reply.capacity(), reply.len(), "len={len}: sized once");
+            assert_eq!(open_reply(&k_i, reply), Ok(file), "len={len}");
+        }
+    }
+
+    #[test]
+    fn a_reply_opens_only_under_its_own_key_pair() {
+        let (_, reply) = reply_of(b"not for you", 7);
+        let (other, _) = reply_of(b"", 8);
+        assert_eq!(open_reply(&other, reply), Err(RetrievalError::Corrupt));
+    }
+
+    #[test]
+    fn retrieve_and_retrieve_timed_stay_in_step() {
+        // The twins share `seal_reply`/`open_reply` and draw from the RNG in
+        // the same order, so one seed gives one file and one reply size.
+        let run = |timed: bool| {
+            let mut fx = fixture(200, 6);
+            let fwd = tunnel(&mut fx, 3);
+            let rev = tunnel(&mut fx, 3);
+            let data: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
+            let fid = store_file(&mut fx, &data);
+            let bid = bid_of(&fx);
+            let initiator = fx.initiator;
+            let mut ctx = RetrievalContext {
+                overlay: &mut fx.overlay,
+                thas: &fx.thas,
+                files: &fx.files,
+                metrics: None,
+            };
+            let options = TransitOptions::default();
+            let (file, reply_bytes) = if timed {
+                let mut driver = NetDriver::new(Network::new(
+                    NetworkConfig::paper_defaults(),
+                    UniformLatency::paper(6),
+                ));
+                let (file, report) = retrieve_timed(
+                    &mut fx.rng,
+                    &mut ctx,
+                    &mut driver,
+                    initiator,
+                    fid,
+                    &fwd,
+                    &rev,
+                    bid,
+                    None,
+                    options,
+                )
+                .unwrap();
+                (file, report.reply_bytes)
+            } else {
+                let (file, report) = retrieve(
+                    &mut fx.rng,
+                    &mut ctx,
+                    initiator,
+                    fid,
+                    &fwd,
+                    &rev,
+                    bid,
+                    None,
+                    options,
+                )
+                .unwrap();
+                (file, report.reply_bytes)
+            };
+            assert_eq!(file, data);
+            (file, reply_bytes, fx.rng.gen::<u64>())
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    proptest! {
+        // Nothing a peer can put in the reply may panic the initiator.
+        #[test]
+        fn prop_open_reply_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            seed in any::<u64>(),
+        ) {
+            let k_i = KeyPair::generate(&mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(open_reply(&k_i, bytes), Err(RetrievalError::Corrupt));
+        }
+
+        #[test]
+        fn prop_open_reply_rejects_truncated_and_bit_flipped_replies(
+            file in proptest::collection::vec(any::<u8>(), 0..200),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let (k_i, reply) = reply_of(&file, seed);
+            let truncated = reply[..cut % reply.len()].to_vec();
+            let mut flipped = reply.clone();
+            let bit = flip % (reply.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            for damaged in [truncated, flipped] {
+                prop_assert_eq!(open_reply(&k_i, damaged), Err(RetrievalError::Corrupt));
+            }
+            prop_assert_eq!(open_reply(&k_i, reply), Ok(file));
+        }
     }
 }

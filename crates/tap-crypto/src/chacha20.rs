@@ -170,13 +170,13 @@ fn blocks_wide(
 #[inline]
 fn xor_bytes(dst: &mut [u8], ks: &[u8]) {
     debug_assert!(ks.len() >= dst.len());
-    let n = dst.len();
-    for (d, k) in dst[..n - n % 8].chunks_exact_mut(8).zip(ks.chunks_exact(8)) {
-        let x = u64::from_le_bytes(d[..8].try_into().expect("8-byte chunk"))
-            ^ u64::from_le_bytes(k[..8].try_into().expect("8-byte chunk"));
-        d.copy_from_slice(&x.to_le_bytes());
+    let (words, tail) = dst.as_chunks_mut::<8>();
+    let (ks_words, _) = ks.as_chunks::<8>();
+    let ks_tail = &ks[words.len() * 8..];
+    for (d, k) in words.iter_mut().zip(ks_words) {
+        *d = (u64::from_le_bytes(*d) ^ u64::from_le_bytes(*k)).to_le_bytes();
     }
-    for (d, k) in dst[n - n % 8..].iter_mut().zip(&ks[n - n % 8..]) {
+    for (d, k) in tail.iter_mut().zip(ks_tail) {
         *d ^= k;
     }
 }
@@ -294,17 +294,11 @@ pub fn apply_keystream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::unhex;
     use proptest::prelude::*;
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    fn unhex(s: &str) -> Vec<u8> {
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-            .collect()
     }
 
     /// The pre-rewrite scalar loop, verbatim: the reference every wide

@@ -1,24 +1,28 @@
 //! Authenticated symmetric encryption — the `{m}_K` of the paper.
 //!
 //! A [`SymmetricKey`] is the `K` stored inside a tunnel hop anchor. Sealing
-//! is ChaCha20 under a fresh random nonce with an HMAC-SHA-256 tag
-//! (encrypt-then-MAC); the wire format is `nonce || ciphertext || tag`.
-//! Opening verifies the tag before touching the ciphertext, so a tunnel hop
-//! can reject tampered or mis-keyed layers instead of forwarding garbage.
+//! is AEAD_CHACHA20_POLY1305 (RFC 8439 §2.8) under a fresh random nonce and
+//! with empty associated data; the wire format is `nonce || ciphertext ||
+//! tag`. Opening verifies the tag before touching the ciphertext, so a
+//! tunnel hop can reject tampered or mis-keyed layers instead of forwarding
+//! garbage.
 //!
-//! Keys are laid out as in RFC 8439 §2.6: `K` keys ChaCha20 directly, the
-//! message body uses keystream blocks 1.., and block 0 under `(K, nonce)`
-//! supplies the one-message MAC key. Per message that is one ChaCha20 block
-//! and the two HMAC pad compressions before the first message byte.
+//! `K` keys ChaCha20 directly, the message body uses keystream blocks 1..,
+//! and the first half of block 0 under `(K, nonce)` is the one-time Poly1305
+//! key (§2.6): one ChaCha20 block of set-up before the first message byte.
+//! The nonce is authenticated through that key, not as MAC input. Because
+//! the MAC key is one-time, a repeated `(K, nonce)` would cost forgeability
+//! on top of the two-time pad — nonces are 96 random bits per message, so
+//! keep the messages sealed under one `K` below 2^32 (DESIGN.md §3).
 
 use rand::Rng;
 
 use crate::chacha20::{self, KEY_LEN, NONCE_LEN};
-use crate::hmac::{derive_key, verify_tag, HmacKey};
+use crate::hmac::{derive_key, verify_tag};
+use crate::poly1305::{self, Poly1305};
 
-/// Tag width (truncated HMAC-SHA-256; 16 bytes keeps per-layer overhead at
-/// 28 bytes while leaving a 2^-128 forgery bound).
-pub const TAG_LEN: usize = 16;
+/// Tag width (Poly1305's; with the nonce, 28 bytes of overhead per layer).
+pub const TAG_LEN: usize = poly1305::TAG_LEN;
 /// Total sealing overhead per layer: nonce plus tag.
 pub const SEAL_OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
@@ -77,17 +81,18 @@ impl SymmetricKey {
         &self.0
     }
 
-    /// The (cipher, MAC) keys for the message sealed under `nonce` — the
-    /// RFC 8439 §2.6 layout with HMAC-SHA-256 where the RFC has Poly1305:
-    /// `K` itself keys ChaCha20, and the first 32 bytes of keystream block
-    /// 0 under `(K, nonce)` key the MAC, expanded to its two pad midstates.
-    /// The body starts at block 1, so block 0 is never message keystream.
-    /// One ChaCha20 block and two SHA-256 compressions; nothing is cached,
-    /// a `SymmetricKey` stays its 32 bytes. Shared with the fused onion
-    /// codec so both paths put the same bytes on the wire.
-    pub(crate) fn subkeys(&self, nonce: &[u8; NONCE_LEN]) -> (&[u8; KEY_LEN], HmacKey) {
+    /// The cipher key and the keyed MAC for the message sealed under
+    /// `nonce` (RFC 8439 §2.6): `K` itself keys ChaCha20, and the first 32
+    /// bytes of keystream block 0 under `(K, nonce)` key Poly1305. The body
+    /// starts at block 1, so block 0 is never message keystream. One
+    /// ChaCha20 block; nothing is cached, a `SymmetricKey` stays its 32
+    /// bytes. Shared with the fused onion codec so both paths put the same
+    /// bytes on the wire.
+    pub(crate) fn subkeys(&self, nonce: &[u8; NONCE_LEN]) -> (&[u8; KEY_LEN], Poly1305) {
         let block0 = chacha20::block(&self.0, 0, nonce);
-        (&self.0, HmacKey::new(&block0[..KEY_LEN]))
+        let mut otk = [0u8; poly1305::KEY_LEN];
+        otk.copy_from_slice(&block0[..poly1305::KEY_LEN]);
+        (&self.0, Poly1305::new(&otk))
     }
 
     /// Encrypt and authenticate `plaintext` under a fresh nonce.
@@ -113,11 +118,11 @@ impl SymmetricKey {
         rng.fill(&mut buf[..NONCE_LEN]);
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&buf[..NONCE_LEN]);
-        let (enc_key, mac_key) = self.subkeys(&nonce);
+        let (enc_key, mut mac) = self.subkeys(&nonce);
         chacha20::apply_keystream(enc_key, &nonce, 1, &mut buf[NONCE_LEN..body_end]);
-        let mut mac = mac_key.begin();
-        mac.update(&buf[..body_end]);
-        buf[body_end..].copy_from_slice(&mac.finalize()[..TAG_LEN]);
+        mac.update(&buf[NONCE_LEN..body_end]);
+        let tag = aead_tag(&mut mac, 0, body_end - NONCE_LEN);
+        buf[body_end..].copy_from_slice(&tag);
     }
 
     /// Verify and decrypt a message produced by [`SymmetricKey::seal`].
@@ -140,10 +145,10 @@ impl SymmetricKey {
         let body_end = sealed.len() - TAG_LEN;
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&sealed[..NONCE_LEN]);
-        let (enc_key, mac_key) = self.subkeys(&nonce);
-        let mut mac = mac_key.begin();
-        mac.update(&sealed[..body_end]);
-        if !verify_tag(&sealed[body_end..], &mac.finalize()[..TAG_LEN]) {
+        let (enc_key, mut mac) = self.subkeys(&nonce);
+        mac.update(&sealed[NONCE_LEN..body_end]);
+        let tag = aead_tag(&mut mac, 0, body_end - NONCE_LEN);
+        if !verify_tag(&sealed[body_end..], &tag) {
             return Err(CipherError::BadTag);
         }
         chacha20::apply_keystream(enc_key, &nonce, 1, &mut sealed[NONCE_LEN..body_end]);
@@ -151,9 +156,21 @@ impl SymmetricKey {
     }
 }
 
+/// Finish the RFC 8439 §2.8 MAC input `aad ‖ pad16 ‖ ct ‖ pad16 ‖
+/// le64(|aad|) ‖ le64(|ct|)` on a `mac` that has absorbed `aad ‖ pad16 ‖
+/// ct` — with this crate's empty AAD, just `ct`, in any fragmentation — and
+/// return the tag. `pad16` is zeros up to the next multiple of 16.
+pub(crate) fn aead_tag(mac: &mut Poly1305, aad_len: usize, ct_len: usize) -> [u8; TAG_LEN] {
+    mac.update(&[0u8; 16][..ct_len.wrapping_neg() % 16]);
+    mac.update(&(aad_len as u64).to_le_bytes());
+    mac.update(&(ct_len as u64).to_le_bytes());
+    mac.tag()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::unhex;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -230,16 +247,174 @@ mod tests {
         }
     }
 
+    /// Poly1305 by the definition, in five 26-bit limbs (130 = 5 · 26, so a
+    /// limb past the top wraps times exactly 5): shares no arithmetic with
+    /// the shipped 44-bit-limb code. Not constant-time; a test oracle.
+    fn poly1305_reference(key: &[u8], msg: &[u8]) -> [u8; TAG_LEN] {
+        const M: u64 = (1 << 26) - 1;
+        let le = |b: &[u8]| b.iter().rev().fold(0u128, |v, &x| v << 8 | u128::from(x));
+        let limbs = |v: u128| -> [u64; 5] { core::array::from_fn(|k| (v >> (26 * k)) as u64 & M) };
+        let carry = |x: [u64; 5], mut c: u64| -> ([u64; 5], u64) {
+            let h = x.map(|limb| {
+                let t = limb + c;
+                c = t >> 26;
+                t & M
+            });
+            (h, c)
+        };
+        let r = limbs(le(&key[..16]) & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff);
+        let mut h = [0u64; 5];
+        for chunk in msg.chunks(16) {
+            // The block with a 1 byte appended; byte 16 is limb 4's bit 24.
+            let mut block = [0u8; 17];
+            block[..chunk.len()].copy_from_slice(chunk);
+            block[chunk.len()] = 1;
+            let m = limbs(le(&block[..16]));
+            for k in 0..5 {
+                h[k] += m[k];
+            }
+            h[4] += u64::from(block[16]) << 24;
+            let wrap = |i: usize, j: usize| if j <= i { r[i - j] } else { 5 * r[i + 5 - j] };
+            let (x, c) = carry(
+                core::array::from_fn(|i| (0..5).map(|j| h[j] * wrap(i, j)).sum()),
+                0,
+            );
+            h = x;
+            h[0] += 5 * c;
+            h[1] += h[0] >> 26;
+            h[0] &= M;
+        }
+        for _ in 0..2 {
+            let (x, c) = carry(h, 0);
+            h = x;
+            h[0] += 5 * c;
+        }
+        // h − p = h + 5 − 2^130: take it iff the + 5 carried out of the top.
+        if let (g, 1) = carry(h, 5) {
+            h = g;
+        }
+        let h = (0..5).fold(0u128, |v, k| v | u128::from(h[k]) << (26 * k));
+        h.wrapping_add(le(&key[16..32])).to_le_bytes()
+    }
+
     #[test]
-    fn tag_is_hmac_under_the_first_half_of_block_zero() {
-        let (k, mut rng) = key(13);
-        let sealed = k.seal(&mut rng, b"documented construction");
-        let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().unwrap();
-        let block0 = chacha20::block(k.as_bytes(), 0, &nonce);
-        let (body, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+    fn seal_is_rfc8439_aead_with_empty_aad() {
+        // The oracle first earns its keep on RFC 8439 §2.5.2.
         assert_eq!(
-            tag,
-            &crate::hmac::hmac_sha256(&block0[..KEY_LEN], body)[..TAG_LEN]
+            poly1305_reference(
+                &unhex("85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b"),
+                b"Cryptographic Forum Research Group"
+            )[..],
+            unhex("a8061dc1305136c6c22b8baf0c0127a9")
+        );
+        let (k, mut rng) = key(13);
+        for msg in [
+            &b""[..],
+            b"documented construction",
+            &[0x5A; 16],
+            &[0xC3; 300],
+        ] {
+            let sealed = k.seal(&mut rng, msg);
+            let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().unwrap();
+            let (ct, tag) = sealed[NONCE_LEN..].split_at(msg.len());
+            let mut expect_ct = msg.to_vec();
+            chacha20::apply_keystream(k.as_bytes(), &nonce, 1, &mut expect_ct);
+            assert_eq!(ct, expect_ct);
+            // §2.8 MAC input, no AAD: ct ‖ pad16 ‖ le64(0) ‖ le64(|ct|).
+            let mut mac_input = ct.to_vec();
+            mac_input.resize(ct.len().next_multiple_of(16), 0);
+            mac_input.extend_from_slice(&0u64.to_le_bytes());
+            mac_input.extend_from_slice(&(ct.len() as u64).to_le_bytes());
+            let block0 = chacha20::block(k.as_bytes(), 0, &nonce);
+            assert_eq!(tag, poly1305_reference(&block0[..KEY_LEN], &mac_input));
+        }
+    }
+
+    /// The §2.8 tag with associated data, from this module's own parts:
+    /// `subkeys` keys the MAC and `aead_tag` closes it.
+    fn tag_with_aad(key: &[u8], nonce: &[u8], aad: &[u8], ct: &[u8]) -> Vec<u8> {
+        let key = SymmetricKey::from_bytes(key.try_into().unwrap());
+        let (_, mut mac) = key.subkeys(nonce.try_into().unwrap());
+        mac.update(aad);
+        mac.update(&[0u8; 16][..aad.len().wrapping_neg() % 16]);
+        mac.update(ct);
+        aead_tag(&mut mac, aad.len(), ct.len()).to_vec()
+    }
+
+    // RFC 8439 §2.6.2: the Poly1305 key is the first half of block 0.
+    #[test]
+    fn rfc8439_section_2_6_2_key_generation_is_subkeys() {
+        let key: [u8; KEY_LEN] = core::array::from_fn(|i| 0x80 + i as u8);
+        let nonce: [u8; NONCE_LEN] = unhex("000000000001020304050607").try_into().unwrap();
+        let otk = unhex("8ad5a08b905f81cc815040274ab29471a833b637e3fd0da508dbb8e2fdd1a646");
+        let k = SymmetricKey::from_bytes(key);
+        let (enc_key, mut mac) = k.subkeys(&nonce);
+        assert_eq!(enc_key, &key);
+        let mut expect = Poly1305::new(otk[..].try_into().unwrap());
+        for m in [&mut mac, &mut expect] {
+            m.update(b"both halves of the key, r and s, show in a tag");
+        }
+        assert_eq!(mac.tag(), expect.tag());
+    }
+
+    // RFC 8439 §2.8.2: the AEAD example, associated data included.
+    #[test]
+    fn rfc8439_section_2_8_2_aead() {
+        let key: [u8; KEY_LEN] = core::array::from_fn(|i| 0x80 + i as u8);
+        let nonce = unhex("070000004041424344454647");
+        let aad = unhex("50515253c0c1c2c3c4c5c6c7");
+        let mut text = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it."
+            .to_vec();
+        chacha20::apply_keystream(&key, nonce[..].try_into().unwrap(), 1, &mut text);
+        assert_eq!(
+            text,
+            unhex(
+                "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6
+                 3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36
+                 92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc
+                 3ff4def08e4b7a9de576d26586cec64b6116"
+            )
+        );
+        assert_eq!(
+            tag_with_aad(&key, &nonce, &aad, &text),
+            unhex("1ae10b594f09e26a7e902ecbd0600691")
+        );
+    }
+
+    // RFC 8439 A.5: the decryption example.
+    #[test]
+    fn rfc8439_appendix_a5_aead_decryption() {
+        let key = unhex("1c9240a5eb55d38af333888604f6b5f0473917c1402b80099dca5cbc207075c0");
+        let nonce = unhex("000000000102030405060708");
+        let aad = unhex("f33388860000000000004e91");
+        let mut text = unhex(
+            "64a0861575861af460f062c79be643bd5e805cfd345cf389f108670ac76c8cb2
+             4c6cfc18755d43eea09ee94e382d26b0bdb7b73c321b0100d4f03b7f355894cf
+             332f830e710b97ce98c8a84abd0b948114ad176e008d33bd60f982b1ff37c855
+             9797a06ef4f0ef61c186324e2b3506383606907b6a7c02b0f9f6157b53c867e4
+             b9166c767b804d46a59b5216cde7a4e99040c5a40433225ee282a1b0a06c523e
+             af4534d7f83fa1155b0047718cbc546a0d072b04b3564eea1b422273f548271a
+             0bb2316053fa76991955ebd63159434ecebb4e466dae5a1073a6727627097a10
+             49e617d91d361094fa68f0ff77987130305beaba2eda04df997b714d6c6f2c29
+             a6ad5cb4022b02709b",
+        );
+        assert_eq!(
+            tag_with_aad(&key, &nonce, &aad, &text),
+            unhex("eead9d67890cbb22392336fea1851f38")
+        );
+        chacha20::apply_keystream(
+            key[..].try_into().unwrap(),
+            nonce[..].try_into().unwrap(),
+            1,
+            &mut text,
+        );
+        assert_eq!(
+            String::from_utf8(text).unwrap(),
+            "Internet-Drafts are draft documents valid for a maximum of six months and may be \
+updated, replaced, or obsoleted by other documents at any time. It is inappropriate to use \
+Internet-Drafts as reference material or to cite them other than as /\u{201c}work in \
+progress./\u{201d}"
         );
     }
 

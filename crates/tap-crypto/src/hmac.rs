@@ -12,43 +12,8 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
     mac.finalize()
 }
 
-/// An HMAC-SHA-256 key, expanded: the SHA-256 chaining values after the
-/// `key ^ ipad` and `key ^ opad` blocks (RFC 2104 §4). These two midstates
-/// are everything a MAC under the key needs, so the key bytes themselves
-/// are not kept.
-#[derive(Clone, Copy)]
-pub struct HmacKey {
-    inner: [u32; 8],
-    outer: [u32; 8],
-}
-
-impl HmacKey {
-    /// Expand `key` (any length; long keys are pre-hashed as the RFC
-    /// requires): two compressions, one per pad block.
-    pub fn new(key: &[u8]) -> Self {
-        let mut k = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            k[..DIGEST_LEN].copy_from_slice(&sha256(key));
-        } else {
-            k[..key.len()].copy_from_slice(key);
-        }
-        HmacKey {
-            inner: Sha256::midstate(&k.map(|b| b ^ 0x36)),
-            outer: Sha256::midstate(&k.map(|b| b ^ 0x5c)),
-        }
-    }
-
-    /// Start a MAC under this key.
-    pub fn begin(&self) -> HmacSha256 {
-        HmacSha256 {
-            inner: Sha256::resume(self.inner, BLOCK_LEN as u64),
-            outer: self.outer,
-        }
-    }
-}
-
 /// Incremental HMAC-SHA-256: the inner hash in progress plus the outer
-/// midstate it will be finished under.
+/// pad midstate it will be finished under (RFC 2104 §4).
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
@@ -56,9 +21,19 @@ pub struct HmacSha256 {
 }
 
 impl HmacSha256 {
-    /// Start a MAC under `key` — [`HmacKey::new`] then [`HmacKey::begin`].
+    /// Start a MAC under `key` (any length; long keys are pre-hashed as the
+    /// RFC requires): two compressions, one per pad block.
     pub fn new(key: &[u8]) -> Self {
-        HmacKey::new(key).begin()
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        HmacSha256 {
+            inner: Sha256::resume(Sha256::midstate(&k.map(|b| b ^ 0x36)), BLOCK_LEN as u64),
+            outer: Sha256::midstate(&k.map(|b| b ^ 0x5c)),
+        }
     }
 
     /// Absorb message bytes.
@@ -108,8 +83,7 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // RFC 4231 test cases 1–4, 6 and 7 (5 is the truncated-output case);
-    // `hmac_sha256` runs every one through `HmacKey::new` + `begin`.
+    // RFC 4231 test cases 1–4, 6 and 7 (5 is the truncated-output case).
     #[test]
     fn rfc4231_case1() {
         let key = [0x0bu8; 20];
@@ -172,21 +146,6 @@ mod tests {
             )),
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
-    }
-
-    #[test]
-    fn one_expanded_key_begins_independent_macs() {
-        let key = HmacKey::new(b"Jefe");
-        let mut a = key.begin();
-        let mut b = key.begin();
-        a.update(b"what do ya want ");
-        b.update(b"something else");
-        a.update(b"for nothing?");
-        assert_eq!(
-            hex(&a.finalize()),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        assert_eq!(b.finalize(), hmac_sha256(b"Jefe", b"something else"));
     }
 
     #[test]

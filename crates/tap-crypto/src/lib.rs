@@ -20,8 +20,8 @@
 //! | need | implementation | vectors |
 //! |------|----------------|---------|
 //! | `H` | [`sha1`] (Pastry's id width) and [`sha256`] | FIPS 180-4 |
-//! | MAC / KDF | [`hmac`] (HMAC-SHA-256) | RFC 4231 |
-//! | `{m}_K` | [`chacha20`] + the [`cipher::SymmetricKey`] AEAD-style seal | RFC 8439 |
+//! | KDF / commitments | [`hmac`] (HMAC-SHA-256) | RFC 4231 |
+//! | `{m}_K` | [`chacha20`] + [`poly1305`] as [`cipher::SymmetricKey`]'s seal: AEAD_CHACHA20_POLY1305, empty AAD | RFC 8439 |
 //! | keypairs | [`x25519`] Diffie–Hellman + [`pki`] sealed boxes | RFC 7748 |
 //! | puzzles | [`puzzle`] hashcash-style partial preimage | self-checking |
 //!
@@ -33,7 +33,7 @@
 //!
 //! Everything here is deterministic given an RNG, `#![forbid(unsafe_code)]`,
 //! and allocation-conscious: the per-hop operation on the tunnel hot path is
-//! exactly one ChaCha20 pass plus one HMAC, matching the paper's note that
+//! exactly one ChaCha20 pass plus one Poly1305, matching the paper's note that
 //! "each tunnel hop performs only a single symmetric key operation per
 //! message" (§4).
 
@@ -46,6 +46,7 @@ pub mod ec;
 pub mod hmac;
 pub mod onion;
 pub mod pki;
+pub mod poly1305;
 pub mod puzzle;
 pub mod sha1;
 pub mod sha256;
@@ -74,6 +75,15 @@ pub fn derive_id(parts: &[&[u8]]) -> Id {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hex test vectors as bytes; whitespace between digits is ignored.
+    pub(crate) fn unhex(s: &str) -> Vec<u8> {
+        let s: String = s.split_whitespace().collect();
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
 
     #[test]
     fn derive_id_respects_boundaries() {

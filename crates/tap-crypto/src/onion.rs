@@ -14,8 +14,8 @@
 use rand::Rng;
 
 use crate::chacha20::{KeystreamCursor, NONCE_LEN};
-use crate::cipher::{CipherError, SymmetricKey, TAG_LEN};
-use crate::hmac::HmacSha256;
+use crate::cipher::{aead_tag, CipherError, SymmetricKey, TAG_LEN};
+use crate::poly1305::Poly1305;
 
 /// Framing prefix: a big-endian `u32` header length.
 const LEN_PREFIX: usize = 4;
@@ -86,7 +86,7 @@ pub fn wrap<R: Rng + ?Sized>(
 /// * [`OnionBuilder::seal`] — the fused codec: the whole layout is written
 ///   as plaintext first, then **one** left-to-right pass applies all `l`
 ///   layers' keystreams chunk by chunk (each layer a [`KeystreamCursor`],
-///   each MAC a streaming [`HmacSha256`]), instead of the layered builder's
+///   each MAC a streaming [`Poly1305`]), instead of the layered builder's
 ///   `l` full-buffer cipher sweeps. Headers, nonce draws and tags are
 ///   byte-for-byte those of the layered path at the same RNG position.
 /// * [`OnionBuilder::add_layer`] — the layered path, one seal per call
@@ -104,7 +104,7 @@ pub struct OnionBuilder {
     // Fused-seal scratch, reused across `seal` calls.
     layer_starts: Vec<usize>,
     cursors: Vec<KeystreamCursor>,
-    macs: Vec<Option<HmacSha256>>,
+    macs: Vec<Poly1305>,
 }
 
 impl std::fmt::Debug for OnionBuilder {
@@ -216,9 +216,9 @@ impl OnionBuilder {
             let s = self.layer_starts[i];
             let mut nonce = [0u8; NONCE_LEN];
             nonce.copy_from_slice(&self.buf[s..s + NONCE_LEN]);
-            let (enc_key, mac_key) = key.subkeys(&nonce);
+            let (enc_key, mac) = key.subkeys(&nonce);
             self.cursors.push(KeystreamCursor::new(enc_key, &nonce, 1));
-            self.macs.push(Some(mac_key.begin()));
+            self.macs.push(mac);
         }
 
         /// XOR the keystreams of layers `depth-1 .. 0` (innermost covering
@@ -228,15 +228,12 @@ impl OnionBuilder {
             buf: &mut [u8],
             range: std::ops::Range<usize>,
             cursors: &mut [KeystreamCursor],
-            macs: &mut [Option<HmacSha256>],
+            macs: &mut [Poly1305],
             depth: usize,
         ) {
             for j in (0..depth).rev() {
                 cursors[j].xor_into(&mut buf[range.clone()]);
-                macs[j]
-                    .as_mut()
-                    .expect("outer MACs outlive inner tag slots")
-                    .update(&buf[range.clone()]);
+                macs[j].update(&buf[range.clone()]);
             }
         }
 
@@ -248,14 +245,11 @@ impl OnionBuilder {
             ..
         } = self;
 
-        // The single pass. Layer i's nonce is MACed raw by layer i and
-        // encrypted by layers 0..i; its frame is encrypted by 0..=i.
+        // The single pass. Layer i's nonce is ciphertext to layers 0..i
+        // only (its own MAC is keyed by it, not fed it); its frame is
+        // encrypted by 0..=i.
         for i in 0..l {
             let s = layer_starts[i];
-            macs[i]
-                .as_mut()
-                .expect("MACs finalize only at their tag slot")
-                .update(&buf[s..s + NONCE_LEN]);
             chain(buf, s..s + NONCE_LEN, cursors, macs, i);
             let frame_end = if i + 1 < l {
                 layer_starts[i + 1]
@@ -265,12 +259,12 @@ impl OnionBuilder {
             chain(buf, s + NONCE_LEN..frame_end, cursors, macs, i + 1);
         }
         chain(buf, core_start..core_start + core.len(), cursors, macs, l);
-        // Tags, innermost outward: MAC i has consumed exactly
-        // [s_i, e_i − 16) when the sweep reaches its slot.
+        // Tags, innermost outward: MAC i has consumed exactly its body
+        // [s_i + 12, e_i − 16) when the sweep reaches its slot.
         let mut at = core_start + core.len();
         for i in (0..l).rev() {
-            let tag = macs[i].take().expect("each MAC finalizes once").finalize();
-            buf[at..at + TAG_LEN].copy_from_slice(&tag[..TAG_LEN]);
+            let tag = aead_tag(&mut macs[i], 0, at - (layer_starts[i] + NONCE_LEN));
+            buf[at..at + TAG_LEN].copy_from_slice(&tag);
             chain(buf, at..at + TAG_LEN, cursors, macs, i);
             at += TAG_LEN;
         }

@@ -8,7 +8,7 @@
 //!
 //! * [`tap_id`] — the 160-bit circular identifier space.
 //! * [`tap_crypto`] — from-scratch crypto substrate (SHA-1/256, HMAC,
-//!   ChaCha20, layered onion encryption, finite-field Diffie–Hellman).
+//!   the ChaCha20-Poly1305 AEAD, layered onion encryption, X25519).
 //! * [`tap_netsim`] — deterministic discrete-event network emulator.
 //! * [`tap_pastry`] — Pastry routing/location substrate plus the PAST-style
 //!   replication manager, and the [`tap_pastry::KeyRouter`] substrate trait.
