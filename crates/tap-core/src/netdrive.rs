@@ -440,7 +440,7 @@ impl<L: LatencyModel> NetDriver<L> {
                         }
                         Destination::KeyRoot(key) => {
                             let path = overlay.route_path(current, key)?;
-                            let root = *path.last().expect("non-empty path");
+                            let root = *path.last().ok_or(RouteError::EmptyOverlay)?;
                             let (_, hops) = self.ship(&path, wire, hop, options, true)?;
                             report.overlay_hops += hops;
                             report.bytes_on_wire += wire * hops as u64;

@@ -13,10 +13,11 @@ pub const ID_BYTES: usize = 20;
 
 /// A 160-bit identifier in a circular (mod 2^160) space.
 ///
-/// Used for node ids, file ids, and TAP hop ids alike. Stored big-endian so
-/// that byte-wise lexicographic order equals numeric order, which lets
-/// `Ord`/`Eq` derive straight from the array.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Used for node ids, file ids, and TAP hop ids alike. Stored as twenty
+/// big-endian bytes — that is what `Eq`, `Hash`, [`Id::as_bytes`] and every
+/// wire format see — and computed on as a `(u32, u128)` limb pair loaded
+/// from those bytes, whose tuple order is the numeric order.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Id([u8; ID_BYTES]);
 
 impl Id {
@@ -43,17 +44,27 @@ impl Id {
         &self.0
     }
 
+    /// The compute representation: the top 32 bits and the low 128.
+    /// Loaded big-endian explicitly, so every host computes the same.
+    #[inline]
+    pub(crate) fn limbs(self) -> (u32, u128) {
+        let [a, b, c, d, lo @ ..] = self.0;
+        (u32::from_be_bytes([a, b, c, d]), u128::from_be_bytes(lo))
+    }
+
+    /// The inverse of [`Id::limbs`].
+    #[inline]
+    pub(crate) fn from_limbs((hi, lo): (u32, u128)) -> Id {
+        let mut b = [0u8; ID_BYTES];
+        b[..4].copy_from_slice(&hi.to_be_bytes());
+        b[4..].copy_from_slice(&lo.to_be_bytes());
+        Id(b)
+    }
+
     /// Construct an id equal to a small integer (zero-extended to 160 bits).
     #[inline]
     pub const fn from_u64(v: u64) -> Self {
-        let mut b = [0u8; ID_BYTES];
-        let be = v.to_be_bytes();
-        let mut i = 0;
-        while i < 8 {
-            b[ID_BYTES - 8 + i] = be[i];
-            i += 1;
-        }
-        Id(b)
+        Id::from_u128(v as u128)
     }
 
     /// Construct from a `u128` (zero-extended to 160 bits).
@@ -72,9 +83,7 @@ impl Id {
     /// The low 64 bits of the identifier (handy for cheap test assertions).
     #[inline]
     pub fn low_u64(&self) -> u64 {
-        let mut be = [0u8; 8];
-        be.copy_from_slice(&self.0[ID_BYTES - 8..]);
-        u64::from_be_bytes(be)
+        self.limbs().1 as u64
     }
 
     /// Draw an identifier uniformly at random.
@@ -85,34 +94,27 @@ impl Id {
     }
 
     /// Wrapping addition on the ring.
+    #[inline]
     #[must_use]
     pub fn wrapping_add(self, rhs: Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut carry = 0u16;
-        for i in (0..ID_BYTES).rev() {
-            let s = self.0[i] as u16 + rhs.0[i] as u16 + carry;
-            out[i] = s as u8;
-            carry = s >> 8;
-        }
-        Id(out)
+        let ((ah, al), (bh, bl)) = (self.limbs(), rhs.limbs());
+        let (lo, carry) = al.overflowing_add(bl);
+        Id::from_limbs((ah.wrapping_add(bh).wrapping_add(carry as u32), lo))
+    }
+
+    /// `self - rhs mod 2^160`, left in limbs for callers that only compare.
+    #[inline]
+    fn sub_limbs(self, rhs: Id) -> (u32, u128) {
+        let ((ah, al), (bh, bl)) = (self.limbs(), rhs.limbs());
+        let (lo, borrow) = al.overflowing_sub(bl);
+        (ah.wrapping_sub(bh).wrapping_sub(borrow as u32), lo)
     }
 
     /// Wrapping subtraction on the ring (`self - rhs mod 2^160`).
+    #[inline]
     #[must_use]
     pub fn wrapping_sub(self, rhs: Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut borrow = 0i16;
-        for i in (0..ID_BYTES).rev() {
-            let d = self.0[i] as i16 - rhs.0[i] as i16 - borrow;
-            if d < 0 {
-                out[i] = (d + 256) as u8;
-                borrow = 1;
-            } else {
-                out[i] = d as u8;
-                borrow = 0;
-            }
-        }
-        Id(out)
+        Id::from_limbs(self.sub_limbs(rhs))
     }
 
     /// Distance travelling clockwise (increasing ids) from `self` to `to`.
@@ -129,29 +131,42 @@ impl Id {
         self.wrapping_sub(to)
     }
 
+    /// [`Id::ring_distance`] in limbs: the smaller of the two directed
+    /// distances, which are each other's negation.
+    #[inline]
+    fn distance_limbs(self, other: Id) -> (u32, u128) {
+        let cw = other.sub_limbs(self);
+        let ccw = self.sub_limbs(other);
+        cw.min(ccw)
+    }
+
     /// The minimal circular distance between two identifiers.
     ///
     /// This is the metric behind Pastry's "numerically closest nodeid":
     /// a key's root is the live node minimizing `ring_distance(nodeid, key)`.
     /// The result is at most [`Id::HALF`].
+    #[inline]
     #[must_use]
     pub fn ring_distance(self, other: Id) -> Id {
-        let cw = self.clockwise_distance(other);
-        let ccw = self.counter_clockwise_distance(other);
-        if cw <= ccw {
-            cw
-        } else {
-            ccw
-        }
+        Id::from_limbs(self.distance_limbs(other))
+    }
+
+    /// A sort key for `candidate` whose order is [`Id::cmp_distance`]'s:
+    /// its ring distance to `self`, then the candidate itself. A scan that
+    /// carries its incumbent's key measures every candidate once.
+    #[inline]
+    pub fn distance_key(self, candidate: Id) -> (Id, Id) {
+        (self.ring_distance(candidate), candidate)
     }
 
     /// Compare two candidate ids by their ring distance to `self`,
     /// tie-breaking on the numerically smaller candidate so the relation is
     /// a total order (required for deterministic replica-set selection).
+    #[inline]
     pub fn cmp_distance(&self, a: Id, b: Id) -> Ordering {
-        self.ring_distance(a)
-            .cmp(&self.ring_distance(b))
-            .then(a.cmp(&b))
+        self.distance_limbs(a)
+            .cmp(&self.distance_limbs(b))
+            .then_with(|| a.cmp(&b))
     }
 
     /// Whether `self` is strictly closer to `target` than `other` is,
@@ -161,93 +176,123 @@ impl Id {
         target.cmp_distance(*self, other) == Ordering::Less
     }
 
+    /// The 128-bit window of the id that holds the `b ≤ 8` bits starting at
+    /// `bit_off < 160`, and their offset inside it: the top of the id for a
+    /// digit that starts in the high limb, the low limb otherwise. Shifting
+    /// the low limb left pads a digit that runs past bit 159 with zeros.
+    #[inline]
+    fn digit_window(self, bit_off: usize) -> (u128, usize) {
+        let (hi, lo) = self.limbs();
+        if bit_off < 32 {
+            (((hi as u128) << 96) | (lo >> 32), bit_off)
+        } else {
+            (lo, bit_off - 32)
+        }
+    }
+
     /// Extract digit `index` where digit 0 is the most significant,
     /// using `b` bits per digit (`1 <= b <= 8`).
     ///
     /// Digits that would run past bit 159 are zero-padded at the low end,
     /// matching how Pastry treats identifiers as fixed-length digit strings.
+    /// Total in `index`: a digit that starts past bit 159 — `index >=`
+    /// [`crate::digits_for`]`(b)` — is all padding and reads 0, which is
+    /// what a routing table asks for when the key is its owner.
+    #[inline]
     pub fn digit(&self, index: usize, b: u32) -> u8 {
+        // `b` is a validated overlay constant, never wire or caller data.
         debug_assert!((1..=8).contains(&b), "digit width must be in 1..=8");
-        let bit_off = index * b as usize;
-        debug_assert!(bit_off < ID_BITS as usize, "digit index out of range");
-        let avail = (ID_BITS as usize - bit_off).min(b as usize);
-        let mut v = 0u8;
-        for i in 0..avail {
-            let bit = bit_off + i;
-            let byte = self.0[bit / 8];
-            let bitval = (byte >> (7 - (bit % 8))) & 1;
-            v = (v << 1) | bitval;
+        let bit_off = index.saturating_mul(b as usize);
+        if bit_off >= ID_BITS as usize {
+            return 0;
         }
-        // Pad short tail digits on the right, as if the id ended in zeros.
-        v << (b as usize - avail)
+        let (window, off) = self.digit_window(bit_off);
+        ((window << off) >> (128 - b)) as u8
     }
 
     /// Return a copy of `self` with digit `index` (width `b`) replaced by
-    /// `value`, leaving all other bits untouched.
+    /// `value`, leaving all other bits untouched. Of a tail digit only the
+    /// bits that exist are written; a digit that starts past bit 159 has
+    /// none, so `self` comes back unchanged.
+    #[inline]
     #[must_use]
-    pub fn with_digit(mut self, index: usize, b: u32, value: u8) -> Id {
+    pub fn with_digit(self, index: usize, b: u32, value: u8) -> Id {
         debug_assert!((1..=8).contains(&b));
         debug_assert!((value as u32) < (1u32 << b), "digit value out of range");
-        let bit_off = index * b as usize;
-        debug_assert!(bit_off < ID_BITS as usize);
-        let avail = (ID_BITS as usize - bit_off).min(b as usize);
-        for i in 0..avail {
-            let bit = bit_off + i;
-            let bitval = (value >> (b as usize - 1 - i)) & 1;
-            let byte = &mut self.0[bit / 8];
-            let mask = 1u8 << (7 - (bit % 8));
-            if bitval == 1 {
-                *byte |= mask;
-            } else {
-                *byte &= !mask;
-            }
+        let bit_off = index.saturating_mul(b as usize);
+        if bit_off >= ID_BITS as usize {
+            return self;
         }
-        self
+        let (window, off) = self.digit_window(bit_off);
+        let mask = (u128::MAX << (128 - b)) >> off;
+        let window = (window & !mask) | (((value as u128) << (128 - b)) >> off);
+        let (hi, lo) = self.limbs();
+        Id::from_limbs(if bit_off < 32 {
+            ((window >> 96) as u32, (window << 32) | (lo & 0xffff_ffff))
+        } else {
+            (hi, window)
+        })
     }
 
     /// Length of the common digit prefix of `self` and `other`, in digits of
     /// width `b`. Equal ids share all [`crate::digits_for`]`(b)` digits.
+    #[inline]
     pub fn shared_prefix_digits(&self, other: Id, b: u32) -> usize {
-        let total = crate::digits_for(b);
-        // Fast path: count identical leading bytes first.
-        let mut byte = 0;
-        while byte < ID_BYTES && self.0[byte] == other.0[byte] {
-            byte += 1;
-        }
-        if byte == ID_BYTES {
-            return total;
-        }
-        let bit = byte * 8 + (self.0[byte] ^ other.0[byte]).leading_zeros() as usize;
-        (bit / b as usize).min(total)
+        let ((ah, al), (bh, bl)) = (self.limbs(), other.limbs());
+        let bit = match (ah ^ bh, al ^ bl) {
+            (0, 0) => return crate::digits_for(b),
+            (0, lo) => 32 + lo.leading_zeros(),
+            (hi, _) => hi.leading_zeros(),
+        };
+        (bit / b) as usize
     }
 
-    /// Flip the single bit `bit` (0 = most significant).
+    /// Flip the single bit `bit` (0 = most significant). Like a digit past
+    /// the end, a bit past 159 does not exist and flipping it changes nothing.
     #[must_use]
     pub fn flip_bit(mut self, bit: usize) -> Id {
-        debug_assert!(bit < ID_BITS as usize);
-        self.0[bit / 8] ^= 1u8 << (7 - (bit % 8));
+        if let Some(byte) = self.0.get_mut(bit / 8) {
+            *byte ^= 0x80 >> (bit % 8);
+        }
         self
     }
 
     /// Whether `self` lies on the clockwise arc from `from` (exclusive) to
     /// `to` (inclusive). The full arc `from == to` contains everything.
+    #[inline]
     pub fn between_cw(&self, from: Id, to: Id) -> bool {
         if from == to {
             return true;
         }
-        let span = from.clockwise_distance(to);
-        let off = from.clockwise_distance(*self);
-        off > Id::ZERO && off <= span
+        let off = self.sub_limbs(from);
+        off != (0, 0) && off <= to.sub_limbs(from)
     }
 
     /// Render as a 40-character lowercase hex string.
     pub fn to_hex(&self) -> String {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(ID_BYTES * 2);
         for byte in self.0 {
-            use std::fmt::Write;
-            write!(s, "{byte:02x}").expect("writing to String cannot fail");
+            s.push(NIBBLES[(byte >> 4) as usize] as char);
+            s.push(NIBBLES[(byte & 0xf) as usize] as char);
         }
         s
+    }
+}
+
+/// Numeric order, compared on the limbs. Equal to the lexicographic order
+/// of the big-endian bytes, so it agrees with the derived `Eq`.
+impl Ord for Id {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.limbs().cmp(&other.limbs())
+    }
+}
+
+impl PartialOrd for Id {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -304,6 +349,114 @@ impl fmt::Debug for Id {
 impl fmt::Display for Id {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_hex())
+    }
+}
+
+/// The byte-at-a-time arithmetic this type started with, kept as the
+/// reference the differential proptests below compare the limb code
+/// against. Copied, not rewritten: the edits are `a`/`x` for `self`.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn wrapping_add(a: Id, rhs: Id) -> Id {
+        let mut out = [0u8; ID_BYTES];
+        let mut carry = 0u16;
+        for i in (0..ID_BYTES).rev() {
+            let s = a.0[i] as u16 + rhs.0[i] as u16 + carry;
+            out[i] = s as u8;
+            carry = s >> 8;
+        }
+        Id(out)
+    }
+
+    pub fn wrapping_sub(a: Id, rhs: Id) -> Id {
+        let mut out = [0u8; ID_BYTES];
+        let mut borrow = 0i16;
+        for i in (0..ID_BYTES).rev() {
+            let d = a.0[i] as i16 - rhs.0[i] as i16 - borrow;
+            if d < 0 {
+                out[i] = (d + 256) as u8;
+                borrow = 1;
+            } else {
+                out[i] = d as u8;
+                borrow = 0;
+            }
+        }
+        Id(out)
+    }
+
+    /// The derived order of the byte array.
+    pub fn cmp(a: Id, b: Id) -> Ordering {
+        a.0.cmp(&b.0)
+    }
+
+    pub fn ring_distance(a: Id, other: Id) -> Id {
+        let cw = wrapping_sub(other, a);
+        let ccw = wrapping_sub(a, other);
+        if cmp(cw, ccw) != Ordering::Greater {
+            cw
+        } else {
+            ccw
+        }
+    }
+
+    pub fn cmp_distance(key: Id, a: Id, b: Id) -> Ordering {
+        cmp(ring_distance(key, a), ring_distance(key, b)).then(cmp(a, b))
+    }
+
+    pub fn digit(x: Id, index: usize, b: u32) -> u8 {
+        let bit_off = index * b as usize;
+        assert!(bit_off < ID_BITS as usize, "digit index out of range");
+        let avail = (ID_BITS as usize - bit_off).min(b as usize);
+        let mut v = 0u8;
+        for i in 0..avail {
+            let bit = bit_off + i;
+            let byte = x.0[bit / 8];
+            let bitval = (byte >> (7 - (bit % 8))) & 1;
+            v = (v << 1) | bitval;
+        }
+        v << (b as usize - avail)
+    }
+
+    pub fn with_digit(mut x: Id, index: usize, b: u32, value: u8) -> Id {
+        let bit_off = index * b as usize;
+        assert!(bit_off < ID_BITS as usize);
+        let avail = (ID_BITS as usize - bit_off).min(b as usize);
+        for i in 0..avail {
+            let bit = bit_off + i;
+            let bitval = (value >> (b as usize - 1 - i)) & 1;
+            let byte = &mut x.0[bit / 8];
+            let mask = 1u8 << (7 - (bit % 8));
+            if bitval == 1 {
+                *byte |= mask;
+            } else {
+                *byte &= !mask;
+            }
+        }
+        x
+    }
+
+    pub fn shared_prefix_digits(a: Id, other: Id, b: u32) -> usize {
+        let total = crate::digits_for(b);
+        let mut byte = 0;
+        while byte < ID_BYTES && a.0[byte] == other.0[byte] {
+            byte += 1;
+        }
+        if byte == ID_BYTES {
+            return total;
+        }
+        let bit = byte * 8 + (a.0[byte] ^ other.0[byte]).leading_zeros() as usize;
+        (bit / b as usize).min(total)
+    }
+
+    pub fn between_cw(x: Id, from: Id, to: Id) -> bool {
+        if from == to {
+            return true;
+        }
+        let span = wrapping_sub(to, from);
+        let off = wrapping_sub(x, from);
+        cmp(off, Id::ZERO) == Ordering::Greater && cmp(off, span) != Ordering::Greater
     }
 }
 
@@ -442,6 +595,8 @@ mod tests {
         assert_eq!(Id::ZERO.flip_bit(0), Id::HALF);
         assert_eq!(Id::ZERO.flip_bit(159), id(1));
         assert_eq!(Id::ZERO.flip_bit(5).flip_bit(5), Id::ZERO);
+        assert_eq!(Id::HALF.flip_bit(160), Id::HALF);
+        assert_eq!(Id::HALF.flip_bit(usize::MAX), Id::HALF);
     }
 
     #[test]
@@ -449,6 +604,64 @@ mod tests {
         assert!(id(1) < id(2));
         assert!(Id::from_u128(1u128 << 100) > Id::MAX.wrapping_sub(Id::MAX));
         assert!(Id::HALF > Id::from_u128(u128::MAX));
+    }
+
+    /// An id for the differential tests: a third of the picks are uniform,
+    /// the rest sit on or within two of a seam of the limb representation —
+    /// the ring's ends and middle, bit 128 (the limb boundary), bit 64, and
+    /// random ids whose low limb is all zeros or all ones, so that carries
+    /// and borrows cross from one limb into the other.
+    fn seam(pick: usize, bytes: [u8; ID_BYTES]) -> Id {
+        let r = Id::from_bytes(bytes);
+        let (hi, lo) = r.limbs();
+        let base = match pick % 15 {
+            0 => Id::ZERO,
+            1 => Id::MAX, // 2^32 · 2^128 − 1
+            2 => Id::HALF,
+            3 => Id::from_limbs((1, 0)), // 2^128
+            4 => Id::from_limbs((0, 1 << 64)),
+            5 => Id::from_limbs((0x0000_ffff, u128::MAX)), // …00ffff…
+            6 => Id::from_limbs((hi, 0)),
+            7 => Id::from_limbs((hi, u128::MAX)),
+            8 => Id::from_limbs((0, lo)),
+            9 => Id::from_limbs((u32::MAX, lo)),
+            _ => return r,
+        };
+        let near = Id::from_u64(u64::from(bytes[19] % 3));
+        if bytes[18].is_multiple_of(2) {
+            oracle::wrapping_add(base, near)
+        } else {
+            oracle::wrapping_sub(base, near)
+        }
+    }
+
+    #[test]
+    fn hash_and_layout_are_those_of_the_byte_array() {
+        use std::hash::{BuildHasher, Hash, Hasher};
+        assert_eq!(std::mem::size_of::<Id>(), ID_BYTES);
+        assert_eq!(std::mem::align_of::<Id>(), 1);
+        let fixed: Id = "f123456789abcdef0000000000000000000000ff".parse().unwrap();
+        let mut derived = std::collections::hash_map::DefaultHasher::new();
+        let mut bytes = std::collections::hash_map::DefaultHasher::new();
+        fixed.hash(&mut derived);
+        fixed.as_bytes().hash(&mut bytes);
+        assert_eq!(derived.finish(), bytes.finish());
+        // Recorded with the byte-wise `Id` this crate started with.
+        assert_eq!(
+            crate::BuildIdHasher::default().hash_one(fixed),
+            0x1af3_783f_8cf6_c95d
+        );
+    }
+
+    #[test]
+    fn digits_past_the_end_are_zero_and_unwritable() {
+        for b in 1..=8u32 {
+            let total = crate::digits_for(b);
+            for index in [total, total + 1, usize::MAX / 2, usize::MAX] {
+                assert_eq!(Id::MAX.digit(index, b), 0, "b = {b}, index = {index}");
+                assert_eq!(Id::HALF.with_digit(index, b, 1), Id::HALF);
+            }
+        }
     }
 
     proptest! {
@@ -525,6 +738,110 @@ mod tests {
             let expect = from.clockwise_distance(x) != Id::ZERO
                 && from.clockwise_distance(x) <= from.clockwise_distance(to);
             prop_assert_eq!(inside, expect);
+        }
+    }
+
+    // Differential against the byte-wise oracle. Many cases: a triple of
+    // seam picks has 15^3 combinations and each case costs microseconds.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn prop_limb_arithmetic_matches_the_byte_oracle(
+            picks in (0usize..15, 0usize..15, 0usize..15),
+            a in any::<[u8; 20]>(), b in any::<[u8; 20]>(), c in any::<[u8; 20]>()
+        ) {
+            let (a, b, c) = (seam(picks.0, a), seam(picks.1, b), seam(picks.2, c));
+            prop_assert_eq!(a.wrapping_add(b), oracle::wrapping_add(a, b));
+            prop_assert_eq!(a.wrapping_sub(b), oracle::wrapping_sub(a, b));
+            prop_assert_eq!(a.clockwise_distance(b), oracle::wrapping_sub(b, a));
+            prop_assert_eq!(a.counter_clockwise_distance(b), oracle::wrapping_sub(a, b));
+            prop_assert_eq!(a.ring_distance(b), oracle::ring_distance(a, b));
+            prop_assert_eq!(a.cmp(&b), oracle::cmp(a, b));
+            prop_assert_eq!(a.cmp(&b), a.as_bytes().cmp(b.as_bytes()));
+            prop_assert_eq!(a.partial_cmp(&b), Some(oracle::cmp(a, b)));
+            prop_assert_eq!(a.cmp_distance(b, c), oracle::cmp_distance(a, b, c));
+            prop_assert_eq!(
+                b.closer_to(a, c),
+                oracle::cmp_distance(a, b, c) == Ordering::Less
+            );
+            prop_assert_eq!(a.distance_key(b), (oracle::ring_distance(a, b), b));
+            prop_assert_eq!(
+                a.distance_key(b).cmp(&a.distance_key(c)),
+                oracle::cmp_distance(a, b, c)
+            );
+            // Plain and wrapping arcs (whichever of b, c is larger), and
+            // the full arc `from == to`.
+            prop_assert_eq!(a.between_cw(b, c), oracle::between_cw(a, b, c));
+            prop_assert_eq!(a.between_cw(c, b), oracle::between_cw(a, c, b));
+            prop_assert!(a.between_cw(b, b));
+            prop_assert_eq!(b.between_cw(b, c), b == c);
+            prop_assert!(c.between_cw(b, c));
+            prop_assert_eq!(a.low_u64().to_be_bytes(), a.as_bytes()[12..]);
+            prop_assert_eq!(Id::from_limbs(a.limbs()), a);
+        }
+
+        #[test]
+        fn prop_equidistant_ties_match_the_byte_oracle(
+            picks in (0usize..15, 0usize..15),
+            key in any::<[u8; 20]>(), delta in any::<[u8; 20]>()
+        ) {
+            let (key, delta) = (seam(picks.0, key), seam(picks.1, delta));
+            let below = oracle::wrapping_sub(key, delta);
+            let above = oracle::wrapping_add(key, delta);
+            prop_assert_eq!(key.ring_distance(below), key.ring_distance(above));
+            prop_assert_eq!(
+                key.cmp_distance(below, above),
+                oracle::cmp_distance(key, below, above)
+            );
+            prop_assert_eq!(key.cmp_distance(below, above), below.cmp(&above));
+            prop_assert_eq!(
+                key.cmp_distance(above, below),
+                key.cmp_distance(below, above).reverse()
+            );
+        }
+
+        #[test]
+        fn prop_digits_match_the_byte_oracle(
+            picks in (0usize..15, 0usize..15),
+            a in any::<[u8; 20]>(), other in any::<[u8; 20]>(),
+            b in 1u32..=8, index in any::<usize>(), value in any::<u8>()
+        ) {
+            let (a, other) = (seam(picks.0, a), seam(picks.1, other));
+            let index = index % crate::digits_for(b);
+            let value = value & ((1u16 << b) - 1) as u8;
+            prop_assert_eq!(a.digit(index, b), oracle::digit(a, index, b));
+            prop_assert_eq!(
+                a.with_digit(index, b, value),
+                oracle::with_digit(a, index, b, value)
+            );
+            prop_assert_eq!(
+                a.shared_prefix_digits(other, b),
+                oracle::shared_prefix_digits(a, other, b)
+            );
+            // Ids that agree up to some bit: the prefix ends mid-id.
+            let near = a.flip_bit(index * b as usize);
+            prop_assert_eq!(
+                a.shared_prefix_digits(near, b),
+                oracle::shared_prefix_digits(a, near, b)
+            );
+        }
+
+        #[test]
+        fn prop_digit_functions_never_panic(
+            bytes in any::<[u8; 20]>(), b in 1u32..=8, index in any::<usize>()
+        ) {
+            let a = Id::from_bytes(bytes);
+            let total = crate::digits_for(b);
+            let index = index % (total + 1);
+            let d = a.digit(index, b);
+            prop_assert!(u32::from(d) < 1 << b);
+            prop_assert_eq!(a.with_digit(index, b, d), a);
+            prop_assert_eq!(a.shared_prefix_digits(a, b), total);
+            if index == total {
+                prop_assert_eq!(d, 0);
+                prop_assert_eq!(a.with_digit(index, b, 1), a);
+            }
         }
     }
 }

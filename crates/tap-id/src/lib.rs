@@ -18,10 +18,29 @@
 //!   [`Id::shared_prefix_digits`], [`Id::with_digit`] for an arbitrary digit
 //!   width `b` (Pastry's `b` parameter, typically 4 → hexadecimal digits).
 //!
-//! The type is deliberately `Copy` (20 bytes), ordering is the plain numeric
-//! order, and all arithmetic is branch-light constant-width `u8` limb math —
-//! identifier comparisons sit on the hot path of every simulated routing
-//! step, so the representation is kept flat and allocation-free.
+//! ## Storage and compute representation
+//!
+//! An [`Id`] is *stored* as twenty big-endian bytes: `Copy`, 20 bytes,
+//! alignment 1. `Eq` and `Hash` are derived from that array, so
+//! [`Id::as_bytes`], every wire format, the [`IdHasher`] fold and with it
+//! the iteration order of every [`IdHashMap`] are properties of the bytes
+//! alone. It is *computed on* as a `(u32, u128)` limb pair — the top 32
+//! bits and the low 128 — loaded from the bytes with `from_be_bytes`, never
+//! in host order, so every host computes the same. Add and subtract are one
+//! carry chain; `Ord`, the distances, [`Id::cmp_distance`] and
+//! [`Id::between_cw`] compare limb tuples (tuple order is numeric order,
+//! which is the bytes' lexicographic order); a shared prefix is
+//! `leading_zeros` of the XOR and a digit is a shift and a mask. Identifier
+//! arithmetic sits under every routing step, leaf-set scan and `BTreeSet`
+//! descent, so all of it is `#[inline]` and none of it allocates. The
+//! byte-at-a-time arithmetic the crate started with survives as the test
+//! oracle the limb code is checked against.
+//!
+//! The digit functions are total in the digit index: a digit that starts at
+//! or past bit 160 (`index >= digits_for(b)`) is all zero padding, so
+//! [`Id::digit`] reads 0 and [`Id::with_digit`] changes nothing. A Pastry
+//! routing table relies on this — asked for its owner's next hop it looks
+//! up row `digits_for(b)`, which no table has.
 //!
 //! ## Example
 //!

@@ -38,15 +38,14 @@ impl ArcRange {
     /// with `id`.
     ///
     /// A `prefix_len` of zero is the whole ring; a `prefix_len` of
-    /// [`digits_for`]`(b)` is the single point `id` (represented as the arc
-    /// `(id-1, id]`).
+    /// [`digits_for`]`(b)` — or more: an id has no further digits to share —
+    /// is the single point `id` (represented as the arc `(id-1, id]`).
     pub fn prefix_bucket(id: Id, prefix_len: usize, b: u32) -> Self {
         let total = digits_for(b);
-        assert!(prefix_len <= total, "prefix longer than the id");
         if prefix_len == 0 {
             return ArcRange::full();
         }
-        if prefix_len == total {
+        if prefix_len >= total {
             return ArcRange::new(id.wrapping_sub(Id::from_u64(1)), id);
         }
         // Lowest id in the bucket: prefix then zeros.
@@ -86,17 +85,11 @@ impl ArcRange {
     /// Number of ids in the arc, saturating at `u128::MAX` (arcs wider than
     /// 2^128 are "huge" for every purpose we have).
     pub fn len_saturating(&self) -> u128 {
-        if self.is_full() {
-            return u128::MAX;
+        match self.start.clockwise_distance(self.end).limbs() {
+            (0, 0) => u128::MAX, // the full ring
+            (0, len) => len,
+            _ => u128::MAX,
         }
-        let span = self.start.clockwise_distance(self.end);
-        let bytes = span.as_bytes();
-        if bytes[..4].iter().any(|&b| b != 0) {
-            return u128::MAX;
-        }
-        let mut be = [0u8; 16];
-        be.copy_from_slice(&bytes[4..]);
-        u128::from_be_bytes(be)
     }
 
     /// Draw an id uniformly from the arc.
@@ -106,29 +99,16 @@ impl ArcRange {
     /// least 1/2 per attempt regardless of the arc width, and the result is
     /// exactly uniform.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Id {
-        if self.is_full() {
-            return Id::random(rng);
-        }
         let span = self.start.clockwise_distance(self.end);
-        debug_assert!(span > Id::ZERO);
-        // Build a byte mask covering exactly the significant bits of span.
-        let sb = span.as_bytes();
-        let top = sb.iter().position(|&b| b != 0).expect("span is non-zero");
-        let mut mask = [0u8; crate::ID_BYTES];
-        mask[top] = if sb[top].leading_zeros() == 0 {
-            0xff
-        } else {
-            (1u8 << (8 - sb[top].leading_zeros())) - 1
+        // All ones from the span's top set bit down.
+        let (mask_hi, mask_lo) = match span.limbs() {
+            (0, 0) => return Id::random(rng), // the full ring
+            (0, lo) => (0, u128::MAX >> lo.leading_zeros()),
+            (hi, _) => (u32::MAX >> hi.leading_zeros(), u128::MAX),
         };
-        for m in mask.iter_mut().skip(top + 1) {
-            *m = 0xff;
-        }
         loop {
-            let mut raw = *Id::random(rng).as_bytes();
-            for (r, m) in raw.iter_mut().zip(mask.iter()) {
-                *r &= m;
-            }
-            let off = Id::from_bytes(raw);
+            let (hi, lo) = Id::random(rng).limbs();
+            let off = Id::from_limbs((hi & mask_hi, lo & mask_lo));
             if off < span {
                 // Offsets are 0-based over [0, span); the arc is (start, end]
                 // so shift by one.
@@ -187,6 +167,8 @@ mod tests {
         assert!(!bucket.contains(Id::from_u64(41)));
         assert!(!bucket.contains(Id::from_u64(43)));
         assert_eq!(bucket.len_saturating(), 1);
+        let longer = ArcRange::prefix_bucket(id, crate::digits_for(4) + 1, 4);
+        assert_eq!(longer, bucket, "no digits past the last to share");
     }
 
     #[test]
@@ -264,7 +246,79 @@ mod tests {
         assert_eq!(point.sample(&mut rng), Id::ZERO);
     }
 
+    /// `sample` and `len_saturating` as they were on bytes — the reference
+    /// for the draws the limb versions must reproduce one for one.
+    fn oracle_sample(arc: &ArcRange, rng: &mut StdRng) -> Id {
+        if arc.is_full() {
+            return Id::random(rng);
+        }
+        let span = arc.start.clockwise_distance(arc.end);
+        let sb = span.as_bytes();
+        let top = sb.iter().position(|&b| b != 0).expect("span is non-zero");
+        let mut mask = [0u8; crate::ID_BYTES];
+        mask[top] = if sb[top].leading_zeros() == 0 {
+            0xff
+        } else {
+            (1u8 << (8 - sb[top].leading_zeros())) - 1
+        };
+        for m in mask.iter_mut().skip(top + 1) {
+            *m = 0xff;
+        }
+        loop {
+            let mut raw = *Id::random(rng).as_bytes();
+            for (r, m) in raw.iter_mut().zip(mask.iter()) {
+                *r &= m;
+            }
+            let off = Id::from_bytes(raw);
+            if off < span {
+                return arc.start.wrapping_add(off).wrapping_add(Id::from_u64(1));
+            }
+        }
+    }
+
+    fn oracle_len_saturating(arc: &ArcRange) -> u128 {
+        if arc.is_full() {
+            return u128::MAX;
+        }
+        let span = arc.start.clockwise_distance(arc.end);
+        let bytes = span.as_bytes();
+        if bytes[..4].iter().any(|&b| b != 0) {
+            return u128::MAX;
+        }
+        let mut be = [0u8; 16];
+        be.copy_from_slice(&bytes[4..]);
+        u128::from_be_bytes(be)
+    }
+
     proptest! {
+        /// Same ids from the same generator state, and the generator left in
+        /// the same state: spans of every bit length, the full ring included.
+        #[test]
+        fn prop_sample_and_len_match_the_byte_oracle(
+            start in any::<[u8; 20]>(), width in any::<[u8; 20]>(),
+            bits in 0usize..=160, seed in any::<u64>()
+        ) {
+            let start = Id::from_bytes(start);
+            // A span of exactly `bits` significant bits (0: the full ring).
+            let mut span = Id::from_bytes(width);
+            for bit in 0..160 - bits {
+                if span.digit(bit, 1) == 1 {
+                    span = span.flip_bit(bit);
+                }
+            }
+            if bits > 0 && span.digit(160 - bits, 1) == 0 {
+                span = span.flip_bit(160 - bits);
+            }
+            let arc = ArcRange::new(start, start.wrapping_add(span));
+            prop_assert_eq!(arc.len_saturating(), oracle_len_saturating(&arc));
+            let (mut ours, mut theirs) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..4 {
+                prop_assert_eq!(arc.sample(&mut ours), oracle_sample(&arc, &mut theirs));
+            }
+            prop_assert_eq!(Id::random(&mut ours), Id::random(&mut theirs));
+        }
+
         #[test]
         fn prop_prefix_bucket_contains_exactly_matching_prefixes(
             a in any::<[u8; 20]>(), x in any::<[u8; 20]>(), plen in 0usize..=8

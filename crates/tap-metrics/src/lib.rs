@@ -118,8 +118,17 @@ impl Histogram {
         self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // `fetch_min`/`fetch_max` are compare-exchange loops even when the
+        // sample does not extend the range, which is nearly always: look
+        // first. A concurrent recorder can only move `min` down and `max`
+        // up, so a stale read either skips an update that would have been a
+        // no-op or makes one that turns out to be.
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded samples.
@@ -616,6 +625,45 @@ mod tests {
                 count: 1
             }
         );
+    }
+
+    #[test]
+    fn histogram_range_follows_every_sample() {
+        // `record` only touches min/max when a sample extends the range:
+        // first sample, repeats of either end, interior values and
+        // extensions at both ends must all leave the exact running range.
+        let h = Histogram::new();
+        let samples = [7u64, 7, 9, 8, 7, 9, 3, 5, 12, 12, 0, u64::MAX, 4];
+        for (i, &v) in samples.iter().enumerate() {
+            h.record(v);
+            let s = h.snapshot();
+            assert_eq!(Some(&s.min), samples[..=i].iter().min());
+            assert_eq!(Some(&s.max), samples[..=i].iter().max());
+        }
+    }
+
+    #[test]
+    fn histogram_range_is_exact_under_concurrent_recorders() {
+        // Whatever the interleaving, a lower min (higher max) is never
+        // lost: the guard reads a value that can only be further out by
+        // the time the RMW runs.
+        let h = Histogram::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (h, start) = (&h, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..10_000u64 {
+                        // Thread t walks outwards from the middle.
+                        h.record(50_000 + t * 10_000 + i);
+                        h.record(50_000 - t * 10_000 - i);
+                    }
+                });
+            }
+        });
+        let s = h.snapshot();
+        assert_eq!((s.count, s.min, s.max), (80_000, 10_001, 89_999));
     }
 
     #[test]

@@ -178,13 +178,10 @@ impl LeafSet {
     /// The member of `leafset ∪ {owner}` numerically closest to `key`
     /// (deterministic tie-break via [`Id::cmp_distance`]).
     pub fn closest_to(&self, key: Id) -> Id {
-        let mut best = self.owner;
-        for m in self.members() {
-            if key.cmp_distance(m, best) == std::cmp::Ordering::Less {
-                best = m;
-            }
-        }
-        best
+        self.members()
+            .map(|m| key.distance_key(m))
+            .fold(key.distance_key(self.owner), Ord::min)
+            .1
     }
 }
 
@@ -353,6 +350,47 @@ mod tests {
                     "member closer than closest_to result"
                 );
             }
+        }
+
+        /// `closest_to` is the `cmp_distance` minimum of members ∪ {owner},
+        /// on leaf sets installed from a sorted ring — tiny ones included,
+        /// where the two sides overlap and `rebuild` dedups them. Dense
+        /// rings put every id an even step from `MAX − 16`, across zero, so
+        /// that an odd key is an exact tie between two of them.
+        #[test]
+        fn prop_closest_to_is_the_cmp_distance_minimum(
+            ring in proptest::collection::vec(any::<[u8; 20]>(), 1..24),
+            half in 1usize..=8,
+            at in any::<usize>(),
+            key in any::<[u8; 20]>(),
+            dense in any::<bool>(),
+        ) {
+            let place = |bytes: [u8; 20], step: u8| {
+                if dense {
+                    let off = u64::from(bytes[19] % (32 / step)) * u64::from(step);
+                    Id::MAX.wrapping_sub(Id::from_u64(16)).wrapping_add(Id::from_u64(off))
+                } else {
+                    Id::from_bytes(bytes)
+                }
+            };
+            let mut ring: Vec<Id> = ring.into_iter().map(|b| place(b, 2)).collect();
+            ring.sort();
+            ring.dedup();
+            let key = place(key, 1);
+            let n = ring.len();
+            let at = at % n;
+            let owner = ring[at];
+            let cw: Vec<Id> = (1..n).map(|t| ring[(at + t) % n]).take(half).collect();
+            let ccw: Vec<Id> = (1..n).map(|t| ring[(at + n - t) % n]).take(half).collect();
+            let mut ls = LeafSet::new(owner, half);
+            ls.rebuild(cw, ccw);
+            prop_assert!(ls.len() < n, "overlapping sides are deduplicated");
+
+            let want = ls
+                .members()
+                .chain(std::iter::once(owner))
+                .min_by(|a, b| key.cmp_distance(*a, *b));
+            prop_assert_eq!(Some(ls.closest_to(key)), want);
         }
 
         #[test]

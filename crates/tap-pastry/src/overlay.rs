@@ -414,8 +414,16 @@ impl Overlay {
     /// therefore always ring-contiguous — the property replica repair on a
     /// join rests on.
     pub fn closest_iter(&self, key: Id) -> impl Iterator<Item = Id> + '_ {
-        let mut succ = self.clockwise_from(key, Bound::Included).peekable();
-        let mut pred = self.counter_clockwise_from(key, Bound::Included).peekable();
+        // A frontier is measured when first peeked, not once per comparison.
+        let measured = move |id: Id| key.distance_key(id);
+        let mut succ = self
+            .clockwise_from(key, Bound::Included)
+            .map(measured)
+            .peekable();
+        let mut pred = self
+            .counter_clockwise_from(key, Bound::Included)
+            .map(measured)
+            .peekable();
         let mut left = self.ring.len();
         std::iter::from_fn(move || {
             if left == 0 {
@@ -425,12 +433,12 @@ impl Overlay {
             // Each walk covers the whole ring, so while an id is unvisited
             // both still have a frontier (the same id, for the last one).
             let (s, p) = (succ.peek().copied()?, pred.peek().copied()?);
-            if key.cmp_distance(s, p) == std::cmp::Ordering::Greater {
+            if s > p {
                 pred.next();
-                Some(p)
+                Some(p.1)
             } else {
                 succ.next();
-                Some(s)
+                Some(s.1)
             }
         })
     }
@@ -698,7 +706,10 @@ impl Overlay {
             return Err(RouteError::UnknownSource(from));
         }
         let mut current = from;
-        let mut path = vec![from];
+        // One allocation for any path of up to seven hops, where growing
+        // from `vec![from]` reallocates at the second node and the fifth.
+        let mut path = Vec::with_capacity(8);
+        path.push(from);
         // Prefix hops strictly lengthen the shared prefix and ring-mode
         // hops strictly shrink ring distance, so the true bound is
         // digits + N; this is a defensive cap well above realistic paths.
@@ -795,24 +806,28 @@ impl Overlay {
         // side is strictly closer, so routing still terminates at the root.
         let node = &self.nodes[&current];
         let own_prefix = current.shared_prefix_digits(key, self.config.b);
-        let mut best_pastry: Option<Id> = None;
-        let mut best_greedy: Option<Id> = None;
+        // Candidates and incumbents are distance keys: every id is
+        // measured once.
+        let here = key.distance_key(current);
+        let mut best_pastry: Option<(Id, Id)> = None;
+        let mut best_greedy: Option<(Id, Id)> = None;
         let mut stale = Vec::new();
         for c in node.table.entries().chain(node.leafset.members()) {
             if !self.nodes.contains_key(&c) {
                 stale.push(c);
                 continue;
             }
-            if !c.closer_to(key, current) {
+            let cand = key.distance_key(c);
+            if cand >= here {
                 continue;
             }
-            if best_greedy.is_none_or(|b| c.closer_to(key, b)) {
-                best_greedy = Some(c);
+            if best_greedy.is_none_or(|b| cand < b) {
+                best_greedy = Some(cand);
             }
             if c.shared_prefix_digits(key, self.config.b) >= own_prefix
-                && best_pastry.is_none_or(|b| c.closer_to(key, b))
+                && best_pastry.is_none_or(|b| cand < b)
             {
-                best_pastry = Some(c);
+                best_pastry = Some(cand);
             }
         }
         if !stale.is_empty() {
@@ -827,12 +842,12 @@ impl Overlay {
             }
         }
         if !ring_mode {
-            if let Some(b) = best_pastry {
+            if let Some((_, b)) = best_pastry {
                 return Ok((Some(b), false));
             }
         }
         match best_greedy {
-            Some(b) => Ok((Some(b), true)),
+            Some((_, b)) => Ok((Some(b), true)),
             // Not covered by the leaf set yet nobody is closer: with exact
             // leaf sets this means current *is* the root of a sparse ring
             // (fewer nodes than a leaf-set side). Confirm against local

@@ -403,6 +403,32 @@ mod tests {
     }
 
     proptest! {
+        /// The owner shares every digit with itself, so the table is asked
+        /// for row `digits_for(b)` and the digit past the end: an empty
+        /// answer at every digit width, never an index out of range.
+        #[test]
+        fn prop_owner_as_key_never_panics(
+            owner in any::<[u8; 20]>(), b in 1u32..=8, fill in any::<u64>()
+        ) {
+            let owner = Id::from_bytes(owner);
+            let mut rt = RoutingTable::new(owner, b);
+            let mut rng = StdRng::seed_from_u64(fill);
+            for _ in 0..32 {
+                rt.consider(Id::random(&mut rng));
+            }
+            // The deepest row a table can have: the owner with its last
+            // bit flipped shares every digit but the final one.
+            rt.consider(owner.flip_bit(159));
+            prop_assert_eq!(rt.depth(), tap_id::digits_for(b));
+            let before = rt.clone();
+            prop_assert_eq!(rt.next_hop(owner), None);
+            prop_assert!(!rt.consider(owner));
+            rt.replace(owner);
+            prop_assert_eq!(rt.fallback_hop(owner), None);
+            prop_assert_eq!(&rt, &before);
+            rt.assert_invariants();
+        }
+
         #[test]
         fn prop_invariants_hold_under_random_churn(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);

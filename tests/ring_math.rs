@@ -1,0 +1,263 @@
+//! Ring arithmetic and the routes built on it, pinned from outside the
+//! crates.
+//!
+//! `Id` computes on wide limbs but stores, hashes and orders as twenty
+//! big-endian bytes. The fixed vectors below sit on the seams a limb
+//! rewrite can get wrong (carries across bit 128, the half-ring tie, the
+//! zero-padded tail digit); the route pins hash whole Pastry and Chord
+//! route paths, so any change to a comparison, a tie-break or a digit shows
+//! as a different constant. The constants were recorded with the byte-wise
+//! arithmetic this crate started with.
+
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{BuildHasher, Hash, Hasher};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use tap::chord::{ChordConfig, ChordOverlay};
+use tap::id::{digits_for, BuildIdHasher, Id, IdHashMap};
+use tap::pastry::{Overlay, PastryConfig};
+
+fn hex(s: &str) -> Id {
+    s.parse().expect("valid 40-digit hex id")
+}
+
+/// `2^128`: the lowest id whose low sixteen bytes are all zero.
+fn two_pow_128() -> Id {
+    hex("0000000100000000000000000000000000000000")
+}
+
+#[test]
+fn add_and_sub_carry_across_bit_128() {
+    let low_ones = Id::from_u128(u128::MAX);
+    let one = Id::from_u64(1);
+    assert_eq!(low_ones.wrapping_add(one), two_pow_128());
+    assert_eq!(two_pow_128().wrapping_sub(one), low_ones);
+    assert_eq!(Id::ZERO.wrapping_sub(one), Id::MAX);
+    assert_eq!(Id::MAX.wrapping_add(one), Id::ZERO);
+    // A carry that ripples through the whole low limb and stops in the top.
+    let a = hex("00fffffeffffffffffffffffffffffffffffffff");
+    assert_eq!(
+        a.wrapping_add(one),
+        hex("00ffffff00000000000000000000000000000000")
+    );
+    assert_eq!(
+        hex("7fffffff00000000000000000000000000000000").wrapping_sub(low_ones),
+        hex("7ffffffe00000000000000000000000000000001")
+    );
+}
+
+#[test]
+fn ring_distance_at_and_around_half() {
+    let one = Id::from_u64(1);
+    assert_eq!(Id::ZERO.ring_distance(Id::HALF), Id::HALF);
+    assert_eq!(Id::HALF.ring_distance(Id::ZERO), Id::HALF);
+    let past = Id::HALF.wrapping_add(one);
+    assert_eq!(
+        Id::ZERO.ring_distance(past),
+        hex("7fffffffffffffffffffffffffffffffffffffff")
+    );
+    assert_eq!(Id::MAX.ring_distance(one), Id::from_u64(2));
+    assert_eq!(
+        two_pow_128().ring_distance(Id::from_u128(u128::MAX)),
+        Id::from_u64(1)
+    );
+}
+
+#[test]
+fn cmp_distance_breaks_ties_on_the_smaller_id() {
+    let key = two_pow_128();
+    let below = key.wrapping_sub(Id::from_u64(9));
+    let above = key.wrapping_add(Id::from_u64(9));
+    assert_eq!(key.cmp_distance(below, above), Ordering::Less);
+    assert_eq!(key.cmp_distance(above, below), Ordering::Greater);
+    assert_eq!(key.cmp_distance(above, above), Ordering::Equal);
+    assert!(below.closer_to(key, above));
+    assert!(!above.closer_to(key, below));
+    assert_eq!(key.distance_key(above), (Id::from_u64(9), above));
+    assert!(key.distance_key(below) < key.distance_key(above));
+    // Antipodes: ZERO and HALF are both exactly HALF away from each other's
+    // quarter points; the tie still resolves to the smaller id.
+    let quarter = hex("4000000000000000000000000000000000000000");
+    assert_eq!(quarter.cmp_distance(Id::ZERO, Id::HALF), Ordering::Less);
+}
+
+#[test]
+fn digits_and_prefixes_at_b3_and_b4() {
+    let a = hex("f123456789abcdef0000000000000000000000ff");
+    assert_eq!(a.digit(0, 4), 0xf);
+    assert_eq!(a.digit(7, 4), 0x7);
+    assert_eq!(a.digit(8, 4), 0x8, "first digit below bit 128");
+    assert_eq!(a.digit(39, 4), 0xf);
+    // b = 3 digits straddle byte and limb boundaries: digit 10 is bits
+    // 30..33, two bits above bit 128 and one below.
+    assert_eq!(a.digit(0, 3), 0b111);
+    assert_eq!(a.digit(1, 3), 0b100);
+    assert_eq!(a.digit(10, 3), 0b111);
+    // Digit 53 has one real bit (159); it is padded with zeros on the right.
+    assert_eq!(Id::MAX.digit(53, 3), 0b100);
+    assert_eq!(Id::ZERO.with_digit(53, 3, 0b100), Id::from_u64(1));
+    assert_eq!(Id::ZERO.with_digit(10, 3, 0b101).digit(10, 3), 0b101);
+
+    let b = hex("f123456789abcdee0000000000000000000000ff");
+    assert_eq!(a.shared_prefix_digits(b, 4), 15);
+    assert_eq!(a.shared_prefix_digits(b, 3), 21);
+    assert_eq!(a.shared_prefix_digits(a, 4), 40);
+    assert_eq!(a.shared_prefix_digits(a, 3), 54);
+    assert_eq!(Id::ZERO.shared_prefix_digits(Id::from_u64(1), 3), 53);
+}
+
+/// The digit one past the end is zero, not a panic: `RoutingTable::next_hop`
+/// asks for it when the key is the table's owner.
+#[test]
+fn the_digit_past_the_end_is_zero() {
+    for b in 1..=8u32 {
+        assert_eq!(Id::MAX.digit(digits_for(b), b), 0, "b = {b}");
+    }
+    assert_eq!(Id::MAX.digit(40, 4), 0);
+}
+
+#[test]
+fn between_cw_on_plain_wrapping_and_full_arcs() {
+    let id = Id::from_u64;
+    assert!(id(5).between_cw(id(3), id(7)));
+    assert!(!id(3).between_cw(id(3), id(7)));
+    assert!(id(7).between_cw(id(3), id(7)));
+    assert!(id(1).between_cw(Id::MAX, id(3)));
+    assert!(!id(5).between_cw(Id::MAX, id(3)));
+    assert!(
+        id(9).between_cw(id(2), id(2)),
+        "from == to is the full ring"
+    );
+    assert!(two_pow_128().between_cw(Id::from_u128(u128::MAX), two_pow_128()));
+}
+
+#[test]
+fn order_hash_and_layout_stay_on_the_bytes() {
+    assert_eq!(std::mem::size_of::<Id>(), 20);
+    assert_eq!(std::mem::align_of::<Id>(), 1);
+
+    let mut ids = vec![
+        Id::MAX,
+        two_pow_128(),
+        Id::from_u128(u128::MAX),
+        Id::HALF,
+        Id::ZERO,
+        hex("0000000100000000000000000000000000000001"),
+    ];
+    ids.sort();
+    let mut by_bytes = ids.clone();
+    by_bytes.sort_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
+    assert_eq!(ids, by_bytes);
+    assert_eq!(ids[1], Id::from_u128(u128::MAX));
+    assert_eq!(ids[2], two_pow_128());
+
+    // `Hash` is the derived hash of the byte array.
+    let fixed = hex("f123456789abcdef0000000000000000000000ff");
+    let (mut a, mut b) = (DefaultHasher::new(), DefaultHasher::new());
+    fixed.hash(&mut a);
+    fixed.as_bytes().hash(&mut b);
+    assert_eq!(a.finish(), b.finish());
+    assert_eq!(BuildIdHasher::default().hash_one(fixed), ID_FOLD_HASH);
+
+    // An `IdHashMap` iterates in an order fixed by those bytes.
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut map = IdHashMap::default();
+    for i in 0..64u64 {
+        map.insert(Id::random(&mut rng), i);
+    }
+    let mut h = FNV_OFFSET;
+    for (k, v) in &map {
+        fnv1a(&mut h, k.as_bytes());
+        fnv1a(&mut h, &v.to_be_bytes());
+    }
+    assert_eq!(h, ID_HASH_MAP_ORDER);
+}
+
+// ----------------------------------------------------------------------
+// Route pins
+// ----------------------------------------------------------------------
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn hash_path(h: &mut u64, path: &[Id]) {
+    fnv1a(h, &(path.len() as u64).to_be_bytes());
+    for id in path {
+        fnv1a(h, id.as_bytes());
+    }
+}
+
+const NODES: usize = 2000;
+const ROUTES: usize = 500;
+const CHURN_PAIRS: usize = 200;
+
+// Recorded at the commit before `Id` moved to limb arithmetic.
+const ID_FOLD_HASH: u64 = 0x1af3_783f_8cf6_c95d;
+const ID_HASH_MAP_ORDER: u64 = 0x31aa_8d85_9fc5_6443;
+const PASTRY_ROUTES: u64 = 0xc308_839d_0d40_5fc0;
+const PASTRY_ROUTES_AFTER_CHURN: u64 = 0xc4bc_036e_5e31_4211;
+const CHORD_ROUTES: u64 = 0xb6b1_c95a_5cb8_3bed;
+const CHORD_ROUTES_AFTER_CHURN: u64 = 0xa307_ce43_e031_c3e3;
+
+#[test]
+fn pastry_route_paths_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x1d19);
+    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
+    for _ in 0..NODES {
+        overlay.add_random_node(&mut rng);
+    }
+    let routes = |overlay: &mut Overlay, rng: &mut StdRng| {
+        let mut h = FNV_OFFSET;
+        for _ in 0..ROUTES {
+            let from = overlay.random_node(rng).expect("non-empty overlay");
+            let key = Id::random(rng);
+            let out = overlay.route(from, key).expect("route completes");
+            assert_eq!(Some(out.root), overlay.owner_of(key));
+            hash_path(&mut h, &out.path);
+        }
+        h
+    };
+    assert_eq!(routes(&mut overlay, &mut rng), PASTRY_ROUTES);
+    for _ in 0..CHURN_PAIRS {
+        let victim = overlay.random_node(&mut rng).expect("non-empty overlay");
+        assert!(overlay.remove_node(victim));
+        overlay.add_random_node(&mut rng);
+    }
+    assert_eq!(routes(&mut overlay, &mut rng), PASTRY_ROUTES_AFTER_CHURN);
+}
+
+#[test]
+fn chord_route_paths_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0xc40d);
+    let mut ring = ChordOverlay::new(ChordConfig::defaults());
+    for _ in 0..NODES {
+        ring.add_random_node(&mut rng);
+    }
+    let routes = |ring: &mut ChordOverlay, rng: &mut StdRng| {
+        let mut h = FNV_OFFSET;
+        for _ in 0..ROUTES {
+            let from = ring.random_node(rng).expect("non-empty ring");
+            let key = Id::random(rng);
+            let path = ring.route(from, key).expect("route completes");
+            assert_eq!(path.last().copied(), ring.successor_of(key));
+            hash_path(&mut h, &path);
+        }
+        h
+    };
+    assert_eq!(routes(&mut ring, &mut rng), CHORD_ROUTES);
+    for _ in 0..CHURN_PAIRS {
+        let victim = ring.random_node(&mut rng).expect("non-empty ring");
+        assert!(ring.remove_node(victim));
+        ring.add_random_node(&mut rng);
+    }
+    assert_eq!(routes(&mut ring, &mut rng), CHORD_ROUTES_AFTER_CHURN);
+}
