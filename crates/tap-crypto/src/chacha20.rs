@@ -5,20 +5,17 @@
 //! tables or unsafe code, and because RFC 8439 publishes complete
 //! intermediate test vectors to validate against.
 //!
-//! Two keystream engines share one round function:
+//! [`block`] is the RFC's block function, one 64-byte block per call, kept
+//! verbatim against the RFC vectors: it serves ragged tails, the Poly1305
+//! key block and the tests' oracle. Everything longer goes through one
+//! multi-block kernel, `xor_blocks`, which runs the same rounds on up to
+//! `LANES` blocks at once — sixteen state rows, one `u32` per block in
+//! each — and XORs the keystream straight into the caller's bytes.
 //!
-//! * [`block`] — the scalar reference, one 64-byte block per call, kept
-//!   verbatim against the RFC vectors;
-//! * a wide kernel computing [`WIDE_BLOCKS`] independent blocks per
-//!   round-function invocation over interleaved `[u32; WIDE_BLOCKS]` lanes,
-//!   so the sixteen quarter-round data dependencies overlap across lanes
-//!   (ILP / autovectorization) instead of serializing.
-//!
-//! [`KeystreamCursor`] positions the keystream at any *byte* offset and
-//! feeds from whichever engine fits the remaining demand; it is
-//! counter-continuous with the scalar stream everywhere, so every consumer
-//! — [`apply_keystream`], the sealed-cipher path, the fused onion codec —
-//! produces bit-identical output to the one-block-at-a-time loop.
+//! [`KeystreamCursor`] positions the keystream at any *byte* offset; it is
+//! counter-continuous with the one-block-at-a-time stream everywhere, so
+//! every consumer — [`apply_keystream`], the sealed-cipher path, the fused
+//! onion codec — produces the bytes that loop would.
 
 /// Key width in bytes.
 pub const KEY_LEN: usize = 32;
@@ -26,8 +23,15 @@ pub const KEY_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 /// Keystream block width in bytes.
 pub const BLOCK_LEN: usize = 64;
-/// Blocks the wide kernel produces per round-function invocation.
-pub const WIDE_BLOCKS: usize = 4;
+/// Most blocks one kernel pass computes. LLVM learns `n <= LANES` from the
+/// kernel's one caller: a lane loop it knows to run 8 times or fewer is
+/// unrolled before the loop vectoriser sees it, and one it knows to run
+/// fewer than 16 times the vectoriser declines. 16 is the smallest width
+/// that comes out as vector code (DESIGN.md §6h).
+const LANES: usize = 16;
+/// Fewest whole blocks worth a kernel pass: under one vector's width the
+/// lane loop runs no vector step, and [`block`] is cheaper.
+const MIN_LANES: usize = 4;
 
 #[inline(always)]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -90,78 +94,73 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
     out
 }
 
-/// One quarter-round step over all [`WIDE_BLOCKS`] lanes at once. Each
-/// state word is a `[u32; WIDE_BLOCKS]` row; the fixed-trip-count lane
-/// loops compile to straight-line SIMD (or at worst four independent
-/// scalar chains), which is the whole point: the rotate/add/xor latency
-/// chain of one block overlaps with three others.
-#[inline(always)]
-// Each lane loop reads one row of `s` and writes another; iterator zips
-// can't borrow two rows of the same array at once, and the fixed-trip
-// indexed form is exactly the shape the autovectorizer wants.
-#[allow(clippy::needless_range_loop)]
-fn quarter_round_wide(s: &mut [[u32; WIDE_BLOCKS]; 16], a: usize, b: usize, c: usize, d: usize) {
-    for l in 0..WIDE_BLOCKS {
-        s[a][l] = s[a][l].wrapping_add(s[b][l]);
-    }
-    for l in 0..WIDE_BLOCKS {
-        s[d][l] = (s[d][l] ^ s[a][l]).rotate_left(16);
-    }
-    for l in 0..WIDE_BLOCKS {
-        s[c][l] = s[c][l].wrapping_add(s[d][l]);
-    }
-    for l in 0..WIDE_BLOCKS {
-        s[b][l] = (s[b][l] ^ s[c][l]).rotate_left(12);
-    }
-    for l in 0..WIDE_BLOCKS {
-        s[a][l] = s[a][l].wrapping_add(s[b][l]);
-    }
-    for l in 0..WIDE_BLOCKS {
-        s[d][l] = (s[d][l] ^ s[a][l]).rotate_left(8);
-    }
-    for l in 0..WIDE_BLOCKS {
-        s[c][l] = s[c][l].wrapping_add(s[d][l]);
-    }
-    for l in 0..WIDE_BLOCKS {
-        s[b][l] = (s[b][l] ^ s[c][l]).rotate_left(7);
+/// One quarter round on `a.len()` blocks at once: element `l` of each row
+/// is that state word of block `l`.
+///
+/// The shape is the point (DESIGN.md §6h): the whole quarter round in one
+/// loop body, in a function of its own so that no caller's constants are
+/// inlined into it. Such a loop is still a loop when LLVM's *loop*
+/// vectoriser runs, and comes out as four-lane
+/// `paddd`/`pxor`/`pslld`/`psrld`/`por` on baseline x86-64. A lane loop
+/// over `[u32; 4]` rows is fully unrolled first, the SLP vectoriser gives
+/// up on the result, and what is left is one scalar `rol` per lane. The
+/// rows are slices, not `[u32; LANES]`, so that a short pass runs only its
+/// own lanes. `scripts/check_vectorised.sh` holds the compiler to it.
+#[inline(never)]
+fn quarter_round_lanes(a: &mut [u32], b: &mut [u32], c: &mut [u32], d: &mut [u32]) {
+    let n = a.len();
+    let (b, c, d) = (&mut b[..n], &mut c[..n], &mut d[..n]);
+    for l in 0..n {
+        a[l] = a[l].wrapping_add(b[l]);
+        d[l] = (d[l] ^ a[l]).rotate_left(16);
+        c[l] = c[l].wrapping_add(d[l]);
+        b[l] = (b[l] ^ c[l]).rotate_left(12);
+        a[l] = a[l].wrapping_add(b[l]);
+        d[l] = (d[l] ^ a[l]).rotate_left(8);
+        c[l] = c[l].wrapping_add(d[l]);
+        b[l] = (b[l] ^ c[l]).rotate_left(7);
     }
 }
 
-/// Compute [`WIDE_BLOCKS`] consecutive keystream blocks (counters
-/// `counter`, `counter+1`, … with the same wrapping semantics as the
-/// scalar loop) in one interleaved round-function pass. `out[l*64..]`
-/// holds the block for counter `counter + l` — bit-identical to
-/// [`block`] at that counter.
-fn blocks_wide(
-    key: &[u8; KEY_LEN],
-    counter: u32,
-    nonce: &[u8; NONCE_LEN],
-    out: &mut [u8; BLOCK_LEN * WIDE_BLOCKS],
-) {
+/// XOR the keystream blocks at counters `counter`, `counter + 1`, …
+/// (wrapping, as the one-block loop does) into `data`, a whole number of
+/// blocks and at most [`LANES`] of them: one pass of the kernel, each block
+/// bit-identical to [`block`] at its counter.
+fn xor_blocks(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
+    let n = data.len() / BLOCK_LEN;
+    debug_assert!(n <= LANES && data.len() == n * BLOCK_LEN);
     let base = init_state(key, counter, nonce);
-    let mut init = [[0u32; WIDE_BLOCKS]; 16];
-    for (i, row) in init.iter_mut().enumerate() {
-        *row = [base[i]; WIDE_BLOCKS];
-    }
-    for (l, slot) in init[12].iter_mut().enumerate() {
-        *slot = counter.wrapping_add(l as u32);
-    }
-    let mut s = init;
+    let word = |i: usize, l: usize| {
+        if i == 12 {
+            counter.wrapping_add(l as u32)
+        } else {
+            base[i]
+        }
+    };
+    // State word `i` of block `l` is `s[i / 4][i % 4][l]`: every quarter
+    // round takes its a from rows 0–3, b from 4–7, c from 8–11 and d from
+    // 12–15, so the four groups can be borrowed apart once.
+    let mut s: [[[u32; LANES]; 4]; 4] = core::array::from_fn(|g| {
+        core::array::from_fn(|r| core::array::from_fn(|l| word(4 * g + r, l)))
+    });
+    let [a, b, c, d] = &mut s;
     for _ in 0..10 {
-        quarter_round_wide(&mut s, 0, 4, 8, 12);
-        quarter_round_wide(&mut s, 1, 5, 9, 13);
-        quarter_round_wide(&mut s, 2, 6, 10, 14);
-        quarter_round_wide(&mut s, 3, 7, 11, 15);
-        quarter_round_wide(&mut s, 0, 5, 10, 15);
-        quarter_round_wide(&mut s, 1, 6, 11, 12);
-        quarter_round_wide(&mut s, 2, 7, 8, 13);
-        quarter_round_wide(&mut s, 3, 4, 9, 14);
+        // A column round (`shift` 0), then a diagonal one.
+        for shift in 0..2 {
+            for i in 0..4 {
+                quarter_round_lanes(
+                    &mut a[i][..n],
+                    &mut b[(i + shift) % 4][..n],
+                    &mut c[(i + 2 * shift) % 4][..n],
+                    &mut d[(i + 3 * shift) % 4][..n],
+                );
+            }
+        }
     }
-    for l in 0..WIDE_BLOCKS {
-        for i in 0..16 {
-            let v = s[i][l].wrapping_add(init[i][l]);
-            let at = l * BLOCK_LEN + i * 4;
-            out[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    for (l, out) in data.chunks_exact_mut(BLOCK_LEN).enumerate() {
+        for (i, bytes) in out.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+            let ks = s[i / 4][i % 4][l].wrapping_add(word(i, l));
+            *bytes = (u32::from_le_bytes(*bytes) ^ ks).to_le_bytes();
         }
     }
 }
@@ -182,23 +181,24 @@ fn xor_bytes(dst: &mut [u8], ks: &[u8]) {
 }
 
 /// A sequential view of one `(key, nonce, initial_counter)` keystream,
-/// positionable at any byte offset. Keystream is generated on demand —
-/// through the wide kernel when at least three blocks are wanted, the
-/// scalar [`block`] otherwise — and buffered, so arbitrarily fragmented
-/// [`KeystreamCursor::xor_into`] calls still see every block computed
-/// exactly once. The bytes produced are identical to the scalar stream at
-/// the same offsets, whatever the call pattern.
+/// positionable at any byte offset. Whole blocks are XORed into the
+/// caller's bytes as they are computed; only a block that a call ends (or
+/// [`KeystreamCursor::at_offset`] starts) inside is kept, so arbitrarily
+/// fragmented [`KeystreamCursor::xor_into`] calls still see every block
+/// computed exactly once. The bytes produced are identical to the
+/// one-block-at-a-time stream at the same offsets, whatever the call
+/// pattern.
 #[derive(Debug, Clone)]
 pub struct KeystreamCursor {
     key: [u8; KEY_LEN],
     nonce: [u8; NONCE_LEN],
     /// Counter of the next block to generate.
     counter: u32,
-    buf: [u8; BLOCK_LEN * WIDE_BLOCKS],
-    /// Next unconsumed byte in `buf[..len]`.
+    /// The block the stream position lies inside, if it is not on a block
+    /// boundary.
+    carry: [u8; BLOCK_LEN],
+    /// Next unconsumed byte of `carry`; `BLOCK_LEN` when there is none.
     pos: usize,
-    /// Valid bytes in `buf`.
-    len: usize,
 }
 
 impl KeystreamCursor {
@@ -209,9 +209,8 @@ impl KeystreamCursor {
             key: *key,
             nonce: *nonce,
             counter: initial_counter,
-            buf: [0u8; BLOCK_LEN * WIDE_BLOCKS],
-            pos: 0,
-            len: 0,
+            carry: [0u8; BLOCK_LEN],
+            pos: BLOCK_LEN,
         }
     }
 
@@ -229,54 +228,42 @@ impl KeystreamCursor {
         let skip = byte_offset % BLOCK_LEN;
         if skip != 0 {
             // Materialize the straddled block and discard its head.
-            let b = block(&c.key, c.counter, &c.nonce);
-            c.buf[..BLOCK_LEN].copy_from_slice(&b);
-            c.counter = c.counter.wrapping_add(1);
-            c.pos = skip;
-            c.len = BLOCK_LEN;
+            c.next_carry(skip);
         }
         c
     }
 
-    /// XOR the next `data.len()` keystream bytes into `data`, advancing
-    /// the cursor.
-    pub fn xor_into(&mut self, mut data: &mut [u8]) {
-        loop {
-            let avail = self.len - self.pos;
-            if avail > 0 {
-                let take = avail.min(data.len());
-                xor_bytes(&mut data[..take], &self.buf[self.pos..self.pos + take]);
-                self.pos += take;
-                data = &mut data[take..];
-            }
-            if data.is_empty() {
-                return;
-            }
-            self.refill(data.len());
-        }
+    /// Compute the next block into `carry`, its first `pos` bytes spent.
+    fn next_carry(&mut self, pos: usize) {
+        self.carry = block(&self.key, self.counter, &self.nonce);
+        self.counter = self.counter.wrapping_add(1);
+        self.pos = pos;
     }
 
-    /// Generate more keystream into the (exhausted) buffer. Demand of
-    /// three blocks or more goes through the wide kernel — its four lanes
-    /// cost well under three scalar blocks — smaller demand computes
-    /// exactly the scalar blocks it needs, so short messages never pay
-    /// for keystream they throw away.
-    fn refill(&mut self, demand: usize) {
-        debug_assert_eq!(self.pos, self.len, "refill only on an empty buffer");
-        let blocks_needed = demand.div_ceil(BLOCK_LEN);
-        if blocks_needed >= WIDE_BLOCKS - 1 {
-            blocks_wide(&self.key, self.counter, &self.nonce, &mut self.buf);
-            self.counter = self.counter.wrapping_add(WIDE_BLOCKS as u32);
-            self.len = BLOCK_LEN * WIDE_BLOCKS;
-        } else {
-            for i in 0..blocks_needed {
-                let b = block(&self.key, self.counter, &self.nonce);
-                self.buf[i * BLOCK_LEN..(i + 1) * BLOCK_LEN].copy_from_slice(&b);
-                self.counter = self.counter.wrapping_add(1);
+    /// XOR the next `data.len()` keystream bytes into `data`, advancing
+    /// the cursor.
+    pub fn xor_into(&mut self, data: &mut [u8]) {
+        let (head, data) = data.split_at_mut(data.len().min(BLOCK_LEN - self.pos));
+        xor_bytes(head, &self.carry[self.pos..]);
+        self.pos += head.len();
+
+        let (whole, tail) = data.split_at_mut(data.len() / BLOCK_LEN * BLOCK_LEN);
+        for pass in whole.chunks_mut(LANES * BLOCK_LEN) {
+            let n = pass.len() / BLOCK_LEN;
+            if n >= MIN_LANES {
+                xor_blocks(&self.key, self.counter, &self.nonce, pass);
+                self.counter = self.counter.wrapping_add(n as u32);
+            } else {
+                for one in pass.chunks_exact_mut(BLOCK_LEN) {
+                    xor_bytes(one, &block(&self.key, self.counter, &self.nonce));
+                    self.counter = self.counter.wrapping_add(1);
+                }
             }
-            self.len = blocks_needed * BLOCK_LEN;
         }
-        self.pos = 0;
+        if !tail.is_empty() {
+            self.next_carry(tail.len());
+            xor_bytes(tail, &self.carry);
+        }
     }
 }
 
@@ -301,7 +288,7 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The pre-rewrite scalar loop, verbatim: the reference every wide
+    /// The one-block-at-a-time loop: the reference every kernel and cursor
     /// path must match byte for byte.
     fn apply_keystream_scalar(
         key: &[u8; KEY_LEN],
@@ -353,14 +340,15 @@ offer you only one tip for the future, sunscreen would be it.";
         assert_eq!(&data, plaintext);
     }
 
-    // RFC 8439 A.1 test vectors #1 and #2: four consecutive keystream
-    // blocks in one buffer exercise the wide kernel against published
-    // bytes (the §2 vectors above never span more than two blocks).
+    // RFC 8439 A.1 test vectors #1 and #2 as lanes 0 and 1 of a full
+    // kernel pass (the §2 vectors above never span more than two blocks);
+    // the other lanes and the two blocks after the pass are pinned to the
+    // block function, itself pinned to §2.3.2 above.
     #[test]
     fn rfc8439_appendix_a1_multi_block_keystream() {
         let key = [0u8; 32];
         let nonce = [0u8; 12];
-        let mut stream = vec![0u8; 4 * BLOCK_LEN];
+        let mut stream = vec![0u8; (LANES + 2) * BLOCK_LEN];
         apply_keystream(&key, &nonce, 0, &mut stream);
         // A.1 #1: counter 0.
         assert_eq!(
@@ -374,13 +362,9 @@ offer you only one tip for the future, sunscreen would be it.";
             "9f07e7be5551387a98ba977c732d080dcb0f29a048e3656912c6533e32ee7aed\
              29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f"
         );
-        // Counters 2 and 3 pin the remaining wide lanes to the scalar
-        // block function (itself pinned to §2.3.2 above).
-        assert_eq!(
-            &stream[2 * BLOCK_LEN..3 * BLOCK_LEN],
-            &block(&key, 2, &nonce)
-        );
-        assert_eq!(&stream[3 * BLOCK_LEN..], &block(&key, 3, &nonce));
+        for (counter, ks) in stream.chunks_exact(BLOCK_LEN).enumerate().skip(2) {
+            assert_eq!(ks, block(&key, counter as u32, &nonce), "block {counter}");
+        }
     }
 
     #[test]
@@ -408,20 +392,43 @@ offer you only one tip for the future, sunscreen would be it.";
         assert_ne!(a, b);
     }
 
-    #[test]
-    fn wide_blocks_match_scalar_blocks_across_counter_wrap() {
+    /// `apply_keystream` against the one-block loop on a patterned buffer.
+    fn assert_matches_scalar(len: usize, counter: u32) {
         let key: [u8; 32] = core::array::from_fn(|i| (i * 7) as u8);
         let nonce: [u8; 12] = core::array::from_fn(|i| (i * 13) as u8);
-        for counter in [0u32, 1, 1000, u32::MAX - 3, u32::MAX - 1, u32::MAX] {
-            let mut wide = [0u8; BLOCK_LEN * WIDE_BLOCKS];
-            blocks_wide(&key, counter, &nonce, &mut wide);
-            for l in 0..WIDE_BLOCKS {
-                assert_eq!(
-                    &wide[l * BLOCK_LEN..(l + 1) * BLOCK_LEN],
-                    &block(&key, counter.wrapping_add(l as u32), &nonce),
-                    "counter={counter} lane={l}"
-                );
+        let mut got: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+        let mut expect = got.clone();
+        apply_keystream(&key, &nonce, counter, &mut got);
+        apply_keystream_scalar(&key, &nonce, counter, &mut expect);
+        assert_eq!(got, expect, "len={len} counter={counter}");
+    }
+
+    // Every lane count a pass can have: with four-lane vectors, `n % 4`
+    // lanes go through the lane loop's scalar epilogue, and under
+    // `MIN_LANES` the blocks never reach the kernel. Each count alone, then
+    // behind one and two full passes, one byte short and one byte over.
+    #[test]
+    fn every_lane_count_and_pass_boundary_matches_scalar() {
+        for full_passes in 0..3 {
+            for lanes in 0..=LANES {
+                let edge = (full_passes * LANES + lanes) * BLOCK_LEN;
+                for len in [edge.saturating_sub(1), edge, edge + 1] {
+                    assert_matches_scalar(len, 1);
+                }
             }
+        }
+    }
+
+    // The counter wraps *inside* a pass, at every lane, and inside the
+    // second pass too.
+    #[test]
+    fn counter_wraps_at_every_lane_of_a_pass() {
+        for k in 0..LANES as u32 {
+            assert_matches_scalar(2 * LANES * BLOCK_LEN + 37, u32::MAX - k);
+            assert_matches_scalar(
+                2 * LANES * BLOCK_LEN,
+                (u32::MAX - k).wrapping_sub(LANES as u32),
+            );
         }
     }
 
@@ -439,12 +446,12 @@ offer you only one tip for the future, sunscreen would be it.";
     }
 
     proptest! {
-        // Tentpole equivalence: the wide path is bit-identical to the
-        // scalar loop at arbitrary lengths and counters, including
+        // The kernel path is bit-identical to the scalar loop at arbitrary
+        // lengths (up to three passes and a tail) and counters, including
         // counter-boundary and counter-wrap starts.
         #[test]
-        fn prop_wide_equals_scalar(
-            len in 0usize..1200,
+        fn prop_kernel_equals_scalar(
+            len in 0usize..(3 * LANES * BLOCK_LEN + 200),
             counter_seed in any::<u32>(),
             wrap_case in 0usize..3,
             key_seed in any::<u64>(),
@@ -457,19 +464,20 @@ offer you only one tip for the future, sunscreen would be it.";
             };
             let key: [u8; 32] = core::array::from_fn(|i| (key_seed >> (i % 8)) as u8 ^ i as u8);
             let nonce: [u8; 12] = core::array::from_fn(|i| (key_seed >> (2 * i % 60)) as u8);
-            let mut wide = vec![0xA5u8; len];
-            let mut scalar = wide.clone();
-            apply_keystream(&key, &nonce, counter, &mut wide);
+            let mut got = vec![0xA5u8; len];
+            let mut scalar = got.clone();
+            apply_keystream(&key, &nonce, counter, &mut got);
             apply_keystream_scalar(&key, &nonce, counter, &mut scalar);
-            prop_assert_eq!(wide, scalar);
+            prop_assert_eq!(got, scalar);
         }
 
         // A cursor consumed in arbitrary fragments — unaligned offsets,
-        // splits inside and across block boundaries — equals one scalar
-        // sweep of the same region.
+        // splits inside and across block boundaries, pieces from one byte
+        // (carry block only) to two passes (straight into the buffer) —
+        // equals one scalar sweep of the same region.
         #[test]
         fn prop_fragmented_cursor_equals_scalar(
-            pieces in proptest::collection::vec(1usize..150, 1..12),
+            pieces in proptest::collection::vec(1usize..=2 * LANES * BLOCK_LEN, 1..12),
             start_offset in 0usize..200,
             counter in any::<u32>(),
         ) {

@@ -97,8 +97,10 @@ impl SymmetricKey {
 
     /// Encrypt and authenticate `plaintext` under a fresh nonce.
     pub fn seal<R: Rng + ?Sized>(&self, rng: &mut R, plaintext: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; plaintext.len() + SEAL_OVERHEAD];
-        out[NONCE_LEN..NONCE_LEN + plaintext.len()].copy_from_slice(plaintext);
+        let mut out = Vec::with_capacity(plaintext.len() + SEAL_OVERHEAD);
+        out.extend_from_slice(&[0; NONCE_LEN]);
+        out.extend_from_slice(plaintext);
+        out.extend_from_slice(&[0; TAG_LEN]);
         self.seal_in_place(rng, &mut out);
         out
     }
@@ -127,11 +129,10 @@ impl SymmetricKey {
 
     /// Verify and decrypt a message produced by [`SymmetricKey::seal`].
     pub fn open(&self, sealed: &[u8]) -> Result<Vec<u8>, CipherError> {
-        let mut buf = sealed.to_vec();
-        let range = self.open_in_place(&mut buf)?;
-        buf.truncate(range.end);
-        buf.drain(..range.start);
-        Ok(buf)
+        let (nonce, body) = self.verify(sealed)?;
+        let mut out = sealed[body].to_vec();
+        chacha20::apply_keystream(&self.0, &nonce, 1, &mut out);
+        Ok(out)
     }
 
     /// Verify and decrypt in place: on success the plaintext sits at the
@@ -139,20 +140,30 @@ impl SymmetricKey {
     /// only cipher pass is the in-place decrypt — no copies. On failure the
     /// buffer is untouched (the tag is checked before anything is written).
     pub fn open_in_place(&self, sealed: &mut [u8]) -> Result<std::ops::Range<usize>, CipherError> {
+        let (nonce, body) = self.verify(sealed)?;
+        chacha20::apply_keystream(&self.0, &nonce, 1, &mut sealed[body.clone()]);
+        Ok(body)
+    }
+
+    /// Check `sealed`'s tag; on success, its nonce and where its ciphertext
+    /// lies.
+    fn verify(
+        &self,
+        sealed: &[u8],
+    ) -> Result<([u8; NONCE_LEN], std::ops::Range<usize>), CipherError> {
         if sealed.len() < SEAL_OVERHEAD {
             return Err(CipherError::TooShort);
         }
         let body_end = sealed.len() - TAG_LEN;
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&sealed[..NONCE_LEN]);
-        let (enc_key, mut mac) = self.subkeys(&nonce);
+        let (_, mut mac) = self.subkeys(&nonce);
         mac.update(&sealed[NONCE_LEN..body_end]);
         let tag = aead_tag(&mut mac, 0, body_end - NONCE_LEN);
         if !verify_tag(&sealed[body_end..], &tag) {
             return Err(CipherError::BadTag);
         }
-        chacha20::apply_keystream(enc_key, &nonce, 1, &mut sealed[NONCE_LEN..body_end]);
-        Ok(NONCE_LEN..body_end)
+        Ok((nonce, NONCE_LEN..body_end))
     }
 }
 

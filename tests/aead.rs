@@ -2,13 +2,14 @@
 //! package only, so the construction every onion layer and every retrieved
 //! file is sealed with — AEAD_CHACHA20_POLY1305 (RFC 8439) with empty
 //! associated data, as `nonce ‖ ct ‖ tag` — is checked here through public
-//! items alone. The full vector set (A.3 #1–#11, §2.6.2, §2.8.2, A.5) and the
-//! proptests live in the crate.
+//! items alone, and so is the keystream under it: the multi-block kernel and
+//! the cursor against a loop over the RFC's block function. The full vector
+//! set (A.3 #1–#11, §2.6.2, §2.8.2, A.5) and the proptests live in the crate.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tap::crypto::chacha20::{self, NONCE_LEN};
+use tap::crypto::chacha20::{self, KeystreamCursor, BLOCK_LEN, NONCE_LEN};
 use tap::crypto::cipher::{CipherError, SymmetricKey, SEAL_OVERHEAD, TAG_LEN};
 use tap::crypto::poly1305::Poly1305;
 
@@ -92,4 +93,71 @@ fn any_tampered_byte_is_a_bad_tag_and_leaves_the_buffer_alone() {
 fn a_symmetric_key_is_its_32_bytes() {
     // No MAC state or key schedule rides along in a standing THA.
     assert_eq!(std::mem::size_of::<SymmetricKey>(), 32);
+}
+
+/// `chacha20`'s private kernel width, in blocks: the lengths below sit on
+/// and around its pass boundaries.
+const LANES: usize = 16;
+
+#[test]
+fn keystream_kernel_and_cursor_match_the_block_function() {
+    let key: [u8; 32] = core::array::from_fn(|i| 0xa0 ^ (i * 11) as u8);
+    let nonce: [u8; NONCE_LEN] = core::array::from_fn(|i| (i * 29) as u8);
+    let pass = LANES * BLOCK_LEN;
+    let lens = [
+        0,
+        1,
+        63,
+        64,
+        65,
+        191,
+        192,
+        193,
+        pass - 1,
+        pass,
+        pass + 1,
+        2 * pass + 37,
+        250_000,
+    ];
+    // The last one wraps inside the first pass.
+    for counter in [0, 1, u32::MAX - 3] {
+        let mut stream = vec![0u8; 250_000];
+        for (i, chunk) in stream.chunks_mut(BLOCK_LEN).enumerate() {
+            let ks = chacha20::block(&key, counter.wrapping_add(i as u32), &nonce);
+            chunk.copy_from_slice(&ks[..chunk.len()]);
+        }
+        for len in lens {
+            let mut got = vec![0u8; len];
+            chacha20::apply_keystream(&key, &nonce, counter, &mut got);
+            assert!(got == stream[..len], "len={len} counter={counter}");
+            // The same bytes as a suffix: a cursor placed `len` bytes in
+            // must produce what follows, in two ragged pieces.
+            let mut rest = vec![0u8; (stream.len() - len).min(2 * pass + 37)];
+            let mut cursor = KeystreamCursor::at_offset(&key, &nonce, counter, len);
+            let cut = rest.len() / 3;
+            let (head, tail) = rest.split_at_mut(cut);
+            cursor.xor_into(head);
+            cursor.xor_into(tail);
+            assert!(
+                rest == stream[len..len + rest.len()],
+                "offset={len} counter={counter}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_sealed_250_kb_file_is_the_bytes_it_was_before_the_kernel_changed() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let k = SymmetricKey::generate(&mut rng);
+    let file: Vec<u8> = (0..250_000u32).map(|i| ((i * 131) >> 3) as u8).collect();
+    let sealed = k.seal(&mut rng, &file);
+    assert_eq!(sealed.len(), file.len() + SEAL_OVERHEAD);
+    // FNV-1a of the sealed bytes, recorded at the commit before the
+    // multi-block kernel was replaced: the wire must not move.
+    let digest = sealed.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(digest, 0xedb3_1416_f8d7_a82c);
+    assert!(k.open(&sealed).unwrap() == file);
 }
