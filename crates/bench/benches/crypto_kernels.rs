@@ -1,8 +1,8 @@
 //! Crypto kernel microbenches for the hot kernels this crate's wire path
 //! stands on — ChaCha20 keystream application (the multi-block kernel
 //! behind `apply_keystream` vs a loop over the RFC block function),
-//! GF(2^8) multiply-accumulate (per-byte table lookups vs split-nibble SWAR
-//! over u64 lanes), and onion sealing (one full-buffer cipher sweep per
+//! GF(2^8) multiply-accumulate (the hoisted-log table loop, the one GF
+//! kernel), and onion sealing (one full-buffer cipher sweep per
 //! layer vs the fused single-pass codec) — plus the AEAD's MAC, Poly1305,
 //! beside the HMAC-SHA-256 it replaced.
 //!
@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tap_crypto::chacha20::{self, BLOCK_LEN, KEY_LEN, NONCE_LEN};
-use tap_crypto::ec::{gf_mul_acc, gf_mul_acc_scalar};
+use tap_crypto::ec::gf_mul_acc;
 use tap_crypto::hmac::hmac_sha256;
 use tap_crypto::onion::{OnionBuilder, LAYER_MARGIN};
 use tap_crypto::poly1305::Poly1305;
@@ -80,10 +80,7 @@ fn bench_gf_mul_acc(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("gf_mul_acc_{len}B"));
     group.throughput(Throughput::Bytes(len as u64));
     // 0x8E exercises the general path (neither 0 nor 1).
-    group.bench_function("scalar", |b| {
-        b.iter(|| gf_mul_acc_scalar(0x8E, &src, &mut dst))
-    });
-    group.bench_function("swar", |b| b.iter(|| gf_mul_acc(0x8E, &src, &mut dst)));
+    group.bench_function("table", |b| b.iter(|| gf_mul_acc(0x8E, &src, &mut dst)));
     group.finish();
 }
 

@@ -150,6 +150,43 @@ fn bench_overlay(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_route_cold_and_warm(c: &mut Criterion) {
+    // The overlays above fit in L2 and read warm. Ten thousand nodes do
+    // not: `cold` routes each pre-drawn pair once, so a hop's cache lines
+    // were last touched a full pass ago; `warm` routes each pair a second
+    // time straight after an untimed first. Every sample is one route, so
+    // both pay the same timer overhead and the difference between them is
+    // what the per-node layout costs in misses.
+    let mut group = c.benchmark_group("overlay");
+    let mut rng = StdRng::seed_from_u64(10);
+    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
+    for _ in 0..10_000 {
+        overlay.add_random_node(&mut rng);
+    }
+    let pairs: Vec<(Id, Id)> = (0..50_000)
+        .map(|_| (overlay.random_node(&mut rng).unwrap(), Id::random(&mut rng)))
+        .collect();
+    group.sample_size(pairs.len());
+    for (name, warm) in [("route_10000_cold", false), ("route_10000_warm", true)] {
+        let overlay = std::cell::RefCell::new(&mut overlay);
+        let mut next = pairs.iter().cycle();
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let &(from, key) = next.next().unwrap();
+                    if warm {
+                        overlay.borrow_mut().route(from, key).unwrap();
+                    }
+                    (from, key)
+                },
+                |(from, key)| overlay.borrow_mut().route(from, key).unwrap().hops(),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    group.finish();
+}
+
 fn bench_snapshots(c: &mut Criterion) {
     // The copy-on-write machinery behind sweep points: a clone is O(N)
     // Arc bumps, a deep clone copies every routing row and leaf set, and
@@ -257,6 +294,7 @@ criterion_group!(
     bench_id,
     bench_chord_vs_pastry,
     bench_overlay,
+    bench_route_cold_and_warm,
     bench_snapshots,
     bench_storage,
     bench_netsim,

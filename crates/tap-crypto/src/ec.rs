@@ -69,87 +69,22 @@ fn gf_mul(a: u8, b: u8) -> u8 {
     }
 }
 
-/// Split 4-bit multiply tables for one fixed coefficient: by GF(2^8)
-/// linearity over XOR, `c·b = lo[b & 15] ^ hi[b >> 4]`. Thirty-two bytes
-/// per coefficient — resident in a cache line or two — versus the 768
-/// bytes of exp/log the generic [`gf_mul`] walks, and `log(c)` is looked
-/// up exactly once per (coefficient, shard) pair instead of per byte.
-struct GfMulTable {
-    lo: [u8; 16],
-    hi: [u8; 16],
-}
-
-impl GfMulTable {
-    fn new(coeff: u8) -> GfMulTable {
-        debug_assert_ne!(coeff, 0, "zero rows are skipped before table build");
-        let log_c = GF_LOG[coeff as usize] as usize;
-        let mut lo = [0u8; 16];
-        let mut hi = [0u8; 16];
-        for x in 1usize..16 {
-            lo[x] = GF_EXP[log_c + GF_LOG[x] as usize];
-            hi[x] = GF_EXP[log_c + GF_LOG[x << 4] as usize];
-        }
-        GfMulTable { lo, hi }
-    }
-
-    #[inline(always)]
-    fn mul(&self, b: u8) -> u8 {
-        self.lo[(b & 0x0f) as usize] ^ self.hi[(b >> 4) as usize]
-    }
-}
-
 /// `dst[i] ^= coeff · src[i]` over GF(2^8) — the encode/reconstruct inner
-/// loop — eight bytes per `u64` load/store step through the split nibble
-/// tables (SWAR over the memory traffic; the nibble lookups stay scalar
-/// but hit a 32-byte table). `coeff == 1` degrades to a pure wide XOR.
-/// Bit-identical to [`gf_mul_acc_scalar`] (proptested below).
+/// loop. `log(coeff)` is looked up once per call, not once per byte as
+/// going through [`gf_mul`] would; coefficient 1 is a plain XOR sweep (at
+/// k = 3 the first parity shard is the XOR of the data shards: that is half
+/// of a 5/3 encode's calls). DESIGN.md §6h has the wider variant measured
+/// against it and why none is worth writing.
 #[doc(hidden)]
 pub fn gf_mul_acc(coeff: u8, src: &[u8], dst: &mut [u8]) {
     debug_assert!(src.len() >= dst.len());
-    let n = dst.len();
     if coeff == 0 {
         return;
     }
     if coeff == 1 {
-        for (d, s) in dst[..n - n % 8]
-            .chunks_exact_mut(8)
-            .zip(src.chunks_exact(8))
-        {
-            let x = u64::from_le_bytes(d[..8].try_into().expect("8-byte chunk"))
-                ^ u64::from_le_bytes(s[..8].try_into().expect("8-byte chunk"));
-            d.copy_from_slice(&x.to_le_bytes());
-        }
-        for (d, s) in dst[n - n % 8..].iter_mut().zip(&src[n - n % 8..]) {
+        for (d, &s) in dst.iter_mut().zip(src.iter()) {
             *d ^= s;
         }
-        return;
-    }
-    let t = GfMulTable::new(coeff);
-    for (d, s) in dst[..n - n % 8]
-        .chunks_exact_mut(8)
-        .zip(src.chunks_exact(8))
-    {
-        let x = u64::from_le_bytes(s[..8].try_into().expect("8-byte chunk"));
-        let mut y = 0u64;
-        for k in 0..8 {
-            y |= (t.mul((x >> (k * 8)) as u8) as u64) << (k * 8);
-        }
-        let cur = u64::from_le_bytes(d[..8].try_into().expect("8-byte chunk"));
-        d.copy_from_slice(&(cur ^ y).to_le_bytes());
-    }
-    for (d, s) in dst[n - n % 8..].iter_mut().zip(&src[n - n % 8..]) {
-        *d ^= t.mul(*s);
-    }
-}
-
-/// The scalar multiply-accumulate with the per-coefficient log lookup
-/// hoisted out of the byte loop (the pre-SWAR loop re-derived
-/// `GF_LOG[coeff]` through [`gf_mul`] on every byte). Reference for the
-/// SWAR path and the baseline the kernel benches compare against.
-#[doc(hidden)]
-pub fn gf_mul_acc_scalar(coeff: u8, src: &[u8], dst: &mut [u8]) {
-    debug_assert!(src.len() >= dst.len());
-    if coeff == 0 {
         return;
     }
     let log_c = GF_LOG[coeff as usize] as usize;
@@ -546,24 +481,19 @@ mod tests {
     }
 
     #[test]
-    fn swar_mul_acc_matches_per_byte_gf_mul_for_every_coefficient() {
-        // Every coefficient, a length that exercises both the u64 body
-        // and the byte tail, unaligned slice starts.
+    fn mul_acc_matches_per_byte_gf_mul_for_every_coefficient() {
         let src: Vec<u8> = (0..61u8)
             .map(|i| i.wrapping_mul(37).wrapping_add(5))
             .collect();
         for coeff in 0u16..=255 {
             let coeff = coeff as u8;
-            let mut swar = vec![0x5Au8; 61];
-            let mut scalar = swar.clone();
-            let mut reference = swar.clone();
-            gf_mul_acc(coeff, &src, &mut swar);
-            gf_mul_acc_scalar(coeff, &src, &mut scalar);
+            let mut kernel = vec![0x5Au8; 61];
+            let mut reference = kernel.clone();
+            gf_mul_acc(coeff, &src, &mut kernel);
             for (p, &b) in reference.iter_mut().zip(src.iter()) {
                 *p ^= gf_mul(coeff, b);
             }
-            assert_eq!(swar, reference, "coeff={coeff}");
-            assert_eq!(scalar, reference, "coeff={coeff}");
+            assert_eq!(kernel, reference, "coeff={coeff}");
         }
     }
 
@@ -656,25 +586,24 @@ mod tests {
     }
 
     proptest! {
-        // Scalar ≡ SWAR at arbitrary lengths, offsets into a larger
-        // buffer (unaligned u64 phases), and coefficients.
+        // Kernel ≡ per-byte `gf_mul` at arbitrary lengths, offsets into a
+        // larger buffer, accumulator contents and coefficients.
         #[test]
-        fn prop_swar_equals_scalar_mul_acc(
+        fn prop_mul_acc_equals_per_byte_gf_mul(
             coeff in any::<u8>(),
             src in proptest::collection::vec(any::<u8>(), 0..300),
             skip in 0usize..8,
             acc_seed in any::<u8>(),
         ) {
             let src = if skip < src.len() { &src[skip..] } else { &src[..0] };
-            let mut swar = vec![acc_seed; src.len()];
-            let mut scalar = swar.clone();
-            gf_mul_acc(coeff, src, &mut swar);
-            gf_mul_acc_scalar(coeff, src, &mut scalar);
-            prop_assert_eq!(swar, scalar);
+            let mut kernel = vec![acc_seed; src.len()];
+            gf_mul_acc(coeff, src, &mut kernel);
+            let reference: Vec<u8> = src.iter().map(|&b| acc_seed ^ gf_mul(coeff, b)).collect();
+            prop_assert_eq!(kernel, reference);
         }
 
         // The full codec stays correct over the whole (n, k) envelope up
-        // to MAX_FRAGMENTS = 64, through the SWAR inner loops.
+        // to MAX_FRAGMENTS = 64.
         #[test]
         fn prop_roundtrip_all_nk_up_to_64(
             n in 1u8..=64,

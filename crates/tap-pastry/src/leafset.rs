@@ -7,10 +7,11 @@
 //! root plus its nearest leaves). Leaf sets are kept eagerly consistent
 //! under churn by [`crate::Overlay`].
 //!
-//! Both sides are `Arc`-shared: cloning a leaf set is two pointer bumps,
-//! and a mutation copies only the one side it writes
-//! ([`Arc::make_mut`]) — the copy-on-write contract overlay snapshots
-//! rely on.
+//! Each side is an exact-size `Arc`-shared slice: cloning a leaf set is two
+//! pointer bumps, and a mutation replaces only the one side it changes —
+//! the copy-on-write contract overlay snapshots rely on. The farthest
+//! member of each side is cached inline, so the span test every forwarding
+//! step makes ([`LeafSet::covers`]) reads no heap.
 
 use std::sync::Arc;
 
@@ -22,9 +23,13 @@ pub struct LeafSet {
     owner: Id,
     half: usize,
     /// Clockwise (successor-side) neighbours, nearest first.
-    cw: Arc<Vec<Id>>,
+    cw: Arc<[Id]>,
     /// Counter-clockwise (predecessor-side) neighbours, nearest first.
-    ccw: Arc<Vec<Id>>,
+    ccw: Arc<[Id]>,
+    /// `cw.last()`, or the owner while that side is empty.
+    cw_edge: Id,
+    /// `ccw.last()`, or the owner while that side is empty.
+    ccw_edge: Id,
 }
 
 impl LeafSet {
@@ -33,8 +38,10 @@ impl LeafSet {
         LeafSet {
             owner,
             half,
-            cw: Arc::new(Vec::new()),
-            ccw: Arc::new(Vec::new()),
+            cw: Arc::default(),
+            ccw: Arc::default(),
+            cw_edge: owner,
+            ccw_edge: owner,
         }
     }
 
@@ -68,6 +75,16 @@ impl LeafSet {
         self.len() == 0
     }
 
+    /// Install one side and its cached edge.
+    fn set_side(&mut self, cw_side: bool, ids: Arc<[Id]>) {
+        let edge = ids.last().copied().unwrap_or(self.owner);
+        if cw_side {
+            (self.cw, self.cw_edge) = (ids, edge);
+        } else {
+            (self.ccw, self.ccw_edge) = (ids, edge);
+        }
+    }
+
     /// Replace the whole set from an authoritative neighbour listing.
     ///
     /// `cw`/`ccw` must be sorted nearest-first; trimmed to `half` per side.
@@ -84,18 +101,18 @@ impl LeafSet {
         ccw.retain(|id| !cw.contains(id));
         ccw.truncate(self.half);
         // A no-op rebuild keeps both sides shared with any snapshot.
-        if *self.cw != cw {
-            self.cw = Arc::new(cw);
+        if *self.cw != *cw {
+            self.set_side(true, cw.into());
         }
-        if *self.ccw != ccw {
-            self.ccw = Arc::new(ccw);
+        if *self.ccw != *ccw {
+            self.set_side(false, ccw.into());
         }
     }
 
     /// Insert a node, keeping each side sorted and trimmed. Returns whether
     /// the set changed. The node lands on the side where it is nearer.
     pub fn insert(&mut self, id: Id) -> bool {
-        if id == self.owner || self.cw.contains(&id) || self.ccw.contains(&id) {
+        if id == self.owner || self.contains(id) {
             return false;
         }
         let cw_d = self.owner.clockwise_distance(id);
@@ -110,30 +127,35 @@ impl LeafSet {
             }
         };
         let key = if cw_side { cw_d } else { ccw_d };
-        // Find the slot read-only; copy the side only when we will write.
-        let side_ref = if cw_side { &self.cw } else { &self.ccw };
-        let pos = side_ref
+        // Find the slot read-only; replace the side only when it changes.
+        let side = if cw_side { &self.cw } else { &self.ccw };
+        let pos = side
             .iter()
             .position(|&x| dist(x) > key)
-            .unwrap_or(side_ref.len());
+            .unwrap_or(side.len());
         if pos >= self.half {
             return false;
         }
-        let side = Arc::make_mut(if cw_side { &mut self.cw } else { &mut self.ccw });
-        side.insert(pos, id);
-        side.truncate(self.half);
+        let grown = side[..pos]
+            .iter()
+            .chain(std::iter::once(&id))
+            .chain(&side[pos..])
+            .take(self.half)
+            .copied()
+            .collect();
+        self.set_side(cw_side, grown);
         true
     }
 
     /// Remove a departed node. Returns whether it was present.
     pub fn remove(&mut self, id: Id) -> bool {
-        if let Some(p) = self.cw.iter().position(|&x| x == id) {
-            Arc::make_mut(&mut self.cw).remove(p);
-            return true;
-        }
-        if let Some(p) = self.ccw.iter().position(|&x| x == id) {
-            Arc::make_mut(&mut self.ccw).remove(p);
-            return true;
+        for cw_side in [true, false] {
+            let side = if cw_side { &self.cw } else { &self.ccw };
+            if side.contains(&id) {
+                let rest = side.iter().filter(|&&x| x != id).copied().collect();
+                self.set_side(cw_side, rest);
+                return true;
+            }
         }
         false
     }
@@ -148,31 +170,21 @@ impl LeafSet {
     /// members (inclusive). When it does, the routing root is a member of
     /// `leafset ∪ {owner}` and routing can finish in one exact step.
     pub fn covers(&self, key: Id) -> bool {
-        if self.cw.is_empty() && self.ccw.is_empty() {
+        if self.is_empty() {
             return true; // singleton: the owner is root for everything
         }
-        let cw_edge = self.cw.last().copied().unwrap_or(self.owner);
-        let ccw_edge = self.ccw.last().copied().unwrap_or(self.owner);
         // Arc from ccw_edge clockwise to cw_edge, inclusive on both ends.
-        key == ccw_edge || key.between_cw(ccw_edge, cw_edge)
+        key == self.ccw_edge || key.between_cw(self.ccw_edge, self.cw_edge)
     }
 
     /// A fully-owned copy sharing no allocation with `self` (the deep
     /// oracle for the snapshot proptests).
     pub fn deep_clone(&self) -> LeafSet {
         LeafSet {
-            owner: self.owner,
-            half: self.half,
-            cw: Arc::new(self.cw.as_ref().clone()),
-            ccw: Arc::new(self.ccw.as_ref().clone()),
+            cw: Arc::from(&*self.cw),
+            ccw: Arc::from(&*self.ccw),
+            ..*self
         }
-    }
-
-    /// How many of the two sides are physically shared with `other`
-    /// (0, 1 or 2 — diagnostics for the snapshot tests).
-    pub fn sides_shared_with(&self, other: &LeafSet) -> usize {
-        usize::from(Arc::ptr_eq(&self.cw, &other.cw))
-            + usize::from(Arc::ptr_eq(&self.ccw, &other.ccw))
     }
 
     /// The member of `leafset ∪ {owner}` numerically closest to `key`
@@ -290,33 +302,41 @@ mod tests {
         assert_eq!(ls.closest_to(Id::MAX), id(7));
     }
 
+    /// How many of the two sides are the same allocation in both sets.
+    fn sides_shared(a: &LeafSet, b: &LeafSet) -> usize {
+        usize::from(Arc::ptr_eq(&a.cw, &b.cw)) + usize::from(Arc::ptr_eq(&a.ccw, &b.ccw))
+    }
+
     #[test]
     fn clones_share_sides_until_written() {
         let mut ls = set_with(100, &[105, 110, 95]);
         let snap = ls.clone();
-        assert_eq!(ls.sides_shared_with(&snap), 2);
+        assert_eq!(sides_shared(&ls, &snap), 2);
         // Reads and no-op writes keep both sides shared.
         assert!(ls.covers(id(107)));
         assert!(!ls.insert(id(105)));
         assert!(!ls.remove(id(42)));
-        assert_eq!(ls.sides_shared_with(&snap), 2);
-        // Writing the clockwise side copies it; ccw stays shared.
+        assert_eq!(sides_shared(&ls, &snap), 2);
+        // Writing the clockwise side replaces it; ccw stays shared.
         assert!(ls.insert(id(103)));
-        assert_eq!(ls.sides_shared_with(&snap), 1);
+        assert_eq!(sides_shared(&ls, &snap), 1);
         assert_eq!(
             snap.clockwise(),
             &[id(105), id(110)],
             "snapshot must not see the insert"
         );
-        // A rebuild that changes nothing re-shares nothing but keeps the
-        // current allocations; one that changes a side swaps it out.
+        // A rebuild that changes nothing keeps the current allocations;
+        // one that changes a side swaps that side out and moves its edge.
         let before = ls.clone();
         ls.rebuild(vec![id(103), id(105), id(110)], vec![id(95)]);
-        assert_eq!(ls.sides_shared_with(&before), 2, "no-op rebuild");
+        assert_eq!(sides_shared(&ls, &before), 2, "no-op rebuild");
+        ls.rebuild(vec![id(103), id(105), id(110)], vec![id(95), id(90)]);
+        assert_eq!(sides_shared(&ls, &before), 1);
+        assert!(ls.covers(id(91)) && !before.covers(id(91)));
         // deep_clone shares nothing but compares equal.
         let deep = ls.deep_clone();
         assert_eq!(deep, ls);
-        assert_eq!(deep.sides_shared_with(&ls), 0);
+        assert_eq!(sides_shared(&deep, &ls), 0);
     }
 
     #[test]
@@ -391,6 +411,61 @@ mod tests {
                 .chain(std::iter::once(owner))
                 .min_by(|a, b| key.cmp_distance(*a, *b));
             prop_assert_eq!(Some(ls.closest_to(key)), want);
+        }
+
+        /// After any sequence of inserts, removes and rebuilds on a small
+        /// ring (ids packed around zero, so sides wrap), the cached edges
+        /// are the last member of each side — the owner when a side is
+        /// empty — and `covers` answers as the sides alone would.
+        #[test]
+        fn prop_cached_edges_track_the_sides(
+            ring in proptest::collection::vec(0u64..48, 1..41),
+            at in any::<usize>(),
+            half in 1usize..=8,
+            ops in proptest::collection::vec((0u8..3, any::<usize>()), 0..40),
+            keys in proptest::collection::vec(0u64..64, 8),
+        ) {
+            // Even offsets from MAX − 31 are ring ids; odd ones fall between.
+            let place = |v: u64| {
+                Id::MAX.wrapping_sub(Id::from_u64(31)).wrapping_add(Id::from_u64(v))
+            };
+            let mut ring: Vec<Id> = ring.into_iter().map(|v| place(2 * v)).collect();
+            ring.sort();
+            ring.dedup();
+            let n = ring.len();
+            let owner = ring[at % n];
+            let mut ls = LeafSet::new(owner, half);
+            for (op, pick) in std::iter::once((2, at)).chain(ops) {
+                let x = ring[pick % n];
+                match op {
+                    0 => {
+                        ls.insert(x);
+                    }
+                    1 => {
+                        ls.remove(x);
+                    }
+                    _ => {
+                        // The exact sides of a ring that lost `x` (if not
+                        // the owner): what the overlay installs.
+                        let live: Vec<Id> =
+                            ring.iter().copied().filter(|&r| r == owner || r != x).collect();
+                        let m = live.len();
+                        let o = live.iter().position(|&r| r == owner).unwrap();
+                        ls.rebuild(
+                            (1..m).map(|t| live[(o + t) % m]).take(half).collect(),
+                            (1..m).map(|t| live[(o + m - t) % m]).take(half).collect(),
+                        );
+                    }
+                }
+                let cw_edge = ls.clockwise().last().copied().unwrap_or(owner);
+                let ccw_edge = ls.counter_clockwise().last().copied().unwrap_or(owner);
+                prop_assert_eq!((ls.cw_edge, ls.ccw_edge), (cw_edge, ccw_edge));
+                for key in keys.iter().map(|&v| place(v)).chain([owner, Id::HALF]) {
+                    let want =
+                        ls.is_empty() || key == ccw_edge || key.between_cw(ccw_edge, cw_edge);
+                    prop_assert_eq!(ls.covers(key), want, "key {:?}", key);
+                }
+            }
         }
 
         #[test]

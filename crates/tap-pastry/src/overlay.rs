@@ -116,9 +116,9 @@ impl OverlayInstruments {
 
 /// A simulated Pastry overlay.
 ///
-/// Cloning is copy-on-write: node handles (and, one level down, routing
-/// table rows and leaf-set sides) are `Arc`-shared with the clone, and a
-/// mutation copies only the state it touches. [`Overlay::checkpoint`] /
+/// Cloning is copy-on-write: node handles (and, one level down, each
+/// routing-table grid and leaf-set side) are `Arc`-shared with the clone,
+/// and a mutation copies only the state it touches. [`Overlay::checkpoint`] /
 /// [`Overlay::rollback`] expose the same machinery as an explicit
 /// save/restore pair, so a sweep point costs only the nodes it kills or
 /// repairs instead of a full deep copy of the network.
@@ -757,43 +757,39 @@ impl Overlay {
     /// One forwarding decision at `current` for `key`. `Ok((None, _))`
     /// means `current` is the root; the boolean reports whether the step
     /// was pure greedy (no prefix guarantee). Evicts dead table entries it
-    /// trips over. Exposed crate-wide so [`crate::secure`] can walk routes
-    /// while interposing per-node adversarial behaviour.
+    /// trips over. A `current` that is not live — a leaf set named a
+    /// departed node — is [`RouteError::Stuck`] at that node: the same
+    /// corrupted-leaf-set condition, one hop later. Exposed crate-wide so
+    /// [`crate::secure`] can walk routes while interposing per-node
+    /// adversarial behaviour.
     pub(crate) fn forward_from(
         &mut self,
         current: Id,
         key: Id,
         ring_mode: bool,
     ) -> Result<(Option<Id>, bool), RouteError> {
+        let stuck = RouteError::Stuck { at: current, key };
+        let mut node = self.nodes.get(&current).ok_or(stuck)?;
+
         // Phase 1: leaf set covers the key → exact final step(s).
-        let (covers, leaf_next) = {
-            let node = &self.nodes[&current];
-            if node.leafset.covers(key) {
-                let best = node.leafset.closest_to(key);
-                (true, if best == current { None } else { Some(best) })
-            } else {
-                (false, None)
-            }
-        };
-        if covers {
-            if let Some(n) = leaf_next {
-                debug_assert!(self.ring.contains(&n), "leaf sets are eagerly maintained");
-            }
-            return Ok((leaf_next, false));
+        if node.leafset.covers(key) {
+            let best = node.leafset.closest_to(key);
+            debug_assert!(
+                self.ring.contains(&best),
+                "leaf sets are eagerly maintained"
+            );
+            return Ok(((best != current).then_some(best), false));
         }
 
         // Phase 2: routing table, canonical slot (skipped in ring mode).
         if !ring_mode {
-            let hop = self.nodes[&current].table.next_hop(key);
-            if let Some(h) = hop {
+            if let Some(h) = node.table.next_hop(key) {
                 if self.nodes.contains_key(&h) {
                     return Ok((Some(h), false));
                 }
                 // Stale entry: lazy repair.
-                if let Some(slot) = self.nodes.get_mut(&current) {
-                    Arc::make_mut(slot).table.evict(h);
-                }
-                self.instruments.table_evictions.inc();
+                self.evict_stale(current, &[h]);
+                node = self.nodes.get(&current).ok_or(stuck)?;
             }
         }
 
@@ -804,7 +800,6 @@ impl Overlay {
         // ring distance. Greedy is guaranteed to progress whenever the
         // leaf set does not cover the key: the leaf-set edge on the key's
         // side is strictly closer, so routing still terminates at the root.
-        let node = &self.nodes[&current];
         let own_prefix = current.shared_prefix_digits(key, self.config.b);
         // Candidates and incumbents are distance keys: every id is
         // measured once.
@@ -830,17 +825,8 @@ impl Overlay {
                 best_pastry = Some(cand);
             }
         }
-        if !stale.is_empty() {
-            if let Some(slot) = self.nodes.get_mut(&current) {
-                let node = Arc::make_mut(slot);
-                for s in &stale {
-                    node.table.evict(*s);
-                }
-            }
-            for _ in &stale {
-                self.instruments.table_evictions.inc();
-            }
-        }
+        let sees_whole_ring = node.leafset.len() < 2 * self.config.leaf_half();
+        self.evict_stale(current, &stale);
         if !ring_mode {
             if let Some((_, b)) = best_pastry {
                 return Ok((Some(b), false));
@@ -852,14 +838,25 @@ impl Overlay {
             // leaf sets this means current *is* the root of a sparse ring
             // (fewer nodes than a leaf-set side). Confirm against local
             // knowledge before declaring success.
-            None => {
-                let node = &self.nodes[&current];
-                if node.leafset.len() < 2 * self.config.leaf_half() {
-                    Ok((None, false))
-                } else {
-                    Err(RouteError::Stuck { at: current, key })
-                }
-            }
+            None if sees_whole_ring => Ok((None, false)),
+            None => Err(stuck),
+        }
+    }
+
+    /// Lazy repair: drop the `stale` ids `at` tripped over from its routing
+    /// table, counting each. With nothing stale, `at` stays shared with any
+    /// snapshot.
+    fn evict_stale(&mut self, at: Id, stale: &[Id]) {
+        if stale.is_empty() {
+            return;
+        }
+        let Some(slot) = self.nodes.get_mut(&at) else {
+            return;
+        };
+        let node = Arc::make_mut(slot);
+        for s in stale {
+            node.table.evict(*s);
+            self.instruments.table_evictions.inc();
         }
     }
 
@@ -1351,6 +1348,28 @@ mod tests {
             ov.route(victim, key),
             Err(RouteError::UnknownSource(victim))
         );
+    }
+
+    #[test]
+    fn a_hop_at_a_departed_node_is_stuck_not_a_panic() {
+        let (mut ov, mut rng) = build(10, 26);
+        let victim = ov.random_node(&mut rng).unwrap();
+        ov.remove_node(victim);
+        let key = Id::random(&mut rng);
+        for ring_mode in [false, true] {
+            assert_eq!(
+                ov.forward_from(victim, key, ring_mode),
+                Err(RouteError::Stuck { at: victim, key })
+            );
+        }
+    }
+
+    #[test]
+    fn a_node_handle_fits_three_cache_lines() {
+        // With the 16-byte `Arc` header: everything a non-final hop reads
+        // before its one routing-table cell. A new field must not silently
+        // cost a fourth line.
+        assert!(std::mem::size_of::<NodeHandle>() <= 176);
     }
 
     #[test]

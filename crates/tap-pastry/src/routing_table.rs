@@ -7,32 +7,31 @@
 //! hop extends the shared prefix by at least one digit, which bounds routes
 //! at `log_{2^b} N` expected hops.
 //!
-//! Rows are allocated on demand: in an `N`-node network only the first
-//! `~log_{2^b} N` rows are ever non-empty, so a 10^4-node overlay costs a
-//! few hundred bytes of table per node instead of the 15 KB a dense
-//! 40-row matrix would take.
+//! The table is one flat row-major grid holding exactly the rows in use: in
+//! an `N`-node network only the first `~log_{2^b} N` rows are ever
+//! non-empty, so a 10^4-node overlay costs about 1.4 KB of table per node
+//! instead of the 13 KB a dense 40-row matrix would take, and a lookup is
+//! one index into one allocation.
 //!
-//! Rows are additionally `Arc`-shared: cloning a table is `O(depth)`
-//! pointer bumps, and a cloned table's rows stay physically shared with
-//! the original until a mutation touches them ([`Arc::make_mut`] copies
-//! the one row being written, nothing else). This is what makes whole
-//! overlay snapshots cost only the nodes a sweep point actually touches.
+//! The grid is `Arc`-shared: cloning a table is one pointer bump, and the
+//! clone shares the grid until the first write that changes a cell
+//! ([`Arc::make_mut`] copies the grid then; a write that changes nothing
+//! copies nothing). This is what makes whole overlay snapshots cost only
+//! the nodes a sweep point actually touches.
 
 use std::sync::Arc;
 
 use tap_id::Id;
-
-/// One `Arc`-shared row: `row[c]` holds a node with next digit `c`.
-type Row = Vec<Option<Id>>;
 
 /// One node's routing table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     owner: Id,
     b: u32,
-    /// `rows[r][c]` — a node matching `r` digits with digit `c` next.
-    /// Each row is copy-on-write shared between table clones.
-    rows: Vec<Arc<Row>>,
+    /// `cells[(r << b) + c]` — a node matching `r` digits with digit `c`
+    /// next. Exactly `depth × 2^b` long; copy-on-write shared between table
+    /// clones.
+    cells: Arc<[Option<Id>]>,
 }
 
 impl RoutingTable {
@@ -42,7 +41,7 @@ impl RoutingTable {
         RoutingTable {
             owner,
             b,
-            rows: Vec::new(),
+            cells: Arc::default(),
         }
     }
 
@@ -51,19 +50,35 @@ impl RoutingTable {
         self.owner
     }
 
-    fn cols(&self) -> usize {
-        1usize << self.b
+    /// The natural `(row, col)` of `id`: shared prefix length, next digit.
+    fn slot_of(&self, id: Id) -> (usize, usize) {
+        let row = self.owner.shared_prefix_digits(id, self.b);
+        (row, id.digit(row, self.b) as usize)
     }
 
-    fn ensure_row(&mut self, r: usize) {
-        while self.rows.len() <= r {
-            self.rows.push(Arc::new(vec![None; self.cols()]));
+    /// Row `r`'s cells; empty when the row is not allocated.
+    fn row(&self, r: usize) -> &[Option<Id>] {
+        self.cells
+            .get(r << self.b..(r + 1) << self.b)
+            .unwrap_or_default()
+    }
+
+    /// Write `candidate` into `(row, col)`, growing the grid by whole rows
+    /// to reach it. Callers have checked that the cell changes.
+    fn set(&mut self, row: usize, col: usize, candidate: Id) {
+        if self.depth() <= row {
+            let grown = (row + 1) << self.b;
+            self.cells = (0..grown)
+                .map(|i| self.cells.get(i).copied().flatten())
+                .collect();
         }
+        Arc::make_mut(&mut self.cells)[(row << self.b) + col] = Some(candidate);
     }
 
     /// The entry at `(row, col)`, if the row exists and is populated.
     pub fn entry(&self, row: usize, col: usize) -> Option<Id> {
-        self.rows.get(row).and_then(|r| r[col])
+        debug_assert!(col < 1 << self.b);
+        self.cells.get((row << self.b) + col).copied().flatten()
     }
 
     /// Install `candidate` wherever it fits: row = shared prefix length,
@@ -75,14 +90,12 @@ impl RoutingTable {
         if candidate == self.owner {
             return false;
         }
-        let row = self.owner.shared_prefix_digits(candidate, self.b);
-        let col = candidate.digit(row, self.b) as usize;
-        self.ensure_row(row);
-        // Read before write: an occupied slot must not unshare the row.
-        if self.rows[row][col].is_some() {
+        let (row, col) = self.slot_of(candidate);
+        // Read before write: an occupied slot must not unshare the grid.
+        if self.entry(row, col).is_some() {
             return false;
         }
-        Arc::make_mut(&mut self.rows[row])[col] = Some(candidate);
+        self.set(row, col, candidate);
         true
     }
 
@@ -92,47 +105,33 @@ impl RoutingTable {
         if candidate == self.owner {
             return;
         }
-        let row = self.owner.shared_prefix_digits(candidate, self.b);
-        let col = candidate.digit(row, self.b) as usize;
-        self.ensure_row(row);
-        if self.rows[row][col] == Some(candidate) {
-            return; // no-op replace keeps the row shared
+        let (row, col) = self.slot_of(candidate);
+        // A no-op replace keeps the grid shared.
+        if self.entry(row, col) != Some(candidate) {
+            self.set(row, col, candidate);
         }
-        Arc::make_mut(&mut self.rows[row])[col] = Some(candidate);
     }
 
     /// Remove every slot pointing at `dead`. Returns how many were cleared.
     pub fn evict(&mut self, dead: Id) -> usize {
-        let mut cleared = 0;
-        for row in &mut self.rows {
-            // Scan shared; copy a row only when it actually holds `dead`.
-            if !row.contains(&Some(dead)) {
-                continue;
-            }
-            for slot in Arc::make_mut(row).iter_mut() {
-                if *slot == Some(dead) {
-                    *slot = None;
-                    cleared += 1;
-                }
-            }
-        }
-        cleared
+        self.evict_where(|id| id == dead)
     }
 
-    /// Clear every slot whose occupant fails `live` (batch eviction after
-    /// a mass failure: one pass instead of one [`RoutingTable::evict`] per
-    /// dead node). Rows with only surviving entries stay shared.
+    /// Clear every slot whose occupant satisfies `dead` (batch eviction
+    /// after a mass failure: one pass instead of one
+    /// [`RoutingTable::evict`] per dead node). A table with only surviving
+    /// entries stays shared.
     pub fn evict_where<F: Fn(Id) -> bool>(&mut self, dead: F) -> usize {
+        let is_dead = |slot: &Option<Id>| slot.is_some_and(&dead);
+        // Scan shared; copy the grid only when it actually holds a victim.
+        let Some(first) = self.cells.iter().position(is_dead) else {
+            return 0;
+        };
         let mut cleared = 0;
-        for row in &mut self.rows {
-            if !row.iter().flatten().any(|id| dead(*id)) {
-                continue;
-            }
-            for slot in Arc::make_mut(row).iter_mut() {
-                if matches!(*slot, Some(id) if dead(id)) {
-                    *slot = None;
-                    cleared += 1;
-                }
+        for slot in &mut Arc::make_mut(&mut self.cells)[first..] {
+            if is_dead(slot) {
+                *slot = None;
+                cleared += 1;
             }
         }
         cleared
@@ -140,8 +139,7 @@ impl RoutingTable {
 
     /// The canonical next hop for `key`: the entry one digit deeper.
     pub fn next_hop(&self, key: Id) -> Option<Id> {
-        let row = self.owner.shared_prefix_digits(key, self.b);
-        let col = key.digit(row, self.b) as usize;
+        let (row, col) = self.slot_of(key);
         self.entry(row, col)
     }
 
@@ -151,15 +149,12 @@ impl RoutingTable {
     pub fn fallback_hop(&self, key: Id) -> Option<Id> {
         let own_prefix = self.owner.shared_prefix_digits(key, self.b);
         let mut best: Option<Id> = None;
-        for row in &self.rows {
-            for slot in row.iter().flatten() {
-                let c = *slot;
-                if c.shared_prefix_digits(key, self.b) >= own_prefix
-                    && c.closer_to(key, self.owner)
-                    && best.is_none_or(|b| c.closer_to(key, b))
-                {
-                    best = Some(c);
-                }
+        for c in self.entries() {
+            if c.shared_prefix_digits(key, self.b) >= own_prefix
+                && c.closer_to(key, self.owner)
+                && best.is_none_or(|b| c.closer_to(key, b))
+            {
+                best = Some(c);
             }
         }
         best
@@ -167,75 +162,49 @@ impl RoutingTable {
 
     /// All populated entries (row-major).
     pub fn entries(&self) -> impl Iterator<Item = Id> + '_ {
-        self.rows.iter().flat_map(|r| r.iter()).flatten().copied()
+        self.cells.iter().flatten().copied()
     }
 
     /// Copy every entry of `other`'s row `row` into this table (the join
     /// protocol: the i-th node on the join path donates its i-th row).
     pub fn absorb_row(&mut self, other: &RoutingTable, row: usize) {
-        if let Some(r) = other.rows.get(row) {
-            for id in r.iter().flatten() {
-                self.consider(*id);
-            }
+        for id in other.row(row).iter().flatten() {
+            self.consider(*id);
         }
     }
 
-    /// A fully-owned copy: every row is reallocated, sharing nothing with
+    /// A fully-owned copy: the grid is reallocated, sharing nothing with
     /// `self`. The oracle the snapshot proptests compare COW clones against.
     pub fn deep_clone(&self) -> RoutingTable {
         RoutingTable {
             owner: self.owner,
             b: self.b,
-            rows: self
-                .rows
-                .iter()
-                .map(|r| Arc::new(r.as_ref().clone()))
-                .collect(),
+            cells: Arc::from(&*self.cells),
         }
-    }
-
-    /// How many rows are physically shared (same allocation) with `other`
-    /// (diagnostics for the snapshot tests and benches).
-    pub fn rows_shared_with(&self, other: &RoutingTable) -> usize {
-        self.rows
-            .iter()
-            .zip(other.rows.iter())
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
     }
 
     /// Number of populated slots (diagnostics).
     pub fn occupancy(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.iter().filter(|s| s.is_some()).count())
-            .sum()
+        self.entries().count()
     }
 
     /// Highest allocated row index plus one (diagnostics).
     pub fn depth(&self) -> usize {
-        self.rows.len()
+        self.cells.len() >> self.b
     }
 
     /// Check the structural invariant of every populated slot: the entry
     /// shares exactly `row` digits with the owner and its digit at `row` is
     /// the column index. Panics on violation (test helper).
     pub fn assert_invariants(&self) {
-        for (r, row) in self.rows.iter().enumerate() {
-            for (c, slot) in row.iter().enumerate() {
-                if let Some(id) = slot {
-                    assert_eq!(
-                        self.owner.shared_prefix_digits(*id, self.b),
-                        r,
-                        "entry {id} in wrong row {r}"
-                    );
-                    assert_eq!(
-                        id.digit(r, self.b) as usize,
-                        c,
-                        "entry {id} in wrong col {c}"
-                    );
-                    assert_ne!(*id, self.owner, "owner must not appear in own table");
-                }
+        for (i, slot) in self.cells.iter().enumerate() {
+            if let Some(id) = slot {
+                assert_ne!(*id, self.owner, "owner must not appear in own table");
+                assert_eq!(
+                    self.slot_of(*id),
+                    (i >> self.b, i & ((1 << self.b) - 1)),
+                    "entry {id} in the wrong cell"
+                );
             }
         }
     }
@@ -349,35 +318,40 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_rows_until_written() {
+    fn a_clone_shares_the_grid_until_the_first_effective_write() {
+        let shared = |a: &RoutingTable, b: &RoutingTable| Arc::ptr_eq(&a.cells, &b.cells);
         let mut rt = RoutingTable::new(hexid("00"), 4);
         rt.consider(hexid("a1")); // row 0
         rt.consider(hexid("0b")); // row 1
         let snap = rt.clone();
-        assert_eq!(rt.rows_shared_with(&snap), rt.depth());
-        // Reads never unshare.
+        // Reads and writes that change nothing (occupied consider,
+        // identical replace, eviction of an absent id, of the owner, of
+        // nobody) never unshare.
         assert_eq!(snap.entry(0, 0xa), Some(hexid("a1")));
-        assert_eq!(rt.rows_shared_with(&snap), rt.depth());
-        // Writing one row copies only that row; the snapshot is unmoved.
+        assert!(!rt.consider(hexid("a2")));
+        rt.replace(hexid("0b"));
+        assert_eq!(rt.evict(hexid("77")), 0);
+        assert_eq!(rt.evict(hexid("00")), 0);
+        assert_eq!(rt.evict_where(|_| false), 0);
+        assert!(shared(&rt, &snap));
+        // The first effective write copies the grid; neither side sees the
+        // other's writes from then on.
         rt.replace(hexid("0c"));
-        assert_eq!(rt.rows_shared_with(&snap), rt.depth() - 1);
+        assert!(!shared(&rt, &snap));
         assert_eq!(snap.entry(1, 0xc), None, "snapshot must not see the write");
         assert_eq!(rt.entry(1, 0xc), Some(hexid("0c")));
-        // No-op mutations (occupied consider, identical replace, eviction
-        // of an absent id) keep every row shared.
-        let snap2 = rt.clone();
-        assert!(!rt.consider(hexid("a2")));
-        rt.replace(hexid("0c"));
-        assert_eq!(rt.evict(hexid("77")), 0);
-        assert_eq!(rt.rows_shared_with(&snap2), rt.depth());
+        let mut snap = snap;
+        assert!(snap.consider(hexid("001"))); // grows the snapshot to row 2
+        assert_eq!((snap.depth(), rt.depth()), (3, 2));
+        assert_eq!(rt.next_hop(hexid("001")), None);
         // deep_clone is equal but shares nothing.
         let deep = rt.deep_clone();
         assert_eq!(deep, rt);
-        assert_eq!(deep.rows_shared_with(&rt), 0);
+        assert!(!shared(&deep, &rt));
     }
 
     #[test]
-    fn evict_where_batches_and_preserves_sharing() {
+    fn evictions_through_one_clone_are_invisible_through_the_other() {
         let mut rt = RoutingTable::new(hexid("00"), 4);
         rt.consider(hexid("a1")); // row 0 col a
         rt.consider(hexid("b1")); // row 0 col b
@@ -385,12 +359,15 @@ mod tests {
         let snap = rt.clone();
         let dead = [hexid("a1"), hexid("b1")];
         assert_eq!(rt.evict_where(|id| dead.contains(&id)), 2);
-        assert_eq!(rt.entry(0, 0xa), None);
-        assert_eq!(rt.entry(0, 0xb), None);
-        assert_eq!(rt.entry(1, 0xb), Some(hexid("0b")));
-        // Only row 0 was touched; row 1 stays shared with the snapshot.
-        assert_eq!(rt.rows_shared_with(&snap), 1);
-        assert_eq!(snap.entry(0, 0xa), Some(hexid("a1")));
+        assert_eq!(rt.entries().collect::<Vec<_>>(), [hexid("0b")]);
+        assert_eq!(rt.evict(hexid("0b")), 1);
+        assert_eq!(rt.occupancy(), 0);
+        assert_eq!(rt.depth(), 2, "eviction never shrinks the grid");
+        assert_eq!(
+            snap.entries().collect::<Vec<_>>(),
+            [hexid("a1"), hexid("b1"), hexid("0b")]
+        );
+        snap.assert_invariants();
         rt.assert_invariants();
     }
 

@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# How much code ships (ROADMAP item 4(a)): per library crate, the non-test
+# lines, `pub` items and panic sites of its `src` tree.
+#
+#   scripts/size.sh [<crate> ...]        # default: every crates/tap-*
+#
+# A file counts up to its first `#[cfg(test)]`; a file its parent module
+# declares as `#[cfg(test)] mod <name>;` is test code from its first line.
+# Panic sites are `.expect(`, `.unwrap()`, `unreachable!`, `panic!`, `assert!`,
+# `assert_eq!` and `assert_ne!` outside comment lines (`debug_assert*` does not
+# count: release builds compile it out). Prints a table; writes nothing.
+set -euo pipefail
+
+cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+if [ $# -gt 0 ]; then crates=("$@"); else crates=(crates/tap-*); fi
+
+is_test_module() { # <file>
+    local stem dir
+    stem=$(basename "${1%/mod.rs}" .rs)
+    dir=$(dirname "${1%/mod.rs}")
+    grep -qsPzo "#\[cfg\(test\)\]\s*\n\s*mod $stem;" \
+        "$dir.rs" "$dir/mod.rs" "$dir/lib.rs" "$dir/main.rs"
+}
+
+printf '%-14s %8s %6s %7s\n' crate lines pub panics
+for crate in "${crates[@]}"; do
+    files=()
+    while IFS= read -r file; do
+        is_test_module "$file" || files+=("$file")
+    done < <(find "crates/${crate#crates/}/src" -name '*.rs' | sort)
+    awk -v crate="${crate#crates/}" '
+        FNR == 1 { shipped = 1 }
+        /#\[cfg\(test\)\]/ { shipped = 0 }
+        !shipped { next }
+        { lines++ }
+        /^[ \t]*pub (const |unsafe )*(fn|struct|enum|trait|type|const|static) / { pubs++ }
+        /^[ \t]*\/\// { next }
+        {
+            gsub(/debug_assert/, "")
+            panics += gsub(/\.expect\(|\.unwrap\(\)|unreachable!|panic!|assert(_eq|_ne)?!/, "")
+        }
+        END { printf "%-14s %8d %6d %7d\n", crate, lines, pubs, panics }
+    ' "${files[@]}"
+done | awk '
+    { print; lines += $2; pubs += $3; panics += $4 }
+    END { printf "%-14s %8d %6d %7d\n", "total", lines, pubs, panics }
+'

@@ -205,6 +205,8 @@ const ID_FOLD_HASH: u64 = 0x1af3_783f_8cf6_c95d;
 const ID_HASH_MAP_ORDER: u64 = 0x31aa_8d85_9fc5_6443;
 const PASTRY_ROUTES: u64 = 0xc308_839d_0d40_5fc0;
 const PASTRY_ROUTES_AFTER_CHURN: u64 = 0xc4bc_036e_5e31_4211;
+// Recorded at the commit before routing tables became one flat grid.
+const PASTRY_ROUTES_AT_CHECKPOINT: u64 = 0x11a3_b2b0_5822_3e31;
 const CHORD_ROUTES: u64 = 0xb6b1_c95a_5cb8_3bed;
 const CHORD_ROUTES_AFTER_CHURN: u64 = 0xa307_ce43_e031_c3e3;
 
@@ -233,6 +235,43 @@ fn pastry_route_paths_are_pinned() {
         overlay.add_random_node(&mut rng);
     }
     assert_eq!(routes(&mut overlay, &mut rng), PASTRY_ROUTES_AFTER_CHURN);
+}
+
+/// Churn between a `checkpoint` and its `rollback` copies node state on
+/// write; the restored overlay must route every pair exactly as it did
+/// before, and exactly as the per-row `Arc` layout this constant was
+/// recorded with did.
+#[test]
+fn pastry_routes_survive_checkpoint_churn_and_rollback() {
+    let mut rng = StdRng::seed_from_u64(0x5a9);
+    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
+    for _ in 0..NODES {
+        overlay.add_random_node(&mut rng);
+    }
+    let pairs: Vec<(Id, Id)> = (0..ROUTES)
+        .map(|_| {
+            let from = overlay.random_node(&mut rng).expect("non-empty overlay");
+            (from, Id::random(&mut rng))
+        })
+        .collect();
+    let routes = |overlay: &mut Overlay| {
+        let mut h = FNV_OFFSET;
+        for &(from, key) in &pairs {
+            let out = overlay.route(from, key).expect("route completes");
+            hash_path(&mut h, &out.path);
+        }
+        h
+    };
+    let before = routes(&mut overlay);
+    let saved = overlay.checkpoint();
+    for _ in 0..CHURN_PAIRS {
+        let victim = overlay.random_node(&mut rng).expect("non-empty overlay");
+        assert!(overlay.remove_node(victim));
+        overlay.add_random_node(&mut rng);
+    }
+    overlay.rollback(&saved);
+    assert_eq!(routes(&mut overlay), before);
+    assert_eq!(before, PASTRY_ROUTES_AT_CHECKPOINT);
 }
 
 #[test]
