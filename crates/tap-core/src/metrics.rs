@@ -23,8 +23,10 @@ use tap_metrics::{Counter, Histogram, Registry};
 ///   after a delivery timeout in the timed driver.
 /// * `core.transit.backoff_us` — histogram, microseconds slept between a
 ///   timeout and the resend it triggered (exponential per attempt).
-/// * `core.transit.giveups` — counter, hops abandoned after the retry
-///   budget was exhausted.
+/// * `core.transit.giveups` — counter, transfers abandoned, once per
+///   transfer: a single path whose routed hop spent its retry budget
+///   (never a hinted attempt with its fallback pending), or a stripe set
+///   with too few stripes left.
 /// * `core.tha.takeovers` — counter, tunnel hops served by a replica
 ///   candidate instead of the node that was root at deployment time. Each
 ///   takeover also emits a `core.tha.takeover` event naming the hopid.
@@ -54,7 +56,7 @@ pub struct CoreInstruments {
     pub transit_retries: Arc<Counter>,
     /// Microseconds between a timeout and its resend.
     pub transit_backoff_us: Arc<Histogram>,
-    /// Hops abandoned after the retry budget ran out.
+    /// Transfers abandoned, once per transfer.
     pub transit_giveups: Arc<Counter>,
     /// Hops served by a replica candidate rather than the original root.
     pub tha_takeovers: Arc<Counter>,

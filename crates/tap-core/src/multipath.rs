@@ -6,9 +6,9 @@
 //! payload with the [`tap_crypto::ec`] Reed–Solomon codec into `n`
 //! fragments, builds one onion per fragment over `n` *disjoint* tunnels
 //! (no shared hopids — §3.5 scatter applied across stripes, not just
-//! within one tunnel), ships them concurrently through
-//! [`NetDriver::drive_striped`], and reconstructs the payload as soon as
-//! any `k` fragments arrive.
+//! within one tunnel), ships them concurrently as one flow set through the
+//! wire engine (`NetDriver::drive_striped`), and reconstructs the payload
+//! as soon as any `k` fragments arrive.
 //!
 //! Fragments are tagged on three levels: the netsim flow tag names the
 //! wire chain, the stripe index names the tunnel, and the fragment header
@@ -126,7 +126,7 @@ pub struct MultipathOutcome {
     pub degraded: bool,
     /// Fragments that arrived corrupted and were skipped by the decode.
     pub corrupt_fragments: usize,
-    /// Wire-level accounting from [`NetDriver::drive_striped`].
+    /// Wire-level accounting of the stripe set.
     pub report: MultipathReport,
 }
 
@@ -160,7 +160,7 @@ pub fn form_disjoint_tunnels<R: Rng + ?Sized>(
 ///
 /// Applies the degradation policy (see module docs) to however many
 /// tunnels the caller could form, encodes, builds one onion per stripe,
-/// runs [`NetDriver::drive_striped`], and decodes. `instruments` records
+/// runs `NetDriver::drive_striped`, and decodes. `instruments` records
 /// fragment/stripe/laggard counters plus the `core.ec.degraded` journal
 /// event; the per-*transfer* delivered-or-gave-up invariant is enforced by
 /// the driver underneath.

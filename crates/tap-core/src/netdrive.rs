@@ -13,6 +13,16 @@
 //!   1.5 Mb/s uplink serialization and the per-link latency, the §7.3 cost
 //!   model, with the NIC queueing the emulator enforces.
 //!
+//! There is one engine: `NetDriver::run` steps a set of `Flow`s — one
+//! per tunnel — through a single event loop. A single-path transfer
+//! ([`NetDriver::drive_timed_with_hints`]) is the one-flow set; a stripe
+//! set (`NetDriver::drive_striped`) is `n` flows of which `k` must
+//! arrive. The two fronts decide what the machine cannot: what an
+//! anchorless root means, which error a caller sees, and every count that
+//! is per *transfer* (give-ups, `core.mp.*`, who saw which stripe) — the
+//! machine books only what every wire hop books alike
+//! (`core.transit.retries`, `core.transit.backoff_us`).
+//!
 //! The Fig. 6 experiment replays precomputed paths for throughput; this
 //! driver exists to validate that shortcut (see the agreement test) and to
 //! let applications measure end-to-end seconds for single flows.
@@ -33,12 +43,11 @@ use crate::wire::{Destination, HopHeader};
 pub struct NetDriver<L: LatencyModel> {
     net: Network<u64, L>,
     endpoint_of: IdHashMap<EndpointId>,
-    /// Distinguishes each (hop, attempt)'s timeout timer from stale ones
-    /// still sitting in the heap after a delivery won the race.
-    timer_seq: u64,
-    /// Tags every [`NetDriver::ship`] chain's messages (high payload bits)
-    /// so late deliveries and duplicates from an earlier chain can never
-    /// be mistaken for the current one's progress.
+    /// Tags every [`Segment`]'s messages (high payload bits) so late
+    /// deliveries and duplicates from an earlier chain can never be
+    /// mistaken for the current one's progress, and names the chain's
+    /// watchdog: a chain has one armed at a time and cancels it before the
+    /// next, so no stale timer of its own can fire.
     flow_seq: u64,
     instruments: Option<CoreInstruments>,
 }
@@ -57,7 +66,7 @@ pub struct TimedReport {
 }
 
 /// Accounting for one erasure-coded multipath transfer
-/// ([`NetDriver::drive_striped`]).
+/// ([`crate::multipath::send_striped`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MultipathReport {
     /// Virtual time from first send to the `need`-th fragment arriving.
@@ -85,49 +94,162 @@ pub struct MultipathReport {
     pub max_stripes_per_relay: u32,
 }
 
-/// One in-flight store-and-forward chain belonging to a stripe.
+/// One in-flight store-and-forward chain belonging to a flow.
 struct Segment {
     eps: Vec<EndpointId>,
+    /// Index into `eps` of the endpoint the pending hop is addressed to.
     expect: usize,
     attempts: u32,
     flow: u64,
-    watchdog: TimerToken,
     guard: TimerHandle,
+    /// A §5 direct attempt at a hinted address: exhausting the budget
+    /// demotes the hint and re-routes instead of ending the flow.
     hinted: bool,
     wire: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StripeStatus {
-    Active,
-    Delivered,
-    Failed,
-}
-
-/// Program counter of one stripe inside [`NetDriver::drive_striped`].
-struct StripeState {
+/// One onion's traversal of one tunnel: where it is, what it still has to
+/// do, what it has cost so far and — once over — how it ended.
+struct Flow {
     current: Id,
     hop: Id,
-    /// Root the current phase-A segment is shipping toward (the THA check
-    /// on arrival must test the root the segment was routed to).
+    /// Node the segment in flight ships toward: `hop`'s root (the THA check
+    /// on arrival must test the root the segment was routed to), or the
+    /// destination on the delivery leg.
     root: Id,
     hint: Option<Id>,
-    onion: Option<onion::LayerBuf>,
+    /// One buffer for the whole traversal: every peel is one in-place
+    /// cipher pass, and the shrinking region is also the wire size.
+    onion: onion::LayerBuf,
+    /// Application data travelling beside the onion (a file on a reply
+    /// path); zero for a stripe.
+    payload_bytes: u64,
     /// Set once the tail hop revealed the delivery header.
     delivering: Option<Destination>,
     segment: Option<Segment>,
-    status: StripeStatus,
+    /// What this flow alone has cost; `elapsed` is the front's to fill.
+    report: TimedReport,
+    /// Watchdog resends (a demoted hint is not one).
+    retries: u64,
+    /// `None` while on the wire — and for good, if the transfer was
+    /// decided without this flow.
+    end: Option<Result<Delivery, TransitError>>,
 }
 
-/// Shared mutable context threaded through the striped event loop.
-struct StripedCx<'h> {
-    from: Id,
+impl Flow {
+    fn new(from: Id, entry_hop: Id, onion_bytes: Vec<u8>, payload_bytes: u64) -> Flow {
+        Flow {
+            current: from,
+            hop: entry_hop,
+            root: from,
+            hint: None,
+            onion: onion::LayerBuf::from_vec(onion_bytes),
+            payload_bytes,
+            delivering: None,
+            segment: None,
+            report: TimedReport::default(),
+            retries: 0,
+            end: None,
+        }
+    }
+
+    /// The next segment's [`Leg`], fixing `root`, the node it ships toward.
+    /// No oracle is consulted about a hint: a real initiator cannot know it
+    /// went stale except by the attempt timing out.
+    fn next_leg(
+        &mut self,
+        overlay: &mut impl KeyRouter,
+        use_hints: bool,
+    ) -> Result<Leg, TransitError> {
+        match self.delivering {
+            Some(Destination::Node(n)) if !overlay.is_live(n) => {
+                Err(TransitError::DeadDestination { node: n })
+            }
+            Some(Destination::Node(n)) => {
+                self.root = n;
+                Ok(Leg::Direct([self.current, n]))
+            }
+            Some(Destination::KeyRoot(key)) => {
+                let path = overlay.route_path(self.current, key)?;
+                self.root = path.last().copied().unwrap_or(self.current);
+                Ok(Leg::Routed(path))
+            }
+            None => {
+                self.root = overlay.owner_of(self.hop).ok_or(RouteError::EmptyOverlay)?;
+                match self.hint {
+                    Some(h) if use_hints && h != self.current => Ok(Leg::Direct([self.current, h])),
+                    _ => Ok(Leg::Routed(overlay.route_path(self.current, self.hop)?)),
+                }
+            }
+        }
+    }
+
+    /// The onion arrived at `root`: on the delivery leg hand over the core;
+    /// for hop `hop` run the THA check, peel one layer, follow the header.
+    /// Returns whether the flow has another segment to launch.
+    fn arrive(&mut self, thas: &ReplicaStore<Tha>) -> bool {
+        if self.delivering.is_some() {
+            self.end = Some(Ok(Delivery::ToDestination {
+                node: self.root,
+                core: std::mem::take(&mut self.onion).into_vec(),
+            }));
+            return false;
+        }
+        let Some(record) = thas.get(self.hop) else {
+            // An identifier that anchors nothing: §4's `bid` terminal for a
+            // reply tunnel, a lost fragment for a stripe — the fronts judge.
+            self.end = Some(Ok(Delivery::AtAnchorlessRoot {
+                node: self.root,
+                residue: std::mem::take(&mut self.onion).into_vec(),
+            }));
+            return false;
+        };
+        if !record.holders.contains(&self.root) {
+            self.end = Some(Err(TransitError::ThaLost { hopid: self.hop }));
+            return false;
+        }
+        self.current = self.root;
+        let peeled = self.onion.peel(&record.value.key);
+        let Some(header) = peeled.ok().and_then(|b| HopHeader::decode(b).ok()) else {
+            self.end = Some(Err(TransitError::BadLayer { hopid: self.hop }));
+            return false;
+        };
+        self.report.hops_resolved += 1;
+        match header {
+            HopHeader::Forward { next_hop, hint } => {
+                self.hop = next_hop;
+                self.hint = hint;
+            }
+            HopHeader::Deliver { dest } => self.delivering = Some(dest),
+        }
+        true
+    }
+}
+
+/// The nodes a segment visits: one hop straight to a known address (the
+/// destination node, or a §5 attempt at a hinted one) or a route by key.
+enum Leg {
+    Direct([Id; 2]),
+    Routed(Vec<Id>),
+}
+
+/// The in-flight segment `hit` matches, and the index of its flow.
+fn in_flight(flows: &mut [Flow], hit: impl Fn(&Segment) -> bool) -> Option<(usize, &mut Segment)> {
+    flows
+        .iter_mut()
+        .enumerate()
+        .find_map(|(i, f)| Some((i, f.segment.as_mut().filter(|s| hit(s))?)))
+}
+
+/// What the machine steps its flows against.
+struct FlowCx<'a, R, F> {
+    overlay: &'a mut R,
+    thas: &'a ReplicaStore<Tha>,
     options: TransitOptions,
-    hints: Option<&'h mut HintCache>,
-    /// node -> bitmask of stripes whose fragments crossed it.
-    seen: IdHashMap<u64>,
-    report: MultipathReport,
-    delivered: Vec<(usize, Vec<u8>)>,
+    hints: Option<&'a mut HintCache>,
+    /// Told `(flow index, node path, is the delivery leg)` for every
+    /// segment a flow sets out on, zero-length ones included.
+    on_segment: F,
 }
 
 impl<L: LatencyModel> NetDriver<L> {
@@ -136,7 +258,6 @@ impl<L: LatencyModel> NetDriver<L> {
         NetDriver {
             net,
             endpoint_of: IdHashMap::default(),
-            timer_seq: 0,
             flow_seq: 0,
             instruments: None,
         }
@@ -198,116 +319,6 @@ impl<L: LatencyModel> NetDriver<L> {
         base.mul(1u64 << attempt.min(16))
     }
 
-    /// Ship `bytes` along consecutive node pairs of `path`, store-and-
-    /// forward, and return when the last byte arrives.
-    ///
-    /// Each hop is guarded by a delivery timeout: if the message vanishes
-    /// (fault-injected loss, a crashed relay, a partition) the driver
-    /// resends it up to `options.retry_budget` times with exponential
-    /// backoff, then gives up with [`TransitError::RetriesExhausted`].
-    /// Duplicate deliveries (fault-injected duplication, or a resend
-    /// racing its slow original) are detected by hop index and ignored.
-    ///
-    /// `terminal` marks whether exhausting the budget abandons the whole
-    /// traversal (counted as `core.transit.giveups`) or the caller still
-    /// has a fallback (the hinted direct attempt) — only terminal
-    /// exhaustion is a give-up.
-    fn ship(
-        &mut self,
-        path: &[Id],
-        bytes: u64,
-        hopid: Id,
-        options: TransitOptions,
-        terminal: bool,
-    ) -> Result<(SimDuration, usize), TransitError> {
-        let mut eps = Vec::with_capacity(path.len());
-        for n in path {
-            let e = self.endpoint(*n);
-            if eps.last() != Some(&e) {
-                eps.push(e);
-            }
-        }
-        if eps.len() < 2 {
-            return Ok((SimDuration::ZERO, 0));
-        }
-        let start = self.net.now();
-        // Payloads carry `flow << 16 | hop index`: the flow tag rejects
-        // leftovers from earlier chains outright, and within this chain
-        // the index exposes duplicates of an already-advanced hop.
-        self.flow_seq += 1;
-        let flow = self.flow_seq;
-        debug_assert!(eps.len() < (1 << 16), "hop index fits the low bits");
-        let tag = |idx: usize| (flow << 16) | idx as u64;
-        let mut expect = 1usize;
-        let mut attempts = 0u32;
-        let (mut watchdog, mut guard) = self.arm_watchdog(bytes, attempts);
-        self.net.send(eps[0], eps[1], bytes, tag(1));
-        while let Some(ev) = self.net.next_event() {
-            match ev {
-                Event::Message(m) => {
-                    if m.payload >> 16 != flow {
-                        continue; // leftover from an earlier chain
-                    }
-                    let idx = (m.payload & 0xFFFF) as usize;
-                    if idx != expect {
-                        continue; // duplicate of an already-advanced hop
-                    }
-                    if idx + 1 == eps.len() {
-                        // Retire the pending watchdog instead of letting it
-                        // fire into a later chain's drain as a stale token.
-                        self.net.cancel_timer(guard);
-                        return Ok((m.delivered_at - start, eps.len() - 1));
-                    }
-                    expect += 1;
-                    attempts = 0;
-                    self.net.cancel_timer(guard);
-                    (watchdog, guard) = self.arm_watchdog(bytes, attempts);
-                    self.net.send(eps[idx], eps[idx + 1], bytes, tag(expect));
-                }
-                Event::Timer { token, .. } => {
-                    if token != watchdog {
-                        // Cancellation makes this unreachable for our own
-                        // watchdogs; kept as defense against foreign timers
-                        // sharing the network.
-                        continue;
-                    }
-                    if attempts >= options.retry_budget {
-                        if terminal {
-                            if let Some(ins) = &self.instruments {
-                                ins.transit_giveups.inc();
-                            }
-                        }
-                        return Err(TransitError::RetriesExhausted {
-                            hopid,
-                            attempts: attempts + 1,
-                        });
-                    }
-                    if let Some(ins) = &self.instruments {
-                        ins.transit_retries.inc();
-                        ins.transit_backoff_us
-                            .record(Self::resend_timeout(bytes, attempts).as_micros());
-                    }
-                    attempts += 1;
-                    (watchdog, guard) = self.arm_watchdog(bytes, attempts);
-                    self.net
-                        .send(eps[expect - 1], eps[expect], bytes, tag(expect));
-                }
-            }
-        }
-        unreachable!("an armed watchdog timer keeps the event queue non-empty")
-    }
-
-    /// Arm the per-hop delivery watchdog; the handle cancels it once the
-    /// hop completes (a fired or cancelled handle is inert).
-    fn arm_watchdog(&mut self, bytes: u64, attempt: u32) -> (TimerToken, TimerHandle) {
-        self.timer_seq += 1;
-        let token = TimerToken(self.timer_seq);
-        let handle = self
-            .net
-            .arm_timer(Self::resend_timeout(bytes, attempt), token);
-        (token, handle)
-    }
-
     /// Drive `onion_bytes` (plus `payload_bytes` of application data
     /// travelling alongside, e.g. a file on a reply path) through the
     /// tunnel starting at `entry_hop`, as timed wire traffic.
@@ -339,6 +350,12 @@ impl<L: LatencyModel> NetDriver<L> {
     /// hop that *times out* (hinted node overlay-live but crashed or
     /// partitioned on the wire) evicts the hint and re-ships the segment
     /// via overlay routing, instead of giving up on the whole traversal.
+    ///
+    /// The single-path front of `NetDriver::run` (one `Flow`, `need = 1`):
+    /// an anchorless root is a delivery (the §4 `bid` terminal), and only a
+    /// terminal [`TransitError::RetriesExhausted`] — never a hinted attempt
+    /// that still had its fallback, never a broken tunnel — is a
+    /// `core.transit.giveups`.
     #[allow(clippy::too_many_arguments)]
     pub fn drive_timed_with_hints(
         &mut self,
@@ -349,145 +366,56 @@ impl<L: LatencyModel> NetDriver<L> {
         onion_bytes: Vec<u8>,
         payload_bytes: u64,
         options: TransitOptions,
-        mut hints: Option<&mut HintCache>,
+        hints: Option<&mut HintCache>,
     ) -> Result<(Delivery, TimedReport), TransitError> {
-        let mut report = TimedReport::default();
         let start = self.net.now();
-        let mut current = from;
-        let mut hop = entry_hop;
-        let mut hint: Option<Id> = None;
-        // One buffer for the whole traversal: every peel is one in-place
-        // cipher pass, and the shrinking region is also the wire size.
-        let mut onion = onion::LayerBuf::from_vec(onion_bytes);
-
-        loop {
-            let root = overlay.owner_of(hop).ok_or(RouteError::EmptyOverlay)?;
-            let wire = onion.len() as u64 + payload_bytes;
-
-            // §5 verbatim: "It first tries the IP address; if it fails,
-            // then routes the message to the tunnel hop node corresponding
-            // to the hopid." No oracle consultation here — a real
-            // initiator cannot know the hint went stale except by the
-            // attempt timing out, which is exactly what ship() detects.
-            let hinted = match (options.use_hints, hint) {
-                (true, Some(h)) if h != current => Some(h),
-                _ => None,
-            };
-            let segment: Vec<Id> = match hinted {
-                Some(h) => vec![current, h],
-                None => overlay.route_path(current, hop)?,
-            };
-            let shipped = match self.ship(&segment, wire, hop, options, hinted.is_none()) {
-                Err(TransitError::RetriesExhausted { .. }) if hinted.is_some() => {
-                    // Direct attempt timed out: demote the stale hint and
-                    // fall back to hopid routing (§5).
-                    if let Some(cache) = hints.as_deref_mut() {
-                        cache.demote(hop);
-                    }
-                    if let Some(ins) = &self.instruments {
-                        ins.transit_retries.inc();
-                    }
-                    let fallback = overlay.route_path(current, hop)?;
-                    self.ship(&fallback, wire, hop, options, true)?
-                }
-                other => other?,
-            };
-            let (_, hops) = shipped;
-            report.overlay_hops += hops;
-            report.bytes_on_wire += wire * hops as u64;
-
-            let Some(record) = thas.get(hop) else {
-                report.elapsed = self.net.now() - start;
-                return Ok((
-                    Delivery::AtAnchorlessRoot {
-                        node: root,
-                        residue: onion.into_vec(),
-                    },
-                    report,
-                ));
-            };
-            if !record.holders.contains(&root) {
-                return Err(TransitError::ThaLost { hopid: hop });
+        let mut flow = Flow::new(from, entry_hop, onion_bytes, payload_bytes);
+        let mut cx = FlowCx {
+            overlay,
+            thas,
+            options,
+            hints,
+            on_segment: |_: usize, _: &[Id], _: bool| {},
+        };
+        self.run(&mut cx, std::slice::from_mut(&mut flow), 1);
+        // The machine stops once one flow delivered or none still can, so a
+        // lone flow has ended; one cut short never heard back from its hop.
+        let cut_short = TransitError::RetriesExhausted {
+            hopid: flow.hop,
+            attempts: 0,
+        };
+        match flow.end.unwrap_or(Err(cut_short)) {
+            Ok(delivery) => {
+                flow.report.elapsed = self.net.now() - start;
+                Ok((delivery, flow.report))
             }
-            current = root;
-
-            let header_bytes = onion
-                .peel(&record.value.key)
-                .map_err(|_| TransitError::BadLayer { hopid: hop })?;
-            let header = HopHeader::decode(header_bytes)
-                .map_err(|_| TransitError::BadLayer { hopid: hop })?;
-            report.hops_resolved += 1;
-
-            match header {
-                HopHeader::Forward {
-                    next_hop,
-                    hint: next_hint,
-                } => {
-                    hop = next_hop;
-                    hint = next_hint;
+            Err(e) => {
+                if let (TransitError::RetriesExhausted { .. }, Some(ins)) = (&e, &self.instruments)
+                {
+                    ins.transit_giveups.inc();
                 }
-                HopHeader::Deliver { dest } => {
-                    let wire = onion.len() as u64 + payload_bytes;
-                    let node = match dest {
-                        Destination::Node(n) => {
-                            if !overlay.is_live(n) {
-                                return Err(TransitError::DeadDestination { node: n });
-                            }
-                            let (_, hops) = self.ship(&[current, n], wire, hop, options, true)?;
-                            report.overlay_hops += hops;
-                            report.bytes_on_wire += wire * hops as u64;
-                            n
-                        }
-                        Destination::KeyRoot(key) => {
-                            let path = overlay.route_path(current, key)?;
-                            let root = *path.last().ok_or(RouteError::EmptyOverlay)?;
-                            let (_, hops) = self.ship(&path, wire, hop, options, true)?;
-                            report.overlay_hops += hops;
-                            report.bytes_on_wire += wire * hops as u64;
-                            root
-                        }
-                    };
-                    report.elapsed = self.net.now() - start;
-                    return Ok((
-                        Delivery::ToDestination {
-                            node,
-                            core: onion.into_vec(),
-                        },
-                        report,
-                    ));
-                }
+                Err(e)
             }
         }
     }
 
     /// Drive `stripes` — one `(entry hopid, onion)` per disjoint tunnel —
     /// through the wire *concurrently*, returning as soon as any `need`
-    /// fragment cores have been delivered.
-    ///
-    /// This is the erasure-coded multipath transfer: one event loop
-    /// interleaves every stripe's store-and-forward chain, so stripes
-    /// genuinely race on virtual time instead of running back-to-back.
-    /// Each wire segment keeps the single-path machinery — per-hop
-    /// watchdog, exponential backoff, flow-tagged duplicate rejection, §5
-    /// hint demotion on a timed-out direct attempt — but a stripe
-    /// exhausting its retry budget only fails *that stripe*; the transfer
+    /// fragment cores have been delivered: the erasure-coded multipath
+    /// transfer, as the stripe-set front of [`NetDriver::run`]. A stripe
+    /// that ends any other way than at its destination — an anchorless root
+    /// included: that terminal only makes sense for reply tunnels — only
+    /// fails *that stripe* (`core.mp.stripe_giveups`); the transfer
     /// survives while `need` fragments can still arrive.
-    ///
-    /// On success the laggard stripes' pending watchdogs are cancelled
-    /// through their [`TimerHandle`]s (spent timers must not fire into
-    /// later drains or inflate `netsim.timer_lag_us`), and the in-flight
-    /// messages they leave behind are inert: their flow tags match no
-    /// future chain.
     ///
     /// The exactly-one-delivery-or-give-up invariant holds per *transfer*:
     /// `Ok` delivers exactly once, and every `Err` increments
-    /// `core.transit.giveups` exactly once, with per-stripe accounting
-    /// (`core.mp.stripe_giveups`) beneath it.
+    /// `core.transit.giveups` exactly once.
     ///
-    /// Returns the delivered `(stripe index, core)` pairs — at least
-    /// `need` of them — plus a [`MultipathReport`].
+    /// Returns the delivered `(stripe index, core)` pairs in stripe order —
+    /// at least `need` of them — plus a [`MultipathReport`].
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub fn drive_striped(
+    pub(crate) fn drive_striped(
         &mut self,
         overlay: &mut impl KeyRouter,
         thas: &ReplicaStore<Tha>,
@@ -497,328 +425,271 @@ impl<L: LatencyModel> NetDriver<L> {
         options: TransitOptions,
         hints: Option<&mut HintCache>,
     ) -> Result<(Vec<(usize, Vec<u8>)>, MultipathReport), TransitError> {
-        assert!(need >= 1, "a transfer needs at least one fragment");
-        assert!(stripes.len() <= 64, "stripe bitmasks are u64");
+        // The one caller, `send_striped`, takes both from an `EcConfig`,
+        // which admits only 1 ≤ k ≤ n ≤ 64.
+        debug_assert!(need >= 1, "a transfer needs at least one fragment");
+        debug_assert!(stripes.len() <= 64, "stripe bitmasks are u64");
         let start = self.net.now();
-        let mut cx = StripedCx {
-            from,
+        let mut flows: Vec<Flow> = stripes
+            .into_iter()
+            .map(|(entry_hop, onion_bytes)| Flow::new(from, entry_hop, onion_bytes, 0))
+            .collect();
+        // node -> bitmask of stripes whose fragments crossed it: every
+        // relay that stores or forwards a fragment sees its stripe. The
+        // initiator and the final destination see all fragments by design.
+        let mut seen: IdHashMap<u64> = IdHashMap::default();
+        let mut cx = FlowCx {
+            overlay,
+            thas,
             options,
             hints,
-            seen: IdHashMap::default(),
-            report: MultipathReport {
-                stripes_total: stripes.len(),
-                ..MultipathReport::default()
+            on_segment: |si: usize, path: &[Id], to_dest: bool| {
+                for (pi, node) in path.iter().enumerate() {
+                    if *node == from || (to_dest && pi + 1 == path.len()) {
+                        continue;
+                    }
+                    *seen.entry(*node).or_insert(0) |= 1u64 << si;
+                }
             },
-            delivered: Vec::with_capacity(need),
         };
-        let mut states: Vec<StripeState> = stripes
-            .into_iter()
-            .map(|(entry_hop, onion_bytes)| StripeState {
-                current: from,
-                hop: entry_hop,
-                root: from,
-                hint: None,
-                onion: Some(onion::LayerBuf::from_vec(onion_bytes)),
-                delivering: None,
-                segment: None,
-                status: StripeStatus::Active,
-            })
-            .collect();
+        self.run(&mut cx, &mut flows, need);
 
-        for (si, state) in states.iter_mut().enumerate() {
-            self.stripe_launch(overlay, thas, si, state, &mut cx);
+        let mut report = MultipathReport {
+            elapsed: self.net.now() - start,
+            stripes_total: flows.len(),
+            ..MultipathReport::default()
+        };
+        let mut delivered = Vec::with_capacity(need);
+        for (si, flow) in flows.into_iter().enumerate() {
+            report.bytes_on_wire += flow.report.bytes_on_wire;
+            report.overlay_hops += flow.report.overlay_hops;
+            report.hops_resolved += flow.report.hops_resolved;
+            report.retries += flow.retries;
+            match flow.end {
+                Some(Ok(Delivery::ToDestination { core, .. })) => delivered.push((si, core)),
+                Some(_) => report.stripes_failed += 1,
+                None => report.laggards_cancelled += 1,
+            }
         }
+        report.stripes_delivered = delivered.len();
+        let hopeless = delivered.len() < need;
+        if let Some(ins) = &self.instruments {
+            ins.mp_fragments_delivered.add(delivered.len() as u64);
+            ins.mp_stripe_giveups.add(report.stripes_failed as u64);
+            if hopeless {
+                ins.transit_giveups.inc();
+            } else {
+                ins.mp_laggards_cancelled
+                    .add(report.laggards_cancelled as u64);
+            }
+        }
+        if hopeless {
+            return Err(TransitError::StripesExhausted {
+                delivered: delivered.len(),
+                need,
+            });
+        }
+        report.max_stripes_per_relay = seen
+            .values()
+            .map(|mask| mask.count_ones())
+            .max()
+            .unwrap_or(0);
+        Ok((delivered, report))
+    }
 
+    /// The wire engine — the only event loop in this crate. Launches every
+    /// flow, then steps them all on one clock until `need` of them have
+    /// delivered to their destination or too few still can, so flows
+    /// genuinely race on virtual time instead of running back-to-back.
+    ///
+    /// Every wire hop is guarded by a watchdog: if the message vanishes
+    /// (fault-injected loss, a crashed relay, a partition) it is resent up
+    /// to `options.retry_budget` times with exponential backoff; past that a
+    /// §5 direct attempt demotes its hint and re-routes by hopid, and a
+    /// routed segment ends its flow with [`TransitError::RetriesExhausted`].
+    ///
+    /// On return every flow either carries how it ended or, if the
+    /// transfer was decided without it, has had its pending watchdog
+    /// cancelled (a spent timer must not fire into a later run or inflate
+    /// `netsim.timer_lag_us`); the messages it leaves in flight are inert,
+    /// their flow tags match no future chain.
+    fn run<R: KeyRouter, F: FnMut(usize, &[Id], bool)>(
+        &mut self,
+        cx: &mut FlowCx<'_, R, F>,
+        flows: &mut [Flow],
+        need: usize,
+    ) {
+        for (i, flow) in flows.iter_mut().enumerate() {
+            self.launch(cx, i, flow);
+        }
         loop {
-            if cx.delivered.len() >= need {
+            let arrived = |f: &&Flow| matches!(f.end, Some(Ok(Delivery::ToDestination { .. })));
+            let delivered = flows.iter().filter(arrived).count();
+            let active = flows.iter().filter(|f| f.end.is_none()).count();
+            if delivered >= need || delivered + active < need {
                 break;
             }
-            let active = states
-                .iter()
-                .filter(|s| s.status == StripeStatus::Active)
-                .count();
-            if cx.delivered.len() + active < need {
-                // Hopeless: more stripes are dead than the code tolerates.
-                // Retire the survivors' watchdogs and give up the transfer
-                // — exactly once, per the transfer-level invariant.
-                for s in &mut states {
-                    if let Some(seg) = s.segment.take() {
-                        self.net.cancel_timer(seg.guard);
-                    }
-                }
-                if let Some(ins) = &self.instruments {
-                    ins.transit_giveups.inc();
-                }
-                return Err(TransitError::StripesExhausted {
-                    delivered: cx.delivered.len(),
-                    need,
-                });
-            }
             let Some(ev) = self.net.next_event() else {
-                unreachable!("an active stripe keeps a watchdog armed and the queue non-empty")
+                // Every active flow keeps a watchdog armed, so the queue
+                // cannot drain under one. If it has, the flows left are cut
+                // short like laggards and the front gives up, once.
+                debug_assert!(false, "an active flow keeps the event queue non-empty");
+                break;
             };
             match ev {
                 Event::Message(m) => {
-                    let flow = m.payload >> 16;
+                    let tag = m.payload >> 16;
                     let idx = (m.payload & 0xFFFF) as usize;
-                    let Some(si) = states
-                        .iter()
-                        .position(|s| s.segment.as_ref().map(|g| g.flow) == Some(flow))
-                    else {
-                        continue; // leftover of a finished stripe or earlier chain
+                    let live = |s: &Segment| s.flow == tag && s.expect == idx;
+                    let Some((i, seg)) = in_flight(flows, live) else {
+                        // Leftover of a finished flow or an earlier chain,
+                        // or a duplicate of an already-advanced hop.
+                        continue;
                     };
-                    let s = &mut states[si];
-                    let seg = s.segment.as_mut().expect("position matched on segment");
-                    if idx != seg.expect {
-                        continue; // duplicate of an already-advanced hop
-                    }
+                    self.net.cancel_timer(seg.guard);
                     if idx + 1 < seg.eps.len() {
                         // Store-and-forward: advance the chain one hop.
                         seg.expect += 1;
                         seg.attempts = 0;
-                        self.net.cancel_timer(seg.guard);
-                        let (watchdog, guard) = self.arm_watchdog(seg.wire, 0);
-                        let seg = s.segment.as_mut().expect("still armed");
-                        seg.watchdog = watchdog;
-                        seg.guard = guard;
-                        let (src, dst) = (seg.eps[seg.expect - 1], seg.eps[seg.expect]);
-                        let (wire, tag) = (seg.wire, (seg.flow << 16) | seg.expect as u64);
-                        self.net.send(src, dst, wire, tag);
+                        seg.guard = self.transmit(&seg.eps, seg.expect, seg.flow, seg.wire, 0);
                         continue;
                     }
-                    // Segment complete.
-                    let seg = s.segment.take().expect("matched above");
-                    self.net.cancel_timer(seg.guard);
-                    cx.report.overlay_hops += seg.eps.len() - 1;
-                    cx.report.bytes_on_wire += seg.wire * (seg.eps.len() - 1) as u64;
-                    if s.delivering.is_some() {
-                        self.stripe_finish(si, s, &mut cx);
-                    } else if self.stripe_arrive(thas, s, &mut cx) {
-                        self.stripe_launch(overlay, thas, si, s, &mut cx);
+                    let (hops, wire) = (seg.eps.len() - 1, seg.wire);
+                    let flow = &mut flows[i];
+                    flow.segment = None;
+                    flow.report.overlay_hops += hops;
+                    flow.report.bytes_on_wire += wire * hops as u64;
+                    if flow.arrive(cx.thas) {
+                        self.launch(cx, i, flow);
                     }
                 }
                 Event::Timer { token, .. } => {
-                    let Some(si) = states
-                        .iter()
-                        .position(|s| s.segment.as_ref().map(|g| g.watchdog) == Some(token))
-                    else {
+                    let Some((i, seg)) = in_flight(flows, |s| s.flow == token.0) else {
                         continue; // foreign timer sharing the network
                     };
-                    let s = &mut states[si];
-                    let seg = s.segment.as_mut().expect("position matched on segment");
-                    if seg.attempts >= options.retry_budget {
-                        let seg = s.segment.take().expect("matched above");
-                        if seg.hinted {
-                            // §5: the direct attempt timed out — demote the
-                            // stale hint, re-route this segment via overlay.
-                            if let Some(cache) = cx.hints.as_deref_mut() {
-                                cache.demote(s.hop);
-                            }
-                            if let Some(ins) = &self.instruments {
-                                ins.transit_retries.inc();
-                            }
-                            s.hint = None;
-                            self.stripe_launch(overlay, thas, si, s, &mut cx);
-                        } else {
-                            self.stripe_fail(s, &mut cx);
-                        }
-                    } else {
+                    if seg.attempts < cx.options.retry_budget {
                         if let Some(ins) = &self.instruments {
                             ins.transit_retries.inc();
                             ins.transit_backoff_us
                                 .record(Self::resend_timeout(seg.wire, seg.attempts).as_micros());
                         }
-                        cx.report.retries += 1;
                         seg.attempts += 1;
-                        let (watchdog, guard) = self.arm_watchdog(seg.wire, seg.attempts);
-                        let seg = s.segment.as_mut().expect("still armed");
-                        seg.watchdog = watchdog;
-                        seg.guard = guard;
-                        let (src, dst) = (seg.eps[seg.expect - 1], seg.eps[seg.expect]);
-                        let (wire, tag) = (seg.wire, (seg.flow << 16) | seg.expect as u64);
-                        self.net.send(src, dst, wire, tag);
+                        seg.guard =
+                            self.transmit(&seg.eps, seg.expect, seg.flow, seg.wire, seg.attempts);
+                        flows[i].retries += 1;
+                        continue;
+                    }
+                    let (hinted, attempts) = (seg.hinted, seg.attempts + 1);
+                    let flow = &mut flows[i];
+                    flow.segment = None;
+                    if hinted {
+                        // §5: the direct attempt timed out — demote the
+                        // stale hint, re-route this segment by hopid.
+                        if let Some(cache) = cx.hints.as_deref_mut() {
+                            cache.demote(flow.hop);
+                        }
+                        if let Some(ins) = &self.instruments {
+                            ins.transit_retries.inc();
+                        }
+                        flow.hint = None;
+                        self.launch(cx, i, flow);
+                    } else {
+                        flow.end = Some(Err(TransitError::RetriesExhausted {
+                            hopid: flow.hop,
+                            attempts,
+                        }));
                     }
                 }
             }
         }
-
-        // Success: retire the laggards' watchdogs through their handles so
-        // spent timers never fire into a later drain.
-        for s in &mut states {
-            if let Some(seg) = s.segment.take() {
-                self.net.cancel_timer(seg.guard);
-                cx.report.laggards_cancelled += 1;
-                if let Some(ins) = &self.instruments {
-                    ins.mp_laggards_cancelled.inc();
-                }
-            }
+        for seg in flows.iter_mut().filter_map(|f| f.segment.take()) {
+            self.net.cancel_timer(seg.guard);
         }
-        cx.report.elapsed = self.net.now() - start;
-        cx.report.max_stripes_per_relay = cx
-            .seen
-            .values()
-            .map(|mask| mask.count_ones())
-            .max()
-            .unwrap_or(0);
-        Ok((cx.delivered, cx.report))
     }
 
-    /// Decide and launch the next wire segment for stripe `si`, looping
-    /// through zero-length segments (the onion already sits on the target
-    /// node) until real wire traffic starts or the stripe terminates.
-    fn stripe_launch(
+    /// Arm the watchdog for the hop addressed to `eps[expect]`, then put the
+    /// hop on the wire: the one place either happens. The order is
+    /// load-bearing — callers bump `flow_seq` (a new chain), cancel the
+    /// previous guard (a hop arrived) or count the resend (a timeout)
+    /// *before* this, and the timer enters the event queue before the
+    /// message does; queue sequence numbers break virtual-time ties, so any
+    /// other order moves the wire trace that every golden CSV and
+    /// `sim_digest` is pinned on.
+    fn transmit(
         &mut self,
-        overlay: &mut impl KeyRouter,
-        thas: &ReplicaStore<Tha>,
-        si: usize,
-        s: &mut StripeState,
-        cx: &mut StripedCx<'_>,
+        eps: &[EndpointId],
+        expect: usize,
+        flow: u64,
+        wire: u64,
+        attempt: u32,
+    ) -> TimerHandle {
+        let timeout = Self::resend_timeout(wire, attempt);
+        let guard = self.net.arm_timer(timeout, TimerToken(flow));
+        // Payloads carry `flow << 16 | hop index`: the flow tag rejects
+        // leftovers from other chains outright, and within a chain the
+        // index exposes duplicates of an already-advanced hop (fault-
+        // injected duplication, or a resend racing its slow original).
+        self.net.send(
+            eps[expect - 1],
+            eps[expect],
+            wire,
+            (flow << 16) | expect as u64,
+        );
+        guard
+    }
+
+    /// Decide and launch the next wire segment of flow `i`, looping
+    /// through zero-length segments (the onion already sits on the target
+    /// node: no tag, no watchdog, no message) until real wire traffic
+    /// starts or the flow ends.
+    fn launch<R: KeyRouter, F: FnMut(usize, &[Id], bool)>(
+        &mut self,
+        cx: &mut FlowCx<'_, R, F>,
+        i: usize,
+        flow: &mut Flow,
     ) {
         loop {
-            let (path, hinted) = if let Some(dest) = &s.delivering {
-                let path = match dest {
-                    Destination::Node(n) => {
-                        if !overlay.is_live(*n) {
-                            return self.stripe_fail(s, cx);
-                        }
-                        vec![s.current, *n]
-                    }
-                    Destination::KeyRoot(key) => match overlay.route_path(s.current, *key) {
-                        Ok(p) => p,
-                        Err(_) => return self.stripe_fail(s, cx),
-                    },
-                };
-                (path, false)
-            } else {
-                let Some(root) = overlay.owner_of(s.hop) else {
-                    return self.stripe_fail(s, cx);
-                };
-                s.root = root;
-                let hinted_target = match (cx.options.use_hints, s.hint) {
-                    (true, Some(h)) if h != s.current => Some(h),
-                    _ => None,
-                };
-                match hinted_target {
-                    Some(h) => (vec![s.current, h], true),
-                    None => match overlay.route_path(s.current, s.hop) {
-                        Ok(p) => (p, false),
-                        Err(_) => return self.stripe_fail(s, cx),
-                    },
+            let to_dest = flow.delivering.is_some();
+            let leg = match flow.next_leg(cx.overlay, cx.options.use_hints) {
+                Ok(leg) => leg,
+                Err(e) => {
+                    flow.end = Some(Err(e));
+                    return;
                 }
             };
-            // Anonymity-surface accounting: every relay that stores or
-            // forwards this fragment sees stripe `si`. The initiator and
-            // the final destination see all fragments by design.
-            let to_dest = s.delivering.is_some();
-            for (pi, node) in path.iter().enumerate() {
-                if *node == cx.from || (to_dest && pi + 1 == path.len()) {
-                    continue;
-                }
-                *cx.seen.entry(*node).or_insert(0) |= 1u64 << (si as u32 & 63);
-            }
-            let wire = s.onion.as_ref().map_or(0, |o| o.len()) as u64;
+            let (path, hinted): (&[Id], bool) = match &leg {
+                Leg::Direct(pair) => (pair, !to_dest),
+                Leg::Routed(path) => (path, false),
+            };
+            (cx.on_segment)(i, path, to_dest);
+            let wire = flow.onion.len() as u64 + flow.payload_bytes;
             let mut eps = Vec::with_capacity(path.len());
-            for n in &path {
+            for n in path {
                 let e = self.endpoint(*n);
                 if eps.last() != Some(&e) {
                     eps.push(e);
                 }
             }
             if eps.len() >= 2 {
-                self.flow_seq += 1;
-                let flow = self.flow_seq;
                 debug_assert!(eps.len() < (1 << 16), "hop index fits the low bits");
-                let (watchdog, guard) = self.arm_watchdog(wire, 0);
-                self.net.send(eps[0], eps[1], wire, (flow << 16) | 1);
-                s.segment = Some(Segment {
+                self.flow_seq += 1;
+                let tag = self.flow_seq;
+                let guard = self.transmit(&eps, 1, tag, wire, 0);
+                flow.segment = Some(Segment {
                     eps,
                     expect: 1,
                     attempts: 0,
-                    flow,
-                    watchdog,
+                    flow: tag,
                     guard,
                     hinted,
                     wire,
                 });
                 return;
             }
-            // Zero-length segment: the onion is already where it needs to
-            // be. Complete the phase immediately and keep going.
-            if to_dest {
-                return self.stripe_finish(si, s, cx);
-            }
-            if !self.stripe_arrive(thas, s, cx) {
+            // Zero-length segment: complete the phase here and keep going.
+            if !flow.arrive(cx.thas) {
                 return;
             }
-        }
-    }
-
-    /// The stripe's onion arrived at `s.root` for hop `s.hop`: run the THA
-    /// check, peel one layer, follow the header. Returns whether the
-    /// stripe should launch another segment.
-    fn stripe_arrive(
-        &mut self,
-        thas: &ReplicaStore<Tha>,
-        s: &mut StripeState,
-        cx: &mut StripedCx<'_>,
-    ) -> bool {
-        // A fragment landing at an anchorless root cannot be delivered —
-        // that terminal only makes sense for reply tunnels, not stripes.
-        let Some(record) = thas.get(s.hop) else {
-            self.stripe_fail(s, cx);
-            return false;
-        };
-        if !record.holders.contains(&s.root) {
-            self.stripe_fail(s, cx);
-            return false;
-        }
-        s.current = s.root;
-        let onion = s.onion.as_mut().expect("active stripe owns its onion");
-        let Ok(header_bytes) = onion.peel(&record.value.key) else {
-            self.stripe_fail(s, cx);
-            return false;
-        };
-        let Ok(header) = HopHeader::decode(header_bytes) else {
-            self.stripe_fail(s, cx);
-            return false;
-        };
-        cx.report.hops_resolved += 1;
-        match header {
-            HopHeader::Forward {
-                next_hop,
-                hint: next_hint,
-            } => {
-                s.hop = next_hop;
-                s.hint = next_hint;
-            }
-            HopHeader::Deliver { dest } => s.delivering = Some(dest),
-        }
-        true
-    }
-
-    /// The stripe's delivery leg completed: hand over the fragment core.
-    fn stripe_finish(&mut self, si: usize, s: &mut StripeState, cx: &mut StripedCx<'_>) {
-        let core = s
-            .onion
-            .take()
-            .expect("active stripe owns its onion")
-            .into_vec();
-        s.status = StripeStatus::Delivered;
-        cx.report.stripes_delivered += 1;
-        if let Some(ins) = &self.instruments {
-            ins.mp_fragments_delivered.inc();
-        }
-        cx.delivered.push((si, core));
-    }
-
-    /// Abandon one stripe (broken tunnel, dead destination, exhausted
-    /// retries). The transfer keeps going while enough stripes survive.
-    fn stripe_fail(&mut self, s: &mut StripeState, cx: &mut StripedCx<'_>) {
-        debug_assert!(s.segment.is_none(), "fail with the watchdog retired");
-        s.status = StripeStatus::Failed;
-        cx.report.stripes_failed += 1;
-        if let Some(ins) = &self.instruments {
-            ins.mp_stripe_giveups.inc();
         }
     }
 }
@@ -1390,6 +1261,143 @@ mod tests {
             }
         });
         assert_eq!(stray_timers, 0);
+    }
+
+    /// What one transfer leaves behind, whichever front ran it.
+    #[derive(Debug, PartialEq)]
+    struct Aftermath {
+        /// `(core, elapsed, bytes_on_wire, overlay_hops, hops_resolved)`,
+        /// or `None` for a transfer that gave up.
+        delivered: Option<(Vec<u8>, SimDuration, u64, usize, usize)>,
+        now: SimTime,
+        traffic: tap_netsim::TrafficStats,
+        retries: u64,
+        hints: Vec<Option<Id>>,
+    }
+
+    /// One l = 3 transfer in a fresh world built from `seed`, under
+    /// `scenario` (0: clean wire; 1: 10 % loss + 2 % duplication, budget 6;
+    /// 2: hints on, hop 2's hinted node dead on the wire), through the
+    /// single-path front or as a one-stripe set with `need = 1`.
+    fn aftermath(seed: u64, scenario: u32, striped: bool) -> Aftermath {
+        let mut fx = fixture(200, 0xa11 + seed);
+        let t = tunnel(&mut fx, 3);
+        let registry = tap_metrics::Registry::new();
+        fx.driver
+            .use_instruments(crate::metrics::CoreInstruments::new(&registry));
+        let mut hints = crate::transit::HintCache::default();
+        let mut options = TransitOptions::default();
+        match scenario {
+            0 => {}
+            1 => {
+                options.retry_budget = 6;
+                let plan = tap_netsim::FaultPlan::new(seed)
+                    .with_loss(100)
+                    .with_duplication(20);
+                fx.driver.network_mut().install_faults(plan);
+            }
+            _ => {
+                options.use_hints = true;
+                options.retry_budget = 1;
+                hints.refresh(&fx.overlay, &t.hop_ids());
+                // Even seeds kill the hop's true root (the fallback times
+                // out as well); odd seeds a stale hint's node (the fallback
+                // delivers).
+                let hop2 = t.hops()[1].hopid;
+                if seed % 2 == 1 {
+                    let stale = pick_dest(&mut fx);
+                    hints.record(hop2, stale);
+                }
+                let hinted = hints.lookup(hop2).unwrap();
+                fx.driver.kill_node(hinted);
+            }
+        }
+        let dest = pick_dest(&mut fx);
+        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"same", Some(&hints));
+        let delivered = if striped {
+            match fx.driver.drive_striped(
+                &mut fx.overlay,
+                &fx.thas,
+                fx.initiator,
+                vec![(t.entry_hopid(), onion)],
+                1,
+                options,
+                Some(&mut hints),
+            ) {
+                Ok((mut cores, r)) => {
+                    assert_eq!((cores.len(), cores[0].0), (1, 0));
+                    let core = cores.pop().unwrap().1;
+                    Some((
+                        core,
+                        r.elapsed,
+                        r.bytes_on_wire,
+                        r.overlay_hops,
+                        r.hops_resolved,
+                    ))
+                }
+                Err(e) => {
+                    let hopeless = TransitError::StripesExhausted {
+                        delivered: 0,
+                        need: 1,
+                    };
+                    assert_eq!(e, hopeless);
+                    None
+                }
+            }
+        } else {
+            match fx.driver.drive_timed_with_hints(
+                &mut fx.overlay,
+                &fx.thas,
+                fx.initiator,
+                t.entry_hopid(),
+                onion,
+                0,
+                options,
+                Some(&mut hints),
+            ) {
+                Ok((Delivery::ToDestination { node, core }, r)) => {
+                    assert_eq!(node, dest);
+                    Some((
+                        core,
+                        r.elapsed,
+                        r.bytes_on_wire,
+                        r.overlay_hops,
+                        r.hops_resolved,
+                    ))
+                }
+                Err(TransitError::RetriesExhausted { .. }) => None,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        Aftermath {
+            delivered,
+            now: fx.driver.now(),
+            traffic: fx.driver.network_mut().stats().clone(),
+            retries: registry.snapshot().counter("core.transit.retries"),
+            hints: t.hop_ids().into_iter().map(|h| hints.lookup(h)).collect(),
+        }
+    }
+
+    /// The guard that the two fronts agree: a single-path transfer and a
+    /// one-stripe set with `need = 1` put the same traffic on the wire.
+    #[test]
+    fn one_stripe_is_a_single_path_transfer() {
+        let (mut delivered, mut gave_up) = ([0; 3], 0);
+        for seed in 0..10 {
+            for scenario in 0..3 {
+                let single = aftermath(seed, scenario, false);
+                let stripe = aftermath(seed, scenario, true);
+                assert_eq!(single, stripe, "seed {seed}, scenario {scenario}");
+                match single.delivered {
+                    Some(_) => delivered[scenario as usize] += 1,
+                    None => gave_up += 1,
+                }
+            }
+        }
+        assert_eq!(delivered[0], 10, "a clean wire delivers");
+        assert!(delivered[1] >= 8, "a budget of 6 rides out 10 % loss");
+        assert!(delivered[2] >= 3, "no seed delivered after a demotion");
+        assert!(gave_up >= 3, "no seed exercised the give-up side");
     }
 
     #[test]

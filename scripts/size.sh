@@ -2,16 +2,20 @@
 # How much code ships (ROADMAP item 4(a)): per library crate, the non-test
 # lines, `pub` items and panic sites of its `src` tree.
 #
-#   scripts/size.sh [<crate> ...]        # default: every crates/tap-*
+#   scripts/size.sh [--json] [<crate> ...]   # default: every crates/tap-*
 #
 # A file counts up to its first `#[cfg(test)]`; a file its parent module
 # declares as `#[cfg(test)] mod <name>;` is test code from its first line.
 # Panic sites are `.expect(`, `.unwrap()`, `unreachable!`, `panic!`, `assert!`,
 # `assert_eq!` and `assert_ne!` outside comment lines (`debug_assert*` does not
-# count: release builds compile it out). Prints a table; writes nothing.
+# count: release builds compile it out). Prints a table, or with `--json` the
+# same numbers as the object committed as SIZE.json (CI fails when
+# `scripts/size.sh --json | diff - SIZE.json` is non-empty); writes nothing.
 set -euo pipefail
 
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+json=0
+if [ "${1:-}" = --json ]; then json=1 && shift; fi
 if [ $# -gt 0 ]; then crates=("$@"); else crates=(crates/tap-*); fi
 
 is_test_module() { # <file>
@@ -22,7 +26,6 @@ is_test_module() { # <file>
         "$dir.rs" "$dir/mod.rs" "$dir/lib.rs" "$dir/main.rs"
 }
 
-printf '%-14s %8s %6s %7s\n' crate lines pub panics
 for crate in "${crates[@]}"; do
     files=()
     while IFS= read -r file; do
@@ -41,7 +44,15 @@ for crate in "${crates[@]}"; do
         }
         END { printf "%-14s %8d %6d %7d\n", crate, lines, pubs, panics }
     ' "${files[@]}"
-done | awk '
-    { print; lines += $2; pubs += $3; panics += $4 }
-    END { printf "%-14s %8d %6d %7d\n", "total", lines, pubs, panics }
+done | awk -v json="$json" '
+    BEGIN { if (json) print "{"; else printf "%-14s %8s %6s %7s\n", "crate", "lines", "pub", "panics" }
+    {
+        if (json) printf "  \"%s\": {\"lines\": %d, \"pub\": %d, \"panics\": %d},\n", $1, $2, $3, $4
+        else print
+        lines += $2; pubs += $3; panics += $4
+    }
+    END {
+        if (json) printf "  \"total\": {\"lines\": %d, \"pub\": %d, \"panics\": %d}\n}\n", lines, pubs, panics
+        else printf "%-14s %8d %6d %7d\n", "total", lines, pubs, panics
+    }
 '
