@@ -106,10 +106,10 @@ impl SealedBox {
 /// Bind the box key to both public keys so a ciphertext cannot be replayed
 /// to a different recipient.
 fn box_key(shared: &[u8; 32], ephemeral: &PublicKey, recipient: &PublicKey) -> SymmetricKey {
-    let mut transcript = Vec::with_capacity(96);
-    transcript.extend_from_slice(shared);
-    transcript.extend_from_slice(&ephemeral.0);
-    transcript.extend_from_slice(&recipient.0);
+    let mut transcript = [0u8; 96];
+    transcript[..32].copy_from_slice(shared);
+    transcript[32..64].copy_from_slice(&ephemeral.0);
+    transcript[64..].copy_from_slice(&recipient.0);
     SymmetricKey::derive(&transcript, "tap.box")
 }
 
