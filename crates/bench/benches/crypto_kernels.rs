@@ -56,7 +56,8 @@ fn bench_chacha20(c: &mut Criterion) {
 
 fn bench_mac(c: &mut Criterion) {
     let key = [0x42u8; 32];
-    for len in [64usize, 3072, 65536] {
+    // A layer's key and tag, a striped onion, 64 KiB, and the §4 file.
+    for len in [64usize, 3072, 65536, 250_000] {
         let mut group = c.benchmark_group(format!("mac_{len}B"));
         group.throughput(Throughput::Bytes(len as u64));
         let msg = vec![0xA5u8; len];

@@ -181,6 +181,7 @@ pub(crate) fn aead_tag(mac: &mut Poly1305, aad_len: usize, ct_len: usize) -> [u8
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly1305::tests::poly1305_reference;
     use crate::tests::unhex;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -256,56 +257,6 @@ mod tests {
             assert_ne!(ks, block0, "body block {i} repeats the MAC-key block");
             assert_ne!(ks[..KEY_LEN], block0[..KEY_LEN], "body block {i}");
         }
-    }
-
-    /// Poly1305 by the definition, in five 26-bit limbs (130 = 5 · 26, so a
-    /// limb past the top wraps times exactly 5): shares no arithmetic with
-    /// the shipped 44-bit-limb code. Not constant-time; a test oracle.
-    fn poly1305_reference(key: &[u8], msg: &[u8]) -> [u8; TAG_LEN] {
-        const M: u64 = (1 << 26) - 1;
-        let le = |b: &[u8]| b.iter().rev().fold(0u128, |v, &x| v << 8 | u128::from(x));
-        let limbs = |v: u128| -> [u64; 5] { core::array::from_fn(|k| (v >> (26 * k)) as u64 & M) };
-        let carry = |x: [u64; 5], mut c: u64| -> ([u64; 5], u64) {
-            let h = x.map(|limb| {
-                let t = limb + c;
-                c = t >> 26;
-                t & M
-            });
-            (h, c)
-        };
-        let r = limbs(le(&key[..16]) & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff);
-        let mut h = [0u64; 5];
-        for chunk in msg.chunks(16) {
-            // The block with a 1 byte appended; byte 16 is limb 4's bit 24.
-            let mut block = [0u8; 17];
-            block[..chunk.len()].copy_from_slice(chunk);
-            block[chunk.len()] = 1;
-            let m = limbs(le(&block[..16]));
-            for k in 0..5 {
-                h[k] += m[k];
-            }
-            h[4] += u64::from(block[16]) << 24;
-            let wrap = |i: usize, j: usize| if j <= i { r[i - j] } else { 5 * r[i + 5 - j] };
-            let (x, c) = carry(
-                core::array::from_fn(|i| (0..5).map(|j| h[j] * wrap(i, j)).sum()),
-                0,
-            );
-            h = x;
-            h[0] += 5 * c;
-            h[1] += h[0] >> 26;
-            h[0] &= M;
-        }
-        for _ in 0..2 {
-            let (x, c) = carry(h, 0);
-            h = x;
-            h[0] += 5 * c;
-        }
-        // h − p = h + 5 − 2^130: take it iff the + 5 carried out of the top.
-        if let (g, 1) = carry(h, 5) {
-            h = g;
-        }
-        let h = (0..5).fold(0u128, |v, k| v | u128::from(h[k]) << (26 * k));
-        h.wrapping_add(le(&key[16..32])).to_le_bytes()
     }
 
     #[test]

@@ -272,22 +272,18 @@ impl EcConfig {
         self.chunk
     }
 
-    /// Shard length of each chunk of a `payload_len`-byte payload, in
-    /// chunk order. All geometry derives from this.
-    fn shard_lens(&self, payload_len: usize) -> Vec<usize> {
-        let mut lens = Vec::with_capacity(payload_len.div_ceil(self.chunk.max(1)));
-        let mut off = 0;
-        while off < payload_len {
-            let clen = (payload_len - off).min(self.chunk);
-            lens.push(clen.div_ceil(self.k as usize));
-            off += clen;
-        }
-        lens
+    /// Body length of each fragment of a `payload_len`-byte payload: a
+    /// chunk of `c` bytes puts a `⌈c/k⌉`-byte shard in every fragment, and
+    /// every chunk but a ragged last one is `chunk` bytes. Closed form, so
+    /// a header claiming `u32::MAX` bytes costs nothing to check.
+    fn body_len(&self, payload_len: usize) -> usize {
+        let k = usize::from(self.k);
+        payload_len / self.chunk * self.chunk.div_ceil(k) + (payload_len % self.chunk).div_ceil(k)
     }
 
     /// On-wire length of each fragment for a payload of `payload_len` bytes.
     pub fn fragment_len(&self, payload_len: usize) -> usize {
-        HEADER_LEN + self.shard_lens(payload_len).iter().sum::<usize>()
+        HEADER_LEN + self.body_len(payload_len)
     }
 
     /// Encode `payload` into `n` fragments, any `k` of which reconstruct it.
@@ -297,26 +293,19 @@ impl EcConfig {
         }
         let n = self.n as usize;
         let k = self.k as usize;
-        let lens = self.shard_lens(payload.len());
-        let body_len: usize = lens.iter().sum();
+        let body_len = self.body_len(payload.len());
         let data_points: Vec<u8> = (0..self.k).collect();
         let parity_rows: Vec<Vec<u8>> = (self.k..self.n)
             .map(|e| lagrange_row(&data_points, e))
             .collect();
 
         let mut bodies: Vec<Vec<u8>> = (0..n).map(|_| Vec::with_capacity(body_len)).collect();
-        let mut off = 0;
-        for &s in &lens {
-            let clen = (payload.len() - off).min(self.chunk);
-            let mut shards: Vec<Vec<u8>> = Vec::with_capacity(k);
-            for i in 0..k {
-                let mut shard = vec![0u8; s];
-                let start = off + i * s;
-                if start < off + clen {
-                    let end = (start + s).min(off + clen);
-                    shard[..end - start].copy_from_slice(&payload[start..end]);
-                }
-                shards.push(shard);
+        for data in payload.chunks(self.chunk) {
+            let s = data.len().div_ceil(k);
+            // Shard i is the chunk's i-th s-byte piece, zero-padded.
+            let mut shards = vec![vec![0u8; s]; k];
+            for (shard, piece) in shards.iter_mut().zip(data.chunks(s)) {
+                shard[..piece.len()].copy_from_slice(piece);
             }
             for (body, shard) in bodies.iter_mut().zip(&shards) {
                 body.extend_from_slice(shard);
@@ -328,7 +317,6 @@ impl EcConfig {
                 }
                 bodies[k + j].extend_from_slice(&parity);
             }
-            off += clen;
         }
 
         let digest = payload_digest(payload);
@@ -379,8 +367,7 @@ impl EcConfig {
                 corrupt.push(pos);
                 continue;
             }
-            let expected_body: usize = self.shard_lens(meta.payload_len as usize).iter().sum();
-            if body.len() != expected_body {
+            if body.len() != self.body_len(meta.payload_len as usize) {
                 corrupt.push(pos);
                 continue;
             }
@@ -418,26 +405,20 @@ impl EcConfig {
             })
             .collect();
 
-        let lens = self.shard_lens(payload_len as usize);
         let mut payload = vec![0u8; payload_len as usize];
         let mut body_off = 0;
-        let mut pay_off = 0;
-        for &s in &lens {
-            let clen = (payload_len as usize - pay_off).min(self.chunk);
-            for (i, row) in rows.iter().enumerate() {
-                let start = pay_off + i * s;
-                if start >= pay_off + clen {
-                    break;
-                }
-                let take = (start + s).min(pay_off + clen) - start;
-                let dst = &mut payload[start..start + take];
+        for chunk in payload.chunks_mut(self.chunk) {
+            let s = chunk.len().div_ceil(k);
+            // Data shard i fills the chunk's i-th s-byte piece; a short
+            // chunk has fewer than k pieces and the last may be ragged.
+            for (i, (row, dst)) in rows.iter().zip(chunk.chunks_mut(s)).enumerate() {
                 match row {
                     None => {
                         let (_, body) = valid
                             .iter()
                             .find(|(idx, _)| *idx as usize == i)
                             .expect("row is None only for present shards");
-                        dst.copy_from_slice(&body[body_off..body_off + take]);
+                        dst.copy_from_slice(&body[body_off..body_off + dst.len()]);
                     }
                     Some(coeffs) => {
                         for (&coeff, (_, body)) in coeffs.iter().zip(&valid) {
@@ -449,7 +430,6 @@ impl EcConfig {
                 }
             }
             body_off += s;
-            pay_off += clen;
         }
         if payload_digest(&payload) != digest {
             return Err(EcError::DigestMismatch);
@@ -585,6 +565,36 @@ mod tests {
         assert_eq!(fragment_meta(b"short"), Err(EcError::Corrupt));
     }
 
+    /// `frag` with its check recomputed over whatever header and body it
+    /// now has: the checksum is unkeyed, so anyone can put this on the wire.
+    fn recheck(mut frag: Vec<u8>) -> Vec<u8> {
+        let mut check = crate::sha256::Sha256::new();
+        check.update(&frag[..HEADER_LEN - FRAGMENT_CHECK_LEN]);
+        check.update(&frag[HEADER_LEN..]);
+        frag[HEADER_LEN - FRAGMENT_CHECK_LEN..HEADER_LEN]
+            .copy_from_slice(&check.finalize()[..FRAGMENT_CHECK_LEN]);
+        frag
+    }
+
+    fn reforge(frag: &[u8], n: u8, k: u8, index: u8, payload_len: u32) -> Vec<u8> {
+        let mut frag = frag.to_vec();
+        frag[..3].copy_from_slice(&[n, k, index]);
+        frag[3..7].copy_from_slice(&payload_len.to_be_bytes());
+        recheck(frag)
+    }
+
+    #[test]
+    fn a_checksummed_header_claiming_u32_max_bytes_is_corrupt() {
+        let cfg = EcConfig::new(5, 3).unwrap();
+        let payload = sample_payload(100);
+        let mut frags = cfg.encode(&payload).unwrap();
+        frags[0] = reforge(&frags[0], 5, 3, 0, u32::MAX);
+        assert_eq!(fragment_meta(&frags[0]).unwrap().payload_len, u32::MAX);
+        let r = cfg.reconstruct(&frags).unwrap();
+        assert_eq!(r.corrupt, vec![0]);
+        assert_eq!(r.payload, payload);
+    }
+
     proptest! {
         // Kernel ≡ per-byte `gf_mul` at arbitrary lengths, offsets into a
         // larger buffer, accumulator contents and coefficients.
@@ -689,6 +699,59 @@ mod tests {
                 starved == Err(EcError::NotEnough { have: 2, need: 3 }),
                 "expected NotEnough, got {:?}", starved
             );
+        }
+
+        // Whatever arrives — noise, noise with a valid check, a genuine
+        // fragment cut short or with a bit flipped, or one whose header was
+        // rewritten and its check recomputed, from codes of other (n, k) —
+        // `fragment_meta` and `reconstruct` return instead of panicking, and
+        // a decode that succeeds is the payload that was encoded.
+        #[test]
+        fn damaged_fragments_never_panic(
+            payload in proptest::collection::vec(any::<u8>(), 0..200),
+            codes in (1u8..8, any::<u8>(), 1u8..8, any::<u8>()),
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            damage in proptest::collection::vec((0u8..4, any::<usize>(), any::<u32>()), 1..8),
+        ) {
+            let (n, k_seed, n2, k2_seed) = codes;
+            let cfg = EcConfig::with_chunk(n, 1 + k_seed % n, 48).unwrap();
+            let other = EcConfig::with_chunk(n2, 1 + k2_seed % n2, 32).unwrap();
+            let mut genuine = cfg.encode(&payload).unwrap();
+            genuine.extend(other.encode(&payload).unwrap());
+            let mut frags = vec![noise.clone()];
+            if noise.len() >= HEADER_LEN {
+                frags.push(recheck(noise));
+            }
+            for (i, &(how, at, value)) in damage.iter().enumerate() {
+                let f = &genuine[i % genuine.len()];
+                frags.push(match how {
+                    0 => f[..at % (f.len() + 1)].to_vec(),
+                    1 => {
+                        let mut f = f.clone();
+                        let at = at % f.len();
+                        f[at] ^= 1 << (value % 8);
+                        f
+                    }
+                    2 => {
+                        let n = 1 + (value % 8) as u8;
+                        let k = 1 + (value >> 3) as u8 % n;
+                        let index = (value >> 6) as u8 % n;
+                        let lens = [u32::MAX, value, payload.len() as u32 + 1, payload.len() as u32];
+                        reforge(f, n, k, index, lens[at % lens.len()])
+                    }
+                    _ => f.clone(),
+                });
+            }
+            for f in &frags {
+                if let Ok(meta) = fragment_meta(f) {
+                    prop_assert!(1 <= meta.k && meta.k <= meta.n && meta.index < meta.n);
+                }
+            }
+            for code in [cfg, other] {
+                if let Ok(r) = code.reconstruct(&frags) {
+                    prop_assert_eq!(&r.payload, &payload);
+                }
+            }
         }
     }
 }

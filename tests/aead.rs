@@ -47,6 +47,48 @@ fn poly1305_matches_rfc8439_vectors() {
     assert_eq!(poly1305(key, &msg), tag);
 }
 
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn poly1305_at_its_bounds_gives_the_tags_recorded_before_the_rewrite() {
+    // All-0xff messages under the largest clamped r keep the accumulator
+    // near its bound at every block; s = 2^128 − 1 makes the final addition
+    // wrap. Lengths: empty, 1–64 whole blocks each with ragged tails of 1,
+    // 8 and 15 bytes, then 1 MiB. One FNV-1a over the tags per key,
+    // recorded on the 44-bit-limb arithmetic.
+    let ones = vec![0xffu8; 1 << 20];
+    let mut lens = vec![0];
+    for blocks in 1..=64 {
+        lens.extend([0, 1, 8, 15].map(|tail| 16 * blocks + tail));
+    }
+    lens.push(ones.len());
+    let key =
+        |r: [u8; 16], s: [u8; 16]| -> [u8; 32] { core::array::from_fn(|i| [r, s][i / 16][i % 16]) };
+    let mut r1 = [0u8; 16];
+    r1[0] = 1;
+    let keys = [
+        key([0xff; 16], [0; 16]),
+        key([0xff; 16], [0xff; 16]),
+        key([0; 16], [0xff; 16]),
+        key(r1, [0; 16]),
+    ];
+    let got = keys.map(|key| fnv1a(lens.iter().flat_map(|&len| poly1305(key, &ones[..len]))));
+    assert_eq!(
+        got,
+        [
+            0xc460_d49a_8bae_1ca6,
+            0x8a1a_9459_1d31_35ad,
+            0xfbff_f734_8d2b_0f85,
+            0x55b6_6394_fc4e_a7bd,
+        ],
+        "{got:#018x?}"
+    );
+}
+
 #[test]
 fn seal_is_the_rfc8439_aead_with_empty_associated_data() {
     let mut rng = StdRng::seed_from_u64(16);
