@@ -61,7 +61,7 @@ fn ablation_k_tradeoff() {
             .count() as f64
             / hop_lists.len() as f64;
         let adv = Collusion::mark_fraction(&tb.overlay, &mut rng, 0.1);
-        let corrupted = adv.corruption_rate(&store, &hop_lists, false);
+        let corrupted = adv.corruption_rate(&store, &hop_lists);
         println!("{k:>3} {failed:>22.4} {corrupted:>22.4}");
     }
     println!("(raise k: failures fall, corruption rises — the paper's balance point is k=3..5)");
@@ -101,7 +101,7 @@ fn ablation_length_tradeoff() {
         }
         let adv = Collusion::mark_fraction(&overlay, &mut srng, 0.1);
         let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|t| t.hop_ids()).collect();
-        let corrupted = adv.corruption_rate(&store, &hop_lists, false);
+        let corrupted = adv.corruption_rate(&store, &hop_lists);
         println!(
             "{l:>3} {:>18.2} {corrupted:>22.4}",
             hops_total as f64 / tunnels.len() as f64
@@ -209,11 +209,11 @@ fn ablation_scatter() {
     let scattered = make(&mut rng, &mut store, &overlay, true);
     println!(
         "clustered-in-region corruption: {:.4}",
-        adv.corruption_rate(&store, &clustered, false)
+        adv.corruption_rate(&store, &clustered)
     );
     println!(
         "scattered (distinct prefixes):  {:.4}",
-        adv.corruption_rate(&store, &scattered, false)
+        adv.corruption_rate(&store, &scattered)
     );
     println!("(scattering caps region-capture adversaries at one hop per region)");
 }
@@ -224,6 +224,7 @@ fn ablation_refresh_period() {
     for period in [1usize, 2, 5, 10, usize::MAX] {
         let mut tb = Testbed::build(NODES, TUNNELS, 3, 5, 17);
         let adv = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, 0.1);
+        tb.thas.watch(adv.members());
         let mut tunnels = std::mem::take(&mut tb.tunnels);
         for unit in 1..=20usize {
             for _ in 0..(NODES / 20) {
@@ -244,7 +245,7 @@ fn ablation_refresh_period() {
             }
         }
         let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|t| t.hop_ids()).collect();
-        let rate = adv.corruption_rate(&tb.thas, &hop_lists, true);
+        let rate = adv.corruption_rate(&tb.thas, &hop_lists);
         let label = if period == usize::MAX {
             "never".to_string()
         } else {
@@ -296,8 +297,9 @@ fn bench_ablations(c: &mut Criterion) {
     let mut tb = Testbed::build(400, 150, 3, 5, 18);
     let hop_lists: Vec<Vec<Id>> = tb.tunnels.iter().map(|t| t.hop_ids()).collect();
     let adv = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, 0.1);
+    tb.thas.watch(adv.members());
     group.bench_function("corruption_history_eval", |b| {
-        b.iter(|| adv.corruption_rate(&tb.thas, &hop_lists, true))
+        b.iter(|| adv.corruption_rate(&tb.thas, &hop_lists))
     });
 
     let mut rng = StdRng::seed_from_u64(19);

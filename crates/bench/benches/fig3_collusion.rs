@@ -17,12 +17,14 @@ fn bench_fig3(c: &mut Criterion) {
     let mut tb = Testbed::build(scale.nodes, scale.tunnels, 3, 5, 2);
     let hop_lists = tb.hop_id_lists();
     let adv = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, 0.2);
+    let mut watched = tb.thas.clone();
+    watched.watch(adv.members());
 
     group.bench_function("corruption_rate_200_tunnels", |b| {
-        b.iter(|| adv.corruption_rate(&tb.thas, &hop_lists, false))
+        b.iter(|| adv.corruption_rate(&tb.thas, &hop_lists))
     });
     group.bench_function("corruption_rate_with_history", |b| {
-        b.iter(|| adv.corruption_rate(&tb.thas, &hop_lists, true))
+        b.iter(|| adv.corruption_rate(&watched, &hop_lists))
     });
     group.bench_function("whole_figure_quick", |b| b.iter(|| collusion::run(&scale)));
     group.finish();

@@ -12,6 +12,12 @@
 //!   argues this attack is weak (the first hop cannot know it is first)
 //!   and focuses the evaluation on case 1; we implement both, defaulting
 //!   to case 1 exactly as §7 does.
+//!
+//! "Forever" lives in the THA store's exposure ledger, where the replica
+//! hand-offs happen: for Fig. 5's churn attack a caller runs
+//! `thas.watch(collusion.members())` right after deploying, and every
+//! question below then also counts the THAs a member was ever handed.
+//! Without a ledger only current holders count.
 
 use rand::seq::IteratorRandom;
 use rand::Rng;
@@ -70,39 +76,22 @@ impl Collusion {
         self.members.iter().copied()
     }
 
-    /// Whether the collusion knows the THA anchored at `hopid`.
-    ///
-    /// With `include_history` the adversary also counts replicas it held at
-    /// any point in the past (the Fig. 5 churn attack: "malicious nodes can
-    /// take advantage of the leaves of other nodes to learn more THAs");
-    /// without it, only current holders count (the static Fig. 3/4 setting,
-    /// where replica sets never move).
-    pub fn knows_tha(&self, thas: &ReplicaStore<Tha>, hopid: Id, include_history: bool) -> bool {
-        match thas.get(hopid) {
-            None => false,
-            Some(rec) => {
-                if include_history {
-                    rec.ever_held.iter().any(|h| self.members.contains(h))
-                } else {
-                    rec.holders.iter().any(|h| self.members.contains(h))
-                }
-            }
-        }
+    /// Whether the collusion knows the THA anchored at `hopid`: a member
+    /// holds a replica now, or `thas`' exposure ledger says one was handed
+    /// to a watched node ([`ReplicaStore::watch`]; Fig. 5's churn attack,
+    /// "malicious nodes can take advantage of the leaves of other nodes to
+    /// learn more THAs"). A store without a ledger answers for current
+    /// holders only, which is the whole story in the static Fig. 3/4
+    /// setting, where replica sets never move.
+    pub fn knows_tha(&self, thas: &ReplicaStore<Tha>, hopid: Id) -> bool {
+        thas.exposed(hopid) || thas.holders(hopid).iter().any(|h| self.members.contains(h))
     }
 
     /// Case 1: the collusion can trace the tunnel because it knows the THA
     /// of **every** hop (§6, §7.2 — the corruption criterion behind
     /// Figures 3, 4, and 5).
-    pub fn corrupts_case1(
-        &self,
-        thas: &ReplicaStore<Tha>,
-        hop_ids: &[Id],
-        include_history: bool,
-    ) -> bool {
-        !hop_ids.is_empty()
-            && hop_ids
-                .iter()
-                .all(|h| self.knows_tha(thas, *h, include_history))
+    pub fn corrupts_case1(&self, thas: &ReplicaStore<Tha>, hop_ids: &[Id]) -> bool {
+        !hop_ids.is_empty() && hop_ids.iter().all(|h| self.knows_tha(thas, *h))
     }
 
     /// Case 2: the collusion controls the current first *and* tail tunnel
@@ -121,30 +110,20 @@ impl Collusion {
     /// Number of `tunnels` (given as hop-id lists) corrupted under case 1
     /// — the numerator of [`Collusion::corruption_rate`], exposed so
     /// callers can shard a scan across threads and sum the exact counts.
-    pub fn corrupted_count(
-        &self,
-        thas: &ReplicaStore<Tha>,
-        tunnels: &[Vec<Id>],
-        include_history: bool,
-    ) -> usize {
+    pub fn corrupted_count(&self, thas: &ReplicaStore<Tha>, tunnels: &[Vec<Id>]) -> usize {
         tunnels
             .iter()
-            .filter(|t| self.corrupts_case1(thas, t, include_history))
+            .filter(|t| self.corrupts_case1(thas, t))
             .count()
     }
 
     /// Fraction of `tunnels` (given as hop-id lists) corrupted under
     /// case 1 — the quantity every anonymity figure plots.
-    pub fn corruption_rate(
-        &self,
-        thas: &ReplicaStore<Tha>,
-        tunnels: &[Vec<Id>],
-        include_history: bool,
-    ) -> f64 {
+    pub fn corruption_rate(&self, thas: &ReplicaStore<Tha>, tunnels: &[Vec<Id>]) -> f64 {
         if tunnels.is_empty() {
             return 0.0;
         }
-        self.corrupted_count(thas, tunnels, include_history) as f64 / tunnels.len() as f64
+        self.corrupted_count(thas, tunnels) as f64 / tunnels.len() as f64
     }
 }
 
@@ -203,9 +182,9 @@ mod tests {
         let hops = deploy(fx, 1);
         let holder = fx.thas.holders(hops[0])[1];
         let mut c = Collusion::new();
-        assert!(!c.knows_tha(&fx.thas, hops[0], false));
+        assert!(!c.knows_tha(&fx.thas, hops[0]));
         c.insert(holder);
-        assert!(c.knows_tha(&fx.thas, hops[0], false));
+        assert!(c.knows_tha(&fx.thas, hops[0]));
     }
 
     #[test]
@@ -216,21 +195,21 @@ mod tests {
         let malicious = fx.thas.holders(hop)[0];
         let mut c = Collusion::new();
         c.insert(malicious);
+        let mut unwatched = fx.thas.clone();
+        fx.thas.watch(c.members());
         // The malicious holder leaves; the replica migrates away.
         fx.overlay.remove_node(malicious);
         fx.thas.on_node_removed(&fx.overlay, malicious);
+        unwatched.on_node_removed(&fx.overlay, malicious);
         assert!(
             !fx.thas.holders(hop).contains(&malicious),
             "replica moved on"
         );
         assert!(
-            !c.knows_tha(&fx.thas, hop, false),
+            !c.knows_tha(&unwatched, hop),
             "current-holders view forgets"
         );
-        assert!(
-            c.knows_tha(&fx.thas, hop, true),
-            "history view never forgets"
-        );
+        assert!(c.knows_tha(&fx.thas, hop), "the ledger never forgets");
     }
 
     #[test]
@@ -242,9 +221,9 @@ mod tests {
         for h in &hops[..4] {
             c.insert(fx.thas.holders(*h)[0]);
         }
-        assert!(!c.corrupts_case1(&fx.thas, &hops, false));
+        assert!(!c.corrupts_case1(&fx.thas, &hops));
         c.insert(fx.thas.holders(hops[4])[0]);
-        assert!(c.corrupts_case1(&fx.thas, &hops, false));
+        assert!(c.corrupts_case1(&fx.thas, &hops));
     }
 
     #[test]
@@ -273,7 +252,7 @@ mod tests {
         let c = Collusion::mark_fraction(&fx.overlay, &mut fx.rng, 0.3);
         let l = 2; // short tunnels keep the probability measurable
         let tunnels: Vec<Vec<Id>> = (0..400).map(|_| deploy(fx, l)).collect();
-        let rate = c.corruption_rate(&fx.thas, &tunnels, false);
+        let rate = c.corruption_rate(&fx.thas, &tunnels);
         let p_hop = 1.0 - 0.7f64.powi(3);
         let expect = p_hop.powi(l as i32);
         assert!(
@@ -286,9 +265,10 @@ mod tests {
     fn empty_inputs() {
         let fx = &mut fixture(50, 3, 7);
         let c = Collusion::mark_fraction(&fx.overlay, &mut fx.rng, 0.5);
-        assert!(!c.corrupts_case1(&fx.thas, &[], false));
+        assert!(!c.corrupts_case1(&fx.thas, &[]));
         assert!(!c.corrupts_case2(&fx.overlay, &[]));
-        assert_eq!(c.corruption_rate(&fx.thas, &[], false), 0.0);
-        assert!(!c.knows_tha(&fx.thas, Id::from_u64(1), true), "unknown hop");
+        assert_eq!(c.corruption_rate(&fx.thas, &[]), 0.0);
+        fx.thas.watch(c.members());
+        assert!(!c.knows_tha(&fx.thas, Id::from_u64(1)), "unknown hop");
     }
 }

@@ -154,7 +154,9 @@ impl TapSystem {
     /// Fail (or gracefully remove) a node. With `repair`, the replication
     /// manager immediately re-replicates what the node held — the steady
     /// churn regime of Fig. 5. Without it, nothing migrates — the
-    /// simultaneous-failure regime of Fig. 2.
+    /// simultaneous-failure regime of Fig. 2 — and later membership repairs
+    /// may miss what the node held (`ReplicaStore`'s repair contract) until
+    /// [`TapSystem::re_replicate_thas`] heals it.
     pub fn fail_node(&mut self, id: Id, repair: bool) -> bool {
         if !self.overlay.remove_node(id) {
             return false;

@@ -21,8 +21,9 @@
 //!   replication manager — every object lives on the `k` nodes closest to
 //!   its key, and membership changes migrate replicas so the invariant is
 //!   restored. THAs are exactly such objects ("it can be envisioned a small
-//!   file stored on the system", §3.1), and the *history* of which nodes
-//!   ever held an object is what TAP's colluding-adversary analysis needs.
+//!   file stored on the system", §3.1). Which objects were ever handed to a
+//!   colluding node is what TAP's adversary analysis needs; a caller that
+//!   asks installs an opt-in exposure ledger on the store.
 //!
 //! The [`Overlay`] is a single-process simulation of the whole network
 //! (as the paper's was: "the peer nodes were configured to run in a single

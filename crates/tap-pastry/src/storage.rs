@@ -6,15 +6,17 @@
 //! set tracks membership, so the *tunnel hop node* (the closest holder) is
 //! always findable as long as one replica survives.
 //!
-//! Two views matter to the reproduction:
+//! The store keeps each object's value and **current** replica set
+//! ([`ObjectRecord::holders`]), which decides whether a tunnel hop is
+//! reachable (Fig. 2), and the keys in ring order: a replica set is `k`
+//! ring-contiguous nodes (DESIGN.md §6i), so the keys a membership event
+//! can move lie in one short arc around the node that came or went.
 //!
-//! * the **current** replica set ([`ObjectRecord::holders`]), which decides
-//!   whether a tunnel hop is reachable (Fig. 2); and
-//! * the **history** of every node that ever held a replica
-//!   ([`ObjectRecord::ever_held`]) — "malicious nodes can take advantage of
-//!   the leaves of other nodes to learn more THAs" (§7.2): a malicious node
-//!   that was *ever* given a replica keeps the secret forever. Fig. 5's
-//!   churn experiment is exactly this set growing over time.
+//! Exposure is opt-in. "Malicious nodes can take advantage of the leaves
+//! of other nodes to learn more THAs" (§7.2): a malicious node *ever* given
+//! a replica keeps the secret, and Fig. 5 plots that knowledge growing. A
+//! caller modelling it installs an exposure ledger ([`ReplicaStore::watch`]);
+//! without one, a replica hand-off costs one branch.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -56,8 +58,6 @@ pub struct ObjectRecord<V> {
     /// entry is the object's root (TAP's tunnel hop node); the rest are the
     /// "tunnel hop node candidates".
     pub holders: Vec<Id>,
-    /// Every node that ever appeared in the replica set.
-    pub ever_held: IdHashSet,
 }
 
 /// Cached instrument handles for the store's churn-repair paths.
@@ -80,13 +80,37 @@ impl StoreInstruments {
     }
 }
 
+/// The stored keys ever handed to a watched node.
+#[derive(Debug, Clone)]
+struct Ledger {
+    watched: IdHashSet,
+    keys: IdHashSet,
+}
+
+impl Ledger {
+    fn hand_off(&mut self, key: Id, holders: &[Id]) {
+        if holders.iter().any(|h| self.watched.contains(h)) {
+            self.keys.insert(key);
+        }
+    }
+}
+
 /// The replication manager.
+///
+/// **Repair contract.** The membership hooks ([`ReplicaStore::on_node_added`],
+/// [`ReplicaStore::on_node_removed`], [`ReplicaStore::on_nodes_removed`])
+/// look for work in the arc around the node, which is exact when every
+/// earlier membership change was reported to them. A key left stale by an
+/// unreported leave (`fail_node` without repair, Fig. 2's regime) may lie
+/// outside later arcs; [`ReplicaStore::repair_key`] heals it.
 #[derive(Debug, Clone)]
 pub struct ReplicaStore<V> {
     k: usize,
+    /// Object per key: transit's THA lookup is one hash probe.
     objects: IdHashMap<ObjectRecord<V>>,
-    /// Inverted index: node → object keys it currently holds.
-    held: IdHashMap<IdHashSet>,
+    /// The keys of `objects`, in ring order.
+    ring: BTreeSet<Id>,
+    ledger: Option<Ledger>,
     instruments: StoreInstruments,
 }
 
@@ -98,7 +122,8 @@ impl<V> ReplicaStore<V> {
         ReplicaStore {
             k,
             objects: IdHashMap::default(),
-            held: IdHashMap::default(),
+            ring: BTreeSet::new(),
+            ledger: None,
             instruments: StoreInstruments::new(Registry::new()),
         }
     }
@@ -146,18 +171,11 @@ impl<V> ReplicaStore<V> {
         if holders.is_empty() {
             return Err(StorageError::EmptyOverlay);
         }
-        for h in &holders {
-            self.held.entry(*h).or_default().insert(key);
+        if let Some(ledger) = &mut self.ledger {
+            ledger.hand_off(key, &holders);
         }
-        let ever_held = holders.iter().copied().collect();
-        self.objects.insert(
-            key,
-            ObjectRecord {
-                value,
-                holders,
-                ever_held,
-            },
-        );
+        self.ring.insert(key);
+        self.objects.insert(key, ObjectRecord { value, holders });
         self.instruments.inserts.inc();
         Ok(true)
     }
@@ -167,22 +185,13 @@ impl<V> ReplicaStore<V> {
         self.objects.get(&key)
     }
 
-    /// Mutable access to a stored value (replica metadata stays intact).
-    pub fn get_value_mut(&mut self, key: Id) -> Option<&mut V> {
-        self.objects.get_mut(&key).map(|r| &mut r.value)
-    }
-
     /// Remove an object entirely (TAP's THA deletion, after the owner has
     /// proven knowledge of PW at the protocol layer).
     pub fn remove(&mut self, key: Id) -> Option<V> {
         let rec = self.objects.remove(&key)?;
-        for h in &rec.holders {
-            if let Some(set) = self.held.get_mut(h) {
-                set.remove(&key);
-                if set.is_empty() {
-                    self.held.remove(h);
-                }
-            }
+        self.ring.remove(&key);
+        if let Some(ledger) = &mut self.ledger {
+            ledger.keys.remove(&key);
         }
         Some(rec.value)
     }
@@ -195,20 +204,38 @@ impl<V> ReplicaStore<V> {
             .unwrap_or(&[])
     }
 
-    /// Keys currently held by `node`.
-    pub fn held_by(&self, node: Id) -> impl Iterator<Item = Id> + '_ {
-        self.held.get(&node).into_iter().flatten().copied()
-    }
-
     /// Iterate over `(key, record)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Id, &ObjectRecord<V>)> {
         self.objects.iter().map(|(k, v)| (*k, v))
     }
 
+    /// Keep an exposure ledger for `nodes` from now on (replacing any
+    /// earlier one): [`ReplicaStore::exposed`] then tells whether a key was
+    /// handed to one of them. It starts from the current holders, so it
+    /// equals "a watched node ever held a replica" only if no replica moved
+    /// before this call: watch after deploying and before any churn, as
+    /// Fig. 5 does (deploy, mark the collusion, watch, churn).
+    pub fn watch(&mut self, nodes: impl IntoIterator<Item = Id>) {
+        let watched = nodes.into_iter().collect();
+        let mut ledger = Ledger {
+            watched,
+            keys: IdHashSet::default(),
+        };
+        for (key, rec) in &self.objects {
+            ledger.hand_off(*key, &rec.holders);
+        }
+        self.ledger = Some(ledger);
+    }
+
+    /// Whether `key` is stored and was handed to a watched node since
+    /// [`ReplicaStore::watch`]; `false` without a ledger.
+    pub fn exposed(&self, key: Id) -> bool {
+        self.ledger.as_ref().is_some_and(|l| l.keys.contains(&key))
+    }
+
     fn reassign(&mut self, key: Id, new_holders: Vec<Id>) {
-        // The inverted index can only reference stored keys; tolerate a
-        // desynced index (churn-repair races in future async callers)
-        // instead of crashing the node.
+        // Callers name keys read from `ring`, which holds exactly the keys
+        // of `objects`; a miss would be a bookkeeping bug, not an input.
         debug_assert!(self.objects.contains_key(&key), "reassigning known key");
         let Some(rec) = self.objects.get_mut(&key) else {
             return;
@@ -217,24 +244,39 @@ impl<V> ReplicaStore<V> {
             return;
         }
         self.instruments.repairs.inc();
-        for h in &rec.holders {
-            if !new_holders.contains(h) {
-                self.instruments.evictions.inc();
-                if let Some(set) = self.held.get_mut(h) {
-                    set.remove(&key);
-                    if set.is_empty() {
-                        self.held.remove(h);
-                    }
-                }
-            }
-        }
-        for h in &new_holders {
-            if !rec.holders.contains(h) {
-                self.held.entry(*h).or_default().insert(key);
-            }
-            rec.ever_held.insert(*h);
+        let evicted = rec.holders.iter().filter(|h| !new_holders.contains(h));
+        self.instruments.evictions.add(evicted.count() as u64);
+        if let Some(ledger) = &mut self.ledger {
+            ledger.hand_off(key, &new_holders);
         }
         rec.holders = new_holders;
+    }
+
+    /// Recompute the replica sets of the stored keys whose holders pass
+    /// `touched` in the closed ring arc from the far end of `before` to the
+    /// far end of `after`: walks of `reach` live nodes either side of a
+    /// membership event. On a ring of at most `2·reach + 1` nodes the walks
+    /// may meet, and the whole ring is scanned.
+    fn repair_arc(
+        &mut self,
+        overlay: &impl KeyRouter,
+        (before, after): (&[Id], &[Id]),
+        reach: usize,
+        touched: impl Fn(&[Id]) -> bool,
+    ) {
+        let (from, to) = match (before.last(), after.last()) {
+            (Some(&from), Some(&to)) if overlay.node_count() > 2 * reach + 1 => (from, to),
+            _ => (Id::ZERO, Id::MAX),
+        };
+        let wraps = from > to;
+        let head = self.ring.range(from..=if wraps { Id::MAX } else { to });
+        let tail = wraps.then(|| self.ring.range(..=to)).into_iter().flatten();
+        let keys: Vec<Id> = (head.chain(tail).copied())
+            .filter(|key| self.objects.get(key).is_some_and(|r| touched(&r.holders)))
+            .collect();
+        for key in keys {
+            self.reassign(key, overlay.replica_set(key, self.k));
+        }
     }
 
     /// Re-replicate a single object onto the overlay's *current* k-closest
@@ -243,8 +285,8 @@ impl<V> ReplicaStore<V> {
     /// [`ReplicaStore::on_node_removed`] repairs eagerly when the caller
     /// knows which node vanished; this is the targeted variant for callers
     /// that only know an object's replica set has degraded (a takeover was
-    /// observed in transit, a partition healed) and want that one anchor
-    /// back to full strength.
+    /// observed in transit, a partition healed, a leave went unreported)
+    /// and want that one anchor back to full strength.
     pub fn repair_key(&mut self, overlay: &impl KeyRouter, key: Id) -> bool {
         if !self.objects.contains_key(&key) {
             return false;
@@ -260,15 +302,10 @@ impl<V> ReplicaStore<V> {
     /// Repair after `node` left or failed. Call **after** the overlay has
     /// removed it: each object the node held is re-replicated onto the new
     /// k-closest set (one of the candidates takes over as root, and the
-    /// next ring neighbour is drafted as a fresh replica).
+    /// next ring neighbour is drafted as a fresh replica). Those objects
+    /// lie within `k` live nodes of it (see the repair contract).
     pub fn on_node_removed(&mut self, overlay: &impl KeyRouter, node: Id) {
-        let Some(keys) = self.held.remove(&node) else {
-            return;
-        };
-        for key in keys {
-            let new_holders = overlay.replica_set(key, self.k);
-            self.reassign(key, new_holders);
-        }
+        self.on_nodes_removed(overlay, &[node]);
     }
 
     /// Repair after a whole batch of nodes left at once (the storage-side
@@ -276,69 +313,52 @@ impl<V> ReplicaStore<V> {
     /// removed them: every object any departed node held is re-replicated
     /// onto the current k-closest set exactly once — an object that lost
     /// several holders in the same batch is repaired once, not once per
-    /// casualty. Keys are repaired in id order, so the repair/eviction
-    /// counters are independent of the input order.
+    /// casualty. A leave only widens the arc `k` live nodes around each
+    /// departed node, so it still covers every key that node held (see
+    /// the repair contract).
     pub fn on_nodes_removed(&mut self, overlay: &impl KeyRouter, nodes: &[Id]) {
-        let mut keys: BTreeSet<Id> = BTreeSet::new();
-        for n in nodes {
-            if let Some(held) = self.held.remove(n) {
-                keys.extend(held);
-            }
-        }
-        for key in keys {
-            let new_holders = overlay.replica_set(key, self.k);
-            self.reassign(key, new_holders);
+        let mut gone = nodes.to_vec();
+        gone.sort_unstable();
+        gone.dedup();
+        let touched = |holders: &[Id]| holders.iter().any(|h| gone.binary_search(h).is_ok());
+        for n in &gone {
+            let before = overlay.preceding(*n, self.k);
+            let after = overlay.following(*n, self.k);
+            self.repair_arc(overlay, (&before, &after), self.k, touched);
         }
     }
 
     /// Rebalance after `node` joined. Call **after** the overlay has added
     /// it: objects whose key the newcomer is now among the `k` closest to
     /// migrate a replica onto it (and the displaced farthest holder drops
-    /// out of the current set — though it keeps the secret in `ever_held`).
+    /// out of the current set, though an exposure ledger keeps the
+    /// hand-off). Only objects one of its two ring neighbours holds can
+    /// move (DESIGN.md §6i); they lie within `k + 1` live nodes of it, and
+    /// the neighbours come from the same walks. Every candidate is
+    /// recomputed in full (see the repair contract).
     pub fn on_node_added(&mut self, overlay: &impl KeyRouter, node: Id) {
-        // Only objects one of the newcomer's two ring neighbours holds can
-        // be affected. A replica set is k ring-contiguous nodes, so a set
-        // the newcomer enters still contains a node next to it whenever
-        // k >= 2, and that node held the object before; for k = 1 the one
-        // holder it displaces is its neighbour. Every candidate is
-        // recomputed in full, so a stale holder set heals on the way.
-        let mut candidates: Vec<Id> = overlay
-            .following(node, 1)
-            .into_iter()
-            .chain(overlay.preceding(node, 1))
-            .flat_map(|n| self.held_by(n))
-            .collect();
-        // Id order: the order the `held` index fills in must not depend
-        // on a hash set's.
-        candidates.sort_unstable();
-        candidates.dedup();
-        for key in candidates {
-            let new_holders = overlay.replica_set(key, self.k);
-            self.reassign(key, new_holders);
-        }
+        let reach = self.k + 1;
+        let before = overlay.preceding(node, reach);
+        let after = overlay.following(node, reach);
+        let neighbours = [before.first(), after.first()];
+        let touched = |holders: &[Id]| neighbours.iter().flatten().any(|n| holders.contains(n));
+        self.repair_arc(overlay, (&before, &after), reach, touched);
     }
 
     /// Assert every object's holder set equals the overlay oracle's
     /// k-closest. Test helper; O(objects · k · log N).
     pub fn assert_replica_invariant(&self, overlay: &impl KeyRouter) {
+        assert!(
+            self.ring.len() == self.objects.len()
+                && self.objects.keys().all(|key| self.ring.contains(key)),
+            "ring order lists exactly the stored keys"
+        );
         for (key, rec) in &self.objects {
             let want = overlay.replica_set(*key, self.k);
             assert_eq!(
                 rec.holders, want,
                 "replica set for {key:?} diverged from k-closest"
             );
-            for h in &want {
-                assert!(rec.ever_held.contains(h), "history missing holder");
-            }
-        }
-        // Inverted index consistency.
-        for (node, keys) in &self.held {
-            for key in keys {
-                assert!(
-                    self.objects[key].holders.contains(node),
-                    "held index points at non-holder"
-                );
-            }
         }
     }
 }
@@ -358,6 +378,15 @@ mod tests {
             ov.add_random_node(&mut rng);
         }
         (ov, rng)
+    }
+
+    /// The keys `node` holds now, read off the records.
+    fn held_by<V>(store: &ReplicaStore<V>, node: Id) -> BTreeSet<Id> {
+        store
+            .iter()
+            .filter(|(_, rec)| rec.holders.contains(&node))
+            .map(|(key, _)| key)
+            .collect()
     }
 
     #[test]
@@ -381,15 +410,18 @@ mod tests {
     }
 
     #[test]
-    fn remove_cleans_inverted_index() {
+    fn remove_forgets_the_key_everywhere() {
         let (ov, mut rng) = build(50, 3);
         let mut store = ReplicaStore::new(3);
         let key = Id::random(&mut rng);
         store.insert(&ov, key, 7u32).unwrap();
         let holder = store.holders(key)[0];
+        store.watch([holder]);
+        assert!(store.exposed(key));
         assert_eq!(store.remove(key), Some(7));
         assert_eq!(store.remove(key), None);
-        assert_eq!(store.held_by(holder).count(), 0);
+        assert!(held_by(&store, holder).is_empty());
+        assert!(!store.exposed(key), "the ledger drops a removed key");
         store.assert_replica_invariant(&ov);
     }
 
@@ -400,6 +432,7 @@ mod tests {
         let key = Id::random(&mut rng);
         store.insert(&ov, key, ()).unwrap();
         let before = store.holders(key).to_vec();
+        store.watch([before[0]]);
         // Kill the root (the tunnel hop node).
         ov.remove_node(before[0]);
         store.on_node_removed(&ov, before[0]);
@@ -407,8 +440,8 @@ mod tests {
         assert_eq!(after[0], before[1], "first candidate takes over as root");
         assert_eq!(after.len(), 3, "a fresh replica is drafted");
         store.assert_replica_invariant(&ov);
-        // History remembers the dead root.
-        assert!(store.get(key).unwrap().ever_held.contains(&before[0]));
+        // The ledger remembers the dead root's replica.
+        assert!(store.exposed(key));
     }
 
     #[test]
@@ -430,6 +463,7 @@ mod tests {
             v.sort_unstable();
             v
         };
+        store.watch(victims.iter().copied());
         let repairs_before = metrics.snapshot().counter("pastry.replica.repairs");
         assert_eq!(ov.remove_nodes(&victims), victims.len());
         store.on_nodes_removed(&ov, &victims);
@@ -439,17 +473,7 @@ mod tests {
         // by the number of affected objects (strictly fewer than the
         // per-casualty count when replica sets overlap).
         let repaired = metrics.snapshot().counter("pastry.replica.repairs") - repairs_before;
-        let affected: usize = keys
-            .iter()
-            .filter(|k| {
-                store
-                    .get(**k)
-                    .unwrap()
-                    .ever_held
-                    .iter()
-                    .any(|h| victims.contains(h))
-            })
-            .count();
+        let affected = keys.iter().filter(|k| store.exposed(**k)).count();
         assert!(repaired <= affected as u64, "{repaired} > {affected}");
         assert!(
             store.holders(keys[0]).len() == 3,
@@ -472,17 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn displaced_holder_keeps_history() {
+    fn displaced_holder_stays_exposed() {
         let (mut ov, mut rng) = build(60, 6);
         let mut store = ReplicaStore::new(3);
         let key = Id::random(&mut rng);
         store.insert(&ov, key, ()).unwrap();
         let displaced = store.holders(key)[2];
+        store.watch([displaced]);
         let adjacent = key.wrapping_add(Id::from_u64(1));
         ov.add_node(adjacent);
         store.on_node_added(&ov, adjacent);
         assert!(!store.holders(key).contains(&displaced));
-        assert!(store.get(key).unwrap().ever_held.contains(&displaced));
+        assert!(store.exposed(key));
     }
 
     #[test]
@@ -509,22 +534,56 @@ mod tests {
     }
 
     #[test]
-    fn history_only_grows() {
+    fn exposure_only_grows_and_covers_current_holders() {
         let (mut ov, mut rng) = build(80, 8);
         let mut store = ReplicaStore::new(3);
-        let key = Id::random(&mut rng);
-        store.insert(&ov, key, ()).unwrap();
-        let mut prev: IdHashSet = store.get(key).unwrap().ever_held.clone();
+        let keys: Vec<Id> = (0..60).map(|_| Id::random(&mut rng)).collect();
+        for key in &keys {
+            store.insert(&ov, *key, ()).unwrap();
+        }
+        let watched: Vec<Id> = ov.ids().step_by(8).collect();
+        store.watch(watched.iter().copied());
+        let exposed = |s: &ReplicaStore<()>| -> BTreeSet<Id> {
+            keys.iter().copied().filter(|k| s.exposed(*k)).collect()
+        };
+        let mut prev = exposed(&store);
         for _ in 0..30 {
-            let victim = ov.random_node(&mut rng).unwrap();
+            let victim = loop {
+                let v = ov.random_node(&mut rng).unwrap();
+                if !watched.contains(&v) {
+                    break v;
+                }
+            };
             ov.remove_node(victim);
             store.on_node_removed(&ov, victim);
             let id = ov.add_random_node(&mut rng);
             store.on_node_added(&ov, id);
-            let now = &store.get(key).unwrap().ever_held;
-            assert!(prev.is_subset(now), "history shrank");
-            prev = now.clone();
+            let now = exposed(&store);
+            assert!(prev.is_subset(&now), "exposure shrank");
+            for w in &watched {
+                assert!(held_by(&store, *w).is_subset(&now));
+            }
+            prev = now;
         }
+        store.assert_replica_invariant(&ov);
+    }
+
+    #[test]
+    fn a_ledger_is_off_until_watched_and_sees_later_inserts() {
+        let (ov, mut rng) = build(40, 10);
+        let mut store = ReplicaStore::new(3);
+        let first = Id::random(&mut rng);
+        store.insert(&ov, first, ()).unwrap();
+        assert!(!store.exposed(first), "no ledger, no exposure");
+        let root = store.holders(first)[0];
+        store.watch([root]);
+        assert!(store.exposed(first), "seeded from the current holders");
+        // A key placed on the watched node after the call is exposed too.
+        let later = root.wrapping_add(Id::from_u64(1));
+        store.insert(&ov, later, ()).unwrap();
+        assert!(store.holders(later).contains(&root));
+        assert!(store.exposed(later));
+        store.assert_replica_invariant(&ov);
     }
 
     #[test]
@@ -534,22 +593,5 @@ mod tests {
         let key = Id::random(&mut rng);
         store.insert(&ov, key, ()).unwrap();
         assert_eq!(store.holders(key).len(), 2, "only 2 nodes exist");
-    }
-
-    #[test]
-    fn held_by_reflects_all_objects() {
-        let (ov, mut rng) = build(30, 10);
-        let mut store = ReplicaStore::new(3);
-        let mut keys = Vec::new();
-        for _ in 0..50 {
-            let k = Id::random(&mut rng);
-            store.insert(&ov, k, ()).unwrap();
-            keys.push(k);
-        }
-        let mut total = 0;
-        for n in ov.ids().collect::<Vec<_>>() {
-            total += store.held_by(n).count();
-        }
-        assert_eq!(total, 50 * 3, "each object on exactly k nodes");
     }
 }

@@ -73,7 +73,12 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--paper" => {}
             "--seed" => scale.seed = parse_value("--seed", iter.next())?,
-            "--nodes" => scale.nodes = parse_value("--nodes", iter.next())?,
+            "--nodes" => {
+                scale.nodes = parse_value("--nodes", iter.next())?;
+                if scale.nodes == 0 {
+                    return Err("--nodes must be at least 1".into());
+                }
+            }
             "--tunnels" => scale.tunnels = parse_value("--tunnels", iter.next())?,
             "--journal" => scale.journal_cap = parse_value("--journal", iter.next())?,
             "--faults" => {
@@ -134,6 +139,15 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     }
 
     let which = which.ok_or_else(|| "missing figure name".to_string())?;
+    // Fig. 5 takes a unit's leaves from the benign nodes before any join;
+    // more than half the network would exhaust them.
+    if (which == "fig5" || which == "all") && scale.churn_per_unit > scale.nodes / 2 {
+        return Err(format!(
+            "fig5 churns {} nodes a unit and needs --nodes at least {}",
+            scale.churn_per_unit,
+            2 * scale.churn_per_unit
+        ));
+    }
     if let Some(n) = threads {
         scale.threads = n;
     }
@@ -197,6 +211,28 @@ mod tests {
             .unwrap_err()
             .contains("unsigned integer"));
         assert!(parse_line("fig5 --threads").unwrap_err().contains("value"));
+    }
+
+    #[test]
+    fn nodes_flag_is_validated() {
+        assert!(parse_line("fig2 --nodes 0")
+            .unwrap_err()
+            .contains("at least 1"));
+        assert!(parse_line("secure --nodes 0")
+            .unwrap_err()
+            .contains("at least 1"));
+        // Quick fig5 churns 50 benign nodes a unit, paper fig5 100.
+        assert!(parse_line("fig5 --nodes 50")
+            .unwrap_err()
+            .contains("at least 100"));
+        assert!(parse_line("all --nodes 1")
+            .unwrap_err()
+            .contains("at least 100"));
+        assert!(parse_line("fig5 --paper --nodes 150")
+            .unwrap_err()
+            .contains("at least 200"));
+        assert_eq!(parse_line("fig5 --nodes 100").unwrap().scale.nodes, 100);
+        assert_eq!(parse_line("fig2 --nodes 50").unwrap().scale.nodes, 50);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn parallel_corruption_rate(
     let chunk = lists.len().div_ceil(pool.threads());
     let shards: Vec<&[Vec<Id>]> = lists.chunks(chunk).collect();
     let counts = pool.run(shards, |_idx, shard, _rng| {
-        collusion.corrupted_count(thas, shard, true)
+        collusion.corrupted_count(thas, shard)
     });
     counts.iter().sum::<usize>() as f64 / lists.len() as f64
 }
@@ -52,8 +52,17 @@ pub fn run(scale: &Scale) -> Series {
 
     // The collusion is fixed for the whole run; churn only moves benign
     // nodes ("malicious nodes instead can try to stay in system as long as
-    // possible").
+    // possible"). Its ledger starts now, before any replica has moved, so
+    // it holds every THA a member was ever handed.
     let collusion = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, p);
+    tb.thas.watch(collusion.members());
+    // `pick_benign` needs a benign node left for every leave of a unit;
+    // the CLI rejects scales with `churn_per_unit > nodes / 2`, which
+    // guarantees it.
+    debug_assert!(
+        scale.churn_per_unit <= tb.overlay.len() - collusion.len(),
+        "a unit's leaves would exhaust the benign nodes"
+    );
 
     let unrefreshed_ids = tb.hop_id_lists();
     let mut refreshed = deploy_tunnels(&tb.overlay, &mut tb.thas, &mut tb.rng, scale.tunnels, l);

@@ -45,7 +45,7 @@ pub fn run(scale: &Scale) -> Series {
         let mut total = 0.0;
         for _ in 0..DRAWS {
             let collusion = Collusion::mark_fraction(&tb_ref.overlay, rng, p);
-            total += collusion.corruption_rate(&tb_ref.thas, &hop_lists, false);
+            total += collusion.corruption_rate(&tb_ref.thas, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - p).powi(k as i32)).powi(l as i32);
         vec![total / DRAWS as f64, analytic]

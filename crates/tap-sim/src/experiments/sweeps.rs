@@ -55,7 +55,7 @@ pub fn by_replication(scale: &Scale) -> Series {
         let mut total = 0.0;
         for _ in 0..DRAWS {
             let collusion = Collusion::mark_fraction(&tb_ref.overlay, rng, P_MALICIOUS);
-            total += collusion.corruption_rate(&store, &hop_lists, false);
+            total += collusion.corruption_rate(&store, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - P_MALICIOUS).powi(k as i32)).powi(l as i32);
         (vec![total / DRAWS as f64, analytic], trial_metrics)
@@ -93,7 +93,7 @@ pub fn by_length(scale: &Scale) -> Series {
         let mut total = 0.0;
         for _ in 0..DRAWS {
             let collusion = Collusion::mark_fraction(&tb_ref.overlay, rng, P_MALICIOUS);
-            total += collusion.corruption_rate(&store, &hop_lists, false);
+            total += collusion.corruption_rate(&store, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - P_MALICIOUS).powi(k as i32)).powi(l as i32);
         (vec![total / DRAWS as f64, analytic], trial_metrics)

@@ -45,7 +45,7 @@ fn main() {
     for &(k, l) in &[(1usize, 5usize), (3, 5), (5, 5), (3, 1), (3, 3), (3, 8)] {
         let mut store: ReplicaStore<Tha> = ReplicaStore::new(k);
         let tunnels = make_tunnels(&overlay, &mut store, &mut rng, TUNNELS, l);
-        let rate = collusion.corruption_rate(&store, &tunnels, false);
+        let rate = collusion.corruption_rate(&store, &tunnels);
         let analytic = (1.0 - (1.0 - P_MALICIOUS).powi(k as i32)).powi(l as i32);
         println!("{k:>3} {l:>3} {rate:>12.4} {analytic:>12.4}");
     }
@@ -69,6 +69,9 @@ fn main() {
     // and what refreshing every 5 units recovers.
     println!("\nknowledge accumulation under churn (k=3, l=5, 2% churn/unit):");
     println!("{:>5} {:>12} {:>16}", "unit", "stale", "refreshed@5");
+    // The ledger starts before any replica moves, so it holds every THA a
+    // colluding node was ever handed; the refreshed copy inherits it.
+    store.watch(collusion.members());
     let mut refreshed = tunnels.clone();
     let mut refreshed_store = store.clone();
     for unit in 1..=20 {
@@ -97,8 +100,8 @@ fn main() {
         }
         println!(
             "{unit:>5} {:>12.4} {:>16.4}",
-            collusion.corruption_rate(&store, &tunnels, true),
-            collusion.corruption_rate(&refreshed_store, &refreshed, true),
+            collusion.corruption_rate(&store, &tunnels),
+            collusion.corruption_rate(&refreshed_store, &refreshed),
         );
     }
     println!("\nconclusion: refresh your tunnels (§7.2, Fig. 5).");

@@ -143,7 +143,7 @@ fn corruption_requires_all_hops_statistically() {
                 .collect()
         })
         .collect();
-    let rate = collusion.corruption_rate(&thas, &tunnels, false);
+    let rate = collusion.corruption_rate(&thas, &tunnels);
     let p_hop = 1.0 - 0.8f64.powi(3);
     let expect = p_hop.powi(3);
     assert!(
@@ -229,12 +229,95 @@ fn scattered_tunnels_resist_region_capture() {
         })
         .collect();
 
-    let clustered_rate = collusion.corruption_rate(&thas, &clustered, false);
-    let scattered_rate = collusion.corruption_rate(&thas, &scattered, false);
+    let clustered_rate = collusion.corruption_rate(&thas, &clustered);
+    let scattered_rate = collusion.corruption_rate(&thas, &scattered);
     assert!(
         clustered_rate > scattered_rate + 0.3,
         "region capture: clustered {clustered_rate:.3} should far exceed \
          scattered {scattered_rate:.3}"
     );
     assert!(scattered_rate < 0.05, "scattered tunnels stay safe");
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+#[test]
+fn fig5_in_miniature_exposes_what_it_did_before_the_ledger() {
+    // Fig. 5's loop through the public API at 300 nodes: deploy, mark the
+    // collusion, then churn benign nodes with replica repair. After every
+    // unit the history-view corrupted count and known hops, the
+    // current-view corrupted count and the store's three repair counters
+    // are folded into one FNV-1a digest, recorded on the store that kept a
+    // per-object `ever_held` set.
+    let (k, l, p) = (3, 5, 0.1);
+    let mut rng = StdRng::seed_from_u64(0xF165);
+    let mut overlay = Overlay::new(PastryConfig::with_replication(k));
+    for _ in 0..300 {
+        overlay.add_random_node(&mut rng);
+    }
+    let metrics = tap_metrics::Registry::new();
+    let mut thas: ReplicaStore<Tha> = ReplicaStore::new(k);
+    thas.use_metrics(metrics.clone());
+    let tunnels: Vec<Vec<Id>> = (0..200)
+        .map(|_| {
+            let initiator = overlay.random_node(&mut rng).unwrap();
+            let mut f = ThaFactory::new(&mut rng, initiator);
+            let mut hops = Vec::with_capacity(l);
+            while hops.len() < l {
+                let s = f.next(&mut rng);
+                if thas.insert(&overlay, s.hopid, s.stored()).unwrap() {
+                    hops.push(s.hopid);
+                }
+            }
+            hops
+        })
+        .collect();
+    let collusion = Collusion::mark_fraction(&overlay, &mut rng, p);
+    thas.watch(collusion.members());
+
+    let current = |thas: &ReplicaStore<Tha>| {
+        tunnels
+            .iter()
+            .filter(|t| {
+                t.iter()
+                    .all(|h| thas.holders(*h).iter().any(|n| collusion.contains(*n)))
+            })
+            .count()
+    };
+    let mut digest = FNV_OFFSET;
+    for _ in 0..10 {
+        for _ in 0..20 {
+            let victim = loop {
+                let v = overlay.random_node(&mut rng).unwrap();
+                if !collusion.contains(v) {
+                    break v;
+                }
+            };
+            overlay.remove_node(victim);
+            thas.on_node_removed(&overlay, victim);
+        }
+        for _ in 0..20 {
+            let id = overlay.add_random_node(&mut rng);
+            thas.on_node_added(&overlay, id);
+        }
+        let snap = metrics.snapshot();
+        for word in [
+            collusion.corrupted_count(&thas, &tunnels) as u64,
+            tunnels
+                .iter()
+                .flatten()
+                .filter(|h| collusion.knows_tha(&thas, **h))
+                .count() as u64,
+            current(&thas) as u64,
+            snap.counter("pastry.replica.inserts"),
+            snap.counter("pastry.replica.repairs"),
+            snap.counter("pastry.replica.evictions"),
+        ] {
+            for b in word.to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+        }
+    }
+    assert_eq!(digest, 10_337_776_397_683_584_866);
 }

@@ -1,26 +1,30 @@
 //! Replica repair on membership events, pinned from outside the crates.
 //!
-//! `ReplicaStore::on_node_added` looks for work only at the newcomer's two
-//! ring neighbours. Two things keep that honest on both substrates:
+//! `ReplicaStore` finds the keys a join or leave can move by scanning the
+//! arc of its ring-ordered keys around the node. Two things keep that
+//! honest on both substrates:
 //!
 //! * a **work count** — how many oracle queries one join and one leave
 //!   make, asserted as numbers through a counting [`KeyRouter`]; and
-//! * a **differential** run against the repair as it was before: candidate
-//!   keys from `2k + 2` nodes on each side of the newcomer and, on Pastry, a
+//! * a **differential** run against the store as it was before: a
+//!   test-local copy with its per-node `held` index and per-object
+//!   `ever_held` history, joined through the wide repair (candidate keys
+//!   from `2k + 2` nodes on each side of the newcomer) and, on Pastry, a
 //!   replica set found by sorting both sides' `k` nearest.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tap::chord::{ChordConfig, ChordOverlay};
-use tap::id::Id;
+use tap::id::{Id, IdHashMap, IdHashSet};
 use tap::pastry::storage::ReplicaStore;
 use tap::pastry::{KeyRouter, Overlay, PastryConfig, RouteError};
-use tap_metrics::Registry;
+use tap_metrics::{Counter, Registry};
 
 // ----------------------------------------------------------------------
 // Work count
@@ -84,36 +88,46 @@ fn one_membership_event_asks_the_ring_a_fixed_number_of_questions() {
         store.insert(&overlay, Id::random(&mut rng), i).unwrap();
     }
 
+    // The keys a node holds, read off the records.
+    let held_by = |store: &ReplicaStore<u32>, nodes: &[Id]| -> BTreeSet<Id> {
+        store
+            .iter()
+            .filter(|(_, rec)| nodes.iter().any(|n| rec.holders.contains(n)))
+            .map(|(key, _)| key)
+            .collect()
+    };
     let (mut join_queries, mut leave_queries) = (0, 0);
     for _ in 0..40 {
         let id = overlay.add_random_node(&mut rng);
-        let neighbours: BTreeSet<Id> = overlay
+        let neighbours: Vec<Id> = overlay
             .successors(id, 1)
             .into_iter()
             .chain(overlay.predecessors(id, 1))
-            .flat_map(|n| store.held_by(n))
             .collect();
+        let candidates = held_by(&store, &neighbours).len();
         let counting = Counting::over(&overlay);
         store.on_node_added(&counting, id);
-        assert_eq!(*counting.following.borrow(), [1]);
-        assert_eq!(*counting.preceding.borrow(), [1]);
-        assert!(counting.replica_sets.get() <= neighbours.len());
-        join_queries += counting.replica_sets.get();
+        assert_eq!(*counting.following.borrow(), [4]);
+        assert_eq!(*counting.preceding.borrow(), [4]);
+        assert_eq!(counting.replica_sets.get(), candidates);
+        join_queries += candidates;
 
         let victim = overlay.random_node(&mut rng).unwrap();
-        let held = store.held_by(victim).count();
+        let held = held_by(&store, &[victim]).len();
         overlay.remove_node(victim);
         let counting = Counting::over(&overlay);
         store.on_node_removed(&counting, victim);
-        assert!(counting.following.borrow().is_empty());
-        assert!(counting.preceding.borrow().is_empty());
+        assert_eq!(*counting.following.borrow(), [3]);
+        assert_eq!(*counting.preceding.borrow(), [3]);
         assert_eq!(counting.replica_sets.get(), held);
         leave_queries += held;
     }
     store.assert_replica_invariant(&overlay);
-    // 15 000 replicas on 2 000 nodes: 7.5 keys a node, so about 12 distinct
-    // keys at a newcomer's two neighbours. The run is a pure function of
-    // the seed; a change in either total is a change in the work done.
+    // 15 000 replicas on 2 000 nodes: 7.5 keys a node, so about 11 distinct
+    // keys at a newcomer's two neighbours. A join walks k + 1 nodes each
+    // way and a leave k, and each recomputes exactly the replica sets of
+    // those keys. The run is a pure function of the seed; a change in
+    // either total is a change in the work done.
     assert_eq!((join_queries, leave_queries), (443, 328));
 }
 
@@ -212,9 +226,190 @@ impl<R: Ring> KeyRouter for Reference<'_, R> {
     }
 }
 
-/// The join repair as it was: every key held within `2k + 2` ring
-/// positions of the newcomer is a candidate.
-fn wide_join_repair(store: &mut ReplicaStore<u32>, ring: &impl KeyRouter, node: Id) {
+// ----------------------------------------------------------------------
+// The store as it was
+// ----------------------------------------------------------------------
+
+/// `ReplicaStore` before the ring-ordered rewrite, kept verbatim but for
+/// the methods the differential never calls (`on_node_added`, `iter`,
+/// `get_value_mut`, `assert_replica_invariant`): a per-node `held` index
+/// and a per-object `ever_held` history beside the holders.
+struct OldStore<V> {
+    k: usize,
+    objects: IdHashMap<OldRecord<V>>,
+    /// Inverted index: node → object keys it currently holds.
+    held: IdHashMap<IdHashSet>,
+    instruments: OldInstruments,
+}
+
+struct OldRecord<V> {
+    value: V,
+    holders: Vec<Id>,
+    /// Every node that ever appeared in the replica set.
+    ever_held: IdHashSet,
+}
+
+struct OldInstruments {
+    registry: Registry,
+    inserts: Arc<Counter>,
+    evictions: Arc<Counter>,
+    repairs: Arc<Counter>,
+}
+
+impl OldInstruments {
+    fn new(registry: Registry) -> Self {
+        OldInstruments {
+            inserts: registry.counter("pastry.replica.inserts"),
+            evictions: registry.counter("pastry.replica.evictions"),
+            repairs: registry.counter("pastry.replica.repairs"),
+            registry,
+        }
+    }
+}
+
+impl<V> OldStore<V> {
+    fn new(k: usize) -> Self {
+        assert!(k >= 1, "replication factor must be at least 1");
+        OldStore {
+            k,
+            objects: IdHashMap::default(),
+            held: IdHashMap::default(),
+            instruments: OldInstruments::new(Registry::new()),
+        }
+    }
+
+    fn metrics(&self) -> &Registry {
+        &self.instruments.registry
+    }
+
+    fn replication(&self) -> usize {
+        self.k
+    }
+
+    fn len(&self) -> usize {
+        self.objects.len()
+    }
+
+    fn insert(&mut self, overlay: &impl KeyRouter, key: Id, value: V) -> Result<bool, ()> {
+        if self.objects.contains_key(&key) {
+            return Ok(false);
+        }
+        let holders = overlay.replica_set(key, self.k);
+        if holders.is_empty() {
+            return Err(());
+        }
+        for h in &holders {
+            self.held.entry(*h).or_default().insert(key);
+        }
+        let ever_held = holders.iter().copied().collect();
+        self.objects.insert(
+            key,
+            OldRecord {
+                value,
+                holders,
+                ever_held,
+            },
+        );
+        self.instruments.inserts.inc();
+        Ok(true)
+    }
+
+    fn get(&self, key: Id) -> Option<&OldRecord<V>> {
+        self.objects.get(&key)
+    }
+
+    fn remove(&mut self, key: Id) -> Option<V> {
+        let rec = self.objects.remove(&key)?;
+        for h in &rec.holders {
+            if let Some(set) = self.held.get_mut(h) {
+                set.remove(&key);
+                if set.is_empty() {
+                    self.held.remove(h);
+                }
+            }
+        }
+        Some(rec.value)
+    }
+
+    fn holders(&self, key: Id) -> &[Id] {
+        self.objects
+            .get(&key)
+            .map(|r| r.holders.as_slice())
+            .unwrap_or(&[])
+    }
+
+    fn held_by(&self, node: Id) -> impl Iterator<Item = Id> + '_ {
+        self.held.get(&node).into_iter().flatten().copied()
+    }
+
+    fn reassign(&mut self, key: Id, new_holders: Vec<Id>) {
+        debug_assert!(self.objects.contains_key(&key), "reassigning known key");
+        let Some(rec) = self.objects.get_mut(&key) else {
+            return;
+        };
+        if rec.holders == new_holders {
+            return;
+        }
+        self.instruments.repairs.inc();
+        for h in &rec.holders {
+            if !new_holders.contains(h) {
+                self.instruments.evictions.inc();
+                if let Some(set) = self.held.get_mut(h) {
+                    set.remove(&key);
+                    if set.is_empty() {
+                        self.held.remove(h);
+                    }
+                }
+            }
+        }
+        for h in &new_holders {
+            if !rec.holders.contains(h) {
+                self.held.entry(*h).or_default().insert(key);
+            }
+            rec.ever_held.insert(*h);
+        }
+        rec.holders = new_holders;
+    }
+
+    fn repair_key(&mut self, overlay: &impl KeyRouter, key: Id) -> bool {
+        if !self.objects.contains_key(&key) {
+            return false;
+        }
+        let new_holders = overlay.replica_set(key, self.k);
+        if new_holders.is_empty() || self.holders(key) == new_holders {
+            return false;
+        }
+        self.reassign(key, new_holders);
+        true
+    }
+
+    fn on_node_removed(&mut self, overlay: &impl KeyRouter, node: Id) {
+        let Some(keys) = self.held.remove(&node) else {
+            return;
+        };
+        for key in keys {
+            let new_holders = overlay.replica_set(key, self.k);
+            self.reassign(key, new_holders);
+        }
+    }
+
+    fn on_nodes_removed(&mut self, overlay: &impl KeyRouter, nodes: &[Id]) {
+        let mut keys: BTreeSet<Id> = BTreeSet::new();
+        for n in nodes {
+            if let Some(held) = self.held.remove(n) {
+                keys.extend(held);
+            }
+        }
+        for key in keys {
+            let new_holders = overlay.replica_set(key, self.k);
+            self.reassign(key, new_holders);
+        }
+    }
+}
+
+/// The join repair before the neighbour repair: every key held within
+/// `2k + 2` ring positions of the newcomer is a candidate.
+fn wide_join_repair(store: &mut OldStore<u32>, ring: &impl KeyRouter, node: Id) {
     let reach = 2 * store.replication() + 2;
     let mut candidates = BTreeSet::new();
     for n in ring
@@ -229,6 +424,10 @@ fn wide_join_repair(store: &mut ReplicaStore<u32>, ring: &impl KeyRouter, node: 
     }
 }
 
+// ----------------------------------------------------------------------
+// Differential
+// ----------------------------------------------------------------------
+
 const STORE_COUNTERS: [&str; 3] = [
     "pastry.replica.inserts",
     "pastry.replica.repairs",
@@ -238,23 +437,35 @@ const STORE_COUNTERS: [&str; 3] = [
 struct Pair<R> {
     ring: R,
     new: ReplicaStore<u32>,
-    old: ReplicaStore<u32>,
+    old: OldStore<u32>,
+    /// The nodes the new store's exposure ledger watches, installed while
+    /// both stores were empty.
+    watched: Vec<Id>,
     /// Every key and node the run has ever named.
     keys: Vec<Id>,
     nodes: BTreeSet<Id>,
+    /// A leave went unreported since the last repair of every key on a
+    /// non-empty ring: holders may be stale, differently in each store.
+    stale: bool,
+    /// A leave ever went unreported: the two stores' repair histories,
+    /// hence their counters and ledgers, may differ for good.
+    diverged: bool,
 }
 
 impl<R: Ring> Pair<R> {
-    fn new(k: usize) -> Self {
-        let (mut new, mut old) = (ReplicaStore::new(k), ReplicaStore::new(k));
+    fn new(k: usize, watched: Vec<Id>) -> Self {
+        let mut new = ReplicaStore::new(k);
         new.use_metrics(Registry::new());
-        old.use_metrics(Registry::new());
+        new.watch(watched.iter().copied());
         Pair {
             ring: R::empty(),
             new,
-            old,
+            old: OldStore::new(k),
+            watched,
             keys: Vec::new(),
             nodes: BTreeSet::new(),
+            stale: false,
+            diverged: false,
         }
     }
 
@@ -274,6 +485,13 @@ impl<R: Ring> Pair<R> {
         self.check("leave");
     }
 
+    /// A leave neither store hears of (`fail_node(id, false)`).
+    fn leave_unreported(&mut self, id: Id) {
+        assert!(self.ring.leave(id));
+        (self.stale, self.diverged) = (true, true);
+        self.check("unreported leave");
+    }
+
     fn leave_batch(&mut self, ids: &[Id]) {
         for id in ids {
             self.ring.leave(*id);
@@ -286,7 +504,10 @@ impl<R: Ring> Pair<R> {
     fn insert(&mut self, key: Id, value: u32) {
         self.keys.push(key);
         let got = self.new.insert(&self.ring, key, value);
-        assert_eq!(got, self.old.insert(&Reference(&self.ring), key, value));
+        assert_eq!(
+            got.ok(),
+            self.old.insert(&Reference(&self.ring), key, value).ok()
+        );
         self.check("insert");
     }
 
@@ -295,25 +516,62 @@ impl<R: Ring> Pair<R> {
         self.check("remove");
     }
 
+    fn repair_key(&mut self, key: Id) {
+        let got = self.new.repair_key(&self.ring, key);
+        let want = self.old.repair_key(&Reference(&self.ring), key);
+        if !self.stale {
+            assert_eq!(got, want, "repair_key");
+        }
+        self.check("repair key");
+    }
+
+    fn repair_every_key(&mut self) {
+        for key in self.keys.clone() {
+            self.new.repair_key(&self.ring, key);
+            self.old.repair_key(&Reference(&self.ring), key);
+        }
+        // On an empty ring `repair_key` has nowhere to put a replica.
+        if self.ring.node_count() > 0 {
+            self.stale = false;
+        }
+        self.check("repair every key");
+    }
+
     fn check(&self, what: &str) {
         self.ring.assert_exact();
-        self.new.assert_replica_invariant(&self.ring);
         assert_eq!(self.new.len(), self.old.len(), "{what}: objects");
+        if self.stale {
+            return;
+        }
         for key in &self.keys {
-            assert_eq!(
-                self.new.holders(*key),
-                self.old.holders(*key),
-                "{what}: holders"
-            );
-            let history = |s: &ReplicaStore<u32>| -> Option<BTreeSet<Id>> {
-                s.get(*key).map(|r| r.ever_held.iter().copied().collect())
-            };
-            assert_eq!(history(&self.new), history(&self.old), "{what}: ever_held");
+            let holders = self.new.holders(*key);
+            assert_eq!(holders, self.old.holders(*key), "{what}: holders");
+            // Keys whose every holder left while the ring emptied keep an
+            // empty set; nothing can copy them onto a newcomer.
+            if !holders.is_empty() {
+                assert_eq!(holders, self.ring.replica_set(*key, self.new.replication()));
+            }
         }
         for node in &self.nodes {
-            let held = |s: &ReplicaStore<u32>| s.held_by(*node).collect::<BTreeSet<Id>>();
-            assert_eq!(held(&self.new), held(&self.old), "{what}: held index");
-            assert!(self.ring.is_live(*node) || held(&self.new).is_empty());
+            let held: BTreeSet<Id> = self
+                .new
+                .iter()
+                .filter(|(_, rec)| rec.holders.contains(node))
+                .map(|(key, _)| key)
+                .collect();
+            let want: BTreeSet<Id> = self.old.held_by(*node).collect();
+            assert_eq!(held, want, "{what}: holdings");
+            assert!(self.ring.is_live(*node) || held.is_empty());
+        }
+        if self.diverged {
+            return;
+        }
+        for key in &self.keys {
+            let ever = self
+                .old
+                .get(*key)
+                .is_some_and(|rec| rec.ever_held.iter().any(|h| self.watched.contains(h)));
+            assert_eq!(self.new.exposed(*key), ever, "{what}: exposure");
         }
         let (got, want) = (self.new.metrics().snapshot(), self.old.metrics().snapshot());
         for name in STORE_COUNTERS {
@@ -322,18 +580,25 @@ impl<R: Ring> Pair<R> {
     }
 }
 
-/// Rings of 1 … 40 nodes: smaller than `k`, smaller than a leaf set, and
-/// larger than both.
+/// Rings of 0 … 40 nodes: empty, smaller than `k`, smaller than a leaf set,
+/// and larger than all three.
 fn run<R: Ring>(seed: u64, k: usize, start: usize, script: &[u8]) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pair = Pair::<R>::new(k);
+    let watched: Vec<Id> = (0..6).map(|_| Id::random(&mut rng)).collect();
+    let mut pair = Pair::<R>::new(k, watched.clone());
+    let pick_watched = |rng: &mut StdRng| watched[rng.gen_range(0..watched.len())];
     for i in 0..start {
-        pair.join(Id::random(&mut rng));
+        let id = if i % 3 == 0 {
+            pick_watched(&mut rng)
+        } else {
+            Id::random(&mut rng)
+        };
+        pair.join(id);
         pair.insert(Id::random(&mut rng), i as u32);
     }
     for op in script {
         let live = pair.ring.node_count();
-        match op % 6 {
+        match op % 9 {
             0 => pair.insert(Id::random(&mut rng), u32::from(*op)),
             1 if !pair.keys.is_empty() => {
                 let key = pair.keys[rng.gen_range(0..pair.keys.len())];
@@ -341,20 +606,25 @@ fn run<R: Ring>(seed: u64, k: usize, start: usize, script: &[u8]) {
             }
             2 | 3 if live < 40 => {
                 // Next to a stored key (it must take a replica over), on a
-                // live id (a no-op), or anywhere.
-                let id = match (op / 6) % 4 {
+                // live id (a no-op), on a watched id, or anywhere.
+                let id = match (op / 9) % 5 {
                     0 if !pair.keys.is_empty() => {
                         let key = pair.keys[rng.gen_range(0..pair.keys.len())];
                         key.wrapping_add(Id::from_u64(1))
                     }
-                    1 => pair.ring.sample(&mut rng).unwrap(),
+                    1 if live > 0 => pair.ring.sample(&mut rng).unwrap(),
+                    2 => pick_watched(&mut rng),
                     _ => Id::random(&mut rng),
                 };
                 pair.join(id);
             }
-            4 if live > 1 => {
+            4 if live > 0 => {
                 let victim = pair.ring.sample(&mut rng).unwrap();
-                pair.leave(victim);
+                if op / 9 % 8 == 0 {
+                    pair.leave_unreported(victim);
+                } else {
+                    pair.leave(victim);
+                }
             }
             5 if live > 4 => {
                 // A whole replica set at once, a stranger and a duplicate.
@@ -365,9 +635,21 @@ fn run<R: Ring>(seed: u64, k: usize, start: usize, script: &[u8]) {
                 batch.push(first);
                 pair.leave_batch(&batch);
             }
+            6 if !pair.keys.is_empty() => {
+                let key = pair.keys[rng.gen_range(0..pair.keys.len())];
+                pair.repair_key(key);
+            }
+            7 if op / 9 % 4 == 0 => pair.repair_every_key(),
             _ => {}
         }
     }
+    pair.repair_every_key();
+}
+
+fn both_substrates(seed: u64, k: usize, start: usize, script: &[u8]) {
+    let k = [1, 2, 3, 5][k];
+    run::<Overlay>(seed, k, start, script);
+    run::<ChordOverlay>(seed, k, start, script);
 }
 
 proptest! {
@@ -379,8 +661,22 @@ proptest! {
         start in 1usize..=40,
         script in proptest::collection::vec(any::<u8>(), 20..80),
     ) {
-        let k = [1, 2, 3, 5][k];
-        run::<Overlay>(seed, k, start, &script);
-        run::<ChordOverlay>(seed, k, start, &script);
+        both_substrates(seed, k, start, &script);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_000))]
+    /// The same differential at CI scale (release, `--ignored`): 4 000
+    /// cases of up to 200 ops.
+    #[test]
+    #[ignore]
+    fn prop_ring_store_matches_the_old_store_4000_cases(
+        seed in any::<u64>(),
+        k in 0usize..4,
+        start in 1usize..=40,
+        script in proptest::collection::vec(any::<u8>(), 20..200),
+    ) {
+        both_substrates(seed, k, start, &script);
     }
 }
