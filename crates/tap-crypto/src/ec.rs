@@ -17,20 +17,46 @@
 //!   shards are the evaluations at points `k..n` (Lagrange interpolation);
 //! * fragment `i` carries shard `i` of every chunk, so geometry is fully
 //!   derivable from `(payload_len, n, k, chunk)` — no side metadata;
-//! * every fragment carries a checksum over its header and body plus an
-//!   8-byte digest of the whole payload, so a corrupted fragment is
+//! * every fragment carries a 4-byte check over its header and body plus
+//!   an 8-byte digest of the whole payload, so a corrupted fragment is
 //!   *detected* and skipped rather than silently poisoning the decode.
+//!
+//! The fragment check is an error-detecting code, not a MAC: the first
+//! four bytes of a Poly1305 tag under `FRAGMENT_CHECK_KEY`, a public
+//! constant. Anyone who alters a fragment can recompute it, as they could
+//! any unkeyed hash, so it only ever catches accidents — which a polynomial
+//! evaluated at a fixed non-zero point does at a third of a nanosecond a
+//! byte. The payload digest (truncated SHA-256) is the one cryptographic
+//! check: the leg from a tunnel's tail to its destination carries the
+//! fragment outside any AEAD, and the digest is what stands there.
 //!
 //! `k = 1` degenerates to replication and `(1, 1)` to the identity code,
 //! which is exactly the single-path fallback `tap-core` uses when a small
 //! or churning overlay cannot supply `n` disjoint tunnels.
 
+use crate::poly1305::Poly1305;
 use crate::sha256::sha256;
 
 /// Fragment header: `[n][k][index][payload_len: u32 BE][payload digest; 8][check; 4]`.
-pub const HEADER_LEN: usize = 3 + 4 + PAYLOAD_DIGEST_LEN + FRAGMENT_CHECK_LEN;
+pub const HEADER_LEN: usize = CHECK_AT + FRAGMENT_CHECK_LEN;
 const PAYLOAD_DIGEST_LEN: usize = 8;
 const FRAGMENT_CHECK_LEN: usize = 4;
+/// Offset of the check: it covers the header bytes before it and the body.
+const CHECK_AT: usize = 3 + 4 + PAYLOAD_DIGEST_LEN;
+
+/// The fragment check's Poly1305 key — public on purpose (module doc). Its
+/// clamped `r` is `0x0079_7260_0d70_6174` and `0x0266_2060_0520_6f74`:
+/// neither word is zero (`r = 0` makes every tag `s`) or small.
+const FRAGMENT_CHECK_KEY: [u8; 32] = *b"tap-crypto ec fragment check key";
+
+/// The first four bytes of the Poly1305 tag of `header[..CHECK_AT] ‖ body`.
+fn fragment_check(header: &[u8], body: &[u8]) -> [u8; FRAGMENT_CHECK_LEN] {
+    let mut mac = Poly1305::new(&FRAGMENT_CHECK_KEY);
+    mac.update(&header[..CHECK_AT]);
+    mac.update(body);
+    let tag = mac.tag();
+    [tag[0], tag[1], tag[2], tag[3]]
+}
 
 // GF(2^8) exp/log tables for the primitive polynomial 0x11d with generator
 // 2, built at compile time. EXP is doubled so `EXP[LOG[a] + LOG[b]]` never
@@ -183,8 +209,9 @@ pub struct FragmentMeta {
     pub digest: [u8; PAYLOAD_DIGEST_LEN],
 }
 
-/// Parse and checksum-validate a fragment header without a config in hand
-/// (the receiver uses this to group arriving fragments by transfer).
+/// A fragment's header, checked without a config in hand: the fragment
+/// check holds and `1 ≤ k ≤ n`, `index < n`. Whether the body has the
+/// length the header implies is [`EcConfig::reconstruct`]'s check.
 pub fn fragment_meta(fragment: &[u8]) -> Result<FragmentMeta, EcError> {
     let (meta, _) = parse_fragment(fragment)?;
     Ok(meta)
@@ -195,20 +222,15 @@ fn parse_fragment(fragment: &[u8]) -> Result<(FragmentMeta, &[u8]), EcError> {
         return Err(EcError::Corrupt);
     }
     let (header, body) = fragment.split_at(HEADER_LEN);
-    let mut check = crate::sha256::Sha256::new();
-    check.update(&header[..HEADER_LEN - FRAGMENT_CHECK_LEN]);
-    check.update(body);
-    if check.finalize()[..FRAGMENT_CHECK_LEN] != header[HEADER_LEN - FRAGMENT_CHECK_LEN..] {
+    if fragment_check(header, body) != header[CHECK_AT..] {
         return Err(EcError::Corrupt);
     }
-    let mut digest = [0u8; PAYLOAD_DIGEST_LEN];
-    digest.copy_from_slice(&header[7..7 + PAYLOAD_DIGEST_LEN]);
     let meta = FragmentMeta {
         n: header[0],
         k: header[1],
         index: header[2],
         payload_len: u32::from_be_bytes([header[3], header[4], header[5], header[6]]),
-        digest,
+        digest: core::array::from_fn(|i| header[7 + i]),
     };
     if meta.k == 0 || meta.k > meta.n || meta.index >= meta.n {
         return Err(EcError::Corrupt);
@@ -287,90 +309,68 @@ impl EcConfig {
     }
 
     /// Encode `payload` into `n` fragments, any `k` of which reconstruct it.
+    /// Each is allocated at its exact length and written once, in place:
+    /// header, then chunk by chunk its shard, then the check.
     pub fn encode(&self, payload: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
-        if payload.len() > u32::MAX as usize {
-            return Err(EcError::TooLarge);
-        }
-        let n = self.n as usize;
-        let k = self.k as usize;
-        let body_len = self.body_len(payload.len());
+        let payload_len = u32::try_from(payload.len()).map_err(|_| EcError::TooLarge)?;
+        let k = usize::from(self.k);
+        let digest = payload_digest(payload);
+        let mut frags: Vec<Vec<u8>> = (0..self.n)
+            .map(|index| {
+                let mut frag = Vec::with_capacity(self.fragment_len(payload.len()));
+                frag.extend_from_slice(&[self.n, self.k, index]);
+                frag.extend_from_slice(&payload_len.to_be_bytes());
+                frag.extend_from_slice(&digest);
+                frag.resize(HEADER_LEN, 0);
+                frag
+            })
+            .collect();
         let data_points: Vec<u8> = (0..self.k).collect();
         let parity_rows: Vec<Vec<u8>> = (self.k..self.n)
             .map(|e| lagrange_row(&data_points, e))
             .collect();
 
-        let mut bodies: Vec<Vec<u8>> = (0..n).map(|_| Vec::with_capacity(body_len)).collect();
+        let mut at = HEADER_LEN;
         for data in payload.chunks(self.chunk) {
             let s = data.len().div_ceil(k);
-            // Shard i is the chunk's i-th s-byte piece, zero-padded.
-            let mut shards = vec![vec![0u8; s]; k];
-            for (shard, piece) in shards.iter_mut().zip(data.chunks(s)) {
-                shard[..piece.len()].copy_from_slice(piece);
+            // Data shard i is the chunk's i-th s-byte piece, zero-padded;
+            // a chunk has at most k pieces, so parity shards start at zero.
+            let mut pieces = data.chunks(s);
+            for frag in frags.iter_mut() {
+                frag.extend_from_slice(pieces.next().unwrap_or_default());
+                frag.resize(at + s, 0);
             }
-            for (body, shard) in bodies.iter_mut().zip(&shards) {
-                body.extend_from_slice(shard);
-            }
-            for (j, row) in parity_rows.iter().enumerate() {
-                let mut parity = vec![0u8; s];
-                for (&coeff, shard) in row.iter().zip(&shards) {
-                    gf_mul_acc(coeff, shard, &mut parity);
+            let (data_frags, parity_frags) = frags.split_at_mut(k);
+            for (parity, row) in parity_frags.iter_mut().zip(&parity_rows) {
+                for (&coeff, src) in row.iter().zip(data_frags.iter()) {
+                    gf_mul_acc(coeff, &src[at..], &mut parity[at..]);
                 }
-                bodies[k + j].extend_from_slice(&parity);
             }
+            at += s;
         }
-
-        let digest = payload_digest(payload);
-        Ok(bodies
-            .into_iter()
-            .enumerate()
-            .map(|(idx, body)| self.seal_fragment(idx as u8, payload.len() as u32, digest, body))
-            .collect())
-    }
-
-    fn seal_fragment(
-        &self,
-        index: u8,
-        payload_len: u32,
-        digest: [u8; 8],
-        body: Vec<u8>,
-    ) -> Vec<u8> {
-        let mut frag = Vec::with_capacity(HEADER_LEN + body.len());
-        frag.push(self.n);
-        frag.push(self.k);
-        frag.push(index);
-        frag.extend_from_slice(&payload_len.to_be_bytes());
-        frag.extend_from_slice(&digest);
-        let mut check = crate::sha256::Sha256::new();
-        check.update(&frag);
-        check.update(&body);
-        frag.extend_from_slice(&check.finalize()[..FRAGMENT_CHECK_LEN]);
-        frag.extend_from_slice(&body);
-        frag
+        for frag in &mut frags {
+            seal_fragment(frag);
+        }
+        Ok(frags)
     }
 
     /// Reconstruct the payload from any `k` intact fragments (any order,
     /// duplicates and corrupted fragments tolerated and reported).
     pub fn reconstruct(&self, fragments: &[Vec<u8>]) -> Result<Reconstruction, EcError> {
-        let k = self.k as usize;
+        let k = usize::from(self.k);
         let mut corrupt = Vec::new();
-        let mut valid: Vec<(u8, &[u8])> = Vec::new();
-        let mut reference: Option<(u32, [u8; 8])> = None;
+        // Each intact fragment's body by shard index; the first copy wins.
+        let mut present = [None::<&[u8]>; EcConfig::MAX_FRAGMENTS as usize];
+        let mut reference: Option<(u32, [u8; PAYLOAD_DIGEST_LEN])> = None;
         for (pos, fragment) in fragments.iter().enumerate() {
-            let (meta, body) = match parse_fragment(fragment) {
-                Ok(parsed) => parsed,
-                Err(_) => {
-                    corrupt.push(pos);
-                    continue;
-                }
+            let parsed = parse_fragment(fragment).ok().filter(|(meta, body)| {
+                (meta.n, meta.k) == (self.n, self.k)
+                    && body.len() == self.body_len(meta.payload_len as usize)
+            });
+            let Some((meta, body)) = parsed else {
+                corrupt.push(pos);
+                continue;
             };
-            if meta.n != self.n || meta.k != self.k {
-                corrupt.push(pos);
-                continue;
-            }
-            if body.len() != self.body_len(meta.payload_len as usize) {
-                corrupt.push(pos);
-                continue;
-            }
             match reference {
                 None => reference = Some((meta.payload_len, meta.digest)),
                 Some((len, digest)) if len != meta.payload_len || digest != meta.digest => {
@@ -378,30 +378,30 @@ impl EcConfig {
                 }
                 Some(_) => {}
             }
-            if !valid.iter().any(|(idx, _)| *idx == meta.index) {
-                valid.push((meta.index, body));
-            }
+            present[usize::from(meta.index)].get_or_insert(body);
         }
-        if valid.len() < k {
+        // The k lowest shard indices that arrived: every data shard that
+        // arrived is among them. Any kept fragment set `reference`.
+        let kept: Vec<(u8, &[u8])> = (0..self.n)
+            .zip(present)
+            .filter_map(|(index, body)| Some((index, body?)))
+            .take(k)
+            .collect();
+        let Some((payload_len, digest)) = reference.filter(|_| kept.len() == k) else {
             return Err(EcError::NotEnough {
-                have: valid.len(),
+                have: kept.len(),
                 need: k,
             });
-        }
-        let (payload_len, digest) = reference.expect("valid fragments imply a reference header");
-        valid.sort_by_key(|(idx, _)| *idx);
-        valid.truncate(k);
+        };
 
-        let xs: Vec<u8> = valid.iter().map(|(idx, _)| *idx).collect();
-        // One interpolation row per *missing* data shard; present shards
-        // copy straight out of their fragment body.
-        let rows: Vec<Option<Vec<u8>>> = (0..self.k)
-            .map(|i| {
-                if xs.contains(&i) {
-                    None
-                } else {
-                    Some(lagrange_row(&xs, i))
-                }
+        let xs: Vec<u8> = kept.iter().map(|&(index, _)| index).collect();
+        // One interpolation row per *missing* data shard; a shard that
+        // arrived copies straight out of its body and needs none.
+        let rows: Vec<Vec<u8>> = (0..self.k)
+            .zip(present)
+            .map(|(i, body)| match body {
+                Some(_) => Vec::new(),
+                None => lagrange_row(&xs, i),
             })
             .collect();
 
@@ -411,17 +411,11 @@ impl EcConfig {
             let s = chunk.len().div_ceil(k);
             // Data shard i fills the chunk's i-th s-byte piece; a short
             // chunk has fewer than k pieces and the last may be ragged.
-            for (i, (row, dst)) in rows.iter().zip(chunk.chunks_mut(s)).enumerate() {
-                match row {
+            for ((row, shard), dst) in rows.iter().zip(present).zip(chunk.chunks_mut(s)) {
+                match shard {
+                    Some(body) => dst.copy_from_slice(&body[body_off..body_off + dst.len()]),
                     None => {
-                        let (_, body) = valid
-                            .iter()
-                            .find(|(idx, _)| *idx as usize == i)
-                            .expect("row is None only for present shards");
-                        dst.copy_from_slice(&body[body_off..body_off + dst.len()]);
-                    }
-                    Some(coeffs) => {
-                        for (&coeff, (_, body)) in coeffs.iter().zip(&valid) {
+                        for (&coeff, (_, body)) in row.iter().zip(&kept) {
                             // `dst` may be shorter than the shard at the
                             // payload tail; the kernel clamps to it.
                             gf_mul_acc(coeff, &body[body_off..body_off + s], dst);
@@ -442,11 +436,16 @@ impl EcConfig {
     }
 }
 
+/// Write the check of a fragment whose other bytes are final.
+fn seal_fragment(frag: &mut [u8]) {
+    let (header, body) = frag.split_at_mut(HEADER_LEN);
+    let check = fragment_check(header, body);
+    header[CHECK_AT..].copy_from_slice(&check);
+}
+
 fn payload_digest(payload: &[u8]) -> [u8; PAYLOAD_DIGEST_LEN] {
     let full = sha256(payload);
-    let mut digest = [0u8; PAYLOAD_DIGEST_LEN];
-    digest.copy_from_slice(&full[..PAYLOAD_DIGEST_LEN]);
-    digest
+    core::array::from_fn(|i| full[i])
 }
 
 #[cfg(test)]
@@ -566,14 +565,92 @@ mod tests {
     }
 
     /// `frag` with its check recomputed over whatever header and body it
-    /// now has: the checksum is unkeyed, so anyone can put this on the wire.
+    /// now has: the check's key is public, so anyone can put this on the wire.
     fn recheck(mut frag: Vec<u8>) -> Vec<u8> {
-        let mut check = crate::sha256::Sha256::new();
-        check.update(&frag[..HEADER_LEN - FRAGMENT_CHECK_LEN]);
-        check.update(&frag[HEADER_LEN..]);
-        frag[HEADER_LEN - FRAGMENT_CHECK_LEN..HEADER_LEN]
-            .copy_from_slice(&check.finalize()[..FRAGMENT_CHECK_LEN]);
+        seal_fragment(&mut frag);
         frag
+    }
+
+    /// Recorded on the first build with the Poly1305 check (the SHA-256
+    /// check before it gave other bytes): the check of each fragment of a
+    /// 5/3 code over 48-byte chunks, at payloads of 0, 1, 47 and 200 bytes,
+    /// read big-endian.
+    #[rustfmt::skip]
+    const CHECKS_5_3: [[u32; 5]; 4] = [
+        [0xd86e_bd30, 0xda71_3192, 0xd774_a5f3, 0xd977_1955, 0xdb7a_8db6],
+        [0xc45a_074c, 0xc65d_7bad, 0xc360_ef0e, 0xc563_6370, 0xc266_d7d1],
+        [0x013b_dfb9, 0xc5b4_4c61, 0x4b01_cf7e, 0x0b00_ebc4, 0x034f_3565],
+        [0x6949_63e7, 0x4fb4_5ab4, 0x496a_c2d1, 0xe31c_2cc4, 0x5d8c_274f],
+    ];
+
+    /// The pinned bytes, and each one the independent 26-bit-limb Poly1305
+    /// oracle's tag prefix over `header[..CHECK_AT] ‖ body`.
+    #[test]
+    fn check_bytes_are_the_ones_recorded() {
+        let cfg = EcConfig::with_chunk(5, 3, 48).unwrap();
+        let got = [0, 1, 47, 200].map(|len| {
+            let frags = cfg.encode(&sample_payload(len)).unwrap();
+            core::array::from_fn(|i| {
+                let (header, body) = frags[i].split_at(HEADER_LEN);
+                let covered = [&header[..CHECK_AT], body].concat();
+                let oracle =
+                    crate::poly1305::tests::poly1305_reference(&FRAGMENT_CHECK_KEY, &covered);
+                assert_eq!(header[CHECK_AT..], oracle[..FRAGMENT_CHECK_LEN]);
+                u32::from_be_bytes(oracle[..4].try_into().unwrap())
+            })
+        });
+        assert_eq!(got, CHECKS_5_3);
+    }
+
+    // RFC 8439's clamp. With r = 0 every check would be `s`, whatever the
+    // fragment; a small word would leave most of h's bits unmixed.
+    #[test]
+    fn the_check_key_clamps_to_a_large_r() {
+        let word =
+            |i: usize| u64::from_le_bytes(FRAGMENT_CHECK_KEY[8 * i..8 * i + 8].try_into().unwrap());
+        let r = [
+            word(0) & 0x0fff_fffc_0fff_ffff,
+            word(1) & 0x0fff_fffc_0fff_fffc,
+        ];
+        assert_eq!(r, [0x0079_7260_0d70_6174, 0x0266_2060_0520_6f74]);
+        assert!(r.iter().all(|&w| w > 1 << 48), "{r:x?}");
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_corrupt() {
+        let cfg = EcConfig::with_chunk(5, 3, 48).unwrap();
+        for len in [1, 47, 200] {
+            for frag in cfg.encode(&sample_payload(len)).unwrap() {
+                assert!(fragment_meta(&frag).is_ok());
+                for bit in 0..8 * frag.len() {
+                    let mut flipped = frag.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    assert_eq!(
+                        fragment_meta(&flipped),
+                        Err(EcError::Corrupt),
+                        "len={len} bit={bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_byte_appended_or_dropped_is_corrupt() {
+        let cfg = EcConfig::with_chunk(5, 3, 48).unwrap();
+        let payload = sample_payload(200);
+        for (victim, append) in [(1, true), (3, false)] {
+            let mut frags = cfg.encode(&payload).unwrap();
+            if append {
+                frags[victim].push(0xA5);
+            } else {
+                frags[victim].pop();
+            }
+            assert_eq!(fragment_meta(&frags[victim]), Err(EcError::Corrupt));
+            let r = cfg.reconstruct(&frags).unwrap();
+            assert_eq!(r.corrupt, vec![victim]);
+            assert_eq!(r.payload, payload);
+        }
     }
 
     fn reforge(frag: &[u8], n: u8, k: u8, index: u8, payload_len: u32) -> Vec<u8> {

@@ -28,7 +28,10 @@
 //!
 //! A key must authenticate **one** message: two tags under the same `(r, s)`
 //! give `r` away. [`crate::cipher::SymmetricKey`] draws a fresh one per
-//! `(K, nonce)` from ChaCha20 block 0.
+//! `(K, nonce)` from ChaCha20 block 0. The one deliberate exception is
+//! [`crate::ec`]'s fragment check, which runs every fragment under one
+//! fixed key published in the source: there the tag is an error-detecting
+//! code, a polynomial evaluated at a known point, and authenticates nothing.
 
 /// Key width in bytes: `r` (clamped on load) then `s`.
 pub const KEY_LEN: usize = 32;

@@ -1,6 +1,8 @@
-//! SHA-256 (FIPS 180-4). Used for password commitments `H(PW)`, HMAC, and
-//! key derivation — everywhere the workspace needs a hash that is actually
-//! collision resistant (see the note on [`crate::sha1`]).
+//! SHA-256 (FIPS 180-4). Used for a THA's password commitment `H(PW)`,
+//! HMAC-SHA-256 key derivation, the puzzles and the erasure codec's payload
+//! digest — everywhere the workspace needs a hash that is actually collision
+//! resistant (see [`crate::sha1`]). Messages are authenticated by Poly1305,
+//! and [`crate::ec`]'s fragment check is Poly1305 under a public key.
 
 /// Output width in bytes.
 pub const DIGEST_LEN: usize = 32;

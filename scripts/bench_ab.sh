@@ -2,25 +2,28 @@
 # Same-config A/B of two revisions with tap-bench: the accepted evidence for
 # a performance claim (ROADMAP item 1; benchmark/README.md has the rules).
 #
-#   scripts/bench_ab.sh <rev-a> <rev-b> [--only <workload>] [--pairs N] [--seed0 S]
+#   scripts/bench_ab.sh <a> <b> [--only <workload>] [--pairs N] [--seed0 S]
 #
-# Checks both revisions out as git worktrees under a temp dir, builds each
-# one's own benchmark/ package, runs N pairs of `tap-bench run` (pair i uses
-# seed S+i on both sides, and the sides alternate which one runs first), and
-# prints a pairs-won table and `tap-bench compare a1,…,aN b1,…,bN` — exit 1
-# if B is worse than A beyond a bound of A's BENCHMARK.json or fails more
-# ops. Needs python3. Nothing is written inside the repository; the results
-# stay in the temp dir, whose path is printed. Keep the host otherwise idle.
+# Each side is a revision of this repository or a directory holding a tree
+# of it. A revision is cloned (`git clone --shared`, detached checkout) under
+# a temp dir; a directory is used as it is, uncommitted changes included.
+# Builds each side's own benchmark/ package into the temp dir, runs N pairs
+# of `tap-bench run` (pair i uses seed S+i on both sides, and the sides
+# alternate which one runs first), and prints a pairs-won table and
+# `tap-bench compare a1,…,aN b1,…,bN` — exit 1 if B is worse than A beyond a
+# bound of A's BENCHMARK.json or fails more ops. Needs python3. Nothing is
+# written inside the repository or a directory side; the results stay in
+# the temp dir, whose path is printed. Keep the host otherwise idle.
 set -euo pipefail
 
 usage() {
-    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
 [ $# -ge 2 ] || usage
-rev_a=$1
-rev_b=$2
+side_a=$1
+side_b=$2
 shift 2
 only=()
 pairs=10
@@ -40,28 +43,36 @@ case $pairs$seed0 in *[!0-9]* | '') usage ;; esac
 
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")
+# $work/<side> is the side's tree (a clone, or a link to the directory given)
+# and $work/build_<side> its cargo target dir.
 cleanup() {
-    for side in a b; do
-        git -C "$repo" worktree remove --force "$work/$side" 2>/dev/null || true
-    done
-    git -C "$repo" worktree prune
+    rm -rf "$work/a" "$work/b" "$work/build_a" "$work/build_b"
     echo "bench_ab: results kept in $work/runs" >&2
 }
 trap cleanup EXIT
 
 for side in a b; do
-    rev=$rev_a
-    [ $side = b ] && rev=$rev_b
-    git -C "$repo" worktree add --detach --quiet "$work/$side" "$rev"
-    echo "bench_ab: building $side = $rev ($(git -C "$work/$side" rev-parse --short HEAD))" >&2
-    cargo build --release --offline --quiet --manifest-path "$work/$side/benchmark/Cargo.toml"
+    spec=$side_a
+    [ $side = b ] && spec=$side_b
+    if [ -d "$spec" ]; then
+        ln -s "$(cd "$spec" && pwd)" "$work/$side"
+        what="directory $(cd "$spec" && pwd)"
+    else
+        sha=$(git -C "$repo" rev-parse --verify --quiet "$spec^{commit}") || usage
+        git clone --quiet --shared --no-checkout "$repo" "$work/$side"
+        git -C "$work/$side" checkout --quiet --detach "$sha"
+        what="$spec ($(git -C "$work/$side" rev-parse --short HEAD))"
+    fi
+    echo "bench_ab: building $side = $what" >&2
+    cargo build --release --offline --quiet --target-dir "$work/build_$side" \
+        --manifest-path "$work/$side/benchmark/Cargo.toml"
 done
 
 run_side() { # <side> <pair>
     out=$work/runs/$1_$2/result.json
     mkdir -p "$(dirname "$out")"
-    # From the worktree, so that `run` stamps the result with that side's sha.
-    (cd "$work/$1" && ./benchmark/target/release/tap-bench run \
+    # From the side's tree, so that `run` stamps the result with its sha.
+    (cd "$work/$1" && "$work/build_$1/release/tap-bench" run \
         --seed $((seed0 + $2)) ${only[@]+"${only[@]}"} --out "$out" >/dev/null)
 }
 
@@ -106,5 +117,5 @@ for w in (w["name"] for w in bench["workloads"]):
     print(f"{w:<16} sim metrics, sim_digest and failed ops equal in {same}/{pairs} pairs")
 PY
 echo
-"$work/b/benchmark/target/release/tap-bench" compare "$(list a)" "$(list b)" \
+"$work/build_b/release/tap-bench" compare "$(list a)" "$(list b)" \
     --bounds "$work/bounds.json"

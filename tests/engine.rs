@@ -1,17 +1,21 @@
-//! The wire engine seen from outside: what `drive_timed_with_hints` puts on
-//! the wire is pinned byte for byte, and its verdict is checked against the
-//! logical driver under random fault schedules (ROADMAP item 1).
+//! The wire engine seen from outside: what `drive_timed_with_hints` and
+//! `send_striped` put on the wire is pinned byte for byte, and the
+//! single-path verdict is checked against the logical driver under random
+//! fault schedules (ROADMAP item 1). The erasure codec's fragment layout is
+//! pinned beside them, check bytes aside.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tap_core::metrics::CoreInstruments;
+use tap_core::multipath::{send_striped, MultipathConfig};
 use tap_core::netdrive::NetDriver;
 use tap_core::tha::{Tha, ThaFactory};
 use tap_core::transit::{self, HintCache, TransitError, TransitOptions};
 use tap_core::tunnel::{ReplyTunnel, Tunnel};
 use tap_core::wire::Destination;
+use tap_crypto::ec::{fragment_meta, EcConfig, EcError};
 use tap_id::Id;
 use tap_metrics::Registry;
 use tap_netsim::latency::UniformLatency;
@@ -65,6 +69,12 @@ fn tunnel(w: &mut World, initiator: Id, l: usize) -> Tunnel {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(digest: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(digest, |d, &b| (d ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// Recorded by running this test on the commit before the single-path
 /// front moved onto the flow machine (PR 22's tree, blocking `ship()`).
@@ -160,9 +170,7 @@ fn two_hundred_transfers_leave_the_same_trace() {
         }
         let stats = w.driver.network_mut().stats().clone();
         let line = format!("{result:?} {stats:?} {:?} {}", w.driver.now(), hints.len());
-        for b in line.bytes() {
-            digest = (digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        digest = fnv(digest, line.as_bytes());
     }
     assert!(
         delivered >= 100 && anchorless >= 50,
@@ -173,6 +181,130 @@ fn two_hundred_transfers_leave_the_same_trace() {
     assert_eq!(snap.counter("core.transit.giveups"), gave_up);
     assert!(snap.counter("core.transit.retries") > 0);
     assert_eq!(digest, TRACE_OF_200_TRANSFERS, "digest {digest:#018x}");
+}
+
+/// Both recorded by running these tests on the commit before the fragment
+/// check became Poly1305 under a public key (SHA-256 check, copy-out encode).
+const TRACE_OF_50_STRIPED_TRANSFERS: u64 = 0xb300_8163_f5f0_0f39;
+const FRAGMENT_LAYOUT: u64 = 0xf815_4bf2_03c7_02a7;
+
+/// 50 striped transfers through one world — a full 5/3 code over five
+/// tunnels, a degraded (4, 3) over four, and the identity-code fallback over
+/// two; payloads of 0, 1, 9 216 and 3·3 072 + 17 bytes; 10 % loss, 2 %
+/// duplication and one relay dead on the wire — leave the deliveries,
+/// reports, traffic counters and clock they left before. What a fragment
+/// carries is sealed inside its onion, so its check bytes move none of this.
+#[test]
+fn fifty_striped_transfers_leave_the_same_trace() {
+    let mut w = world(200, 0x5712);
+    w.driver
+        .network_mut()
+        .install_faults(FaultPlan::new(0x5712).with_loss(100).with_duplication(20));
+    let dead = w
+        .overlay
+        .random_node(&mut w.rng)
+        .expect("non-empty overlay");
+    w.driver.kill_node(dead);
+    let live = |w: &mut World| loop {
+        let n = w
+            .overlay
+            .random_node(&mut w.rng)
+            .expect("non-empty overlay");
+        if n != dead {
+            break n;
+        }
+    };
+
+    let mut digest = FNV_OFFSET;
+    let (mut delivered, mut fallbacks, mut failed) = (0, 0, 0);
+    for i in 0..50usize {
+        let stripes = [5, 4, 2][i % 3];
+        let len = [0, 1, 9216, 3 * 3072 + 17][(i / 3) % 4];
+        let sent: Vec<u8> = (0..len).map(|j| (j * 131 + i) as u8).collect();
+        let initiator = live(&mut w);
+        let dest = live(&mut w);
+        let tunnels: Vec<Tunnel> = (0..stripes).map(|_| tunnel(&mut w, initiator, 3)).collect();
+        let result = send_striped(
+            &mut w.driver,
+            &mut w.overlay,
+            &w.thas,
+            &mut w.rng,
+            initiator,
+            dest,
+            &tunnels,
+            &sent,
+            MultipathConfig::default(),
+            TransitOptions {
+                use_hints: false,
+                retry_budget: 3,
+            },
+            None,
+            None,
+        );
+        let line = match &result {
+            Ok(out) => {
+                delivered += 1;
+                fallbacks += usize::from(out.stripes_used == 1);
+                format!(
+                    "{} {} {} {} {:?}",
+                    out.payload == sent,
+                    out.stripes_used,
+                    out.degraded,
+                    out.corrupt_fragments,
+                    out.report
+                )
+            }
+            Err(e) => {
+                failed += 1;
+                format!("{e:?}")
+            }
+        };
+        let stats = w.driver.network_mut().stats().clone();
+        let line = format!("{line} {stats:?} {:?}", w.driver.now());
+        digest = fnv(digest, line.as_bytes());
+    }
+    assert!(
+        delivered >= 30 && fallbacks >= 5,
+        "{delivered} delivered, {fallbacks} single-path"
+    );
+    assert!(failed >= 1, "the faults never ended a transfer");
+    assert_eq!(
+        digest, TRACE_OF_50_STRIPED_TRANSFERS,
+        "digest {digest:#018x}"
+    );
+}
+
+/// Every fragment of every code in the grid is the bytes it was, bar the
+/// four check bytes (15..19, after `n, k, index`, the length and the
+/// 8-byte payload digest); and the check covers the whole header and the
+/// body: a bit flipped in `n`, the length, the digest or the last byte is
+/// caught.
+#[test]
+fn fragment_layout_is_unchanged() {
+    const CHECK: std::ops::Range<usize> = 15..19;
+    let mut digest = FNV_OFFSET;
+    for (n, k) in [(1, 1), (3, 1), (5, 3), (8, 5)] {
+        for chunk in [48, 3072] {
+            let code = EcConfig::with_chunk(n, k, chunk).expect("valid code");
+            for len in [0usize, 1, 47, 3072, 9217] {
+                let payload: Vec<u8> = (0..len).map(|j| (j * 37 + len) as u8).collect();
+                let fragments = code.encode(&payload).expect("payload fits a u32");
+                assert_eq!(fragments.len(), usize::from(n));
+                for mut f in fragments {
+                    assert_eq!(f.len(), code.fragment_len(len));
+                    assert!(fragment_meta(&f).is_ok());
+                    for at in [0, 3, 7, f.len() - 1] {
+                        f[at] ^= 1;
+                        assert_eq!(fragment_meta(&f), Err(EcError::Corrupt), "byte {at}");
+                        f[at] ^= 1;
+                    }
+                    f[CHECK].fill(0);
+                    digest = fnv(digest, &f);
+                }
+            }
+        }
+    }
+    assert_eq!(digest, FRAGMENT_LAYOUT, "digest {digest:#018x}");
 }
 
 proptest! {
