@@ -1,8 +1,10 @@
 //! Timed, message-driven tunnel transit over the emulated network.
 //!
-//! [`crate::transit::drive`] resolves a tunnel logically (who peels what, which
-//! node serves each hop); this module runs the same traversal as *actual
-//! wire traffic* through `tap-netsim`: every overlay hop is a
+//! This module holds TAP's one per-hop protocol, the flow machine: `Flow`'s
+//! next leg and its arrival (THA check, peel, follow the header). Here it
+//! runs as *actual wire traffic* through `tap-netsim`; the logical driver,
+//! [`crate::transit::drive`], steps the same machine without a wire. On
+//! the wire every overlay hop is a
 //! store-and-forward message whose size is the real onion byte count plus
 //! the application payload. Two fidelity details fall out for free:
 //!
@@ -22,10 +24,6 @@
 //! is per *transfer* (give-ups, `core.mp.*`, who saw which stripe) — the
 //! machine books only what every wire hop books alike
 //! (`core.transit.retries`, `core.transit.backoff_us`).
-//!
-//! The Fig. 6 experiment replays precomputed paths for throughput; this
-//! driver exists to validate that shortcut (see the agreement test) and to
-//! let applications measure end-to-end seconds for single flows.
 
 use tap_crypto::onion;
 use tap_id::{Id, IdHashMap};
@@ -110,14 +108,14 @@ struct Segment {
 
 /// One onion's traversal of one tunnel: where it is, what it still has to
 /// do, what it has cost so far and — once over — how it ended.
-struct Flow {
-    current: Id,
-    hop: Id,
+pub(crate) struct Flow {
+    pub(crate) current: Id,
+    pub(crate) hop: Id,
     /// Node the segment in flight ships toward: `hop`'s root (the THA check
     /// on arrival must test the root the segment was routed to), or the
-    /// destination on the delivery leg.
+    /// destination on the delivery leg. Between legs it is `current`.
     root: Id,
-    hint: Option<Id>,
+    pub(crate) hint: Option<Id>,
     /// One buffer for the whole traversal: every peel is one in-place
     /// cipher pass, and the shrinking region is also the wire size.
     onion: onion::LayerBuf,
@@ -125,19 +123,19 @@ struct Flow {
     /// path); zero for a stripe.
     payload_bytes: u64,
     /// Set once the tail hop revealed the delivery header.
-    delivering: Option<Destination>,
+    pub(crate) delivering: Option<Destination>,
     segment: Option<Segment>,
     /// What this flow alone has cost; `elapsed` is the front's to fill.
-    report: TimedReport,
+    pub(crate) report: TimedReport,
     /// Watchdog resends (a demoted hint is not one).
     retries: u64,
     /// `None` while on the wire — and for good, if the transfer was
     /// decided without this flow.
-    end: Option<Result<Delivery, TransitError>>,
+    pub(crate) end: Option<Result<Delivery, TransitError>>,
 }
 
 impl Flow {
-    fn new(from: Id, entry_hop: Id, onion_bytes: Vec<u8>, payload_bytes: u64) -> Flow {
+    pub(crate) fn new(from: Id, entry_hop: Id, onion_bytes: Vec<u8>, payload_bytes: u64) -> Flow {
         Flow {
             current: from,
             hop: entry_hop,
@@ -154,9 +152,7 @@ impl Flow {
     }
 
     /// The next segment's [`Leg`], fixing `root`, the node it ships toward.
-    /// No oracle is consulted about a hint: a real initiator cannot know it
-    /// went stale except by the attempt timing out.
-    fn next_leg(
+    pub(crate) fn next_leg(
         &mut self,
         overlay: &mut impl KeyRouter,
         use_hints: bool,
@@ -175,19 +171,33 @@ impl Flow {
                 Ok(Leg::Routed(path))
             }
             None => {
-                self.root = overlay.owner_of(self.hop).ok_or(RouteError::EmptyOverlay)?;
-                match self.hint {
-                    Some(h) if use_hints && h != self.current => Ok(Leg::Direct([self.current, h])),
-                    _ => Ok(Leg::Routed(overlay.route_path(self.current, self.hop)?)),
-                }
+                let root = overlay.owner_of(self.hop).ok_or(RouteError::EmptyOverlay)?;
+                self.hop_leg(overlay, use_hints, root)
             }
+        }
+    }
+
+    /// The leg toward `root`, the node serving hop `hop`: straight to a §5
+    /// hint, or a route by hopid. No oracle is consulted about a hint: a
+    /// real initiator cannot know it went stale except by the attempt
+    /// timing out.
+    pub(crate) fn hop_leg(
+        &mut self,
+        overlay: &mut impl KeyRouter,
+        use_hints: bool,
+        root: Id,
+    ) -> Result<Leg, TransitError> {
+        self.root = root;
+        match self.hint {
+            Some(h) if use_hints && h != self.current => Ok(Leg::Direct([self.current, h])),
+            _ => Ok(Leg::Routed(overlay.route_path(self.current, self.hop)?)),
         }
     }
 
     /// The onion arrived at `root`: on the delivery leg hand over the core;
     /// for hop `hop` run the THA check, peel one layer, follow the header.
     /// Returns whether the flow has another segment to launch.
-    fn arrive(&mut self, thas: &ReplicaStore<Tha>) -> bool {
+    pub(crate) fn arrive(&mut self, thas: &ReplicaStore<Tha>) -> bool {
         if self.delivering.is_some() {
             self.end = Some(Ok(Delivery::ToDestination {
                 node: self.root,
@@ -228,9 +238,21 @@ impl Flow {
 
 /// The nodes a segment visits: one hop straight to a known address (the
 /// destination node, or a §5 attempt at a hinted one) or a route by key.
-enum Leg {
+pub(crate) enum Leg {
     Direct([Id; 2]),
     Routed(Vec<Id>),
+}
+
+impl Leg {
+    /// The nodes visited, from where the onion is: a direct leg to the
+    /// node it already sits on visits nothing beyond it.
+    pub(crate) fn path(&self) -> &[Id] {
+        match self {
+            Leg::Direct(pair) if pair[0] == pair[1] => &pair[..1],
+            Leg::Direct(pair) => pair,
+            Leg::Routed(path) => path,
+        }
+    }
 }
 
 /// The in-flight segment `hit` matches, and the index of its flow.
@@ -321,35 +343,12 @@ impl<L: LatencyModel> NetDriver<L> {
 
     /// Drive `onion_bytes` (plus `payload_bytes` of application data
     /// travelling alongside, e.g. a file on a reply path) through the
-    /// tunnel starting at `entry_hop`, as timed wire traffic.
-    #[allow(clippy::too_many_arguments)]
-    pub fn drive_timed(
-        &mut self,
-        overlay: &mut impl KeyRouter,
-        thas: &ReplicaStore<Tha>,
-        from: Id,
-        entry_hop: Id,
-        onion_bytes: Vec<u8>,
-        payload_bytes: u64,
-        options: TransitOptions,
-    ) -> Result<(Delivery, TimedReport), TransitError> {
-        self.drive_timed_with_hints(
-            overlay,
-            thas,
-            from,
-            entry_hop,
-            onion_bytes,
-            payload_bytes,
-            options,
-            None,
-        )
-    }
-
-    /// [`NetDriver::drive_timed`] with an initiator-side [`HintCache`] to
-    /// demote through. The §5 fallback at wire fidelity: a hinted direct
-    /// hop that *times out* (hinted node overlay-live but crashed or
-    /// partitioned on the wire) evicts the hint and re-ships the segment
-    /// via overlay routing, instead of giving up on the whole traversal.
+    /// tunnel starting at `entry_hop`, as timed wire traffic, demoting
+    /// through the initiator-side [`HintCache`] if one is given. The §5
+    /// fallback at wire fidelity: a hinted direct hop that *times out*
+    /// (hinted node overlay-live but crashed or partitioned on the wire)
+    /// evicts the hint and re-ships the segment via overlay routing,
+    /// instead of giving up on the whole traversal.
     ///
     /// The single-path front of `NetDriver::run` (one `Flow`, `need = 1`):
     /// an anchorless root is a delivery (the §4 `bid` terminal), and only a
@@ -759,7 +758,7 @@ mod tests {
         let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"payload", None);
         let (delivery, timed) = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -767,6 +766,7 @@ mod tests {
                 onion,
                 0,
                 TransitOptions::default(),
+                None,
             )
             .unwrap();
         match delivery {
@@ -785,8 +785,8 @@ mod tests {
 
     #[test]
     fn agrees_with_logical_transit_on_path_shape() {
-        // drive_timed and transit::drive must agree on which nodes carry
-        // the message and on the terminal delivery.
+        // The wire and transit::drive must agree on which nodes carry the
+        // message and on the terminal delivery.
         let mut fx = fixture(250, 2);
         let t = tunnel(&mut fx, 4);
         let dest = loop {
@@ -807,7 +807,7 @@ mod tests {
         .unwrap();
         let (d_timed, timed) = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -815,6 +815,7 @@ mod tests {
                 onion,
                 0,
                 TransitOptions::default(),
+                None,
             )
             .unwrap();
         assert_eq!(d_logical, d_timed);
@@ -839,7 +840,7 @@ mod tests {
         let outer_len = onion.len() as u64;
         let (_, timed) = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -847,6 +848,7 @@ mod tests {
                 onion,
                 0,
                 TransitOptions::default(),
+                None,
             )
             .unwrap();
         assert!(
@@ -871,7 +873,7 @@ mod tests {
         let onion_plain = t.build_onion(&mut fx.rng, Destination::Node(dest), b"f", None);
         let (_, plain) = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -879,12 +881,13 @@ mod tests {
                 onion_plain,
                 250_000,
                 TransitOptions::default(),
+                None,
             )
             .unwrap();
         let onion_hinted = t.build_onion(&mut fx.rng, Destination::Node(dest), b"f", Some(&hints));
         let (_, hinted) = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -892,6 +895,7 @@ mod tests {
                 onion_hinted,
                 250_000,
                 TransitOptions::hinted(),
+                None,
             )
             .unwrap();
         assert!(
@@ -922,7 +926,7 @@ mod tests {
         let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"hard", None);
         let (delivery, timed) = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -933,6 +937,7 @@ mod tests {
                     retry_budget: 8,
                     ..TransitOptions::default()
                 },
+                None,
             )
             .unwrap();
         assert!(matches!(delivery, Delivery::ToDestination { .. }));
@@ -963,7 +968,7 @@ mod tests {
         let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"x", None);
         let err = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -974,6 +979,7 @@ mod tests {
                     retry_budget: 2,
                     ..TransitOptions::default()
                 },
+                None,
             )
             .unwrap_err();
         match err {
@@ -1001,7 +1007,7 @@ mod tests {
         let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"dup", None);
         let (delivery, timed) = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -1009,6 +1015,7 @@ mod tests {
                 onion,
                 0,
                 TransitOptions::default(),
+                None,
             )
             .unwrap();
         match delivery {
@@ -1414,7 +1421,7 @@ mod tests {
         let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"x", None);
         let err = fx
             .driver
-            .drive_timed(
+            .drive_timed_with_hints(
                 &mut fx.overlay,
                 &fx.thas,
                 fx.initiator,
@@ -1422,6 +1429,7 @@ mod tests {
                 onion,
                 250_000,
                 TransitOptions::default(),
+                None,
             )
             .unwrap_err();
         assert_eq!(err, TransitError::ThaLost { hopid: victim });

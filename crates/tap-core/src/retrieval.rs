@@ -69,13 +69,14 @@ impl std::fmt::Display for RetrievalError {
 
 impl std::error::Error for RetrievalError {}
 
-/// Metrics from one retrieval.
-#[derive(Debug, Clone, Default)]
-pub struct RetrievalReport {
-    /// Transit metrics of the request along `T_f` (plus the tail → R hop).
-    pub forward: TransitReport,
-    /// Transit metrics of the reply along `T_r`.
-    pub reply: TransitReport,
+/// Metrics from one retrieval: [`TransitReport`]s from [`retrieve`],
+/// [`TimedReport`]s from [`retrieve_timed`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RetrievalReport<T = TransitReport> {
+    /// Transit of the request along `T_f` (plus the tail → R hop).
+    pub forward: T,
+    /// Transit of the reply along `T_r`.
+    pub reply: T,
     /// Size of the encrypted file payload on the reply path, in bytes.
     pub reply_bytes: usize,
 }
@@ -192,96 +193,20 @@ pub fn retrieve<R: Rng + ?Sized, O: KeyRouter>(
     fwd: &Tunnel,
     rev: &Tunnel,
     bid: Id,
-    hints: Option<&crate::transit::HintCache>,
+    hints: Option<&HintCache>,
     options: TransitOptions,
 ) -> Result<(Vec<u8>, RetrievalReport), RetrievalError> {
-    // The temporary keypair K_I — fresh per retrieval so replies cannot be
-    // linked across requests.
-    let k_i = KeyPair::generate(rng);
-    let reply_tunnel = ReplyTunnel::build(rng, rev, bid, 96, hints);
-
-    let request = Request {
-        fid,
-        reply_key: k_i.public(),
-        reply_entry: reply_tunnel.entry_hopid,
-        reply_onion: reply_tunnel.onion.clone(),
-    };
-    let onion = fwd.build_onion_instrumented(
+    let request = request(rng, ctx.metrics, fid, fwd, rev, bid, hints);
+    let (thas, metrics) = (ctx.thas, ctx.metrics);
+    exchange(
         rng,
-        Destination::KeyRoot(fid),
-        &request.encode(),
-        hints,
-        ctx.metrics,
-    );
-
-    // ---- forward path ----
-    let (delivery, forward_report) = transit::drive_instrumented(
-        ctx.overlay,
-        ctx.thas,
+        ctx,
         initiator,
-        fwd.entry_hopid(),
-        onion,
-        options,
-        ctx.metrics,
+        request,
+        |overlay, from, entry, onion, _| {
+            transit::drive_instrumented(overlay, thas, from, entry, onion, options, metrics)
+        },
     )
-    .map_err(RetrievalError::Forward)?;
-    let (responder, request_bytes) = match delivery {
-        Delivery::ToDestination { node, core } => (node, core),
-        Delivery::AtAnchorlessRoot { .. } => return Err(RetrievalError::Corrupt),
-    };
-
-    // ---- responder R ----
-    let request = Request::decode(&request_bytes).ok_or(RetrievalError::Corrupt)?;
-    let record = ctx
-        .files
-        .get(request.fid)
-        .ok_or(RetrievalError::NoSuchFile { fid: request.fid })?;
-    debug_assert!(
-        record.holders.contains(&responder),
-        "the forward tunnel delivered to the fid root, which must hold it"
-    );
-    let reply = seal_reply(rng, &record.value.data, &request.reply_key);
-    let reply_bytes = reply.len();
-
-    // ---- reply path ----
-    let (delivery, reply_report) = transit::drive_instrumented(
-        ctx.overlay,
-        ctx.thas,
-        responder,
-        request.reply_entry,
-        request.reply_onion,
-        options,
-        ctx.metrics,
-    )
-    .map_err(RetrievalError::Reply)?;
-    let landed = match delivery {
-        Delivery::AtAnchorlessRoot { node, .. } => node,
-        Delivery::ToDestination { .. } => return Err(RetrievalError::Corrupt),
-    };
-    if landed != initiator {
-        return Err(RetrievalError::Misdelivered { node: landed });
-    }
-
-    // ---- initiator decrypts ----
-    let file = open_reply(&k_i, reply)?;
-
-    let report = RetrievalReport {
-        reply_bytes,
-        forward: forward_report,
-        reply: reply_report,
-    };
-    Ok((file, report))
-}
-
-/// Wire-level metrics from one timed retrieval.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimedRetrievalReport {
-    /// Timed transit of the request along `T_f`.
-    pub forward: TimedReport,
-    /// Timed transit of the reply along `T_r`.
-    pub reply: TimedReport,
-    /// Size of the encrypted file payload on the reply path, in bytes.
-    pub reply_bytes: usize,
 }
 
 /// [`retrieve`] as timed wire traffic through a [`NetDriver`]: both the
@@ -301,67 +226,97 @@ pub fn retrieve_timed<R: Rng + ?Sized, O: KeyRouter, L: LatencyModel>(
     bid: Id,
     mut hints: Option<&mut HintCache>,
     options: TransitOptions,
-) -> Result<(Vec<u8>, TimedRetrievalReport), RetrievalError> {
-    let k_i = KeyPair::generate(rng);
-    let reply_tunnel = ReplyTunnel::build(rng, rev, bid, 96, hints.as_deref());
+) -> Result<(Vec<u8>, RetrievalReport<TimedReport>), RetrievalError> {
+    // Built while the cache is only read; driving may demote through it.
+    let request = request(rng, ctx.metrics, fid, fwd, rev, bid, hints.as_deref());
+    let thas = ctx.thas;
+    exchange(
+        rng,
+        ctx,
+        initiator,
+        request,
+        |overlay, from, entry, onion, payload| {
+            let hints = hints.as_deref_mut();
+            driver
+                .drive_timed_with_hints(overlay, thas, from, entry, onion, payload, options, hints)
+        },
+    )
+}
 
+/// The initiator's opening move, drawing from `rng` in this order: the
+/// temporary key pair `K_I` (fresh per retrieval, so replies cannot be
+/// linked across requests), the reply tunnel `T_r` to `bid`, and the
+/// forward onion carrying `(fid, K_I, T_r)` to `fid`'s root. Returns `K_I`,
+/// the forward tunnel's entry and the onion.
+fn request<R: Rng + ?Sized>(
+    rng: &mut R,
+    metrics: Option<&CoreInstruments>,
+    fid: Id,
+    fwd: &Tunnel,
+    rev: &Tunnel,
+    bid: Id,
+    hints: Option<&HintCache>,
+) -> (KeyPair, Id, Vec<u8>) {
+    let k_i = KeyPair::generate(rng);
+    let reply_tunnel = ReplyTunnel::build(rng, rev, bid, 96, hints);
     let request = Request {
         fid,
         reply_key: k_i.public(),
         reply_entry: reply_tunnel.entry_hopid,
-        reply_onion: reply_tunnel.onion.clone(),
+        reply_onion: reply_tunnel.onion,
     };
-    let onion = fwd.build_onion_instrumented(
-        rng,
-        Destination::KeyRoot(fid),
-        &request.encode(),
-        hints.as_deref(),
-        ctx.metrics,
-    );
+    let core = request.encode();
+    let onion = fwd.build_onion_instrumented(rng, Destination::KeyRoot(fid), &core, hints, metrics);
+    (k_i, fwd.entry_hopid(), onion)
+}
 
-    // ---- forward path (on the wire) ----
-    let (delivery, forward_report) = driver
-        .drive_timed_with_hints(
-            ctx.overlay,
-            ctx.thas,
-            initiator,
-            fwd.entry_hopid(),
-            onion,
-            0,
-            options,
-            hints.as_deref_mut(),
-        )
-        .map_err(RetrievalError::Forward)?;
-    let (responder, request_bytes) = match delivery {
-        Delivery::ToDestination { node, core } => (node, core),
-        Delivery::AtAnchorlessRoot { .. } => return Err(RetrievalError::Corrupt),
+/// The rest of §4 once the request is built: `drive(overlay, from, entry
+/// hopid, onion, payload bytes)` carries the request from the initiator to
+/// the responder `R`, `R` seals the file, `drive` carries the reply back
+/// with the file alongside, and the initiator opens it. The two fronts
+/// differ only in `drive`.
+fn exchange<R: Rng + ?Sized, O: KeyRouter, T>(
+    rng: &mut R,
+    ctx: &mut RetrievalContext<'_, O>,
+    initiator: Id,
+    (k_i, entry, onion): (KeyPair, Id, Vec<u8>),
+    mut drive: impl FnMut(&mut O, Id, Id, Vec<u8>, u64) -> Result<(Delivery, T), TransitError>,
+) -> Result<(Vec<u8>, RetrievalReport<T>), RetrievalError> {
+    // ---- forward path ----
+    let (delivery, forward) =
+        drive(ctx.overlay, initiator, entry, onion, 0).map_err(RetrievalError::Forward)?;
+    let Delivery::ToDestination {
+        node: responder,
+        core,
+    } = delivery
+    else {
+        return Err(RetrievalError::Corrupt);
     };
 
     // ---- responder R ----
-    let request = Request::decode(&request_bytes).ok_or(RetrievalError::Corrupt)?;
+    let request = Request::decode(&core).ok_or(RetrievalError::Corrupt)?;
     let record = ctx
         .files
         .get(request.fid)
         .ok_or(RetrievalError::NoSuchFile { fid: request.fid })?;
+    debug_assert!(
+        record.holders.contains(&responder),
+        "the forward tunnel delivered to the fid root, which must hold it"
+    );
     let reply = seal_reply(rng, &record.value.data, &request.reply_key);
     let reply_bytes = reply.len();
 
-    // ---- reply path (on the wire, the file travelling alongside) ----
-    let (delivery, reply_report) = driver
-        .drive_timed_with_hints(
-            ctx.overlay,
-            ctx.thas,
-            responder,
-            request.reply_entry,
-            request.reply_onion,
-            reply_bytes as u64,
-            options,
-            hints,
-        )
-        .map_err(RetrievalError::Reply)?;
-    let landed = match delivery {
-        Delivery::AtAnchorlessRoot { node, .. } => node,
-        Delivery::ToDestination { .. } => return Err(RetrievalError::Corrupt),
+    // ---- reply path, the file travelling alongside ----
+    let (delivery, reply_report) = drive(
+        ctx.overlay,
+        responder,
+        request.reply_entry,
+        request.reply_onion,
+        reply_bytes as u64,
+    )
+    .map_err(RetrievalError::Reply)?;
+    let Delivery::AtAnchorlessRoot { node: landed, .. } = delivery else {
+        return Err(RetrievalError::Corrupt);
     };
     if landed != initiator {
         return Err(RetrievalError::Misdelivered { node: landed });
@@ -369,11 +324,10 @@ pub fn retrieve_timed<R: Rng + ?Sized, O: KeyRouter, L: LatencyModel>(
 
     // ---- initiator decrypts ----
     let file = open_reply(&k_i, reply)?;
-
-    let report = TimedRetrievalReport {
-        reply_bytes,
-        forward: forward_report,
+    let report = RetrievalReport {
+        forward,
         reply: reply_report,
+        reply_bytes,
     };
     Ok((file, report))
 }

@@ -13,17 +13,27 @@
 //! back to routing transparently. The [`HintCache`] is the initiator-side
 //! "cache of the mappings between a tunnel hop hopid and the IP address of
 //! its tunnel hop node".
+//!
+//! One protocol, two fronts. The per-hop protocol is written once, as the
+//! flow machine of [`crate::netdrive`]: a flow's next leg (a route by
+//! hopid, a direct hop to a hinted node or the destination) and its arrival
+//! (THA check, peel, follow the header). The timed front puts each leg on
+//! the emulated wire, where a stale hint is learnt by timeout. The logical
+//! front here, [`drive`], takes each leg at once and decides by oracle what
+//! it cannot wait for: a hint is good only while its node is live and the
+//! hop's root, a hop whose root holds no replica is [`TransitError::ThaLost`]
+//! before anything is routed, and the [`TransitReport`] (node path, hint
+//! hits and misses), takeovers and per-peel timings are its to keep.
 
 use std::time::Instant;
 
-use tap_crypto::onion;
 use tap_id::{Id, IdHashMap};
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::{KeyRouter, RouteError};
 
 use crate::metrics::CoreInstruments;
+use crate::netdrive::Flow;
 use crate::tha::Tha;
-use crate::wire::{Destination, HopHeader};
 
 /// Initiator-side cache: hopid → the node last seen serving that hop.
 ///
@@ -231,6 +241,11 @@ pub fn drive(
 
 /// [`drive`], recording per-layer decrypt timings, replica takeovers and
 /// hint-retry counts into `instruments` when provided.
+///
+/// The wire engine's flow machine stepped without a wire: every leg the
+/// machine decides is taken at once and counted into the report, then
+/// `Flow::arrive` peels and follows the header. In front of the machine
+/// sit the decisions only an oracle can make (`resolve_hop`).
 #[allow(clippy::too_many_arguments)]
 pub fn drive_instrumented(
     overlay: &mut impl KeyRouter,
@@ -241,46 +256,63 @@ pub fn drive_instrumented(
     options: TransitOptions,
     instruments: Option<&CoreInstruments>,
 ) -> Result<(Delivery, TransitReport), TransitError> {
+    let mut flow = Flow::new(from, entry_hop, onion_bytes, 0);
     let mut report = TransitReport {
         node_path: vec![from],
         ..TransitReport::default()
     };
-    let mut current_node = from;
-    let mut hop = entry_hop;
-    let mut hint: Option<Id> = None;
-    // One buffer for the whole traversal: each hop's peel is a single
-    // in-place cipher pass, the header a borrowed view.
-    let mut onion = onion::LayerBuf::from_vec(onion_bytes);
-
     loop {
-        // Resolve the hopid to the node currently serving it.
-        let root = overlay.owner_of(hop).ok_or(RouteError::EmptyOverlay)?;
-
-        let Some(record) = thas.get(hop) else {
-            // No THA was ever anchored here: this is a terminal identifier
-            // (a reply tunnel's bid). Route the message to its root.
-            self_route(
-                overlay,
-                current_node,
-                hop,
-                root,
-                hint,
-                &mut report,
-                options,
-                instruments,
-            )?;
-            return Ok((
-                Delivery::AtAnchorlessRoot {
-                    node: root,
-                    residue: onion.into_vec(),
-                },
-                report,
-            ));
+        let leg = if flow.delivering.is_some() {
+            Some(flow.next_leg(overlay, options.use_hints)?)
+        } else {
+            let root = resolve_hop(overlay, thas, &mut flow, &mut report, options, instruments)?;
+            root.map(|root| flow.hop_leg(overlay, options.use_hints, root))
+                .transpose()?
         };
+        if let Some(leg) = leg {
+            let onward = leg.path().get(1..).unwrap_or_default();
+            report.overlay_hops += onward.len();
+            report.node_path.extend_from_slice(onward);
+        }
+        let peel_started = instruments.map(|_| Instant::now());
+        flow.arrive(thas);
+        // A hop's arrival peels a layer; the delivery leg's hands the core over.
+        if let (Some(ins), Some(t0)) = (instruments, peel_started) {
+            if flow.report.hops_resolved > report.hops_resolved {
+                ins.onion_peel_us.record(t0.elapsed().as_micros() as u64);
+            }
+        }
+        report.hops_resolved = flow.report.hops_resolved;
+        if let Some(end) = flow.end.take() {
+            return end.map(|delivery| (delivery, report));
+        }
+    }
+}
 
-        // Fault-tolerance check: the root serves the hop only if it holds
-        // a replica. If every holder failed simultaneously, the THA — and
-        // with it the tunnel — is lost (no repair has run yet).
+/// What the logical front decides for hop `flow.hop` before it is routed,
+/// by oracle, since there is no wire to learn it from:
+///
+/// * the hop's current root must hold a THA replica, or every holder has
+///   failed and the tunnel is lost ([`TransitError::ThaLost`], with nothing
+///   routed); a root other than the deposit-time one is a takeover;
+/// * a §5 hint is good only if its node is alive and still the root — a
+///   stale one is a miss and a retry, dropped so the hop is routed by id.
+///
+/// Returns the root to take the hop's leg to, or `None` when a good hint
+/// names the node the onion already sits on and there is no leg to take.
+fn resolve_hop(
+    overlay: &impl KeyRouter,
+    thas: &ReplicaStore<Tha>,
+    flow: &mut Flow,
+    report: &mut TransitReport,
+    options: TransitOptions,
+    instruments: Option<&CoreInstruments>,
+) -> Result<Option<Id>, TransitError> {
+    let hop = flow.hop;
+    let root = overlay.owner_of(hop).ok_or(RouteError::EmptyOverlay)?;
+    // No record: a terminal identifier that anchors nothing (a reply
+    // tunnel's bid), routed to like any hop.
+    if let Some(record) = thas.get(hop) {
         if !record.holders.contains(&root) {
             return Err(TransitError::ThaLost { hopid: hop });
         }
@@ -291,111 +323,22 @@ pub fn drive_instrumented(
                 ins.record_takeover(hop, root);
             }
         }
-
-        self_route(
-            overlay,
-            current_node,
-            hop,
-            root,
-            hint,
-            &mut report,
-            options,
-            instruments,
-        )?;
-        current_node = root;
-
-        // The hop node peels one layer with its replica's key, in place.
-        let peel_started = instruments.map(|_| Instant::now());
-        let header_bytes = onion
-            .peel(&record.value.key)
-            .map_err(|_| TransitError::BadLayer { hopid: hop })?;
-        if let (Some(ins), Some(t0)) = (instruments, peel_started) {
-            ins.onion_peel_us.record(t0.elapsed().as_micros() as u64);
-        }
-        let header =
-            HopHeader::decode(header_bytes).map_err(|_| TransitError::BadLayer { hopid: hop })?;
-        report.hops_resolved += 1;
-
-        match header {
-            HopHeader::Forward {
-                next_hop,
-                hint: next_hint,
-            } => {
-                hop = next_hop;
-                hint = next_hint;
-            }
-            HopHeader::Deliver { dest } => {
-                let node = match dest {
-                    Destination::Node(n) => {
-                        if !overlay.is_live(n) {
-                            return Err(TransitError::DeadDestination { node: n });
-                        }
-                        // Tail relays directly to D (one logical hop).
-                        report.overlay_hops += 1;
-                        report.node_path.push(n);
-                        n
-                    }
-                    Destination::KeyRoot(key) => {
-                        let path = overlay.route_path(current_node, key)?;
-                        // Routers return at least the start node; a router
-                        // that violates that mid-churn is a routing fault,
-                        // not a reason to take the process down.
-                        let Some(&root) = path.last() else {
-                            return Err(RouteError::EmptyOverlay.into());
-                        };
-                        report.overlay_hops += path.len() - 1;
-                        report.node_path.extend(path.into_iter().skip(1));
-                        root
-                    }
-                };
-                return Ok((
-                    Delivery::ToDestination {
-                        node,
-                        core: onion.into_vec(),
-                    },
-                    report,
-                ));
-            }
-        }
     }
-}
-
-/// Move from `current` to the root of `hop` (already resolved by the
-/// caller), preferring a fresh hint.
-#[allow(clippy::too_many_arguments)]
-fn self_route(
-    overlay: &mut impl KeyRouter,
-    current: Id,
-    hop: Id,
-    root: Id,
-    hint: Option<Id>,
-    report: &mut TransitReport,
-    options: TransitOptions,
-    instruments: Option<&CoreInstruments>,
-) -> Result<(), TransitError> {
-    if options.use_hints {
-        if let Some(h) = hint {
-            // "It first tries the IP address; if it fails, then routes the
-            // message to the tunnel hop node corresponding to the hopid."
-            // A hint is good when the node is alive *and* still the root.
-            if overlay.is_live(h) && root == h {
-                report.hint_hits += 1;
-                if h != current {
-                    report.overlay_hops += 1;
-                    report.node_path.push(h);
-                }
-                return Ok(());
-            }
-            report.hint_misses += 1;
-            if let Some(ins) = instruments {
-                ins.transit_retries.inc();
-            }
-        }
+    let Some(hint) = flow.hint.filter(|_| options.use_hints) else {
+        return Ok(Some(root));
+    };
+    // "It first tries the IP address; if it fails, then routes the message
+    // to the tunnel hop node corresponding to the hopid."
+    if overlay.is_live(hint) && hint == root {
+        report.hint_hits += 1;
+        return Ok((hint != flow.current).then_some(root));
     }
-    let path = overlay.route_path(current, hop)?;
-    report.overlay_hops += path.len().saturating_sub(1);
-    report.node_path.extend(path.into_iter().skip(1));
-    Ok(())
+    report.hint_misses += 1;
+    if let Some(ins) = instruments {
+        ins.transit_retries.inc();
+    }
+    flow.hint = None;
+    Ok(Some(root))
 }
 
 #[cfg(test)]
@@ -403,6 +346,7 @@ mod tests {
     use super::*;
     use crate::tha::ThaFactory;
     use crate::tunnel::{ReplyTunnel, Tunnel};
+    use crate::wire::Destination;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tap_pastry::{Overlay, PastryConfig};

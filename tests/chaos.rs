@@ -427,7 +427,8 @@ fn partitioned_endpoints_cannot_be_reached_until_heal() {
         retry_budget: 1,
         ..TransitOptions::default()
     };
-    let pre = driver.drive_timed(&mut overlay, &thas, b, hopid, vec![0u8; 64], 0, opts);
+    let pre =
+        driver.drive_timed_with_hints(&mut overlay, &thas, b, hopid, vec![0u8; 64], 0, opts, None);
     assert!(pre.is_ok(), "clean wire must deliver");
 
     driver.network_mut().partition("ab", &[ea], &[eb]);
@@ -435,14 +436,32 @@ fn partitioned_endpoints_cannot_be_reached_until_heal() {
     // cross the (now severed) a—b link.
     let root = overlay.owner_of(hopid).unwrap();
     let from = if root == a { b } else { a };
-    let cut = driver.drive_timed(&mut overlay, &thas, from, hopid, vec![0u8; 64], 0, opts);
+    let cut = driver.drive_timed_with_hints(
+        &mut overlay,
+        &thas,
+        from,
+        hopid,
+        vec![0u8; 64],
+        0,
+        opts,
+        None,
+    );
     assert!(
         matches!(cut, Err(TransitError::RetriesExhausted { .. })),
         "traffic across the cut must time out, got {cut:?}"
     );
 
     assert!(driver.network_mut().heal("ab"));
-    let post = driver.drive_timed(&mut overlay, &thas, from, hopid, vec![0u8; 64], 0, opts);
+    let post = driver.drive_timed_with_hints(
+        &mut overlay,
+        &thas,
+        from,
+        hopid,
+        vec![0u8; 64],
+        0,
+        opts,
+        None,
+    );
     assert!(post.is_ok(), "healed wire must deliver again");
     assert!(registry.snapshot().counter("core.transit.giveups") >= 1);
 }
