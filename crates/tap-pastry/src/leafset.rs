@@ -8,8 +8,10 @@
 //! under churn by [`crate::Overlay`].
 //!
 //! Each side is an exact-size `Arc`-shared slice: cloning a leaf set is two
-//! pointer bumps, and a mutation replaces only the one side it changes —
-//! the copy-on-write contract overlay snapshots rely on. The farthest
+//! pointer bumps, and a mutation writes only the one side it changes — in
+//! place when no clone shares that side, else into a fresh allocation — the
+//! copy-on-write contract overlay snapshots rely on. [`LeafSet::rebuild`],
+//! the overlay's writer, compares each side before writing it. The farthest
 //! member of each side is cached inline, so the span test every forwarding
 //! step makes ([`LeafSet::covers`]) reads no heap.
 
@@ -75,37 +77,43 @@ impl LeafSet {
         self.len() == 0
     }
 
-    /// Install one side and its cached edge.
-    fn set_side(&mut self, cw_side: bool, ids: Arc<[Id]>) {
-        let edge = ids.last().copied().unwrap_or(self.owner);
-        if cw_side {
-            (self.cw, self.cw_edge) = (ids, edge);
+    /// Install one side and its cached edge: in place when this set alone
+    /// holds the side and its length stays, else in a fresh allocation.
+    fn set_side(&mut self, cw_side: bool, ids: &[Id]) {
+        let (side, edge) = if cw_side {
+            (&mut self.cw, &mut self.cw_edge)
         } else {
-            (self.ccw, self.ccw_edge) = (ids, edge);
+            (&mut self.ccw, &mut self.ccw_edge)
+        };
+        match Arc::get_mut(side) {
+            Some(own) if own.len() == ids.len() => own.copy_from_slice(ids),
+            _ => *side = ids.into(),
         }
+        *edge = ids.last().copied().unwrap_or(self.owner);
     }
 
-    /// Replace the whole set from an authoritative neighbour listing.
-    ///
-    /// `cw`/`ccw` must be sorted nearest-first; trimmed to `half` per side.
-    /// On rings smaller than `2·half + 1` the two directions overlap; each
-    /// node is kept only on its clockwise side so that [`LeafSet::len`]
-    /// counts *distinct* members — routing uses `len < 2·half` to recognize
-    /// a ring it can see in its entirety.
-    pub fn rebuild(&mut self, cw: Vec<Id>, ccw: Vec<Id>) {
-        debug_assert!(is_sorted_by_cw_distance(self.owner, &cw));
-        debug_assert!(is_sorted_by_ccw_distance(self.owner, &ccw));
-        let mut cw = cw;
-        cw.truncate(self.half);
-        let mut ccw = ccw;
-        ccw.retain(|id| !cw.contains(id));
-        ccw.truncate(self.half);
-        // A no-op rebuild keeps both sides shared with any snapshot.
+    /// Replace the whole set from the ring's ids on each side of the owner,
+    /// nearest first, trimmed to `half` per side. On rings smaller than
+    /// `2·half + 1` the sides overlap in a run at the far end of `ccw`, so
+    /// only when `ccw`'s last id is on the clockwise side is that run cut:
+    /// [`LeafSet::len`] counts *distinct* members, and routing uses
+    /// `len < 2·half` to recognize a ring it can see in its entirety.
+    pub fn rebuild(&mut self, cw: &[Id], ccw: &[Id]) {
+        debug_assert!(is_sorted_by_cw_distance(self.owner, cw));
+        debug_assert!(is_sorted_by_ccw_distance(self.owner, ccw));
+        let cw = &cw[..cw.len().min(self.half)];
+        let mut ccw = &ccw[..ccw.len().min(self.half)];
+        if ccw.last().is_some_and(|x| cw.contains(x)) {
+            ccw = &ccw[..ccw.iter().take_while(|x| !cw.contains(x)).count()];
+        }
+        debug_assert!(ccw.iter().all(|x| !cw.contains(x)), "sides of one ring");
+        // A side that does not change is not written, so it stays shared
+        // with any snapshot.
         if *self.cw != *cw {
-            self.set_side(true, cw.into());
+            self.set_side(true, cw);
         }
         if *self.ccw != *ccw {
-            self.set_side(false, ccw.into());
+            self.set_side(false, ccw);
         }
     }
 
@@ -136,14 +144,14 @@ impl LeafSet {
         if pos >= self.half {
             return false;
         }
-        let grown = side[..pos]
+        let grown: Vec<Id> = side[..pos]
             .iter()
             .chain(std::iter::once(&id))
             .chain(&side[pos..])
             .take(self.half)
             .copied()
             .collect();
-        self.set_side(cw_side, grown);
+        self.set_side(cw_side, &grown);
         true
     }
 
@@ -152,8 +160,8 @@ impl LeafSet {
         for cw_side in [true, false] {
             let side = if cw_side { &self.cw } else { &self.ccw };
             if side.contains(&id) {
-                let rest = side.iter().filter(|&&x| x != id).copied().collect();
-                self.set_side(cw_side, rest);
+                let rest: Vec<Id> = side.iter().filter(|&&x| x != id).copied().collect();
+                self.set_side(cw_side, &rest);
                 return true;
             }
         }
@@ -328,9 +336,9 @@ mod tests {
         // A rebuild that changes nothing keeps the current allocations;
         // one that changes a side swaps that side out and moves its edge.
         let before = ls.clone();
-        ls.rebuild(vec![id(103), id(105), id(110)], vec![id(95)]);
+        ls.rebuild(&[id(103), id(105), id(110)], &[id(95)]);
         assert_eq!(sides_shared(&ls, &before), 2, "no-op rebuild");
-        ls.rebuild(vec![id(103), id(105), id(110)], vec![id(95), id(90)]);
+        ls.rebuild(&[id(103), id(105), id(110)], &[id(95), id(90)]);
         assert_eq!(sides_shared(&ls, &before), 1);
         assert!(ls.covers(id(91)) && !before.covers(id(91)));
         // deep_clone shares nothing but compares equal.
@@ -342,7 +350,7 @@ mod tests {
     #[test]
     fn rebuild_replaces_and_trims() {
         let mut ls = LeafSet::new(id(0), 2);
-        ls.rebuild(vec![id(1), id(2), id(3)], vec![Id::MAX]);
+        ls.rebuild(&[id(1), id(2), id(3)], &[Id::MAX]);
         assert_eq!(ls.clockwise(), &[id(1), id(2)]);
         assert_eq!(ls.counter_clockwise(), &[Id::MAX]);
     }
@@ -403,7 +411,7 @@ mod tests {
             let cw: Vec<Id> = (1..n).map(|t| ring[(at + t) % n]).take(half).collect();
             let ccw: Vec<Id> = (1..n).map(|t| ring[(at + n - t) % n]).take(half).collect();
             let mut ls = LeafSet::new(owner, half);
-            ls.rebuild(cw, ccw);
+            ls.rebuild(&cw, &ccw);
             prop_assert!(ls.len() < n, "overlapping sides are deduplicated");
 
             let want = ls
@@ -451,10 +459,10 @@ mod tests {
                             ring.iter().copied().filter(|&r| r == owner || r != x).collect();
                         let m = live.len();
                         let o = live.iter().position(|&r| r == owner).unwrap();
-                        ls.rebuild(
-                            (1..m).map(|t| live[(o + t) % m]).take(half).collect(),
-                            (1..m).map(|t| live[(o + m - t) % m]).take(half).collect(),
-                        );
+                        let cw: Vec<Id> = (1..m).map(|t| live[(o + t) % m]).take(half).collect();
+                        let ccw: Vec<Id> =
+                            (1..m).map(|t| live[(o + m - t) % m]).take(half).collect();
+                        ls.rebuild(&cw, &ccw);
                     }
                 }
                 let cw_edge = ls.clockwise().last().copied().unwrap_or(owner);

@@ -507,13 +507,13 @@ impl Overlay {
         self.ring.insert(id);
         self.pos.insert(id, self.order.len());
         self.order.push(id);
-        let (window, at) = self.window(id, 2 * half);
-        let n = window.len();
+        let mut window = self.window(id, 2 * half);
+        let (n, at) = (window.ids.len(), window.at);
 
         // The newcomer's exact leaf set (the converged result of leaf-set
         // exchange with the root).
         let mut leafset = LeafSet::new(id, half);
-        let (cw, ccw) = leaf_sides(&window, at, half);
+        let (cw, ccw) = window.sides(at, half);
         leafset.rebuild(cw, ccw);
         for m in leafset.members() {
             table.consider(m);
@@ -522,22 +522,11 @@ impl Overlay {
         self.nodes
             .insert(id, Arc::new(NodeHandle { id, table, leafset }));
 
-        // Announce to its members: each re-derives its leaf set (the
-        // converged result of Pastry's leaf-set exchange).
-        for i in (1..=n_cw)
+        // Announce to its members.
+        let members = (1..=n_cw)
             .map(|t| (at + t) % n)
-            .chain((1..=n_ccw).map(|t| (at + n - t) % n))
-        {
-            let (cw, ccw) = leaf_sides(&window, i, half);
-            // `ring` and `nodes` hold the same ids.
-            let Some(slot) = self.nodes.get_mut(&window[i]) else {
-                continue;
-            };
-            let peer = Arc::make_mut(slot);
-            peer.leafset.rebuild(cw, ccw);
-            peer.table.consider(id);
-            self.instruments.leafset_repairs.inc();
-        }
+            .chain((1..=n_ccw).map(|t| (at + n - t) % n));
+        self.refresh_leafsets(&mut window, members, |table| table.consider(id));
         true
     }
 
@@ -559,16 +548,13 @@ impl Overlay {
         // leaf sets reach `half` further, so one walk of `2·half` ids
         // either side serves them all.
         let half = self.config.leaf_half();
-        let (window, at) = self.window(id, 2 * half);
-        let n = window.len();
+        let mut window = self.window(id, 2 * half);
+        let (n, at) = (window.ids.len(), window.at);
         let take = half.min(n);
-        for i in (0..take)
+        let survivors = (0..take)
             .map(|t| (at + t) % n)
-            .chain((1..=take).map(|t| (at + n - t) % n))
-        {
-            let sides = leaf_sides(&window, i, half);
-            self.repair_survivor(window[i], |x| x == id, sides);
-        }
+            .chain((1..=take).map(|t| (at + n - t) % n));
+        self.refresh_leafsets(&mut window, survivors, |table| table.evict(id));
         true
     }
 
@@ -615,11 +601,18 @@ impl Overlay {
             }
         }
 
+        // Phase 3: every candidate held a departed leaf, so each is written.
         let removed: IdHashSet = departed.iter().map(|h| h.id).collect();
         let half = self.config.leaf_half();
         for a in candidates {
-            let sides = (self.successors(a, half), self.predecessors(a, half));
-            self.repair_survivor(a, |x| removed.contains(&x), sides);
+            let (cw, ccw) = (self.successors(a, half), self.predecessors(a, half));
+            let Some(slot) = self.nodes.get_mut(&a) else {
+                continue;
+            };
+            let node = Arc::make_mut(slot);
+            node.leafset.rebuild(&cw, &ccw);
+            node.table.evict_where(|x| removed.contains(&x));
+            self.instruments.leafset_repairs.inc();
         }
         departed.len()
     }
@@ -639,39 +632,36 @@ impl Overlay {
         }
     }
 
-    /// Install survivor `a`'s leaf-set `sides` (derived from the post-
-    /// removal ring) when its leaf set references a dead node or is short,
-    /// and evict dead routing-table entries. `dead` decides which ids count
-    /// as departed. Skips (and journals) `a` itself when it is not live.
-    fn repair_survivor(&mut self, a: Id, dead: impl Fn(Id) -> bool, (cw, ccw): (Vec<Id>, Vec<Id>)) {
+    /// Install the exact leaf set of `window.ids[i]` for each `i` in
+    /// `members` (the converged result of Pastry's leaf-set exchange) and
+    /// apply `table` to its routing table. Each member gained or lost the
+    /// event's id as a leaf, or sees a ring too small to fill one: all are
+    /// written, so no read-only probe comes first.
+    fn refresh_leafsets<R>(
+        &mut self,
+        window: &mut Window,
+        members: impl Iterator<Item = usize>,
+        table: impl Fn(&mut RoutingTable) -> R,
+    ) {
         let half = self.config.leaf_half();
-        let Some(slot) = self.nodes.get_mut(&a) else {
-            self.note_stale_leafset_ref(a);
-            return;
-        };
-        // Read-only probe first so an untouched survivor stays shared
-        // with any snapshot.
-        let needs_leafset = slot.leafset.members().any(&dead) || slot.leafset.len() < 2 * half;
-        let needs_eviction = slot.table.entries().any(&dead);
-        if !needs_leafset && !needs_eviction {
-            return;
-        }
-        let node = Arc::make_mut(slot);
-        if needs_leafset {
+        for i in members {
+            // `ring` and `nodes` hold the same ids.
+            let Some(slot) = self.nodes.get_mut(&window.ids[i]) else {
+                continue;
+            };
+            let node = Arc::make_mut(slot);
+            let (cw, ccw) = window.sides(i, half);
             node.leafset.rebuild(cw, ccw);
+            table(&mut node.table);
             self.instruments.leafset_repairs.inc();
-        }
-        if needs_eviction {
-            node.table.evict_where(dead);
         }
     }
 
     /// The ring stretch a membership event at `around` can touch, in
     /// clockwise order: the `reach` live ids on each side of `around`, and
     /// `around` itself when live — or the whole ring, when it is no larger
-    /// than that. The second value is where `around` sits in the stretch:
-    /// its own index when live, its clockwise neighbour's when not.
-    fn window(&self, around: Id, reach: usize) -> (Vec<Id>, usize) {
+    /// than that.
+    fn window(&self, around: Id, reach: usize) -> Window {
         let whole = self.ring.len() <= 2 * reach + 1;
         let mut window = Vec::with_capacity(self.ring.len().min(2 * reach + 1));
         if !whole {
@@ -687,7 +677,12 @@ impl Overlay {
         }
         let rest = if whole { usize::MAX } else { reach };
         window.extend(self.clockwise_from(around, Bound::Excluded).take(rest));
-        (window, at)
+        Window {
+            ids: window,
+            at,
+            cw: Vec::new(),
+            ccw: Vec::new(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -904,22 +899,32 @@ impl Overlay {
     }
 }
 
-/// The leaf-set sides of the id at index `i` of `window` (a clockwise ring
-/// stretch from [`Overlay::window`]): the `half` ids after it and the `half`
-/// before it, nearest first. Both walks continue round the end of the
-/// stretch — exact when it is the whole ring, and never reached when it is
-/// not, because the ids asked about sit `half` or more from either end.
-fn leaf_sides(window: &[Id], i: usize, half: usize) -> (Vec<Id>, Vec<Id>) {
-    let (before, after) = (&window[..i], &window[i + 1..]);
-    let cw = after.iter().chain(before).take(half).copied().collect();
-    let ccw = before
-        .iter()
-        .rev()
-        .chain(after.iter().rev())
-        .take(half)
-        .copied()
-        .collect();
-    (cw, ccw)
+/// The ring stretch of [`Overlay::window`], and two leaf-side buffers that
+/// each neighbour's sides are read into in turn: the sixteen neighbours of
+/// a join or leave allocate nothing each.
+struct Window {
+    ids: Vec<Id>,
+    /// Where the event's id sits: its own index when live, its clockwise neighbour's when not.
+    at: usize,
+    cw: Vec<Id>,
+    ccw: Vec<Id>,
+}
+
+impl Window {
+    /// The leaf-set sides of `ids[i]`: the `half` ids after it and the
+    /// `half` before it, nearest first. Both walks continue round the end
+    /// of the stretch — exact when it is the whole ring, and never reached
+    /// when it is not, because the ids asked about sit `half` or more from
+    /// either end.
+    fn sides(&mut self, i: usize, half: usize) -> (&[Id], &[Id]) {
+        let (before, after) = (&self.ids[..i], &self.ids[i + 1..]);
+        self.cw.clear();
+        self.cw.extend(after.iter().chain(before).take(half));
+        self.ccw.clear();
+        self.ccw
+            .extend(before.iter().rev().chain(after.iter().rev()).take(half));
+        (&self.cw, &self.ccw)
+    }
 }
 
 #[cfg(test)]
@@ -1145,7 +1150,7 @@ mod tests {
         let worn = Arc::make_mut(ov.nodes.get_mut(&bootstrap).unwrap());
         worn.table = RoutingTable::new(bootstrap, ov.config.b);
         worn.leafset
-            .rebuild(ghosts(Id::wrapping_add), ghosts(Id::wrapping_sub));
+            .rebuild(&ghosts(Id::wrapping_add), &ghosts(Id::wrapping_sub));
         assert!(matches!(
             ov.clone().route(bootstrap, id),
             Err(RouteError::Stuck { .. })

@@ -84,7 +84,7 @@ pub(super) fn add_node(ov: &mut Overlay, id: Id) -> bool {
             }
             table.consider(*hop);
         }
-        leafset.rebuild(successors(ov, id, half), predecessors(ov, id, half));
+        leafset.rebuild(&successors(ov, id, half), &predecessors(ov, id, half));
         for m in leafset.members().collect::<Vec<_>>() {
             table.consider(m);
         }
@@ -102,7 +102,7 @@ pub(super) fn add_node(ov: &mut Overlay, id: Id) -> bool {
         let repaired = match ov.nodes.get_mut(m) {
             Some(slot) => {
                 let peer = Arc::make_mut(slot);
-                peer.leafset.rebuild(cw, ccw);
+                peer.leafset.rebuild(&cw, &ccw);
                 peer.table.consider(id);
                 true
             }
@@ -186,7 +186,7 @@ fn repair_survivor(ov: &mut Overlay, a: Id, dead: &dyn Fn(Id) -> bool) {
         Some(slot) => {
             let node = Arc::make_mut(slot);
             if needs_leafset {
-                node.leafset.rebuild(cw, ccw);
+                node.leafset.rebuild(&cw, &ccw);
             }
             if needs_eviction {
                 node.table.evict_where(dead);
@@ -215,14 +215,45 @@ mod differential {
         "pastry.join.route_failed",
     ];
 
-    /// Everything a membership event may touch, new code against old.
-    fn assert_same(new: &Overlay, old: &Overlay, rng: &mut StdRng, what: &str) {
+    /// Everything a membership event may touch, new code against old. Each
+    /// side comes with the copy-on-write snapshot it took after the build:
+    /// the new code must unshare no node handle and no leaf-set side the
+    /// old code kept.
+    fn assert_same(
+        (new, new_snap): (&Overlay, &Overlay),
+        (old, old_snap): (&Overlay, &Overlay),
+        rng: &mut StdRng,
+        what: &str,
+    ) {
         assert_eq!(new.ring, old.ring, "{what}: membership");
         assert_eq!(new.order, old.order, "{what}: sampling index");
+        assert_eq!(
+            new.handles_shared_with(new_snap),
+            old.handles_shared_with(old_snap),
+            "{what}: shared handles"
+        );
+        // Whether each leaf side is still the allocation the snapshot holds.
+        let kept = |ov: &Overlay, snap: &Overlay, id: &Id| {
+            let (now, then) = (
+                &ov.nodes[id].leafset,
+                snap.nodes.get(id).map(|n| &n.leafset),
+            );
+            then.map(|then| {
+                [
+                    now.clockwise().as_ptr() == then.clockwise().as_ptr(),
+                    now.counter_clockwise().as_ptr() == then.counter_clockwise().as_ptr(),
+                ]
+            })
+        };
         for (id, node) in &new.nodes {
             let want = &old.nodes[id];
             assert_eq!(node.leafset, want.leafset, "{what}: leaf set of {id:?}");
             assert_eq!(node.table, want.table, "{what}: routing table of {id:?}");
+            assert_eq!(
+                kept(new, new_snap, id),
+                kept(old, old_snap, id),
+                "{what}: leaf sides of {id:?} shared with the snapshot"
+            );
         }
         new.assert_leafsets_exact();
         let (got, want) = (new.metrics().snapshot(), old.metrics().snapshot());
@@ -247,66 +278,102 @@ mod differential {
         }
     }
 
+    /// One differential run: `start` joins, then `script` drives joins,
+    /// leaves, batch leaves and routes on both sides while rings stay
+    /// under 80 nodes.
+    fn run(seed: u64, start: usize, script: &[u8]) -> Result<(), TestCaseError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut new = Overlay::new(PastryConfig::paper_defaults());
+        let mut old = Overlay::new(PastryConfig::paper_defaults());
+        let (mut new_snap, mut old_snap) = (new.clone(), old.clone());
+        for _ in 0..start {
+            let id = Id::random(&mut rng);
+            prop_assert_eq!(new.add_node(id), super::add_node(&mut old, id));
+            assert_same((&new, &new_snap), (&old, &old_snap), &mut rng, "build");
+        }
+        (new_snap, old_snap) = (new.clone(), old.clone());
+        for &op in script {
+            match op % 4 {
+                0 if new.len() < 80 => {
+                    // A fresh id, or (rarely) a taken one.
+                    let id = if op < 8 {
+                        new.random_node(&mut rng).unwrap()
+                    } else {
+                        Id::random(&mut rng)
+                    };
+                    prop_assert_eq!(new.add_node(id), super::add_node(&mut old, id));
+                    assert_same((&new, &new_snap), (&old, &old_snap), &mut rng, "join");
+                }
+                1 if new.len() > 1 => {
+                    let victim = new.random_node(&mut rng).unwrap();
+                    prop_assert_eq!(
+                        new.remove_node(victim),
+                        super::remove_node(&mut old, victim)
+                    );
+                    prop_assert!(!new.remove_node(victim), "second leave is a no-op");
+                    assert_same((&new, &new_snap), (&old, &old_snap), &mut rng, "leave");
+                }
+                2 if new.len() > 4 => {
+                    // A ring-contiguous run (its members reference each
+                    // other: the stale-reference path), one stranger and
+                    // one duplicate.
+                    let first = new.random_node(&mut rng).unwrap();
+                    let mut batch = new.successors(first, rng.gen_range(0..3));
+                    batch.push(first);
+                    batch.extend(new.random_node(&mut rng));
+                    batch.push(first);
+                    prop_assert_eq!(
+                        new.remove_nodes(&batch),
+                        super::remove_nodes(&mut old, &batch)
+                    );
+                    assert_same(
+                        (&new, &new_snap),
+                        (&old, &old_snap),
+                        &mut rng,
+                        "batch leave",
+                    );
+                }
+                _ => {
+                    // Routing evicts dead table entries lazily; keep
+                    // both sides' tables in step.
+                    let src = new.random_node(&mut rng).unwrap();
+                    let key = Id::random(&mut rng);
+                    let got = new.route(src, key).unwrap();
+                    prop_assert_eq!(&got, &old.route(src, key).unwrap());
+                    prop_assert_eq!(Some(got.root), new.owner_of(key));
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Rings of 1 … 40 nodes under `paper_defaults` (half = 8): smaller
+        /// Rings of 1 … 80 nodes under `paper_defaults` (half = 8): smaller
         /// than a leaf-set side, smaller than a whole leaf set (17), no
-        /// larger than the join/leave window (33), and larger.
+        /// larger than the join/leave window (33), and larger, where the
+        /// window does not wrap.
         #[test]
         fn prop_one_walk_membership_matches_the_per_member_oracle(
             seed in any::<u64>(),
-            start in 1usize..=40,
+            start in 1usize..=80,
             script in proptest::collection::vec(any::<u8>(), 10..50),
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut new = Overlay::new(PastryConfig::paper_defaults());
-            let mut old = Overlay::new(PastryConfig::paper_defaults());
-            for _ in 0..start {
-                let id = Id::random(&mut rng);
-                prop_assert_eq!(new.add_node(id), super::add_node(&mut old, id));
-                assert_same(&new, &old, &mut rng, "build");
-            }
-            for op in script {
-                match op % 4 {
-                    0 if new.len() < 40 => {
-                        // A fresh id, or (rarely) a taken one.
-                        let id = if op < 8 {
-                            new.random_node(&mut rng).unwrap()
-                        } else {
-                            Id::random(&mut rng)
-                        };
-                        prop_assert_eq!(new.add_node(id), super::add_node(&mut old, id));
-                        assert_same(&new, &old, &mut rng, "join");
-                    }
-                    1 if new.len() > 1 => {
-                        let victim = new.random_node(&mut rng).unwrap();
-                        prop_assert_eq!(new.remove_node(victim), super::remove_node(&mut old, victim));
-                        prop_assert!(!new.remove_node(victim), "second leave is a no-op");
-                        assert_same(&new, &old, &mut rng, "leave");
-                    }
-                    2 if new.len() > 4 => {
-                        // A ring-contiguous run (its members reference each
-                        // other: the stale-reference path), one stranger and
-                        // one duplicate.
-                        let first = new.random_node(&mut rng).unwrap();
-                        let mut batch = new.successors(first, rng.gen_range(0..3));
-                        batch.push(first);
-                        batch.extend(new.random_node(&mut rng));
-                        batch.push(first);
-                        prop_assert_eq!(new.remove_nodes(&batch), super::remove_nodes(&mut old, &batch));
-                        assert_same(&new, &old, &mut rng, "batch leave");
-                    }
-                    _ => {
-                        // Routing evicts dead table entries lazily; keep
-                        // both sides' tables in step.
-                        let src = new.random_node(&mut rng).unwrap();
-                        let key = Id::random(&mut rng);
-                        let got = new.route(src, key).unwrap();
-                        prop_assert_eq!(&got, &old.route(src, key).unwrap());
-                        prop_assert_eq!(Some(got.root), new.owner_of(key));
-                    }
-                }
-            }
+            run(seed, start, &script)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+        /// The same differential at CI scale (release, `--ignored`).
+        #[test]
+        #[ignore]
+        fn prop_one_walk_membership_matches_the_per_member_oracle_1000_cases(
+            seed in any::<u64>(),
+            start in 1usize..=80,
+            script in proptest::collection::vec(any::<u8>(), 10..100),
+        ) {
+            run(seed, start, &script)?;
         }
     }
 }

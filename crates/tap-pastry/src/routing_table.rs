@@ -13,6 +13,11 @@
 //! instead of the 13 KB a dense 40-row matrix would take, and a lookup is
 //! one index into one allocation.
 //!
+//! Every entry sits in its *natural slot* (row = prefix shared with the
+//! owner, column = next digit): `consider` and `replace`, the only writers,
+//! put it there, and `assert_invariants` checks it. So an id can occupy one
+//! cell only, and `evict` reads and clears that cell instead of scanning.
+//!
 //! The grid is `Arc`-shared: cloning a table is one pointer bump, and the
 //! clone shares the grid until the first write that changes a cell
 //! ([`Arc::make_mut`] copies the grid then; a write that changes nothing
@@ -112,9 +117,20 @@ impl RoutingTable {
         }
     }
 
-    /// Remove every slot pointing at `dead`. Returns how many were cleared.
+    /// Whether `id` is in the table: its natural slot is the one cell it can occupy.
+    fn holds(&self, id: Id) -> bool {
+        self.next_hop(id) == Some(id)
+    }
+
+    /// Clear `dead`'s natural slot if it holds `dead`. Returns how many
+    /// cells were cleared (0 or 1); a table without `dead` stays shared.
     pub fn evict(&mut self, dead: Id) -> usize {
-        self.evict_where(|id| id == dead)
+        if !self.holds(dead) {
+            return 0;
+        }
+        let (row, col) = self.slot_of(dead);
+        Arc::make_mut(&mut self.cells)[(row << self.b) + col] = None;
+        1
     }
 
     /// Clear every slot whose occupant satisfies `dead` (batch eviction
@@ -380,6 +396,61 @@ mod tests {
     }
 
     proptest! {
+        /// Every entry sits in its natural slot, so one cell answers for an
+        /// id. Tables built by random `consider`, `replace`, `absorb_row` and
+        /// `evict_where` (ids near the owner too, so that deep rows fill):
+        /// `holds` agrees with a scan of the grid for present ids, absent
+        /// ones and the owner; `evict` clears the cells `evict_where` clears
+        /// and counts the same; evicting an absent id leaves the grid shared.
+        #[test]
+        fn prop_one_cell_answers_for_an_id(
+            seed in any::<u64>(),
+            b in 1u32..=8,
+            ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..60),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let owner = Id::random(&mut rng);
+            let pick = |rng: &mut StdRng, bits: u64| {
+                if bits.is_multiple_of(2) {
+                    owner.flip_bit((bits >> 1) as usize % 160)
+                } else {
+                    Id::random(rng)
+                }
+            };
+            let mut donor = RoutingTable::new(owner.flip_bit(100), b);
+            for i in 0..40u64 {
+                let x = pick(&mut rng, i * 7);
+                donor.consider(x);
+            }
+            let mut rt = RoutingTable::new(owner, b);
+            let mut seen: Vec<Id> = donor.entries().collect();
+            for (op, bits) in ops {
+                let x = pick(&mut rng, bits);
+                seen.push(x);
+                match op {
+                    0 => {
+                        rt.consider(x);
+                    }
+                    1 => rt.replace(x),
+                    2 => rt.absorb_row(&donor, bits as usize % donor.depth().max(1)),
+                    _ => {
+                        rt.evict_where(|y| y.low_u64() % 3 == bits % 3);
+                    }
+                }
+            }
+            rt.assert_invariants();
+            let absent: Vec<Id> = (0..8).map(|_| Id::random(&mut rng)).collect();
+            for x in seen.into_iter().chain(absent).chain([owner]) {
+                let present = rt.entries().any(|y| y == x);
+                prop_assert_eq!(rt.holds(x), present);
+                let (mut one, mut scan) = (rt.clone(), rt.clone());
+                prop_assert_eq!(one.evict(x), scan.evict_where(|y| y == x));
+                prop_assert_eq!(&one, &scan);
+                prop_assert!(!one.holds(x));
+                prop_assert_eq!(Arc::ptr_eq(&one.cells, &rt.cells), !present);
+            }
+        }
+
         /// The owner shares every digit with itself, so the table is asked
         /// for row `digits_for(b)` and the digit past the end: an empty
         /// answer at every digit width, never an index out of range.

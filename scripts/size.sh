@@ -4,8 +4,11 @@
 #
 #   scripts/size.sh [--json] [<crate> ...]   # default: every crates/tap-*
 #
-# A file counts up to its first `#[cfg(test)]`; a file its parent module
-# declares as `#[cfg(test)] mod <name>;` is test code from its first line.
+# A file counts up to its first `#[cfg(test)]` that gates a module: the next
+# line that is neither blank nor an attribute opens a `mod`. A `#[cfg(test)]`
+# on anything else (a `use`, a `fn`) ends nothing, and its lines count. A file
+# its parent module declares as `#[cfg(test)] mod <name>;` is test code from
+# its first line.
 # Panic sites are `.expect(`, `.unwrap()`, `unreachable!`, `panic!`, `assert!`,
 # `assert_eq!` and `assert_ne!` outside comment lines (`debug_assert*` does not
 # count: release builds compile it out). Prints a table, or with `--json` the
@@ -32,16 +35,25 @@ for crate in "${crates[@]}"; do
         is_test_module "$file" || files+=("$file")
     done < <(find "crates/${crate#crates/}/src" -name '*.rs' | sort)
     awk -v crate="${crate#crates/}" '
-        FNR == 1 { shipped = 1 }
-        /#\[cfg\(test\)\]/ { shipped = 0 }
-        !shipped { next }
-        { lines++ }
-        /^[ \t]*pub (const |unsafe )*(fn|struct|enum|trait|type|const|static) / { pubs++ }
-        /^[ \t]*\/\// { next }
-        {
-            gsub(/debug_assert/, "")
-            panics += gsub(/\.expect\(|\.unwrap\(\)|unreachable!|panic!|assert(_eq|_ne)?!/, "")
+        function count(line) {
+            lines++
+            if (line ~ /^[ \t]*pub (const |unsafe )*(fn|struct|enum|trait|type|const|static) /) pubs++
+            if (line ~ /^[ \t]*\/\//) return
+            gsub(/debug_assert/, "", line)
+            panics += gsub(/\.expect\(|\.unwrap\(\)|unreachable!|panic!|assert(_eq|_ne)?!/, "", line)
         }
+        # Lines from a `#[cfg(test)]` on are held until the item it gates shows.
+        FNR == 1 { shipped = 1; held = 0 }
+        !shipped { next }
+        held && /^[ \t]*(#\[.*)?$/ { hold[held++] = $0; next }
+        held && /^[ \t]*(pub(\([a-z]+\))? )?mod / { shipped = 0; next }
+        held { for (i = 0; i < held; i++) count(hold[i]); held = 0 }
+        /#\[cfg\(test\)\]/ {
+            if ($0 ~ /\][ \t]*(pub(\([a-z]+\))? )?mod /) { shipped = 0; next }
+            hold[held++] = $0
+            next
+        }
+        { count($0) }
         END { printf "%-14s %8d %6d %7d\n", crate, lines, pubs, panics }
     ' "${files[@]}"
 done | awk -v json="$json" '

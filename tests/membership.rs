@@ -132,6 +132,112 @@ fn one_membership_event_asks_the_ring_a_fixed_number_of_questions() {
 }
 
 // ----------------------------------------------------------------------
+// The overlay at big-ring scale
+// ----------------------------------------------------------------------
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(digest: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(digest, |d, &b| (d ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// Every live node's leaf sides and populated routing-table cells in ring
+/// order, the overlay's four counters, and how many node handles are still
+/// the allocations `snap` holds.
+fn fold_overlay(mut digest: u64, ov: &Overlay, snap: &Overlay) -> u64 {
+    let cols = 1usize << ov.config().b;
+    for id in ov.ids() {
+        let node = ov.node(id).expect("ids() lists live nodes");
+        for side in [node.leafset.clockwise(), node.leafset.counter_clockwise()] {
+            digest = fnv(digest, &(side.len() as u64).to_le_bytes());
+            for m in side {
+                digest = fnv(digest, m.as_bytes());
+            }
+        }
+        for r in 0..node.table.depth() {
+            for c in 0..cols {
+                if let Some(e) = node.table.entry(r, c) {
+                    digest = fnv(digest, &[r as u8, c as u8]);
+                    digest = fnv(digest, e.as_bytes());
+                }
+            }
+        }
+    }
+    let counters = ov.metrics().snapshot();
+    for name in [
+        "pastry.leafset.repairs",
+        "pastry.table.evictions",
+        "pastry.stale_leafset_ref",
+        "pastry.join.route_failed",
+    ] {
+        digest = fnv(digest, &counters.counter(name).to_le_bytes());
+    }
+    fnv(digest, &(ov.handles_shared_with(snap) as u64).to_le_bytes())
+}
+
+/// Recorded by running this test on the commit before a leave evicted the
+/// departed id from its one natural cell and leaf sides were installed from
+/// the event's window without a `Vec` per neighbour.
+const CHURN_AT_SCALE: u64 = 0xbab0_4245_2077_5543;
+
+#[test]
+fn churn_at_scale_leaves_the_same_overlay() {
+    // 3 000 nodes: every join and leave window (2·half = 16 ids a side)
+    // sits inside the ring without wrapping, unlike the differential's
+    // rings of at most 80. Joins and leaves one at a time, three batch
+    // leaves (the second a ring-contiguous run, whose members name each
+    // other), and routes that evict dead table entries lazily; every 50
+    // events the whole overlay, its counters and its sharing with a
+    // snapshot taken after the build are folded into one digest.
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut ov = Overlay::new(PastryConfig::paper_defaults());
+    for _ in 0..3000 {
+        ov.add_random_node(&mut rng);
+    }
+    let snap = ov.clone();
+    let (mut events, mut digest) = (0usize, FNV_OFFSET);
+    let mut tick = |ov: &Overlay| {
+        events += 1;
+        if events % 50 == 0 {
+            digest = fold_overlay(digest, ov, &snap);
+        }
+    };
+    for i in 0..400 {
+        let victim = ov.random_node(&mut rng).expect("non-empty overlay");
+        assert!(ov.remove_node(victim));
+        tick(&ov);
+        ov.add_random_node(&mut rng);
+        tick(&ov);
+        if i % 2 == 0 {
+            let from = ov.random_node(&mut rng).expect("non-empty overlay");
+            let key = Id::random(&mut rng);
+            let out = ov.route(from, key).expect("route completes");
+            assert_eq!(Some(out.root), ov.owner_of(key));
+            tick(&ov);
+        }
+        if matches!(i, 100 | 200 | 300) {
+            let batch: Vec<Id> = if i == 200 {
+                let first = ov.random_node(&mut rng).expect("non-empty overlay");
+                std::iter::once(first)
+                    .chain(ov.successors(first, 19))
+                    .collect()
+            } else {
+                (0..20).filter_map(|_| ov.random_node(&mut rng)).collect()
+            };
+            assert!(ov.remove_nodes(&batch) > 15);
+            tick(&ov);
+        }
+    }
+    ov.assert_leafsets_exact();
+    ov.assert_tables_structurally_valid();
+    assert_eq!(events, 400 * 2 + 200 + 3);
+    assert_eq!(digest, CHURN_AT_SCALE, "digest {digest:#018x}");
+}
+
+// ----------------------------------------------------------------------
 // Differential against the wide repair
 // ----------------------------------------------------------------------
 
