@@ -20,7 +20,6 @@ pub fn bench_scale() -> Scale {
         journal_cap: 0,
         fault_permille: 100,
         threads: 1,
-        shards: 0,
         mp_n: 0,
         mp_k: 0,
     }

@@ -28,17 +28,6 @@ pub trait LatencyModel {
     /// Called when an endpoint is created, so coordinate-based models can
     /// lazily place it. Default: nothing.
     fn on_endpoint_added(&mut self, _id: EndpointId) {}
-
-    /// A lower bound on the delay between any two *distinct* endpoints.
-    ///
-    /// The sharded event loop ([`crate::shard`]) derives its conservative
-    /// lookahead window from this bound: any cross-shard message sent in a
-    /// window of this width provably arrives after the window ends. The
-    /// default (zero) is always sound but forbids sharding; models with a
-    /// real latency floor should override it.
-    fn min_delay(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
 }
 
 /// SplitMix64 — a tiny, high-quality hash for pair → delay derivation
@@ -91,10 +80,6 @@ impl LatencyModel for UniformLatency {
         );
         let span = self.max.as_micros() - self.min.as_micros() + 1;
         SimDuration::from_micros(self.min.as_micros() + h % span)
-    }
-
-    fn min_delay(&self) -> SimDuration {
-        self.min
     }
 }
 
@@ -159,61 +144,6 @@ impl LatencyModel for EuclideanLatency {
         let p = (self.rng.gen::<f64>(), self.rng.gen::<f64>());
         self.coords.push(p);
     }
-
-    fn min_delay(&self) -> SimDuration {
-        self.min
-    }
-}
-
-/// A view of an inner latency model through an endpoint renaming.
-///
-/// Workloads that replay traffic through *private* per-flow endpoints (so
-/// flows never contend on a NIC) still want each private endpoint to keep
-/// the pairwise delays of the real node it stands for. `RemappedLatency`
-/// translates every private endpoint index through `map` before asking the
-/// inner model, so `delay(p, q) == inner.delay(map[p], map[q])`.
-///
-/// The `placed` *inner* endpoints are registered with the inner model at
-/// construction, in index order (coordinate models place them exactly as a
-/// serial [`crate::Network`] filled by `add_endpoint` would); the wrapper's
-/// own [`LatencyModel::on_endpoint_added`] is a no-op, so any number of
-/// private endpoints may alias the same inner endpoint.
-///
-/// Caveat: two distinct private endpoints mapping to the same inner
-/// endpoint are zero-delay neighbours, below the inner
-/// [`LatencyModel::min_delay`] floor. The sharded event loop's lookahead
-/// relies on that floor, so callers must never *send between* two aliases
-/// of one inner endpoint (the fig-6 replay dedups consecutive path hops,
-/// which guarantees exactly this).
-#[derive(Debug, Clone)]
-pub struct RemappedLatency<L: LatencyModel> {
-    inner: L,
-    map: Vec<EndpointId>,
-}
-
-impl<L: LatencyModel> RemappedLatency<L> {
-    /// Wrap `inner`, registering `placed` inner endpoints up front;
-    /// private endpoint `i` stands for inner endpoint `map[i]`.
-    pub fn new(mut inner: L, map: Vec<EndpointId>, placed: usize) -> Self {
-        for i in 0..placed {
-            inner.on_endpoint_added(EndpointId::from_index(i).expect("inner index fits u32"));
-        }
-        RemappedLatency { inner, map }
-    }
-}
-
-impl<L: LatencyModel> LatencyModel for RemappedLatency<L> {
-    fn delay(&self, a: EndpointId, b: EndpointId) -> SimDuration {
-        self.inner.delay(self.map[a.index()], self.map[b.index()])
-    }
-
-    // Inner endpoints were placed in `new`; private endpoints carry no
-    // state of their own.
-    fn on_endpoint_added(&mut self, _id: EndpointId) {}
-
-    fn min_delay(&self) -> SimDuration {
-        self.inner.min_delay()
-    }
 }
 
 #[cfg(test)]
@@ -222,31 +152,6 @@ mod tests {
 
     fn ep(i: usize) -> EndpointId {
         EndpointId::from_index(i).expect("test index fits u32")
-    }
-
-    #[test]
-    fn remapped_delays_match_the_inner_pairs() {
-        let inner = UniformLatency::paper(13);
-        let map = vec![ep(2), ep(0), ep(2), ep(1)];
-        let m = RemappedLatency::new(inner.clone(), map, 3);
-        assert_eq!(m.delay(ep(0), ep(1)), inner.delay(ep(2), ep(0)));
-        assert_eq!(m.delay(ep(1), ep(3)), inner.delay(ep(0), ep(1)));
-        // Aliases of one inner endpoint are zero-delay.
-        assert_eq!(m.delay(ep(0), ep(2)), SimDuration::ZERO);
-        assert_eq!(m.min_delay(), inner.min_delay());
-    }
-
-    #[test]
-    fn remapped_places_coordinate_models_in_serial_order() {
-        // The wrapper must hand Euclidean the same placement stream a
-        // serial Network would, so remapped delays equal direct delays.
-        let mut direct = EuclideanLatency::paper(21);
-        for i in 0..5 {
-            direct.on_endpoint_added(ep(i));
-        }
-        let m = RemappedLatency::new(EuclideanLatency::paper(21), vec![ep(4), ep(1), ep(3)], 5);
-        assert_eq!(m.delay(ep(0), ep(1)), direct.delay(ep(4), ep(1)));
-        assert_eq!(m.delay(ep(1), ep(2)), direct.delay(ep(1), ep(3)));
     }
 
     #[test]

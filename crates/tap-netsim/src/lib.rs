@@ -31,7 +31,9 @@
 //! The simulator is generic over the message type, single-threaded, and
 //! pull-based: callers drain events with [`Network::next_event`] and react,
 //! which keeps the overlay logic (in `tap-pastry` / `tap-core`) free of
-//! callbacks and lifetimes.
+//! callbacks and lifetimes. It is the workspace's one event kernel: every
+//! figure runs on it, and parallelism lives a level up, in independent
+//! trials that each own a `Network`.
 //!
 //! ```
 //! use tap_netsim::{latency::UniformLatency, Network, NetworkConfig, Event};
@@ -58,7 +60,6 @@ pub mod fault;
 pub mod latency;
 mod network;
 pub mod sched;
-pub mod shard;
 mod time;
 
 pub use fault::{FaultAction, FaultPlan, ScheduledFault};
@@ -67,5 +68,4 @@ pub use network::{
     TrafficStats,
 };
 pub use sched::{CalendarQueue, EventHandle, EventKey};
-pub use shard::{ShardCtx, ShardedNetwork};
 pub use time::{SimDuration, SimTime, TimeError};

@@ -214,8 +214,7 @@ impl NetInstruments {
 ///
 /// Events live in a [`CalendarQueue`]; same-instant events pop in schedule
 /// (FIFO) order under the queue's monotone sequence numbers — see the
-/// ordering invariant in [`crate::sched`]. For the many-core variant see
-/// [`crate::shard::ShardedNetwork`].
+/// ordering invariant in [`crate::sched`].
 pub struct Network<M, L: LatencyModel = crate::latency::UniformLatency> {
     config: NetworkConfig,
     latency: L,

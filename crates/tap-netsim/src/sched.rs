@@ -19,12 +19,10 @@
 //! Every event carries an [`EventKey`]: its timestamp plus a **monotone
 //! sequence number** assigned at push time. Events pop in `(at, seq)`
 //! order, so events scheduled for the *same instant* pop in push (FIFO)
-//! order. This is the tie-break contract the whole simulator builds on —
-//! the sharded event loop ([`crate::shard`]) supplies its own globally
-//! deterministic keys through [`CalendarQueue::push_keyed`], and
-//! determinism across shard counts reduces to this invariant. It is pinned
-//! by unit tests and by a proptest that replays random workloads through a
-//! reference binary heap.
+//! order. This is the tie-break contract the whole simulator builds on: a
+//! run's event order is a pure function of the order its handlers pushed
+//! in, so one seed replays one history. It is pinned by unit tests and by a
+//! proptest that replays random workloads through a reference binary heap.
 //!
 //! # Arena allocation
 //!
@@ -47,8 +45,7 @@ use crate::time::{SimDuration, SimTime};
 pub struct EventKey {
     /// When the event is scheduled to occur.
     pub at: SimTime,
-    /// Push-order tie-break: strictly monotone within a queue (or, for
-    /// [`CalendarQueue::push_keyed`], the caller's globally unique stamp).
+    /// Push-order tie-break: strictly monotone within a queue.
     pub seq: u64,
 }
 
@@ -186,17 +183,6 @@ impl<M> CalendarQueue<M> {
     pub fn push(&mut self, at: SimTime, payload: M) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(at, seq, payload)
-    }
-
-    /// Schedule under a caller-supplied tie-break key.
-    ///
-    /// For the sharded event loop: the caller derives `seq` from content
-    /// (sender endpoint × per-endpoint counter), so the pop order at equal
-    /// timestamps is a pure function of the workload — identical at any
-    /// shard count. The caller must guarantee `seq` uniqueness per queue
-    /// and must not mix `push_keyed` with [`CalendarQueue::push`].
-    pub fn push_keyed(&mut self, at: SimTime, seq: u64, payload: M) -> EventHandle {
         self.insert(at, seq, payload)
     }
 
@@ -484,16 +470,6 @@ mod tests {
             .map(|(k, p)| (k.at.as_micros(), p))
             .collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn push_keyed_orders_by_caller_stamp() {
-        let mut q = CalendarQueue::new();
-        q.push_keyed(us(10), 500, "late");
-        q.push_keyed(us(10), 7, "early");
-        q.push_keyed(us(5), 900, "first");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, vec!["first", "early", "late"]);
     }
 
     #[test]

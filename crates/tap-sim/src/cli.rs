@@ -12,8 +12,7 @@ use crate::Scale;
 pub const USAGE: &str =
     "usage: tap-sim <fig2|fig3|fig4a|fig4b|fig5|fig6|secure|resilience|throughput|all> \
                          [--paper] [--seed N] [--nodes N] [--tunnels N] [--journal N] \
-                         [--faults PERMILLE] [--multipath N/K] [--threads N] [--shards N] \
-                         [--csv DIR]";
+                         [--faults PERMILLE] [--multipath N/K] [--threads N] [--csv DIR]";
 
 /// The figure names the binary accepts (plus the pseudo-figure `all`).
 pub const FIGURES: [&str; 9] = [
@@ -114,13 +113,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 }
                 threads = Some(n);
             }
-            "--shards" => {
-                let n: usize = parse_value("--shards", iter.next())?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                scale.shards = n;
-            }
             "--csv" => {
                 csv_dir = Some(
                     iter.next()
@@ -146,6 +138,14 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "fig5 churns {} nodes a unit and needs --nodes at least {}",
             scale.churn_per_unit,
             2 * scale.churn_per_unit
+        ));
+    }
+    // A throughput transfer is a two-hop relay between three distinct
+    // endpoints.
+    if which == "throughput" && scale.nodes < 3 {
+        return Err(format!(
+            "throughput relays through three distinct nodes and needs --nodes at least 3, got {}",
+            scale.nodes
         ));
     }
     if let Some(n) = threads {
@@ -294,27 +294,18 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_is_validated_and_order_independent() {
-        let cli = parse_line("throughput --shards 8").unwrap();
-        assert_eq!(cli.which, "throughput");
-        assert_eq!(cli.scale.shards, 8);
-
-        assert_eq!(
-            parse_line("throughput").unwrap().scale.shards,
-            0,
-            "0 = auto"
-        );
-        assert!(parse_line("throughput --shards 0")
+    fn throughput_needs_three_nodes() {
+        // Below three nodes a relay has no distinct `dst`: one node divides
+        // by zero in the route draw, and two loop forever looking for one.
+        for nodes in [1, 2] {
+            assert!(parse_line(&format!("throughput --nodes {nodes}"))
+                .unwrap_err()
+                .contains("at least 3"));
+        }
+        assert_eq!(parse_line("throughput --nodes 3").unwrap().scale.nodes, 3);
+        assert!(parse_line("throughput --shards 4")
             .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_line("throughput --shards x")
-            .unwrap_err()
-            .contains("unsigned integer"));
-
-        let a = parse_line("throughput --shards 4 --paper").unwrap();
-        let b = parse_line("throughput --paper --shards 4").unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.scale.shards, 4);
+            .contains("unrecognized"));
     }
 
     #[test]

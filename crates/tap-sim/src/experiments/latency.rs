@@ -12,8 +12,6 @@
 //! serialization plus pairwise propagation delay), exactly the cost model
 //! of the paper's emulator.
 
-use std::sync::Mutex;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,14 +22,11 @@ use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
 use tap_id::{Id, IdHashMap};
 use tap_metrics::Registry;
-use tap_netsim::latency::{EuclideanLatency, LatencyModel, RemappedLatency, UniformLatency};
-use tap_netsim::{
-    EndpointId, Event, NetworkConfig, ShardCtx, ShardedNetwork, SimDuration, SimTime, TimerToken,
-};
+use tap_netsim::latency::{EuclideanLatency, LatencyModel, UniformLatency};
+use tap_netsim::{EndpointId, Event, Network, NetworkConfig, SimDuration};
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::{Overlay, PastryConfig};
 
-use super::throughput::effective_shards;
 use crate::engine::{substream_seed, TrialPool};
 use crate::report::Series;
 use crate::Scale;
@@ -119,7 +114,6 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
         super::apply_journal(&trial_metrics, scale);
         let seed = pool.trial_seed(idx);
         let (base, ids) = &bases[si];
-        let shards = effective_shards(scale);
         let per_transfer = match model {
             TopologyModel::Uniform => simulate_one(
                 base,
@@ -128,7 +122,6 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
                 seed,
                 UniformLatency::paper(seed ^ 0x1a7e),
                 &trial_metrics,
-                shards,
             ),
             TopologyModel::Euclidean => simulate_one(
                 base,
@@ -137,7 +130,6 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
                 seed,
                 EuclideanLatency::paper(seed ^ 0x1a7e),
                 &trial_metrics,
-                shards,
             ),
         };
         (per_transfer, trial_metrics)
@@ -206,47 +198,30 @@ pub fn measure_cipher_gbps() -> f64 {
 /// One simulation over a copy-on-write clone of the shared base overlay:
 /// returns summed seconds per variant.
 ///
-/// The serial loop interleaved path construction with replay on one
-/// [`tap_netsim::Network`]; here the two are split so the replays run on
-/// the sharded conservative-lookahead loop, bit-identically:
-///
-/// 1. *Plan* (RNG-bearing): every transfer's routes, tunnels and onions
-///    are built in the exact serial RNG order; each variant's
-///    store-and-forward chain is recorded instead of replayed. Replays
-///    never touched the RNG, so deferring them changes nothing upstream.
-/// 2. *Replay* (RNG-free): each chain position becomes a *private*
-///    endpoint — in the serial replay every NIC was provably idle at each
-///    send (a chain's sends strictly follow the previous hop's delivery,
-///    and chains follow each other), so private NICs see identical queue
-///    state. [`RemappedLatency`] gives private endpoints the pairwise
-///    delays of the nodes they stand for, timers launch every chain at
-///    t = 0 (durations are start-relative, so serial clock offsets
-///    cancel), and completions are summed in chain-creation order —
-///    the serial f64 accumulation order. Degenerate (< 2 hop) chains
-///    contribute the same `+0.0` they did serially.
-fn simulate_one<L: LatencyModel + Sync>(
+/// Each transfer's paths are built and replayed in turn on one serial
+/// [`Network`]. A replay waits for its chain's last delivery before the
+/// next path is built, so every NIC is idle at each send and a transfer's
+/// time is its own store-and-forward cost, whatever ran before it.
+fn simulate_one<L: LatencyModel>(
     base: &Overlay,
     ids: &[Id],
     transfers: usize,
     seed: u64,
     latency: L,
     metrics: &Registry,
-    shards: usize,
 ) -> [f64; 5] {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut overlay = base.clone();
     overlay.use_metrics(metrics.clone());
-    let mut node_ep: IdHashMap<EndpointId> = IdHashMap::default();
-    for (i, &id) in ids.iter().enumerate() {
-        node_ep.insert(id, EndpointId::from_index(i).expect("node index fits u32"));
-    }
+    let mut net: Network<usize, L> = Network::new(NetworkConfig::paper_defaults(), latency);
+    net.use_metrics(metrics.clone());
+    let endpoint_of: IdHashMap<EndpointId> =
+        ids.iter().map(|&id| (id, net.add_endpoint())).collect();
     let mut thas: ReplicaStore<Tha> = ReplicaStore::new(3);
     thas.use_metrics(metrics.clone());
     let instruments = CoreInstruments::new(metrics);
 
-    // Phase 1: plan chains in serial accumulation order (transfer-major,
-    // variant-minor).
-    let mut chains: Vec<(usize, Vec<EndpointId>)> = Vec::with_capacity(transfers * 5);
+    let mut sums = [0.0f64; 5];
     for _ in 0..transfers {
         let initiator = overlay.random_node(&mut rng).expect("nodes exist");
         let fid = Id::random(&mut rng);
@@ -256,7 +231,7 @@ fn simulate_one<L: LatencyModel + Sync>(
             .route(initiator, fid)
             .expect("consistent overlay routes")
             .path;
-        chains.push((0, dedup_chain(&node_ep, &overt_path)));
+        sums[0] += replay(&mut net, &endpoint_of, &overt_path).as_secs_f64();
 
         // TAP variants: fresh tunnels per transfer, torn down afterwards.
         for (slot, &(l, hinted)) in [(5usize, false), (5, true), (3, false), (3, true)]
@@ -273,89 +248,44 @@ fn simulate_one<L: LatencyModel + Sync>(
                 hinted,
                 &instruments,
             );
-            chains.push((slot + 1, dedup_chain(&node_ep, &path)));
-        }
-    }
-
-    // Phase 2: one sharded run over private per-(chain, position)
-    // endpoints.
-    let mut sums = [0.0f64; 5];
-    let mut map: Vec<EndpointId> = Vec::new(); // private index -> node endpoint
-    let mut chain_of: Vec<u32> = Vec::new(); // private index -> live-chain index
-    let mut live: Vec<(usize, u32, u32)> = Vec::new(); // (slot, start, end) in private space
-    for (slot, eps) in &chains {
-        if eps.len() < 2 {
-            continue; // free serially, free here: contributes +0.0
-        }
-        let start = map.len() as u32;
-        let ci = live.len() as u32;
-        for &ep in eps {
-            map.push(ep);
-            chain_of.push(ci);
-        }
-        live.push((*slot, start, start + eps.len() as u32));
-    }
-    if !live.is_empty() {
-        let total = map.len();
-        let remapped = RemappedLatency::new(latency, map, ids.len());
-        let mut net: ShardedNetwork<u32, RemappedLatency<L>> =
-            ShardedNetwork::new(NetworkConfig::paper_defaults(), remapped, total, shards);
-        for (ci, &(_, start, _)) in live.iter().enumerate() {
-            net.schedule_timer_at(private_ep(start), SimTime::ZERO, TimerToken(ci as u64));
-        }
-        let done: Mutex<Vec<SimDuration>> = Mutex::new(vec![SimDuration::ZERO; live.len()]);
-        let (live_ref, chain_ref, done_ref) = (&live, &chain_of, &done);
-        // One worker: the TrialPool already spreads (size, sim) trials
-        // across threads, so nesting another pool per trial only adds
-        // barrier overhead — sharding still partitions state and events.
-        net.run(1, |_| {
-            move |ctx: &mut ShardCtx<'_, u32, RemappedLatency<L>>, ev: Event<u32>| match ev {
-                Event::Timer { token, .. } => {
-                    let (_, start, _) = live_ref[token.0 as usize];
-                    ctx.send(
-                        private_ep(start),
-                        private_ep(start + 1),
-                        FILE_BYTES,
-                        start + 1,
-                    );
-                }
-                Event::Message(m) => {
-                    let g = m.payload;
-                    let ci = chain_ref[g as usize] as usize;
-                    let (_, _, end) = live_ref[ci];
-                    if g + 1 < end {
-                        ctx.send(private_ep(g), private_ep(g + 1), FILE_BYTES, g + 1);
-                    } else {
-                        done_ref.lock().expect("completion log poisoned")[ci] =
-                            m.delivered_at - SimTime::ZERO;
-                    }
-                }
-            }
-        });
-        net.fold_metrics(metrics);
-        let done = done.into_inner().expect("completion log poisoned");
-        for (ci, &(slot, _, _)) in live.iter().enumerate() {
-            sums[slot] += done[ci].as_secs_f64();
+            sums[slot + 1] += replay(&mut net, &endpoint_of, &path).as_secs_f64();
         }
     }
     sums
 }
 
-fn private_ep(i: u32) -> EndpointId {
-    EndpointId::from_index(i as usize).expect("private index fits u32")
-}
-
-/// Map a node path onto node endpoints, dropping consecutive duplicates
-/// (a hop relaying to itself is free).
-fn dedup_chain(node_ep: &IdHashMap<EndpointId>, path: &[Id]) -> Vec<EndpointId> {
+/// A node path as a store-and-forward transfer on `net`: each hop ships
+/// the whole file once the previous hop has delivered it. Consecutive
+/// duplicates (a hop relaying to itself) are free, so a path of fewer than
+/// two distinct nodes costs nothing.
+fn replay<L: LatencyModel>(
+    net: &mut Network<usize, L>,
+    endpoint_of: &IdHashMap<EndpointId>,
+    path: &[Id],
+) -> SimDuration {
     let mut eps: Vec<EndpointId> = Vec::with_capacity(path.len());
     for id in path {
-        let ep = node_ep[id];
+        let ep = endpoint_of[id];
         if eps.last() != Some(&ep) {
             eps.push(ep);
         }
     }
-    eps
+    if eps.len() < 2 {
+        return SimDuration::ZERO;
+    }
+    let start = net.now();
+    net.send(eps[0], eps[1], FILE_BYTES, 1);
+    net.run_until_quiet(|net, ev| {
+        if let Event::Message(m) = ev {
+            let next = m.payload + 1;
+            if next < eps.len() {
+                net.send(eps[m.payload], eps[next], FILE_BYTES, next);
+            }
+        }
+    });
+    // The network carries nothing else, so it quiesces at the last hop's
+    // delivery.
+    net.now() - start
 }
 
 /// Build a fresh tunnel of length `l` for `initiator`, drive the transfer
@@ -416,154 +346,7 @@ fn tap_path(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     use super::*;
-    use tap_netsim::Network;
-
-    /// The pre-port serial replay: a node path as a store-and-forward
-    /// transfer on the shared [`Network`], consecutive duplicates free.
-    /// Kept as the reference the sharded batch must reproduce bit-for-bit.
-    fn replay<L: LatencyModel>(
-        net: &mut Network<usize, L>,
-        endpoint_of: &HashMap<Id, EndpointId>,
-        path: &[Id],
-    ) -> SimDuration {
-        let mut eps: Vec<EndpointId> = Vec::with_capacity(path.len());
-        for id in path {
-            let ep = endpoint_of[id];
-            if eps.last() != Some(&ep) {
-                eps.push(ep);
-            }
-        }
-        if eps.len() < 2 {
-            return SimDuration::ZERO;
-        }
-        let start = net.now();
-        net.send(eps[0], eps[1], FILE_BYTES, 1);
-        while let Some(ev) = net.next_event() {
-            if let Event::Message(m) = ev {
-                let arrived = m.payload;
-                if arrived + 1 < eps.len() {
-                    net.send(eps[arrived], eps[arrived + 1], FILE_BYTES, arrived + 1);
-                } else {
-                    return m.delivered_at - start;
-                }
-            }
-        }
-        unreachable!("the transfer chain always completes in a live network")
-    }
-
-    /// The pre-port serial body of [`simulate_one`], verbatim: replays
-    /// interleaved with planning on one shared serial network.
-    fn simulate_one_serial<L: LatencyModel>(
-        base: &Overlay,
-        ids: &[Id],
-        transfers: usize,
-        seed: u64,
-        latency: L,
-        metrics: &Registry,
-    ) -> [f64; 5] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = base.clone();
-        overlay.use_metrics(metrics.clone());
-        let mut net: Network<usize, L> = Network::new(NetworkConfig::paper_defaults(), latency);
-        net.use_metrics(metrics.clone());
-        let mut endpoint_of: HashMap<Id, EndpointId> = HashMap::with_capacity(ids.len());
-        for &id in ids {
-            endpoint_of.insert(id, net.add_endpoint());
-        }
-        let mut thas: ReplicaStore<Tha> = ReplicaStore::new(3);
-        thas.use_metrics(metrics.clone());
-        let instruments = CoreInstruments::new(metrics);
-
-        let mut sums = [0.0f64; 5];
-        for _ in 0..transfers {
-            let initiator = overlay.random_node(&mut rng).expect("nodes exist");
-            let fid = Id::random(&mut rng);
-            let overt_path = overlay
-                .route(initiator, fid)
-                .expect("consistent overlay routes")
-                .path;
-            sums[0] += replay(&mut net, &endpoint_of, &overt_path).as_secs_f64();
-            for (slot, &(l, hinted)) in [(5usize, false), (5, true), (3, false), (3, true)]
-                .iter()
-                .enumerate()
-            {
-                let path = tap_path(
-                    &mut overlay,
-                    &mut thas,
-                    &mut rng,
-                    initiator,
-                    fid,
-                    l,
-                    hinted,
-                    &instruments,
-                );
-                sums[slot + 1] += replay(&mut net, &endpoint_of, &path).as_secs_f64();
-            }
-        }
-        sums
-    }
-
-    #[test]
-    fn sharded_replay_matches_the_serial_loop_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(substream_seed(3, "fig6-base", 0));
-        let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-        let ids: Vec<Id> = (0..400)
-            .map(|_| overlay.add_random_node(&mut rng))
-            .collect();
-        for seed in [11u64, 12] {
-            let serial = simulate_one_serial(
-                &overlay,
-                &ids,
-                8,
-                seed,
-                UniformLatency::paper(seed ^ 0x1a7e),
-                &Registry::new(),
-            );
-            for shards in [1usize, 2, 8] {
-                let sharded = simulate_one(
-                    &overlay,
-                    &ids,
-                    8,
-                    seed,
-                    UniformLatency::paper(seed ^ 0x1a7e),
-                    &Registry::new(),
-                    shards,
-                );
-                assert_eq!(
-                    serial.map(f64::to_bits),
-                    sharded.map(f64::to_bits),
-                    "seed={seed} shards={shards}"
-                );
-            }
-            // The coordinate-model path (private endpoints remapped onto
-            // serially-placed coords) must agree too.
-            let serial = simulate_one_serial(
-                &overlay,
-                &ids,
-                8,
-                seed,
-                EuclideanLatency::paper(seed ^ 0x1a7e),
-                &Registry::new(),
-            );
-            let sharded = simulate_one(
-                &overlay,
-                &ids,
-                8,
-                seed,
-                EuclideanLatency::paper(seed ^ 0x1a7e),
-                &Registry::new(),
-                4,
-            );
-            assert_eq!(
-                serial.map(f64::to_bits),
-                sharded.map(f64::to_bits),
-                "euclidean seed={seed}"
-            );
-        }
-    }
 
     fn tiny() -> Scale {
         Scale {
@@ -645,7 +428,7 @@ mod tests {
         let a = net.add_endpoint();
         let b = net.add_endpoint();
         let c = net.add_endpoint();
-        let mut map = HashMap::new();
+        let mut map = IdHashMap::default();
         let (ia, ib, ic) = (Id::from_u64(1), Id::from_u64(2), Id::from_u64(3));
         map.insert(ia, a);
         map.insert(ib, b);

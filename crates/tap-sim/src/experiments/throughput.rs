@@ -1,29 +1,27 @@
 //! Throughput figure — sustained transfers/sec and delivery latency vs.
-//! offered load, on the region-sharded event loop.
+//! offered load, on the serial event kernel.
 //!
 //! Not a figure of the paper: this is the repo's scalability check for the
-//! netsim core (calendar-queue scheduler + [`ShardedNetwork`]). The
-//! workload is a two-hop relay — the smallest shape that exercises both
-//! queue churn *and* cross-shard traffic: every transfer `i` picks a
-//! deterministic `(src, relay, dst)` triple, launches during a 100 ms ramp,
-//! and completes when the second hop is delivered. Offered load sweeps
+//! netsim core (calendar-queue scheduler + [`Network`]). The workload is a
+//! two-hop relay, the smallest shape that exercises both queue churn and
+//! relayed traffic: every transfer `i` picks a deterministic
+//! `(src, relay, dst)` triple, launches during a 100 ms ramp, and completes
+//! when the second hop is delivered. Offered load sweeps
 //! `nodes × {1, 2, 5, 10}` concurrent transfers, so the top point of a
 //! `--nodes 100000` run keeps one million transfers in flight at once.
 //!
 //! Everything in the CSV (transfers/sec over *virtual* time, p50/p99
-//! delivery latency) is a pure function of `(seed, nodes, shards→same)` —
-//! byte-identical at any `--threads` and `--shards` (see
-//! `tests/determinism.rs`). The wall-clock events/sec figure is *not*
-//! reproducible run to run, so it travels in [`Series::bench_extras`] and
-//! lands only in `BENCH_sim.json`, where `scripts/bench_gate.py` holds a
-//! floor under it.
+//! delivery latency) is a pure function of `(seed, nodes)`, byte-identical
+//! at any `--threads` (see `tests/determinism.rs`). The wall-clock
+//! events/sec figure is *not* reproducible run to run, so it travels in
+//! [`Series::bench_extras`] and lands only in `BENCH_sim.json`, where
+//! `scripts/bench_gate.py` holds a floor under it.
 
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tap_metrics::Registry;
 use tap_netsim::latency::UniformLatency;
-use tap_netsim::{EndpointId, Event, NetworkConfig, ShardCtx, ShardedNetwork, SimTime, TimerToken};
+use tap_netsim::{EndpointId, Event, Network, NetworkConfig, SimDuration, TimerToken};
 
 use crate::engine::substream_seed;
 use crate::report::Series;
@@ -37,16 +35,6 @@ pub const RAMP_US: u64 = 100_000;
 
 /// Offered-load sweep, as multiples of the node count.
 pub const LOAD_MULTIPLIERS: [usize; 4] = [1, 2, 5, 10];
-
-/// The shard count a [`Scale`] selects: `0` means "auto" (8, clamped to
-/// the node count by [`ShardedNetwork::new`]).
-pub fn effective_shards(scale: &Scale) -> usize {
-    if scale.shards == 0 {
-        8
-    } else {
-        scale.shards
-    }
-}
 
 /// The swept offered-load points for a network of `nodes` endpoints.
 pub fn offered_loads(nodes: usize) -> Vec<usize> {
@@ -66,6 +54,8 @@ fn splitmix64(x: u64) -> u64 {
 /// The `(src, relay, dst)` triple of transfer `i` — three distinct
 /// endpoints, derived only from `(seed, i)`.
 fn route(seed: u64, i: u64, nodes: usize) -> (usize, usize, usize) {
+    // The CLI rejects `throughput` below three nodes: with one the relay
+    // draw divides by zero, and with two no `dst` is free of both ends.
     debug_assert!(nodes >= 3, "a two-hop relay needs three distinct endpoints");
     let h0 = splitmix64(seed ^ i.wrapping_mul(0x2545_f491_4f6c_dd1d));
     let h1 = splitmix64(h0);
@@ -91,79 +81,58 @@ struct LoadPoint {
     latencies_us: Vec<u64>,
     /// Virtual time of the last delivery, µs.
     makespan_us: u64,
-    /// Events the sharded loop handed to handlers.
+    /// Events the loop handed to the handler.
     events: u64,
 }
 
 /// Drive one offered-load point to quiescence and collect per-transfer
-/// completion times. Deterministic at any shard/thread count.
-fn run_load_point(scale: &Scale, transfers: usize, seed: u64, metrics: &Registry) -> LoadPoint {
-    let nodes = scale.nodes;
-    let shards = effective_shards(scale);
-    let mut net: ShardedNetwork<u64, UniformLatency> = ShardedNetwork::new(
+/// completion times.
+fn run_load_point(nodes: usize, transfers: usize, seed: u64, metrics: &Registry) -> LoadPoint {
+    let mut net: Network<u64, UniformLatency> = Network::new(
         NetworkConfig::paper_defaults(),
         UniformLatency::paper(seed ^ 0x7a9),
-        nodes,
-        shards,
     );
+    net.use_metrics(metrics.clone());
+    let eps: Vec<EndpointId> = (0..nodes).map(|_| net.add_endpoint()).collect();
     let total = transfers as u64;
     for i in 0..total {
-        let (src, _, _) = route(seed, i, nodes);
-        let owner = EndpointId::from_index(src).expect("endpoint index fits u32");
-        net.schedule_timer_at(
-            owner,
-            SimTime::from_micros(launch_us(i, total)),
-            TimerToken(i),
-        );
+        net.set_timer(SimDuration::from_micros(launch_us(i, total)), TimerToken(i));
     }
 
-    // Completions funnel through one shared vec; sorting by transfer index
-    // afterwards erases any thread-interleaving order, so the aggregate is
-    // deterministic even though the push order is not.
-    let completions: Arc<Mutex<Vec<(u64, u64)>>> =
-        Arc::new(Mutex::new(Vec::with_capacity(transfers)));
-    let sink = completions.clone();
-    let events = net.run(scale.threads.max(1), move |_| {
-        let sink = sink.clone();
-        move |ctx: &mut ShardCtx<'_, u64, UniformLatency>, ev: Event<u64>| match ev {
+    // Second-hop delivery instant per transfer, µs.
+    let mut delivered_us = vec![0u64; transfers];
+    let mut events = 0u64;
+    net.run_until_quiet(|net, ev| {
+        events += 1;
+        match ev {
             Event::Timer { token, .. } => {
                 let (src, relay, _) = route(seed, token.0, nodes);
-                let src = EndpointId::from_index(src).expect("index fits");
-                let relay = EndpointId::from_index(relay).expect("index fits");
-                ctx.send(src, relay, TRANSFER_BYTES, token.0);
+                net.send(eps[src], eps[relay], TRANSFER_BYTES, token.0);
             }
             Event::Message(m) => {
                 let i = m.payload;
                 let (_, relay, dst) = route(seed, i, nodes);
-                if m.dst.index() == relay {
-                    let relay = EndpointId::from_index(relay).expect("index fits");
-                    let dst = EndpointId::from_index(dst).expect("index fits");
-                    ctx.send(relay, dst, TRANSFER_BYTES, i);
+                if m.dst == eps[relay] {
+                    net.send(eps[relay], eps[dst], TRANSFER_BYTES, i);
                 } else {
-                    debug_assert_eq!(m.dst.index(), dst, "second hop lands on the route's dst");
-                    sink.lock()
-                        .expect("completion log poisoned")
-                        .push((i, m.delivered_at.as_micros()));
+                    debug_assert_eq!(m.dst, eps[dst], "second hop lands on the route's dst");
+                    delivered_us[i as usize] = m.delivered_at.as_micros();
                 }
             }
         }
     });
-    net.fold_metrics(metrics);
-
-    let mut done = Arc::try_unwrap(completions)
-        .expect("run() dropped its handlers")
-        .into_inner()
-        .expect("completion log poisoned");
-    assert_eq!(
-        done.len(),
-        transfers,
+    // No endpoint dies and no fault plan is installed, so every transfer's
+    // three events (launch, relay, delivery) ran.
+    debug_assert_eq!(
+        events,
+        3 * total,
         "every transfer completes in a live network"
     );
-    done.sort_unstable();
-    let makespan_us = done.iter().map(|&(_, at)| at).max().unwrap_or(0);
-    let latencies_us = done
-        .iter()
-        .map(|&(i, at)| at - launch_us(i, total))
+
+    let makespan_us = delivered_us.iter().copied().max().unwrap_or(0);
+    let latencies_us = (0..total)
+        .zip(&delivered_us)
+        .map(|(i, &at)| at - launch_us(i, total))
         .collect();
     LoadPoint {
         latencies_us,
@@ -188,9 +157,8 @@ pub fn run(scale: &Scale) -> Series {
     let mut series = Series::new(
         format!(
             "Throughput — sustained transfers/sec and delivery latency vs. offered load \
-             ({} nodes, {} shards)",
-            scale.nodes,
-            effective_shards(scale)
+             ({} nodes)",
+            scale.nodes
         ),
         "concurrent_transfers",
         vec!["transfers_per_sec".into(), "p50_ms".into(), "p99_ms".into()],
@@ -200,7 +168,7 @@ pub fn run(scale: &Scale) -> Series {
     let mut total_events = 0u64;
     for (pi, &load) in offered_loads(scale.nodes).iter().enumerate() {
         let seed = substream_seed(scale.seed, "throughput", pi);
-        let point = run_load_point(scale, load, seed, &metrics);
+        let point = run_load_point(scale.nodes, load, seed, &metrics);
         total_events += point.events;
         let makespan_s = point.makespan_us as f64 / 1e6;
         let tps = load as f64 / makespan_s;
@@ -281,25 +249,9 @@ mod tests {
             .metrics_json
             .as_deref()
             .unwrap()
-            .contains("netsim.shard.delivered"));
+            .contains("netsim.timer_lag_us"));
         assert_eq!(s.bench_extras.len(), 1);
         assert_eq!(s.bench_extras[0].0, "events_per_sec");
         assert!(s.bench_extras[0].1 > 0.0);
-    }
-
-    #[test]
-    fn csv_is_invariant_across_shards_and_threads() {
-        let base = run(&tiny()).to_csv();
-        let sharded = run(&Scale {
-            shards: 3,
-            ..tiny()
-        });
-        assert_eq!(sharded.to_csv(), base, "shard count leaked into results");
-        let threaded = run(&Scale {
-            threads: 4,
-            shards: 5,
-            ..tiny()
-        });
-        assert_eq!(threaded.to_csv(), base, "thread count leaked into results");
     }
 }

@@ -69,12 +69,6 @@ pub struct Scale {
     /// only trades wall-clock for cores. The CLI defaults it to
     /// [`std::thread::available_parallelism`]; the library default is 1.
     pub threads: usize,
-    /// Region shards for the `throughput` figure's sharded event loop
-    /// (`0`, the default, selects 8, clamped to the node count). The shard
-    /// count partitions the *event space*, not the worker pool — CSVs are
-    /// byte-identical at any value; only `min(shards, threads)` cores can
-    /// be busy at once. Set from the CLI with `--shards N`.
-    pub shards: usize,
     /// Multipath stripe count for the resilience figure: `0` (the default)
     /// keeps the classic single-path sweep and its CSV byte-identical;
     /// `n > 0` switches the figure to the erasure-coded comparison mode
@@ -104,7 +98,6 @@ impl Scale {
             journal_cap: 0,
             fault_permille: 100,
             threads: 1,
-            shards: 0,
             mp_n: 0,
             mp_k: 0,
         }
@@ -126,7 +119,6 @@ impl Scale {
             journal_cap: 0,
             fault_permille: 100,
             threads: 1,
-            shards: 0,
             mp_n: 0,
             mp_k: 0,
         }

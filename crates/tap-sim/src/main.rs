@@ -3,8 +3,7 @@
 //! ```text
 //! tap-sim <fig2|fig3|fig4a|fig4b|fig5|fig6|secure|resilience|throughput|all> \
 //!         [--paper] [--seed N] [--nodes N] [--tunnels N] [--journal N] \
-//!         [--faults PERMILLE] [--multipath N/K] [--threads N] [--shards N] \
-//!         [--csv DIR]
+//!         [--faults PERMILLE] [--multipath N/K] [--threads N] [--csv DIR]
 //! ```
 //!
 //! Default scale is `quick` (seconds); `--paper` runs the published
@@ -26,10 +25,6 @@
 //! as a coded N/K stripe set over N disjoint tunnels, side by side at each
 //! loss level. The run is recorded in `BENCH_sim.json` as `resilience_mp`
 //! so its trajectory never mixes with the classic sweep's.
-//!
-//! `--shards N` sets the `throughput` figure's region count for the
-//! sharded event loop (default 8, clamped to the node count). Like
-//! `--threads`, it never changes results — only which cores do the work.
 //!
 //! `--journal N` selects journal verbosity: each experiment's metrics
 //! registry keeps the most recent `N` events (takeovers, drops, …) and

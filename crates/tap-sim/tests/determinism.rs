@@ -52,64 +52,6 @@ fn csvs_are_byte_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn throughput_csv_is_byte_identical_across_shard_counts() {
-    // The sharded event loop's own contract, on top of the thread one:
-    // region count partitions the event space without touching results.
-    let one_shard = throughput::run(&Scale {
-        shards: 1,
-        ..tiny()
-    })
-    .to_csv();
-    for shards in [2, 8] {
-        let sharded = throughput::run(&Scale { shards, ..tiny() }).to_csv();
-        assert_eq!(
-            one_shard, sharded,
-            "throughput: CSV diverged between --shards 1 and --shards {shards}"
-        );
-    }
-    // And the combination: many shards driven by many threads.
-    let combined = throughput::run(&Scale {
-        shards: 8,
-        threads: 4,
-        ..tiny()
-    })
-    .to_csv();
-    assert_eq!(one_shard, combined);
-}
-
-#[test]
-fn heavy_figures_are_byte_identical_across_shard_and_thread_grids() {
-    // The figures ported onto the sharded event loop (and the two whose
-    // parallelism stays at the trial level) must not let the shard count
-    // or worker count leak into a single byte of CSV.
-    let heavy: [(&str, Figure); 3] = [
-        ("fig5", churn::run as Figure),
-        ("fig6", latency::run),
-        ("secure", secure_routing::run),
-    ];
-    for (name, run) in heavy {
-        let baseline = run(&Scale {
-            shards: 1,
-            ..tiny().with_threads(1)
-        })
-        .to_csv();
-        for shards in [1usize, 2, 8] {
-            for threads in [1usize, 4] {
-                let got = run(&Scale {
-                    shards,
-                    ..tiny().with_threads(threads)
-                })
-                .to_csv();
-                assert_eq!(
-                    baseline, got,
-                    "{name}: CSV diverged at --shards {shards} --threads {threads}"
-                );
-            }
-        }
-    }
-}
-
 /// The committed goldens were produced by *pre-optimization* binaries at
 /// the quick preset — fig5/fig6/secure by the pre-port serial loops
 /// (plain `Network` replays, allocating onion path), the rest by the

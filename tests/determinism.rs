@@ -67,3 +67,64 @@ fn fault_permille_zero_and_nonzero_differ_only_under_faults() {
         "the loss=0 control row is identical whatever the knob says"
     );
 }
+
+/// FNV-1a over `bytes`, folded onto `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// `(count, sum)` of histogram `name` in a metrics report's JSON.
+fn histogram_count_sum(json: &str, name: &str) -> (u64, u64) {
+    let key = format!("\"{name}\":{{\"count\":");
+    let rest = &json[json.find(&key).unwrap_or_else(|| panic!("{name} missing")) + key.len()..];
+    let (count, rest) = rest.split_once(",\"sum\":").expect("count then sum");
+    let sum = rest.split(',').next().expect("sum");
+    (count.parse().expect("count"), sum.parse().expect("sum"))
+}
+
+#[test]
+fn event_kernel_figures_match_their_recorded_digests() {
+    use tap_sim::experiments::latency::{self, TopologyModel};
+    use tap_sim::experiments::throughput;
+
+    // fig6's store-and-forward replay, under both link models: the CSVs and
+    // the wire histograms the replay records, folded into one digest each.
+    let scale = Scale {
+        nodes: 300,
+        latency_sims: 1,
+        latency_transfers: 6,
+        ..Scale::quick()
+    };
+    let mut digests = Vec::new();
+    for s in [
+        latency::run(&scale),
+        latency::run_with_model(&scale, TopologyModel::Euclidean),
+    ] {
+        let json = s.metrics_json.as_deref().expect("fig6 reports metrics");
+        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, s.to_csv().as_bytes());
+        for name in ["netsim.queue_delay_us", "netsim.propagation_us"] {
+            let (count, sum) = histogram_count_sum(json, name);
+            h = fnv1a(h, &count.to_le_bytes());
+            h = fnv1a(h, &sum.to_le_bytes());
+        }
+        digests.push(h);
+    }
+    // Recorded on the sharded replay this serial kernel replaced.
+    assert_eq!(
+        digests,
+        [0x925e_d3a6_df82_9056, 0x749c_975e_b2cf_d24c],
+        "fig6 replay moved"
+    );
+
+    // The throughput figure's quick preset, checked in debug too (the
+    // release-only golden suite covers it as well).
+    assert_eq!(
+        throughput::run(&Scale::quick()).to_csv(),
+        include_str!("../crates/tap-sim/tests/goldens/throughput.csv"),
+        "throughput moved"
+    );
+}
