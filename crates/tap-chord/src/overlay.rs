@@ -4,11 +4,12 @@
 //! clones and [`ChordOverlay::checkpoint`] snapshots cost one pointer
 //! bump per node, and a mutation copies only the node it touches.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use rand::Rng;
-use tap_id::{Id, ID_BITS};
+use tap_id::{Id, Ring, ID_BITS};
 use tap_pastry::substrate::{KeyRouter, Snapshots};
 use tap_pastry::RouteError;
 
@@ -82,7 +83,7 @@ impl ChordNode {
 pub struct ChordOverlay {
     config: ChordConfig,
     nodes: HashMap<Id, Arc<ChordNode>>,
-    ring: BTreeSet<Id>,
+    ring: Ring,
     order: Vec<Id>,
     pos: HashMap<Id, usize>,
 }
@@ -93,7 +94,7 @@ pub struct ChordOverlay {
 #[derive(Clone)]
 pub struct ChordCheckpoint {
     nodes: HashMap<Id, Arc<ChordNode>>,
-    ring: BTreeSet<Id>,
+    ring: Ring,
     order: Vec<Id>,
     pos: HashMap<Id, usize>,
 }
@@ -105,7 +106,7 @@ impl ChordOverlay {
         ChordOverlay {
             config,
             nodes: HashMap::new(),
-            ring: BTreeSet::new(),
+            ring: Ring::new(),
             order: Vec::new(),
             pos: HashMap::new(),
         }
@@ -128,7 +129,7 @@ impl ChordOverlay {
 
     /// Iterate over live node ids in ring order.
     pub fn ids(&self) -> impl Iterator<Item = Id> + '_ {
-        self.ring.iter().copied()
+        self.ring.clockwise(Bound::Unbounded)
     }
 
     /// Borrow a node's state.
@@ -151,7 +152,7 @@ impl ChordOverlay {
     /// every membership mutation made since.
     pub fn rollback(&mut self, cp: &ChordCheckpoint) {
         self.nodes = cp.nodes.clone();
-        self.ring = cp.ring.clone();
+        self.ring.clone_from(&cp.ring);
         self.order = cp.order.clone();
         self.pos = cp.pos.clone();
     }
@@ -192,46 +193,19 @@ impl ChordOverlay {
     /// Oracle: the first live node at or clockwise of `key` — Chord's
     /// `successor(key)`, the node responsible for it.
     pub fn successor_of(&self, key: Id) -> Option<Id> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        self.ring
-            .range(key..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .copied()
+        self.ring.clockwise(Bound::Included(key)).next()
     }
 
     /// Oracle: `n` live nodes clockwise of `from` (exclusive).
     pub fn successors(&self, from: Id, n: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(n);
-        for id in self
-            .ring
-            .range((std::ops::Bound::Excluded(from), std::ops::Bound::Unbounded))
-            .chain(self.ring.range(..from))
-        {
-            if out.len() == n {
-                break;
-            }
-            out.push(*id);
-        }
-        out
+        self.ring.clockwise(Bound::Excluded(from)).take(n).collect()
     }
 
     /// Oracle: `n` live nodes counter-clockwise of `from` (exclusive).
     pub fn predecessors(&self, from: Id, n: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(n);
-        for id in self.ring.range(..from).rev().chain(
-            self.ring
-                .range((std::ops::Bound::Excluded(from), std::ops::Bound::Unbounded))
-                .rev(),
-        ) {
-            if out.len() == n {
-                break;
-            }
-            out.push(*id);
-        }
-        out
+        (self.ring.counter_clockwise(Bound::Excluded(from)))
+            .take(n)
+            .collect()
     }
 
     /// Add a node with a fresh random id; returns it.
@@ -250,7 +224,7 @@ impl ChordOverlay {
     /// as Chord's `stabilize()` would converge to. Returns `false` if the
     /// id is taken.
     pub fn add_node(&mut self, id: Id) -> bool {
-        if self.ring.contains(&id) {
+        if self.ring.contains(id) {
             return false;
         }
         self.ring.insert(id);
@@ -273,7 +247,7 @@ impl ChordOverlay {
     /// Remove (leave or fail-stop) `id`. Idempotent: removing an id that
     /// is not (or no longer) live returns `false` and changes nothing.
     pub fn remove_node(&mut self, id: Id) -> bool {
-        if !self.ring.remove(&id) {
+        if !self.ring.remove(id) {
             return false;
         }
         self.nodes.remove(&id);
@@ -297,7 +271,7 @@ impl ChordOverlay {
         // The strict successor (exclusive — `successor_of` would return
         // `around` itself right after a join).
         affected.extend(self.successors(around, 1));
-        if self.ring.contains(&around) {
+        if self.ring.contains(around) {
             affected.push(around);
         }
         for a in affected {
@@ -334,7 +308,7 @@ impl ChordOverlay {
         let mut dead: Vec<usize> = Vec::new();
         for (i, f) in node.fingers.iter().enumerate() {
             let Some(f) = *f else { continue };
-            if !self.ring.contains(&f) {
+            if !self.ring.contains(f) {
                 dead.push(i);
                 continue;
             }
@@ -374,7 +348,7 @@ impl ChordOverlay {
         if self.ring.is_empty() {
             return Err(RouteError::EmptyOverlay);
         }
-        if !self.ring.contains(&from) {
+        if !self.ring.contains(from) {
             return Err(RouteError::UnknownSource(from));
         }
         let mut current = from;
@@ -401,7 +375,7 @@ impl ChordOverlay {
             }
             // Otherwise jump through the closest preceding finger.
             let next = self.closest_preceding(current, key).unwrap_or(succ);
-            debug_assert!(self.ring.contains(&next));
+            debug_assert!(self.ring.contains(next));
             if next == current {
                 return Err(RouteError::Stuck { at: current, key });
             }
@@ -415,7 +389,7 @@ impl ChordOverlay {
     fn live_successor(&mut self, current: Id) -> Result<Id, RouteError> {
         let node = &self.nodes[&current];
         for s in &node.successor_list {
-            if self.ring.contains(s) {
+            if self.ring.contains(*s) {
                 return Ok(*s);
             }
         }
@@ -462,7 +436,7 @@ impl Snapshots for ChordOverlay {
 
 impl KeyRouter for ChordOverlay {
     fn is_live(&self, node: Id) -> bool {
-        self.ring.contains(&node)
+        self.ring.contains(node)
     }
 
     fn owner_of(&self, key: Id) -> Option<Id> {

@@ -15,8 +15,8 @@
 //!   "numerically closest" relation Pastry's leaf set uses) and the directed
 //!   clockwise/counter-clockwise distances.
 //! * Digit / prefix arithmetic for prefix routing: [`Id::digit`],
-//!   [`Id::shared_prefix_digits`], [`Id::with_digit`] for an arbitrary digit
-//!   width `b` (Pastry's `b` parameter, typically 4 → hexadecimal digits).
+//!   [`Id::shared_prefix_digits`], [`Id::with_digit`] for any digit width `b`.
+//! * [`Ring`] — the ordered id set replica placement and hop lookup walk.
 //!
 //! ## Storage and compute representation
 //!
@@ -31,8 +31,8 @@
 //! [`Id::between_cw`] compare limb tuples (tuple order is numeric order,
 //! which is the bytes' lexicographic order); a shared prefix is
 //! `leading_zeros` of the XOR and a digit is a shift and a mask. Identifier
-//! arithmetic sits under every routing step, leaf-set scan and `BTreeSet`
-//! descent, so all of it is `#[inline]` and none of it allocates. The
+//! arithmetic sits under every routing step, leaf-set scan and [`Ring`]
+//! search, so all of it is `#[inline]` and none of it allocates. The
 //! byte-at-a-time arithmetic the crate started with survives as the test
 //! oracle the limb code is checked against.
 //!
@@ -62,10 +62,12 @@
 mod hash;
 mod id;
 mod range;
+mod ring;
 
 pub use hash::{BuildIdHasher, IdHashMap, IdHashSet, IdHasher};
 pub use id::{Id, IdParseError, ID_BITS, ID_BYTES};
 pub use range::{first_digit_buckets, ArcRange};
+pub use ring::Ring;
 
 /// Number of digits an [`Id`] has for a given digit width `b` (bits/digit).
 ///

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use tap_id::{IdHashMap, IdHashSet};
 
 use rand::Rng;
-use tap_id::Id;
+use tap_id::{Id, Ring};
 use tap_metrics::{Counter, Histogram, Registry};
 
 use crate::config::PastryConfig;
@@ -125,11 +125,11 @@ impl OverlayInstruments {
 #[derive(Clone)]
 pub struct Overlay {
     config: PastryConfig,
-    /// Live node handles. Always holds exactly the ids in `ring` — the
-    /// hot paths prefer `nodes.contains_key` (one fold-hash probe) over
-    /// `ring.contains` (a deep `BTreeSet` descent) for membership.
+    /// Live node handles. Always holds exactly the ids in `ring`; the
+    /// hot paths ask `nodes.contains_key` (one fold-hash probe) for
+    /// membership and `ring` only for order.
     nodes: IdHashMap<Arc<NodeHandle>>,
-    ring: BTreeSet<Id>,
+    ring: Ring,
     /// Dense membership list for O(1) *uniform* random-node sampling
     /// (successor-of-a-random-probe sampling would be biased by ring-gap
     /// size, which skews relay selection statistics in the experiments).
@@ -145,7 +145,7 @@ pub struct Overlay {
 #[derive(Clone)]
 pub struct OverlayCheckpoint {
     nodes: IdHashMap<Arc<NodeHandle>>,
-    ring: BTreeSet<Id>,
+    ring: Ring,
     order: Vec<Id>,
     pos: IdHashMap<usize>,
 }
@@ -170,7 +170,7 @@ impl Overlay {
         Overlay {
             config,
             nodes: IdHashMap::default(),
-            ring: BTreeSet::new(),
+            ring: Ring::new(),
             order: Vec::new(),
             pos: IdHashMap::default(),
             instruments: OverlayInstruments::new(Registry::new()),
@@ -210,7 +210,7 @@ impl Overlay {
 
     /// Iterate over all live node ids (ring order).
     pub fn ids(&self) -> impl Iterator<Item = Id> + '_ {
-        self.ring.iter().copied()
+        self.ring.clockwise(Bound::Unbounded)
     }
 
     /// Borrow a node's state.
@@ -263,7 +263,7 @@ impl Overlay {
     /// undoes the network, not the measurement).
     pub fn rollback(&mut self, cp: &OverlayCheckpoint) {
         self.nodes = cp.nodes.clone();
-        self.ring = cp.ring.clone();
+        self.ring.clone_from(&cp.ring);
         self.order = cp.order.clone();
         self.pos = cp.pos.clone();
     }
@@ -317,73 +317,27 @@ impl Overlay {
     // validating that decentralized routing agrees with ground truth).
     // ------------------------------------------------------------------
 
-    /// Live ids clockwise from `from`, once round the ring; `first` is
-    /// `Bound::Included` or `Bound::Excluded` and says whether a live `from`
-    /// leads the walk or is left out of it. The wrap-around range is built
-    /// only when the first one runs out: a walk that stops after a few ids
-    /// pays one tree descent, not two.
-    fn clockwise_from(
-        &self,
-        from: Id,
-        first: fn(Id) -> Bound<Id>,
-    ) -> impl Iterator<Item = Id> + '_ {
-        self.ring
-            .range((first(from), Bound::Unbounded))
-            .chain(std::iter::once_with(move || self.ring.range(..from)).flatten())
-            .copied()
-    }
-
-    /// Live ids counter-clockwise from `from` (never itself), once round
-    /// the ring; `last` says whether a live `from` ends the walk. The
-    /// mirror image of [`Overlay::clockwise_from`].
-    fn counter_clockwise_from(
-        &self,
-        from: Id,
-        last: fn(Id) -> Bound<Id>,
-    ) -> impl Iterator<Item = Id> + '_ {
-        self.ring
-            .range(..from)
-            .rev()
-            .chain(
-                std::iter::once_with(move || self.ring.range((last(from), Bound::Unbounded)).rev())
-                    .flatten(),
-            )
-            .copied()
-    }
-
-    /// The first live id clockwise from `from`, inclusive (`None` on an
-    /// empty ring).
-    fn successor_inclusive(&self, from: Id) -> Option<Id> {
-        self.ring
-            .range(from..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .copied()
-    }
-
     /// Up to `n` live ids clockwise from `from` (exclusive), in ring order.
     pub fn successors(&self, from: Id, n: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(n.min(self.ring.len()));
-        out.extend(self.clockwise_from(from, Bound::Excluded).take(n));
-        out
+        self.ring.clockwise(Bound::Excluded(from)).take(n).collect()
     }
 
     /// Up to `n` live ids counter-clockwise from `from` (exclusive).
     pub fn predecessors(&self, from: Id, n: usize) -> Vec<Id> {
-        let mut out = Vec::with_capacity(n.min(self.ring.len()));
-        out.extend(self.counter_clockwise_from(from, Bound::Excluded).take(n));
-        out
+        (self.ring.counter_clockwise(Bound::Excluded(from)))
+            .take(n)
+            .collect()
     }
 
     /// Oracle: the live node numerically closest to `key` (the key's root).
     pub fn owner_of(&self, key: Id) -> Option<Id> {
-        let succ = self.successor_inclusive(key)?;
+        let succ = self.ring.clockwise(Bound::Included(key)).next()?;
         if succ == key {
             return Some(succ);
         }
         // `key` is not a member, so on a non-empty ring this walk has a
         // first id (`succ` itself on a ring of one).
-        let pred = self.counter_clockwise_from(key, Bound::Excluded).next()?;
+        let pred = self.ring.counter_clockwise(Bound::Excluded(key)).next()?;
         Some(match key.cmp_distance(succ, pred) {
             std::cmp::Ordering::Greater => pred,
             _ => succ,
@@ -392,7 +346,7 @@ impl Overlay {
 
     /// Oracle: the `k` live nodes numerically closest to `key`, nearest
     /// first — PAST's replica set for the key. The first `k` ids of
-    /// [`Overlay::closest_iter`]: two tree descents and one allocation.
+    /// [`Overlay::closest_iter`]: two bucket searches and one allocation.
     pub fn k_closest(&self, key: Id, k: usize) -> Vec<Id> {
         let take = k.min(self.ring.len());
         let mut out = Vec::with_capacity(take);
@@ -407,21 +361,19 @@ impl Overlay {
     ///
     /// Works by merging the clockwise walk (which starts *at* `key`, so a
     /// member key comes out first, at distance zero) with the
-    /// counter-clockwise walk: the unvisited ids always form one
-    /// contiguous arc whose *farthest* point from `key` is interior, so
-    /// the nearest unvisited id is one of the arc's two endpoints, and
-    /// comparing the two frontiers picks it. The ids taken so far are
-    /// therefore always ring-contiguous — the property replica repair on a
-    /// join rests on.
+    /// counter-clockwise walk (which leaves `key` out): the unvisited ids
+    /// always form one contiguous arc whose *farthest* point from `key` is
+    /// interior, so the nearest unvisited id is one of the arc's two
+    /// endpoints, and comparing the two frontiers picks it. The ids taken so
+    /// far are therefore always ring-contiguous — the property replica
+    /// repair on a join rests on.
     pub fn closest_iter(&self, key: Id) -> impl Iterator<Item = Id> + '_ {
         // A frontier is measured when first peeked, not once per comparison.
         let measured = move |id: Id| key.distance_key(id);
-        let mut succ = self
-            .clockwise_from(key, Bound::Included)
+        let mut succ = (self.ring.clockwise(Bound::Included(key)))
             .map(measured)
             .peekable();
-        let mut pred = self
-            .counter_clockwise_from(key, Bound::Included)
+        let mut pred = (self.ring.counter_clockwise(Bound::Excluded(key)))
             .map(measured)
             .peekable();
         let mut left = self.ring.len();
@@ -430,9 +382,11 @@ impl Overlay {
                 return None;
             }
             left -= 1;
-            // Each walk covers the whole ring, so while an id is unvisited
-            // both still have a frontier (the same id, for the last one).
-            let (s, p) = (succ.peek().copied()?, pred.peek().copied()?);
+            // The clockwise walk covers the whole ring, so while an id is
+            // unvisited it has a frontier; the other runs dry only on a ring
+            // of `key` alone. On the last id both frontiers are that id.
+            let s = succ.peek().copied()?;
+            let p = pred.peek().copied().unwrap_or(s);
             if s > p {
                 pred.next();
                 Some(p.1)
@@ -473,7 +427,8 @@ impl Overlay {
 
         // Bootstrap from roughly the antipode so the join path has
         // realistic length and donates a full set of rows.
-        if let Some(bootstrap) = self.successor_inclusive(id.flip_bit(0)) {
+        let bootstrap = self.ring.clockwise(Bound::Included(id.flip_bit(0))).next();
+        if let Some(bootstrap) = bootstrap {
             let path = match self.route(bootstrap, id) {
                 Ok(outcome) => outcome.path,
                 // Tables worn by churn can strand a route (`Stuck`, `Loop`):
@@ -538,7 +493,7 @@ impl Overlay {
     /// `false` and changes nothing, so overlapping churn units may race
     /// to kill the same node without panicking.
     pub fn remove_node(&mut self, id: Id) -> bool {
-        if !self.ring.remove(&id) {
+        if !self.ring.remove(id) {
             return false;
         }
         self.nodes.remove(&id);
@@ -572,7 +527,7 @@ impl Overlay {
         // — its leaf set names the survivors that must repair.
         let mut departed: Vec<Arc<NodeHandle>> = Vec::new();
         for &id in ids {
-            if !self.ring.remove(&id) {
+            if !self.ring.remove(id) {
                 continue;
             }
             if let Some(handle) = self.nodes.remove(&id) {
@@ -666,17 +621,18 @@ impl Overlay {
         let mut window = Vec::with_capacity(self.ring.len().min(2 * reach + 1));
         if !whole {
             window.extend(
-                self.counter_clockwise_from(around, Bound::Excluded)
+                self.ring
+                    .counter_clockwise(Bound::Excluded(around))
                     .take(reach),
             );
             window.reverse();
         }
         let at = window.len();
-        if self.ring.contains(&around) {
+        if self.ring.contains(around) {
             window.push(around);
         }
         let rest = if whole { usize::MAX } else { reach };
-        window.extend(self.clockwise_from(around, Bound::Excluded).take(rest));
+        window.extend(self.ring.clockwise(Bound::Excluded(around)).take(rest));
         Window {
             ids: window,
             at,
@@ -741,7 +697,7 @@ impl Overlay {
                         continue;
                     }
                     ring_mode |= went_greedy;
-                    debug_assert!(self.ring.contains(&n), "forwarded to dead node");
+                    debug_assert!(self.ring.contains(n), "forwarded to dead node");
                     path.push(n);
                     current = n;
                 }
@@ -769,10 +725,7 @@ impl Overlay {
         // Phase 1: leaf set covers the key → exact final step(s).
         if node.leafset.covers(key) {
             let best = node.leafset.closest_to(key);
-            debug_assert!(
-                self.ring.contains(&best),
-                "leaf sets are eagerly maintained"
-            );
+            debug_assert!(self.ring.contains(best), "leaf sets are eagerly maintained");
             return Ok(((best != current).then_some(best), false));
         }
 
@@ -1140,7 +1093,9 @@ mod tests {
         // to the oracle root instead of panicking.
         let (mut ov, mut rng) = build(80, 25);
         let id = Id::random(&mut rng);
-        let bootstrap = ov.successor_inclusive(id.flip_bit(0)).unwrap();
+        let bootstrap = (ov.ring.clockwise(Bound::Included(id.flip_bit(0))))
+            .next()
+            .unwrap();
         let half = ov.config().leaf_half();
         let ghosts = |step: fn(Id, Id) -> Id| -> Vec<Id> {
             (1..=half as u64)
@@ -1191,7 +1146,7 @@ mod tests {
         let ov = Overlay::new(PastryConfig::paper_defaults());
         let key = Id::from_u64(7);
         assert_eq!(ov.owner_of(key), None);
-        assert_eq!(ov.successor_inclusive(key), None);
+        assert_eq!(ov.ring.clockwise(Bound::Included(key)).next(), None);
         assert!(ov.k_closest(key, 3).is_empty());
         assert_eq!(ov.closest_iter(key).count(), 0);
         assert!(ov.successors(key, 3).is_empty() && ov.predecessors(key, 3).is_empty());

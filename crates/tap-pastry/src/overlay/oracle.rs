@@ -3,8 +3,9 @@
 //! against: a sort-based `k_closest`, ring walks that build both ranges up
 //! front, and a join/leave that asks the ring for every affected member's
 //! `successors` and `predecessors` separately. Copied, not rewritten: the
-//! edits are `ov.` for `self.`, and `successor_inclusive` unwrapped now that
-//! it returns an `Option`.
+//! edits are `ov.` for `self.`, `successor_inclusive` inlined and unwrapped,
+//! and the ranges read off a `BTreeSet` built from `ov.ids()` — the
+//! overlay's own ring walks are what this oracle checks.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -16,12 +17,17 @@ use super::{NodeHandle, Overlay};
 use crate::leafset::LeafSet;
 use crate::routing_table::RoutingTable;
 
+/// The ring as the ordered set the old code walked.
+fn ring(ov: &Overlay) -> BTreeSet<Id> {
+    ov.ids().collect()
+}
+
 pub(super) fn successors(ov: &Overlay, from: Id, n: usize) -> Vec<Id> {
+    let ring = ring(ov);
     let mut out = Vec::with_capacity(n);
-    for id in ov
-        .ring
+    for id in ring
         .range((Bound::Excluded(from), Bound::Unbounded))
-        .chain(ov.ring.range(..from))
+        .chain(ring.range(..from))
     {
         if out.len() == n {
             break;
@@ -32,12 +38,13 @@ pub(super) fn successors(ov: &Overlay, from: Id, n: usize) -> Vec<Id> {
 }
 
 pub(super) fn predecessors(ov: &Overlay, from: Id, n: usize) -> Vec<Id> {
+    let ring = ring(ov);
     let mut out = Vec::with_capacity(n);
-    for id in ov.ring.range(..from).rev().chain(
-        ov.ring
-            .range((Bound::Excluded(from), Bound::Unbounded))
-            .rev(),
-    ) {
+    for id in ring
+        .range(..from)
+        .rev()
+        .chain(ring.range((Bound::Excluded(from), Bound::Unbounded)).rev())
+    {
         if out.len() == n {
             break;
         }
@@ -49,7 +56,7 @@ pub(super) fn predecessors(ov: &Overlay, from: Id, n: usize) -> Vec<Id> {
 pub(super) fn k_closest(ov: &Overlay, key: Id, k: usize) -> Vec<Id> {
     let take = k.min(ov.ring.len());
     let mut cands = successors(ov, key, take);
-    if ov.ring.contains(&key) {
+    if ov.ring.contains(key) {
         cands.push(key);
     }
     cands.extend(predecessors(ov, key, take));
@@ -68,8 +75,9 @@ pub(super) fn add_node(ov: &mut Overlay, id: Id) -> bool {
     let mut leafset = LeafSet::new(id, half);
 
     if !ov.ring.is_empty() {
-        let bootstrap = ov
-            .successor_inclusive(id.flip_bit(0))
+        let ring = ring(ov);
+        let bootstrap = *(ring.range(id.flip_bit(0)..).next())
+            .or_else(|| ring.iter().next())
             .expect("non-empty ring");
         let outcome = ov
             .route(bootstrap, id)
@@ -118,7 +126,7 @@ pub(super) fn add_node(ov: &mut Overlay, id: Id) -> bool {
 }
 
 pub(super) fn remove_node(ov: &mut Overlay, id: Id) -> bool {
-    if !ov.ring.remove(&id) {
+    if !ov.ring.remove(id) {
         return false;
     }
     ov.nodes.remove(&id);
@@ -137,7 +145,7 @@ pub(super) fn remove_node(ov: &mut Overlay, id: Id) -> bool {
 pub(super) fn remove_nodes(ov: &mut Overlay, ids: &[Id]) -> usize {
     let mut departed: Vec<Arc<NodeHandle>> = Vec::new();
     for &id in ids {
-        if !ov.ring.remove(&id) {
+        if !ov.ring.remove(id) {
             continue;
         }
         if let Some(handle) = ov.nodes.remove(&id) {
@@ -225,7 +233,7 @@ mod differential {
         rng: &mut StdRng,
         what: &str,
     ) {
-        assert_eq!(new.ring, old.ring, "{what}: membership");
+        assert!(new.ids().eq(old.ids()), "{what}: membership");
         assert_eq!(new.order, old.order, "{what}: sampling index");
         assert_eq!(
             new.handles_shared_with(new_snap),

@@ -18,10 +18,10 @@
 //! caller modelling it installs an exposure ledger ([`ReplicaStore::watch`]);
 //! without one, a replica hand-off costs one branch.
 
-use std::collections::BTreeSet;
+use std::ops::Bound;
 use std::sync::Arc;
 
-use tap_id::{Id, IdHashMap, IdHashSet};
+use tap_id::{Id, IdHashMap, IdHashSet, Ring};
 use tap_metrics::{Counter, Registry};
 
 use crate::substrate::KeyRouter;
@@ -109,7 +109,7 @@ pub struct ReplicaStore<V> {
     /// Object per key: transit's THA lookup is one hash probe.
     objects: IdHashMap<ObjectRecord<V>>,
     /// The keys of `objects`, in ring order.
-    ring: BTreeSet<Id>,
+    ring: Ring,
     ledger: Option<Ledger>,
     instruments: StoreInstruments,
 }
@@ -122,7 +122,7 @@ impl<V> ReplicaStore<V> {
         ReplicaStore {
             k,
             objects: IdHashMap::default(),
-            ring: BTreeSet::new(),
+            ring: Ring::new(),
             ledger: None,
             instruments: StoreInstruments::new(Registry::new()),
         }
@@ -189,7 +189,7 @@ impl<V> ReplicaStore<V> {
     /// proven knowledge of PW at the protocol layer).
     pub fn remove(&mut self, key: Id) -> Option<V> {
         let rec = self.objects.remove(&key)?;
-        self.ring.remove(&key);
+        self.ring.remove(key);
         if let Some(ledger) = &mut self.ledger {
             ledger.keys.remove(&key);
         }
@@ -268,10 +268,9 @@ impl<V> ReplicaStore<V> {
             (Some(&from), Some(&to)) if overlay.node_count() > 2 * reach + 1 => (from, to),
             _ => (Id::ZERO, Id::MAX),
         };
-        let wraps = from > to;
-        let head = self.ring.range(from..=if wraps { Id::MAX } else { to });
-        let tail = wraps.then(|| self.ring.range(..=to)).into_iter().flatten();
-        let keys: Vec<Id> = (head.chain(tail).copied())
+        let span = from.clockwise_distance(to);
+        let keys: Vec<Id> = (self.ring.clockwise(Bound::Included(from)))
+            .take_while(|key| from.clockwise_distance(*key) <= span)
             .filter(|key| self.objects.get(key).is_some_and(|r| touched(&r.holders)))
             .collect();
         for key in keys {
@@ -350,7 +349,7 @@ impl<V> ReplicaStore<V> {
     pub fn assert_replica_invariant(&self, overlay: &impl KeyRouter) {
         assert!(
             self.ring.len() == self.objects.len()
-                && self.objects.keys().all(|key| self.ring.contains(key)),
+                && self.objects.keys().all(|key| self.ring.contains(*key)),
             "ring order lists exactly the stored keys"
         );
         for (key, rec) in &self.objects {
@@ -370,6 +369,7 @@ mod tests {
     use crate::overlay::Overlay;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn build(n: usize, seed: u64) -> (Overlay, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
