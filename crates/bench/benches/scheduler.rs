@@ -6,8 +6,11 @@
 //! * **fill+drain** — push `n` events with pseudo-random offsets, then pop
 //!   the queue dry (the cold path a fresh load point pays once);
 //! * **churn** — hold `n` events pending and do pop-one/push-one pairs
-//!   (the hold-model steady state the throughput figure lives in, where
+//!   (the hold-model steady state of many concurrent transfers, where
 //!   the calendar queue's O(1) amortized ops beat the heap's O(log n)).
+//!
+//! With `tap-bench`'s `netsim.network.pingpong_ns_per_event`, this is
+//! what measures the event kernel on its own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -195,8 +195,8 @@ pub struct TransitReport {
     pub hint_hits: usize,
     /// Hints that were stale and fell back to routing.
     pub hint_misses: usize,
-    /// The node-level path, segment per tunnel hop (diagnostics; also what
-    /// the latency experiment replays against the bandwidth model).
+    /// The node-level path, segment per tunnel hop: every node the onion
+    /// reached, from the initiator on (diagnostics and tests).
     pub node_path: Vec<Id>,
 }
 

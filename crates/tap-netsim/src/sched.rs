@@ -4,8 +4,8 @@
 //!
 //! # Why not a binary heap
 //!
-//! `BinaryHeap` push/pop is O(log n); at the throughput figure's scale
-//! (millions of in-flight transfers) the log factor plus the per-entry
+//! `BinaryHeap` push/pop is O(log n); with millions of in-flight
+//! transfers the log factor plus the per-entry
 //! allocation traffic dominates the event loop. A calendar queue exploits
 //! the shape of netsim's delay distribution — arrivals cluster within a
 //! bounded horizon (serialization + [1 ms, 230 ms] propagation), with a

@@ -1,7 +1,7 @@
 //! `tap-sim` — regenerate the TAP paper's figures from the command line.
 //!
 //! ```text
-//! tap-sim <fig2|fig3|fig4a|fig4b|fig5|fig6|secure|resilience|throughput|all> \
+//! tap-sim <fig2|fig3|fig4a|fig4b|fig5|fig6|secure|resilience|all> \
 //!         [--paper] [--seed N] [--nodes N] [--tunnels N] [--journal N] \
 //!         [--faults PERMILLE] [--multipath N/K] [--threads N] [--csv DIR]
 //! ```
@@ -66,7 +66,6 @@ fn main() {
         ("fig6", experiments::latency::run),
         ("secure", experiments::secure_routing::run),
         ("resilience", experiments::resilience::run),
-        ("throughput", experiments::throughput::run),
     ];
     let selected: Vec<&Job> = if parsed.which == "all" {
         jobs.iter().collect()
@@ -119,20 +118,11 @@ fn main() {
                 io_errors += 1;
             }
         }
-        let mut extras = series.bench_extras.clone();
-        if name == "fig6" {
-            // Probed here, outside `took`: it is a property of the codec
-            // fig6 stands on, not part of the figure's run time.
-            extras.push((
-                "cipher_gbps".into(),
-                experiments::latency::measure_cipher_gbps(),
-            ));
-        }
         wall.push(FigureRecord {
             name,
             wall_s: took.as_secs_f64(),
             rss_delta_kb,
-            extras,
+            extras: series.bench_extras,
         });
     }
     let peak_rss_kb = peak_rss_kb();
@@ -180,7 +170,7 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// One figure's bench-record entry: wall-clock, the `VmHWM` increment the
 /// figure is responsible for, and any figure-reported extras (e.g. the
-/// throughput figure's `events_per_sec`).
+/// resilience figures' delivered fractions).
 struct FigureRecord {
     name: &'static str,
     wall_s: f64,

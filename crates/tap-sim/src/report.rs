@@ -31,10 +31,10 @@ pub struct Series {
     /// Structured observability: the `tap_metrics::MetricsReport` of the
     /// run that produced this series, serialized to JSON.
     pub metrics_json: Option<String>,
-    /// Wall-clock-derived performance extras (e.g. `events_per_sec`) for
-    /// the `BENCH_sim.json` record of this figure. Deliberately *not* part
-    /// of the CSV or the printed table: these values vary run to run,
-    /// while everything above is byte-reproducible.
+    /// Extras for the `BENCH_sim.json` record of this figure, which the
+    /// bench gate reads (the resilience figures' delivered fractions and
+    /// p99 latencies at their reference fault level). Deliberately *not*
+    /// part of the CSV or the printed table.
     pub bench_extras: Vec<(String, f64)>,
 }
 

@@ -4,7 +4,7 @@
 //! must never leak into the numbers it produces.
 
 use tap_sim::experiments::{
-    churn, collusion, latency, node_failures, resilience, secure_routing, sweeps, throughput,
+    churn, collusion, latency, node_failures, resilience, secure_routing, sweeps,
 };
 use tap_sim::{Scale, Series};
 
@@ -34,7 +34,6 @@ fn figures() -> Vec<(&'static str, Figure)> {
         ("fig5", churn::run),
         ("fig6", latency::run),
         ("secure", secure_routing::run),
-        ("throughput", throughput::run),
     ]
 }
 
@@ -66,7 +65,7 @@ fn csvs_are_byte_identical_across_thread_counts() {
 )]
 #[test]
 fn quick_preset_csvs_match_the_pre_port_goldens() {
-    let goldens: [(&str, Figure, &str); 9] = [
+    let goldens: [(&str, Figure, &str); 8] = [
         (
             "fig2",
             node_failures::run as Figure,
@@ -94,11 +93,6 @@ fn quick_preset_csvs_match_the_pre_port_goldens() {
             "resilience",
             resilience::run,
             include_str!("goldens/resilience.csv"),
-        ),
-        (
-            "throughput",
-            throughput::run,
-            include_str!("goldens/throughput.csv"),
         ),
     ];
     for (name, run, golden) in goldens {

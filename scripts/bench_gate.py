@@ -9,15 +9,11 @@ The gate fails when any figure of the fresh run's *last* record is more
 than REGRESSION_FACTOR slower — or more than MEMORY_FACTOR heavier in
 its per-figure RSS increment (`rss_delta_mb`, the VmHWM growth the
 figure is responsible for) — than the best committed record with the same configuration
-(preset, nodes, tunnels, seed, threads). Rate-style fields run the other
-direction: a figure carrying `events_per_sec` (the throughput figure) or
-`cipher_gbps` (fig6's fused onion-codec throughput) must sustain at
-least the best committed rate / THROUGHPUT_FACTOR, and a
-figure carrying delivery fractions (`sp_delivered_frac` /
-`mp_delivered_frac`, recorded by the resilience figures at their
-reference fault permille) must stay within DELIVERED_FRAC_SLACK of the
-best committed fraction — a robustness regression gates exactly like a
-perf one. Figures with no comparable
+(preset, nodes, tunnels, seed, threads). A figure carrying delivery
+fractions (`sp_delivered_frac` / `mp_delivered_frac`, recorded by the
+resilience figures at their reference fault permille) must stay within
+DELIVERED_FRAC_SLACK of the best committed fraction — a robustness
+regression gates exactly like a perf one. Figures with no comparable
 committed baseline — e.g. a figure added in the PR under test — are
 reported on stderr and skipped, so the gate never blocks new experiments.
 
@@ -35,12 +31,6 @@ REGRESSION_FACTOR = 2.0
 ABSOLUTE_SLACK_S = 0.5
 MEMORY_FACTOR = 2.0
 ABSOLUTE_SLACK_MB = 50.0
-# Floor for rate-style figure fields: the fresh run must sustain at least
-# best-committed / THROUGHPUT_FACTOR. `events_per_sec` is the throughput
-# figure's event rate; `cipher_gbps` is the fused onion codec's measured
-# GB/s (recorded by fig6), gating the crypto kernels themselves.
-THROUGHPUT_FACTOR = 2.0
-RATE_FIELDS = (("events_per_sec", "ev/s", ".0f"), ("cipher_gbps", "GB/s", ".3f"))
 # Quality floor for the resilience figures' delivery fractions (recorded
 # at the sweep's reference fault permille): the fresh run must deliver at
 # least the best committed fraction minus this absolute slack. Fractions
@@ -104,8 +94,8 @@ def best_metric(records, key, field):
 def peak_metric(records, key, field):
     """figure name -> highest committed `field` among records matching key.
 
-    The counterpart of `best_metric` for rate-style fields, where *bigger*
-    is better and the gate holds a floor rather than a ceiling.
+    The counterpart of `best_metric` for fields where *bigger* is better
+    and the gate holds a floor rather than a ceiling.
     """
     best = {}
     for rec in records:
@@ -134,7 +124,6 @@ def main():
     key = config_key(fresh)
     wall_baseline = best_metric(committed, key, "wall_s")
     rss_baseline = best_metric(committed, key, "rss_delta_mb")
-    rate_baseline = {f: peak_metric(committed, key, f) for f, _, _ in RATE_FIELDS}
     frac_baseline = {f: peak_metric(committed, key, f) for f in DELIVERED_FRAC_FIELDS}
     if not wall_baseline:
         print(
@@ -160,24 +149,6 @@ def main():
         print(f"{verdict:>4}  {name:<12} {wall:8.3f}s  (baseline {base:.3f}s, limit {limit:.3f}s)")
         if wall > limit:
             failures.append(f"{name} (wall)")
-
-        for field, unit, spec in RATE_FIELDS:
-            rate = fig.get(field)
-            if rate is None:
-                continue
-            if name not in rate_baseline[field]:
-                skipped.append((name, f"no committed {field} baseline at this config"))
-                continue
-            rate = float(rate)
-            rate_base = rate_baseline[field][name]
-            rate_floor = rate_base / THROUGHPUT_FACTOR
-            verdict = "FAIL" if rate < rate_floor else "ok"
-            print(
-                f"{verdict:>4}  {name:<12} {rate:10{spec}} {unit} "
-                f"(baseline {rate_base:{spec}}, floor {rate_floor:{spec}})"
-            )
-            if rate < rate_floor:
-                failures.append(f"{name} ({field})")
 
         for field in DELIVERED_FRAC_FIELDS:
             frac = fig.get(field)
@@ -221,7 +192,7 @@ def main():
     if failures:
         sys.exit(
             f"bench_gate: regression beyond {REGRESSION_FACTOR}x wall / "
-            f"{MEMORY_FACTOR}x rss / {THROUGHPUT_FACTOR}x rate floor / "
+            f"{MEMORY_FACTOR}x rss / "
             f"{DELIVERED_FRAC_SLACK} delivered-frac slack "
             f"in: {', '.join(failures)}"
         )
