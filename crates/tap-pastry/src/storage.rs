@@ -8,9 +8,11 @@
 //!
 //! The store keeps each object's value and **current** replica set
 //! ([`ObjectRecord::holders`]), which decides whether a tunnel hop is
-//! reachable (Fig. 2), and the keys in ring order: a replica set is `k`
-//! ring-contiguous nodes (DESIGN.md §6i), so the keys a membership event
-//! can move lie in one short arc around the node that came or went.
+//! reachable (Fig. 2), in one index: a [`Ring`] of records in key order.
+//! A replica set is `k` ring-contiguous nodes (DESIGN.md §6i), so the keys
+//! a membership event can move lie in one short arc around the node that
+//! came or went, and repair reads their holders off the walk of that arc;
+//! a lookup by key is one search of one short bucket.
 //!
 //! Exposure is opt-in. "Malicious nodes can take advantage of the leaves
 //! of other nodes to learn more THAs" (§7.2): a malicious node *ever* given
@@ -21,7 +23,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use tap_id::{Id, IdHashMap, IdHashSet, Ring};
+use tap_id::{Id, IdHashSet, Ring};
 use tap_metrics::{Counter, Registry};
 
 use crate::substrate::KeyRouter;
@@ -106,10 +108,8 @@ impl Ledger {
 #[derive(Debug, Clone)]
 pub struct ReplicaStore<V> {
     k: usize,
-    /// Object per key: transit's THA lookup is one hash probe.
-    objects: IdHashMap<ObjectRecord<V>>,
-    /// The keys of `objects`, in ring order.
-    ring: Ring,
+    /// Object per key, in ring order.
+    records: Ring<ObjectRecord<V>>,
     ledger: Option<Ledger>,
     instruments: StoreInstruments,
 }
@@ -121,8 +121,7 @@ impl<V> ReplicaStore<V> {
         assert!(k >= 1, "replication factor must be at least 1");
         ReplicaStore {
             k,
-            objects: IdHashMap::default(),
-            ring: Ring::new(),
+            records: Ring::new(),
             ledger: None,
             instruments: StoreInstruments::new(Registry::new()),
         }
@@ -145,12 +144,12 @@ impl<V> ReplicaStore<V> {
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.records.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.records.is_empty()
     }
 
     /// Store `value` under `key`, replicating onto the `k` closest live
@@ -164,7 +163,7 @@ impl<V> ReplicaStore<V> {
         key: Id,
         value: V,
     ) -> Result<bool, StorageError> {
-        if self.objects.contains_key(&key) {
+        if self.records.contains(key) {
             return Ok(false);
         }
         let holders = overlay.replica_set(key, self.k);
@@ -174,22 +173,20 @@ impl<V> ReplicaStore<V> {
         if let Some(ledger) = &mut self.ledger {
             ledger.hand_off(key, &holders);
         }
-        self.ring.insert(key);
-        self.objects.insert(key, ObjectRecord { value, holders });
+        self.records.put(key, ObjectRecord { value, holders });
         self.instruments.inserts.inc();
         Ok(true)
     }
 
     /// Fetch an object's record.
     pub fn get(&self, key: Id) -> Option<&ObjectRecord<V>> {
-        self.objects.get(&key)
+        self.records.get(key)
     }
 
     /// Remove an object entirely (TAP's THA deletion, after the owner has
     /// proven knowledge of PW at the protocol layer).
     pub fn remove(&mut self, key: Id) -> Option<V> {
-        let rec = self.objects.remove(&key)?;
-        self.ring.remove(key);
+        let rec = self.records.take(key)?;
         if let Some(ledger) = &mut self.ledger {
             ledger.keys.remove(&key);
         }
@@ -198,15 +195,15 @@ impl<V> ReplicaStore<V> {
 
     /// Current holders of `key`, nearest first (empty if unknown key).
     pub fn holders(&self, key: Id) -> &[Id] {
-        self.objects
-            .get(&key)
+        self.records
+            .get(key)
             .map(|r| r.holders.as_slice())
             .unwrap_or(&[])
     }
 
-    /// Iterate over `(key, record)` pairs.
+    /// Iterate over `(key, record)` pairs in ring order (ascending key).
     pub fn iter(&self) -> impl Iterator<Item = (Id, &ObjectRecord<V>)> {
-        self.objects.iter().map(|(k, v)| (*k, v))
+        self.records.clockwise_entries(Bound::Unbounded)
     }
 
     /// Keep an exposure ledger for `nodes` from now on (replacing any
@@ -221,8 +218,8 @@ impl<V> ReplicaStore<V> {
             watched,
             keys: IdHashSet::default(),
         };
-        for (key, rec) in &self.objects {
-            ledger.hand_off(*key, &rec.holders);
+        for (key, rec) in self.records.clockwise_entries(Bound::Unbounded) {
+            ledger.hand_off(key, &rec.holders);
         }
         self.ledger = Some(ledger);
     }
@@ -234,10 +231,10 @@ impl<V> ReplicaStore<V> {
     }
 
     fn reassign(&mut self, key: Id, new_holders: Vec<Id>) {
-        // Callers name keys read from `ring`, which holds exactly the keys
-        // of `objects`; a miss would be a bookkeeping bug, not an input.
-        debug_assert!(self.objects.contains_key(&key), "reassigning known key");
-        let Some(rec) = self.objects.get_mut(&key) else {
+        // Callers name stored keys; a miss would be a bookkeeping bug, not
+        // an input.
+        debug_assert!(self.records.contains(key), "reassigning known key");
+        let Some(rec) = self.records.get_mut(key) else {
             return;
         };
         if rec.holders == new_holders {
@@ -256,7 +253,8 @@ impl<V> ReplicaStore<V> {
     /// `touched` in the closed ring arc from the far end of `before` to the
     /// far end of `after`: walks of `reach` live nodes either side of a
     /// membership event. On a ring of at most `2·reach + 1` nodes the walks
-    /// may meet, and the whole ring is scanned.
+    /// may meet, and the whole ring is scanned. The holders are read off
+    /// the walk of the records itself, in ring order.
     fn repair_arc(
         &mut self,
         overlay: &impl KeyRouter,
@@ -269,9 +267,10 @@ impl<V> ReplicaStore<V> {
             _ => (Id::ZERO, Id::MAX),
         };
         let span = from.clockwise_distance(to);
-        let keys: Vec<Id> = (self.ring.clockwise(Bound::Included(from)))
-            .take_while(|key| from.clockwise_distance(*key) <= span)
-            .filter(|key| self.objects.get(key).is_some_and(|r| touched(&r.holders)))
+        let keys: Vec<Id> = (self.records.clockwise_entries(Bound::Included(from)))
+            .take_while(|(key, _)| from.clockwise_distance(*key) <= span)
+            .filter(|(_, rec)| touched(&rec.holders))
+            .map(|(key, _)| key)
             .collect();
         for key in keys {
             self.reassign(key, overlay.replica_set(key, self.k));
@@ -287,7 +286,7 @@ impl<V> ReplicaStore<V> {
     /// observed in transit, a partition healed, a leave went unreported)
     /// and want that one anchor back to full strength.
     pub fn repair_key(&mut self, overlay: &impl KeyRouter, key: Id) -> bool {
-        if !self.objects.contains_key(&key) {
+        if !self.records.contains(key) {
             return false;
         }
         let new_holders = overlay.replica_set(key, self.k);
@@ -347,13 +346,8 @@ impl<V> ReplicaStore<V> {
     /// Assert every object's holder set equals the overlay oracle's
     /// k-closest. Test helper; O(objects · k · log N).
     pub fn assert_replica_invariant(&self, overlay: &impl KeyRouter) {
-        assert!(
-            self.ring.len() == self.objects.len()
-                && self.objects.keys().all(|key| self.ring.contains(*key)),
-            "ring order lists exactly the stored keys"
-        );
-        for (key, rec) in &self.objects {
-            let want = overlay.replica_set(*key, self.k);
+        for (key, rec) in self.iter() {
+            let want = overlay.replica_set(key, self.k);
             assert_eq!(
                 rec.holders, want,
                 "replica set for {key:?} diverged from k-closest"
