@@ -1,16 +1,17 @@
 //! Overlay parameters.
 
+use crate::leafset::HALF;
+
 /// Static Pastry/PAST parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PastryConfig {
     /// Bits per identifier digit. Pastry's `b`; the paper notes "a typical
     /// value of 4" (§5), giving hexadecimal digits and `log_16 N` routing.
     pub b: u32,
-    /// Total leaf-set size `|L|` (half on each side of the ring). Pastry's
-    /// customary value is 16.
-    pub leaf_set_size: usize,
     /// PAST replication factor `k`: objects live on the `k` nodes closest
-    /// to their key. The paper evaluates k = 3 and k = 5.
+    /// to their key, at most the leaf set's reach (`|L|/2 + 1 = 9`; the
+    /// leaf set is Pastry's customary `|L| = 16`). The paper evaluates
+    /// k = 3 and k = 5.
     pub replication: usize,
 }
 
@@ -19,7 +20,6 @@ impl PastryConfig {
     pub fn paper_defaults() -> Self {
         PastryConfig {
             b: 4,
-            leaf_set_size: 16,
             replication: 3,
         }
     }
@@ -42,26 +42,16 @@ impl PastryConfig {
         tap_id::digits_for(self.b)
     }
 
-    /// Leaf-set entries maintained on each side of the node.
-    pub fn leaf_half(&self) -> usize {
-        self.leaf_set_size / 2
-    }
-
     /// Panics if the configuration is internally inconsistent.
     pub fn validate(&self) {
         assert!((1..=8).contains(&self.b), "b must be 1..=8");
-        assert!(self.leaf_set_size >= 2, "leaf set too small");
-        assert!(
-            self.leaf_set_size.is_multiple_of(2),
-            "leaf set size must be even (split across both ring sides)"
-        );
         assert!(self.replication >= 1, "replication factor must be >= 1");
         assert!(
-            self.replication <= self.leaf_set_size / 2 + 1,
+            self.replication <= HALF + 1,
             "replication beyond leaf-set reach ({} > {}): PAST places \
              replicas within the leaf set",
             self.replication,
-            self.leaf_set_size / 2 + 1
+            HALF + 1
         );
     }
 }
@@ -82,7 +72,7 @@ mod tests {
         c.validate();
         assert_eq!(c.cols(), 16);
         assert_eq!(c.digits(), 40);
-        assert_eq!(c.leaf_half(), 8);
+        assert_eq!(HALF, 8, "|L| = 16");
     }
 
     #[test]
@@ -95,12 +85,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "replication beyond leaf-set reach")]
     fn replication_larger_than_leafset_rejected() {
-        PastryConfig {
-            b: 4,
-            leaf_set_size: 4,
-            replication: 4,
-        }
-        .validate();
+        PastryConfig::with_replication(HALF + 1).validate();
+        PastryConfig::with_replication(HALF + 2).validate();
     }
 
     #[test]
@@ -108,7 +94,6 @@ mod tests {
     fn bad_digit_width_rejected() {
         PastryConfig {
             b: 0,
-            leaf_set_size: 16,
             replication: 3,
         }
         .validate();
