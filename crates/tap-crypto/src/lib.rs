@@ -65,11 +65,18 @@ use tap_id::Id;
 /// never collide ("12"+"3" vs "1"+"23").
 pub fn derive_id(parts: &[&[u8]]) -> Id {
     let mut h = sha1::Sha1::new();
+    frame(&mut h, parts);
+    Id::from_bytes(h.finalize())
+}
+
+/// Feed `parts` to `h` the way [`derive_id`] frames them, each part
+/// length-prefixed. A caller deriving many ids that share their first
+/// parts frames those once and clones the hasher per id.
+pub fn frame(h: &mut sha1::Sha1, parts: &[&[u8]]) {
     for p in parts {
         h.update(&(p.len() as u64).to_be_bytes());
         h.update(p);
     }
-    Id::from_bytes(h.finalize())
 }
 
 #[cfg(test)]
