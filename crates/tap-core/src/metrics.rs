@@ -104,7 +104,7 @@ impl CoreInstruments {
         self.registry.emit(
             0,
             "core.tha.takeover",
-            format!("hopid={hopid:?} node={node:?}"),
+            format_args!("hopid={hopid:?} node={node:?}"),
         );
     }
 
@@ -114,7 +114,7 @@ impl CoreInstruments {
         self.registry.emit(
             0,
             "core.tha.re_replication",
-            format!("hopid={hopid:?} holders={holders_now}"),
+            format_args!("hopid={hopid:?} holders={holders_now}"),
         );
     }
 
@@ -127,7 +127,7 @@ impl CoreInstruments {
         self.registry.emit(
             0,
             "core.ec.degraded",
-            format!("wanted={wanted} stripes, formed {got}"),
+            format_args!("wanted={wanted} stripes, formed {got}"),
         );
     }
 }
