@@ -11,7 +11,7 @@ pub const DIGEST_LEN: usize = 20;
 const BLOCK_LEN: usize = 64;
 
 /// Incremental SHA-1 hasher.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Sha1 {
     state: [u32; 5],
     /// Bytes processed so far (for the length suffix).

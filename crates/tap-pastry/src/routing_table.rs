@@ -50,11 +50,6 @@ impl RoutingTable {
         }
     }
 
-    /// The owning node's id.
-    pub fn owner(&self) -> Id {
-        self.owner
-    }
-
     /// The natural `(row, col)` of `id`: shared prefix length, next digit.
     fn slot_of(&self, id: Id) -> (usize, usize) {
         let row = self.owner.shared_prefix_digits(id, self.b);
