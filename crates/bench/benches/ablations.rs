@@ -19,13 +19,11 @@ use rand::SeedableRng;
 
 use tap_core::tha::{Tha, ThaFactory};
 use tap_core::transit::{self, HintCache, TransitOptions};
-use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
-use tap_core::Collusion;
+use tap_core::{Collusion, World};
 use tap_id::{ArcRange, Id};
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::{Overlay, PastryConfig};
-use tap_sim::experiments::{deploy_tunnels, retire_tunnels, Testbed};
 
 const NODES: usize = 800;
 const TUNNELS: usize = 400;
@@ -36,22 +34,18 @@ fn ablation_k_tradeoff() {
         "{:>3} {:>22} {:>22}",
         "k", "failure@p=0.3 (func.)", "corruption@p=0.1 (anon.)"
     );
-    let tb = Testbed::build(NODES, TUNNELS, 3, 5, 11);
+    let mut world = World::build(PastryConfig::with_replication(3), NODES, 11);
+    let tunnels = world.deploy_tunnels(TUNNELS, 5);
     let mut rng = StdRng::seed_from_u64(12);
-    let dead: HashSet<Id> = tb
+    let dead: HashSet<Id> = world
         .overlay
         .ids()
         .choose_multiple(&mut rng, (NODES as f64 * 0.3) as usize)
         .into_iter()
         .collect();
     for k in [1usize, 2, 3, 4, 5, 6, 8] {
-        let mut store: ReplicaStore<Tha> = ReplicaStore::new(k);
-        for t in &tb.tunnels {
-            for h in &t.hops {
-                store.insert(&tb.overlay, h.hopid, h.stored()).unwrap();
-            }
-        }
-        let hop_lists: Vec<Vec<Id>> = tb.tunnels.iter().map(|t| t.hop_ids()).collect();
+        let store = world.thas_replicated(k, world.metrics());
+        let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
         let failed = hop_lists
             .iter()
             .filter(|h| {
@@ -60,7 +54,7 @@ fn ablation_k_tradeoff() {
             })
             .count() as f64
             / hop_lists.len() as f64;
-        let adv = Collusion::mark_fraction(&tb.overlay, &mut rng, 0.1);
+        let adv = Collusion::mark_fraction(&world.overlay, &mut rng, 0.1);
         let corrupted = adv.corruption_rate(&store, &hop_lists);
         println!("{k:>3} {failed:>22.4} {corrupted:>22.4}");
     }
@@ -73,25 +67,19 @@ fn ablation_length_tradeoff() {
         "{:>3} {:>18} {:>22}",
         "l", "mean overlay hops", "corruption@p=0.1"
     );
-    let mut rng = StdRng::seed_from_u64(13);
-    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-    for _ in 0..NODES {
-        overlay.add_random_node(&mut rng);
-    }
+    let base = World::build(PastryConfig::paper_defaults(), NODES, 13);
     for l in [1usize, 2, 3, 5, 7] {
-        let mut store: ReplicaStore<Tha> = ReplicaStore::new(3);
-        let mut srng = StdRng::seed_from_u64(14 + l as u64);
-        let tunnels = deploy_tunnels(&overlay, &mut store, &mut srng, 120, l);
+        let mut w = base.fork(StdRng::seed_from_u64(14 + l as u64), base.metrics());
+        let tunnels = w.deploy_tunnels(120, l);
         // Transit cost: drive a probe through each tunnel.
         let mut hops_total = 0usize;
-        for t in &tunnels {
-            let tun = Tunnel::new(t.hops.clone());
-            let probe = Id::random(&mut srng);
-            let onion = tun.build_onion(&mut srng, Destination::KeyRoot(probe), b"p", None);
+        for (initiator, tun) in &tunnels {
+            let probe = Id::random(&mut w.rng);
+            let onion = tun.build_onion(&mut w.rng, Destination::KeyRoot(probe), b"p", None);
             let (_, report) = transit::drive(
-                &mut overlay,
-                &store,
-                t.initiator,
+                &mut w.overlay,
+                &w.thas,
+                *initiator,
                 tun.entry_hopid(),
                 onion,
                 TransitOptions::default(),
@@ -99,14 +87,13 @@ fn ablation_length_tradeoff() {
             .expect("static overlay");
             hops_total += report.overlay_hops;
         }
-        let adv = Collusion::mark_fraction(&overlay, &mut srng, 0.1);
-        let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|t| t.hop_ids()).collect();
-        let corrupted = adv.corruption_rate(&store, &hop_lists);
+        let adv = Collusion::mark_fraction(&w.overlay, &mut w.rng, 0.1);
+        let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
+        let corrupted = adv.corruption_rate(&w.thas, &hop_lists);
         println!(
             "{l:>3} {:>18.2} {corrupted:>22.4}",
             hops_total as f64 / tunnels.len() as f64
         );
-        retire_tunnels(&mut store, &tunnels);
     }
     println!("(the knee at l=5: anonymity flattens while latency keeps climbing)");
 }
@@ -118,42 +105,41 @@ fn ablation_hint_staleness() {
         "churned fraction", "hint hits", "hint misses"
     );
     for churn_pct in [0usize, 5, 10, 20, 40] {
-        let mut tb = Testbed::build(NODES, 60, 3, 5, 15);
+        let mut world = World::build(PastryConfig::with_replication(3), NODES, 15);
+        let tunnels = world.deploy_tunnels(60, 5);
         // Record hints while the network is fresh.
-        let mut caches: Vec<(usize, HintCache)> = tb
-            .tunnels
+        let caches: Vec<HintCache> = tunnels
             .iter()
-            .enumerate()
-            .map(|(i, t)| {
+            .map(|(_, t)| {
                 let mut c = HintCache::default();
-                c.refresh(&tb.overlay, &t.hop_ids());
-                (i, c)
+                c.refresh(&world.overlay, &t.hop_ids());
+                c
             })
             .collect();
         // Churn.
         let n_churn = NODES * churn_pct / 100;
         for _ in 0..n_churn {
-            let v = tb.overlay.random_node(&mut tb.rng).unwrap();
-            tb.overlay.remove_node(v);
-            tb.thas.on_node_removed(&tb.overlay, v);
-            let id = tb.overlay.add_random_node(&mut tb.rng);
-            tb.thas.on_node_added(&tb.overlay, id);
+            let v = world.random_node().unwrap();
+            world.leave(v, true);
+            world.join();
         }
         // Drive with the stale caches.
         let (mut hits, mut misses) = (0usize, 0usize);
-        for (i, cache) in caches.drain(..) {
-            let rec = &tb.tunnels[i];
-            if !tb.overlay.is_live(rec.initiator) {
+        for ((initiator, tun), cache) in tunnels.iter().zip(&caches) {
+            if !world.overlay.is_live(*initiator) {
                 continue;
             }
-            let tun = Tunnel::new(rec.hops.clone());
-            let probe = Id::random(&mut tb.rng);
-            let onion =
-                tun.build_onion(&mut tb.rng, Destination::KeyRoot(probe), b"p", Some(&cache));
+            let probe = Id::random(&mut world.rng);
+            let onion = tun.build_onion(
+                &mut world.rng,
+                Destination::KeyRoot(probe),
+                b"p",
+                Some(cache),
+            );
             if let Ok((_, report)) = transit::drive(
-                &mut tb.overlay,
-                &tb.thas,
-                rec.initiator,
+                &mut world.overlay,
+                &world.thas,
+                *initiator,
                 tun.entry_hopid(),
                 onion,
                 TransitOptions::hinted(),
@@ -222,30 +208,30 @@ fn ablation_refresh_period() {
     println!("\n=== ablation 5: tunnel refresh period under churn (§7.2) ===");
     println!("{:>16} {:>22}", "refresh every", "corruption after 20u");
     for period in [1usize, 2, 5, 10, usize::MAX] {
-        let mut tb = Testbed::build(NODES, TUNNELS, 3, 5, 17);
-        let adv = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, 0.1);
-        tb.thas.watch(adv.members());
-        let mut tunnels = std::mem::take(&mut tb.tunnels);
+        let mut world = World::build(PastryConfig::with_replication(3), NODES, 17);
+        let mut tunnels = world.deploy_tunnels(TUNNELS, 5);
+        let adv = Collusion::mark_fraction(&world.overlay, &mut world.rng, 0.1);
+        world.thas.watch(adv.members());
         for unit in 1..=20usize {
             for _ in 0..(NODES / 20) {
                 let v = loop {
-                    let v = tb.overlay.random_node(&mut tb.rng).unwrap();
+                    let v = world.random_node().unwrap();
                     if !adv.contains(v) {
                         break v;
                     }
                 };
-                tb.overlay.remove_node(v);
-                tb.thas.on_node_removed(&tb.overlay, v);
-                let id = tb.overlay.add_random_node(&mut tb.rng);
-                tb.thas.on_node_added(&tb.overlay, id);
+                world.leave(v, true);
+                world.join();
             }
             if period != usize::MAX && unit % period == 0 {
-                retire_tunnels(&mut tb.thas, &tunnels);
-                tunnels = deploy_tunnels(&tb.overlay, &mut tb.thas, &mut tb.rng, TUNNELS, 5);
+                for (_, t) in &tunnels {
+                    world.teardown(t.hops());
+                }
+                tunnels = world.deploy_tunnels(TUNNELS, 5);
             }
         }
-        let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|t| t.hop_ids()).collect();
-        let rate = adv.corruption_rate(&tb.thas, &hop_lists);
+        let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
+        let rate = adv.corruption_rate(&world.thas, &hop_lists);
         let label = if period == usize::MAX {
             "never".to_string()
         } else {
@@ -294,12 +280,13 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations");
     group.sample_size(15);
 
-    let mut tb = Testbed::build(400, 150, 3, 5, 18);
-    let hop_lists: Vec<Vec<Id>> = tb.tunnels.iter().map(|t| t.hop_ids()).collect();
-    let adv = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, 0.1);
-    tb.thas.watch(adv.members());
+    let mut world = World::build(PastryConfig::with_replication(3), 400, 18);
+    let tunnels = world.deploy_tunnels(150, 5);
+    let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
+    let adv = Collusion::mark_fraction(&world.overlay, &mut world.rng, 0.1);
+    world.thas.watch(adv.members());
     group.bench_function("corruption_history_eval", |b| {
-        b.iter(|| adv.corruption_rate(&tb.thas, &hop_lists))
+        b.iter(|| adv.corruption_rate(&world.thas, &hop_lists))
     });
 
     let mut rng = StdRng::seed_from_u64(19);

@@ -5,8 +5,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use bench::{announce, bench_scale};
+use tap_core::World;
 use tap_id::{Id, IdHashSet};
-use tap_sim::experiments::{node_failures, Testbed};
+use tap_pastry::PastryConfig;
+use tap_sim::experiments::node_failures;
 
 fn bench_fig2(c: &mut Criterion) {
     let scale = bench_scale();
@@ -16,19 +18,20 @@ fn bench_fig2(c: &mut Criterion) {
     group.sample_size(20);
 
     // Kernel 1: the per-tunnel survival predicate over a 20% dead set.
-    let tb = Testbed::build(scale.nodes, scale.tunnels, 3, 5, 1);
-    let dead: IdHashSet = tb
+    let mut world = World::build(PastryConfig::with_replication(3), scale.nodes, 1);
+    let tunnels = world.deploy_tunnels(scale.tunnels, 5);
+    let dead: IdHashSet = world
         .overlay
         .ids()
         .enumerate()
         .filter_map(|(i, id)| (i % 5 == 0).then_some(id))
         .collect();
-    let hop_lists: Vec<Vec<Id>> = tb.tunnels.iter().map(|t| t.hop_ids()).collect();
+    let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
     group.bench_function("survival_predicate_200_tunnels", |b| {
         b.iter(|| {
             hop_lists
                 .iter()
-                .filter(|h| node_failures::tunnel_broken(&tb.thas, h, &dead))
+                .filter(|h| node_failures::tunnel_broken(&world.thas, h, &dead))
                 .count()
         })
     });

@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::{announce, bench_scale};
-use tap_core::Collusion;
-use tap_sim::experiments::{collusion, Testbed};
+use tap_core::{Collusion, World};
+use tap_pastry::PastryConfig;
+use tap_sim::experiments::collusion;
 
 fn bench_fig3(c: &mut Criterion) {
     let scale = bench_scale();
@@ -14,14 +15,15 @@ fn bench_fig3(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3");
     group.sample_size(20);
 
-    let mut tb = Testbed::build(scale.nodes, scale.tunnels, 3, 5, 2);
-    let hop_lists = tb.hop_id_lists();
-    let adv = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, 0.2);
-    let mut watched = tb.thas.clone();
+    let mut world = World::build(PastryConfig::with_replication(3), scale.nodes, 2);
+    let tunnels = world.deploy_tunnels(scale.tunnels, 5);
+    let hop_lists: Vec<_> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
+    let adv = Collusion::mark_fraction(&world.overlay, &mut world.rng, 0.2);
+    let mut watched = world.thas.clone();
     watched.watch(adv.members());
 
     group.bench_function("corruption_rate_200_tunnels", |b| {
-        b.iter(|| adv.corruption_rate(&tb.thas, &hop_lists))
+        b.iter(|| adv.corruption_rate(&world.thas, &hop_lists))
     });
     group.bench_function("corruption_rate_with_history", |b| {
         b.iter(|| adv.corruption_rate(&watched, &hop_lists))

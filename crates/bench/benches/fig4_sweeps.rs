@@ -6,8 +6,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::{announce, bench_scale};
 use tap_core::tha::Tha;
+use tap_core::World;
 use tap_pastry::storage::ReplicaStore;
-use tap_sim::experiments::{sweeps, Testbed};
+use tap_pastry::PastryConfig;
+use tap_sim::experiments::sweeps;
 
 fn bench_fig4(c: &mut Criterion) {
     let scale = bench_scale();
@@ -17,14 +19,15 @@ fn bench_fig4(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4");
     group.sample_size(20);
 
-    let tb = Testbed::build(scale.nodes, scale.tunnels, 3, 5, 3);
+    let mut world = World::build(PastryConfig::with_replication(3), scale.nodes, 3);
+    let tunnels = world.deploy_tunnels(scale.tunnels, 5);
     for k in [1usize, 3, 8] {
         group.bench_function(format!("reinsert_1000_anchors_k{k}"), |b| {
             b.iter(|| {
                 let mut store: ReplicaStore<Tha> = ReplicaStore::new(k);
-                for t in &tb.tunnels {
-                    for h in &t.hops {
-                        store.insert(&tb.overlay, h.hopid, h.stored()).unwrap();
+                for (_, t) in &tunnels {
+                    for h in t.hops() {
+                        store.insert(&world.overlay, h.hopid, h.stored()).unwrap();
                     }
                 }
                 store.len()

@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use bench::{announce, bench_scale};
-use tap_sim::experiments::{churn, Testbed};
+use tap_core::World;
+use tap_pastry::PastryConfig;
+use tap_sim::experiments::churn;
 
 fn bench_fig5(c: &mut Criterion) {
     let scale = bench_scale();
@@ -17,14 +19,16 @@ fn bench_fig5(c: &mut Criterion) {
     // rebalance) against a populated store.
     group.bench_function("one_churn_event_with_repair", |b| {
         b.iter_batched(
-            || Testbed::build(400, 150, 3, 5, 4),
-            |mut tb| {
-                let victim = tb.overlay.random_node(&mut tb.rng).unwrap();
-                tb.overlay.remove_node(victim);
-                tb.thas.on_node_removed(&tb.overlay, victim);
-                let id = tb.overlay.add_random_node(&mut tb.rng);
-                tb.thas.on_node_added(&tb.overlay, id);
-                tb.thas.len()
+            || {
+                let mut world = World::build(PastryConfig::with_replication(3), 400, 4);
+                world.deploy_tunnels(150, 5);
+                world
+            },
+            |mut world| {
+                let victim = world.random_node().unwrap();
+                world.leave(victim, true);
+                world.join();
+                world.thas.len()
             },
             BatchSize::PerIteration,
         )

@@ -130,40 +130,17 @@ impl Collusion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tha::ThaFactory;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::world::World;
     use tap_pastry::PastryConfig;
 
-    struct Fx {
-        overlay: Overlay,
-        thas: ReplicaStore<Tha>,
-        rng: StdRng,
+    fn fixture(n: usize, k: usize, seed: u64) -> World {
+        World::build(PastryConfig::with_replication(k), n, seed)
     }
 
-    fn fixture(n: usize, k: usize, seed: u64) -> Fx {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = Overlay::new(PastryConfig::with_replication(k));
-        for _ in 0..n {
-            overlay.add_random_node(&mut rng);
-        }
-        Fx {
-            overlay,
-            thas: ReplicaStore::new(k),
-            rng,
-        }
-    }
-
-    fn deploy(fx: &mut Fx, count: usize) -> Vec<Id> {
-        let node = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let mut f = ThaFactory::new(&mut fx.rng, node);
-        (0..count)
-            .map(|_| {
-                let s = f.next(&mut fx.rng);
-                fx.thas.insert(&fx.overlay, s.hopid, s.stored()).unwrap();
-                s.hopid
-            })
-            .collect()
+    fn deploy(fx: &mut World, count: usize) -> Vec<Id> {
+        let node = fx.random_node().unwrap();
+        let hops = fx.fresh_hops(node, count).unwrap();
+        hops.iter().map(|s| s.hopid).collect()
     }
 
     #[test]

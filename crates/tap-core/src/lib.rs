@@ -41,8 +41,8 @@
 //! * [`multipath`] — erasure-coded multipath transfer: stripe one payload
 //!   across `n` disjoint tunnels, reconstruct from any `k` fragments,
 //!   degrade explicitly when the overlay cannot supply `n` tunnels.
-//! * [`system`] — a facade wiring overlay + stores + PKI together, the API
-//!   the examples and experiments drive.
+//! * [`world`] — one deployment: overlay, stores, RNG and registry wired
+//!   together once, the API the figures, the manager and the examples drive.
 //! * [`metrics`] — cached `tap-metrics` handles (onion layer timings,
 //!   transit retries, THA takeovers) shared by transit and retrieval.
 
@@ -58,17 +58,17 @@ pub mod metrics;
 pub mod multipath;
 pub mod netdrive;
 pub mod retrieval;
-pub mod system;
 pub mod tha;
 pub mod transit;
 pub mod tunnel;
 pub mod wire;
+pub mod world;
 
 pub use adversary::Collusion;
 pub use baseline::FixedTunnel;
 pub use manager::{ManagerStats, RefreshPolicy, TunnelManager};
 pub use metrics::CoreInstruments;
-pub use system::{SystemConfig, TapSystem};
 pub use tha::{Tha, ThaFactory, ThaSecret};
 pub use transit::{HintCache, TransitError, TransitReport};
 pub use tunnel::{ReplyTunnel, Tunnel};
+pub use world::{World, WorldError};

@@ -19,10 +19,10 @@
 
 use tap_id::Id;
 
-use crate::system::TapSystem;
 use crate::transit::{self, TransitError, TransitOptions};
 use crate::tunnel::Tunnel;
 use crate::wire::Destination;
+use crate::world::{World, TUNNEL_LENGTH};
 
 /// Maintenance policy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +37,7 @@ pub struct RefreshPolicy {
     /// How many anchors to deploy when the pool runs low.
     pub replenish_batch: usize,
     /// Each tick, rebuild any THA replica set that has fallen under `k`
-    /// live holders ([`TapSystem::re_replicate_thas`]) — the repair a
+    /// live holders ([`World::re_replicate_thas`]) — the repair a
     /// takeover or partition leaves behind. Defaults on: a degraded
     /// anchor is one more failure away from [`TransitError::ThaLost`].
     pub re_replicate: bool,
@@ -132,15 +132,15 @@ impl TunnelManager {
     /// One maintenance round: replenish the anchor pool, retire aged
     /// tunnels, probe the rest, replace casualties, top up to the target
     /// count. Call once per application-defined time unit.
-    pub fn tick(&mut self, sys: &mut TapSystem) {
+    pub fn tick(&mut self, world: &mut World) {
         self.tick += 1;
-        self.replenish_pool(sys);
+        self.replenish_pool(world);
 
         // Bring degraded replica sets back to strength *before* probing:
         // a probe through a hop with one surviving holder is a coin flip
         // away from a false ThaLost retirement.
         if self.policy.re_replicate {
-            self.stats.re_replications += sys.re_replicate_thas() as u64;
+            self.stats.re_replications += world.re_replicate_thas() as u64;
         }
 
         // Age-based refresh (§7.2): retire before probing — an aged tunnel
@@ -157,7 +157,7 @@ impl TunnelManager {
             }
         });
         for t in retired {
-            sys.teardown_tunnel(&t);
+            world.teardown(t.hops());
             self.stats.refreshed_by_age += 1;
         }
 
@@ -166,16 +166,16 @@ impl TunnelManager {
             let mut broken = Vec::new();
             for (i, mt) in self.active.iter_mut().enumerate() {
                 self.stats.probes_sent += 1;
-                let probe_key = Id::random(&mut sys.rng);
+                let probe_key = Id::random(&mut world.rng);
                 let onion = mt.tunnel.build_onion(
-                    &mut sys.rng,
+                    &mut world.rng,
                     Destination::KeyRoot(probe_key),
                     b"probe",
                     None,
                 );
                 match transit::drive(
-                    &mut sys.overlay,
-                    &sys.thas,
+                    &mut world.overlay,
+                    &world.thas,
                     self.owner,
                     mt.tunnel.entry_hopid(),
                     onion,
@@ -193,34 +193,38 @@ impl TunnelManager {
             for i in broken.into_iter().rev() {
                 let mt = self.active.remove(i);
                 // Best-effort teardown: surviving hops' anchors deleted.
-                sys.teardown_tunnel(&mt.tunnel);
+                world.teardown(mt.tunnel.hops());
                 self.stats.replaced_after_failure += 1;
             }
         }
 
         // Top up to target.
         while self.active.len() < self.target {
-            if !self.form_one(sys) {
+            if !self.form_one(world) {
                 self.stats.formation_failures += 1;
                 break;
             }
         }
     }
 
-    fn replenish_pool(&mut self, sys: &mut TapSystem) {
-        let pool = sys.anchor_pool(self.owner).len();
+    fn replenish_pool(&mut self, world: &mut World) {
+        let pool = world.anchor_pool(self.owner).len();
         if pool < self.policy.min_pool {
-            let deployed = sys.deploy_anchors_direct(self.owner, self.policy.replenish_batch);
+            // An owner that left can deploy nothing; formation then fails
+            // and is counted.
+            let deployed = world
+                .deploy_anchors_direct(self.owner, self.policy.replenish_batch)
+                .unwrap_or(0);
             self.stats.anchors_deployed += deployed as u64;
         }
     }
 
-    fn form_one(&mut self, sys: &mut TapSystem) -> bool {
+    fn form_one(&mut self, world: &mut World) -> bool {
         // Ensure the pool can cover one tunnel.
-        if sys.anchor_pool(self.owner).len() < sys.config.tunnel_length {
-            self.replenish_pool(sys);
+        if world.anchor_pool(self.owner).len() < TUNNEL_LENGTH {
+            self.replenish_pool(world);
         }
-        match sys.form_tunnel(self.owner) {
+        match world.form_tunnel(self.owner, TUNNEL_LENGTH) {
             Some(t) => {
                 self.active.push(ManagedTunnel {
                     tunnel: t,
@@ -238,23 +242,23 @@ impl TunnelManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemConfig;
+    use tap_pastry::PastryConfig;
 
-    fn setup(n: usize, seed: u64, policy: RefreshPolicy) -> (TapSystem, TunnelManager) {
-        let mut sys = TapSystem::bootstrap(SystemConfig::paper_defaults(), n, seed);
-        let owner = sys.random_node();
-        sys.deploy_anchors_direct(owner, 20);
+    fn setup(n: usize, seed: u64, policy: RefreshPolicy) -> (World, TunnelManager) {
+        let mut world = World::build(PastryConfig::paper_defaults(), n, seed);
+        let owner = world.random_node().unwrap();
+        world.deploy_anchors_direct(owner, 20).unwrap();
         let mgr = TunnelManager::new(owner, 2, policy);
-        (sys, mgr)
+        (world, mgr)
     }
 
     #[test]
     fn forms_up_to_target_and_probes() {
-        let (mut sys, mut mgr) = setup(200, 1, RefreshPolicy::default());
-        mgr.tick(&mut sys);
+        let (mut world, mut mgr) = setup(200, 1, RefreshPolicy::default());
+        mgr.tick(&mut world);
         assert_eq!(mgr.active().len(), 2);
         assert_eq!(mgr.stats.tunnels_formed, 2);
-        mgr.tick(&mut sys);
+        mgr.tick(&mut world);
         assert_eq!(mgr.stats.probes_sent, 2, "both tunnels probed on tick 2");
         assert_eq!(mgr.stats.probe_failures, 0);
         assert!(mgr.active().iter().all(|t| t.probes_survived >= 1));
@@ -262,17 +266,17 @@ mod tests {
 
     #[test]
     fn detects_and_replaces_broken_tunnels() {
-        let (mut sys, mut mgr) = setup(250, 2, RefreshPolicy::default());
-        mgr.tick(&mut sys);
+        let (mut world, mut mgr) = setup(250, 2, RefreshPolicy::default());
+        mgr.tick(&mut world);
         let victim_hop = mgr.active()[0].tunnel.hop_ids()[1];
         // Kill every replica holder of that hop — no repair.
-        for holder in sys.thas.holders(victim_hop).to_vec() {
+        for holder in world.thas.holders(victim_hop).to_vec() {
             if holder != mgr.owner() {
-                sys.fail_node(holder, false);
+                world.leave(holder, false);
             }
         }
         let before = mgr.stats.tunnels_formed;
-        mgr.tick(&mut sys);
+        mgr.tick(&mut world);
         assert_eq!(mgr.stats.probe_failures, 1, "the dead hop must be noticed");
         assert_eq!(mgr.stats.replaced_after_failure, 1);
         assert_eq!(mgr.active().len(), 2, "replacement formed");
@@ -290,18 +294,18 @@ mod tests {
             max_age: 3,
             ..RefreshPolicy::default()
         };
-        let (mut sys, mut mgr) = setup(200, 3, policy);
-        mgr.tick(&mut sys);
+        let (mut world, mut mgr) = setup(200, 3, policy);
+        mgr.tick(&mut world);
         let original: Vec<Id> = mgr.active()[0].tunnel.hop_ids();
         for _ in 0..4 {
-            mgr.tick(&mut sys);
+            mgr.tick(&mut world);
         }
         assert!(mgr.stats.refreshed_by_age >= 2, "both tunnels aged out");
         let current: Vec<Id> = mgr.active()[0].tunnel.hop_ids();
         assert_ne!(original, current, "rotation must change the hop set");
         // Retired anchors were deleted from the store.
         for h in original {
-            assert!(sys.thas.get(h).is_none(), "old anchor {h:?} still stored");
+            assert!(world.thas.get(h).is_none(), "old anchor {h:?} still stored");
         }
     }
 
@@ -311,9 +315,9 @@ mod tests {
             max_age: 1, // rotate every tick: heavy anchor consumption
             ..RefreshPolicy::default()
         };
-        let (mut sys, mut mgr) = setup(200, 4, policy);
+        let (mut world, mut mgr) = setup(200, 4, policy);
         for _ in 0..6 {
-            mgr.tick(&mut sys);
+            mgr.tick(&mut world);
             assert_eq!(mgr.active().len(), 2, "target always met");
         }
         assert!(mgr.stats.anchors_deployed > 0, "upkeep had to deploy");
@@ -322,19 +326,19 @@ mod tests {
 
     #[test]
     fn survives_sustained_churn() {
-        let (mut sys, mut mgr) = setup(300, 5, RefreshPolicy::default());
+        let (mut world, mut mgr) = setup(300, 5, RefreshPolicy::default());
         for round in 0..15 {
             for _ in 0..6 {
                 let victim = loop {
-                    let v = sys.random_node();
+                    let v = world.random_node().unwrap();
                     if v != mgr.owner() {
                         break v;
                     }
                 };
-                sys.fail_node(victim, true);
-                sys.add_node();
+                world.leave(victim, true);
+                world.join();
             }
-            mgr.tick(&mut sys);
+            mgr.tick(&mut world);
             assert_eq!(mgr.active().len(), 2, "round {round}");
         }
         // With replica repair running, probes should almost never fail.
@@ -347,46 +351,47 @@ mod tests {
 
     #[test]
     fn tick_re_replicates_degraded_anchors() {
-        let (mut sys, mut mgr) = setup(250, 7, RefreshPolicy::default());
-        mgr.tick(&mut sys);
+        let (mut world, mut mgr) = setup(250, 7, RefreshPolicy::default());
+        mgr.tick(&mut world);
         // Kill one (non-owner) holder of each of the first tunnel's hops
         // WITHOUT repair: the replica sets degrade below k but survive.
         let hops = mgr.active()[0].tunnel.hop_ids();
         for h in &hops {
-            let victim = sys
+            let victim = world
                 .thas
                 .holders(*h)
                 .iter()
                 .copied()
                 .find(|n| *n != mgr.owner());
             if let Some(v) = victim {
-                sys.fail_node(v, false);
+                world.leave(v, false);
             }
         }
-        let k = sys.thas.replication();
+        let k = world.thas.replication();
         assert!(
             hops.iter().any(|h| {
-                sys.thas
+                world
+                    .thas
                     .holders(*h)
                     .iter()
-                    .filter(|n| sys.overlay.is_live(**n))
+                    .filter(|n| world.overlay.is_live(**n))
                     .count()
                     < k
             }),
             "at least one replica set must be degraded before the tick"
         );
-        mgr.tick(&mut sys);
+        mgr.tick(&mut world);
         assert!(mgr.stats.re_replications > 0, "tick must rebuild");
         for h in &hops {
-            if sys.thas.get(*h).is_some() {
+            if world.thas.get(*h).is_some() {
                 assert_eq!(
-                    sys.thas.holders(*h).len(),
+                    world.thas.holders(*h).len(),
                     k,
                     "anchor {h:?} back to full strength"
                 );
             }
         }
-        let report = sys.metrics().snapshot();
+        let report = world.metrics().snapshot();
         assert_eq!(
             report.counter("core.tha.re_replications"),
             mgr.stats.re_replications
@@ -400,9 +405,9 @@ mod tests {
             max_age: u64::MAX,
             ..RefreshPolicy::default()
         };
-        let (mut sys, mut mgr) = setup(150, 6, policy);
-        mgr.tick(&mut sys);
-        mgr.tick(&mut sys);
+        let (mut world, mut mgr) = setup(150, 6, policy);
+        mgr.tick(&mut world);
+        mgr.tick(&mut world);
         assert_eq!(mgr.stats.probes_sent, 0);
         assert_eq!(mgr.stats.refreshed_by_age, 0);
     }

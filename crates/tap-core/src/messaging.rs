@@ -28,7 +28,7 @@ use tap_pastry::KeyRouter;
 
 use crate::tha::Tha;
 use crate::transit::{self, Delivery, TransitError, TransitOptions};
-use crate::tunnel::{ReplyTunnel, Tunnel};
+use crate::tunnel::{ReplyTunnel, Tunnel, FAKEONION_LEN};
 use crate::wire::Destination;
 
 /// What a sender keeps to receive the answer.
@@ -137,7 +137,7 @@ pub fn send_with_reply_block<R: Rng + ?Sized>(
     bid: Id,
 ) -> Result<(Id, ReceivedMessage, PendingReply), MessagingError> {
     let keypair = KeyPair::generate(rng);
-    let reply_tunnel = ReplyTunnel::build(rng, rev, bid, 96, None);
+    let reply_tunnel = ReplyTunnel::build(rng, rev, bid, FAKEONION_LEN, None);
     let payload = encode_message(
         body,
         reply_tunnel.entry_hopid,
@@ -209,43 +209,22 @@ impl PendingReply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tha::ThaFactory;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tap_pastry::{Overlay, PastryConfig};
+    use crate::world::World;
+    use tap_pastry::PastryConfig;
 
     struct Fx {
-        overlay: Overlay,
-        thas: ReplicaStore<Tha>,
-        rng: StdRng,
+        world: World,
         sender: Id,
     }
 
     fn fixture(n: usize, seed: u64) -> Fx {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-        for _ in 0..n {
-            overlay.add_random_node(&mut rng);
-        }
-        let sender = overlay.random_node(&mut rng).unwrap();
-        Fx {
-            overlay,
-            thas: ReplicaStore::new(3),
-            rng,
-            sender,
-        }
+        let mut world = World::build(PastryConfig::paper_defaults(), n, seed);
+        let sender = world.random_node().unwrap();
+        Fx { world, sender }
     }
 
     fn tunnel(fx: &mut Fx, l: usize) -> Tunnel {
-        let mut f = ThaFactory::new(&mut fx.rng, fx.sender);
-        let mut hops = Vec::new();
-        while hops.len() < l {
-            let s = f.next(&mut fx.rng);
-            if fx.thas.insert(&fx.overlay, s.hopid, s.stored()).unwrap() {
-                hops.push(s);
-            }
-        }
-        Tunnel::new(hops)
+        Tunnel::new(fx.world.fresh_hops(fx.sender, l).unwrap())
     }
 
     #[test]
@@ -255,15 +234,15 @@ mod tests {
         let rev = tunnel(&mut fx, 3);
         let bid = fx.sender.wrapping_add(Id::from_u64(1));
         let recipient = loop {
-            let r = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let r = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if r != fx.sender {
                 break r;
             }
         };
         let (node, received, pending) = send_with_reply_block(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             fx.sender,
             recipient,
             b"hello, whoever you are",
@@ -276,9 +255,9 @@ mod tests {
         assert_eq!(received.body, b"hello, whoever you are");
 
         let (landed, sealed) = reply(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             recipient,
             &received.reply_block,
             b"hello back, stranger",
@@ -298,15 +277,15 @@ mod tests {
         let rev = tunnel(&mut fx, 3);
         let bid = fx.sender.wrapping_add(Id::from_u64(1));
         let recipient = loop {
-            let r = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let r = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if r != fx.sender {
                 break r;
             }
         };
         let (_, received, pending) = send_with_reply_block(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             fx.sender,
             recipient,
             b"write back whenever",
@@ -319,17 +298,17 @@ mod tests {
         // Kill every *current* hop node of the reply tunnel (with replica
         // repair, as PAST provides).
         for hop in rev.hop_ids() {
-            let root = fx.overlay.owner_of(hop).unwrap();
-            if root != fx.sender && root != recipient && fx.overlay.is_live(root) {
-                fx.overlay.remove_node(root);
-                fx.thas.on_node_removed(&fx.overlay, root);
+            let root = fx.world.overlay.owner_of(hop).unwrap();
+            if root != fx.sender && root != recipient && fx.world.overlay.is_live(root) {
+                fx.world.overlay.remove_node(root);
+                fx.world.thas.on_node_removed(&fx.world.overlay, root);
             }
         }
 
         let (landed, sealed) = reply(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             recipient,
             &received.reply_block,
             b"took a while",
@@ -350,15 +329,15 @@ mod tests {
         let rev = tunnel(&mut fx, 3);
         let bid = fx.sender.wrapping_add(Id::from_u64(1));
         let recipient = loop {
-            let r = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let r = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if r != fx.sender {
                 break r;
             }
         };
         let (_, received, _pending) = send_with_reply_block(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             fx.sender,
             recipient,
             b"msg",
@@ -368,15 +347,15 @@ mod tests {
         )
         .unwrap();
         let (_, sealed) = reply(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             recipient,
             &received.reply_block,
             b"secret answer",
         )
         .unwrap();
-        let other = KeyPair::generate(&mut fx.rng);
+        let other = KeyPair::generate(&mut fx.world.rng);
         assert!(other.open(&sealed).is_err());
     }
 
@@ -396,10 +375,10 @@ mod tests {
     fn misdelivery_detected_by_sender() {
         let mut fx = fixture(100, 4);
         let pending = PendingReply {
-            keypair: KeyPair::generate(&mut fx.rng),
+            keypair: KeyPair::generate(&mut fx.world.rng),
             bid: Id::from_u64(1),
         };
-        let sealed = SealedBox::seal(&mut fx.rng, &pending.keypair.public(), b"x");
+        let sealed = SealedBox::seal(&mut fx.world.rng, &pending.keypair.public(), b"x");
         let err = pending
             .open(Id::from_u64(42), Id::from_u64(43), &sealed)
             .unwrap_err();

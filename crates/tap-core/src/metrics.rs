@@ -2,7 +2,7 @@
 //!
 //! All tap-core instrumentation flows through [`CoreInstruments`]: one
 //! registry lookup per metric at construction, plain atomic operations on
-//! the cached handles afterwards. [`crate::system::TapSystem`] owns one and
+//! the cached handles afterwards. [`crate::World`] makes one where it needs
 //! threads it (as `Option<&CoreInstruments>`) into transit and retrieval;
 //! standalone callers of [`crate::transit::drive`] pay nothing.
 

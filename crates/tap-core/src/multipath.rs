@@ -241,30 +241,22 @@ pub fn send_striped<L: LatencyModel, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tha::ThaFactory;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::world::World;
     use tap_metrics::Registry;
     use tap_netsim::latency::UniformLatency;
     use tap_netsim::{Network, NetworkConfig};
-    use tap_pastry::{Overlay, PastryConfig};
+    use tap_pastry::PastryConfig;
 
     struct Fx {
-        overlay: Overlay,
-        thas: ReplicaStore<Tha>,
-        rng: StdRng,
+        world: World,
         initiator: Id,
         driver: NetDriver<UniformLatency>,
         registry: Registry,
     }
 
     fn fixture(n: usize, seed: u64) -> Fx {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-        for _ in 0..n {
-            overlay.add_random_node(&mut rng);
-        }
-        let initiator = overlay.random_node(&mut rng).unwrap();
+        let mut world = World::build(PastryConfig::paper_defaults(), n, seed);
+        let initiator = world.random_node().unwrap();
         let mut driver = NetDriver::new(Network::new(
             NetworkConfig::paper_defaults(),
             UniformLatency::paper(seed),
@@ -272,9 +264,7 @@ mod tests {
         let registry = Registry::new();
         driver.use_instruments(CoreInstruments::new(&registry));
         Fx {
-            overlay,
-            thas: ReplicaStore::new(3),
-            rng,
+            world,
             initiator,
             driver,
             registry,
@@ -283,20 +273,12 @@ mod tests {
 
     /// Deploy `count` anchors and return their secrets as a pool.
     fn anchor_pool(fx: &mut Fx, count: usize) -> Vec<ThaSecret> {
-        let mut f = ThaFactory::new(&mut fx.rng, fx.initiator);
-        let mut pool = Vec::new();
-        while pool.len() < count {
-            let s = f.next(&mut fx.rng);
-            if fx.thas.insert(&fx.overlay, s.hopid, s.stored()).unwrap() {
-                pool.push(s);
-            }
-        }
-        pool
+        fx.world.fresh_hops(fx.initiator, count).unwrap()
     }
 
     fn pick_dest(fx: &mut Fx) -> Id {
         loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
@@ -311,15 +293,15 @@ mod tests {
     fn full_five_three_transfer_roundtrips() {
         let mut fx = fixture(300, 31);
         let pool = anchor_pool(&mut fx, 30);
-        let tunnels = form_disjoint_tunnels(&mut fx.rng, &pool, 5, 3, 4);
+        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 3, 4);
         assert_eq!(tunnels.len(), 5);
         let dest = pick_dest(&mut fx);
         let sent = payload(9216); // three default chunks
         let out = send_striped(
             &mut fx.driver,
-            &mut fx.overlay,
-            &fx.thas,
-            &mut fx.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
+            &mut fx.world.rng,
             fx.initiator,
             dest,
             &tunnels,
@@ -348,16 +330,16 @@ mod tests {
         let mut fx = fixture(300, 32);
         // Pool supports only 4 disjoint 3-hop tunnels.
         let pool = anchor_pool(&mut fx, 12);
-        let tunnels = form_disjoint_tunnels(&mut fx.rng, &pool, 5, 3, 4);
+        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 3, 4);
         assert_eq!(tunnels.len(), 4);
         let journal = fx.registry.install_journal(16);
         let dest = pick_dest(&mut fx);
         let sent = payload(4000);
         let out = send_striped(
             &mut fx.driver,
-            &mut fx.overlay,
-            &fx.thas,
-            &mut fx.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
+            &mut fx.world.rng,
             fx.initiator,
             dest,
             &tunnels,
@@ -386,15 +368,15 @@ mod tests {
         let mut fx = fixture(300, 33);
         // Pool supports only 2 disjoint tunnels — under k = 3.
         let pool = anchor_pool(&mut fx, 6);
-        let tunnels = form_disjoint_tunnels(&mut fx.rng, &pool, 5, 3, 4);
+        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 3, 4);
         assert_eq!(tunnels.len(), 2);
         let dest = pick_dest(&mut fx);
         let sent = payload(5000);
         let out = send_striped(
             &mut fx.driver,
-            &mut fx.overlay,
-            &fx.thas,
-            &mut fx.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
+            &mut fx.world.rng,
             fx.initiator,
             dest,
             &tunnels,
@@ -417,9 +399,9 @@ mod tests {
         let dest = pick_dest(&mut fx);
         let err = send_striped(
             &mut fx.driver,
-            &mut fx.overlay,
-            &fx.thas,
-            &mut fx.rng,
+            &mut fx.world.overlay,
+            &fx.world.thas,
+            &mut fx.world.rng,
             fx.initiator,
             dest,
             &[],
@@ -437,7 +419,7 @@ mod tests {
     fn disjoint_tunnels_share_no_hopids() {
         let mut fx = fixture(250, 35);
         let pool = anchor_pool(&mut fx, 40);
-        let tunnels = form_disjoint_tunnels(&mut fx.rng, &pool, 5, 4, 4);
+        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 4, 4);
         assert_eq!(tunnels.len(), 5);
         let mut all: Vec<Id> = tunnels.iter().flat_map(|t| t.hop_ids()).collect();
         let before = all.len();

@@ -376,18 +376,18 @@ impl<L: LatencyModel> NetDriver<L> {
     /// plain overlay route, with no tunnel: Fig. 6's overt transfer, timed
     /// on the same wire as a tunnelled one. The single-path front with its
     /// flow created already on its delivery leg, carrying an empty onion,
-    /// so it anchors nothing and reads no THA.
+    /// so it anchors nothing and reads no THA from `thas`.
     pub fn drive_overt(
         &mut self,
         overlay: &mut impl KeyRouter,
+        thas: &ReplicaStore<Tha>,
         from: Id,
         key: Id,
         payload_bytes: u64,
     ) -> Result<(Delivery, TimedReport), TransitError> {
         let mut flow = Flow::new(from, key, Vec::new(), payload_bytes);
         flow.delivering = Some(Destination::KeyRoot(key));
-        let (thas, options) = (&ReplicaStore::new(1), TransitOptions::default());
-        self.drive_one(overlay, thas, flow, options, None)
+        self.drive_one(overlay, thas, flow, TransitOptions::default(), None)
     }
 
     /// Step one flow to its end; the single-path fronts' shared body.
@@ -727,53 +727,35 @@ impl<L: LatencyModel> NetDriver<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tha::ThaFactory;
     use crate::transit;
     use crate::tunnel::Tunnel;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::world::World;
     use tap_netsim::latency::UniformLatency;
     use tap_netsim::NetworkConfig;
-    use tap_pastry::{Overlay, PastryConfig};
+    use tap_pastry::PastryConfig;
 
     struct Fx {
-        overlay: Overlay,
-        thas: ReplicaStore<Tha>,
-        rng: StdRng,
+        world: World,
         initiator: Id,
         driver: NetDriver<UniformLatency>,
     }
 
     fn fixture(n: usize, seed: u64) -> Fx {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-        for _ in 0..n {
-            overlay.add_random_node(&mut rng);
-        }
-        let initiator = overlay.random_node(&mut rng).unwrap();
+        let mut world = World::build(PastryConfig::paper_defaults(), n, seed);
+        let initiator = world.random_node().unwrap();
         let driver = NetDriver::new(Network::new(
             NetworkConfig::paper_defaults(),
             UniformLatency::paper(seed),
         ));
         Fx {
-            overlay,
-            thas: ReplicaStore::new(3),
-            rng,
+            world,
             initiator,
             driver,
         }
     }
 
     fn tunnel(fx: &mut Fx, l: usize) -> Tunnel {
-        let mut f = ThaFactory::new(&mut fx.rng, fx.initiator);
-        let mut hops = Vec::new();
-        while hops.len() < l {
-            let s = f.next(&mut fx.rng);
-            if fx.thas.insert(&fx.overlay, s.hopid, s.stored()).unwrap() {
-                hops.push(s);
-            }
-        }
-        Tunnel::new(hops)
+        Tunnel::new(fx.world.fresh_hops(fx.initiator, l).unwrap())
     }
 
     #[test]
@@ -781,17 +763,17 @@ mod tests {
         let mut fx = fixture(200, 1);
         let t = tunnel(&mut fx, 3);
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"payload", None);
+        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"payload", None);
         let (delivery, timed) = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,
@@ -821,15 +803,15 @@ mod tests {
         let mut fx = fixture(250, 2);
         let t = tunnel(&mut fx, 4);
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", None);
+        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"m", None);
         let (d_logical, logical) = transit::drive(
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             fx.initiator,
             t.entry_hopid(),
             onion.clone(),
@@ -839,8 +821,8 @@ mod tests {
         let (d_timed, timed) = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,
@@ -862,18 +844,18 @@ mod tests {
         let mut fx = fixture(200, 3);
         let t = tunnel(&mut fx, 5);
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"x", None);
+        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"x", None);
         let outer_len = onion.len() as u64;
         let (_, timed) = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,
@@ -893,20 +875,20 @@ mod tests {
         let mut fx = fixture(400, 4);
         let t = tunnel(&mut fx, 5);
         let mut hints = crate::transit::HintCache::default();
-        hints.refresh(&fx.overlay, &t.hop_ids());
+        hints.refresh(&fx.world.overlay, &t.hop_ids());
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
         // 2 Mb file travelling alongside the onion, as in Fig. 6.
-        let onion_plain = t.build_onion(&mut fx.rng, Destination::Node(dest), b"f", None);
+        let onion_plain = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"f", None);
         let (_, plain) = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion_plain,
@@ -915,12 +897,17 @@ mod tests {
                 None,
             )
             .unwrap();
-        let onion_hinted = t.build_onion(&mut fx.rng, Destination::Node(dest), b"f", Some(&hints));
+        let onion_hinted = t.build_onion(
+            &mut fx.world.rng,
+            Destination::Node(dest),
+            b"f",
+            Some(&hints),
+        );
         let (_, hinted) = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion_hinted,
@@ -949,17 +936,17 @@ mod tests {
             .network_mut()
             .install_faults(tap_netsim::FaultPlan::new(99).with_loss(300));
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"hard", None);
+        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"hard", None);
         let (delivery, timed) = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,
@@ -995,13 +982,13 @@ mod tests {
         fx.driver
             .network_mut()
             .install_faults(tap_netsim::FaultPlan::new(1).with_loss(1000));
-        let dest = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"x", None);
+        let dest = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"x", None);
         let err = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,
@@ -1030,17 +1017,17 @@ mod tests {
             .network_mut()
             .install_faults(tap_netsim::FaultPlan::new(4).with_duplication(1000));
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"dup", None);
+        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"dup", None);
         let (delivery, timed) = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,
@@ -1064,7 +1051,7 @@ mod tests {
         let mut fx = fixture(250, 9);
         let t = tunnel(&mut fx, 3);
         let mut hints = crate::transit::HintCache::default();
-        hints.refresh(&fx.overlay, &t.hop_ids());
+        hints.refresh(&fx.world.overlay, &t.hop_ids());
         let registry = tap_metrics::Registry::new();
         fx.driver
             .use_instruments(crate::metrics::CoreInstruments::new(&registry));
@@ -1073,18 +1060,23 @@ mod tests {
         // staleness check passes and the direct send must time out.
         let hinted = hints.lookup(t.hops()[1].hopid).unwrap();
         fx.driver.kill_node(hinted);
-        assert!(fx.overlay.is_live(hinted), "split-brain precondition");
+        assert!(fx.world.overlay.is_live(hinted), "split-brain precondition");
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator && d != hinted {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", Some(&hints));
+        let onion = t.build_onion(
+            &mut fx.world.rng,
+            Destination::Node(dest),
+            b"m",
+            Some(&hints),
+        );
         let before = hints.len();
         let result = fx.driver.drive_timed_with_hints(
-            &mut fx.overlay,
-            &fx.thas,
+            &mut fx.world.overlay,
+            &fx.world.thas,
             fx.initiator,
             t.entry_hopid(),
             onion,
@@ -1119,7 +1111,7 @@ mod tests {
 
     fn pick_dest(fx: &mut Fx) -> Id {
         loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
             if d != fx.initiator {
                 break d;
             }
@@ -1138,15 +1130,15 @@ mod tests {
             .map(|(t, core)| {
                 (
                     t.entry_hopid(),
-                    t.build_onion(&mut fx.rng, Destination::Node(dest), core, None),
+                    t.build_onion(&mut fx.world.rng, Destination::Node(dest), core, None),
                 )
             })
             .collect();
         let (delivered, report) = fx
             .driver
             .drive_striped(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 stripes,
                 3,
@@ -1179,7 +1171,7 @@ mod tests {
         // Black-hole stripe 0 at the wire: its entry root is overlay-live
         // but crashed, so the stripe sits in watchdog backoff while the
         // other two race ahead.
-        let stalled_root = fx.overlay.owner_of(tunnels[0].entry_hopid()).unwrap();
+        let stalled_root = fx.world.overlay.owner_of(tunnels[0].entry_hopid()).unwrap();
         assert_ne!(stalled_root, fx.initiator, "seed keeps the root remote");
         fx.driver.kill_node(stalled_root);
         let stripes: Vec<(Id, Vec<u8>)> = tunnels
@@ -1187,15 +1179,15 @@ mod tests {
             .map(|t| {
                 (
                     t.entry_hopid(),
-                    t.build_onion(&mut fx.rng, Destination::Node(dest), b"frag", None),
+                    t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"frag", None),
                 )
             })
             .collect();
         let (delivered, report) = fx
             .driver
             .drive_striped(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 stripes,
                 2,
@@ -1249,7 +1241,7 @@ mod tests {
         // Kill two of three entry roots: at most one fragment can arrive,
         // and need = 2 becomes unsatisfiable.
         for t in &tunnels[..2] {
-            let root = fx.overlay.owner_of(t.entry_hopid()).unwrap();
+            let root = fx.world.overlay.owner_of(t.entry_hopid()).unwrap();
             assert_ne!(root, fx.initiator);
             fx.driver.kill_node(root);
         }
@@ -1258,15 +1250,15 @@ mod tests {
             .map(|t| {
                 (
                     t.entry_hopid(),
-                    t.build_onion(&mut fx.rng, Destination::Node(dest), b"frag", None),
+                    t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"frag", None),
                 )
             })
             .collect();
         let err = fx
             .driver
             .drive_striped(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 stripes,
                 2,
@@ -1337,7 +1329,7 @@ mod tests {
             _ => {
                 options.use_hints = true;
                 options.retry_budget = 1;
-                hints.refresh(&fx.overlay, &t.hop_ids());
+                hints.refresh(&fx.world.overlay, &t.hop_ids());
                 // Even seeds kill the hop's true root (the fallback times
                 // out as well); odd seeds a stale hint's node (the fallback
                 // delivers).
@@ -1351,11 +1343,16 @@ mod tests {
             }
         }
         let dest = pick_dest(&mut fx);
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"same", Some(&hints));
+        let onion = t.build_onion(
+            &mut fx.world.rng,
+            Destination::Node(dest),
+            b"same",
+            Some(&hints),
+        );
         let delivered = if striped {
             match fx.driver.drive_striped(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 vec![(t.entry_hopid(), onion)],
                 1,
@@ -1384,8 +1381,8 @@ mod tests {
             }
         } else {
             match fx.driver.drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,
@@ -1443,18 +1440,18 @@ mod tests {
         let mut fx = fixture(200, 5);
         let t = tunnel(&mut fx, 3);
         let victim = t.hop_ids()[0];
-        for holder in fx.thas.holders(victim).to_vec() {
+        for holder in fx.world.thas.holders(victim).to_vec() {
             if holder != fx.initiator {
-                fx.overlay.remove_node(holder);
+                fx.world.overlay.remove_node(holder);
             }
         }
-        let dest = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"x", None);
+        let dest = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"x", None);
         let err = fx
             .driver
             .drive_timed_with_hints(
-                &mut fx.overlay,
-                &fx.thas,
+                &mut fx.world.overlay,
+                &fx.world.thas,
                 fx.initiator,
                 t.entry_hopid(),
                 onion,

@@ -22,7 +22,7 @@ use crate::metrics::CoreInstruments;
 use crate::netdrive::{NetDriver, TimedReport};
 use crate::tha::Tha;
 use crate::transit::{self, Delivery, HintCache, TransitError, TransitOptions, TransitReport};
-use crate::tunnel::{ReplyTunnel, Tunnel};
+use crate::tunnel::{ReplyTunnel, Tunnel, FAKEONION_LEN};
 use crate::wire::Destination;
 
 /// A file stored in the PAST-style file store.
@@ -258,7 +258,7 @@ fn request<R: Rng + ?Sized>(
     hints: Option<&HintCache>,
 ) -> (KeyPair, Id, Vec<u8>) {
     let k_i = KeyPair::generate(rng);
-    let reply_tunnel = ReplyTunnel::build(rng, rev, bid, 96, hints);
+    let reply_tunnel = ReplyTunnel::build(rng, rev, bid, FAKEONION_LEN, hints);
     let request = Request {
         fid,
         reply_key: k_i.public(),
@@ -521,7 +521,7 @@ mod tests {
         let bid = bid_of(&fx);
         let initiator = fx.initiator;
         // Hints are embedded by the onion builder; the §5 path also needs
-        // them inside the tunnels, which `TapSystem::retrieve_file`
+        // them inside the tunnels, which `World::retrieve_file`
         // exercises. Here we verify plain vs. hinted transit parity at the
         // protocol level (hints off = baseline).
         let mut ctx = RetrievalContext {

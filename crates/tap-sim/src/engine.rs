@@ -3,7 +3,7 @@
 //! Every figure of the paper decomposes into *trials* — per-`p` sweep
 //! points (Figs. 2/3), per-`k`/per-`l` points (Fig. 4), independent
 //! latency simulations (Fig. 6), or per-tunnel corruption scans inside a
-//! churn unit (Fig. 5). Trials share the (immutable) testbed but nothing
+//! churn unit (Fig. 5). Trials share the (immutable) world but nothing
 //! else, so they can run on any number of worker threads — *provided* the
 //! randomness each trial sees does not depend on scheduling.
 //!

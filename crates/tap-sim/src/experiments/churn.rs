@@ -13,12 +13,13 @@
 //! unit) only ever expose one unit's worth of migrations.
 
 use tap_core::tha::Tha;
-use tap_core::Collusion;
+use tap_core::{Collusion, Tunnel, World};
 use tap_id::Id;
 use tap_pastry::storage::ReplicaStore;
+use tap_pastry::PastryConfig;
 
 use crate::engine::TrialPool;
-use crate::experiments::{deploy_tunnels, retire_tunnels, Testbed};
+use crate::experiments::apply_journal;
 use crate::report::Series;
 use crate::Scale;
 
@@ -47,25 +48,30 @@ fn parallel_corruption_rate(
 pub fn run(scale: &Scale) -> Series {
     let (k, l) = (3, 5);
     let p = 0.1;
-    let mut tb = Testbed::build(scale.nodes, scale.tunnels, k, l, scale.seed ^ 0xF165);
-    tb.apply_journal(scale);
+    let mut world = World::build(
+        PastryConfig::with_replication(k),
+        scale.nodes,
+        scale.seed ^ 0xF165,
+    );
+    let unrefreshed = world.deploy_tunnels(scale.tunnels, l);
+    apply_journal(world.metrics(), scale);
 
     // The collusion is fixed for the whole run; churn only moves benign
     // nodes ("malicious nodes instead can try to stay in system as long as
     // possible"). Its ledger starts now, before any replica has moved, so
     // it holds every THA a member was ever handed.
-    let collusion = Collusion::mark_fraction(&tb.overlay, &mut tb.rng, p);
-    tb.thas.watch(collusion.members());
+    let collusion = Collusion::mark_fraction(&world.overlay, &mut world.rng, p);
+    world.thas.watch(collusion.members());
     // `pick_benign` needs a benign node left for every leave of a unit;
     // the CLI rejects scales with `churn_per_unit > nodes / 2`, which
     // guarantees it.
     debug_assert!(
-        scale.churn_per_unit <= tb.overlay.len() - collusion.len(),
+        scale.churn_per_unit <= world.overlay.len() - collusion.len(),
         "a unit's leaves would exhaust the benign nodes"
     );
 
-    let unrefreshed_ids = tb.hop_id_lists();
-    let mut refreshed = deploy_tunnels(&tb.overlay, &mut tb.thas, &mut tb.rng, scale.tunnels, l);
+    let unrefreshed_ids = hop_id_lists(&unrefreshed);
+    let mut refreshed = world.deploy_tunnels(scale.tunnels, l);
 
     let mut series = Series::new(
         "Fig. 5 — corrupted tunnels over time under churn (k=3, l=5, p=0.1)",
@@ -79,13 +85,8 @@ pub fn run(scale: &Scale) -> Series {
     series.push(
         0.0,
         vec![
-            parallel_corruption_rate(&pool, &collusion, &tb.thas, &unrefreshed_ids),
-            parallel_corruption_rate(
-                &pool,
-                &collusion,
-                &tb.thas,
-                &refreshed.iter().map(|t| t.hop_ids()).collect::<Vec<_>>(),
-            ),
+            parallel_corruption_rate(&pool, &collusion, &world.thas, &unrefreshed_ids),
+            parallel_corruption_rate(&pool, &collusion, &world.thas, &hop_id_lists(&refreshed)),
         ],
     );
 
@@ -93,35 +94,36 @@ pub fn run(scale: &Scale) -> Series {
         // 100 benign leaves, then 100 benign joins; replica repair runs
         // after each membership event, exactly as PAST's manager would.
         for _ in 0..scale.churn_per_unit {
-            let victim = pick_benign(&mut tb, &collusion);
-            tb.overlay.remove_node(victim);
-            tb.thas.on_node_removed(&tb.overlay, victim);
+            let victim = pick_benign(&mut world, &collusion);
+            world.leave(victim, true);
         }
         for _ in 0..scale.churn_per_unit {
-            let id = tb.overlay.add_random_node(&mut tb.rng);
-            tb.thas.on_node_added(&tb.overlay, id);
+            world.join();
         }
 
         let unrefreshed_rate =
-            parallel_corruption_rate(&pool, &collusion, &tb.thas, &unrefreshed_ids);
-        let refreshed_ids: Vec<Vec<Id>> = refreshed.iter().map(|t| t.hop_ids()).collect();
-        let refreshed_rate = parallel_corruption_rate(&pool, &collusion, &tb.thas, &refreshed_ids);
+            parallel_corruption_rate(&pool, &collusion, &world.thas, &unrefreshed_ids);
+        let refreshed_rate =
+            parallel_corruption_rate(&pool, &collusion, &world.thas, &hop_id_lists(&refreshed));
         series.push(unit as f64, vec![unrefreshed_rate, refreshed_rate]);
 
         // Refresh: tear the refreshed population down and rebuild it.
-        retire_tunnels(&mut tb.thas, &refreshed);
-        refreshed = deploy_tunnels(&tb.overlay, &mut tb.thas, &mut tb.rng, scale.tunnels, l);
+        for (_, t) in &refreshed {
+            world.teardown(t.hops());
+        }
+        refreshed = world.deploy_tunnels(scale.tunnels, l);
     }
-    series.metrics_json = Some(tb.metrics_json());
+    series.metrics_json = Some(world.metrics().snapshot().to_json());
     series
 }
 
-fn pick_benign(tb: &mut Testbed, collusion: &Collusion) -> Id {
+fn hop_id_lists(tunnels: &[(Id, Tunnel)]) -> Vec<Vec<Id>> {
+    tunnels.iter().map(|(_, t)| t.hop_ids()).collect()
+}
+
+fn pick_benign(world: &mut World, collusion: &Collusion) -> Id {
     loop {
-        let v = tb
-            .overlay
-            .random_node(&mut tb.rng)
-            .expect("overlay never empties");
+        let v = world.random_node().expect("overlay never empties");
         if !collusion.contains(v) {
             return v;
         }
@@ -186,8 +188,8 @@ mod tests {
             churn_units: 3,
             ..tiny()
         };
-        let tb = Testbed::build(scale.nodes, 10, 3, 5, 1);
-        assert_eq!(tb.overlay.len(), scale.nodes);
+        let world = World::build(PastryConfig::with_replication(3), scale.nodes, 1);
+        assert_eq!(world.overlay.len(), scale.nodes);
         let _ = run(&scale); // would panic internally if the ring emptied
     }
 }

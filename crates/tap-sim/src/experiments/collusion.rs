@@ -11,10 +11,11 @@
 //! hop of the tunnel (§6). The analytic overlay `(1-(1-p)^k)^l` makes the
 //! independence assumption explicit.
 
-use tap_core::Collusion;
+use tap_core::{Collusion, World};
+use tap_pastry::PastryConfig;
 
 use crate::engine::TrialPool;
-use crate::experiments::Testbed;
+use crate::experiments::apply_journal;
 use crate::report::Series;
 use crate::Scale;
 
@@ -27,9 +28,14 @@ const DRAWS: usize = 5;
 /// Run the experiment.
 pub fn run(scale: &Scale) -> Series {
     let (k, l) = (3, 5);
-    let tb = Testbed::build(scale.nodes, scale.tunnels, k, l, scale.seed ^ 0xF163);
-    tb.apply_journal(scale);
-    let hop_lists = tb.hop_id_lists();
+    let mut world = World::build(
+        PastryConfig::with_replication(k),
+        scale.nodes,
+        scale.seed ^ 0xF163,
+    );
+    let tunnels = world.deploy_tunnels(scale.tunnels, l);
+    apply_journal(world.metrics(), scale);
+    let hop_lists: Vec<_> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
 
     let mut series = Series::new(
         "Fig. 3 — corrupted tunnels vs. fraction of malicious nodes (k=3, l=5)",
@@ -38,14 +44,14 @@ pub fn run(scale: &Scale) -> Series {
     );
 
     // One trial per malicious fraction: collusion draws come from the
-    // trial's RNG substream, the testbed is shared read-only.
+    // trial's RNG substream, the world is shared read-only.
     let pool = TrialPool::new(scale, "fig3");
-    let tb_ref = &tb;
+    let world_ref = &world;
     let rows = pool.run(MALICIOUS_FRACTIONS.to_vec(), |_idx, &p, rng| {
         let mut total = 0.0;
         for _ in 0..DRAWS {
-            let collusion = Collusion::mark_fraction(&tb_ref.overlay, rng, p);
-            total += collusion.corruption_rate(&tb_ref.thas, &hop_lists);
+            let collusion = Collusion::mark_fraction(&world_ref.overlay, rng, p);
+            total += collusion.corruption_rate(&world_ref.thas, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - p).powi(k as i32)).powi(l as i32);
         vec![total / DRAWS as f64, analytic]
@@ -53,7 +59,7 @@ pub fn run(scale: &Scale) -> Series {
     for (&p, row) in MALICIOUS_FRACTIONS.iter().zip(rows) {
         series.push(p, row);
     }
-    series.metrics_json = Some(tb.metrics_json());
+    series.metrics_json = Some(world.metrics().snapshot().to_json());
     series
 }
 

@@ -7,29 +7,24 @@
 //! numerically closest to the fileid" — overtly, through TAP's basic
 //! tunnels, and through TAP's §5 hint-optimized tunnels, at l ∈ {3, 5}.
 //!
-//! Every transfer runs on TAP's wire engine, [`NetDriver`]: the file rides
+//! Every transfer runs on TAP's wire engine,
+//! [`NetDriver`](tap_core::netdrive::NetDriver): the file rides
 //! beside the onion, store-and-forward, one overlay hop at a time. A hop
 //! costs its bytes' 1.5 Mb/s serialization plus the pairwise propagation
 //! delay, the cost model of the paper's emulator; a TAP hop's bytes are
 //! the file plus what is left of the onion.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use tap_core::metrics::CoreInstruments;
-use tap_core::netdrive::{NetDriver, TimedReport};
-use tap_core::tha::Tha;
+use tap_core::netdrive::TimedReport;
 use tap_core::transit::{Delivery, HintCache, TransitError, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
+use tap_core::World;
 use tap_id::Id;
 use tap_metrics::Registry;
 use tap_netsim::latency::{EuclideanLatency, LatencyModel, UniformLatency};
-use tap_netsim::{Network, NetworkConfig};
-use tap_pastry::storage::ReplicaStore;
-use tap_pastry::{Overlay, PastryConfig};
+use tap_pastry::PastryConfig;
 
-use super::fresh_hops;
 use crate::engine::{substream_seed, TrialPool};
 use crate::report::Series;
 use crate::Scale;
@@ -89,18 +84,17 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
 
     // Building the overlay dominates a trial's cost at paper scale, and
     // every sim at a given size routes over an identically-seeded one —
-    // so build each size's overlay exactly once, up front, and hand every
-    // trial a copy-on-write clone (O(N) Arc bumps; the static network
+    // so build each size's world exactly once, up front, and hand every
+    // trial a copy-on-write fork (O(N) Arc bumps; the static network
     // never kills a node, so routing never evicts and nothing unshares).
     let sizes = network_sizes(scale.nodes);
-    let bases: Vec<(Overlay, Vec<Id>)> = sizes
+    let bases: Vec<World> = sizes
         .iter()
         .map(|&n| {
-            let mut rng = StdRng::seed_from_u64(substream_seed(scale.seed, "fig6-base", n));
-            let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-            overlay.use_metrics(metrics.clone());
-            let ids = (0..n).map(|_| overlay.add_random_node(&mut rng)).collect();
-            (overlay, ids)
+            let seed = substream_seed(scale.seed, "fig6-base", n);
+            let base = World::build(PastryConfig::paper_defaults(), n, seed);
+            metrics.merge(base.metrics());
+            base
         })
         .collect();
 
@@ -112,27 +106,20 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
         .flat_map(|si| (0..scale.latency_sims).map(move |sim| (si, sim)))
         .collect();
     let pool = TrialPool::new(scale, "fig6");
-    let results = pool.run(trials, |idx, &(si, _sim), _rng| {
+    let results = pool.run(trials, |idx, &(si, _sim), rng| {
         let trial_metrics = Registry::new();
         super::apply_journal(&trial_metrics, scale);
         let seed = pool.trial_seed(idx);
-        let (base, ids) = &bases[si];
+        let mut world = bases[si].fork(rng.clone(), &trial_metrics);
+        let transfers = scale.latency_transfers;
         let per_transfer = match model {
-            TopologyModel::Uniform => simulate_one(
-                base,
-                ids,
-                scale.latency_transfers,
-                seed,
-                UniformLatency::paper(seed ^ 0x1a7e),
-                &trial_metrics,
-            ),
+            TopologyModel::Uniform => {
+                simulate_one(&mut world, transfers, UniformLatency::paper(seed ^ 0x1a7e))
+            }
             TopologyModel::Euclidean => simulate_one(
-                base,
-                ids,
-                scale.latency_transfers,
-                seed,
+                &mut world,
+                transfers,
                 EuclideanLatency::paper(seed ^ 0x1a7e),
-                &trial_metrics,
             ),
         };
         (per_transfer, trial_metrics)
@@ -155,64 +142,48 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
     series
 }
 
-/// One simulation over a copy-on-write clone of the shared base overlay:
-/// returns summed seconds per variant.
+/// One simulation on a fork of the size's base world: returns summed
+/// seconds per variant.
 ///
-/// Every transfer runs on one [`NetDriver`]: the overt one along the plain
-/// route, each TAP one through a fresh tunnel with the file travelling
-/// beside the onion. A transfer ends at its last delivery before the next
-/// starts, so every NIC is idle at each send and a transfer's time is its
-/// own store-and-forward cost, whatever ran before it.
-fn simulate_one<L: LatencyModel>(
-    base: &Overlay,
-    ids: &[Id],
-    transfers: usize,
-    seed: u64,
-    latency: L,
-    metrics: &Registry,
-) -> [f64; 5] {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut overlay = base.clone();
-    overlay.use_metrics(metrics.clone());
-    let mut net = Network::new(NetworkConfig::paper_defaults(), latency);
-    net.use_metrics(metrics.clone());
-    let mut driver = NetDriver::new(net);
-    // Both link models draw a link from its endpoint ids: register every
-    // node up front, in `ids` order, or each link would be redrawn.
-    for &id in ids {
-        driver.register(id);
-    }
-    let mut thas: ReplicaStore<Tha> = ReplicaStore::new(3);
-    thas.use_metrics(metrics.clone());
-    let instruments = CoreInstruments::new(metrics);
+/// Every transfer runs on the world's [`tap_core::netdrive::NetDriver`]:
+/// the overt one along the plain route, each TAP one through a fresh
+/// tunnel with the file travelling beside the onion. A transfer ends at
+/// its last delivery before the next starts, so every NIC is idle at each
+/// send and a transfer's time is its own store-and-forward cost, whatever
+/// ran before it.
+fn simulate_one<L: LatencyModel>(world: &mut World, transfers: usize, latency: L) -> [f64; 5] {
+    let mut driver = world.net_driver(latency);
+    let instruments = CoreInstruments::new(world.metrics());
 
     let mut sums = [0.0f64; 5];
     for _ in 0..transfers {
-        let initiator = overlay.random_node(&mut rng).expect("nodes exist");
-        let fid = Id::random(&mut rng);
+        let initiator = world.random_node().expect("nodes exist");
+        let fid = Id::random(&mut world.rng);
         // Variant 0: overt transfer along the plain Pastry route.
-        sums[0] += seconds(driver.drive_overt(&mut overlay, initiator, fid, FILE_BYTES));
+        let overt = driver.drive_overt(&mut world.overlay, &world.thas, initiator, fid, FILE_BYTES);
+        sums[0] += seconds(overt);
         // TAP variants: fresh tunnels per transfer, torn down afterwards.
         for (slot, &(l, hinted)) in [(5usize, false), (5, true), (3, false), (3, true)]
             .iter()
             .enumerate()
         {
-            let tunnel = Tunnel::new(fresh_hops(&overlay, &mut thas, &mut rng, initiator, l));
+            let hops = world.fresh_hops(initiator, l).expect("nodes exist");
+            let tunnel = Tunnel::new(hops);
             let hints = hinted.then(|| {
                 let mut cache = HintCache::default();
-                cache.refresh(&overlay, &tunnel.hop_ids());
+                cache.refresh(&world.overlay, &tunnel.hop_ids());
                 cache
             });
             let onion = tunnel.build_onion_instrumented(
-                &mut rng,
+                &mut world.rng,
                 Destination::KeyRoot(fid),
                 b"push",
                 hints.as_ref(),
                 Some(&instruments),
             );
             let outcome = driver.drive_timed_with_hints(
-                &mut overlay,
-                &thas,
+                &mut world.overlay,
+                &world.thas,
                 initiator,
                 tunnel.entry_hopid(),
                 onion,
@@ -223,9 +194,7 @@ fn simulate_one<L: LatencyModel>(
                 },
                 None,
             );
-            for hopid in tunnel.hop_ids() {
-                thas.remove(hopid);
-            }
+            world.teardown(tunnel.hops());
             sums[slot + 1] += seconds(outcome);
         }
     }

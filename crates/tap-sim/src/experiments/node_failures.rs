@@ -18,12 +18,14 @@ use rand::seq::IteratorRandom;
 use tap_core::transit::{self, TransitError, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
+use tap_core::World;
 use tap_id::{Id, IdHashSet};
 use tap_metrics::Registry;
 use tap_pastry::storage::ReplicaStore;
+use tap_pastry::PastryConfig;
 
 use crate::engine::TrialPool;
-use crate::experiments::Testbed;
+use crate::experiments::apply_journal;
 use crate::report::Series;
 use crate::Scale;
 
@@ -45,23 +47,27 @@ pub fn run(scale: &Scale) -> Series {
     let l = BASELINE_RELAYS;
     // One overlay and one set of hopids; two stores at k=3 and k=5 so the
     // curves compare the replication factor on identical tunnels.
-    let mut tb = Testbed::build(scale.nodes, scale.tunnels, 3, l, scale.seed ^ 0xF162);
-    tb.apply_journal(scale);
-    let thas_k5 = reinsert_with_k(&tb, 5);
+    let mut world = World::build(
+        PastryConfig::with_replication(3),
+        scale.nodes,
+        scale.seed ^ 0xF162,
+    );
+    let tunnels = world.deploy_tunnels(scale.tunnels, l);
+    apply_journal(world.metrics(), scale);
+    let thas_k5 = world.thas_replicated(5, world.metrics());
 
     // Baseline: fixed-node tunnels of the same length, same initiators.
     // Each draws `l` relays apart from its initiator, so it needs `l + 1`
     // nodes or the draw never ends; the CLI refuses smaller networks.
     debug_assert!(scale.nodes > l, "fig2 needs more than {l} nodes");
-    let baselines: Vec<Vec<Id>> = tb
-        .tunnels
+    let baselines: Vec<Vec<Id>> = tunnels
         .iter()
-        .map(|t| {
+        .map(|(owner, _)| {
             let mut relays = Vec::with_capacity(l);
             let mut used: IdHashSet = IdHashSet::default();
-            used.insert(t.initiator);
+            used.insert(*owner);
             while relays.len() < l {
-                let n = tb.overlay.random_node(&mut tb.rng).expect("non-empty");
+                let n = world.random_node().expect("non-empty");
                 if used.insert(n) {
                     relays.push(n);
                 }
@@ -83,18 +89,18 @@ pub fn run(scale: &Scale) -> Series {
         ],
     );
 
-    let all_ids: Vec<Id> = tb.overlay.ids().collect();
+    let all_ids: Vec<Id> = world.overlay.ids().collect();
 
-    // One trial per swept failure fraction. Trials read the shared testbed
+    // One trial per swept failure fraction. Trials read the shared world
     // and draw their dead sets from private RNG substreams, so the sweep
     // parallelizes with bit-identical results at any thread count.
     let pool = TrialPool::new(scale, "fig2");
-    let tb_ref = &tb;
+    let (world_ref, tunnels_ref) = (&world, &tunnels);
     let trials = pool.run(
         FAILURE_FRACTIONS.to_vec(),
         |_idx, &p, rng: &mut StdRng| -> (Vec<f64>, Registry) {
             let trial_metrics = Registry::new();
-            crate::experiments::apply_journal(&trial_metrics, scale);
+            apply_journal(&trial_metrics, scale);
             let dead_count = ((scale.nodes as f64) * p).round() as usize;
             let dead: IdHashSet = all_ids
                 .iter()
@@ -107,15 +113,15 @@ pub fn run(scale: &Scale) -> Series {
             let mut base_failed = 0usize;
             let mut k3_failed = 0usize;
             let mut k5_failed = 0usize;
-            for (t, relays) in tb_ref.tunnels.iter().zip(baselines.iter()) {
-                if dead.contains(&t.initiator) {
+            for ((owner, t), relays) in tunnels_ref.iter().zip(baselines.iter()) {
+                if dead.contains(owner) {
                     continue; // the user is gone; its tunnel is moot, not failed
                 }
                 surveyed += 1;
                 if relays.iter().any(|r| dead.contains(r)) {
                     base_failed += 1;
                 }
-                if tunnel_broken(&tb_ref.thas, t.hop_ids().as_slice(), &dead) {
+                if tunnel_broken(&world_ref.thas, t.hop_ids().as_slice(), &dead) {
                     k3_failed += 1;
                 }
                 if tunnel_broken(&thas_k5, t.hop_ids().as_slice(), &dead) {
@@ -123,7 +129,7 @@ pub fn run(scale: &Scale) -> Series {
                 }
             }
 
-            spot_check_with_transit(tb_ref, &trial_metrics, &dead, rng);
+            spot_check_with_transit(world_ref, tunnels_ref, &trial_metrics, &dead, rng);
 
             let n = surveyed.max(1) as f64;
             let row = vec![
@@ -139,9 +145,9 @@ pub fn run(scale: &Scale) -> Series {
     );
     for (&p, (row, trial_metrics)) in FAILURE_FRACTIONS.iter().zip(trials) {
         series.push(p, row);
-        tb.metrics.merge(&trial_metrics);
+        world.metrics().merge(&trial_metrics);
     }
-    series.metrics_json = Some(tb.metrics_json());
+    series.metrics_json = Some(world.metrics().snapshot().to_json());
     series
 }
 
@@ -156,37 +162,23 @@ pub fn tunnel_broken(
         .any(|h| thas.holders(*h).iter().all(|holder| dead.contains(holder)))
 }
 
-/// Rebuild the THA store with a different replication factor over the same
-/// hopids (same overlay, same tunnels).
-fn reinsert_with_k(tb: &Testbed, k: usize) -> ReplicaStore<tap_core::tha::Tha> {
-    let mut store = ReplicaStore::new(k);
-    store.use_metrics(tb.metrics.clone());
-    for t in &tb.tunnels {
-        for h in &t.hops {
-            store
-                .insert(&tb.overlay, h.hopid, h.stored())
-                .expect("testbed overlay is non-empty");
-        }
-    }
-    store
-}
-
 /// Drive a subsample of tunnels through real onion transit on a cloned
 /// overlay with the dead set actually removed, and assert the result
 /// agrees with [`tunnel_broken`]. Keeps the fast predicate honest.
 ///
-/// Reads the shared testbed only; the overlay clone records into the
+/// Reads the shared world only; the overlay clone records into the
 /// trial's private registry so parallel trials never contend.
 fn spot_check_with_transit(
-    tb: &Testbed,
+    world: &World,
+    tunnels: &[(Id, Tunnel)],
     trial_metrics: &Registry,
     dead: &IdHashSet,
     rng: &mut StdRng,
 ) {
-    // Copy-on-write: the clone shares every node handle with the testbed
+    // Copy-on-write: the clone shares every node handle with the world's
     // overlay, so this costs O(N) pointer bumps and the sweep point pays
     // only for the nodes the batch removal below actually repairs.
-    let mut overlay = tb.overlay.clone();
+    let mut overlay = world.overlay.clone();
     overlay.use_metrics(trial_metrics.clone());
     // Sorted removal: HashSet iteration order varies per instance, and the
     // repair work each removal triggers must not. The batch API detaches
@@ -194,24 +186,21 @@ fn spot_check_with_transit(
     let mut dead_sorted: Vec<Id> = dead.iter().copied().collect();
     dead_sorted.sort();
     overlay.remove_nodes(&dead_sorted);
-    let checks = tb.tunnels.len().min(SPOT_CHECKS);
-    for i in 0..checks {
-        let t = &tb.tunnels[i];
-        if dead.contains(&t.initiator) {
+    for (owner, tunnel) in tunnels.iter().take(SPOT_CHECKS) {
+        if dead.contains(owner) {
             continue;
         }
-        let tunnel = Tunnel::new(t.hops.clone());
         let probe_key = Id::random(rng);
         let onion = tunnel.build_onion(rng, Destination::KeyRoot(probe_key), b"fig2-probe", None);
         let outcome = transit::drive(
             &mut overlay,
-            &tb.thas,
-            t.initiator,
+            &world.thas,
+            *owner,
             tunnel.entry_hopid(),
             onion,
             TransitOptions::default(),
         );
-        let predicted_broken = tunnel_broken(&tb.thas, &t.hop_ids(), dead);
+        let predicted_broken = tunnel_broken(&world.thas, &tunnel.hop_ids(), dead);
         match outcome {
             Ok(_) => assert!(
                 !predicted_broken,
@@ -291,18 +280,19 @@ mod tests {
 
     #[test]
     fn tunnel_broken_predicate() {
-        let tb = Testbed::build(150, 5, 3, 3, 3);
-        let t = &tb.tunnels[0];
+        let mut world = World::build(PastryConfig::with_replication(3), 150, 3);
+        let (_, t) = world.deploy_tunnels(5, 3).swap_remove(0);
+        let thas = &world.thas;
         let mut dead = IdHashSet::default();
-        assert!(!tunnel_broken(&tb.thas, &t.hop_ids(), &dead));
+        assert!(!tunnel_broken(thas, &t.hop_ids(), &dead));
         // Kill every holder of the first hop.
-        for h in tb.thas.holders(t.hop_ids()[0]) {
+        for h in thas.holders(t.hop_ids()[0]) {
             dead.insert(*h);
         }
-        assert!(tunnel_broken(&tb.thas, &t.hop_ids(), &dead));
+        assert!(tunnel_broken(thas, &t.hop_ids(), &dead));
         // One survivor rescues the hop.
-        let revived = *tb.thas.holders(t.hop_ids()[0]).first().unwrap();
+        let revived = *thas.holders(t.hop_ids()[0]).first().unwrap();
         dead.remove(&revived);
-        assert!(!tunnel_broken(&tb.thas, &t.hop_ids(), &dead));
+        assert!(!tunnel_broken(thas, &t.hop_ids(), &dead));
     }
 }

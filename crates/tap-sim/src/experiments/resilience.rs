@@ -32,24 +32,20 @@
 //! `mp_n = 0` (the default) this mode is fully off and the classic CSV is
 //! byte-identical to previous releases.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use tap_core::metrics::CoreInstruments;
 use tap_core::multipath::{form_disjoint_tunnels, send_striped, MultipathConfig, MultipathError};
 use tap_core::netdrive::NetDriver;
-use tap_core::tha::Tha;
+use tap_core::tha::ThaSecret;
 use tap_core::transit::{HintCache, TransitError, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
+use tap_core::World;
 use tap_id::Id;
 use tap_metrics::Registry;
 use tap_netsim::latency::UniformLatency;
-use tap_netsim::{EndpointId, FaultPlan, Network, NetworkConfig, SimDuration};
-use tap_pastry::storage::ReplicaStore;
-use tap_pastry::{Overlay, PastryConfig};
+use tap_netsim::{EndpointId, FaultPlan, SimDuration};
+use tap_pastry::PastryConfig;
 
-use super::fresh_hops;
 use crate::engine::{substream_seed, TrialPool};
 use crate::report::Series;
 use crate::Scale;
@@ -103,15 +99,10 @@ fn run_classic(scale: &Scale) -> Series {
     );
 
     // Every trial routes over the same membership, and faults live in the
-    // wire, not the overlay — so build the overlay once and hand each
-    // trial a copy-on-write clone (O(N) Arc bumps, and since nodes never
-    // leave the overlay, routing never evicts and nothing unshares).
-    let mut base_rng = StdRng::seed_from_u64(substream_seed(scale.seed, "resilience-base", 0));
-    let mut base = Overlay::new(PastryConfig::paper_defaults());
-    base.use_metrics(metrics.clone());
-    let nodes: Vec<Id> = (0..scale.nodes)
-        .map(|_| base.add_random_node(&mut base_rng))
-        .collect();
+    // wire, not the overlay — so build the world once and hand each trial
+    // a copy-on-write fork (O(N) Arc bumps, and since nodes never leave
+    // the overlay, routing never evicts and nothing unshares).
+    let base = base_world(scale, &metrics);
 
     let points = loss_points(scale.fault_permille);
     let sims = scale.latency_sims.max(1);
@@ -124,16 +115,17 @@ fn run_classic(scale: &Scale) -> Series {
     let results = pool.run(trials, |idx, &(loss, _sim), rng| {
         let trial_metrics = Registry::new();
         super::apply_journal(&trial_metrics, scale);
-        let delivered = simulate_one(
-            &base,
-            &nodes,
+        let mut world = base.fork(rng.clone(), &trial_metrics);
+        let phase = chaos_phase(
+            &mut world,
             transfers,
             loss,
             pool.trial_seed(idx),
-            rng,
-            &trial_metrics,
+            |world, driver| {
+                transfer_once(world, driver, b"payload").map(|elapsed| (elapsed.as_micros(), 1.0))
+            },
         );
-        (delivered, trial_metrics)
+        (phase.delivered, trial_metrics)
     });
 
     let mut results = results.into_iter();
@@ -161,62 +153,53 @@ fn run_classic(scale: &Scale) -> Series {
     series
 }
 
-/// One simulation: `transfers` hinted tunnel transfers under loss level
-/// `loss`, with a partition/heal cycle and a crashed-node window through
-/// the middle third, over a copy-on-write clone of the shared base
-/// overlay. Returns how many transfers delivered.
-fn simulate_one(
-    base: &Overlay,
-    nodes: &[Id],
-    transfers: usize,
-    loss: u32,
-    seed: u64,
-    rng: &mut StdRng,
-    metrics: &Registry,
-) -> usize {
-    chaos_phase(
-        base,
-        nodes,
-        transfers,
-        loss,
-        seed,
-        metrics,
-        rng,
-        |overlay, thas, driver, rng| {
-            transfer_once(overlay, thas, driver, rng, b"payload")
-                .map(|elapsed| (elapsed.as_micros(), 1.0))
-        },
-    )
-    .delivered
+/// The sweep's shared world, its build recorded into `metrics`.
+fn base_world(scale: &Scale, metrics: &Registry) -> World {
+    let seed = substream_seed(scale.seed, "resilience-base", 0);
+    let base = World::build(PastryConfig::paper_defaults(), scale.nodes, seed);
+    metrics.merge(base.metrics());
+    base
+}
+
+/// A random initiator and `count` fresh anchors of its own.
+fn fresh_anchors(world: &mut World, count: usize) -> (Id, Vec<ThaSecret>) {
+    world
+        .random_node()
+        .and_then(|initiator| Ok((initiator, world.fresh_hops(initiator, count)?)))
+        .expect("non-empty overlay")
+}
+
+/// A random destination other than `initiator`. The draw ends only once
+/// it finds one; the CLI refuses a one-node network.
+fn destination(world: &mut World, initiator: Id) -> Id {
+    debug_assert!(
+        world.overlay.len() >= 2,
+        "a transfer needs two distinct nodes"
+    );
+    loop {
+        let d = world.random_node().expect("non-empty overlay");
+        if d != initiator {
+            return d;
+        }
+    }
 }
 
 /// One hinted tunnel transfer of `core` between random nodes;
 /// `Some(elapsed)` iff it delivered.
 fn transfer_once(
-    overlay: &mut Overlay,
-    thas: &mut ReplicaStore<Tha>,
+    world: &mut World,
     driver: &mut NetDriver<UniformLatency>,
-    rng: &mut StdRng,
     core: &[u8],
 ) -> Option<SimDuration> {
-    let initiator = overlay.random_node(rng).expect("non-empty overlay");
-    let tunnel = Tunnel::new(fresh_hops(overlay, thas, rng, initiator, TUNNEL_LENGTH));
+    let (initiator, hops) = fresh_anchors(world, TUNNEL_LENGTH);
+    let tunnel = Tunnel::new(hops);
     let mut hints = HintCache::default();
-    hints.refresh(overlay, &tunnel.hop_ids());
-
-    // The draw ends only once it finds a node other than the initiator;
-    // the CLI refuses a one-node network.
-    debug_assert!(overlay.len() >= 2, "a transfer needs two distinct nodes");
-    let dest = loop {
-        let d = overlay.random_node(rng).expect("non-empty overlay");
-        if d != initiator {
-            break d;
-        }
-    };
-    let onion = tunnel.build_onion(rng, Destination::Node(dest), core, Some(&hints));
+    hints.refresh(&world.overlay, &tunnel.hop_ids());
+    let dest = destination(world, initiator);
+    let onion = tunnel.build_onion(&mut world.rng, Destination::Node(dest), core, Some(&hints));
     let outcome = driver.drive_timed_with_hints(
-        overlay,
-        thas,
+        &mut world.overlay,
+        &world.thas,
         initiator,
         tunnel.entry_hopid(),
         onion,
@@ -227,9 +210,7 @@ fn transfer_once(
         },
         Some(&mut hints),
     );
-    for hopid in tunnel.hop_ids() {
-        thas.remove(hopid);
-    }
+    world.teardown(tunnel.hops());
     match outcome {
         Ok((_, report)) => Some(report.elapsed),
         Err(TransitError::RetriesExhausted { .. }) => None,
@@ -276,13 +257,8 @@ fn run_multipath(scale: &Scale) -> Series {
         ],
     );
 
-    // Same shared base overlay trick as the classic sweep.
-    let mut base_rng = StdRng::seed_from_u64(substream_seed(scale.seed, "resilience-base", 0));
-    let mut base = Overlay::new(PastryConfig::paper_defaults());
-    base.use_metrics(metrics.clone());
-    let nodes: Vec<Id> = (0..scale.nodes)
-        .map(|_| base.add_random_node(&mut base_rng))
-        .collect();
+    // Same shared base world as the classic sweep.
+    let base = base_world(scale, &metrics);
 
     let points = loss_points(scale.fault_permille);
     let sims = scale.latency_sims.max(1);
@@ -299,32 +275,16 @@ fn run_multipath(scale: &Scale) -> Series {
         super::apply_journal(&mp_metrics, scale);
         let seed = pool.trial_seed(idx);
         let payload: Vec<u8> = (0..MP_PAYLOAD_LEN).map(|i| (i * 131 + 7) as u8).collect();
-        let sp = chaos_phase(
-            &base,
-            &nodes,
-            transfers,
-            loss,
-            seed,
-            &sp_metrics,
-            rng,
-            |overlay, thas, driver, rng| {
-                transfer_once(overlay, thas, driver, rng, &payload)
-                    .map(|elapsed| (elapsed.as_micros(), 1.0))
-            },
-        );
+        // The coded phase draws on from where the single-path one stopped.
+        let mut sp_world = base.fork(rng.clone(), &sp_metrics);
+        let sp = chaos_phase(&mut sp_world, transfers, loss, seed, |world, driver| {
+            transfer_once(world, driver, &payload).map(|elapsed| (elapsed.as_micros(), 1.0))
+        });
+        let mut mp_world = base.fork(sp_world.rng, &mp_metrics);
         let mp_ins = CoreInstruments::new(&mp_metrics);
-        let mp = chaos_phase(
-            &base,
-            &nodes,
-            transfers,
-            loss,
-            seed,
-            &mp_metrics,
-            rng,
-            |overlay, thas, driver, rng| {
-                mp_transfer_once(overlay, thas, driver, rng, &payload, n, k, &mp_ins)
-            },
-        );
+        let mp = chaos_phase(&mut mp_world, transfers, loss, seed, |world, driver| {
+            mp_transfer_once(world, driver, &payload, n, k, &mp_ins)
+        });
         (sp, sp_metrics, mp, mp_metrics)
     });
 
@@ -392,42 +352,22 @@ fn p99_ms(lat_us: &mut [u64]) -> f64 {
     lat_us[idx] as f64 / 1000.0
 }
 
-/// One phase of a comparison trial: the classic sweep's scaffold (clean
-/// overlay clone, fresh wire, the same fault plan, partition and crash
-/// window at the same transfer indices) around a caller-supplied transfer.
-/// The transfer returns `Some((elapsed_us, relay_exposure))` on delivery.
-#[allow(clippy::too_many_arguments)]
+/// One phase of a trial on a fresh fork of the base world: a fresh wire,
+/// the fault plan, and the partition and crash window at the same
+/// transfer indices, around a caller-supplied transfer. The transfer
+/// returns `Some((elapsed_us, relay_exposure))` on delivery.
 fn chaos_phase<F>(
-    base: &Overlay,
-    nodes: &[Id],
+    world: &mut World,
     transfers: usize,
     loss: u32,
     seed: u64,
-    metrics: &Registry,
-    rng: &mut StdRng,
     mut xfer: F,
 ) -> PhaseStats
 where
-    F: FnMut(
-        &mut Overlay,
-        &mut ReplicaStore<Tha>,
-        &mut NetDriver<UniformLatency>,
-        &mut StdRng,
-    ) -> Option<(u64, f64)>,
+    F: FnMut(&mut World, &mut NetDriver<UniformLatency>) -> Option<(u64, f64)>,
 {
-    let mut overlay = base.clone();
-    overlay.use_metrics(metrics.clone());
-    let mut net: Network<u64, UniformLatency> = Network::new(
-        NetworkConfig::paper_defaults(),
-        UniformLatency::paper(seed ^ 0x1a7e),
-    );
-    net.use_metrics(metrics.clone());
-    let mut driver = NetDriver::new(net);
-    driver.use_instruments(CoreInstruments::new(metrics));
-
-    let eps: Vec<EndpointId> = nodes.iter().map(|&id| driver.register(id)).collect();
-    let mut thas: ReplicaStore<Tha> = ReplicaStore::new(3);
-    thas.use_metrics(metrics.clone());
+    let mut driver = world.net_driver(UniformLatency::paper(seed ^ 0x1a7e));
+    driver.use_instruments(CoreInstruments::new(world.metrics()));
 
     if loss > 0 {
         driver.network_mut().install_faults(
@@ -439,6 +379,9 @@ where
         );
     }
 
+    let nodes = world.joined();
+    let eps: Vec<EndpointId> = nodes.iter().map(|&id| driver.register(id)).collect();
+    let crashed: Vec<Id> = nodes.iter().copied().skip(7).step_by(50).collect();
     let cut_a: Vec<EndpointId> = eps.iter().copied().step_by(20).collect();
     let cut_b: Vec<EndpointId> = eps
         .iter()
@@ -446,7 +389,6 @@ where
         .filter(|(i, _)| i % 20 != 0)
         .map(|(_, e)| *e)
         .collect();
-    let crashed: Vec<Id> = nodes.iter().copied().skip(7).step_by(50).collect();
     let window = (transfers / 3, 2 * transfers / 3);
 
     let mut stats = PhaseStats::default();
@@ -463,7 +405,7 @@ where
                 driver.revive_node(id);
             }
         }
-        if let Some((us, exposure)) = xfer(&mut overlay, &mut thas, &mut driver, rng) {
+        if let Some((us, exposure)) = xfer(world, &mut driver) {
             stats.delivered += 1;
             stats.latencies_us.push(us);
             stats.exposure_sum += exposure;
@@ -477,38 +419,25 @@ where
 /// the pool runs short), stripe the payload across them, reconstruct from
 /// the first `k` fragments. `Some((elapsed_us, exposure))` iff delivered,
 /// where exposure = max stripes any relay carried / stripes launched.
-#[allow(clippy::too_many_arguments)]
 fn mp_transfer_once(
-    overlay: &mut Overlay,
-    thas: &mut ReplicaStore<Tha>,
+    world: &mut World,
     driver: &mut NetDriver<UniformLatency>,
-    rng: &mut StdRng,
     payload: &[u8],
     n: usize,
     k: usize,
     instruments: &CoreInstruments,
 ) -> Option<(u64, f64)> {
-    let initiator = overlay.random_node(rng).expect("non-empty overlay");
-    let anchors = fresh_hops(overlay, thas, rng, initiator, 2 * n * TUNNEL_LENGTH);
-    let tunnels = form_disjoint_tunnels(rng, &anchors, n, TUNNEL_LENGTH, SCATTER_B);
+    let (initiator, anchors) = fresh_anchors(world, 2 * n * TUNNEL_LENGTH);
+    let tunnels = form_disjoint_tunnels(&mut world.rng, &anchors, n, TUNNEL_LENGTH, SCATTER_B);
     let mut hints = HintCache::default();
     let hop_ids: Vec<Id> = tunnels.iter().flat_map(|t| t.hop_ids()).collect();
-    hints.refresh(overlay, &hop_ids);
-
-    // The draw ends only once it finds a node other than the initiator;
-    // the CLI refuses a one-node network.
-    debug_assert!(overlay.len() >= 2, "a transfer needs two distinct nodes");
-    let dest = loop {
-        let d = overlay.random_node(rng).expect("non-empty overlay");
-        if d != initiator {
-            break d;
-        }
-    };
+    hints.refresh(&world.overlay, &hop_ids);
+    let dest = destination(world, initiator);
     let outcome = send_striped(
         driver,
-        overlay,
-        thas,
-        rng,
+        &mut world.overlay,
+        &world.thas,
+        &mut world.rng,
         initiator,
         dest,
         &tunnels,
@@ -521,9 +450,7 @@ fn mp_transfer_once(
         Some(&mut hints),
         Some(instruments),
     );
-    for s in &anchors {
-        thas.remove(s.hopid);
-    }
+    world.teardown(&anchors);
     match outcome {
         Ok(out) => {
             let exposure = if out.report.stripes_total > 0 {

@@ -16,6 +16,7 @@
 
 use rand::seq::IteratorRandom;
 
+use tap_core::World;
 use tap_id::Id;
 use tap_pastry::secure::{
     adversarial_route, iterative_secure_lookup, redundant_route, AttemptOutcome, BehaviorMap,
@@ -39,14 +40,13 @@ const TRIALS: usize = 120;
 /// Run the experiment for dropping adversaries (the harder case; against
 /// misrouters the plausibility test alone is already decisive).
 pub fn run(scale: &Scale) -> Series {
-    let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(scale.seed ^ 0x5EC);
-    let metrics = tap_metrics::Registry::new();
-    super::apply_journal(&metrics, scale);
-    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-    overlay.use_metrics(metrics.clone());
-    for _ in 0..scale.nodes {
-        overlay.add_random_node(&mut rng);
-    }
+    let world = World::build(
+        PastryConfig::paper_defaults(),
+        scale.nodes,
+        scale.seed ^ 0x5EC,
+    );
+    let metrics = world.metrics();
+    super::apply_journal(metrics, scale);
 
     let mut series = Series::new(
         "Extension — secure routing success vs. malicious (dropping) fraction",
@@ -66,7 +66,7 @@ pub fn run(scale: &Scale) -> Series {
     // O(N) Arc bumps up front, and a trial pays full copies only for the
     // node handles its lazy table evictions actually touch.
     let pool = TrialPool::new(scale, "secure");
-    let overlay_ref = &overlay;
+    let overlay_ref = &world.overlay;
     let trials = pool.run(MALICIOUS_FRACTIONS.to_vec(), |_idx, &p, rng| {
         let trial_metrics = tap_metrics::Registry::new();
         super::apply_journal(&trial_metrics, scale);

@@ -6,14 +6,13 @@
 //! fraction decreases with the increasing tunnel length, and the tunnel
 //! length of 5 catches the knee of the curve."
 
-use tap_core::tha::Tha;
-use tap_core::Collusion;
+use tap_core::{Collusion, World};
 use tap_id::Id;
 use tap_metrics::Registry;
-use tap_pastry::storage::ReplicaStore;
+use tap_pastry::PastryConfig;
 
 use crate::engine::TrialPool;
-use crate::experiments::{deploy_tunnels, Testbed};
+use crate::experiments::apply_journal;
 use crate::report::Series;
 use crate::Scale;
 
@@ -34,9 +33,14 @@ const DRAWS: usize = 5;
 pub fn by_replication(scale: &Scale) -> Series {
     let l = 5;
     // Build once at k=3, then re-replicate the same hopids at each k.
-    let tb = Testbed::build(scale.nodes, scale.tunnels, 3, l, scale.seed ^ 0xF164A);
-    tb.apply_journal(scale);
-    let hop_lists = tb.hop_id_lists();
+    let mut world = World::build(
+        PastryConfig::with_replication(3),
+        scale.nodes,
+        scale.seed ^ 0xF164A,
+    );
+    let tunnels = world.deploy_tunnels(scale.tunnels, l);
+    apply_journal(world.metrics(), scale);
+    let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
 
     let mut series = Series::new(
         "Fig. 4(a) — corrupted tunnels vs. replication factor (p=0.1, l=5)",
@@ -47,14 +51,14 @@ pub fn by_replication(scale: &Scale) -> Series {
     // One trial per replication factor: each rebuilds its own store over
     // the shared hopids and records into a private registry.
     let pool = TrialPool::new(scale, "fig4a");
-    let tb_ref = &tb;
+    let world_ref = &world;
     let trials = pool.run(REPLICATION_FACTORS.to_vec(), |_idx, &k, rng| {
         let trial_metrics = Registry::new();
-        crate::experiments::apply_journal(&trial_metrics, scale);
-        let store = restore_with_k(tb_ref, k, &trial_metrics);
+        apply_journal(&trial_metrics, scale);
+        let store = world_ref.thas_replicated(k, &trial_metrics);
         let mut total = 0.0;
         for _ in 0..DRAWS {
-            let collusion = Collusion::mark_fraction(&tb_ref.overlay, rng, P_MALICIOUS);
+            let collusion = Collusion::mark_fraction(&world_ref.overlay, rng, P_MALICIOUS);
             total += collusion.corruption_rate(&store, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - P_MALICIOUS).powi(k as i32)).powi(l as i32);
@@ -62,9 +66,9 @@ pub fn by_replication(scale: &Scale) -> Series {
     });
     for (&k, (row, trial_metrics)) in REPLICATION_FACTORS.iter().zip(trials) {
         series.push(k as f64, row);
-        tb.metrics.merge(&trial_metrics);
+        world.metrics().merge(&trial_metrics);
     }
-    series.metrics_json = Some(tb.metrics_json());
+    series.metrics_json = Some(world.metrics().snapshot().to_json());
     series
 }
 
@@ -77,46 +81,36 @@ pub fn by_length(scale: &Scale) -> Series {
         vec!["corrupted".into(), "analytic".into()],
     );
 
-    // One overlay reused across lengths; fresh tunnels per length, each
-    // length an independent trial on its own RNG substream.
-    let tb = Testbed::build(scale.nodes, 0, k, 1, scale.seed ^ 0xF164B);
-    tb.apply_journal(scale);
+    // One overlay reused across lengths; fresh tunnels per length on a
+    // fork of it, each length an independent trial on its own RNG
+    // substream.
+    let world = World::build(
+        PastryConfig::with_replication(k),
+        scale.nodes,
+        scale.seed ^ 0xF164B,
+    );
+    apply_journal(world.metrics(), scale);
     let pool = TrialPool::new(scale, "fig4b");
-    let tb_ref = &tb;
     let trials = pool.run(TUNNEL_LENGTHS.to_vec(), |_idx, &l, rng| {
         let trial_metrics = Registry::new();
-        crate::experiments::apply_journal(&trial_metrics, scale);
-        let mut store: ReplicaStore<Tha> = ReplicaStore::new(k);
-        store.use_metrics(trial_metrics.clone());
-        let tunnels = deploy_tunnels(&tb_ref.overlay, &mut store, rng, scale.tunnels, l);
-        let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|t| t.hop_ids()).collect();
+        apply_journal(&trial_metrics, scale);
+        let mut trial = world.fork(rng.clone(), &trial_metrics);
+        let tunnels = trial.deploy_tunnels(scale.tunnels, l);
+        let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
         let mut total = 0.0;
         for _ in 0..DRAWS {
-            let collusion = Collusion::mark_fraction(&tb_ref.overlay, rng, P_MALICIOUS);
-            total += collusion.corruption_rate(&store, &hop_lists);
+            let collusion = Collusion::mark_fraction(&trial.overlay, &mut trial.rng, P_MALICIOUS);
+            total += collusion.corruption_rate(&trial.thas, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - P_MALICIOUS).powi(k as i32)).powi(l as i32);
         (vec![total / DRAWS as f64, analytic], trial_metrics)
     });
     for (&l, (row, trial_metrics)) in TUNNEL_LENGTHS.iter().zip(trials) {
         series.push(l as f64, row);
-        tb.metrics.merge(&trial_metrics);
+        world.metrics().merge(&trial_metrics);
     }
-    series.metrics_json = Some(tb.metrics_json());
+    series.metrics_json = Some(world.metrics().snapshot().to_json());
     series
-}
-
-fn restore_with_k(tb: &Testbed, k: usize, metrics: &Registry) -> ReplicaStore<Tha> {
-    let mut store = ReplicaStore::new(k);
-    store.use_metrics(metrics.clone());
-    for t in &tb.tunnels {
-        for h in &t.hops {
-            store
-                .insert(&tb.overlay, h.hopid, h.stored())
-                .expect("testbed overlay is non-empty");
-        }
-    }
-    store
 }
 
 #[cfg(test)]

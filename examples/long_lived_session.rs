@@ -19,22 +19,25 @@ use tap::core::baseline::FixedTunnel;
 use tap::core::transit::{self, TransitOptions};
 use tap::core::tunnel::Tunnel;
 use tap::core::wire::Destination;
-use tap::core::{SystemConfig, TapSystem};
+use tap::core::world::{World, TUNNEL_LENGTH};
+use tap::pastry::PastryConfig;
 use tap::Id;
 
 fn main() {
-    let mut sys = TapSystem::bootstrap(SystemConfig::paper_defaults(), 800, 21);
-    let user = sys.random_node();
+    let mut sys = World::build(PastryConfig::paper_defaults(), 800, 21);
+    let user = sys.random_node().expect("nodes joined");
     let server = loop {
-        let s = sys.random_node();
+        let s = sys.random_node().expect("nodes joined");
         if s != user {
             break s;
         }
     };
     println!("session: {user:?} -> {server:?} over an 800-node overlay");
 
-    sys.deploy_anchors_direct(user, 10);
-    let tap_tunnel: Tunnel = sys.form_tunnel(user).expect("anchors deployed");
+    sys.deploy_anchors_direct(user, 10).expect("user joined");
+    let tap_tunnel: Tunnel = sys
+        .form_tunnel(user, TUNNEL_LENGTH)
+        .expect("anchors deployed");
     let baseline =
         FixedTunnel::form_random(&mut sys.rng, &sys.overlay, user, 5).expect("network big enough");
     println!(
@@ -56,17 +59,17 @@ fn main() {
         // PAST does; the fixed-node baseline has nothing to repair).
         let victims: Vec<Id> = (0..8)
             .map(|_| loop {
-                let v = sys.random_node();
+                let v = sys.random_node().expect("nodes joined");
                 if v != user && v != server {
                     break v;
                 }
             })
             .collect();
         for v in victims {
-            sys.fail_node(v, true);
+            sys.leave(v, true);
         }
         for _ in 0..8 {
-            sys.add_node();
+            sys.join();
         }
 
         // Keep-alive through the baseline.
@@ -111,7 +114,7 @@ fn main() {
 
         // A prudent user refreshes tunnels periodically (§7.2 / Fig. 5).
         if round.is_multiple_of(50) && sys.rng.gen_bool(0.99) {
-            sys.deploy_anchors_direct(user, 10);
+            sys.deploy_anchors_direct(user, 10).expect("user stays");
         }
     }
 

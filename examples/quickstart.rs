@@ -4,31 +4,33 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Walks the whole §3–§4 lifecycle: bootstrap a structured overlay, deploy
-//! tunnel hop anchors through an Onion-Routing bootstrap path, form a
-//! forward and a reply tunnel, and retrieve a file without the responder
-//! (or any relay) learning who asked.
+//! Walks the whole §3–§4 lifecycle on one `World`: bootstrap a structured
+//! overlay, deploy tunnel hop anchors through an Onion-Routing bootstrap
+//! path, form a forward and a reply tunnel, and retrieve a file without the
+//! responder (or any relay) learning who asked.
 
-use tap::core::{SystemConfig, TapSystem};
+use tap::core::World;
+use tap::pastry::PastryConfig;
 
 fn main() {
     // 1. A 500-node Pastry/PAST deployment with the paper's parameters
     //    (b = 4, |L| = 16, k = 3, tunnel length 5).
-    let mut config = SystemConfig::paper_defaults();
-    config.puzzle_difficulty = 8; // make relays pay real CPU per deposit
-    let mut sys = TapSystem::bootstrap(config, 500, 7);
-    println!("overlay up: {} nodes", sys.len());
+    let mut sys = World::build(PastryConfig::paper_defaults(), 500, 7);
+    sys.puzzle_difficulty = 8; // make relays pay real CPU per deposit
+    println!("overlay up: {} nodes", sys.overlay.len());
 
     // 2. Pick a user and anonymously deploy anchors for two tunnels
     //    (forward + reply) via Onion-Routing bootstrap paths.
-    let user = sys.random_node();
+    let user = sys.random_node().expect("nodes joined");
     let deployed = sys
         .deploy_anchors(user, 12, 16)
         .expect("bootstrap paths exist");
     println!("user {user:?} deployed {deployed} tunnel hop anchors anonymously");
 
     // 3. Someone (anyone) publishes a file into PAST.
-    let fid = sys.store_file(b"TAP: tunnels that survive churn".to_vec());
+    let fid = sys
+        .store_file(b"TAP: tunnels that survive churn".to_vec())
+        .expect("nodes joined");
     println!("file published under fid {fid}");
 
     // 4. Anonymous retrieval through distinct forward and reply tunnels.

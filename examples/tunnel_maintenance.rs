@@ -13,26 +13,27 @@
 use tap::core::manager::{RefreshPolicy, TunnelManager};
 use tap::core::transit::{self, TransitOptions};
 use tap::core::wire::Destination;
-use tap::core::{SystemConfig, TapSystem};
+use tap::core::world::{World, TUNNEL_LENGTH};
+use tap::pastry::PastryConfig;
 use tap::Id;
 
-fn churn(sys: &mut TapSystem, protect: Id, events: usize) {
+fn churn(sys: &mut World, protect: Id, events: usize) {
     for _ in 0..events {
         let victim = loop {
-            let v = sys.random_node();
+            let v = sys.random_node().expect("nodes joined");
             if v != protect {
                 break v;
             }
         };
-        sys.fail_node(victim, true);
-        sys.add_node();
+        sys.leave(victim, true);
+        sys.join();
     }
 }
 
 fn main() {
-    let mut sys = TapSystem::bootstrap(SystemConfig::paper_defaults(), 600, 4);
-    let user = sys.random_node();
-    sys.deploy_anchors_direct(user, 20);
+    let mut sys = World::build(PastryConfig::paper_defaults(), 600, 4);
+    let user = sys.random_node().expect("nodes joined");
+    sys.deploy_anchors_direct(user, 20).expect("user joined");
 
     // --- managed ---
     let policy = RefreshPolicy {
@@ -64,8 +65,10 @@ fn main() {
     );
 
     // --- unmanaged, for contrast ---
-    sys.deploy_anchors_direct(user, 10);
-    let neglected = sys.form_tunnel(user).expect("anchors available");
+    sys.deploy_anchors_direct(user, 10).expect("user joined");
+    let neglected = sys
+        .form_tunnel(user, TUNNEL_LENGTH)
+        .expect("anchors available");
     let mut alive_until = None;
     for unit in 1..=200 {
         churn(&mut sys, user, 12);

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use tap::core::adversary::Collusion;
 use tap::core::tha::{Tha, ThaFactory};
-use tap::core::{SystemConfig, TapSystem};
+use tap::core::World;
 use tap::crypto::onion;
 use tap::id::Id;
 use tap::pastry::storage::ReplicaStore;
@@ -42,11 +42,11 @@ fn middle_hop_sees_neither_source_nor_destination() {
     // next hopid and an opaque blob: no initiator id, no destination, no
     // plaintext. We verify by inspecting exactly what hop 2 of a 3-hop
     // tunnel decrypts.
-    let mut sys = TapSystem::bootstrap(SystemConfig::paper_defaults(), 200, 2);
-    let user = sys.random_node();
-    sys.deploy_anchors_direct(user, 12);
-    let t = sys.form_tunnel_of_length(user, 3).unwrap();
-    let dest = sys.random_node();
+    let mut sys = World::build(PastryConfig::paper_defaults(), 200, 2);
+    let user = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(user, 12).unwrap();
+    let t = sys.form_tunnel(user, 3).unwrap();
+    let dest = sys.random_node().unwrap();
     let secret_payload = b"the initiator's secret";
     let onion_bytes = t.build_onion(
         &mut sys.rng,
@@ -159,10 +159,10 @@ fn responder_learns_only_the_reply_entry() {
     // responder sees contains the fid, a fresh public key, and the reply
     // tunnel — none of which mention the initiator. We verify the
     // initiator's id never appears in the bytes the responder receives.
-    let mut sys = TapSystem::bootstrap(SystemConfig::paper_defaults(), 250, 5);
-    let user = sys.random_node();
-    sys.deploy_anchors_direct(user, 30);
-    let fid = sys.store_file(b"responder-view probe".to_vec());
+    let mut sys = World::build(PastryConfig::paper_defaults(), 250, 5);
+    let user = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(user, 30).unwrap();
+    let fid = sys.store_file(b"responder-view probe".to_vec()).unwrap();
 
     // Run a retrieval and capture the forward core as the responder would
     // see it: rebuild the identical request through the public pieces.

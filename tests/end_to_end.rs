@@ -2,11 +2,13 @@
 //! retrieval, driven through the public `tap` facade.
 
 use tap::core::deploy::DeployError;
-use tap::core::{SystemConfig, TapSystem};
+use tap::core::world::TUNNEL_LENGTH;
+use tap::core::{World, WorldError};
+use tap::pastry::PastryConfig;
 use tap::Id;
 
-fn system(n: usize, seed: u64) -> TapSystem {
-    TapSystem::bootstrap(SystemConfig::paper_defaults(), n, seed)
+fn system(n: usize, seed: u64) -> World {
+    World::build(PastryConfig::paper_defaults(), n, seed)
 }
 
 #[test]
@@ -14,16 +16,15 @@ fn anonymous_retrieval_with_full_bootstrap() {
     // The complete paper lifecycle with nothing shortcut: onion-routing
     // bootstrap deployment (with CPU puzzles), scattered tunnel formation,
     // layered transit, distinct reply tunnel, decryption at the initiator.
-    let mut config = SystemConfig::paper_defaults();
-    config.puzzle_difficulty = 6;
-    let mut sys = TapSystem::bootstrap(config, 300, 1);
-    let user = sys.random_node();
+    let mut sys = system(300, 1);
+    sys.puzzle_difficulty = 6;
+    let user = sys.random_node().unwrap();
     let deployed = sys
         .deploy_anchors(user, 10, 12)
         .expect("deployment succeeds");
     assert_eq!(deployed, 10);
 
-    let fid = sys.store_file(b"integration payload".to_vec());
+    let fid = sys.store_file(b"integration payload".to_vec()).unwrap();
     let (data, report) = sys.retrieve_file(user, fid, false).expect("retrieval");
     assert_eq!(data, b"integration payload");
     assert_eq!(report.forward.hops_resolved, 5);
@@ -34,20 +35,20 @@ fn anonymous_retrieval_with_full_bootstrap() {
 #[test]
 fn retrieval_survives_churn_between_request_and_reply_paths() {
     let mut sys = system(400, 2);
-    let user = sys.random_node();
-    sys.deploy_anchors_direct(user, 30);
-    let fid = sys.store_file(vec![0xCD; 4096]);
+    let user = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(user, 30).unwrap();
+    let fid = sys.store_file(vec![0xCD; 4096]).unwrap();
 
     // Heavy churn with replica repair running, as PAST would.
     for _ in 0..60 {
         let victim = loop {
-            let v = sys.random_node();
+            let v = sys.random_node().unwrap();
             if v != user {
                 break v;
             }
         };
-        sys.fail_node(victim, true);
-        sys.add_node();
+        sys.leave(victim, true);
+        sys.join();
     }
 
     let (data, _) = sys.retrieve_file(user, fid, false).expect("churn survived");
@@ -57,9 +58,9 @@ fn retrieval_survives_churn_between_request_and_reply_paths() {
 #[test]
 fn hints_reduce_hops_on_static_networks() {
     let mut sys = system(600, 3);
-    let user = sys.random_node();
-    sys.deploy_anchors_direct(user, 60);
-    let fid = sys.store_file(b"hop count probe".to_vec());
+    let user = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(user, 60).unwrap();
+    let fid = sys.store_file(b"hop count probe".to_vec()).unwrap();
 
     let (_, plain) = sys.retrieve_file(user, fid, false).unwrap();
     let (_, hinted) = sys.retrieve_file(user, fid, true).unwrap();
@@ -80,18 +81,18 @@ fn hints_reduce_hops_on_static_networks() {
 fn deployment_aborts_cleanly_when_no_relays_left() {
     // A pathological two-node system: the only possible relay can fail.
     let mut sys = system(40, 4);
-    let user = sys.random_node();
+    let user = sys.random_node().unwrap();
     // Kill most of the network so bootstrap paths get flaky, then verify
     // deploy either succeeds fully or reports a structured error.
     let victims: Vec<Id> = sys.overlay.ids().filter(|v| *v != user).take(30).collect();
     for v in victims {
-        sys.fail_node(v, false);
+        sys.leave(v, false);
     }
     match sys.deploy_anchors(user, 6, 3) {
         Ok(n) => assert_eq!(n, 6),
-        Err(
+        Err(WorldError::Deploy(
             DeployError::RelayDown { .. } | DeployError::Mismatched | DeployError::Rejected { .. },
-        ) => {}
+        )) => {}
         Err(e) => panic!("unexpected deploy error: {e}"),
     }
 }
@@ -99,30 +100,30 @@ fn deployment_aborts_cleanly_when_no_relays_left() {
 #[test]
 fn tunnel_teardown_then_reuse_of_hopid_space() {
     let mut sys = system(200, 5);
-    let user = sys.random_node();
-    sys.deploy_anchors_direct(user, 10);
-    let t = sys.form_tunnel(user).expect("pool filled");
+    let user = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(user, 10).unwrap();
+    let t = sys.form_tunnel(user, TUNNEL_LENGTH).expect("pool filled");
     let hop_ids = t.hop_ids();
-    assert_eq!(sys.teardown_tunnel(&t), 5);
+    assert_eq!(sys.teardown(t.hops()), 5);
     // The anchors are gone from the store; the ids are free again.
     for h in &hop_ids {
         assert!(sys.thas.get(*h).is_none());
     }
     // A new deployment and tunnel still work.
-    sys.deploy_anchors_direct(user, 10);
-    assert!(sys.form_tunnel(user).is_some());
+    sys.deploy_anchors_direct(user, 10).unwrap();
+    assert!(sys.form_tunnel(user, TUNNEL_LENGTH).is_some());
 }
 
 #[test]
 fn determinism_same_seed_same_world() {
     let mut a = system(150, 77);
     let mut b = system(150, 77);
-    assert_eq!(a.len(), b.len());
-    let na = a.random_node();
-    let nb = b.random_node();
+    assert_eq!(a.overlay.len(), b.overlay.len());
+    let na = a.random_node().unwrap();
+    let nb = b.random_node().unwrap();
     assert_eq!(na, nb, "identical seeds must build identical systems");
-    a.deploy_anchors_direct(na, 5);
-    b.deploy_anchors_direct(nb, 5);
+    a.deploy_anchors_direct(na, 5).unwrap();
+    b.deploy_anchors_direct(nb, 5).unwrap();
     assert_eq!(
         a.anchor_pool(na)
             .iter()
@@ -138,21 +139,53 @@ fn determinism_same_seed_same_world() {
 #[test]
 fn replica_invariants_hold_after_everything() {
     let mut sys = system(250, 6);
-    let user = sys.random_node();
-    sys.deploy_anchors_direct(user, 20);
-    let fid = sys.store_file(b"x".to_vec());
+    let user = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(user, 20).unwrap();
+    let fid = sys.store_file(b"x".to_vec()).unwrap();
     let _ = sys.retrieve_file(user, fid, false).unwrap();
     for _ in 0..20 {
         let victim = loop {
-            let v = sys.random_node();
+            let v = sys.random_node().unwrap();
             if v != user {
                 break v;
             }
         };
-        sys.fail_node(victim, true);
-        sys.add_node();
+        sys.leave(victim, true);
+        sys.join();
     }
     sys.thas.assert_replica_invariant(&sys.overlay);
     sys.files.assert_replica_invariant(&sys.overlay);
     sys.overlay.assert_leafsets_exact();
+}
+
+#[test]
+fn retrieval_from_a_node_that_left_is_an_error() {
+    // The node's anchors outlive it, so both tunnels would still form;
+    // no bid is owned by a departed node, so the bid draw must not start.
+    let mut sys = system(60, 3);
+    let user = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(user, 20).unwrap();
+    let fid = sys.store_file(b"left behind".to_vec()).unwrap();
+    assert!(sys.leave(user, false));
+    assert_eq!(
+        sys.retrieve_file(user, fid, false).err(),
+        Some(WorldError::NotMember(user))
+    );
+    assert_eq!(sys.choose_bid(user), Err(WorldError::NotMember(user)));
+}
+
+#[test]
+fn deploying_for_a_node_that_never_joined_is_an_error() {
+    let mut sys = system(60, 4);
+    let stranger = Id::from_u64(0xdead_beef);
+    assert!(!sys.overlay.is_live(stranger));
+    assert_eq!(
+        sys.deploy_anchors_direct(stranger, 5),
+        Err(WorldError::NotMember(stranger))
+    );
+    assert_eq!(
+        sys.deploy_anchors(stranger, 5, 3),
+        Err(WorldError::NotMember(stranger))
+    );
+    assert!(sys.anchor_pool(stranger).is_empty());
 }

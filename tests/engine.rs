@@ -18,6 +18,7 @@ use tap_core::tha::{Tha, ThaFactory, ThaSecret};
 use tap_core::transit::{self, Delivery, HintCache, TransitError, TransitOptions, TransitReport};
 use tap_core::tunnel::{ReplyTunnel, Tunnel};
 use tap_core::wire::{Destination, HopHeader};
+use tap_core::World;
 use tap_crypto::ec::{fragment_meta, EcConfig, EcError};
 use tap_crypto::onion;
 use tap_id::Id;
@@ -27,48 +28,31 @@ use tap_netsim::{Event, FaultPlan, Network, NetworkConfig};
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::{KeyRouter, Overlay, PastryConfig, RouteError};
 
-struct World {
-    rng: StdRng,
-    overlay: Overlay,
-    thas: ReplicaStore<Tha>,
+/// A world with its own wire, recording into its own registry. Endpoints
+/// register on first use, so the wire is not [`World::net_driver`]'s.
+struct Rig {
+    world: World,
     driver: NetDriver<UniformLatency>,
     registry: Registry,
 }
 
-fn world(nodes: usize, seed: u64) -> World {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-    for _ in 0..nodes {
-        overlay.add_random_node(&mut rng);
-    }
+fn world(nodes: usize, seed: u64) -> Rig {
+    let world = World::build(PastryConfig::paper_defaults(), nodes, seed);
     let registry = Registry::new();
     let mut net: Network<u64, UniformLatency> =
         Network::new(NetworkConfig::paper_defaults(), UniformLatency::paper(seed));
     net.use_metrics(registry.clone());
     let mut driver = NetDriver::new(net);
     driver.use_instruments(CoreInstruments::new(&registry));
-    World {
-        rng,
-        overlay,
-        thas: ReplicaStore::new(3),
+    Rig {
+        world,
         driver,
         registry,
     }
 }
 
-fn tunnel(w: &mut World, initiator: Id, l: usize) -> Tunnel {
-    let mut factory = ThaFactory::new(&mut w.rng, initiator);
-    let mut hops = Vec::with_capacity(l);
-    while hops.len() < l {
-        let s = factory.next(&mut w.rng);
-        if w.thas
-            .insert(&w.overlay, s.hopid, s.stored())
-            .expect("non-empty overlay")
-        {
-            hops.push(s);
-        }
-    }
-    Tunnel::new(hops)
+fn tunnel(w: &mut Rig, initiator: Id, l: usize) -> Tunnel {
+    Tunnel::new(w.world.fresh_hops(initiator, l).expect("non-empty overlay"))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -96,8 +80,9 @@ fn two_hundred_transfers_leave_the_same_trace() {
         .network_mut()
         .install_faults(FaultPlan::new(0xe791).with_loss(100).with_duplication(20));
     let dead = w
+        .world
         .overlay
-        .random_node(&mut w.rng)
+        .random_node(&mut w.world.rng)
         .expect("non-empty overlay");
     w.driver.kill_node(dead);
 
@@ -109,8 +94,9 @@ fn two_hundred_transfers_leave_the_same_trace() {
         let payload_bytes = [0, 250_000][(i / 12) % 2];
         let initiator = loop {
             let n = w
+                .world
                 .overlay
-                .random_node(&mut w.rng)
+                .random_node(&mut w.world.rng)
                 .expect("non-empty overlay");
             if n != dead {
                 break n;
@@ -119,7 +105,7 @@ fn two_hundred_transfers_leave_the_same_trace() {
         let t = tunnel(&mut w, initiator, l);
         let mut hints = HintCache::default();
         if hinted {
-            hints.refresh(&w.overlay, &t.hop_ids());
+            hints.refresh(&w.world.overlay, &t.hop_ids());
             if i % 8 == 2 {
                 // A stale hint: the direct attempt at hop 2 must time out,
                 // demote and fall back to the hopid.
@@ -130,35 +116,46 @@ fn two_hundred_transfers_leave_the_same_trace() {
         let (entry, onion) = match (i / 4) % 3 {
             0 => {
                 let dest = w
+                    .world
                     .overlay
-                    .random_node(&mut w.rng)
+                    .random_node(&mut w.world.rng)
                     .expect("non-empty overlay");
-                let onion = t.build_onion(&mut w.rng, Destination::Node(dest), b"to a node", cache);
+                let onion = t.build_onion(
+                    &mut w.world.rng,
+                    Destination::Node(dest),
+                    b"to a node",
+                    cache,
+                );
                 (t.entry_hopid(), onion)
             }
             1 => {
-                let key = Id::random(&mut w.rng);
-                let onion =
-                    t.build_onion(&mut w.rng, Destination::KeyRoot(key), b"to a key", cache);
+                let key = Id::random(&mut w.world.rng);
+                let onion = t.build_onion(
+                    &mut w.world.rng,
+                    Destination::KeyRoot(key),
+                    b"to a key",
+                    cache,
+                );
                 (t.entry_hopid(), onion)
             }
             _ => {
                 let bid = initiator.wrapping_add(Id::from_u64(1));
-                let reply = ReplyTunnel::build(&mut w.rng, &t, bid, 96, cache);
+                let reply = ReplyTunnel::build(&mut w.world.rng, &t, bid, 96, cache);
                 (reply.entry_hopid, reply.onion)
             }
         };
         let from = w
+            .world
             .overlay
-            .random_node(&mut w.rng)
+            .random_node(&mut w.world.rng)
             .expect("non-empty overlay");
         let options = TransitOptions {
             use_hints: hinted,
             retry_budget: 3,
         };
         let result = w.driver.drive_timed_with_hints(
-            &mut w.overlay,
-            &w.thas,
+            &mut w.world.overlay,
+            &w.world.thas,
             from,
             entry,
             onion,
@@ -205,14 +202,16 @@ fn fifty_striped_transfers_leave_the_same_trace() {
         .network_mut()
         .install_faults(FaultPlan::new(0x5712).with_loss(100).with_duplication(20));
     let dead = w
+        .world
         .overlay
-        .random_node(&mut w.rng)
+        .random_node(&mut w.world.rng)
         .expect("non-empty overlay");
     w.driver.kill_node(dead);
-    let live = |w: &mut World| loop {
+    let live = |w: &mut Rig| loop {
         let n = w
+            .world
             .overlay
-            .random_node(&mut w.rng)
+            .random_node(&mut w.world.rng)
             .expect("non-empty overlay");
         if n != dead {
             break n;
@@ -230,9 +229,9 @@ fn fifty_striped_transfers_leave_the_same_trace() {
         let tunnels: Vec<Tunnel> = (0..stripes).map(|_| tunnel(&mut w, initiator, 3)).collect();
         let result = send_striped(
             &mut w.driver,
-            &mut w.overlay,
-            &w.thas,
-            &mut w.rng,
+            &mut w.world.overlay,
+            &w.world.thas,
+            &mut w.world.rng,
             initiator,
             dest,
             &tunnels,
@@ -318,19 +317,26 @@ fn fragment_layout_is_unchanged() {
 fn a_tail_that_is_its_destination_costs_no_hop() {
     let mut w = world(100, 5);
     let initiator = w
+        .world
         .overlay
-        .random_node(&mut w.rng)
+        .random_node(&mut w.world.rng)
         .expect("non-empty overlay");
     let t = tunnel(&mut w, initiator, 3);
     let tail = w
+        .world
         .overlay
         .owner_of(t.hop_ids()[2])
         .expect("non-empty overlay");
-    let onion = t.build_onion(&mut w.rng, Destination::Node(tail), b"to the tail", None);
+    let onion = t.build_onion(
+        &mut w.world.rng,
+        Destination::Node(tail),
+        b"to the tail",
+        None,
+    );
     let options = TransitOptions::default();
     let (logical_delivery, logical) = transit::drive(
-        &mut w.overlay.clone(),
-        &w.thas,
+        &mut w.world.overlay.clone(),
+        &w.world.thas,
         initiator,
         t.entry_hopid(),
         onion.clone(),
@@ -340,8 +346,8 @@ fn a_tail_that_is_its_destination_costs_no_hop() {
     let (timed_delivery, timed) = w
         .driver
         .drive_timed_with_hints(
-            &mut w.overlay,
-            &w.thas,
+            &mut w.world.overlay,
+            &w.world.thas,
             initiator,
             t.entry_hopid(),
             onion,
@@ -378,23 +384,23 @@ proptest! {
         w.driver.network_mut().install_faults(
             FaultPlan::new(seed).with_loss(loss).with_duplication(duplication),
         );
-        let initiator = w.overlay.random_node(&mut w.rng).expect("non-empty overlay");
+        let initiator = w.world.overlay.random_node(&mut w.world.rng).expect("non-empty overlay");
         let t = tunnel(&mut w, initiator, l);
         let dest = match dest_kind {
-            0 => Destination::KeyRoot(Id::random(&mut w.rng)),
-            1 => Destination::Node(w.overlay.random_node(&mut w.rng).expect("non-empty overlay")),
+            0 => Destination::KeyRoot(Id::random(&mut w.world.rng)),
+            1 => Destination::Node(w.world.overlay.random_node(&mut w.world.rng).expect("non-empty overlay")),
             // The tail's own node: a delivery leg of no hops.
-            _ => Destination::Node(w.overlay.owner_of(t.hop_ids()[l - 1]).expect("non-empty overlay")),
+            _ => Destination::Node(w.world.overlay.owner_of(t.hop_ids()[l - 1]).expect("non-empty overlay")),
         };
-        let core: Vec<u8> = (0..w.rng.gen_range(1..200usize)).map(|i| i as u8).collect();
-        let onion = t.build_onion(&mut w.rng, dest, &core, None);
+        let core: Vec<u8> = (0..w.world.rng.gen_range(1..200usize)).map(|i| i as u8).collect();
+        let onion = t.build_onion(&mut w.world.rng, dest, &core, None);
         let options = TransitOptions { use_hints: false, retry_budget: 8 };
 
-        let mut oracle = w.overlay.clone();
-        let logical = transit::drive(&mut oracle, &w.thas, initiator, t.entry_hopid(), onion.clone(), options)
+        let mut oracle = w.world.overlay.clone();
+        let logical = transit::drive(&mut oracle, &w.world.thas, initiator, t.entry_hopid(), onion.clone(), options)
             .expect("a healthy overlay resolves the tunnel");
         let timed = w.driver.drive_timed_with_hints(
-            &mut w.overlay, &w.thas, initiator, t.entry_hopid(), onion, 0, options,
+            &mut w.world.overlay, &w.world.thas, initiator, t.entry_hopid(), onion, 0, options,
             None,
         );
 
@@ -440,9 +446,10 @@ fn telemetry(registry: &Registry) -> String {
     format!("{snap:?}")
 }
 
-fn live_node(w: &mut World) -> Id {
-    w.overlay
-        .random_node(&mut w.rng)
+fn live_node(w: &mut Rig) -> Id {
+    w.world
+        .overlay
+        .random_node(&mut w.world.rng)
         .expect("non-empty overlay")
 }
 
@@ -464,7 +471,7 @@ const TRACE_OF_80_RETRIEVALS: u64 = 0x6f66_4bfb_9460_9f73;
 #[test]
 fn three_hundred_logical_transfers_leave_the_same_trace() {
     let mut w = world(200, 0x7a05);
-    w.overlay.use_metrics(w.registry.clone());
+    w.world.overlay.use_metrics(w.registry.clone());
     w.registry.install_journal(1 << 12);
     let ins = CoreInstruments::new(&w.registry);
     let mut tunnels: Vec<Tunnel> = Vec::new();
@@ -475,10 +482,10 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
         if i % 30 == 29 {
             // A batch ends: four nodes and every holder of one hop leave.
             let mut leaving: Vec<Id> = (0..4).map(|_| live_node(&mut w)).collect();
-            let victim = &tunnels[w.rng.gen_range(0..tunnels.len())];
-            leaving.extend_from_slice(w.thas.holders(victim.entry_hopid()));
+            let victim = &tunnels[w.world.rng.gen_range(0..tunnels.len())];
+            leaving.extend_from_slice(w.world.thas.holders(victim.entry_hopid()));
             for n in leaving {
-                if w.overlay.remove_node(n) {
+                if w.world.overlay.remove_node(n) {
                     departed.push(n);
                 }
             }
@@ -487,7 +494,7 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
         let initiator = live_node(&mut w);
         // Every third transfer reuses a tunnel that may predate departures.
         let t = if i % 3 == 2 {
-            tunnels[w.rng.gen_range(0..tunnels.len())].clone()
+            tunnels[w.world.rng.gen_range(0..tunnels.len())].clone()
         } else {
             let t = tunnel(&mut w, initiator, l);
             tunnels.push(t.clone());
@@ -497,7 +504,7 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
         let mut hints = HintCache::default();
         let hint_mode = (i / 5) % 4;
         if hint_mode > 0 {
-            hints.refresh(&w.overlay, &t.hop_ids());
+            hints.refresh(&w.world.overlay, &t.hop_ids());
             let hop = t.hop_ids()[i % t.len()];
             match hint_mode {
                 2 => hints.record(hop, live_node(&mut w)),
@@ -509,23 +516,23 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
         }
         let cache = (hint_mode > 0).then_some(&hints);
         let core = vec![i as u8; i % 40];
-        let dest = match w.rng.gen_range(0..5u8) {
+        let dest = match w.world.rng.gen_range(0..5u8) {
             0 => Some(Destination::Node(live_node(&mut w))),
             1 => Some(Destination::Node(
-                w.overlay.owner_of(last).expect("non-empty overlay"),
+                w.world.overlay.owner_of(last).expect("non-empty overlay"),
             )),
             2 if !departed.is_empty() => Some(Destination::Node(departed[i % departed.len()])),
-            3 => Some(Destination::KeyRoot(Id::random(&mut w.rng))),
+            3 => Some(Destination::KeyRoot(Id::random(&mut w.world.rng))),
             _ => None,
         };
         let (from, entry, mut onion) = match dest {
             Some(dest) => {
-                let onion = t.build_onion(&mut w.rng, dest, &core, cache);
+                let onion = t.build_onion(&mut w.world.rng, dest, &core, cache);
                 (initiator, t.entry_hopid(), onion)
             }
             None => {
                 let bid = initiator.wrapping_add(Id::from_u64(1));
-                let reply = ReplyTunnel::build(&mut w.rng, &t, bid, 96, cache);
+                let reply = ReplyTunnel::build(&mut w.world.rng, &t, bid, 96, cache);
                 (live_node(&mut w), reply.entry_hopid, reply.onion)
             }
         };
@@ -538,8 +545,8 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
             retry_budget: 0,
         };
         let result = transit::drive_instrumented(
-            &mut w.overlay,
-            &w.thas,
+            &mut w.world.overlay,
+            &w.world.thas,
             from,
             entry,
             onion,
@@ -592,10 +599,10 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
     let fids: Vec<Id> = [0usize, 1, 100, 3000]
         .iter()
         .map(|&len| {
-            let fid = Id::random(&mut w.rng);
+            let fid = Id::random(&mut w.world.rng);
             let data = (0..len).map(|j| (j * 31 + len) as u8).collect();
             files
-                .insert(&w.overlay, fid, StoredFile { data })
+                .insert(&w.world.overlay, fid, StoredFile { data })
                 .expect("non-empty overlay");
             fid
         })
@@ -606,8 +613,8 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
         if i % 20 == 19 {
             for _ in 0..3 {
                 let n = live_node(&mut w);
-                w.overlay.remove_node(n);
-                files.on_node_removed(&w.overlay, n);
+                w.world.overlay.remove_node(n);
+                files.on_node_removed(&w.world.overlay, n);
             }
         }
         let initiator = live_node(&mut w);
@@ -618,22 +625,22 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
         let hinted = (i / 8) % 2 == 1;
         let mut hints = HintCache::default();
         if hinted {
-            hints.refresh(&w.overlay, &fwd.hop_ids());
-            hints.refresh(&w.overlay, &rev.hop_ids());
+            hints.refresh(&w.world.overlay, &fwd.hop_ids());
+            hints.refresh(&w.world.overlay, &rev.hop_ids());
         }
         let options = TransitOptions {
             use_hints: hinted,
             retry_budget: 2,
         };
         let mut ctx = RetrievalContext {
-            overlay: &mut w.overlay,
-            thas: &w.thas,
+            overlay: &mut w.world.overlay,
+            thas: &w.world.thas,
             files: &files,
             metrics: Some(&ins),
         };
         let outcome = if i % 2 == 0 {
             retrieve(
-                &mut w.rng,
+                &mut w.world.rng,
                 &mut ctx,
                 initiator,
                 fid,
@@ -651,7 +658,7 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
             })
         } else {
             retrieve_timed(
-                &mut w.rng,
+                &mut w.world.rng,
                 &mut ctx,
                 &mut w.driver,
                 initiator,
@@ -677,7 +684,7 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
             }
             Err(e) => format!("{e:?}"),
         };
-        let line = format!("{line} {} {}", hints.len(), w.rng.gen::<u64>());
+        let line = format!("{line} {} {}", hints.len(), w.world.rng.gen::<u64>());
         digest = fnv(digest, line.as_bytes());
     }
     assert!(delivered >= 50, "{delivered} of 80 delivered");

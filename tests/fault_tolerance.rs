@@ -1,59 +1,32 @@
 //! Failure-injection integration tests: the Fig. 2 claims exercised with
 //! real layered-crypto transit, not membership arithmetic.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use tap::core::baseline::{FixedTunnel, FixedTunnelError};
-use tap::core::tha::{Tha, ThaFactory};
 use tap::core::transit::{self, TransitError, TransitOptions};
 use tap::core::tunnel::Tunnel;
 use tap::core::wire::Destination;
+use tap::core::World;
 use tap::id::Id;
-use tap::pastry::storage::ReplicaStore;
-use tap::pastry::{Overlay, PastryConfig};
+use tap::pastry::PastryConfig;
 
-struct World {
-    overlay: Overlay,
-    thas: ReplicaStore<Tha>,
-    rng: StdRng,
-    initiator: Id,
+/// An `n`-node world replicating `k` ways, and its tunnels' initiator.
+fn world(n: usize, k: usize, seed: u64) -> (World, Id) {
+    let mut w = World::build(PastryConfig::with_replication(k), n, seed);
+    let initiator = w.random_node().unwrap();
+    (w, initiator)
 }
 
-fn world(n: usize, k: usize, seed: u64) -> World {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut overlay = Overlay::new(PastryConfig::with_replication(k));
-    for _ in 0..n {
-        overlay.add_random_node(&mut rng);
-    }
-    let initiator = overlay.random_node(&mut rng).unwrap();
-    World {
-        overlay,
-        thas: ReplicaStore::new(k),
-        rng,
-        initiator,
-    }
+fn make_tunnel(w: &mut World, initiator: Id, l: usize) -> Tunnel {
+    Tunnel::new(w.fresh_hops(initiator, l).unwrap())
 }
 
-fn make_tunnel(w: &mut World, l: usize) -> Tunnel {
-    let mut factory = ThaFactory::new(&mut w.rng, w.initiator);
-    let mut hops = Vec::with_capacity(l);
-    while hops.len() < l {
-        let s = factory.next(&mut w.rng);
-        if w.thas.insert(&w.overlay, s.hopid, s.stored()).unwrap() {
-            hops.push(s);
-        }
-    }
-    Tunnel::new(hops)
-}
-
-fn drive_probe(w: &mut World, t: &Tunnel) -> Result<(), TransitError> {
+fn drive_probe(w: &mut World, initiator: Id, t: &Tunnel) -> Result<(), TransitError> {
     let key = Id::random(&mut w.rng);
     let onion = t.build_onion(&mut w.rng, Destination::KeyRoot(key), b"probe", None);
     transit::drive(
         &mut w.overlay,
         &w.thas,
-        w.initiator,
+        initiator,
         t.entry_hopid(),
         onion,
         TransitOptions::default(),
@@ -66,16 +39,16 @@ fn sequential_failure_of_every_original_hop_node() {
     // Kill the current tunnel hop node of hop 1, then hop 2, … with repair
     // between failures; the tunnel must survive all of it. This is the
     // §2 walkthrough iterated to exhaustion.
-    let mut w = world(300, 3, 1);
-    let t = make_tunnel(&mut w, 5);
+    let (mut w, initiator) = world(300, 3, 1);
+    let t = make_tunnel(&mut w, initiator, 5);
     for hop in t.hop_ids() {
         let root = w.overlay.owner_of(hop).unwrap();
-        if root == w.initiator {
+        if root == initiator {
             continue;
         }
         w.overlay.remove_node(root);
         w.thas.on_node_removed(&w.overlay, root);
-        drive_probe(&mut w, &t).expect("replica failover keeps the tunnel alive");
+        drive_probe(&mut w, initiator, &t).expect("replica failover keeps the tunnel alive");
     }
 }
 
@@ -83,32 +56,32 @@ fn sequential_failure_of_every_original_hop_node() {
 fn repeated_failover_with_repair_is_indefinite() {
     // With replica repair running, a hop can fail over k times and more —
     // the replica set keeps refilling. Kill the hop-1 root 10 times.
-    let mut w = world(400, 3, 2);
-    let t = make_tunnel(&mut w, 3);
+    let (mut w, initiator) = world(400, 3, 2);
+    let t = make_tunnel(&mut w, initiator, 3);
     let hop = t.hop_ids()[0];
     for round in 0..10 {
         let root = w.overlay.owner_of(hop).unwrap();
-        if root == w.initiator {
+        if root == initiator {
             break;
         }
         w.overlay.remove_node(root);
         w.thas.on_node_removed(&w.overlay, root);
-        drive_probe(&mut w, &t).unwrap_or_else(|e| panic!("round {round}: {e}"));
+        drive_probe(&mut w, initiator, &t).unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
 }
 
 #[test]
 fn simultaneous_loss_of_all_replicas_breaks_exactly_that_hop() {
-    let mut w = world(300, 3, 3);
-    let t = make_tunnel(&mut w, 5);
+    let (mut w, initiator) = world(300, 3, 3);
+    let t = make_tunnel(&mut w, initiator, 5);
     let victim_hop = t.hop_ids()[2];
     for holder in w.thas.holders(victim_hop).to_vec() {
-        if holder != w.initiator {
+        if holder != initiator {
             w.overlay.remove_node(holder);
         }
         // NOTE: no repair — simultaneous failure.
     }
-    match drive_probe(&mut w, &t) {
+    match drive_probe(&mut w, initiator, &t) {
         Err(TransitError::ThaLost { hopid }) => assert_eq!(hopid, victim_hop),
         other => panic!("expected ThaLost for hop 3, got {other:?}"),
     }
@@ -119,8 +92,8 @@ fn tap_outlives_baseline_under_identical_failures() {
     // Apply the same kill list to a TAP tunnel and a baseline tunnel whose
     // relays are exactly the TAP hop nodes. Baseline dies on the first
     // kill; TAP keeps going.
-    let mut w = world(350, 3, 4);
-    let t = make_tunnel(&mut w, 5);
+    let (mut w, initiator) = world(350, 3, 4);
+    let t = make_tunnel(&mut w, initiator, 5);
     let hop_nodes: Vec<Id> = t
         .hop_ids()
         .iter()
@@ -138,13 +111,13 @@ fn tap_outlives_baseline_under_identical_failures() {
         relays
     };
     let _ = baseline;
-    let baseline_tunnel = FixedTunnel::form_random(&mut w.rng, &w.overlay, w.initiator, 5).unwrap();
+    let baseline_tunnel = FixedTunnel::form_random(&mut w.rng, &w.overlay, initiator, 5).unwrap();
 
     // Kill one relay of the baseline and one hop node of TAP.
     let baseline_victim = baseline_tunnel.relay_ids()[0];
     let tap_victim = hop_nodes[0];
     for v in [baseline_victim, tap_victim] {
-        if v != w.initiator && w.overlay.is_live(v) {
+        if v != initiator && w.overlay.is_live(v) {
             w.overlay.remove_node(v);
             w.thas.on_node_removed(&w.overlay, v);
         }
@@ -152,7 +125,7 @@ fn tap_outlives_baseline_under_identical_failures() {
 
     let dest = loop {
         let d = w.overlay.random_node(&mut w.rng).unwrap();
-        if d != w.initiator {
+        if d != initiator {
             break d;
         }
     };
@@ -163,7 +136,7 @@ fn tap_outlives_baseline_under_identical_failures() {
             node: baseline_victim
         })
     );
-    drive_probe(&mut w, &t).expect("TAP survives the same failure");
+    drive_probe(&mut w, initiator, &t).expect("TAP survives the same failure");
 }
 
 #[test]
@@ -171,29 +144,29 @@ fn higher_replication_survives_deeper_simultaneous_failure() {
     // With k=5, kill 4 of 5 holders of every hop simultaneously: the
     // tunnel must still work. With k=3 the same 4-deep kill would be
     // fatal by construction.
-    let mut w = world(400, 5, 5);
-    let t = make_tunnel(&mut w, 4);
+    let (mut w, initiator) = world(400, 5, 5);
+    let t = make_tunnel(&mut w, initiator, 4);
     for hop in t.hop_ids() {
         let holders = w.thas.holders(hop).to_vec();
         assert_eq!(holders.len(), 5);
         for holder in holders.iter().take(4) {
-            if *holder != w.initiator && w.overlay.is_live(*holder) {
+            if *holder != initiator && w.overlay.is_live(*holder) {
                 w.overlay.remove_node(*holder);
             }
         }
     }
-    drive_probe(&mut w, &t).expect("one surviving replica per hop suffices");
+    drive_probe(&mut w, initiator, &t).expect("one surviving replica per hop suffices");
 }
 
 #[test]
 fn message_in_flight_when_destination_dies() {
     // The netsim race: deliverability is checked at arrival, and the
     // overlay mirrors it with DeadDestination.
-    let mut w = world(200, 3, 6);
-    let t = make_tunnel(&mut w, 3);
+    let (mut w, initiator) = world(200, 3, 6);
+    let t = make_tunnel(&mut w, initiator, 3);
     let dest = loop {
         let d = w.overlay.random_node(&mut w.rng).unwrap();
-        if d != w.initiator && !w.thas.holders(t.hop_ids()[0]).contains(&d) {
+        if d != initiator && !w.thas.holders(t.hop_ids()[0]).contains(&d) {
             break d;
         }
     };
@@ -202,7 +175,7 @@ fn message_in_flight_when_destination_dies() {
     let result = transit::drive(
         &mut w.overlay,
         &w.thas,
-        w.initiator,
+        initiator,
         t.entry_hopid(),
         onion,
         TransitOptions::default(),

@@ -99,7 +99,7 @@ fn the_wire_costs_the_replay_plus_the_onion_bytes() {
         let fid = Id::random(&mut rng);
         let route = overlay.route(initiator, fid).unwrap().path;
         let (delivery, overt) = driver
-            .drive_overt(&mut overlay, initiator, fid, FILE_BYTES)
+            .drive_overt(&mut overlay, &thas, initiator, fid, FILE_BYTES)
             .unwrap();
         let root = *route.last().unwrap();
         let core = Vec::new();

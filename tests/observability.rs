@@ -1,5 +1,5 @@
 //! The metrics layer observed from the outside: a retrieval through a
-//! fully wired [`TapSystem`] must leave a [`tap_metrics::MetricsReport`]
+//! fully wired [`World`] must leave a [`tap_metrics::MetricsReport`]
 //! whose numbers agree with the protocol-level [`RetrievalReport`].
 
 use rand::rngs::StdRng;
@@ -10,7 +10,7 @@ use tap_core::tha::{Tha, ThaFactory};
 use tap_core::transit::TransitOptions;
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
-use tap_core::{HintCache, SystemConfig, TapSystem};
+use tap_core::{HintCache, World};
 use tap_metrics::Registry;
 use tap_netsim::latency::UniformLatency;
 use tap_netsim::{Network, NetworkConfig};
@@ -19,14 +19,14 @@ use tap_pastry::{Overlay, PastryConfig};
 
 #[test]
 fn retrieve_file_metrics_agree_with_transit_report() {
-    let mut sys = TapSystem::bootstrap(SystemConfig::paper_defaults(), 200, 11);
+    let mut sys = World::build(PastryConfig::paper_defaults(), 200, 11);
     let registry = Registry::new();
     let journal = registry.install_journal(256);
     sys.use_metrics(registry.clone());
 
-    let initiator = sys.random_node();
-    sys.deploy_anchors_direct(initiator, 40);
-    let fid = sys.store_file(b"observable payload".to_vec());
+    let initiator = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(initiator, 40).unwrap();
+    let fid = sys.store_file(b"observable payload".to_vec()).unwrap();
 
     let (file, report) = sys.retrieve_file(initiator, fid, false).unwrap();
     assert_eq!(file, b"observable payload");
@@ -82,14 +82,14 @@ fn retrieve_file_metrics_agree_with_transit_report() {
 
 #[test]
 fn takeover_is_counted_and_journaled() {
-    let mut sys = TapSystem::bootstrap(SystemConfig::paper_defaults(), 200, 12);
+    let mut sys = World::build(PastryConfig::paper_defaults(), 200, 12);
     let registry = Registry::new();
     let journal = registry.install_journal(256);
     sys.use_metrics(registry.clone());
 
-    let initiator = sys.random_node();
-    sys.deploy_anchors_direct(initiator, 40);
-    let fid = sys.store_file(b"f".to_vec());
+    let initiator = sys.random_node().unwrap();
+    sys.deploy_anchors_direct(initiator, 40).unwrap();
+    let fid = sys.store_file(b"f".to_vec()).unwrap();
 
     // Fail the current root of one of the initiator's anchors without
     // repair: the next traversal through that hop is served by a replica
@@ -98,7 +98,7 @@ fn takeover_is_counted_and_journaled() {
     let root = sys.overlay.owner_of(hopid).unwrap();
     let mut retried = 0;
     if root != initiator {
-        sys.fail_node(root, false);
+        sys.leave(root, false);
     }
     // Retrieval uses random anchors; drive until the weakened hop was
     // actually traversed or the takeover counter moves.
