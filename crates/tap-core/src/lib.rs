@@ -24,17 +24,14 @@
 //! * [`transit`] — driving a message through a tunnel over the overlay:
 //!   hop resolution via routing + replication, failover to candidates, and
 //!   the IP-hint performance optimization (§2, §5).
-//! * [`baseline`] — "current tunneling": the fixed-node tunnel the paper
-//!   compares against (§1, Figs. 2 and 6).
+//! * [`baseline`] — "current tunneling": the fixed-node tunnel Fig. 2
+//!   compares against, as the relays it draws and one liveness predicate
+//!   (§1).
 //! * [`adversary`] — colluding malicious nodes pooling THAs; corruption
 //!   cases 1 and 2 (§6).
 //! * [`retrieval`] — the sample application: anonymous file retrieval with
-//!   a distinct reply tunnel (§4).
-//! * [`manager`] — automated tunnel upkeep: liveness probing, failure
-//!   replacement, and periodic refresh (the maintenance duties §7.2 and §9
-//!   leave to the user).
-//! * [`messaging`] — the anonymous-email scenario of §1: asynchronous
-//!   reply blocks that keep working through churn.
+//!   a distinct reply tunnel (§4). A reply tunnel is also §1's anonymous
+//!   e-mail reply block: a [`ReplyTunnel`] driven by [`transit::drive`].
 //! * [`netdrive`] — timed, message-driven transit over the emulated
 //!   network: the real onion bytes as wire traffic, layer shrinkage and
 //!   NIC queueing included.
@@ -42,7 +39,7 @@
 //!   across `n` disjoint tunnels, reconstruct from any `k` fragments,
 //!   degrade explicitly when the overlay cannot supply `n` tunnels.
 //! * [`world`] — one deployment: overlay, stores, RNG and registry wired
-//!   together once, the API the figures, the manager and the examples drive.
+//!   together once, the API the figures and the examples drive.
 //! * [`metrics`] — cached `tap-metrics` handles (onion layer timings,
 //!   transit retries, THA takeovers) shared by transit and retrieval.
 
@@ -52,8 +49,6 @@
 pub mod adversary;
 pub mod baseline;
 pub mod deploy;
-pub mod manager;
-pub mod messaging;
 pub mod metrics;
 pub mod multipath;
 pub mod netdrive;
@@ -66,7 +61,6 @@ pub mod world;
 
 pub use adversary::Collusion;
 pub use baseline::FixedTunnel;
-pub use manager::{ManagerStats, RefreshPolicy, TunnelManager};
 pub use metrics::CoreInstruments;
 pub use tha::{Tha, ThaFactory, ThaSecret};
 pub use transit::{HintCache, TransitError, TransitReport};

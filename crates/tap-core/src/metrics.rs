@@ -30,9 +30,6 @@ use tap_metrics::{Counter, Histogram, Registry};
 /// * `core.tha.takeovers` — counter, tunnel hops served by a replica
 ///   candidate instead of the node that was root at deployment time. Each
 ///   takeover also emits a `core.tha.takeover` event naming the hopid.
-/// * `core.tha.re_replications` — counter, THA anchors whose replica set
-///   fell under `k` (takeover, partition) and was rebuilt onto the current
-///   k-closest nodes. Each also emits a `core.tha.re_replication` event.
 /// * `core.mp.fragments_delivered` — counter, erasure-coded fragments that
 ///   completed their stripe during a multipath transfer.
 /// * `core.mp.stripe_giveups` — counter, individual stripes abandoned
@@ -60,8 +57,6 @@ pub struct CoreInstruments {
     pub transit_giveups: Arc<Counter>,
     /// Hops served by a replica candidate rather than the original root.
     pub tha_takeovers: Arc<Counter>,
-    /// THA replica sets rebuilt after falling under `k`.
-    pub tha_re_replications: Arc<Counter>,
     /// Erasure-coded fragments delivered across all multipath transfers.
     pub mp_fragments_delivered: Arc<Counter>,
     /// Stripes abandoned beneath a (possibly still successful) transfer.
@@ -83,7 +78,6 @@ impl CoreInstruments {
             transit_backoff_us: registry.histogram("core.transit.backoff_us"),
             transit_giveups: registry.counter("core.transit.giveups"),
             tha_takeovers: registry.counter("core.tha.takeovers"),
-            tha_re_replications: registry.counter("core.tha.re_replications"),
             mp_fragments_delivered: registry.counter("core.mp.fragments_delivered"),
             mp_stripe_giveups: registry.counter("core.mp.stripe_giveups"),
             mp_laggards_cancelled: registry.counter("core.mp.laggards_cancelled"),
@@ -105,16 +99,6 @@ impl CoreInstruments {
             0,
             "core.tha.takeover",
             format_args!("hopid={hopid:?} node={node:?}"),
-        );
-    }
-
-    /// Record a THA replica-set rebuild for `hopid` (counter + event).
-    pub fn record_re_replication(&self, hopid: Id, holders_now: usize) {
-        self.tha_re_replications.inc();
-        self.registry.emit(
-            0,
-            "core.tha.re_replication",
-            format_args!("hopid={hopid:?} holders={holders_now}"),
         );
     }
 

@@ -7,8 +7,7 @@
 //! (directly or over an Onion-Routing bootstrap path, §3.3), tunnel
 //! formation and teardown (§3.4–§3.5), anonymous file storage and
 //! retrieval (§4) — and it hands a trial the wire engine over its members
-//! ([`World::net_driver`]). Every figure, the tunnel manager and the
-//! examples run on it.
+//! ([`World::net_driver`]). Every figure and the examples run on it.
 //!
 //! **Draw order.** [`World::build`] draws only the node ids, and
 //! [`World::deploy_tunnels`] only the owner and anchors of each tunnel, in
@@ -175,8 +174,7 @@ impl World {
     /// replication manager re-replicates at once what the node held — the
     /// steady churn of Fig. 5. Without it nothing migrates — the
     /// simultaneous failures of Fig. 2 — and later repairs may miss what
-    /// the node held (`ReplicaStore`'s repair contract) until
-    /// [`World::re_replicate_thas`] heals it.
+    /// the node held (`ReplicaStore`'s repair contract).
     pub fn leave(&mut self, id: Id, repair: bool) -> bool {
         if !self.overlay.remove_node(id) {
             return false;
@@ -186,39 +184,6 @@ impl World {
             self.files.on_node_removed(&self.overlay, id);
         }
         true
-    }
-
-    /// Re-replicate every THA whose replica set has fallen below
-    /// `min(k, overlay size)` live holders — what a takeover, an
-    /// unrepaired failure or a partition leaves behind. An anchor with no
-    /// live holder has nothing to copy from and is left alone. Returns how
-    /// many anchors were rebuilt; each is counted as
-    /// `core.tha.re_replications` and emits a `core.tha.re_replication`
-    /// event.
-    pub fn re_replicate_thas(&mut self) -> usize {
-        let k = self.thas.replication().min(self.overlay.len());
-        let degraded: Vec<Id> = self
-            .thas
-            .iter()
-            .filter(|(_, rec)| {
-                let live = rec
-                    .holders
-                    .iter()
-                    .filter(|h| self.overlay.is_live(**h))
-                    .count();
-                live > 0 && live < k
-            })
-            .map(|(hopid, _)| hopid)
-            .collect();
-        let instruments = CoreInstruments::new(&self.metrics);
-        let mut repaired = 0;
-        for hopid in degraded {
-            if self.thas.repair_key(&self.overlay, hopid) {
-                instruments.record_re_replication(hopid, self.thas.holders(hopid).len());
-                repaired += 1;
-            }
-        }
-        repaired
     }
 
     /// The world's anchors placed afresh on a store that replicates them

@@ -10,7 +10,7 @@
 //! has a live THA replica holder (the post-failure root of the hopid is
 //! then guaranteed to be one of them — proven by the transit layer and
 //! spot-checked here end-to-end); a baseline tunnel functions iff every
-//! relay node survived.
+//! relay node survived ([`FixedTunnel::intact`]).
 
 use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
@@ -18,7 +18,7 @@ use rand::seq::IteratorRandom;
 use tap_core::transit::{self, TransitError, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
-use tap_core::World;
+use tap_core::{FixedTunnel, World};
 use tap_id::{Id, IdHashSet};
 use tap_metrics::Registry;
 use tap_pastry::storage::ReplicaStore;
@@ -57,23 +57,12 @@ pub fn run(scale: &Scale) -> Series {
     let thas_k5 = world.thas_replicated(5, world.metrics());
 
     // Baseline: fixed-node tunnels of the same length, same initiators.
-    // Each draws `l` relays apart from its initiator, so it needs `l + 1`
-    // nodes or the draw never ends; the CLI refuses smaller networks.
-    debug_assert!(scale.nodes > l, "fig2 needs more than {l} nodes");
-    let baselines: Vec<Vec<Id>> = tunnels
+    // One needs `l` nodes besides its initiator, which the CLI guarantees;
+    // a tunnel that could not form stays in line with `tunnels` as `None`
+    // and counts as failed.
+    let baselines: Vec<Option<FixedTunnel>> = tunnels
         .iter()
-        .map(|(owner, _)| {
-            let mut relays = Vec::with_capacity(l);
-            let mut used: IdHashSet = IdHashSet::default();
-            used.insert(*owner);
-            while relays.len() < l {
-                let n = world.random_node().expect("non-empty");
-                if used.insert(n) {
-                    relays.push(n);
-                }
-            }
-            relays
-        })
+        .map(|(owner, _)| FixedTunnel::form_random(&mut world.rng, &world.overlay, *owner, l))
         .collect();
 
     let mut series = Series::new(
@@ -113,12 +102,13 @@ pub fn run(scale: &Scale) -> Series {
             let mut base_failed = 0usize;
             let mut k3_failed = 0usize;
             let mut k5_failed = 0usize;
-            for ((owner, t), relays) in tunnels_ref.iter().zip(baselines.iter()) {
+            for ((owner, t), baseline) in tunnels_ref.iter().zip(baselines.iter()) {
                 if dead.contains(owner) {
                     continue; // the user is gone; its tunnel is moot, not failed
                 }
                 surveyed += 1;
-                if relays.iter().any(|r| dead.contains(r)) {
+                let is_live = |n: Id| !dead.contains(&n);
+                if !baseline.as_ref().is_some_and(|b| b.intact(is_live)) {
                     base_failed += 1;
                 }
                 if tunnel_broken(&world_ref.thas, t.hop_ids().as_slice(), &dead) {

@@ -15,8 +15,9 @@
 //! * [`tap_chord`] — a from-scratch Chord implementing the same substrate
 //!   trait (the paper's "easily adapted to other systems" claim, proven).
 //! * [`tap_core`] — TAP itself: tunnel hop anchors, fault-tolerant
-//!   anonymous tunnels, the IP-hint optimization, the adversary model, and
-//!   the fixed-node "current tunneling" baseline.
+//!   anonymous tunnels and reply tunnels, the IP-hint optimization, the
+//!   adversary model, and the fixed-node "current tunneling" baseline as
+//!   the relays it draws and its liveness predicate.
 //! * [`tap_sim`] — the experiment harness that regenerates Figures 2–6 of
 //!   the paper.
 

@@ -1,9 +1,9 @@
 //! Failure-injection integration tests: the Fig. 2 claims exercised with
 //! real layered-crypto transit, not membership arithmetic.
 
-use tap::core::baseline::{FixedTunnel, FixedTunnelError};
-use tap::core::transit::{self, TransitError, TransitOptions};
-use tap::core::tunnel::Tunnel;
+use tap::core::baseline::FixedTunnel;
+use tap::core::transit::{self, Delivery, TransitError, TransitOptions};
+use tap::core::tunnel::{ReplyTunnel, Tunnel, FAKEONION_LEN};
 use tap::core::wire::Destination;
 use tap::core::World;
 use tap::id::Id;
@@ -89,54 +89,69 @@ fn simultaneous_loss_of_all_replicas_breaks_exactly_that_hop() {
 
 #[test]
 fn tap_outlives_baseline_under_identical_failures() {
-    // Apply the same kill list to a TAP tunnel and a baseline tunnel whose
-    // relays are exactly the TAP hop nodes. Baseline dies on the first
-    // kill; TAP keeps going.
+    // One kill list for a TAP tunnel and a fixed-node baseline tunnel of
+    // the same length and initiator: the baseline's first relay and the
+    // current node of TAP's first hop, with replica repair. The baseline
+    // is dead; TAP fails over.
     let (mut w, initiator) = world(350, 3, 4);
     let t = make_tunnel(&mut w, initiator, 5);
-    let hop_nodes: Vec<Id> = t
-        .hop_ids()
-        .iter()
-        .map(|h| w.overlay.owner_of(*h).unwrap())
-        .collect();
-    // Baseline over those very nodes.
-    let baseline = {
-        use tap::crypto::SymmetricKey;
-        let relays: Vec<(Id, SymmetricKey)> = hop_nodes
-            .iter()
-            .map(|n| (*n, SymmetricKey::generate(&mut w.rng)))
-            .collect();
-        // Build via the public constructor path: form_random can't take a
-        // fixed list, so drive the baseline through its onion directly.
-        relays
-    };
-    let _ = baseline;
-    let baseline_tunnel = FixedTunnel::form_random(&mut w.rng, &w.overlay, initiator, 5).unwrap();
+    let baseline = FixedTunnel::form_random(&mut w.rng, &w.overlay, initiator, 5).unwrap();
+    assert!(baseline.intact(|n| w.overlay.is_live(n)));
 
-    // Kill one relay of the baseline and one hop node of TAP.
-    let baseline_victim = baseline_tunnel.relay_ids()[0];
-    let tap_victim = hop_nodes[0];
-    for v in [baseline_victim, tap_victim] {
-        if v != initiator && w.overlay.is_live(v) {
-            w.overlay.remove_node(v);
-            w.thas.on_node_removed(&w.overlay, v);
+    let tap_victim = w.overlay.owner_of(t.hop_ids()[0]).unwrap();
+    for v in [baseline.relays()[0], tap_victim] {
+        if v != initiator {
+            w.leave(v, true);
         }
     }
 
-    let dest = loop {
-        let d = w.overlay.random_node(&mut w.rng).unwrap();
-        if d != initiator {
-            break d;
+    assert!(!baseline.intact(|n| w.overlay.is_live(n)));
+    drive_probe(&mut w, initiator, &t).expect("TAP survives the same failure");
+}
+
+#[test]
+fn reply_tunnel_survives_churn_between_send_and_reply() {
+    // §1's anonymous e-mail: the recipient holds a reply tunnel while the
+    // network churns, every current reply-hop node included (with replica
+    // repair, as PAST provides), and the reply still surfaces at the
+    // sender, as the root of its anchorless `bid`.
+    let (mut w, sender) = world(300, 3, 7);
+    let rev = make_tunnel(&mut w, sender, 3);
+    let bid = w.choose_bid(sender).unwrap();
+    let reply = ReplyTunnel::build(&mut w.rng, &rev, bid, FAKEONION_LEN, None);
+    let recipient = loop {
+        let r = w.random_node().unwrap();
+        if r != sender {
+            break r;
         }
     };
-    let onion = baseline_tunnel.build_onion(&mut w.rng, Destination::Node(dest), b"x");
-    assert_eq!(
-        baseline_tunnel.drive(&w.overlay, onion),
-        Err(FixedTunnelError::RelayDown {
-            node: baseline_victim
-        })
-    );
-    drive_probe(&mut w, initiator, &t).expect("TAP survives the same failure");
+
+    let mut killed = 0;
+    for hop in rev.hop_ids() {
+        let root = w.overlay.owner_of(hop).unwrap();
+        if root != sender && root != recipient && w.leave(root, true) {
+            killed += 1;
+        }
+    }
+    assert!(killed > 0, "some reply hop must have lost its node");
+
+    let (delivery, report) = transit::drive(
+        &mut w.overlay,
+        &w.thas,
+        recipient,
+        reply.entry_hopid,
+        reply.onion,
+        TransitOptions::default(),
+    )
+    .expect("replica failover carries the reply home");
+    assert_eq!(report.hops_resolved, 3);
+    match delivery {
+        Delivery::AtAnchorlessRoot { node, residue } => {
+            assert_eq!(node, sender);
+            assert_eq!(residue.len(), FAKEONION_LEN);
+        }
+        other => panic!("the reply must end at the sender's bid, got {other:?}"),
+    }
 }
 
 #[test]

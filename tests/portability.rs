@@ -12,7 +12,7 @@ use tap::chord::{ChordConfig, ChordOverlay};
 use tap::core::retrieval::{self, RetrievalContext, StoredFile};
 use tap::core::tha::{Tha, ThaFactory};
 use tap::core::transit::{self, HintCache, TransitError, TransitOptions};
-use tap::core::tunnel::Tunnel;
+use tap::core::tunnel::{ReplyTunnel, Tunnel, FAKEONION_LEN};
 use tap::core::wire::Destination;
 use tap::id::Id;
 use tap::pastry::storage::ReplicaStore;
@@ -192,59 +192,65 @@ fn anonymous_retrieval_works_over_chord() {
 
 #[test]
 fn reply_blocks_survive_chord_churn() {
-    use tap::core::messaging;
+    // §1's reply block is a reply tunnel: the recipient holds it while
+    // every current reply-hop node leaves and the ring churns (with replica
+    // repair), and it still surfaces at the sender, the root of its `bid`.
     let mut w = world(300, 5);
-    let fwd = tunnel(&mut w, 3);
     let rev = tunnel(&mut w, 3);
-    let bid = w.initiator.wrapping_sub(Id::from_u64(1));
+    let sender = w.initiator;
+    let bid = sender.wrapping_sub(Id::from_u64(1));
+    assert_eq!(KeyRouter::owner_of(&w.overlay, bid), Some(sender));
+    let reply = ReplyTunnel::build(&mut w.rng, &rev, bid, FAKEONION_LEN, None);
     let recipient = loop {
         let r = w.overlay.random_node(&mut w.rng).unwrap();
-        if r != w.initiator {
+        if r != sender {
             break r;
         }
     };
-    let sender = w.initiator;
-    let (_, received, pending) = messaging::send_with_reply_block(
-        &mut w.rng,
-        &mut w.overlay,
-        &w.thas,
-        sender,
-        recipient,
-        b"ping over chord",
-        &fwd,
-        &rev,
-        bid,
-    )
-    .unwrap();
-    assert_eq!(received.body, b"ping over chord");
 
-    // Churn with replica repair before the reply.
-    for _ in 0..40 {
-        let victim = loop {
-            let v = w.overlay.random_node(&mut w.rng).unwrap();
-            if v != sender && v != recipient {
-                break v;
-            }
+    // Every current reply-hop node leaves, then 40 random others; a fresh
+    // node joins after each leave.
+    let hop_nodes: Vec<Id> = rev
+        .hop_ids()
+        .into_iter()
+        .map(|hop| KeyRouter::owner_of(&w.overlay, hop).unwrap())
+        .filter(|root| *root != sender && *root != recipient)
+        .collect();
+    assert!(!hop_nodes.is_empty(), "some reply hop must lose its node");
+    for i in 0..hop_nodes.len() + 40 {
+        let victim = match hop_nodes.get(i) {
+            Some(&v) => v,
+            None => loop {
+                let v = w.overlay.random_node(&mut w.rng).unwrap();
+                if v != sender && v != recipient {
+                    break v;
+                }
+            },
         };
-        w.overlay.remove_node(victim);
-        w.thas.on_node_removed(&w.overlay, victim);
-        let id = w.overlay.add_random_node(&mut w.rng);
-        w.thas.on_node_added(&w.overlay, id);
+        if w.overlay.remove_node(victim) {
+            w.thas.on_node_removed(&w.overlay, victim);
+            let id = w.overlay.add_random_node(&mut w.rng);
+            w.thas.on_node_added(&w.overlay, id);
+        }
     }
 
-    let (landed, sealed) = messaging::reply(
-        &mut w.rng,
+    let (delivery, report) = transit::drive(
         &mut w.overlay,
         &w.thas,
         recipient,
-        &received.reply_block,
-        b"pong through the churn",
+        reply.entry_hopid,
+        reply.onion,
+        TransitOptions::default(),
     )
     .unwrap();
-    assert_eq!(
-        pending.open(landed, sender, &sealed).unwrap(),
-        b"pong through the churn"
-    );
+    assert_eq!(report.hops_resolved, 3);
+    match delivery {
+        transit::Delivery::AtAnchorlessRoot { node, residue } => {
+            assert_eq!(node, sender);
+            assert_eq!(residue.len(), FAKEONION_LEN);
+        }
+        other => panic!("the reply must end at the sender's bid, got {other:?}"),
+    }
 }
 
 #[test]
