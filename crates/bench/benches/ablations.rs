@@ -242,39 +242,12 @@ fn ablation_refresh_period() {
     println!("(shorter refresh period → flatter knowledge accumulation)");
 }
 
-fn ablation_topology() {
-    println!("\n=== ablation 6: Fig. 6 sensitivity to the link-latency model ===");
-    let scale = tap_sim::Scale {
-        nodes: 600,
-        latency_sims: 2,
-        latency_transfers: 30,
-        ..tap_sim::Scale::quick()
-    };
-    for model in [
-        tap_sim::experiments::latency::TopologyModel::Uniform,
-        tap_sim::experiments::latency::TopologyModel::Euclidean,
-    ] {
-        let series = tap_sim::experiments::latency::run_with_model(&scale, model);
-        let last = series.rows.last().expect("rows");
-        println!(
-            "{model:?}: at N={} overt={:.2}s basic5={:.2}s opt5={:.2}s (basic/overt = {:.1}x)",
-            last.x,
-            last.values[0],
-            last.values[1],
-            last.values[2],
-            last.values[1] / last.values[0],
-        );
-    }
-    println!("(the who-wins ordering is robust to the latency model; only absolute seconds move)");
-}
-
 fn bench_ablations(c: &mut Criterion) {
     ablation_k_tradeoff();
     ablation_length_tradeoff();
     ablation_hint_staleness();
     ablation_scatter();
     ablation_refresh_period();
-    ablation_topology();
 
     // One timed kernel per ablation family.
     let mut group = c.benchmark_group("ablations");

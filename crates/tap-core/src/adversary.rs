@@ -90,7 +90,7 @@ impl Collusion {
     /// Case 1: the collusion can trace the tunnel because it knows the THA
     /// of **every** hop (§6, §7.2 — the corruption criterion behind
     /// Figures 3, 4, and 5).
-    pub fn corrupts_case1(&self, thas: &ReplicaStore<Tha>, hop_ids: &[Id]) -> bool {
+    pub(crate) fn corrupts_case1(&self, thas: &ReplicaStore<Tha>, hop_ids: &[Id]) -> bool {
         !hop_ids.is_empty() && hop_ids.iter().all(|h| self.knows_tha(thas, *h))
     }
 

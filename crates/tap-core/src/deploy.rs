@@ -1,4 +1,4 @@
-//! Anonymous THA deployment and verified deletion (§3.3–§3.4).
+//! Anonymous THA deployment (§3.3).
 //!
 //! A node cannot deploy its anchors directly — storage nodes would link the
 //! hopids to its address. Instead it builds a one-shot **Onion Routing**
@@ -9,8 +9,9 @@
 //! says the paper, because deployment is not performance critical and the
 //! node simply retries over another path.
 //!
-//! Storage nodes charge a CPU puzzle per deposit (the §3.3 flood defence);
-//! deletion requires presenting the pre-image of the stored `H(PW)` (§3.4).
+//! Storage nodes charge a CPU puzzle per deposit (the §3.3 flood defence).
+
+use std::collections::HashMap;
 
 use rand::Rng;
 use tap_crypto::{KeyPair, Puzzle, SealedBox};
@@ -62,26 +63,6 @@ impl std::fmt::Display for DeployError {
 }
 
 impl std::error::Error for DeployError {}
-
-/// Why a deletion was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeleteError {
-    /// No anchor is stored under that hopid.
-    Unknown,
-    /// The presented password does not hash to the stored `H(PW)`.
-    WrongPassword,
-}
-
-impl std::fmt::Display for DeleteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeleteError::Unknown => write!(f, "no such THA"),
-            DeleteError::WrongPassword => write!(f, "password proof rejected"),
-        }
-    }
-}
-
-impl std::error::Error for DeleteError {}
 
 /// One relay's decrypted instruction: the anchor it must deposit, plus the
 /// sealed remainder for the next relay (if any).
@@ -157,26 +138,12 @@ impl Instruction {
 
 /// Report of a successful deployment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeployReport {
+pub(crate) struct DeployReport {
     /// Anchors deposited, in path order.
-    pub deposited: Vec<Id>,
+    pub(crate) deposited: Vec<Id>,
     /// Total puzzle-solving work performed (sum of winning nonces — a
     /// proxy for hashes burned, useful for the flood-defence ablation).
-    pub puzzle_work: u64,
-}
-
-/// Look up a node's public key. The simulator's stand-in for the PKI the
-/// paper assumes ("relying on a public key infrastructure … each node has
-/// a pair of private and public keys").
-pub trait KeyDirectory {
-    /// The keypair of `node`, if it exists.
-    fn keypair(&self, node: Id) -> Option<&KeyPair>;
-}
-
-impl KeyDirectory for std::collections::HashMap<Id, KeyPair> {
-    fn keypair(&self, node: Id) -> Option<&KeyPair> {
-        self.get(&node)
-    }
+    pub(crate) puzzle_work: u64,
 }
 
 /// Deploy one anchor per relay through an onion path (§3.3).
@@ -186,16 +153,20 @@ impl KeyDirectory for std::collections::HashMap<Id, KeyPair> {
 /// nodes, forward the remainder. All-or-nothing: a dead relay or rejected
 /// deposit aborts with the anchors deposited so far rolled back, so the
 /// caller can retry on a fresh path.
-pub fn deploy_via_onion<R: Rng + ?Sized>(
+///
+/// `keys` is the simulator's stand-in for the PKI the paper assumes
+/// ("relying on a public key infrastructure … each node has a pair of
+/// private and public keys"): each relay's keypair.
+pub(crate) fn deploy_via_onion<R: Rng + ?Sized>(
     rng: &mut R,
     overlay: &Overlay,
     store: &mut ReplicaStore<Tha>,
-    keys: &dyn KeyDirectory,
+    keys: &HashMap<Id, KeyPair>,
     relays: &[Id],
     anchors: &[Tha],
     puzzle_difficulty: u8,
 ) -> Result<DeployReport, DeployError> {
-    if relays.is_empty() || relays.len() != anchors.len() {
+    if relays.len() != anchors.len() {
         return Err(DeployError::Mismatched);
     }
 
@@ -212,12 +183,15 @@ pub fn deploy_via_onion<R: Rng + ?Sized>(
             inner: inner_box,
         };
         let pk = keys
-            .keypair(*relay)
+            .get(relay)
             .ok_or(DeployError::RelayDown { node: *relay })?
             .public();
         inner = Some((*relay, SealedBox::seal(rng, &pk, &instruction.encode())));
     }
-    let (first_relay, mut cursor) = inner.expect("at least one relay");
+    let Some((first_relay, mut cursor)) = inner else {
+        // No relay at all: nothing to carry the anchors.
+        return Err(DeployError::Mismatched);
+    };
 
     // Play each relay.
     let mut report = DeployReport::default();
@@ -226,7 +200,7 @@ pub fn deploy_via_onion<R: Rng + ?Sized>(
         if !overlay.is_live(relay) {
             break Err(DeployError::RelayDown { node: relay });
         }
-        let kp = match keys.keypair(relay) {
+        let kp = match keys.get(&relay) {
             Some(kp) => kp,
             None => break Err(DeployError::RelayDown { node: relay }),
         };
@@ -275,171 +249,12 @@ pub fn deploy_via_onion<R: Rng + ?Sized>(
     }
 }
 
-/// Deploy anchors through an **existing tunnel** instead of an onion
-/// bootstrap path — the §3.3 future-work variant ("a node can also rent a
-/// trusted node's anonymous tunnels to deploy its initial THAs"), and the
-/// steady-state mechanism once a node has its first tunnel ("once the node
-/// is able to form the first tunnel using the deployed THAs, it will use
-/// this tunnel to deploy other THAs").
-///
-/// The anchors ride the tunnel as its core payload; the tail hop node acts
-/// as the depositor, solving one puzzle per anchor. The storing nodes see
-/// only the tail — never the owner.
-pub fn deploy_via_tunnel<R: Rng + ?Sized>(
-    rng: &mut R,
-    overlay: &mut Overlay,
-    store: &mut ReplicaStore<Tha>,
-    from: Id,
-    tunnel: &crate::tunnel::Tunnel,
-    anchors: &[Tha],
-    puzzle_difficulty: u8,
-) -> Result<DeployReport, TunnelDeployError> {
-    if anchors.is_empty() {
-        return Err(TunnelDeployError::NothingToDeploy);
-    }
-    // Serialize the anchors as the tunnel core.
-    let mut core = Vec::with_capacity(anchors.len() * (ID_BYTES + 64) + 4);
-    core.extend_from_slice(&(anchors.len() as u32).to_be_bytes());
-    for a in anchors {
-        core.extend_from_slice(a.hopid.as_bytes());
-        core.extend_from_slice(a.key.as_bytes());
-        core.extend_from_slice(&a.pw_hash);
-    }
-    // The tail delivers "to itself": address the core at the tail's own
-    // hopid root by using an anchorless terminal right behind the tail.
-    let onion = tunnel.build_onion(
-        rng,
-        crate::wire::Destination::Node(
-            overlay
-                .owner_of(tunnel.hop_ids()[tunnel.len() - 1])
-                .ok_or(TunnelDeployError::TunnelBroken)?,
-        ),
-        &core,
-        None,
-    );
-    let (delivery, _) = crate::transit::drive(
-        overlay,
-        store,
-        from,
-        tunnel.entry_hopid(),
-        onion,
-        crate::transit::TransitOptions::default(),
-    )
-    .map_err(|_| TunnelDeployError::TunnelBroken)?;
-    let (depositor, payload) = match delivery {
-        crate::transit::Delivery::ToDestination { node, core } => (node, core),
-        _ => return Err(TunnelDeployError::TunnelBroken),
-    };
-    let _ = depositor; // the depositor's identity is what the storers see
-
-    // The tail decodes and deposits each anchor, paying the puzzles.
-    let mut report = DeployReport::default();
-    let (count_b, mut rest) = payload
-        .split_at_checked(4)
-        .ok_or(TunnelDeployError::Malformed)?;
-    let count = u32::from_be_bytes([count_b[0], count_b[1], count_b[2], count_b[3]]) as usize;
-    let mut decoded = Vec::with_capacity(count);
-    for _ in 0..count {
-        let (hop_b, r) = rest
-            .split_at_checked(ID_BYTES)
-            .ok_or(TunnelDeployError::Malformed)?;
-        let (key_b, r) = r.split_at_checked(32).ok_or(TunnelDeployError::Malformed)?;
-        let (pw_b, r) = r.split_at_checked(32).ok_or(TunnelDeployError::Malformed)?;
-        rest = r;
-        decoded.push(Tha {
-            hopid: Id::from_bytes(hop_b.try_into().expect("sized")),
-            key: tap_crypto::SymmetricKey::from_bytes(key_b.try_into().expect("sized")),
-            pw_hash: pw_b.try_into().expect("sized"),
-        });
-    }
-    if !rest.is_empty() {
-        return Err(TunnelDeployError::Malformed);
-    }
-    for tha in decoded {
-        let hopid = tha.hopid;
-        let puzzle = Puzzle::issue(rng, puzzle_difficulty);
-        let solution = puzzle.solve(hopid.as_bytes());
-        // Fail closed (matching the onion path): a storer must never
-        // accept a deposit whose flood-defence puzzle does not verify.
-        if !puzzle.verify(hopid.as_bytes(), &solution) {
-            for h in &report.deposited {
-                store.remove(*h);
-            }
-            return Err(TunnelDeployError::PuzzleFailed { hopid });
-        }
-        report.puzzle_work += solution.nonce;
-        if !matches!(store.insert(overlay, hopid, tha), Ok(true)) {
-            // Roll back, mirroring the onion-path semantics.
-            for h in &report.deposited {
-                store.remove(*h);
-            }
-            return Err(TunnelDeployError::Rejected { hopid });
-        }
-        report.deposited.push(hopid);
-    }
-    Ok(report)
-}
-
-/// Why a via-tunnel deployment failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TunnelDeployError {
-    /// Empty anchor list.
-    NothingToDeploy,
-    /// The carrying tunnel could not deliver.
-    TunnelBroken,
-    /// The payload did not decode at the tail.
-    Malformed,
-    /// A hopid was already taken.
-    Rejected {
-        /// The duplicate hop identifier.
-        hopid: Id,
-    },
-    /// The flood-defence puzzle failed to verify at the storer.
-    PuzzleFailed {
-        /// The anchor whose puzzle failed.
-        hopid: Id,
-    },
-}
-
-impl std::fmt::Display for TunnelDeployError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TunnelDeployError::NothingToDeploy => write!(f, "no anchors supplied"),
-            TunnelDeployError::TunnelBroken => write!(f, "carrying tunnel failed"),
-            TunnelDeployError::Malformed => write!(f, "deploy payload malformed"),
-            TunnelDeployError::Rejected { hopid } => {
-                write!(f, "deposit rejected for {hopid:?}")
-            }
-            TunnelDeployError::PuzzleFailed { hopid } => {
-                write!(f, "storage puzzle failed for {hopid:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TunnelDeployError {}
-
-/// Delete a THA by proving knowledge of its password (§3.4).
-pub fn delete_tha(
-    store: &mut ReplicaStore<Tha>,
-    hopid: Id,
-    password: &[u8; 32],
-) -> Result<(), DeleteError> {
-    let rec = store.get(hopid).ok_or(DeleteError::Unknown)?;
-    if !rec.value.verify_password(password) {
-        return Err(DeleteError::WrongPassword);
-    }
-    store.remove(hopid);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tha::ThaFactory;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
     use tap_pastry::PastryConfig;
 
     struct Fx {
@@ -465,15 +280,10 @@ mod tests {
         }
     }
 
-    fn anchors(fx: &mut Fx, count: usize) -> Vec<(Tha, [u8; 32])> {
+    fn anchors(fx: &mut Fx, count: usize) -> Vec<Tha> {
         let node = fx.overlay.random_node(&mut fx.rng).unwrap();
         let mut f = ThaFactory::new(&mut fx.rng, node);
-        (0..count)
-            .map(|_| {
-                let s = f.next(&mut fx.rng);
-                (s.stored(), s.password)
-            })
-            .collect()
+        (0..count).map(|_| f.next(&mut fx.rng).stored()).collect()
     }
 
     fn relays(fx: &mut Fx, count: usize) -> Vec<Id> {
@@ -490,9 +300,8 @@ mod tests {
     #[test]
     fn deploy_stores_every_anchor() {
         let mut fx = fixture(100, 1);
-        let aps = anchors(&mut fx, 3);
+        let thas = anchors(&mut fx, 3);
         let path = relays(&mut fx, 3);
-        let thas: Vec<Tha> = aps.iter().map(|(t, _)| t.clone()).collect();
         let report = deploy_via_onion(
             &mut fx.rng,
             &fx.overlay,
@@ -504,7 +313,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.deposited.len(), 3);
-        for (tha, _) in &aps {
+        for tha in &thas {
             assert_eq!(
                 fx.store.holders(tha.hopid),
                 fx.overlay.k_closest(tha.hopid, 3)
@@ -515,10 +324,9 @@ mod tests {
     #[test]
     fn dead_relay_aborts_and_rolls_back() {
         let mut fx = fixture(100, 2);
-        let aps = anchors(&mut fx, 3);
+        let thas = anchors(&mut fx, 3);
         let path = relays(&mut fx, 3);
         fx.overlay.remove_node(path[1]);
-        let thas: Vec<Tha> = aps.iter().map(|(t, _)| t.clone()).collect();
         let err = deploy_via_onion(
             &mut fx.rng,
             &fx.overlay,
@@ -539,8 +347,7 @@ mod tests {
         // initial THAs until the first anonymous tunnel is able to be
         // formed."
         let mut fx = fixture(100, 3);
-        let aps = anchors(&mut fx, 2);
-        let thas: Vec<Tha> = aps.iter().map(|(t, _)| t.clone()).collect();
+        let thas = anchors(&mut fx, 2);
         let bad_path = relays(&mut fx, 2);
         fx.overlay.remove_node(bad_path[0]);
         assert!(deploy_via_onion(
@@ -570,8 +377,7 @@ mod tests {
     #[test]
     fn duplicate_hopid_rejected() {
         let mut fx = fixture(100, 4);
-        let aps = anchors(&mut fx, 1);
-        let thas: Vec<Tha> = aps.iter().map(|(t, _)| t.clone()).collect();
+        let thas = anchors(&mut fx, 1);
         let p1 = relays(&mut fx, 1);
         deploy_via_onion(
             &mut fx.rng,
@@ -605,8 +411,7 @@ mod tests {
     #[test]
     fn mismatched_inputs_rejected() {
         let mut fx = fixture(50, 5);
-        let aps = anchors(&mut fx, 2);
-        let thas: Vec<Tha> = aps.iter().map(|(t, _)| t.clone()).collect();
+        let thas = anchors(&mut fx, 2);
         let path = relays(&mut fx, 3);
         assert_eq!(
             deploy_via_onion(
@@ -640,8 +445,7 @@ mod tests {
         let mut total_easy = 0u64;
         let mut total_hard = 0u64;
         for round in 0..8 {
-            let aps = anchors(&mut fx, 1);
-            let thas: Vec<Tha> = aps.iter().map(|(t, _)| t.clone()).collect();
+            let thas = anchors(&mut fx, 1);
             let path = relays(&mut fx, 1);
             let difficulty = if round % 2 == 0 { 2 } else { 10 };
             let report = deploy_via_onion(
@@ -663,130 +467,6 @@ mod tests {
         assert!(
             total_hard > total_easy,
             "hard puzzles ({total_hard}) should cost more than easy ({total_easy})"
-        );
-    }
-
-    #[test]
-    fn delete_requires_correct_password() {
-        let mut fx = fixture(80, 7);
-        let aps = anchors(&mut fx, 1);
-        let (tha, pw) = (&aps[0].0, aps[0].1);
-        let path = relays(&mut fx, 1);
-        deploy_via_onion(
-            &mut fx.rng,
-            &fx.overlay,
-            &mut fx.store,
-            &fx.keys,
-            &path,
-            std::slice::from_ref(tha),
-            0,
-        )
-        .unwrap();
-
-        let mut wrong = pw;
-        wrong[3] ^= 0x10;
-        assert_eq!(
-            delete_tha(&mut fx.store, tha.hopid, &wrong),
-            Err(DeleteError::WrongPassword)
-        );
-        assert!(fx.store.get(tha.hopid).is_some(), "still stored");
-        delete_tha(&mut fx.store, tha.hopid, &pw).unwrap();
-        assert!(fx.store.get(tha.hopid).is_none());
-        assert_eq!(
-            delete_tha(&mut fx.store, tha.hopid, &pw),
-            Err(DeleteError::Unknown)
-        );
-    }
-
-    #[test]
-    fn deploy_via_tunnel_uses_tail_as_depositor() {
-        let mut fx = fixture(200, 9);
-        // Carrier tunnel with direct anchors.
-        let carrier_owner = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let mut factory = ThaFactory::new(&mut fx.rng, carrier_owner);
-        let hops: Vec<_> = (0..3)
-            .map(|_| {
-                let s = factory.next(&mut fx.rng);
-                fx.store.insert(&fx.overlay, s.hopid, s.stored()).unwrap();
-                s
-            })
-            .collect();
-        let carrier = crate::tunnel::Tunnel::new(hops);
-
-        // Fresh anchors to deploy through it.
-        let fresh: Vec<Tha> = (0..4).map(|_| factory.next(&mut fx.rng).stored()).collect();
-        let report = deploy_via_tunnel(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &mut fx.store,
-            carrier_owner,
-            &carrier,
-            &fresh,
-            4,
-        )
-        .unwrap();
-        assert_eq!(report.deposited.len(), 4);
-        for t in &fresh {
-            assert_eq!(fx.store.holders(t.hopid), fx.overlay.k_closest(t.hopid, 3));
-        }
-        assert!(report.puzzle_work > 0, "the tail paid for the deposits");
-    }
-
-    #[test]
-    fn deploy_via_tunnel_fails_cleanly_on_broken_carrier() {
-        let mut fx = fixture(200, 10);
-        let carrier_owner = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let mut factory = ThaFactory::new(&mut fx.rng, carrier_owner);
-        let hops: Vec<_> = (0..3)
-            .map(|_| {
-                let s = factory.next(&mut fx.rng);
-                fx.store.insert(&fx.overlay, s.hopid, s.stored()).unwrap();
-                s
-            })
-            .collect();
-        let carrier = crate::tunnel::Tunnel::new(hops);
-        // Destroy all replicas of the middle hop.
-        let victim = carrier.hop_ids()[1];
-        for holder in fx.store.holders(victim).to_vec() {
-            if holder != carrier_owner {
-                fx.overlay.remove_node(holder);
-            }
-        }
-        let fresh: Vec<Tha> = (0..2).map(|_| factory.next(&mut fx.rng).stored()).collect();
-        let before = fx.store.len();
-        let err = deploy_via_tunnel(
-            &mut fx.rng,
-            &mut fx.overlay,
-            &mut fx.store,
-            carrier_owner,
-            &carrier,
-            &fresh,
-            0,
-        )
-        .unwrap_err();
-        assert_eq!(err, TunnelDeployError::TunnelBroken);
-        assert_eq!(fx.store.len(), before, "nothing deposited");
-    }
-
-    #[test]
-    fn deploy_via_tunnel_rejects_empty() {
-        let mut fx = fixture(60, 11);
-        let owner = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let mut factory = ThaFactory::new(&mut fx.rng, owner);
-        let s = factory.next(&mut fx.rng);
-        fx.store.insert(&fx.overlay, s.hopid, s.stored()).unwrap();
-        let carrier = crate::tunnel::Tunnel::new(vec![s]);
-        assert_eq!(
-            deploy_via_tunnel(
-                &mut fx.rng,
-                &mut fx.overlay,
-                &mut fx.store,
-                owner,
-                &carrier,
-                &[],
-                0,
-            ),
-            Err(TunnelDeployError::NothingToDeploy)
         );
     }
 

@@ -17,7 +17,7 @@
 //! * [`tha`] — THA generation `hopid = H(node_ID, hkey, t)`, the stored
 //!   form, and password-based ownership (§3.1–§3.2).
 //! * [`deploy`] — anonymous THA deployment over an Onion-Routing bootstrap
-//!   path, CPU-puzzle flood payment, and verified deletion (§3.3–§3.4).
+//!   path, with CPU-puzzle flood payment (§3.3).
 //! * [`tunnel`] — forming tunnels from scattered hopids and building the
 //!   layered forward/reply onions of Fig. 1 and §4 (§3.5, §4).
 //! * [`wire`] — the per-hop routing headers inside onion layers.

@@ -106,7 +106,7 @@ impl CoreInstruments {
     /// disjoint tunnels and degraded to `got` stripes (counter + event).
     /// Degradation is explicit policy, never a panic, so the journal names
     /// the shortfall.
-    pub fn record_ec_degraded(&self, wanted: usize, got: usize) {
+    pub(crate) fn record_ec_degraded(&self, wanted: usize, got: usize) {
         self.ec_degraded.inc();
         self.registry.emit(
             0,

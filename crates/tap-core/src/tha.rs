@@ -49,22 +49,13 @@ impl ThaSecret {
     }
 }
 
-impl Tha {
-    /// Verify a presented deletion password against the stored commitment.
-    ///
-    /// The holders "hash the received PW, compare the hash value with the
-    /// stored H(PW), and if they match, remove the THA" (§3.4).
-    pub fn verify_password(&self, pw: &[u8; 32]) -> bool {
-        tap_crypto::hmac::verify_tag(&sha256(pw), &self.pw_hash)
-    }
-}
-
 /// Per-node THA generator implementing the §3.2 construction.
 #[derive(Debug, Clone)]
 pub struct ThaFactory {
-    /// SHA-1 after `node_ID` and `hkey`, framed as `derive_id` frames
-    /// them. Those are the first 64 of a hopid's 84 framed bytes, so their
-    /// block is compressed once here and each hopid hashes one more.
+    /// SHA-1 after `node_ID` and `hkey`, each framed by
+    /// [`tap_crypto::frame`]. Those are the first 64 of a hopid's 84
+    /// framed bytes, so their block is compressed once here and each hopid
+    /// hashes one more.
     prefix: Sha1,
     /// Monotone creation counter standing in for the timestamp `t`; the
     /// paper only needs `t` to make successive hopids distinct.
@@ -86,8 +77,8 @@ impl ThaFactory {
         ThaFactory { prefix, t: 0 }
     }
 
-    /// The hopid the factory would produce at counter value `t`:
-    /// `derive_id(&[node_ID, hkey, t])`.
+    /// The hopid the factory would produce at counter value `t`: SHA-1
+    /// over the framed `[node_ID, hkey, t]`.
     pub fn hopid_at(&self, t: u64) -> Id {
         let mut h = self.prefix.clone();
         frame(&mut h, &[&t.to_be_bytes()]);
@@ -130,6 +121,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    impl Tha {
+        /// Verify a presented deletion password against the stored
+        /// commitment: the holders "hash the received PW, compare the hash
+        /// value with the stored H(PW), and if they match, remove the THA"
+        /// (§3.4).
+        fn verify_password(&self, pw: &[u8; 32]) -> bool {
+            sha256(pw) == self.pw_hash
+        }
+    }
+
     fn factory(seed: u64) -> (ThaFactory, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let node = Id::random(&mut rng);
@@ -163,16 +164,17 @@ mod tests {
     }
 
     proptest! {
-        /// The kept midstate is the framing `derive_id` uses, at any `t`.
+        /// The kept midstate is SHA-1 over the framed parts, at any `t`.
         #[test]
-        fn prop_hopid_at_is_derive_id_of_node_hkey_and_t(
+        fn prop_hopid_at_is_sha1_of_framed_node_hkey_and_t(
             node in any::<[u8; 20]>(),
             hkey in any::<[u8; 32]>(),
             t in any::<u64>(),
         ) {
             let f = ThaFactory::with_hkey(Id::from_bytes(node), hkey);
-            let want = tap_crypto::derive_id(&[&node, &hkey, &t.to_be_bytes()]);
-            prop_assert_eq!(f.hopid_at(t), want);
+            let mut h = Sha1::new();
+            frame(&mut h, &[&node, &hkey, &t.to_be_bytes()]);
+            prop_assert_eq!(f.hopid_at(t), Id::from_bytes(h.finalize()));
         }
     }
 

@@ -73,7 +73,7 @@ impl HintCache {
     /// may still be overlay-live but unreachable on the wire (crashed
     /// endpoint, partition) — so the timed driver demotes a hint when the
     /// *direct attempt times out*, not only on an explicit oracle miss.
-    pub fn demote(&mut self, hopid: Id) -> Option<Id> {
+    pub(crate) fn demote(&mut self, hopid: Id) -> Option<Id> {
         self.map.remove(&hopid)
     }
 

@@ -47,7 +47,7 @@ impl Tunnel {
     /// digits (§3.5's scatter rule), falling back to arbitrary distinct
     /// hops once the digit buckets are exhausted. Returns `None` if the
     /// pool has fewer than `l` anchors.
-    pub fn form_scattered<R: Rng + ?Sized>(
+    pub(crate) fn form_scattered<R: Rng + ?Sized>(
         rng: &mut R,
         pool: &[ThaSecret],
         l: usize,
@@ -108,15 +108,6 @@ impl Tunnel {
         self.hops.iter().map(|h| h.hopid).collect()
     }
 
-    /// Number of distinct first digits among the hopids (scatter metric).
-    pub fn scatter_score(&self, b: u32) -> usize {
-        self.hops
-            .iter()
-            .map(|h| h.hopid.digit(0, b))
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-    }
-
     /// Build the forward onion of Fig. 1: layer `i` tells hop `i` where hop
     /// `i+1` is anchored; the innermost layer tells the tail to deliver
     /// `core` to `dest`. With `hints`, each forward header carries the
@@ -164,7 +155,7 @@ impl Tunnel {
     /// allocates nothing. Bytes and RNG use match [`Tunnel::build_onion`]
     /// exactly — multipath stripes use this to amortize the onion buffer
     /// and cipher scratch across a whole transfer.
-    pub fn build_onion_into<R: Rng + ?Sized>(
+    pub(crate) fn build_onion_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         dest: Destination,
@@ -274,6 +265,13 @@ mod tests {
     use rand::SeedableRng;
     use tap_crypto::onion;
 
+    /// Number of distinct first digits among the hopids.
+    fn scatter_score(t: &Tunnel, b: u32) -> usize {
+        let digits: std::collections::HashSet<_> =
+            t.hops().iter().map(|h| h.hopid.digit(0, b)).collect();
+        digits.len()
+    }
+
     fn pool(n: usize, seed: u64) -> (Vec<ThaSecret>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let node = Id::random(&mut rng);
@@ -290,7 +288,7 @@ mod tests {
         // With 64 random anchors all 5 first digits are almost surely
         // available; the scatter rule must use them.
         assert_eq!(
-            t.scatter_score(4),
+            scatter_score(&t, 4),
             5,
             "hops should have distinct first digits"
         );
@@ -308,7 +306,7 @@ mod tests {
         if same.len() >= 3 {
             let t = Tunnel::form_scattered(&mut rng, &same, 3, 4).unwrap();
             assert_eq!(t.len(), 3);
-            assert_eq!(t.scatter_score(4), 1);
+            assert_eq!(scatter_score(&t, 4), 1);
         }
     }
 

@@ -54,6 +54,14 @@ pub enum WorldError {
     NotMember(Id),
     /// The node's anchor pool holds too few unused anchors for a tunnel.
     PoolTooSmall(Id),
+    /// Fewer live nodes besides the depositor than a bootstrap path has
+    /// relays.
+    TooFewRelays {
+        /// Relays one bootstrap path needs.
+        needed: usize,
+        /// Live nodes other than the depositor.
+        available: usize,
+    },
     /// Every bootstrap path tried failed; the last failure.
     Deploy(DeployError),
     /// The retrieval protocol failed.
@@ -68,6 +76,10 @@ impl std::fmt::Display for WorldError {
             WorldError::PoolTooSmall(node) => {
                 write!(f, "{node:?} has too few unused anchors for a tunnel")
             }
+            WorldError::TooFewRelays { needed, available } => write!(
+                f,
+                "a bootstrap path needs {needed} relays, {available} other live nodes exist"
+            ),
             WorldError::Deploy(e) => write!(f, "deployment failed: {e}"),
             WorldError::Retrieval(e) => write!(f, "retrieval failed: {e}"),
         }
@@ -233,8 +245,8 @@ impl World {
     }
 
     /// Delete anchors from the store (§3.4); returns how many were there.
-    /// The world deployed them and holds their passwords, so the proof
-    /// [`deploy::delete_tha`] checks would always pass and is skipped, as
+    /// The world deployed them and holds their passwords, so the §3.4
+    /// password proof would always pass and is skipped, as
     /// [`World::deploy_anchors_direct`] skips the bootstrap crypto.
     pub fn teardown(&mut self, hops: &[ThaSecret]) -> usize {
         hops.iter()
@@ -273,7 +285,8 @@ impl World {
     /// paths of random relays (§3.3), `BOOTSTRAP_PATH_LEN` anchors a path,
     /// trying a new path after each of up to `max_attempts` failed ones
     /// ("try to use another Onion path … until the first anonymous tunnel
-    /// is able to be formed").
+    /// is able to be formed"). A world with fewer other live nodes than a
+    /// path has relays is refused before anything is drawn.
     pub fn deploy_anchors(
         &mut self,
         node: Id,
@@ -282,6 +295,12 @@ impl World {
     ) -> Result<usize, WorldError> {
         if !self.overlay.is_live(node) {
             return Err(WorldError::NotMember(node));
+        }
+        // The first path is the longest; later ones carry the remainder.
+        let needed = BOOTSTRAP_PATH_LEN.min(count);
+        let available = self.overlay.len() - 1;
+        if available < needed {
+            return Err(WorldError::TooFewRelays { needed, available });
         }
         let mut deployed = 0;
         let mut attempts_left = max_attempts;

@@ -263,7 +263,7 @@ impl EcConfig {
     /// Default chunk granularity (~3 KB, craftnet's stripe unit).
     pub const DEFAULT_CHUNK: usize = 3072;
     /// Ceiling on `n`: stripe bitmasks elsewhere fit in a `u64`.
-    pub const MAX_FRAGMENTS: u8 = 64;
+    pub(crate) const MAX_FRAGMENTS: u8 = 64;
 
     /// An `(n, k)` code over [`Self::DEFAULT_CHUNK`]-byte chunks.
     pub fn new(n: u8, k: u8) -> Result<EcConfig, EcError> {

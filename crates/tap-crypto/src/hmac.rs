@@ -15,7 +15,7 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 /// Incremental HMAC-SHA-256: the inner hash in progress plus the outer
 /// pad midstate it will be finished under (RFC 2104 §4).
 #[derive(Clone)]
-pub struct HmacSha256 {
+pub(crate) struct HmacSha256 {
     inner: Sha256,
     outer: [u32; 8],
 }
@@ -53,7 +53,7 @@ impl HmacSha256 {
 ///
 /// The simulator is not a remote-timing target, but verifying MACs in
 /// constant time is free and keeps the primitive honest.
-pub fn verify_tag(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn verify_tag(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -68,7 +68,7 @@ pub fn verify_tag(a: &[u8], b: &[u8]) -> bool {
 ///
 /// A one-step HKDF-Expand; sufficient because our secrets are already
 /// uniform (X25519 outputs fed through SHA-256, or RNG-drawn keys).
-pub fn derive_key(secret: &[u8], label: &str, counter: u8) -> [u8; DIGEST_LEN] {
+pub(crate) fn derive_key(secret: &[u8], label: &str, counter: u8) -> [u8; DIGEST_LEN] {
     let mut mac = HmacSha256::new(secret);
     mac.update(label.as_bytes());
     mac.update(&[counter]);

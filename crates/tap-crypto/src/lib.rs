@@ -56,22 +56,11 @@ pub use cipher::{CipherError, SymmetricKey};
 pub use pki::{KeyPair, PublicKey, SealedBox};
 pub use puzzle::{Puzzle, PuzzleSolution};
 
-use tap_id::Id;
-
-/// Derive a 160-bit identifier by hashing the concatenation of `parts`.
-///
-/// This is the paper's `H(node_ID, hkey, t)` construction (§3.2): each part
-/// is length-prefixed before hashing so that distinct part boundaries can
-/// never collide ("12"+"3" vs "1"+"23").
-pub fn derive_id(parts: &[&[u8]]) -> Id {
-    let mut h = sha1::Sha1::new();
-    frame(&mut h, parts);
-    Id::from_bytes(h.finalize())
-}
-
-/// Feed `parts` to `h` the way [`derive_id`] frames them, each part
-/// length-prefixed. A caller deriving many ids that share their first
-/// parts frames those once and clones the hasher per id.
+/// Feed `parts` to `h`, each part length-prefixed: the framing of the
+/// paper's `H(node_ID, hkey, t)` construction (§3.2), so that distinct
+/// part boundaries can never collide ("12"+"3" vs "1"+"23"). A caller
+/// deriving many ids that share their first parts frames those once and
+/// clones the hasher per id.
 pub fn frame(h: &mut sha1::Sha1, parts: &[&[u8]]) {
     for p in parts {
         h.update(&(p.len() as u64).to_be_bytes());
@@ -82,6 +71,14 @@ pub fn frame(h: &mut sha1::Sha1, parts: &[&[u8]]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tap_id::Id;
+
+    /// A 160-bit identifier: SHA-1 over the framed `parts`.
+    fn derive_id(parts: &[&[u8]]) -> Id {
+        let mut h = sha1::Sha1::new();
+        frame(&mut h, parts);
+        Id::from_bytes(h.finalize())
+    }
 
     /// Hex test vectors as bytes; whitespace between digits is ignored.
     pub(crate) fn unhex(s: &str) -> Vec<u8> {

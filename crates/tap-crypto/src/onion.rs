@@ -412,28 +412,28 @@ pub fn peel(key: &SymmetricKey, onion: &[u8]) -> Result<PeeledLayer, OnionError>
     })
 }
 
-/// Peel an entire onion with a known key sequence (outermost first),
-/// returning every header plus the core payload. Test/analysis helper: real
-/// hops only ever peel their own single layer.
-pub fn peel_all(
-    keys: &[SymmetricKey],
-    onion: &[u8],
-) -> Result<(Vec<Vec<u8>>, Vec<u8>), OnionError> {
-    let mut headers = Vec::with_capacity(keys.len());
-    let mut buf = LayerBuf::new();
-    buf.load(onion);
-    for key in keys {
-        headers.push(buf.peel(key)?.to_vec());
-    }
-    Ok((headers, buf.to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Peel an entire onion with a known key sequence (outermost first),
+    /// returning every header plus the core payload; real hops only ever
+    /// peel their own single layer.
+    fn peel_all(
+        keys: &[SymmetricKey],
+        onion: &[u8],
+    ) -> Result<(Vec<Vec<u8>>, Vec<u8>), OnionError> {
+        let mut headers = Vec::with_capacity(keys.len());
+        let mut buf = LayerBuf::new();
+        buf.load(onion);
+        for key in keys {
+            headers.push(buf.peel(key)?.to_vec());
+        }
+        Ok((headers, buf.to_vec()))
+    }
 
     fn keys(n: usize, seed: u64) -> (Vec<SymmetricKey>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);

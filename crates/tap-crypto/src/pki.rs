@@ -56,7 +56,7 @@ impl KeyPair {
     }
 
     /// Raw Diffie–Hellman against a peer's public key.
-    pub fn agree(&self, peer: &PublicKey) -> [u8; 32] {
+    fn agree(&self, peer: &PublicKey) -> [u8; 32] {
         x25519::x25519(&self.secret, &peer.0)
     }
 

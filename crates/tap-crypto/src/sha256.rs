@@ -25,7 +25,7 @@ const IV: [u32; 8] = [
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     len: u64,
     buf: [u8; BLOCK_LEN],

@@ -8,11 +8,10 @@
 //! * [`Histogram`] — a fixed-footprint log₂-bucketed value distribution
 //!   (65 buckets cover the whole `u64` domain; recording is two relaxed
 //!   atomic adds and two compare-exchange loops for min/max).
-//! * [`EventSink`] / [`Journal`] — a pluggable channel for discrete,
-//!   timestamped events (timer drift, THA takeovers, replica evictions).
-//!   The default sink drops events before their detail is formatted;
-//!   installing a [`Journal`] keeps the most recent `cap` of them in a ring
-//!   buffer.
+//! * [`Journal`] — the one destination for discrete, timestamped events
+//!   (timer drift, THA takeovers, replica evictions): it keeps the most
+//!   recent `cap` of them in a ring buffer. A registry without one drops
+//!   events before their detail is formatted.
 //!
 //! Instruments live in a [`Registry`], are created on first use by name, and
 //! can be snapshotted at any point into a [`MetricsReport`] — an owned,
@@ -248,21 +247,6 @@ pub struct Event {
     pub detail: String,
 }
 
-/// Receives events as they happen. Implementations must be cheap: emitters
-/// call this inline from hot paths.
-pub trait EventSink: Send + Sync {
-    /// Accept one event.
-    fn emit(&self, event: Event);
-}
-
-/// The default sink: drops every event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NopSink;
-
-impl EventSink for NopSink {
-    fn emit(&self, _event: Event) {}
-}
-
 /// A bounded ring buffer of the most recent events.
 #[derive(Debug)]
 pub struct Journal {
@@ -295,10 +279,9 @@ impl Journal {
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
-}
 
-impl EventSink for Journal {
-    fn emit(&self, event: Event) {
+    /// Keep `event`, evicting the oldest one at capacity.
+    fn push(&self, event: Event) {
         let mut ring = self.ring.lock().expect("journal lock");
         if ring.len() == self.cap {
             ring.pop_front();
@@ -308,7 +291,7 @@ impl EventSink for Journal {
     }
 }
 
-/// A named family of instruments plus an event sink.
+/// A named family of instruments plus an optional event journal.
 ///
 /// Cloneable handles are cheap (`Arc` inside); instruments are created on
 /// first use and shared by name thereafter.
@@ -321,18 +304,12 @@ pub struct Registry {
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    sink: Mutex<SinkSlot>,
-    /// Whether `sink` holds one: [`Registry::emit`] reads this, not the
-    /// lock, under the default no-op sink. Stored (`Release`) after a sink
-    /// is installed; `emit`'s `Acquire` load pairs with it, and `emit`
-    /// still reads the sink itself under the lock.
-    has_sink: AtomicBool,
-}
-
-#[derive(Default)]
-struct SinkSlot {
-    sink: Option<Arc<dyn EventSink>>,
-    journal: Option<Arc<Journal>>,
+    journal: Mutex<Option<Arc<Journal>>>,
+    /// Whether `journal` holds one: [`Registry::emit`] reads this, not the
+    /// lock, when none is installed. Stored (`Release`) after a journal is
+    /// installed; `emit`'s `Acquire` load pairs with it, and `emit` still
+    /// reads the journal itself under the lock.
+    has_journal: AtomicBool,
 }
 
 impl fmt::Debug for Registry {
@@ -342,7 +319,7 @@ impl fmt::Debug for Registry {
 }
 
 impl Registry {
-    /// A fresh registry with no instruments and the no-op sink.
+    /// A fresh registry with no instruments and no journal.
     pub fn new() -> Self {
         Registry::default()
     }
@@ -363,37 +340,25 @@ impl Registry {
             .clone()
     }
 
-    /// Install `sink` as the event destination.
-    pub fn set_sink(&self, sink: Arc<dyn EventSink>) {
-        let mut slot = self.inner.sink.lock().expect("registry lock");
-        slot.journal = None;
-        slot.sink = Some(sink);
-        self.inner.has_sink.store(true, Ordering::Release);
-    }
-
-    /// Install a [`Journal`] of capacity `cap` as the sink and return it;
-    /// its retained events appear in subsequent [`Registry::snapshot`]s.
+    /// Install a [`Journal`] of capacity `cap` (replacing any earlier one)
+    /// and return it; its retained events appear in subsequent
+    /// [`Registry::snapshot`]s.
     pub fn install_journal(&self, cap: usize) -> Arc<Journal> {
         let journal = Arc::new(Journal::new(cap));
-        let mut slot = self.inner.sink.lock().expect("registry lock");
-        slot.sink = Some(journal.clone());
-        slot.journal = Some(journal.clone());
-        self.inner.has_sink.store(true, Ordering::Release);
+        *self.inner.journal.lock().expect("registry lock") = Some(journal.clone());
+        self.inner.has_journal.store(true, Ordering::Release);
         journal
     }
 
-    /// Emit an event to the installed sink. Under the default no-op sink
-    /// the event is dropped before its detail is formatted or a lock taken.
+    /// Emit an event to the installed journal. Without one the event is
+    /// dropped before its detail is formatted or a lock taken.
     pub fn emit(&self, at_micros: u64, kind: &str, detail: fmt::Arguments<'_>) {
-        if !self.inner.has_sink.load(Ordering::Acquire) {
+        if !self.inner.has_journal.load(Ordering::Acquire) {
             return;
         }
-        let sink = {
-            let slot = self.inner.sink.lock().expect("registry lock");
-            slot.sink.clone()
-        };
-        if let Some(sink) = sink {
-            sink.emit(Event {
+        let journal = self.inner.journal.lock().expect("registry lock").clone();
+        if let Some(journal) = journal {
+            journal.push(Event {
                 at_micros,
                 kind: kind.to_owned(),
                 detail: detail.to_string(),
@@ -402,8 +367,8 @@ impl Registry {
     }
 
     /// Fold `report` into this registry: counters add, histogram buckets
-    /// add, and events re-emit through the installed sink (so a journal's
-    /// capacity bound still holds). Instruments absent here are created.
+    /// add, and events re-emit into the installed journal (so its capacity
+    /// bound still holds). Instruments absent here are created.
     ///
     /// This is how per-trial registries from a parallel run collapse into
     /// one figure-level report: counters and histograms are order-free
@@ -445,13 +410,14 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        let events = {
-            let slot = self.inner.sink.lock().expect("registry lock");
-            slot.journal
-                .as_ref()
-                .map(|j| j.snapshot())
-                .unwrap_or_default()
-        };
+        let events = self
+            .inner
+            .journal
+            .lock()
+            .expect("registry lock")
+            .as_ref()
+            .map(|j| j.snapshot())
+            .unwrap_or_default();
         MetricsReport {
             counters,
             histograms,
@@ -725,7 +691,7 @@ mod tests {
     fn journal_ring_evicts_oldest() {
         let j = Journal::new(3);
         for i in 0..5u64 {
-            j.emit(Event {
+            j.push(Event {
                 at_micros: i,
                 kind: "k".into(),
                 detail: i.to_string(),
@@ -755,7 +721,7 @@ mod tests {
     #[test]
     fn events_dropped_without_journal_kept_with() {
         let r = Registry::new();
-        r.emit(1, "lost", format_args!("no sink installed"));
+        r.emit(1, "lost", format_args!("no journal installed"));
         assert!(r.snapshot().events.is_empty());
 
         let journal = r.install_journal(16);

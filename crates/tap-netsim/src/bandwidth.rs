@@ -11,14 +11,14 @@ use crate::time::{SimDuration, SimTime};
 
 /// A single endpoint's uplink.
 #[derive(Debug, Clone)]
-pub struct Nic {
+pub(crate) struct Nic {
     bandwidth_bps: u64,
     busy_until: SimTime,
 }
 
 impl Nic {
     /// An idle NIC with the given uplink bandwidth in bits per second.
-    pub fn new(bandwidth_bps: u64) -> Self {
+    pub(crate) fn new(bandwidth_bps: u64) -> Self {
         assert!(bandwidth_bps > 0, "bandwidth must be positive");
         Nic {
             bandwidth_bps,
@@ -27,7 +27,7 @@ impl Nic {
     }
 
     /// Serialization time for `bytes` on this link.
-    pub fn tx_time(&self, bytes: u64) -> SimDuration {
+    fn tx_time(&self, bytes: u64) -> SimDuration {
         // micros = bits / (bits/sec) * 1e6, computed in u128 to avoid
         // overflow for large transfers.
         let micros = (bytes as u128 * 8 * 1_000_000).div_ceil(self.bandwidth_bps as u128);
@@ -36,20 +36,15 @@ impl Nic {
 
     /// Enqueue a transmission of `bytes` at `now`; returns the instant the
     /// last bit leaves the NIC.
-    pub fn transmit(&mut self, now: SimTime, bytes: u64) -> SimTime {
+    pub(crate) fn transmit(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = self.busy_until.max(now);
         let done = start + self.tx_time(bytes);
         self.busy_until = done;
         done
     }
 
-    /// The instant the NIC becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Drop any queued transmissions (endpoint failed).
-    pub fn reset(&mut self, now: SimTime) {
+    pub(crate) fn reset(&mut self, now: SimTime) {
         self.busy_until = now;
     }
 }
@@ -101,7 +96,7 @@ mod tests {
         nic.transmit(SimTime::ZERO, 1_500_000);
         let now = SimTime::from_micros(10);
         nic.reset(now);
-        assert_eq!(nic.busy_until(), now);
+        assert_eq!(nic.busy_until, now);
     }
 
     #[test]

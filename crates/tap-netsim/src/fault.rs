@@ -39,7 +39,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// What a scheduled fault does to its endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// The endpoint fails: in-flight traffic to it is dropped on arrival
     /// and its NIC queue is cleared.
     Crash,
@@ -49,7 +49,7 @@ pub enum FaultAction {
 
 /// One entry of a crash/restart schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledFault {
+pub(crate) struct ScheduledFault {
     /// When the fault fires (virtual time).
     pub at: SimTime,
     /// The endpoint it applies to.
@@ -186,11 +186,6 @@ impl FaultPlan {
     /// Heal the named cut. Returns whether it existed.
     pub fn heal(&mut self, name: &str) -> bool {
         self.partitions.remove(name).is_some()
-    }
-
-    /// Active partition names, in lexicographic order.
-    pub fn active_partitions(&self) -> impl Iterator<Item = &str> {
-        self.partitions.keys().map(String::as_str)
     }
 
     /// The first active cut severing `a` from `b`, if any. No RNG draw.

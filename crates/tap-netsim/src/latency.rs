@@ -6,16 +6,9 @@
 //! matrix would hold 10^8 entries, so [`UniformLatency`] instead derives
 //! each unordered pair's delay by hashing `(seed, lo, hi)` — O(1) memory,
 //! stable across the run, symmetric by construction.
-//!
-//! [`EuclideanLatency`] is the alternative "approximates an Internet"
-//! reading: endpoints get coordinates on a 2D torus and delay grows with
-//! distance, which respects the triangle inequality (useful for the
-//! proximity-aware ablations).
 
 use crate::time::SimDuration;
 use crate::EndpointId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A source of symmetric pairwise propagation delays.
 pub trait LatencyModel {
@@ -24,10 +17,6 @@ pub trait LatencyModel {
     /// Implementations must be symmetric (`delay(a,b) == delay(b,a)`) and
     /// stable for the lifetime of the run. `a == b` returns zero.
     fn delay(&self, a: EndpointId, b: EndpointId) -> SimDuration;
-
-    /// Called when an endpoint is created, so coordinate-based models can
-    /// lazily place it. Default: nothing.
-    fn on_endpoint_added(&mut self, _id: EndpointId) {}
 }
 
 /// SplitMix64 — a tiny, high-quality hash for pair → delay derivation
@@ -83,69 +72,6 @@ impl LatencyModel for UniformLatency {
     }
 }
 
-/// Latency proportional to distance on a 2D unit torus, scaled into
-/// `[min, max]`.
-#[derive(Debug, Clone)]
-pub struct EuclideanLatency {
-    rng: StdRng,
-    coords: Vec<(f64, f64)>,
-    min: SimDuration,
-    max: SimDuration,
-}
-
-impl EuclideanLatency {
-    /// Torus-distance latency scaled into `[min, max]`.
-    pub fn new(seed: u64, min: SimDuration, max: SimDuration) -> Self {
-        assert!(min <= max, "latency range inverted");
-        EuclideanLatency {
-            rng: StdRng::seed_from_u64(seed),
-            coords: Vec::new(),
-            min,
-            max,
-        }
-    }
-
-    /// The paper's range `[1 ms, 230 ms]` over torus placement.
-    pub fn paper(seed: u64) -> Self {
-        EuclideanLatency::new(
-            seed,
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(230),
-        )
-    }
-
-    fn coord(&self, id: EndpointId) -> (f64, f64) {
-        *self
-            .coords
-            .get(id.index())
-            .expect("endpoint placed before use (on_endpoint_added)")
-    }
-}
-
-impl LatencyModel for EuclideanLatency {
-    fn delay(&self, a: EndpointId, b: EndpointId) -> SimDuration {
-        if a == b {
-            return SimDuration::ZERO;
-        }
-        let (ax, ay) = self.coord(a);
-        let (bx, by) = self.coord(b);
-        // Torus metric: wrap-around in both dimensions.
-        let dx = (ax - bx).abs().min(1.0 - (ax - bx).abs());
-        let dy = (ay - by).abs().min(1.0 - (ay - by).abs());
-        let dist = (dx * dx + dy * dy).sqrt();
-        // Max torus distance is sqrt(0.5^2 + 0.5^2).
-        let norm = dist / (0.5f64 * std::f64::consts::SQRT_2);
-        let span = (self.max.as_micros() - self.min.as_micros()) as f64;
-        SimDuration::from_micros(self.min.as_micros() + (norm * span).round() as u64)
-    }
-
-    fn on_endpoint_added(&mut self, id: EndpointId) {
-        debug_assert_eq!(id.index(), self.coords.len(), "endpoints added in order");
-        let p = (self.rng.gen::<f64>(), self.rng.gen::<f64>());
-        self.coords.push(p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,9 +89,8 @@ mod tests {
                 assert_eq!(d, m.delay(ep(j), ep(i)), "symmetry {i},{j}");
                 assert_eq!(d, m.delay(ep(i), ep(j)), "stability {i},{j}");
                 assert!(
-                    (1..=230).contains(&d.as_millis()),
-                    "{i},{j} -> {}ms out of range",
-                    d.as_millis()
+                    (1_000..=230_000).contains(&d.as_micros()),
+                    "{i},{j} -> {d} out of range"
                 );
             }
         }
@@ -185,7 +110,7 @@ mod tests {
         let mut sum = 0u64;
         let n = 2000usize;
         for i in 0..n {
-            let d = m.delay(ep(i), ep(i + n)).as_millis();
+            let d = m.delay(ep(i), ep(i + n)).as_micros() / 1_000;
             lo = lo.min(d);
             hi = hi.max(d);
             sum += d;
@@ -206,43 +131,5 @@ mod tests {
         let differs =
             (0..100usize).any(|i| m1.delay(ep(i), ep(i + 1)) != m2.delay(ep(i), ep(i + 1)));
         assert!(differs);
-    }
-
-    #[test]
-    fn euclidean_is_symmetric_and_triangle() {
-        let mut m = EuclideanLatency::paper(5);
-        for i in 0..30 {
-            m.on_endpoint_added(ep(i));
-        }
-        for i in 0..30usize {
-            for j in 0..30 {
-                assert_eq!(m.delay(ep(i), ep(j)), m.delay(ep(j), ep(i)));
-            }
-        }
-        // Triangle inequality up to the 1ms floor and rounding slack.
-        for i in 0..10usize {
-            for j in 0..10 {
-                for k in 0..10 {
-                    let direct = m.delay(ep(i), ep(k)).as_micros();
-                    let via = m.delay(ep(i), ep(j)).as_micros() + m.delay(ep(j), ep(k)).as_micros();
-                    assert!(
-                        direct <= via + 2_000,
-                        "triangle violated: {i}->{k} {direct} > {via}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn euclidean_in_range() {
-        let mut m = EuclideanLatency::paper(9);
-        for i in 0..100 {
-            m.on_endpoint_added(ep(i));
-        }
-        for i in 0..100usize {
-            let d = m.delay(ep(i), ep((i + 37) % 100)).as_millis();
-            assert!((1..=230).contains(&d), "{d}ms out of range");
-        }
     }
 }

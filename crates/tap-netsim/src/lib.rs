@@ -17,16 +17,13 @@
 //! * [`latency::LatencyModel`] — pluggable pairwise propagation delay.
 //!   [`latency::UniformLatency`] draws each (unordered) endpoint pair's
 //!   delay from `U[min, max]` by hashing the pair — O(1) memory even for
-//!   the paper's 10^4-node networks — and [`latency::EuclideanLatency`]
-//!   places endpoints on a 2D torus for triangle-inequality-respecting
-//!   delays.
-//! * [`bandwidth::Nic`] — a per-endpoint 1.5 Mb/s serializing uplink:
+//!   the paper's 10^4-node networks.
+//! * [`Network`] — the event kernel: endpoints, timers, message delivery,
+//!   endpoint failure (messages to a dead endpoint vanish, like UDP), and
+//!   traffic counters. Each endpoint has a 1.5 Mb/s serializing uplink:
 //!   transmissions queue FIFO behind one another, so a 2 Mb file transfer
 //!   occupies the link for its full serialization time (store-and-forward
 //!   per overlay hop, as in the paper's transfer-latency figure).
-//! * [`Network`] — the event kernel: endpoints, timers, message delivery,
-//!   endpoint failure (messages to a dead endpoint vanish, like UDP), and
-//!   traffic counters.
 //!
 //! The simulator is generic over the message type, single-threaded, and
 //! pull-based: callers drain events with [`Network::next_event`] and react,
@@ -55,17 +52,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bandwidth;
+mod bandwidth;
 pub mod fault;
 pub mod latency;
 mod network;
 pub mod sched;
 mod time;
 
-pub use fault::{FaultAction, FaultPlan, ScheduledFault};
+pub use fault::FaultPlan;
 pub use network::{
-    DeliveredMessage, EndpointId, Event, Livelock, Network, NetworkConfig, TimerHandle, TimerToken,
+    DeliveredMessage, EndpointId, Event, Network, NetworkConfig, TimerHandle, TimerToken,
     TrafficStats,
 };
 pub use sched::{CalendarQueue, EventHandle, EventKey};
-pub use time::{SimDuration, SimTime, TimeError};
+pub use time::{SimDuration, SimTime};

@@ -15,10 +15,10 @@ use crate::time::{SimDuration, SimTime};
 pub struct EndpointId(u32);
 
 impl EndpointId {
-    /// Build from a dense index (test/bench helper; real ids come from
-    /// [`Network::add_endpoint`]). `None` when the index does not fit the
-    /// id's 32-bit representation.
-    pub fn from_index(i: usize) -> Option<Self> {
+    /// Build from a dense index ([`Network::add_endpoint`] mints every id
+    /// through here). `None` when the index does not fit the id's 32-bit
+    /// representation.
+    pub(crate) fn from_index(i: usize) -> Option<Self> {
         u32::try_from(i).ok().map(EndpointId)
     }
 
@@ -39,14 +39,6 @@ pub struct TimerToken(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerHandle {
     inner: EventHandle,
-    at: SimTime,
-}
-
-impl TimerHandle {
-    /// The instant the timer is scheduled to fire.
-    pub fn fires_at(self) -> SimTime {
-        self.at
-    }
 }
 
 /// A message handed to its destination endpoint.
@@ -71,7 +63,7 @@ pub struct DeliveredMessage<M> {
 pub enum Event<M> {
     /// A message arrived at a live endpoint.
     Message(DeliveredMessage<M>),
-    /// A timer set with [`Network::set_timer`] fired.
+    /// A timer armed with [`Network::arm_timer`] fired.
     Timer {
         /// The token supplied when the timer was set.
         token: TimerToken,
@@ -144,32 +136,6 @@ enum Pending<M> {
         action: FaultAction,
     },
 }
-
-/// The event budget of [`Network::run_until_quiet_bounded`] ran out before
-/// the simulation quiesced — the drain is spinning (e.g. a duplication
-/// storm or a reply loop) rather than converging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Livelock {
-    /// Events handed to the callback before the budget was exhausted.
-    pub events_processed: u64,
-    /// Virtual time when the budget ran out. Together with
-    /// `events_processed` this makes a chaos-test failure diagnosable from
-    /// the error alone — no journal replay needed to see how far the
-    /// simulation got before it started spinning.
-    pub at: SimTime,
-}
-
-impl std::fmt::Display for Livelock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "event budget exhausted after {} events at virtual time {} without quiescing",
-            self.events_processed, self.at
-        )
-    }
-}
-
-impl std::error::Error for Livelock {}
 
 /// Cached instrument handles so the hot send/deliver path records without
 /// touching the registry's name map.
@@ -314,13 +280,7 @@ impl<M, L: LatencyModel> Network<M, L> {
             EndpointId::from_index(self.nics.len()).expect("more than u32::MAX endpoints attached");
         self.nics.push(Nic::new(self.config.bandwidth_bps));
         self.alive.push(true);
-        self.latency.on_endpoint_added(id);
         id
-    }
-
-    /// Number of endpoints ever attached (dead ones included).
-    pub fn endpoint_count(&self) -> usize {
-        self.nics.len()
     }
 
     /// True when `id` belongs to this network instance. An id minted by
@@ -338,13 +298,6 @@ impl<M, L: LatencyModel> Network<M, L> {
             format_args!("{op} on unknown endpoint {}", id.index()),
         );
         false
-    }
-
-    /// Whether the endpoint is currently live. An endpoint from another
-    /// network instance is reported dead (and journaled, see
-    /// [`Network::known_endpoint`]).
-    pub fn is_alive(&self, id: EndpointId) -> bool {
-        self.known_endpoint(id, "is_alive") && self.alive[id.index()]
     }
 
     /// Kill an endpoint: it stops sending, and anything in flight to it is
@@ -482,15 +435,10 @@ impl<M, L: LatencyModel> Network<M, L> {
         Some(arrive)
     }
 
-    /// Schedule a timer `after` from now carrying `token`.
-    pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> SimTime {
-        self.arm_timer(after, token).fires_at()
-    }
-
-    /// [`Network::set_timer`], returning a handle that can later cancel the
-    /// timer ([`Network::cancel_timer`]) — the cheap way to retire watchdog
-    /// timers whose transfer already completed, instead of letting them
-    /// fire and filtering stale tokens at delivery.
+    /// Schedule a timer `after` from now carrying `token`, returning a
+    /// handle that can later cancel it ([`Network::cancel_timer`]) — the
+    /// cheap way to retire watchdog timers whose transfer already completed,
+    /// instead of letting them fire and filtering stale tokens at delivery.
     pub fn arm_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
         let at = self.now + after;
         let inner = self.queue.push(
@@ -500,7 +448,7 @@ impl<M, L: LatencyModel> Network<M, L> {
                 scheduled: at,
             },
         );
-        TimerHandle { inner, at }
+        TimerHandle { inner }
     }
 
     /// Remove a pending timer before it fires. Returns whether the timer
@@ -512,17 +460,6 @@ impl<M, L: LatencyModel> Network<M, L> {
 
     fn push(&mut self, at: SimTime, pending: Pending<M>) {
         self.queue.push(at, pending);
-    }
-
-    /// The time of the next scheduled occurrence, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|k| k.at)
-    }
-
-    /// Pending occurrences (messages in flight, armed timers, scheduled
-    /// faults).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Advance to and return the next event. Messages whose destination has
@@ -640,41 +577,6 @@ impl<M, L: LatencyModel> Network<M, L> {
             f(self, ev);
         }
     }
-
-    /// [`Network::run_until_quiet`], but abort with [`Livelock`] once
-    /// `max_events` events have been handed to `f` without quiescing. Use
-    /// under fault injection: a duplication storm or a retry loop that
-    /// answers every timeout with another send would otherwise spin the
-    /// drain forever. On success returns how many events were processed.
-    pub fn run_until_quiet_bounded(
-        &mut self,
-        max_events: u64,
-        mut f: impl FnMut(&mut Self, Event<M>),
-    ) -> Result<u64, Livelock> {
-        let mut processed = 0u64;
-        while let Some(ev) = self.next_event() {
-            // Every popped event is handed to `f` — including the one that
-            // exhausts the budget. Aborting *before* the callback would
-            // silently discard a popped event and leave the network
-            // inconsistent for callers that inspect or resume after a
-            // livelock; instead the budget check runs after, and remaining
-            // work stays queued.
-            processed += 1;
-            f(self, ev);
-            if processed >= max_events && self.queue.peek().is_some() {
-                self.instruments.registry.emit(
-                    self.now.as_micros(),
-                    "netsim.livelock",
-                    format_args!("budget of {max_events} events exhausted"),
-                );
-                return Err(Livelock {
-                    events_processed: processed,
-                    at: self.now,
-                });
-            }
-        }
-        Ok(processed)
-    }
 }
 
 #[cfg(test)]
@@ -683,6 +585,15 @@ mod tests {
     use crate::latency::UniformLatency;
 
     type Net = Network<u32, UniformLatency>;
+
+    impl<M, L: LatencyModel> Network<M, L> {
+        /// Whether the endpoint is currently live. An endpoint from another
+        /// network instance is reported dead (and journaled, see
+        /// [`Network::known_endpoint`]).
+        fn is_alive(&self, id: EndpointId) -> bool {
+            self.known_endpoint(id, "is_alive") && self.alive[id.index()]
+        }
+    }
 
     fn net() -> Net {
         Network::new(NetworkConfig::paper_defaults(), UniformLatency::paper(1))
@@ -807,7 +718,7 @@ mod tests {
         let mut n = net();
         let a = n.add_endpoint();
         let b = n.add_endpoint();
-        n.set_timer(SimDuration::from_millis(1), TimerToken(99));
+        n.arm_timer(SimDuration::from_millis(1), TimerToken(99));
         n.send(a, b, 0, 5); // zero bytes: pure propagation (>= 1ms)
         let first = n.next_event().unwrap();
         match first {
@@ -828,8 +739,8 @@ mod tests {
     fn deterministic_event_order_on_ties() {
         // Two zero-latency-path timers at the same instant pop FIFO.
         let mut n = net();
-        n.set_timer(SimDuration::from_millis(5), TimerToken(1));
-        n.set_timer(SimDuration::from_millis(5), TimerToken(2));
+        n.arm_timer(SimDuration::from_millis(5), TimerToken(1));
+        n.arm_timer(SimDuration::from_millis(5), TimerToken(2));
         match (n.next_event().unwrap(), n.next_event().unwrap()) {
             (Event::Timer { token: t1, .. }, Event::Timer { token: t2, .. }) => {
                 assert_eq!((t1, t2), (TimerToken(1), TimerToken(2)));
@@ -915,7 +826,7 @@ mod tests {
         let b = n.add_endpoint();
         n.send(a, b, 1_500, 1); // 8ms serialization
         n.send(a, b, 1_500, 2); // queues behind the first: 16ms from now
-        n.set_timer(SimDuration::from_millis(1), TimerToken(7));
+        n.arm_timer(SimDuration::from_millis(1), TimerToken(7));
         n.kill(b);
         while n.next_event().is_some() {}
 
@@ -1066,85 +977,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_drain_reports_livelock() {
-        let mut n = net();
-        let a = n.add_endpoint();
-        let b = n.add_endpoint();
-        let journal = n.metrics().install_journal(8);
-        n.send(a, b, 10, 0);
-        // Pathological handler: answers every delivery with another send.
-        let err = n
-            .run_until_quiet_bounded(100, |net, ev| {
-                if let Event::Message(m) = ev {
-                    net.send(m.dst, m.src, 10, m.payload);
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err.events_processed, 100);
-        assert!(err.at > SimTime::ZERO, "livelock carries the virtual time");
-        assert!(err.to_string().contains("100 events"));
-        assert!(
-            err.to_string().contains(&format!("{}", err.at)),
-            "virtual time appears in the message: {err}"
-        );
-        let events = journal.snapshot();
-        assert!(events.iter().any(|e| e.kind == "netsim.livelock"));
-
-        // A well-behaved drain reports its event count.
-        let mut quiet = net();
-        let a = quiet.add_endpoint();
-        let b = quiet.add_endpoint();
-        quiet.send(a, b, 10, 1);
-        assert_eq!(quiet.run_until_quiet_bounded(100, |_, _| {}), Ok(1));
-    }
-
-    #[test]
-    fn livelock_loses_no_events() {
-        // Regression: the budget-exceeding event used to be popped and
-        // discarded on the Err path. Every scheduled timer must reach the
-        // callback exactly once — across the Livelock boundary.
-        let mut n = net();
-        for i in 0..10u64 {
-            n.set_timer(SimDuration::from_millis(i + 1), TimerToken(i));
-        }
-        let mut seen = Vec::new();
-        let err = n
-            .run_until_quiet_bounded(4, |_, ev| {
-                if let Event::Timer { token, .. } = ev {
-                    seen.push(token.0);
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err.events_processed, 4);
-        assert_eq!(seen, vec![0, 1, 2, 3], "budgeted events all reached f");
-        assert_eq!(n.pending_events(), 6, "the rest stay queued, none lost");
-        // Resuming the drain picks up exactly where the budget ran out.
-        assert_eq!(
-            n.run_until_quiet_bounded(100, |_, ev| {
-                if let Event::Timer { token, .. } = ev {
-                    seen.push(token.0);
-                }
-            }),
-            Ok(6)
-        );
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn exact_budget_with_quiescence_is_not_a_livelock() {
-        // Spending the whole budget is fine if nothing remains afterwards.
-        let mut n = net();
-        n.set_timer(SimDuration::from_millis(1), TimerToken(0));
-        n.set_timer(SimDuration::from_millis(2), TimerToken(1));
-        assert_eq!(n.run_until_quiet_bounded(2, |_, _| {}), Ok(2));
-    }
-
-    #[test]
     fn cancelled_timers_never_fire() {
         let mut n = net();
         let h1 = n.arm_timer(SimDuration::from_millis(1), TimerToken(1));
         let h2 = n.arm_timer(SimDuration::from_millis(2), TimerToken(2));
-        assert_eq!(h1.fires_at(), SimTime::from_micros(1_000));
         assert!(n.cancel_timer(h1));
         assert!(!n.cancel_timer(h1), "second cancel reports stale");
         let mut fired = Vec::new();

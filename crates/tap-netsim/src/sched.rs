@@ -29,14 +29,14 @@
 //! Payload envelopes live in a slab arena (`Vec` + free list), so a
 //! million in-flight messages reuse a contiguous allocation instead of
 //! churning the global allocator, and bucket entries are three words.
-//! Cancellation ([`CalendarQueue::cancel`]) frees the arena slot
+//! Cancellation (`CalendarQueue::cancel`) frees the arena slot
 //! immediately and lazily skips the stale bucket entry — which is what
 //! makes cancellable watchdog timers (`tap-core`'s netdrive) cheap.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// The total order events pop in: timestamp, then the monotone sequence
 /// number assigned at push. Two events never share a key, so the order is
@@ -49,7 +49,7 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// A handle to a scheduled event, for [`CalendarQueue::cancel`].
+/// A handle to a scheduled event, for cancelling it before it pops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandle {
     slot: u32,
@@ -98,9 +98,9 @@ struct Slot<M> {
     payload: Option<M>,
 }
 
-/// Default bucket width: 1 ms, the smallest latency the paper models —
+/// Bucket width: 1 ms, the smallest latency the paper models —
 /// same-bucket events are one propagation quantum apart at most.
-const DEFAULT_WIDTH_US: u64 = 1_000;
+const WIDTH_US: u64 = 1_000;
 /// Initial bucket count (grows by doubling as the queue fills).
 const INITIAL_BUCKETS: usize = 32;
 /// Resize when the live count exceeds this many events per bucket.
@@ -124,10 +124,9 @@ pub struct CalendarQueue<M> {
     /// (not a sorted vec) so that staging an out-of-order push costs
     /// O(log k), not an O(k) memmove.
     ready: BinaryHeap<Staged>,
-    width_us: u64,
     /// Everything strictly before this instant has been staged to `ready`.
     horizon_us: u64,
-    /// The bucket covering `[horizon_us, horizon_us + width_us)`.
+    /// The bucket covering `[horizon_us, horizon_us + WIDTH_US)`.
     cursor: usize,
     arena: Vec<Slot<M>>,
     free: Vec<u32>,
@@ -142,18 +141,11 @@ impl<M> Default for CalendarQueue<M> {
 }
 
 impl<M> CalendarQueue<M> {
-    /// An empty queue with the default bucket geometry.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_width(SimDuration::from_micros(DEFAULT_WIDTH_US))
-    }
-
-    /// An empty queue with an explicit bucket width (must be nonzero).
-    pub fn with_width(width: SimDuration) -> Self {
-        assert!(width > SimDuration::ZERO, "bucket width must be positive");
         CalendarQueue {
             buckets: (0..INITIAL_BUCKETS).map(|_| Vec::new()).collect(),
             ready: BinaryHeap::new(),
-            width_us: width.as_micros(),
             horizon_us: 0,
             cursor: 0,
             arena: Vec::new(),
@@ -228,7 +220,7 @@ impl<M> CalendarQueue<M> {
 
     /// Remove a scheduled event, returning its payload. `None` when the
     /// event already popped or was already cancelled (the handle is stale).
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<M> {
+    pub(crate) fn cancel(&mut self, handle: EventHandle) -> Option<M> {
         let slot = self.arena.get_mut(handle.slot as usize)?;
         if slot.seq != handle.seq {
             return None;
@@ -261,12 +253,12 @@ impl<M> CalendarQueue<M> {
     }
 
     fn bucket_of(&self, at_us: u64) -> usize {
-        ((at_us / self.width_us) % self.buckets.len() as u64) as usize
+        ((at_us / WIDTH_US) % self.buckets.len() as u64) as usize
     }
 
     /// Point the sweep at the bucket containing `at_us`.
     fn align_to(&mut self, at_us: u64) {
-        self.horizon_us = (at_us / self.width_us + 1) * self.width_us;
+        self.horizon_us = (at_us / WIDTH_US + 1) * WIDTH_US;
         self.cursor = self.bucket_of(self.horizon_us);
     }
 
@@ -282,7 +274,7 @@ impl<M> CalendarQueue<M> {
                 let min = self
                     .bucket_min()
                     .expect("len > 0 with empty ready implies a bucketed event");
-                self.horizon_us = (min / self.width_us) * self.width_us;
+                self.horizon_us = (min / WIDTH_US) * WIDTH_US;
                 self.cursor = self.bucket_of(self.horizon_us);
                 scanned = 0;
             }
@@ -293,7 +285,7 @@ impl<M> CalendarQueue<M> {
 
     /// Stage the cursor bucket's current-rotation events and advance.
     fn harvest_one(&mut self) {
-        let end = self.horizon_us + self.width_us;
+        let end = self.horizon_us + WIDTH_US;
         let bucket = &mut self.buckets[self.cursor];
         let mut i = 0;
         while i < bucket.len() {

@@ -8,35 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-/// Why a float could not be interpreted as a span of virtual time.
-///
-/// A bad latency/jitter configuration must be a loud error, never an
-/// instant-delivery network: silently clamping NaN or a negative delay
-/// to zero would erase the very propagation model under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeError {
-    /// The input was NaN or ±infinity.
-    NotFinite,
-    /// The input was a negative number of seconds.
-    Negative,
-    /// The input exceeds the representable range (~584,942 years of
-    /// microseconds) — far past any plausible simulation horizon, so it
-    /// is treated as a configuration bug rather than saturated.
-    Overflow,
-}
-
-impl fmt::Display for TimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TimeError::NotFinite => write!(f, "duration is NaN or infinite"),
-            TimeError::Negative => write!(f, "duration is negative"),
-            TimeError::Overflow => write!(f, "duration overflows u64 microseconds"),
-        }
-    }
-}
-
-impl std::error::Error for TimeError {}
-
 /// An instant in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -63,11 +34,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// The span from `earlier` to `self`; saturates to zero if reversed.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -84,52 +50,9 @@ impl SimDuration {
         SimDuration(ms * 1_000)
     }
 
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000)
-    }
-
-    /// Construct from fractional seconds (rounds to the nearest
-    /// microsecond).
-    ///
-    /// # Panics
-    ///
-    /// On NaN, infinite, negative, or overflowing input — see
-    /// [`SimDuration::try_from_secs_f64`] for the fallible form.
-    pub fn from_secs_f64(s: f64) -> Self {
-        match Self::try_from_secs_f64(s) {
-            Ok(d) => d,
-            Err(e) => panic!("SimDuration::from_secs_f64({s}): {e}"),
-        }
-    }
-
-    /// Construct from fractional seconds, rejecting values that cannot
-    /// honestly represent a delay: NaN/infinite ([`TimeError::NotFinite`]),
-    /// negative ([`TimeError::Negative`]), or beyond `u64` microseconds
-    /// ([`TimeError::Overflow`]).
-    pub fn try_from_secs_f64(s: f64) -> Result<Self, TimeError> {
-        if !s.is_finite() {
-            return Err(TimeError::NotFinite);
-        }
-        if s < 0.0 {
-            return Err(TimeError::Negative);
-        }
-        let us = (s * 1_000_000.0).round();
-        // 2^64 as f64; any float at or above it truncates out of range.
-        if us >= 18_446_744_073_709_551_616.0 {
-            return Err(TimeError::Overflow);
-        }
-        Ok(SimDuration(us as u64))
-    }
-
     /// Microseconds in the span.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Milliseconds in the span (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds as a float (for reporting only).
@@ -169,10 +92,11 @@ impl AddAssign for SimDuration {
     }
 }
 
+/// The span from `rhs` to `self`; saturates to zero if reversed.
 impl Sub for SimTime {
     type Output = SimDuration;
     fn sub(self, rhs: SimTime) -> SimDuration {
-        self.since(rhs)
+        SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -195,8 +119,7 @@ mod tests {
     #[test]
     fn construction_and_conversion() {
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_micros(), 1_500_000);
+        assert_eq!(SimDuration::from_micros(1_500_000).as_secs_f64(), 1.5);
         assert_eq!(SimTime::from_micros(42).as_micros(), 42);
     }
 
@@ -205,64 +128,20 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_millis(3);
         assert_eq!(t.as_micros(), 3_000);
         let later = t + SimDuration::from_millis(7);
-        assert_eq!((later - t).as_millis(), 7);
+        assert_eq!(later - t, SimDuration::from_millis(7));
         assert_eq!((t - later), SimDuration::ZERO, "reversed span saturates");
-        assert_eq!(SimDuration::from_millis(2).mul(3).as_millis(), 6);
+        assert_eq!(
+            SimDuration::from_millis(2).mul(3),
+            SimDuration::from_millis(6)
+        );
     }
 
     #[test]
     fn ordering() {
         assert!(SimTime::from_micros(1) < SimTime::from_micros(2));
         let mut t = SimTime::ZERO;
-        t += SimDuration::from_secs(1);
+        t += SimDuration::from_millis(1_000);
         assert_eq!(t.as_secs_f64(), 1.0);
-    }
-
-    #[test]
-    fn fractional_seconds_validate_their_input() {
-        assert_eq!(SimDuration::try_from_secs_f64(0.0), Ok(SimDuration::ZERO));
-        assert_eq!(
-            SimDuration::try_from_secs_f64(0.0000005),
-            Ok(SimDuration::from_micros(1)),
-            "rounds to nearest microsecond"
-        );
-        assert_eq!(
-            SimDuration::try_from_secs_f64(f64::NAN),
-            Err(TimeError::NotFinite)
-        );
-        assert_eq!(
-            SimDuration::try_from_secs_f64(f64::INFINITY),
-            Err(TimeError::NotFinite)
-        );
-        assert_eq!(
-            SimDuration::try_from_secs_f64(-0.001),
-            Err(TimeError::Negative)
-        );
-        assert_eq!(
-            SimDuration::try_from_secs_f64(1e19),
-            Err(TimeError::Overflow),
-            "huge floats error out instead of saturating"
-        );
-        // The largest in-range magnitudes still convert.
-        assert!(SimDuration::try_from_secs_f64(1e12).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "duration is NaN or infinite")]
-    fn from_secs_f64_panics_on_nan() {
-        let _ = SimDuration::from_secs_f64(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "duration is negative")]
-    fn from_secs_f64_panics_on_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duration overflows")]
-    fn from_secs_f64_panics_on_overflow() {
-        let _ = SimDuration::from_secs_f64(1e30);
     }
 
     #[test]

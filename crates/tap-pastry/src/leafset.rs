@@ -94,8 +94,8 @@ impl LeafSet {
     }
 
     /// Replace the whole set of `owner` from the ring's ids on each side of
-    /// it, nearest first, trimmed to [`HALF`] per side. On rings smaller
-    /// than `2·HALF + 1` the sides overlap in a run at the far end of
+    /// it, nearest first, trimmed to `HALF` (8, half of `|L|`) per side. On
+    /// rings smaller than `2·HALF + 1` the sides overlap in a run at the far end of
     /// `ccw`, so only when `ccw`'s last id is on the clockwise side is that
     /// run cut: [`LeafSet::len`] counts *distinct* members, and routing
     /// uses `len < 2·HALF` to recognize a ring it can see in its entirety.

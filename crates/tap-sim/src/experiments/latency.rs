@@ -22,7 +22,7 @@ use tap_core::wire::Destination;
 use tap_core::World;
 use tap_id::Id;
 use tap_metrics::Registry;
-use tap_netsim::latency::{EuclideanLatency, LatencyModel, UniformLatency};
+use tap_netsim::latency::UniformLatency;
 use tap_pastry::PastryConfig;
 
 use crate::engine::{substream_seed, TrialPool};
@@ -48,30 +48,12 @@ pub fn network_sizes(max: usize) -> Vec<usize> {
     out
 }
 
-/// Which pairwise-delay model the emulated Internet uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyModel {
-    /// The paper's setting: each link U[1, 230] ms, independent.
-    Uniform,
-    /// Ablation: endpoints on a 2D torus; delay grows with distance
-    /// (respects the triangle inequality, unlike independent draws).
-    Euclidean,
-}
-
 /// Run the experiment with the paper's uniform link model.
 pub fn run(scale: &Scale) -> Series {
-    run_with_model(scale, TopologyModel::Uniform)
-}
-
-/// Run the experiment under a chosen topology model (the topology
-/// ablation compares the two).
-pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
     let metrics = Registry::new();
     super::apply_journal(&metrics, scale);
     let mut series = Series::new(
-        format!(
-            "Fig. 6 — 2 Mb transfer latency (seconds) vs. number of peer nodes [{model:?} links]"
-        ),
+        "Fig. 6 — 2 Mb transfer latency (seconds) vs. number of peer nodes [Uniform links]",
         "nodes",
         vec![
             "overt".into(),
@@ -112,16 +94,8 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
         let seed = pool.trial_seed(idx);
         let mut world = bases[si].fork(rng.clone(), &trial_metrics);
         let transfers = scale.latency_transfers;
-        let per_transfer = match model {
-            TopologyModel::Uniform => {
-                simulate_one(&mut world, transfers, UniformLatency::paper(seed ^ 0x1a7e))
-            }
-            TopologyModel::Euclidean => simulate_one(
-                &mut world,
-                transfers,
-                EuclideanLatency::paper(seed ^ 0x1a7e),
-            ),
-        };
+        let per_transfer =
+            simulate_one(&mut world, transfers, UniformLatency::paper(seed ^ 0x1a7e));
         (per_transfer, trial_metrics)
     });
 
@@ -151,7 +125,7 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
 /// its last delivery before the next starts, so every NIC is idle at each
 /// send and a transfer's time is its own store-and-forward cost, whatever
 /// ran before it.
-fn simulate_one<L: LatencyModel>(world: &mut World, transfers: usize, latency: L) -> [f64; 5] {
+fn simulate_one(world: &mut World, transfers: usize, latency: UniformLatency) -> [f64; 5] {
     let mut driver = world.net_driver(latency);
     let instruments = CoreInstruments::new(world.metrics());
 
@@ -265,23 +239,5 @@ mod tests {
         // has at least one hop.
         assert!(overt.iter().all(|t| *t > 1.0), "{overt:?}");
         assert!(basic5.iter().all(|t| *t < 60.0), "{basic5:?}");
-    }
-
-    #[test]
-    fn euclidean_topology_preserves_orderings() {
-        let scale = Scale {
-            nodes: 300,
-            latency_sims: 1,
-            latency_transfers: 10,
-            ..tiny()
-        };
-        let s = run_with_model(&scale, TopologyModel::Euclidean);
-        let overt = s.column("overt").unwrap();
-        let basic5 = s.column("tap_basic_l5").unwrap();
-        let opt5 = s.column("tap_opt_l5").unwrap();
-        for i in 0..s.rows.len() {
-            assert!(basic5[i] > overt[i], "row {i}");
-            assert!(opt5[i] < basic5[i], "row {i}");
-        }
     }
 }

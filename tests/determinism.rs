@@ -88,35 +88,25 @@ fn histogram_count_sum(json: &str, name: &str) -> (u64, u64) {
 
 #[test]
 fn event_kernel_figures_match_their_recorded_digests() {
-    use tap_sim::experiments::latency::{self, TopologyModel};
+    use tap_sim::experiments::latency;
 
-    // fig6 on the wire engine, under both link models: the CSVs and the
-    // wire histograms its transfers record, folded into one digest each.
+    // fig6 on the wire engine: the CSV and the wire histograms its
+    // transfers record, folded into one digest.
     let scale = Scale {
         nodes: 300,
         latency_sims: 1,
         latency_transfers: 6,
         ..Scale::quick()
     };
-    let mut digests = Vec::new();
-    for s in [
-        latency::run(&scale),
-        latency::run_with_model(&scale, TopologyModel::Euclidean),
-    ] {
-        let json = s.metrics_json.as_deref().expect("fig6 reports metrics");
-        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, s.to_csv().as_bytes());
-        for name in ["netsim.queue_delay_us", "netsim.propagation_us"] {
-            let (count, sum) = histogram_count_sum(json, name);
-            h = fnv1a(h, &count.to_le_bytes());
-            h = fnv1a(h, &sum.to_le_bytes());
-        }
-        digests.push(h);
+    let s = latency::run(&scale);
+    let json = s.metrics_json.as_deref().expect("fig6 reports metrics");
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, s.to_csv().as_bytes());
+    for name in ["netsim.queue_delay_us", "netsim.propagation_us"] {
+        let (count, sum) = histogram_count_sum(json, name);
+        h = fnv1a(h, &count.to_le_bytes());
+        h = fnv1a(h, &sum.to_le_bytes());
     }
     // Every TAP transfer serializes its onion beside the file;
     // `tests/fig6_engine.rs` checks that cost hop by hop.
-    assert_eq!(
-        digests,
-        [0x6151_4ae1_347b_99d9, 0x0ed2_f66f_56ff_0ebd],
-        "fig6 moved"
-    );
+    assert_eq!(h, 0x6151_4ae1_347b_99d9, "fig6 moved");
 }

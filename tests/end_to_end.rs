@@ -1,6 +1,7 @@
 //! Full-stack integration: overlay + replication + crypto + tunnels +
 //! retrieval, driven through the public `tap` facade.
 
+use rand::Rng;
 use tap::core::deploy::DeployError;
 use tap::core::world::TUNNEL_LENGTH;
 use tap::core::{World, WorldError};
@@ -172,6 +173,35 @@ fn retrieval_from_a_node_that_left_is_an_error() {
         Some(WorldError::NotMember(user))
     );
     assert_eq!(sys.choose_bid(user), Err(WorldError::NotMember(user)));
+}
+
+#[test]
+fn a_world_too_small_for_a_bootstrap_path_is_refused_before_any_draw() {
+    // A bootstrap path has three relays besides the depositor: two or
+    // three nodes cannot supply them, and four can.
+    for (n, other_live) in [(2, 1), (3, 2)] {
+        let mut sys = system(n, 7);
+        let user = sys.random_node().unwrap();
+        let mut before = sys.rng.clone();
+        assert_eq!(
+            sys.deploy_anchors(user, 3, 5),
+            Err(WorldError::TooFewRelays {
+                needed: 3,
+                available: other_live
+            }),
+            "{n} nodes"
+        );
+        assert_eq!(
+            sys.rng.gen::<u64>(),
+            before.gen::<u64>(),
+            "{n} nodes: nothing drawn"
+        );
+        assert!(sys.anchor_pool(user).is_empty());
+        assert!(sys.thas.is_empty());
+    }
+    let mut sys = system(4, 7);
+    let user = sys.random_node().unwrap();
+    assert_eq!(sys.deploy_anchors(user, 3, 5), Ok(3));
 }
 
 #[test]

@@ -310,7 +310,7 @@ fn fragment_layout_is_unchanged() {
     assert_eq!(digest, FRAGMENT_LAYOUT, "digest {digest:#018x}");
 }
 
-/// `deploy_via_tunnel`'s addressing: the tail hop's own node is the
+/// A tunnel addressed to its own tail: the tail hop's node is the
 /// destination, so the delivery leg goes nowhere. Neither driver may count
 /// a hop for it, and the logical driver's path may not list the node twice.
 #[test]
