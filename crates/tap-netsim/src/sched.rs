@@ -113,8 +113,8 @@ const RESIZE_LOAD: usize = 8;
 /// * [`CalendarQueue::push`] schedules a payload at a time and returns a
 ///   cancellation handle; keys are assigned monotonically.
 /// * [`CalendarQueue::pop`] returns the minimum-key event.
-/// * [`CalendarQueue::peek`] is `&self` and O(1): the next key is always
-///   staged.
+/// * The next key is always staged: it is the top of a small heap, O(1) to
+///   read.
 /// * Times may be arbitrary (past pushes pop immediately, far futures are
 ///   reached by cursor jump), but simulation kernels push monotonically.
 pub struct CalendarQueue<M> {
@@ -156,17 +156,20 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Live (schedulable) events in the queue.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
     }
 
     /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The key of the next event to pop, if any. O(1).
-    pub fn peek(&self) -> Option<EventKey> {
+    #[cfg(test)]
+    fn peek(&self) -> Option<EventKey> {
         debug_assert_eq!(self.ready.is_empty(), self.len == 0, "ready staged");
         self.ready.peek().map(|s| s.0.key())
     }

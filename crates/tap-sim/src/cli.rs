@@ -6,25 +6,42 @@
 //! `fig2 --paper --seed 7` configure the identical [`Scale`]. (The old
 //! single-pass parser let `--paper` clobber any flag parsed before it.)
 
-use crate::experiments::node_failures::BASELINE_RELAYS;
-use crate::Scale;
+use crate::experiments::{self, node_failures::BASELINE_RELAYS};
+use crate::{Scale, Series};
 
 /// The usage banner printed alongside every parse error.
 pub const USAGE: &str = "usage: tap-sim <fig2|fig3|fig4a|fig4b|fig5|fig6|secure|resilience|all> \
                          [--paper] [--seed N] [--nodes N] [--tunnels N] [--journal N] \
                          [--faults PERMILLE] [--multipath N/K] [--threads N] [--csv DIR]";
 
-/// The figure names the binary accepts (plus the pseudo-figure `all`).
-pub const FIGURES: [&str; 8] = [
-    "fig2",
-    "fig3",
-    "fig4a",
-    "fig4b",
-    "fig5",
-    "fig6",
-    "secure",
-    "resilience",
+/// A figure's entry point: it runs the figure at a scale.
+pub type Figure = fn(&Scale) -> Series;
+
+/// Every figure the binary runs, in the order `all` runs them: the name the
+/// command line selects it by, and its entry point.
+pub const FIGURES: [(&str, Figure); 8] = [
+    ("fig2", experiments::node_failures::run),
+    ("fig3", experiments::collusion::run),
+    ("fig4a", experiments::sweeps::by_replication),
+    ("fig4b", experiments::sweeps::by_length),
+    ("fig5", experiments::churn::run),
+    ("fig6", experiments::latency::run),
+    ("secure", experiments::secure_routing::run),
+    ("resilience", experiments::resilience::run),
 ];
+
+/// The name a figure's `<name>.csv`, `<name>.metrics.json` and
+/// `BENCH_sim.json` record go under. The coded-multipath comparison
+/// (`resilience --multipath N/K`) is a different workload from the classic
+/// sweep, so it is `resilience_mp` and its trajectory never mixes with the
+/// sweep's.
+pub fn output_name(figure: &'static str, scale: &Scale) -> &'static str {
+    if figure == "resilience" && scale.mp_n > 0 {
+        "resilience_mp"
+    } else {
+        figure
+    }
+}
 
 /// A fully parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +137,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 );
             }
             name if !name.starts_with('-') && which.is_none() => {
-                if name != "all" && !FIGURES.contains(&name) {
+                if name != "all" && !FIGURES.iter().any(|(figure, _)| *figure == name) {
                     return Err(format!("unknown figure {name:?}"));
                 }
                 which = Some(name.to_string());

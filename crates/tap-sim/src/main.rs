@@ -38,7 +38,7 @@
 use std::time::Instant;
 
 use tap_sim::cli::{self, Cli};
-use tap_sim::{experiments, Scale, Series};
+use tap_sim::{Scale, Series};
 
 fn fail_usage(err: &str) -> ! {
     eprintln!("tap-sim: {err}");
@@ -56,23 +56,6 @@ fn main() {
     });
     let scale = parsed.scale.with_threads(threads);
 
-    type Job = (&'static str, fn(&Scale) -> Series);
-    let jobs: Vec<Job> = vec![
-        ("fig2", experiments::node_failures::run),
-        ("fig3", experiments::collusion::run),
-        ("fig4a", experiments::sweeps::by_replication),
-        ("fig4b", experiments::sweeps::by_length),
-        ("fig5", experiments::churn::run),
-        ("fig6", experiments::latency::run),
-        ("secure", experiments::secure_routing::run),
-        ("resilience", experiments::resilience::run),
-    ];
-    let selected: Vec<&Job> = if parsed.which == "all" {
-        jobs.iter().collect()
-    } else {
-        jobs.iter().filter(|(n, _)| *n == parsed.which).collect()
-    };
-
     // Figures run one at a time; the parallelism lives *inside* each
     // figure's trial pool, so the per-figure wall-clock below is honest.
     // `VmHWM` is a process-lifetime high-water mark — monotone, so
@@ -83,18 +66,14 @@ fn main() {
     // figure fit inside memory some earlier figure already touched.
     let mut wall: Vec<FigureRecord> = Vec::new();
     let mut io_errors = 0usize;
-    for (name, job) in &selected {
-        // The multipath comparison is a different workload (two phases per
-        // trial, a ~9 KB payload) — record it under its own figure name so
-        // bench_gate.py never compares it against classic-sweep baselines.
-        let name: &'static str = if *name == "resilience" && scale.mp_n > 0 {
-            "resilience_mp"
-        } else {
-            name
-        };
+    let selected = cli::FIGURES
+        .iter()
+        .filter(|(figure, _)| parsed.which == "all" || *figure == parsed.which);
+    for &(figure, run) in selected {
+        let name = cli::output_name(figure, &scale);
         let rss_before = peak_rss_kb();
         let start = Instant::now();
-        let series = job(&scale);
+        let series = run(&scale);
         let took = start.elapsed();
         let rss_delta_kb = peak_rss_kb()
             .zip(rss_before)

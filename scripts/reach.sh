@@ -7,12 +7,12 @@
 # under crates/tap-sim/src (the figures) and benchmark/src (the workloads)
 # whose shipped code names it: a `tap_core::<mod>` path, or a type lib.rs
 # re-exports from it, in a `use tap_core::…;` statement or a `tap_core::`
-# path. A file counts up to its first `#[cfg(test)]`; comment lines do not
-# count. A module nothing there names must be in the module table below,
-# with the reason it ships anyway.
+# path. Only the lines scripts/shipped.sh prints count. A module nothing
+# there names must be in the module table below, with the reason it ships
+# anyway.
 #
-# Items: for every `pub` item of tap-core, tap-crypto and tap-netsim (the
-# lines scripts/size.sh counts as `pub`, in shipped code), checks that its
+# Items: for every `pub` item of tap-core, tap-crypto and tap-netsim (a
+# `pub` declaration among the lines scripts/shipped.sh prints), checks that its
 # name appears as a word outside its own crate's src: in another
 # crates/tap-* crate's shipped code (tap-sim's figures among them),
 # benchmark/src, examples/, tests/, crates/*/tests or crates/bench/benches.
@@ -43,7 +43,7 @@ mapfile -t files < <(find crates/tap-sim/src benchmark/src -name '*.rs' | sort)
 
 # The identifiers a file's shipped code reaches tap-core through.
 names() { # <file>
-    awk '/#\[cfg\(test\)\]/ { exit } !/^[ \t]*\/\// { printf "%s ", $0 }' "$1" |
+    scripts/shipped.sh "$1" | cut -d: -f3- | tr '\n' ' ' |
         grep -oE 'use tap_core::[^;]*;|tap_core::[A-Za-z0-9_:]+' |
         grep -oE '[A-Za-z0-9_]+' | grep -vxE 'use|tap_core|self' | sort -u || true
 }
@@ -100,24 +100,6 @@ declare -A exempt=(
     [TrafficStats]="Network::stats returns it"
 )
 
-# The shipped lines of the files given: each file up to its first
-# `#[cfg(test)]` that gates a `mod`, without comment lines or the first line
-# of an item `#[cfg(test)]` gates. Each line is prefixed with `file:line:`.
-shipped() { # <file>...
-    awk '
-        FNR == 1 { shipped = 1; gated = 0 }
-        !shipped || /^[ \t]*\/\// { next }
-        /#\[cfg\(test\)\]/ {
-            if ($0 ~ /\][ \t]*(pub(\([a-z]+\))? )?mod /) shipped = 0
-            else gated = 1
-            next
-        }
-        gated && /^[ \t]*(#\[.*)?$/ { next }
-        gated && /^[ \t]*(pub(\([a-z]+\))? )?mod / { shipped = 0; next }
-        gated { gated = 0; next }
-        { print FILENAME ":" FNR ":" $0 }
-    ' "$@"
-}
 words() { grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u; }
 
 # Words in tests, examples, benches and the benchmark: every line but comments.
@@ -125,7 +107,7 @@ common=$(find examples tests crates/*/tests crates/bench/benches benchmark/src -
     -exec grep -hvE '^[ \t]*//' {} + | words)
 declare -A crate_words=()
 for c in crates/tap-*; do
-    crate_words[$c]=$(shipped $(find "$c/src" -name '*.rs' | sort) | cut -d: -f3- | words)
+    crate_words[$c]=$(scripts/shipped.sh $(find "$c/src" -name '*.rs' | sort) | cut -d: -f3- | words)
 done
 
 declare -A item_crate=()
@@ -149,7 +131,7 @@ for crate in crates/tap-core crates/tap-crypto crates/tap-netsim; do
             echo "reach.sh: $file:$line: nothing outside ${crate#crates/}/src names pub $name" >&2
             status=1
         fi
-    done < <(shipped $(find "$crate/src" -name '*.rs' | sort) |
+    done < <(scripts/shipped.sh $(find "$crate/src" -name '*.rs' | sort) |
         sed -nE 's/^([^:]*):([0-9]+):[ \t]*pub (const |unsafe )*(fn|struct|enum|trait|type|const|static) ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2:\5/p')
     printf '%-10s %d pub items, %d exempt\n' "${crate#crates/}" "$n" "$exempted"
 done

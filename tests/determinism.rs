@@ -1,14 +1,7 @@
-//! Thread-count invariance of the figure pipeline, including faulted runs.
-//!
-//! The CI `determinism` job diffs full CSVs produced by the binary at
-//! `--threads 1` vs `2`; this suite pins the same contract in-process so
-//! a violation is caught by `cargo test` alone — and extends it to the
-//! resilience sweep, whose trials drive seed-deterministic fault
-//! injection ([`tap_netsim::FaultPlan`] owns its RNG substream, so losing
-//! or duplicating a message must never depend on which worker thread ran
-//! the trial).
+//! Figure behaviour beyond the CSV pins of `tests/figure_pins.rs`: what the
+//! `--faults` knob leaves alone, and fig6's wire histograms.
 
-use tap_sim::experiments::{node_failures, resilience};
+use tap_sim::experiments::resilience;
 use tap_sim::Scale;
 
 fn quick_small() -> Scale {
@@ -20,32 +13,6 @@ fn quick_small() -> Scale {
         fault_permille: 150,
         ..Scale::quick()
     }
-}
-
-#[test]
-fn faulted_resilience_sweep_is_byte_identical_across_thread_counts() {
-    let base = quick_small();
-    let s1 = resilience::run(&base.with_threads(1));
-    let s4 = resilience::run(&base.with_threads(4));
-    assert_eq!(
-        s1.to_csv(),
-        s4.to_csv(),
-        "fault injection must be scheduling-independent"
-    );
-    // The runs actually injected faults — the invariance is not vacuous.
-    let retries = s1.column("retries_per_xfer").unwrap();
-    assert!(
-        retries.iter().any(|r| *r > 0.0),
-        "the faulted sweep must exercise the retry shim: {retries:?}"
-    );
-}
-
-#[test]
-fn fault_free_figures_are_thread_count_invariant_too() {
-    let base = quick_small();
-    let s1 = node_failures::run(&base.with_threads(1));
-    let s3 = node_failures::run(&base.with_threads(3));
-    assert_eq!(s1.to_csv(), s3.to_csv());
 }
 
 #[test]
