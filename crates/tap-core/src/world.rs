@@ -495,7 +495,7 @@ mod tests {
         assert_eq!(w.overlay.len(), 120);
         assert_eq!(w.joined().len(), 120);
         assert!(w.joined().iter().all(|id| w.overlay.is_live(*id)));
-        w.overlay.assert_leafsets_exact();
+        assert_eq!(w.overlay.leafset_drift(), None);
     }
 
     #[test]

@@ -102,19 +102,11 @@ impl Id {
         Id::from_limbs((ah.wrapping_add(bh).wrapping_add(carry as u32), lo))
     }
 
-    /// `self - rhs mod 2^160`, left in limbs for callers that only compare.
-    #[inline]
-    fn sub_limbs(self, rhs: Id) -> (u32, u128) {
-        let ((ah, al), (bh, bl)) = (self.limbs(), rhs.limbs());
-        let (lo, borrow) = al.overflowing_sub(bl);
-        (ah.wrapping_sub(bh).wrapping_sub(borrow as u32), lo)
-    }
-
     /// Wrapping subtraction on the ring (`self - rhs mod 2^160`).
     #[inline]
     #[must_use]
     pub fn wrapping_sub(self, rhs: Id) -> Id {
-        Id::from_limbs(self.sub_limbs(rhs))
+        Id::from_limbs(limb_sub(self.limbs(), rhs.limbs()))
     }
 
     /// Distance travelling clockwise (increasing ids) from `self` to `to`.
@@ -131,15 +123,6 @@ impl Id {
         self.wrapping_sub(to)
     }
 
-    /// [`Id::ring_distance`] in limbs: the smaller of the two directed
-    /// distances, which are each other's negation.
-    #[inline]
-    fn distance_limbs(self, other: Id) -> (u32, u128) {
-        let cw = other.sub_limbs(self);
-        let ccw = self.sub_limbs(other);
-        cw.min(ccw)
-    }
-
     /// The minimal circular distance between two identifiers.
     ///
     /// This is the metric behind Pastry's "numerically closest nodeid":
@@ -148,7 +131,7 @@ impl Id {
     #[inline]
     #[must_use]
     pub fn ring_distance(self, other: Id) -> Id {
-        Id::from_limbs(self.distance_limbs(other))
+        Id::from_limbs(limb_distance(self.limbs(), other.limbs()))
     }
 
     /// A sort key for `candidate` whose order is [`Id::cmp_distance`]'s:
@@ -159,14 +142,28 @@ impl Id {
         (self.ring_distance(candidate), candidate)
     }
 
+    /// [`Id::distance_key`] for a scan: a measure of candidates against
+    /// `self` that loads `self`'s limbs once and gives each candidate a
+    /// [`DistanceKey`], which never goes back to bytes.
+    #[inline]
+    pub fn distance_keys(self) -> impl Fn(Id) -> DistanceKey + Copy {
+        let key = self.limbs();
+        move |candidate| {
+            let candidate = candidate.limbs();
+            DistanceKey {
+                distance: limb_distance(key, candidate),
+                candidate,
+            }
+        }
+    }
+
     /// Compare two candidate ids by their ring distance to `self`,
     /// tie-breaking on the numerically smaller candidate so the relation is
     /// a total order (required for deterministic replica-set selection).
     #[inline]
     pub fn cmp_distance(&self, a: Id, b: Id) -> Ordering {
-        self.distance_limbs(a)
-            .cmp(&self.distance_limbs(b))
-            .then_with(|| a.cmp(&b))
+        let measure = self.distance_keys();
+        measure(a).cmp(&measure(b))
     }
 
     /// Whether `self` is strictly closer to `target` than `other` is,
@@ -264,8 +261,9 @@ impl Id {
         if from == to {
             return true;
         }
-        let off = self.sub_limbs(from);
-        off != (0, 0) && off <= to.sub_limbs(from)
+        let from = from.limbs();
+        let off = limb_sub(self.limbs(), from);
+        off != (0, 0) && off <= limb_sub(to.limbs(), from)
     }
 
     /// Render as a 40-character lowercase hex string.
@@ -277,6 +275,40 @@ impl Id {
             s.push(NIBBLES[(byte & 0xf) as usize] as char);
         }
         s
+    }
+}
+
+/// `a - b mod 2^160` in limbs, for callers that only compare: one borrow
+/// from the low limb into the top.
+#[inline]
+fn limb_sub((ah, al): (u32, u128), (bh, bl): (u32, u128)) -> (u32, u128) {
+    let (lo, borrow) = al.overflowing_sub(bl);
+    (ah.wrapping_sub(bh).wrapping_sub(borrow as u32), lo)
+}
+
+/// The ring distance on limbs: the smaller of the two directed distances,
+/// which are each other's negation.
+#[inline]
+fn limb_distance(a: (u32, u128), b: (u32, u128)) -> (u32, u128) {
+    limb_sub(b, a).min(limb_sub(a, b))
+}
+
+/// A candidate measured by [`Id::distance_keys`]: its ring distance to the
+/// key, then the candidate itself, both in limbs. The derived order is
+/// that of [`Id::distance_key`]'s `(Id, Id)` tuple, and so that of
+/// [`Id::cmp_distance`], because limb order is the bytes' order; a scan
+/// that carries its incumbent's key measures every candidate once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct DistanceKey {
+    distance: (u32, u128),
+    candidate: (u32, u128),
+}
+
+impl DistanceKey {
+    /// The candidate this key measured.
+    #[inline]
+    pub fn id(self) -> Id {
+        Id::from_limbs(self.candidate)
     }
 }
 
@@ -770,6 +802,9 @@ mod tests {
                 a.distance_key(b).cmp(&a.distance_key(c)),
                 oracle::cmp_distance(a, b, c)
             );
+            let measure = a.distance_keys();
+            prop_assert_eq!(measure(b).cmp(&measure(c)), oracle::cmp_distance(a, b, c));
+            prop_assert_eq!(measure(b).id(), b);
             // Plain and wrapping arcs (whichever of b, c is larger), and
             // the full arc `from == to`.
             prop_assert_eq!(a.between_cw(b, c), oracle::between_cw(a, b, c));
@@ -795,6 +830,8 @@ mod tests {
                 oracle::cmp_distance(key, below, above)
             );
             prop_assert_eq!(key.cmp_distance(below, above), below.cmp(&above));
+            let measure = key.distance_keys();
+            prop_assert_eq!(measure(below).cmp(&measure(above)), below.cmp(&above));
             prop_assert_eq!(
                 key.cmp_distance(above, below),
                 key.cmp_distance(below, above).reverse()

@@ -65,7 +65,7 @@ mod range;
 mod ring;
 
 pub use hash::{BuildIdHasher, IdHashMap, IdHashSet, IdHasher};
-pub use id::{Id, IdParseError, ID_BITS, ID_BYTES};
+pub use id::{DistanceKey, Id, IdParseError, ID_BITS, ID_BYTES};
 pub use range::{first_digit_buckets, ArcRange};
 pub use ring::Ring;
 

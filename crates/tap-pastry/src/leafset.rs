@@ -125,12 +125,42 @@ impl LeafSet {
     }
 
     /// The member of `leafset ∪ {owner}` numerically closest to `key`
-    /// (deterministic tie-break via [`Id::cmp_distance`]).
+    /// (deterministic tie-break via [`Id::cmp_distance`]): the nearer of
+    /// the two members that bracket it.
     pub fn closest_to(&self, owner: Id, key: Id) -> Id {
-        self.members()
-            .map(|m| key.distance_key(m))
-            .fold(key.distance_key(owner), Ord::min)
-            .1
+        let (a, b) = self.bracket(owner, key);
+        if key.cmp_distance(a, b).is_gt() {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// Two members `(a, b)` of `leafset ∪ {owner}` with `key` on the
+    /// clockwise arc from `a` (exclusive) to `b` (inclusive), and no member
+    /// strictly inside that arc.
+    ///
+    /// In ring order the counter-clockwise side (farthest first), the owner
+    /// and the clockwise side are distinct ids round one arc: `rebuild` cuts
+    /// the sides' overlap on a small ring. Any other member therefore lies
+    /// past `a` or `b` in either direction of travel from `key`, so it is
+    /// strictly farther than one of them by ring distance, and the nearest
+    /// member — ties included — is one of the pair. Only the key's side is
+    /// walked, at most `HALF` ids; a key beyond both edges lies in the one
+    /// gap of the arc, from `cw_edge` to `ccw_edge`.
+    fn bracket(&self, owner: Id, key: Id) -> (Id, Id) {
+        let (cw, ccw) = (self.clockwise(), self.counter_clockwise());
+        if !cw.is_empty() && key.between_cw(owner, self.cw_edge) {
+            let i = cw.iter().position(|&m| key.between_cw(owner, m));
+            let i = i.unwrap_or(cw.len() - 1);
+            (if i == 0 { owner } else { cw[i - 1] }, cw[i])
+        } else if !ccw.is_empty() && key.between_cw(self.ccw_edge, owner) {
+            let i = ccw.iter().position(|&m| key.between_cw(m, owner));
+            let i = i.unwrap_or(ccw.len() - 1);
+            (ccw[i], if i == 0 { owner } else { ccw[i - 1] })
+        } else {
+            (self.cw_edge, self.ccw_edge)
+        }
     }
 }
 
@@ -223,6 +253,25 @@ mod tests {
             }
         }
         false
+    }
+
+    /// What `closest_to` was before it bracketed the key: every member
+    /// measured, the smallest distance key kept.
+    fn closest_by_fold(ls: &LeafSet, owner: Id, key: Id) -> Id {
+        ls.members()
+            .map(|m| key.distance_key(m))
+            .fold(key.distance_key(owner), Ord::min)
+            .1
+    }
+
+    /// `x / 2`, rounded down.
+    fn halved(x: Id) -> Id {
+        let mut b = *x.as_bytes();
+        let mut carry = 0;
+        for byte in &mut b {
+            (*byte, carry) = ((*byte >> 1) | (carry << 7), *byte & 1);
+        }
+        Id::from_bytes(b)
     }
 
     fn set_with(owner: u64, members: &[u64]) -> LeafSet {
@@ -508,6 +557,81 @@ mod tests {
                 prop_assert!(super::is_sorted_by_ccw_distance(owner, ls.counter_clockwise()));
                 prop_assert!(ls.clockwise().len() <= HALF);
                 prop_assert!(ls.counter_clockwise().len() <= HALF);
+            }
+        }
+    }
+
+    // Microseconds a case: many cases, so that ties and edges recur.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The bracketed `closest_to` is the old fold, on leaf sets from
+        /// one member to two full sides: installed from a sorted ring (a
+        /// whole small ring, where `rebuild` cuts the overlap, or sixteen
+        /// of a larger one) or grown by inserts and removes. Keys are
+        /// random, every member and its two neighbouring ids, the midpoint
+        /// of every gap between members in ring order (an exact tie when
+        /// the gap is even) and the ids just past each edge.
+        #[test]
+        fn prop_bracket_matches_the_fold(
+            ring in proptest::collection::vec(any::<[u8; 20]>(), 1..40),
+            at in any::<usize>(),
+            dense in any::<bool>(),
+            grown in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..24),
+            keys in proptest::collection::vec(any::<[u8; 20]>(), 4),
+        ) {
+            // Dense rings sit in 64 ids around zero, so gaps are small and
+            // often even, and the sides wrap.
+            let place = |bytes: [u8; 20]| {
+                if dense {
+                    Id::MAX
+                        .wrapping_sub(Id::from_u64(31))
+                        .wrapping_add(Id::from_u64(u64::from(bytes[19] % 64)))
+                } else {
+                    Id::from_bytes(bytes)
+                }
+            };
+            let mut ring: Vec<Id> = ring.into_iter().map(place).collect();
+            ring.sort();
+            ring.dedup();
+            let n = ring.len();
+            let at = at % n;
+            let owner = ring[at];
+            let mut ls = LeafSet::new(owner);
+            if grown.is_empty() {
+                let cw: Vec<Id> = (1..n).map(|t| ring[(at + t) % n]).take(HALF).collect();
+                let ccw: Vec<Id> = (1..n).map(|t| ring[(at + n - t) % n]).take(HALF).collect();
+                ls.rebuild(owner, &cw, &ccw);
+            } else {
+                for (pick, leave) in grown {
+                    let x = ring[pick % n];
+                    if leave {
+                        remove(&mut ls, owner, x);
+                    } else {
+                        insert(&mut ls, owner, x);
+                    }
+                }
+            }
+            let one = Id::from_u64(1);
+            let mut arc: Vec<Id> = ls.counter_clockwise().iter().rev().copied().collect();
+            arc.push(owner);
+            arc.extend_from_slice(ls.clockwise());
+            let mut probes: Vec<Id> = keys.into_iter().map(place).collect();
+            for (i, &m) in arc.iter().enumerate() {
+                probes.extend([m, m.wrapping_add(one), m.wrapping_sub(one)]);
+                if let Some(&next) = arc.get(i + 1) {
+                    probes.push(m.wrapping_add(halved(next.wrapping_sub(m))));
+                }
+            }
+            for key in probes {
+                prop_assert_eq!(
+                    ls.closest_to(owner, key),
+                    closest_by_fold(&ls, owner, key),
+                    "key {:?}, cw {:?}, ccw {:?}",
+                    key,
+                    ls.clockwise(),
+                    ls.counter_clockwise()
+                );
             }
         }
     }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use tap_id::{IdHashMap, IdHashSet};
 
 use rand::Rng;
-use tap_id::{Id, Ring};
+use tap_id::{DistanceKey, Id, Ring};
 use tap_metrics::{Counter, Histogram, Registry};
 
 use crate::config::PastryConfig;
@@ -92,6 +92,10 @@ impl RouteOutcome {
         self.path.len() - 1
     }
 }
+
+/// One forwarding decision: the next hop (`None` when the deciding node
+/// is the root) and whether it was a pure greedy step.
+pub(crate) type Step = Result<(Option<Id>, bool), RouteError>;
 
 /// Cached instrument handles; route() is the simulator's hottest loop.
 #[derive(Clone)]
@@ -713,12 +717,7 @@ impl Overlay {
     /// corrupted-leaf-set condition, one hop later. Exposed crate-wide so
     /// [`crate::secure`] can walk routes while interposing per-node
     /// adversarial behaviour.
-    pub(crate) fn forward_from(
-        &mut self,
-        current: Id,
-        key: Id,
-        ring_mode: bool,
-    ) -> Result<(Option<Id>, bool), RouteError> {
+    pub(crate) fn forward_from(&mut self, current: Id, key: Id, ring_mode: bool) -> Step {
         let stuck = RouteError::Stuck { at: current, key };
         let mut node = self.nodes.get(&current).ok_or(stuck)?;
 
@@ -741,54 +740,65 @@ impl Overlay {
             }
         }
 
-        // Phase 3: rare-case fallback over table ∪ leaf set. First apply
-        // Pastry's rule (live, shares at least as long a prefix, strictly
-        // closer); if no such node is known — which can happen with
-        // sparsely populated tables — fall back to pure greedy progress by
-        // ring distance. Greedy is guaranteed to progress whenever the
-        // leaf set does not cover the key: the leaf-set edge on the key's
-        // side is strictly closer, so routing still terminates at the root.
+        // Phase 3: rare-case fallback over table ∪ leaf set.
+        let (step, stale) = self.rare_case(node, current, key, ring_mode);
+        self.evict_stale(current, &stale);
+        step
+    }
+
+    /// Phase 3 of [`Overlay::forward_from`] at `node`, and the dead entries
+    /// it met, which the caller evicts. First apply Pastry's rule (live,
+    /// shares at least as long a prefix, strictly closer); if no such node
+    /// is known — which can happen with sparsely populated tables — fall
+    /// back to pure greedy progress by ring distance. Greedy is guaranteed
+    /// to progress whenever the leaf set does not cover the key: the
+    /// leaf-set edge on the key's side is strictly closer, so routing still
+    /// terminates at the root.
+    fn rare_case(
+        &self,
+        node: &NodeHandle,
+        current: Id,
+        key: Id,
+        ring_mode: bool,
+    ) -> (Step, Vec<Id>) {
         let own_prefix = current.shared_prefix_digits(key, self.config.b);
-        // Candidates and incumbents are distance keys: every id is
-        // measured once.
-        let here = key.distance_key(current);
-        let mut best_pastry: Option<(Id, Id)> = None;
-        let mut best_greedy: Option<(Id, Id)> = None;
+        // Candidates and incumbents are distance keys in limbs: every id is
+        // measured once, and only one that would beat `best_pastry` is
+        // asked for its prefix.
+        let measure = key.distance_keys();
+        let here = measure(current);
+        let mut best_pastry: Option<DistanceKey> = None;
+        let mut best_greedy: Option<DistanceKey> = None;
         let mut stale = Vec::new();
         for c in node.table.entries().chain(node.leafset.members()) {
             if !self.nodes.contains_key(&c) {
                 stale.push(c);
                 continue;
             }
-            let cand = key.distance_key(c);
+            let cand = measure(c);
             if cand >= here {
                 continue;
             }
             if best_greedy.is_none_or(|b| cand < b) {
                 best_greedy = Some(cand);
             }
-            if c.shared_prefix_digits(key, self.config.b) >= own_prefix
-                && best_pastry.is_none_or(|b| cand < b)
+            if best_pastry.is_none_or(|b| cand < b)
+                && c.shared_prefix_digits(key, self.config.b) >= own_prefix
             {
                 best_pastry = Some(cand);
             }
         }
-        let sees_whole_ring = node.leafset.len() < 2 * HALF;
-        self.evict_stale(current, &stale);
-        if !ring_mode {
-            if let Some((_, b)) = best_pastry {
-                return Ok((Some(b), false));
-            }
-        }
-        match best_greedy {
-            Some((_, b)) => Ok((Some(b), true)),
+        let step = match (best_pastry, best_greedy) {
+            (Some(b), _) if !ring_mode => Ok((Some(b.id()), false)),
+            (_, Some(b)) => Ok((Some(b.id()), true)),
             // Not covered by the leaf set yet nobody is closer: with exact
             // leaf sets this means current *is* the root of a sparse ring
             // (fewer nodes than a leaf-set side). Confirm against local
             // knowledge before declaring success.
-            None if sees_whole_ring => Ok((None, false)),
-            None => Err(stuck),
-        }
+            (_, None) if node.leafset.len() < 2 * HALF => Ok((None, false)),
+            (_, None) => Err(RouteError::Stuck { at: current, key }),
+        };
+        (step, stale)
     }
 
     /// Lazy repair: drop the `stale` ids `at` tripped over from its routing
@@ -812,26 +822,20 @@ impl Overlay {
     // Diagnostics / test support
     // ------------------------------------------------------------------
 
-    /// Assert every leaf set matches the oracle ring exactly. Test helper;
+    /// The first node, in ring order, whose leaf set differs from the one
+    /// the ring gives it; `None` when every leaf set is exact. Diagnostic;
     /// O(N·L·log N).
-    pub fn assert_leafsets_exact(&self) {
-        for (&id, node) in &self.nodes {
+    pub fn leafset_drift(&self) -> Option<Id> {
+        self.ids().find(|&id| {
             let want_cw = self.successors(id, HALF);
             let mut want_ccw = self.predecessors(id, HALF);
             // Small rings: sides overlap; `rebuild` keeps shared nodes on
             // the clockwise side only.
             want_ccw.retain(|x| !want_cw.contains(x));
-            assert_eq!(
-                node.leafset.clockwise(),
-                &want_cw[..],
-                "clockwise leaf set of {id:?} drifted"
-            );
-            assert_eq!(
-                node.leafset.counter_clockwise(),
-                &want_ccw[..],
-                "counter-clockwise leaf set of {id:?} drifted"
-            );
-        }
+            self.nodes.get(&id).is_none_or(|node| {
+                node.leafset.clockwise() != want_cw || node.leafset.counter_clockwise() != want_ccw
+            })
+        })
     }
 
     /// Assert routing-table structural invariants for every node.
@@ -966,8 +970,29 @@ mod tests {
     #[test]
     fn leafsets_exact_after_joins() {
         let (ov, _) = build(150, 5);
-        ov.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
         ov.assert_tables_structurally_valid();
+    }
+
+    #[test]
+    fn drift_names_the_first_drifted_node_in_ring_order() {
+        let (mut ov, _) = build(40, 5);
+        let ids: Vec<Id> = ov.ids().collect();
+        for (at, cw_side) in [(30, true), (7, false)] {
+            let id = ids[at];
+            let node = Arc::make_mut(ov.nodes.get_mut(&id).unwrap());
+            let (cw, ccw) = (
+                node.leafset.clockwise().to_vec(),
+                node.leafset.counter_clockwise().to_vec(),
+            );
+            let (cw, ccw) = if cw_side {
+                (&cw[..HALF - 1], &ccw[..])
+            } else {
+                (&cw[..], &ccw[1..])
+            };
+            node.leafset.rebuild(id, cw, ccw);
+            assert_eq!(ov.leafset_drift(), Some(id));
+        }
     }
 
     #[test]
@@ -977,7 +1002,7 @@ mod tests {
         for id in ids.iter().take(75) {
             assert!(ov.remove_node(*id));
         }
-        ov.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
         // Routing still agrees with the oracle.
         for _ in 0..50 {
             let src = ov.random_node(&mut rng).unwrap();
@@ -1002,7 +1027,7 @@ mod tests {
                 "round {round}"
             );
         }
-        ov.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
     }
 
     #[test]
@@ -1163,12 +1188,12 @@ mod tests {
         assert!(!ov.remove_node(victim), "second kill is a no-op");
         assert!(!ov.remove_node(victim), "and so is the third");
         assert_eq!(ov.len(), 59);
-        ov.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
         // The batch form tolerates duplicates and already-dead ids too.
         let v2 = ov.random_node(&mut rng).unwrap();
         assert_eq!(ov.remove_nodes(&[v2, v2, victim]), 1);
         assert_eq!(ov.len(), 58);
-        ov.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
         // Sampling still works over the compacted dense index.
         for _ in 0..20 {
             let s = ov.random_node(&mut rng).unwrap();
@@ -1194,7 +1219,7 @@ mod tests {
             "adjacent kills must hit (and journal) stale leafset refs"
         );
         assert_eq!(ov.len(), 114);
-        ov.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
         for _ in 0..30 {
             let src = ov.random_node(&mut rng).unwrap();
             let key = Id::random(&mut rng);
@@ -1218,8 +1243,8 @@ mod tests {
         }
         assert_eq!(b.remove_nodes(&victims), victims.len());
         assert_eq!(a.len(), b.len());
-        a.assert_leafsets_exact();
-        b.assert_leafsets_exact();
+        assert_eq!(a.leafset_drift(), None);
+        assert_eq!(b.leafset_drift(), None);
         let mut rng2 = StdRng::seed_from_u64(77);
         for _ in 0..40 {
             let src = a.random_node(&mut rng2).unwrap();
@@ -1252,7 +1277,7 @@ mod tests {
         assert_ne!(ov.ids().collect::<Vec<_>>(), before);
         ov.rollback(&cp);
         assert_eq!(ov.ids().collect::<Vec<_>>(), before);
-        ov.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
         ov.assert_tables_structurally_valid();
         // Rolled-back state routes identically to a pristine deep clone.
         let mut oracle = ov.deep_clone();
@@ -1276,7 +1301,7 @@ mod tests {
         let victim = ov.random_node(&mut rng).unwrap();
         assert!(ov.remove_node(victim));
         assert!(snap.is_live(victim), "snapshot must not see the kill");
-        snap.assert_leafsets_exact();
+        assert_eq!(snap.leafset_drift(), None);
         // ...and writes on the snapshot never surface in the original.
         let victim2 = loop {
             let v = snap.random_node(&mut rng).unwrap();
@@ -1286,8 +1311,8 @@ mod tests {
         };
         assert!(snap.remove_node(victim2));
         assert!(ov.is_live(victim2), "original must not see snapshot kill");
-        ov.assert_leafsets_exact();
-        snap.assert_leafsets_exact();
+        assert_eq!(ov.leafset_drift(), None);
+        assert_eq!(snap.leafset_drift(), None);
         // Untouched nodes remain physically shared.
         assert!(ov.handles_shared_with(&snap) > 0);
     }
@@ -1372,6 +1397,91 @@ mod proptests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// [`Overlay::rare_case`] as it was before it measured in limbs: each
+    /// candidate an `(Id, Id)` distance key, and the shared prefix asked of
+    /// every candidate closer than `current`.
+    fn rare_case_by_tuples(
+        ov: &Overlay,
+        node: &NodeHandle,
+        current: Id,
+        key: Id,
+        ring_mode: bool,
+    ) -> (Step, Vec<Id>) {
+        let own_prefix = current.shared_prefix_digits(key, ov.config.b);
+        let here = key.distance_key(current);
+        let mut best_pastry: Option<(Id, Id)> = None;
+        let mut best_greedy: Option<(Id, Id)> = None;
+        let mut stale = Vec::new();
+        for c in node.table.entries().chain(node.leafset.members()) {
+            if !ov.nodes.contains_key(&c) {
+                stale.push(c);
+                continue;
+            }
+            let cand = key.distance_key(c);
+            if cand >= here {
+                continue;
+            }
+            if best_greedy.is_none_or(|b| cand < b) {
+                best_greedy = Some(cand);
+            }
+            if c.shared_prefix_digits(key, ov.config.b) >= own_prefix
+                && best_pastry.is_none_or(|b| cand < b)
+            {
+                best_pastry = Some(cand);
+            }
+        }
+        let sees_whole_ring = node.leafset.len() < 2 * HALF;
+        if !ring_mode {
+            if let Some((_, b)) = best_pastry {
+                return (Ok((Some(b), false)), stale);
+            }
+        }
+        let step = match best_greedy {
+            Some((_, b)) => Ok((Some(b), true)),
+            None if sees_whole_ring => Ok((None, false)),
+            None => Err(RouteError::Stuck { at: current, key }),
+        };
+        (step, stale)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The limb scan makes the tuple scan's decision — next hop, greedy
+        /// flag, error — and trips over the same dead entries in the same
+        /// order, at every node of rings from one node to 120, for random
+        /// keys and each node's own id, in both routing modes. Nodes are
+        /// killed without routing first, so tables hold dead entries.
+        #[test]
+        fn prop_limb_scan_matches_the_tuple_scan(
+            seed in any::<u64>(),
+            n in 1usize..=120,
+            kills in 0usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ov = Overlay::new(PastryConfig::paper_defaults());
+            for _ in 0..n {
+                ov.add_random_node(&mut rng);
+            }
+            for _ in 0..kills.min(n - 1) {
+                let victim = ov.random_node(&mut rng).unwrap();
+                ov.remove_node(victim);
+            }
+            let ids: Vec<Id> = ov.ids().collect();
+            for &current in &ids {
+                let node = ov.node(current).unwrap();
+                let keys = [Id::random(&mut rng), Id::random(&mut rng), current];
+                for key in keys {
+                    for ring_mode in [false, true] {
+                        prop_assert_eq!(
+                            ov.rare_case(node, current, key, ring_mode),
+                            rare_case_by_tuples(&ov, node, current, key, ring_mode)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
@@ -1401,7 +1511,7 @@ mod proptests {
                     }
                 }
             }
-            ov.assert_leafsets_exact();
+            assert_eq!(ov.leafset_drift(), None);
             ov.assert_tables_structurally_valid();
         }
 
@@ -1472,7 +1582,7 @@ mod proptests {
                 let want = oracle_probe.route(src, key).unwrap();
                 prop_assert_eq!(got.path, want.path);
             }
-            ov.assert_leafsets_exact();
+            assert_eq!(ov.leafset_drift(), None);
             ov.assert_tables_structurally_valid();
         }
 

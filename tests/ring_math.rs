@@ -84,6 +84,46 @@ fn cmp_distance_breaks_ties_on_the_smaller_id() {
     assert_eq!(quarter.cmp_distance(Id::ZERO, Id::HALF), Ordering::Less);
 }
 
+/// A scan's `DistanceKey` orders candidates exactly as the byte order of
+/// the `(ring distance, candidate)` pair `distance_key` gives: across the
+/// limb seam at bit 128, the half-ring tie and the wrap at zero.
+#[test]
+fn distance_key_order_is_the_byte_order_of_the_tuple() {
+    let one = Id::from_u64(1);
+    let mut ids = vec![
+        Id::ZERO,
+        one,
+        Id::MAX,
+        Id::HALF,
+        Id::HALF.wrapping_sub(one),
+        Id::HALF.wrapping_add(one),
+        Id::from_u128(u128::MAX),
+        two_pow_128(),
+        two_pow_128().wrapping_add(one),
+        hex("c000000000000000000000000000000000000000"),
+        hex("f123456789abcdef0000000000000000000000ff"),
+    ];
+    let mut rng = StdRng::seed_from_u64(0xd15);
+    ids.extend((0..8).map(|_| Id::random(&mut rng)));
+    let bytes = |key: Id, c: Id| {
+        let (d, c) = key.distance_key(c);
+        (*d.as_bytes(), *c.as_bytes())
+    };
+    for &key in &ids {
+        let measure = key.distance_keys();
+        for &a in &ids {
+            assert_eq!(measure(a).id(), a);
+            for &b in &ids {
+                assert_eq!(
+                    measure(a).cmp(&measure(b)),
+                    bytes(key, a).cmp(&bytes(key, b)),
+                    "key {key}, candidates {a} and {b}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn digits_and_prefixes_at_b3_and_b4() {
     let a = hex("f123456789abcdef0000000000000000000000ff");
@@ -209,6 +249,18 @@ const PASTRY_ROUTES_AFTER_CHURN: u64 = 0xc4bc_036e_5e31_4211;
 const PASTRY_ROUTES_AT_CHECKPOINT: u64 = 0x11a3_b2b0_5822_3e31;
 const CHORD_ROUTES: u64 = 0xb6b1_c95a_5cb8_3bed;
 const CHORD_ROUTES_AFTER_CHURN: u64 = 0xa307_ce43_e031_c3e3;
+// Recorded at the commit before the leaf step bracketed the key and the
+// rare-case scan compared limbs.
+const PASTRY_EVICTIONS_AFTER_CHURN: u64 = 752;
+const SMALL_RING_ROUTES: [(usize, u64); 7] = [
+    (1, 0x51f8_8fd3_0df7_fd1d),
+    (2, 0x9bf2_6dc3_6704_5ea7),
+    (9, 0xbbe9_89ae_be43_a034),
+    (16, 0xcd5a_f33d_2327_3236),
+    (17, 0xa014_49d3_cf25_2971),
+    (18, 0x79c6_dbe9_f001_dfed),
+    (33, 0x1bea_2ee4_a3b1_080f),
+];
 
 #[test]
 fn pastry_route_paths_are_pinned() {
@@ -235,6 +287,65 @@ fn pastry_route_paths_are_pinned() {
         overlay.add_random_node(&mut rng);
     }
     assert_eq!(routes(&mut overlay, &mut rng), PASTRY_ROUTES_AFTER_CHURN);
+    // Rare-case scans evict the dead table entries they trip over.
+    let evictions = overlay.metrics().counter("pastry.table.evictions").get();
+    assert_eq!(evictions, PASTRY_EVICTIONS_AFTER_CHURN);
+}
+
+/// `x / 2`, rounded down.
+fn halved(x: Id) -> Id {
+    let mut b = *x.as_bytes();
+    let mut carry = 0;
+    for byte in &mut b {
+        let low = *byte & 1;
+        *byte = (*byte >> 1) | (carry << 7);
+        carry = low;
+    }
+    Id::from_bytes(b)
+}
+
+/// Rings of up to two leaf sets and one: a leaf set that holds the whole
+/// ring (N ≤ 2·HALF), the boundary where its two sides first stop
+/// overlapping (N = 16, 17, 18), and a ring just past two of them. Keys
+/// are random, every node's own id and its two ring neighbours' ids, so
+/// that exact hits and half-way ties are routed too; each ring is routed
+/// again after as many leave+join pairs as it has nodes.
+#[test]
+fn small_ring_route_paths_are_pinned() {
+    let one = Id::from_u64(1);
+    for (n, want) in SMALL_RING_ROUTES {
+        let mut rng = StdRng::seed_from_u64(0x51_0000 + n as u64);
+        let mut overlay = Overlay::new(PastryConfig::paper_defaults());
+        for _ in 0..n {
+            overlay.add_random_node(&mut rng);
+        }
+        let mut h = FNV_OFFSET;
+        for round in 0..2 {
+            if round == 1 {
+                for _ in 0..n {
+                    let victim = overlay.random_node(&mut rng).expect("non-empty overlay");
+                    assert!(overlay.remove_node(victim));
+                    overlay.add_random_node(&mut rng);
+                }
+            }
+            let ids: Vec<Id> = overlay.ids().collect();
+            let mut keys: Vec<Id> = (0..64).map(|_| Id::random(&mut rng)).collect();
+            for (i, &id) in ids.iter().enumerate() {
+                let next = ids[(i + 1) % ids.len()];
+                // The midpoint of the gap to the next node: an exact tie
+                // when the gap is even.
+                let mid = id.wrapping_add(halved(next.wrapping_sub(id)));
+                keys.extend([id, id.wrapping_add(one), id.wrapping_sub(one), mid]);
+            }
+            for key in keys {
+                let from = overlay.random_node(&mut rng).expect("non-empty overlay");
+                let out = overlay.route(from, key).expect("route completes");
+                assert_eq!(Some(out.root), overlay.owner_of(key), "N = {n}");
+                hash_path(&mut h, &out.path);
+            }
+        }
+        assert_eq!(h, want, "N = {n}: {h:#x}");
+    }
 }
 
 /// Churn between a `checkpoint` and its `rollback` copies node state on
