@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use tap_core::tha::{Tha, ThaFactory};
 use tap_core::transit::{self, HintCache, TransitOptions};
 use tap_core::wire::Destination;
-use tap_core::{Collusion, World};
+use tap_core::{Collusion, Draws, Purpose, World};
 use tap_id::{ArcRange, Id};
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::{Overlay, PastryConfig};
@@ -69,13 +69,18 @@ fn ablation_length_tradeoff() {
     );
     let base = World::build(PastryConfig::paper_defaults(), NODES, 13);
     for l in [1usize, 2, 3, 5, 7] {
-        let mut w = base.fork(StdRng::seed_from_u64(14 + l as u64), base.metrics());
+        let mut w = base.fork(Draws::from(14 + l as u64), base.metrics());
         let tunnels = w.deploy_tunnels(120, l);
         // Transit cost: drive a probe through each tunnel.
         let mut hops_total = 0usize;
         for (initiator, tun) in &tunnels {
-            let probe = Id::random(&mut w.rng);
-            let onion = tun.build_onion(&mut w.rng, Destination::KeyRoot(probe), b"p", None);
+            let probe = Id::random(&mut w.stream(Purpose::Pick));
+            let onion = tun.build_onion(
+                &mut w.stream(Purpose::Flow),
+                Destination::KeyRoot(probe),
+                b"p",
+                None,
+            );
             let (_, report) = transit::drive(
                 &mut w.overlay,
                 &w.thas,
@@ -87,7 +92,8 @@ fn ablation_length_tradeoff() {
             .expect("static overlay");
             hops_total += report.overlay_hops;
         }
-        let adv = Collusion::mark_fraction(&w.overlay, &mut w.rng, 0.1);
+        let mut rng = w.stream(Purpose::Collusion);
+        let adv = Collusion::mark_fraction(&w.overlay, &mut rng, 0.1);
         let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
         let corrupted = adv.corruption_rate(&w.thas, &hop_lists);
         println!(
@@ -129,9 +135,9 @@ fn ablation_hint_staleness() {
             if !world.overlay.is_live(*initiator) {
                 continue;
             }
-            let probe = Id::random(&mut world.rng);
+            let probe = Id::random(&mut world.stream(Purpose::Pick));
             let onion = tun.build_onion(
-                &mut world.rng,
+                &mut world.stream(Purpose::Flow),
                 Destination::KeyRoot(probe),
                 b"p",
                 Some(cache),
@@ -210,7 +216,8 @@ fn ablation_refresh_period() {
     for period in [1usize, 2, 5, 10, usize::MAX] {
         let mut world = World::build(PastryConfig::with_replication(3), NODES, 17);
         let mut tunnels = world.deploy_tunnels(TUNNELS, 5);
-        let adv = Collusion::mark_fraction(&world.overlay, &mut world.rng, 0.1);
+        let mut rng = world.stream(Purpose::Collusion);
+        let adv = Collusion::mark_fraction(&world.overlay, &mut rng, 0.1);
         world.thas.watch(adv.members());
         for unit in 1..=20usize {
             for _ in 0..(NODES / 20) {
@@ -256,7 +263,8 @@ fn bench_ablations(c: &mut Criterion) {
     let mut world = World::build(PastryConfig::with_replication(3), 400, 18);
     let tunnels = world.deploy_tunnels(150, 5);
     let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
-    let adv = Collusion::mark_fraction(&world.overlay, &mut world.rng, 0.1);
+    let mut rng = world.stream(Purpose::Collusion);
+    let adv = Collusion::mark_fraction(&world.overlay, &mut rng, 0.1);
     world.thas.watch(adv.members());
     group.bench_function("corruption_history_eval", |b| {
         b.iter(|| adv.corruption_rate(&world.thas, &hop_lists))

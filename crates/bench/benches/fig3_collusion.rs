@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::{announce, bench_scale};
-use tap_core::{Collusion, World};
+use tap_core::{Collusion, Purpose, World};
 use tap_pastry::PastryConfig;
 use tap_sim::experiments::collusion;
 
@@ -18,7 +18,8 @@ fn bench_fig3(c: &mut Criterion) {
     let mut world = World::build(PastryConfig::with_replication(3), scale.nodes, 2);
     let tunnels = world.deploy_tunnels(scale.tunnels, 5);
     let hop_lists: Vec<_> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
-    let adv = Collusion::mark_fraction(&world.overlay, &mut world.rng, 0.2);
+    let mut rng = world.stream(Purpose::Collusion);
+    let adv = Collusion::mark_fraction(&world.overlay, &mut rng, 0.2);
     let mut watched = world.thas.clone();
     watched.watch(adv.members());
 

@@ -9,7 +9,7 @@ use bench::{announce, bench_scale};
 use tap_core::transit::TransitOptions;
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
-use tap_core::World;
+use tap_core::{Purpose, World};
 use tap_id::Id;
 use tap_netsim::latency::UniformLatency;
 use tap_pastry::PastryConfig;
@@ -30,8 +30,13 @@ fn bench_fig6(c: &mut Criterion) {
 
     group.bench_function("tunnel_transit_l5_500_nodes", |b| {
         b.iter(|| {
-            let fid = Id::random(&mut world.rng);
-            let onion = tunnel.build_onion(&mut world.rng, Destination::KeyRoot(fid), b"f", None);
+            let fid = Id::random(&mut world.stream(Purpose::File));
+            let onion = tunnel.build_onion(
+                &mut world.stream(Purpose::Flow),
+                Destination::KeyRoot(fid),
+                b"f",
+                None,
+            );
             driver
                 .drive_timed_with_hints(
                     &mut world.overlay,
@@ -51,7 +56,7 @@ fn bench_fig6(c: &mut Criterion) {
 
     group.bench_function("overt_transfer_500_nodes", |b| {
         b.iter(|| {
-            let fid = Id::random(&mut world.rng);
+            let fid = Id::random(&mut world.stream(Purpose::File));
             driver
                 .drive_overt(&mut world.overlay, &world.thas, initiator, fid, FILE_BYTES)
                 .expect("static network")

@@ -130,6 +130,7 @@ impl Collusion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draws::Purpose;
     use crate::world::World;
     use tap_pastry::PastryConfig;
 
@@ -146,10 +147,12 @@ mod tests {
     #[test]
     fn mark_fraction_sizes() {
         let fx = &mut fixture(200, 3, 1);
-        let c = Collusion::mark_fraction(&fx.overlay, &mut fx.rng, 0.1);
+        let mut rng = fx.stream(Purpose::Collusion);
+        let c = Collusion::mark_fraction(&fx.overlay, &mut rng, 0.1);
         assert_eq!(c.len(), 20);
         assert!(c.members().all(|m| fx.overlay.is_live(m)));
-        let none = Collusion::mark_fraction(&fx.overlay, &mut fx.rng, 0.0);
+        let mut rng = fx.stream(Purpose::Collusion);
+        let none = Collusion::mark_fraction(&fx.overlay, &mut rng, 0.0);
         assert!(none.is_empty());
     }
 
@@ -226,7 +229,8 @@ mod tests {
         // Check the measured rate against the analytic value — this is the
         // analytic skeleton of Figures 3 and 4.
         let fx = &mut fixture(2000, 3, 6);
-        let c = Collusion::mark_fraction(&fx.overlay, &mut fx.rng, 0.3);
+        let mut rng = fx.stream(Purpose::Collusion);
+        let c = Collusion::mark_fraction(&fx.overlay, &mut rng, 0.3);
         let l = 2; // short tunnels keep the probability measurable
         let tunnels: Vec<Vec<Id>> = (0..400).map(|_| deploy(fx, l)).collect();
         let rate = c.corruption_rate(&fx.thas, &tunnels);
@@ -241,7 +245,8 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let fx = &mut fixture(50, 3, 7);
-        let c = Collusion::mark_fraction(&fx.overlay, &mut fx.rng, 0.5);
+        let mut rng = fx.stream(Purpose::Collusion);
+        let c = Collusion::mark_fraction(&fx.overlay, &mut rng, 0.5);
         assert!(!c.corrupts_case1(&fx.thas, &[]));
         assert!(!c.corrupts_case2(&fx.overlay, &[]));
         assert_eq!(c.corruption_rate(&fx.thas, &[]), 0.0);

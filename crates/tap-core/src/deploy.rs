@@ -252,44 +252,42 @@ pub(crate) fn deploy_via_onion<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draws::{Draws, Purpose, Purpose::Flow};
     use crate::tha::ThaFactory;
+    use crate::world::World;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tap_pastry::PastryConfig;
 
-    struct Fx {
-        overlay: Overlay,
-        store: ReplicaStore<Tha>,
-        keys: HashMap<Id, KeyPair>,
-        rng: StdRng,
+    /// A world of `n` nodes, and each node's bootstrap keypair drawn as
+    /// the world draws it.
+    fn world(n: usize, seed: u64) -> (World, HashMap<Id, KeyPair>) {
+        let draws = Draws::from(seed);
+        let w = World::build(PastryConfig::paper_defaults(), n, draws);
+        let keys = w
+            .joined()
+            .iter()
+            .map(|&id| {
+                let mut rng = draws.stream(Purpose::Keypair, id.low_u64());
+                (id, KeyPair::generate(&mut rng))
+            })
+            .collect();
+        (w, keys)
     }
 
-    fn fixture(n: usize, seed: u64) -> Fx {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-        let mut keys = HashMap::new();
-        for _ in 0..n {
-            let id = overlay.add_random_node(&mut rng);
-            keys.insert(id, KeyPair::generate(&mut rng));
-        }
-        Fx {
-            overlay,
-            store: ReplicaStore::new(3),
-            keys,
-            rng,
-        }
+    /// `count` anchors of a random node's fresh factory, not yet stored.
+    fn anchors(w: &mut World, count: usize) -> Vec<Tha> {
+        let node = w.random_node().unwrap();
+        let mut rng = w.stream(Purpose::Formation);
+        let mut f = ThaFactory::new(&mut rng, node);
+        (0..count).map(|_| f.next(&mut rng).stored()).collect()
     }
 
-    fn anchors(fx: &mut Fx, count: usize) -> Vec<Tha> {
-        let node = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let mut f = ThaFactory::new(&mut fx.rng, node);
-        (0..count).map(|_| f.next(&mut fx.rng).stored()).collect()
-    }
-
-    fn relays(fx: &mut Fx, count: usize) -> Vec<Id> {
+    /// `count` distinct random relays.
+    fn relays(w: &mut World, count: usize) -> Vec<Id> {
         let mut out = Vec::new();
         while out.len() < count {
-            let n = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let n = w.random_node().unwrap();
             if !out.contains(&n) {
                 out.push(n);
             }
@@ -299,14 +297,14 @@ mod tests {
 
     #[test]
     fn deploy_stores_every_anchor() {
-        let mut fx = fixture(100, 1);
-        let thas = anchors(&mut fx, 3);
-        let path = relays(&mut fx, 3);
+        let (mut w, keys) = world(100, 1);
+        let thas = anchors(&mut w, 3);
+        let path = relays(&mut w, 3);
         let report = deploy_via_onion(
-            &mut fx.rng,
-            &fx.overlay,
-            &mut fx.store,
-            &fx.keys,
+            &mut w.stream(Flow),
+            &w.overlay,
+            &mut w.thas,
+            &keys,
             &path,
             &thas,
             4,
@@ -314,31 +312,28 @@ mod tests {
         .unwrap();
         assert_eq!(report.deposited.len(), 3);
         for tha in &thas {
-            assert_eq!(
-                fx.store.holders(tha.hopid),
-                fx.overlay.k_closest(tha.hopid, 3)
-            );
+            assert_eq!(w.thas.holders(tha.hopid), w.overlay.k_closest(tha.hopid, 3));
         }
     }
 
     #[test]
     fn dead_relay_aborts_and_rolls_back() {
-        let mut fx = fixture(100, 2);
-        let thas = anchors(&mut fx, 3);
-        let path = relays(&mut fx, 3);
-        fx.overlay.remove_node(path[1]);
+        let (mut w, keys) = world(100, 2);
+        let thas = anchors(&mut w, 3);
+        let path = relays(&mut w, 3);
+        w.overlay.remove_node(path[1]);
         let err = deploy_via_onion(
-            &mut fx.rng,
-            &fx.overlay,
-            &mut fx.store,
-            &fx.keys,
+            &mut w.stream(Flow),
+            &w.overlay,
+            &mut w.thas,
+            &keys,
             &path,
             &thas,
             0,
         )
         .unwrap_err();
         assert_eq!(err, DeployError::RelayDown { node: path[1] });
-        assert!(fx.store.is_empty(), "partial deposits rolled back");
+        assert!(w.thas.is_empty(), "partial deposits rolled back");
     }
 
     #[test]
@@ -346,55 +341,55 @@ mod tests {
         // "A node can always try to use another Onion path to deploy its
         // initial THAs until the first anonymous tunnel is able to be
         // formed."
-        let mut fx = fixture(100, 3);
-        let thas = anchors(&mut fx, 2);
-        let bad_path = relays(&mut fx, 2);
-        fx.overlay.remove_node(bad_path[0]);
+        let (mut w, keys) = world(100, 3);
+        let thas = anchors(&mut w, 2);
+        let bad_path = relays(&mut w, 2);
+        w.overlay.remove_node(bad_path[0]);
         assert!(deploy_via_onion(
-            &mut fx.rng,
-            &fx.overlay,
-            &mut fx.store,
-            &fx.keys,
+            &mut w.stream(Flow),
+            &w.overlay,
+            &mut w.thas,
+            &keys,
             &bad_path,
             &thas,
             0,
         )
         .is_err());
-        let good_path: Vec<Id> = relays(&mut fx, 2);
+        let good_path: Vec<Id> = relays(&mut w, 2);
         deploy_via_onion(
-            &mut fx.rng,
-            &fx.overlay,
-            &mut fx.store,
-            &fx.keys,
+            &mut w.stream(Flow),
+            &w.overlay,
+            &mut w.thas,
+            &keys,
             &good_path,
             &thas,
             0,
         )
         .unwrap();
-        assert_eq!(fx.store.len(), 2);
+        assert_eq!(w.thas.len(), 2);
     }
 
     #[test]
     fn duplicate_hopid_rejected() {
-        let mut fx = fixture(100, 4);
-        let thas = anchors(&mut fx, 1);
-        let p1 = relays(&mut fx, 1);
+        let (mut w, keys) = world(100, 4);
+        let thas = anchors(&mut w, 1);
+        let p1 = relays(&mut w, 1);
         deploy_via_onion(
-            &mut fx.rng,
-            &fx.overlay,
-            &mut fx.store,
-            &fx.keys,
+            &mut w.stream(Flow),
+            &w.overlay,
+            &mut w.thas,
+            &keys,
             &p1,
             &thas,
             0,
         )
         .unwrap();
-        let p2 = relays(&mut fx, 1);
+        let p2 = relays(&mut w, 1);
         let err = deploy_via_onion(
-            &mut fx.rng,
-            &fx.overlay,
-            &mut fx.store,
-            &fx.keys,
+            &mut w.stream(Flow),
+            &w.overlay,
+            &mut w.thas,
+            &keys,
             &p2,
             &thas,
             0,
@@ -410,15 +405,15 @@ mod tests {
 
     #[test]
     fn mismatched_inputs_rejected() {
-        let mut fx = fixture(50, 5);
-        let thas = anchors(&mut fx, 2);
-        let path = relays(&mut fx, 3);
+        let (mut w, keys) = world(50, 5);
+        let thas = anchors(&mut w, 2);
+        let path = relays(&mut w, 3);
         assert_eq!(
             deploy_via_onion(
-                &mut fx.rng,
-                &fx.overlay,
-                &mut fx.store,
-                &fx.keys,
+                &mut w.stream(Flow),
+                &w.overlay,
+                &mut w.thas,
+                &keys,
                 &path,
                 &thas,
                 0,
@@ -427,10 +422,10 @@ mod tests {
         );
         assert_eq!(
             deploy_via_onion(
-                &mut fx.rng,
-                &fx.overlay,
-                &mut fx.store,
-                &fx.keys,
+                &mut w.stream(Flow),
+                &w.overlay,
+                &mut w.thas,
+                &keys,
                 &[],
                 &[],
                 0,
@@ -441,18 +436,18 @@ mod tests {
 
     #[test]
     fn puzzle_work_scales_with_difficulty() {
-        let mut fx = fixture(100, 6);
+        let (mut w, keys) = world(100, 6);
         let mut total_easy = 0u64;
         let mut total_hard = 0u64;
         for round in 0..8 {
-            let thas = anchors(&mut fx, 1);
-            let path = relays(&mut fx, 1);
+            let thas = anchors(&mut w, 1);
+            let path = relays(&mut w, 1);
             let difficulty = if round % 2 == 0 { 2 } else { 10 };
             let report = deploy_via_onion(
-                &mut fx.rng,
-                &fx.overlay,
-                &mut fx.store,
-                &fx.keys,
+                &mut w.stream(Flow),
+                &w.overlay,
+                &mut w.thas,
+                &keys,
                 &path,
                 &thas,
                 difficulty,

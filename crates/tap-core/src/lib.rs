@@ -38,8 +38,9 @@
 //! * [`multipath`] — erasure-coded multipath transfer: stripe one payload
 //!   across `n` disjoint tunnels, reconstruct from any `k` fragments,
 //!   degrade explicitly when the overlay cannot supply `n` tunnels.
-//! * [`world`] — one deployment: overlay, stores, RNG and registry wired
+//! * [`world`] — one deployment: overlay, stores, draws and registry wired
 //!   together once, the API the figures and the examples drive.
+//! * [`draws`] — one keyed random stream per kind of decision.
 //! * [`metrics`] — cached `tap-metrics` handles (onion layer timings,
 //!   transit retries, THA takeovers) shared by transit and retrieval.
 
@@ -49,6 +50,7 @@
 pub mod adversary;
 pub mod baseline;
 pub mod deploy;
+pub mod draws;
 pub mod metrics;
 pub mod multipath;
 pub mod netdrive;
@@ -61,6 +63,7 @@ pub mod world;
 
 pub use adversary::Collusion;
 pub use baseline::FixedTunnel;
+pub use draws::{Draws, Purpose};
 pub use metrics::CoreInstruments;
 pub use tha::{Tha, ThaFactory, ThaSecret};
 pub use transit::{HintCache, TransitError, TransitReport};

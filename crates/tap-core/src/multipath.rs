@@ -241,6 +241,7 @@ pub fn send_striped<L: LatencyModel, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draws::Purpose;
     use crate::world::World;
     use tap_metrics::Registry;
     use tap_netsim::latency::UniformLatency;
@@ -278,7 +279,7 @@ mod tests {
 
     fn pick_dest(fx: &mut Fx) -> Id {
         loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
@@ -293,15 +294,17 @@ mod tests {
     fn full_five_three_transfer_roundtrips() {
         let mut fx = fixture(300, 31);
         let pool = anchor_pool(&mut fx, 30);
-        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 3, 4);
+        let tunnels =
+            form_disjoint_tunnels(&mut fx.world.stream(Purpose::Formation), &pool, 5, 3, 4);
         assert_eq!(tunnels.len(), 5);
         let dest = pick_dest(&mut fx);
         let sent = payload(9216); // three default chunks
+        let mut flow = fx.world.stream(Purpose::Flow);
         let out = send_striped(
             &mut fx.driver,
             &mut fx.world.overlay,
             &fx.world.thas,
-            &mut fx.world.rng,
+            &mut flow,
             fx.initiator,
             dest,
             &tunnels,
@@ -330,16 +333,18 @@ mod tests {
         let mut fx = fixture(300, 32);
         // Pool supports only 4 disjoint 3-hop tunnels.
         let pool = anchor_pool(&mut fx, 12);
-        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 3, 4);
+        let tunnels =
+            form_disjoint_tunnels(&mut fx.world.stream(Purpose::Formation), &pool, 5, 3, 4);
         assert_eq!(tunnels.len(), 4);
         let journal = fx.registry.install_journal(16);
         let dest = pick_dest(&mut fx);
         let sent = payload(4000);
+        let mut flow = fx.world.stream(Purpose::Flow);
         let out = send_striped(
             &mut fx.driver,
             &mut fx.world.overlay,
             &fx.world.thas,
-            &mut fx.world.rng,
+            &mut flow,
             fx.initiator,
             dest,
             &tunnels,
@@ -368,15 +373,17 @@ mod tests {
         let mut fx = fixture(300, 33);
         // Pool supports only 2 disjoint tunnels — under k = 3.
         let pool = anchor_pool(&mut fx, 6);
-        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 3, 4);
+        let tunnels =
+            form_disjoint_tunnels(&mut fx.world.stream(Purpose::Formation), &pool, 5, 3, 4);
         assert_eq!(tunnels.len(), 2);
         let dest = pick_dest(&mut fx);
         let sent = payload(5000);
+        let mut flow = fx.world.stream(Purpose::Flow);
         let out = send_striped(
             &mut fx.driver,
             &mut fx.world.overlay,
             &fx.world.thas,
-            &mut fx.world.rng,
+            &mut flow,
             fx.initiator,
             dest,
             &tunnels,
@@ -397,11 +404,12 @@ mod tests {
     fn zero_tunnels_is_an_explicit_error() {
         let mut fx = fixture(200, 34);
         let dest = pick_dest(&mut fx);
+        let mut flow = fx.world.stream(Purpose::Flow);
         let err = send_striped(
             &mut fx.driver,
             &mut fx.world.overlay,
             &fx.world.thas,
-            &mut fx.world.rng,
+            &mut flow,
             fx.initiator,
             dest,
             &[],
@@ -419,7 +427,8 @@ mod tests {
     fn disjoint_tunnels_share_no_hopids() {
         let mut fx = fixture(250, 35);
         let pool = anchor_pool(&mut fx, 40);
-        let tunnels = form_disjoint_tunnels(&mut fx.world.rng, &pool, 5, 4, 4);
+        let tunnels =
+            form_disjoint_tunnels(&mut fx.world.stream(Purpose::Formation), &pool, 5, 4, 4);
         assert_eq!(tunnels.len(), 5);
         let mut all: Vec<Id> = tunnels.iter().flat_map(|t| t.hop_ids()).collect();
         let before = all.len();

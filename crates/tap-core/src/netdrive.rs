@@ -727,6 +727,7 @@ impl<L: LatencyModel> NetDriver<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draws::Purpose;
     use crate::transit;
     use crate::tunnel::Tunnel;
     use crate::world::World;
@@ -763,12 +764,17 @@ mod tests {
         let mut fx = fixture(200, 1);
         let t = tunnel(&mut fx, 3);
         let dest = loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"payload", None);
+        let onion = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"payload",
+            None,
+        );
         let (delivery, timed) = fx
             .driver
             .drive_timed_with_hints(
@@ -803,12 +809,17 @@ mod tests {
         let mut fx = fixture(250, 2);
         let t = tunnel(&mut fx, 4);
         let dest = loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"m", None);
+        let onion = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"m",
+            None,
+        );
         let (d_logical, logical) = transit::drive(
             &mut fx.world.overlay,
             &fx.world.thas,
@@ -844,12 +855,17 @@ mod tests {
         let mut fx = fixture(200, 3);
         let t = tunnel(&mut fx, 5);
         let dest = loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"x", None);
+        let onion = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"x",
+            None,
+        );
         let outer_len = onion.len() as u64;
         let (_, timed) = fx
             .driver
@@ -877,13 +893,18 @@ mod tests {
         let mut hints = crate::transit::HintCache::default();
         hints.refresh(&fx.world.overlay, &t.hop_ids());
         let dest = loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
         // 2 Mb file travelling alongside the onion, as in Fig. 6.
-        let onion_plain = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"f", None);
+        let onion_plain = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"f",
+            None,
+        );
         let (_, plain) = fx
             .driver
             .drive_timed_with_hints(
@@ -898,7 +919,7 @@ mod tests {
             )
             .unwrap();
         let onion_hinted = t.build_onion(
-            &mut fx.world.rng,
+            &mut fx.world.stream(Purpose::Flow),
             Destination::Node(dest),
             b"f",
             Some(&hints),
@@ -936,12 +957,17 @@ mod tests {
             .network_mut()
             .install_faults(tap_netsim::FaultPlan::new(99).with_loss(300));
         let dest = loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"hard", None);
+        let onion = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"hard",
+            None,
+        );
         let (delivery, timed) = fx
             .driver
             .drive_timed_with_hints(
@@ -982,8 +1008,13 @@ mod tests {
         fx.driver
             .network_mut()
             .install_faults(tap_netsim::FaultPlan::new(1).with_loss(1000));
-        let dest = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
-        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"x", None);
+        let dest = fx.world.random_node().unwrap();
+        let onion = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"x",
+            None,
+        );
         let err = fx
             .driver
             .drive_timed_with_hints(
@@ -1017,12 +1048,17 @@ mod tests {
             .network_mut()
             .install_faults(tap_netsim::FaultPlan::new(4).with_duplication(1000));
         let dest = loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"dup", None);
+        let onion = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"dup",
+            None,
+        );
         let (delivery, timed) = fx
             .driver
             .drive_timed_with_hints(
@@ -1062,13 +1098,13 @@ mod tests {
         fx.driver.kill_node(hinted);
         assert!(fx.world.overlay.is_live(hinted), "split-brain precondition");
         let dest = loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator && d != hinted {
                 break d;
             }
         };
         let onion = t.build_onion(
-            &mut fx.world.rng,
+            &mut fx.world.stream(Purpose::Flow),
             Destination::Node(dest),
             b"m",
             Some(&hints),
@@ -1111,7 +1147,7 @@ mod tests {
 
     fn pick_dest(fx: &mut Fx) -> Id {
         loop {
-            let d = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
+            let d = fx.world.random_node().unwrap();
             if d != fx.initiator {
                 break d;
             }
@@ -1130,7 +1166,12 @@ mod tests {
             .map(|(t, core)| {
                 (
                     t.entry_hopid(),
-                    t.build_onion(&mut fx.world.rng, Destination::Node(dest), core, None),
+                    t.build_onion(
+                        &mut fx.world.stream(Purpose::Flow),
+                        Destination::Node(dest),
+                        core,
+                        None,
+                    ),
                 )
             })
             .collect();
@@ -1179,7 +1220,12 @@ mod tests {
             .map(|t| {
                 (
                     t.entry_hopid(),
-                    t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"frag", None),
+                    t.build_onion(
+                        &mut fx.world.stream(Purpose::Flow),
+                        Destination::Node(dest),
+                        b"frag",
+                        None,
+                    ),
                 )
             })
             .collect();
@@ -1250,7 +1296,12 @@ mod tests {
             .map(|t| {
                 (
                     t.entry_hopid(),
-                    t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"frag", None),
+                    t.build_onion(
+                        &mut fx.world.stream(Purpose::Flow),
+                        Destination::Node(dest),
+                        b"frag",
+                        None,
+                    ),
                 )
             })
             .collect();
@@ -1344,7 +1395,7 @@ mod tests {
         }
         let dest = pick_dest(&mut fx);
         let onion = t.build_onion(
-            &mut fx.world.rng,
+            &mut fx.world.stream(Purpose::Flow),
             Destination::Node(dest),
             b"same",
             Some(&hints),
@@ -1445,8 +1496,13 @@ mod tests {
                 fx.world.overlay.remove_node(holder);
             }
         }
-        let dest = fx.world.overlay.random_node(&mut fx.world.rng).unwrap();
-        let onion = t.build_onion(&mut fx.world.rng, Destination::Node(dest), b"x", None);
+        let dest = fx.world.random_node().unwrap();
+        let onion = t.build_onion(
+            &mut fx.world.stream(Purpose::Flow),
+            Destination::Node(dest),
+            b"x",
+            None,
+        );
         let err = fx
             .driver
             .drive_timed_with_hints(

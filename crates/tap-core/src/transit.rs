@@ -344,63 +344,40 @@ fn resolve_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tha::ThaFactory;
+    use crate::draws::Purpose::Flow;
     use crate::tunnel::{ReplyTunnel, Tunnel};
     use crate::wire::Destination;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tap_pastry::{Overlay, PastryConfig};
+    use crate::world::World;
+    use tap_pastry::PastryConfig;
 
-    struct Fixture {
-        overlay: Overlay,
-        thas: ReplicaStore<Tha>,
-        rng: StdRng,
-        factory: ThaFactory,
-        initiator: Id,
+    /// A world of `n` nodes replicating `k` ways, and the node that sends.
+    fn world(n: usize, k: usize, seed: u64) -> (World, Id) {
+        let mut w = World::build(PastryConfig::with_replication(k), n, seed);
+        let initiator = w.random_node().unwrap();
+        (w, initiator)
     }
 
-    fn fixture(n: usize, k: usize, seed: u64) -> Fixture {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = Overlay::new(PastryConfig::with_replication(k));
-        for _ in 0..n {
-            overlay.add_random_node(&mut rng);
-        }
-        let initiator = overlay.random_node(&mut rng).unwrap();
-        let factory = ThaFactory::new(&mut rng, initiator);
-        Fixture {
-            overlay,
-            thas: ReplicaStore::new(k),
-            rng,
-            factory,
-            initiator,
-        }
-    }
-
-    fn deploy_tunnel(fx: &mut Fixture, l: usize) -> Tunnel {
-        let mut pool = Vec::new();
-        for _ in 0..(l * 4) {
-            let s = fx.factory.next(&mut fx.rng);
-            fx.thas.insert(&fx.overlay, s.hopid, s.stored()).unwrap();
-            pool.push(s);
-        }
-        Tunnel::form_scattered(&mut fx.rng, &pool, l, 4).unwrap()
+    /// A scattered tunnel of `l` hops from `4l` fresh anchors of `owner`.
+    fn deploy_tunnel(w: &mut World, owner: Id, l: usize) -> Tunnel {
+        w.deploy_anchors_direct(owner, l * 4).unwrap();
+        w.form_tunnel(owner, l).unwrap()
     }
 
     #[test]
     fn forward_transit_delivers_plaintext() {
-        let mut fx = fixture(150, 3, 1);
-        let t = deploy_tunnel(&mut fx, 3);
-        let dest = fx.overlay.random_node(&mut fx.rng).unwrap();
+        let (mut w, initiator) = world(150, 3, 1);
+        let t = deploy_tunnel(&mut w, initiator, 3);
+        let dest = w.random_node().unwrap();
         let onion = t.build_onion(
-            &mut fx.rng,
+            &mut w.stream(Flow),
             Destination::Node(dest),
             b"anonymous hello",
             None,
         );
         let (delivery, report) = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion,
             TransitOptions::default(),
@@ -422,34 +399,34 @@ mod tests {
     fn transit_survives_hop_node_failure() {
         // Kill the current tunnel hop node of the middle hop; a replica
         // candidate must take over (the paper's §2 walkthrough).
-        let mut fx = fixture(150, 3, 2);
-        let t = deploy_tunnel(&mut fx, 3);
+        let (mut w, initiator) = world(150, 3, 2);
+        let t = deploy_tunnel(&mut w, initiator, 3);
         let mid_hop = t.hops()[1].hopid;
-        let old_root = fx.overlay.owner_of(mid_hop).unwrap();
-        assert_eq!(fx.thas.holders(mid_hop)[0], old_root);
-        fx.overlay.remove_node(old_root);
+        let old_root = w.overlay.owner_of(mid_hop).unwrap();
+        assert_eq!(w.thas.holders(mid_hop)[0], old_root);
+        w.overlay.remove_node(old_root);
         // NOTE: no replica repair — the message must still get through via
         // a surviving candidate.
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = w.random_node().unwrap();
             if d != old_root {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", None);
+        let onion = t.build_onion(&mut w.stream(Flow), Destination::Node(dest), b"m", None);
         let (delivery, _) = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion,
             TransitOptions::default(),
         )
         .unwrap();
-        let new_root = fx.overlay.owner_of(mid_hop).unwrap();
+        let new_root = w.overlay.owner_of(mid_hop).unwrap();
         assert_ne!(new_root, old_root);
         assert!(
-            fx.thas.holders(mid_hop).contains(&new_root),
+            w.thas.holders(mid_hop).contains(&new_root),
             "the candidate that took over held a replica"
         );
         assert!(matches!(delivery, Delivery::ToDestination { .. }));
@@ -457,18 +434,18 @@ mod tests {
 
     #[test]
     fn transit_fails_when_all_replicas_die() {
-        let mut fx = fixture(150, 3, 3);
-        let t = deploy_tunnel(&mut fx, 3);
+        let (mut w, initiator) = world(150, 3, 3);
+        let t = deploy_tunnel(&mut w, initiator, 3);
         let mid_hop = t.hops()[1].hopid;
-        for holder in fx.thas.holders(mid_hop).to_vec() {
-            fx.overlay.remove_node(holder);
+        for holder in w.thas.holders(mid_hop).to_vec() {
+            w.overlay.remove_node(holder);
         }
-        let dest = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", None);
+        let dest = w.random_node().unwrap();
+        let onion = t.build_onion(&mut w.stream(Flow), Destination::Node(dest), b"m", None);
         let err = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion,
             TransitOptions::default(),
@@ -479,27 +456,32 @@ mod tests {
 
     #[test]
     fn hints_short_circuit_routing() {
-        let mut fx = fixture(200, 3, 4);
-        let t = deploy_tunnel(&mut fx, 4);
+        let (mut w, initiator) = world(200, 3, 4);
+        let t = deploy_tunnel(&mut w, initiator, 4);
         let mut hints = HintCache::default();
-        hints.refresh(&fx.overlay, &t.hop_ids());
-        let dest = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", Some(&hints));
+        hints.refresh(&w.overlay, &t.hop_ids());
+        let dest = w.random_node().unwrap();
+        let onion = t.build_onion(
+            &mut w.stream(Flow),
+            Destination::Node(dest),
+            b"m",
+            Some(&hints),
+        );
         // Entry hop also benefits: the initiator knows the first hop node.
         let (_, with_hints) = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion.clone(),
             TransitOptions::hinted(),
         )
         .unwrap();
-        let onion2 = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", None);
+        let onion2 = t.build_onion(&mut w.stream(Flow), Destination::Node(dest), b"m", None);
         let (_, without) = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion2,
             TransitOptions::default(),
@@ -516,24 +498,29 @@ mod tests {
 
     #[test]
     fn stale_hint_falls_back_to_routing() {
-        let mut fx = fixture(200, 3, 5);
-        let t = deploy_tunnel(&mut fx, 3);
+        let (mut w, initiator) = world(200, 3, 5);
+        let t = deploy_tunnel(&mut w, initiator, 3);
         let mut hints = HintCache::default();
-        hints.refresh(&fx.overlay, &t.hop_ids());
+        hints.refresh(&w.overlay, &t.hop_ids());
         // Kill the hinted node of hop 2 — the hint goes stale.
         let hinted = hints.lookup(t.hops()[1].hopid).unwrap();
-        fx.overlay.remove_node(hinted);
+        w.overlay.remove_node(hinted);
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
+            let d = w.random_node().unwrap();
             if d != hinted {
                 break d;
             }
         };
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", Some(&hints));
+        let onion = t.build_onion(
+            &mut w.stream(Flow),
+            Destination::Node(dest),
+            b"m",
+            Some(&hints),
+        );
         let (delivery, report) = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion,
             TransitOptions::hinted(),
@@ -545,24 +532,24 @@ mod tests {
 
     #[test]
     fn reply_tunnel_returns_to_initiator() {
-        let mut fx = fixture(150, 3, 6);
-        let fwd = deploy_tunnel(&mut fx, 3);
-        let rev = deploy_tunnel(&mut fx, 3);
+        let (mut w, initiator) = world(150, 3, 6);
+        let fwd = deploy_tunnel(&mut w, initiator, 3);
+        let rev = deploy_tunnel(&mut w, initiator, 3);
         // bid: an id whose root is the initiator — halfway to the ring
         // successor works if closer to the initiator than to anyone else;
         // simplest correct choice here: one above the initiator's own id.
-        let bid = fx.initiator.wrapping_add(Id::from_u64(1));
-        assert_eq!(fx.overlay.owner_of(bid), Some(fx.initiator));
-        let rt = ReplyTunnel::build(&mut fx.rng, &rev, bid, 48, None);
+        let bid = initiator.wrapping_add(Id::from_u64(1));
+        assert_eq!(w.overlay.owner_of(bid), Some(initiator));
+        let rt = ReplyTunnel::build(&mut w.stream(Flow), &rev, bid, 48, None);
 
         // Pretend a responder got the request through `fwd` and now sends
         // the reply back through `rt`.
-        let dest = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let req = fwd.build_onion(&mut fx.rng, Destination::Node(dest), b"req", None);
+        let dest = w.random_node().unwrap();
+        let req = fwd.build_onion(&mut w.stream(Flow), Destination::Node(dest), b"req", None);
         let (d1, _) = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             fwd.entry_hopid(),
             req,
             TransitOptions::default(),
@@ -573,8 +560,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let (d2, _) = drive(
-            &mut fx.overlay,
-            &fx.thas,
+            &mut w.overlay,
+            &w.thas,
             responder,
             rt.entry_hopid,
             rt.onion.clone(),
@@ -583,7 +570,7 @@ mod tests {
         .unwrap();
         match d2 {
             Delivery::AtAnchorlessRoot { node, residue } => {
-                assert_eq!(node, fx.initiator, "reply must reach the initiator");
+                assert_eq!(node, initiator, "reply must reach the initiator");
                 assert_eq!(residue.len(), 48, "fakeonion intact");
             }
             other => panic!("unexpected {other:?}"),
@@ -592,16 +579,16 @@ mod tests {
 
     #[test]
     fn tampered_onion_is_rejected_at_first_hop() {
-        let mut fx = fixture(100, 3, 7);
-        let t = deploy_tunnel(&mut fx, 3);
-        let dest = fx.overlay.random_node(&mut fx.rng).unwrap();
-        let mut onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", None);
+        let (mut w, initiator) = world(100, 3, 7);
+        let t = deploy_tunnel(&mut w, initiator, 3);
+        let dest = w.random_node().unwrap();
+        let mut onion = t.build_onion(&mut w.stream(Flow), Destination::Node(dest), b"m", None);
         let mid = onion.len() / 2;
         onion[mid] ^= 0xff;
         let err = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion,
             TransitOptions::default(),
@@ -617,20 +604,20 @@ mod tests {
 
     #[test]
     fn dead_destination_reported() {
-        let mut fx = fixture(100, 3, 8);
-        let t = deploy_tunnel(&mut fx, 3);
+        let (mut w, initiator) = world(100, 3, 8);
+        let t = deploy_tunnel(&mut w, initiator, 3);
         let dest = loop {
-            let d = fx.overlay.random_node(&mut fx.rng).unwrap();
-            if d != fx.initiator && !t.hop_ids().contains(&d) {
+            let d = w.random_node().unwrap();
+            if d != initiator && !t.hop_ids().contains(&d) {
                 break d;
             }
         };
-        fx.overlay.remove_node(dest);
-        let onion = t.build_onion(&mut fx.rng, Destination::Node(dest), b"m", None);
+        w.overlay.remove_node(dest);
+        let onion = t.build_onion(&mut w.stream(Flow), Destination::Node(dest), b"m", None);
         let result = drive(
-            &mut fx.overlay,
-            &fx.thas,
-            fx.initiator,
+            &mut w.overlay,
+            &w.thas,
+            initiator,
             t.entry_hopid(),
             onion,
             TransitOptions::default(),

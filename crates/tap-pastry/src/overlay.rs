@@ -844,15 +844,6 @@ impl Overlay {
             node.table.assert_invariants();
         }
     }
-
-    /// Mean routing-table occupancy (diagnostics).
-    pub fn mean_table_occupancy(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.nodes.values().map(|n| n.table.occupancy()).sum();
-        total as f64 / self.nodes.len() as f64
-    }
 }
 
 /// The ring stretch of [`Overlay::window`], and two leaf-side buffers that

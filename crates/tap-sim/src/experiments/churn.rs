@@ -13,7 +13,7 @@
 //! unit) only ever expose one unit's worth of migrations.
 
 use tap_core::tha::Tha;
-use tap_core::{Collusion, Tunnel, World};
+use tap_core::{Collusion, Draws, Purpose, Tunnel, World};
 use tap_id::Id;
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::PastryConfig;
@@ -38,9 +38,7 @@ fn parallel_corruption_rate(
     }
     let chunk = lists.len().div_ceil(pool.threads());
     let shards: Vec<&[Vec<Id>]> = lists.chunks(chunk).collect();
-    let counts = pool.run(shards, |_idx, shard, _rng| {
-        collusion.corrupted_count(thas, shard)
-    });
+    let counts = pool.run(shards, |shard, _| collusion.corrupted_count(thas, shard));
     counts.iter().sum::<usize>() as f64 / lists.len() as f64
 }
 
@@ -48,11 +46,8 @@ fn parallel_corruption_rate(
 pub fn run(scale: &Scale) -> Series {
     let (k, l) = (3, 5);
     let p = 0.1;
-    let mut world = World::build(
-        PastryConfig::with_replication(k),
-        scale.nodes,
-        scale.seed ^ 0xF165,
-    );
+    let draws = Draws::from(scale.seed ^ 0xF165);
+    let mut world = World::build(PastryConfig::with_replication(k), scale.nodes, draws);
     let unrefreshed = world.deploy_tunnels(scale.tunnels, l);
     apply_journal(world.metrics(), scale);
 
@@ -60,7 +55,8 @@ pub fn run(scale: &Scale) -> Series {
     // nodes ("malicious nodes instead can try to stay in system as long as
     // possible"). Its ledger starts now, before any replica has moved, so
     // it holds every THA a member was ever handed.
-    let collusion = Collusion::mark_fraction(&world.overlay, &mut world.rng, p);
+    let mut rng = world.stream(Purpose::Collusion);
+    let collusion = Collusion::mark_fraction(&world.overlay, &mut rng, p);
     world.thas.watch(collusion.members());
     // `pick_benign` needs a benign node left for every leave of a unit;
     // the CLI rejects scales with `churn_per_unit > nodes / 2`, which
@@ -79,7 +75,7 @@ pub fn run(scale: &Scale) -> Series {
         vec!["unrefreshed".into(), "refreshed".into()],
     );
 
-    let pool = TrialPool::new(scale, "fig5");
+    let pool = TrialPool::new(scale, draws);
 
     // t = 0: before any churn, both populations are at the static rate.
     series.push(

@@ -11,7 +11,7 @@
 //! hop of the tunnel (§6). The analytic overlay `(1-(1-p)^k)^l` makes the
 //! independence assumption explicit.
 
-use tap_core::{Collusion, World};
+use tap_core::{Collusion, Draws, Purpose, World};
 use tap_pastry::PastryConfig;
 
 use crate::engine::TrialPool;
@@ -23,16 +23,13 @@ use crate::Scale;
 pub const MALICIOUS_FRACTIONS: [f64; 6] = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30];
 
 /// Independent collusion draws averaged per point.
-const DRAWS: usize = 5;
+const DRAWS: u64 = 5;
 
 /// Run the experiment.
 pub fn run(scale: &Scale) -> Series {
     let (k, l) = (3, 5);
-    let mut world = World::build(
-        PastryConfig::with_replication(k),
-        scale.nodes,
-        scale.seed ^ 0xF163,
-    );
+    let draws = Draws::from(scale.seed ^ 0xF163);
+    let mut world = World::build(PastryConfig::with_replication(k), scale.nodes, draws);
     let tunnels = world.deploy_tunnels(scale.tunnels, l);
     apply_journal(world.metrics(), scale);
     let hop_lists: Vec<_> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
@@ -43,14 +40,15 @@ pub fn run(scale: &Scale) -> Series {
         vec!["corrupted".into(), "analytic".into()],
     );
 
-    // One trial per malicious fraction: collusion draws come from the
-    // trial's RNG substream, the world is shared read-only.
-    let pool = TrialPool::new(scale, "fig3");
+    // One trial per malicious fraction: collusion `d` draws from the
+    // trial's collusion stream `d`, the world is shared read-only.
+    let pool = TrialPool::new(scale, draws);
     let world_ref = &world;
-    let rows = pool.run(MALICIOUS_FRACTIONS.to_vec(), |_idx, &p, rng| {
+    let rows = pool.run(MALICIOUS_FRACTIONS.to_vec(), |&p, draws| {
         let mut total = 0.0;
-        for _ in 0..DRAWS {
-            let collusion = Collusion::mark_fraction(&world_ref.overlay, rng, p);
+        for d in 0..DRAWS {
+            let mut rng = draws.stream(Purpose::Collusion, d);
+            let collusion = Collusion::mark_fraction(&world_ref.overlay, &mut rng, p);
             total += collusion.corruption_rate(&world_ref.thas, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - p).powi(k as i32)).powi(l as i32);

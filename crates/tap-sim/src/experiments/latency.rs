@@ -14,18 +14,20 @@
 //! delay, the cost model of the paper's emulator; a TAP hop's bytes are
 //! the file plus what is left of the onion.
 
+use rand::Rng;
+
 use tap_core::metrics::CoreInstruments;
 use tap_core::netdrive::TimedReport;
 use tap_core::transit::{Delivery, HintCache, TransitError, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
-use tap_core::World;
+use tap_core::{Draws, Purpose, World};
 use tap_id::Id;
 use tap_metrics::Registry;
 use tap_netsim::latency::UniformLatency;
 use tap_pastry::PastryConfig;
 
-use crate::engine::{substream_seed, TrialPool};
+use crate::engine::TrialPool;
 use crate::report::Series;
 use crate::Scale;
 
@@ -33,7 +35,7 @@ use crate::Scale;
 pub const FILE_BYTES: u64 = 250_000;
 
 /// Log-spaced network sizes from 100 up to `max` (inclusive).
-pub fn network_sizes(max: usize) -> Vec<usize> {
+fn network_sizes(max: usize) -> Vec<usize> {
     let max = max.max(100);
     let points = 5usize;
     let lo = 100f64;
@@ -64,38 +66,36 @@ pub fn run(scale: &Scale) -> Series {
         ],
     );
 
-    // Building the overlay dominates a trial's cost at paper scale, and
-    // every sim at a given size routes over an identically-seeded one —
-    // so build each size's world exactly once, up front, and hand every
-    // trial a copy-on-write fork (O(N) Arc bumps; the static network
-    // never kills a node, so routing never evicts and nothing unshares).
+    // Building the overlay dominates a trial's cost at paper scale, so
+    // build each size's world once and hand every trial a copy-on-write
+    // fork (O(N) Arc bumps; the static network never kills a node, so
+    // routing never evicts and nothing unshares).
+    let draws = Draws::from(scale.seed ^ 0xF166);
     let sizes = network_sizes(scale.nodes);
     let bases: Vec<World> = sizes
         .iter()
         .map(|&n| {
-            let seed = substream_seed(scale.seed, "fig6-base", n);
-            let base = World::build(PastryConfig::paper_defaults(), n, seed);
+            let base_draws = draws.child(Purpose::World, n as u64);
+            let base = World::build(PastryConfig::paper_defaults(), n, base_draws);
             metrics.merge(base.metrics());
             base
         })
         .collect();
 
     // The paper's 30 independent simulations per network size are the
-    // trial list: every (size, sim) pair is one trial on its own RNG
-    // substream with its own network + registry, reading the shared base
-    // overlays, so the whole figure fans out across workers.
+    // trial list: every (size, sim) pair is one trial on its own draws
+    // with its own network + registry, reading the shared base overlays,
+    // so the whole figure fans out across workers.
     let trials: Vec<(usize, usize)> = (0..sizes.len())
         .flat_map(|si| (0..scale.latency_sims).map(move |sim| (si, sim)))
         .collect();
-    let pool = TrialPool::new(scale, "fig6");
-    let results = pool.run(trials, |idx, &(si, _sim), rng| {
+    let pool = TrialPool::new(scale, draws);
+    let results = pool.run(trials, |&(si, _sim), draws| {
         let trial_metrics = Registry::new();
         super::apply_journal(&trial_metrics, scale);
-        let seed = pool.trial_seed(idx);
-        let mut world = bases[si].fork(rng.clone(), &trial_metrics);
-        let transfers = scale.latency_transfers;
-        let per_transfer =
-            simulate_one(&mut world, transfers, UniformLatency::paper(seed ^ 0x1a7e));
+        let mut world = bases[si].fork(draws, &trial_metrics);
+        let links = UniformLatency::paper(world.stream(Purpose::Wire).gen());
+        let per_transfer = simulate_one(&mut world, scale.latency_transfers, links);
         (per_transfer, trial_metrics)
     });
 
@@ -132,7 +132,7 @@ fn simulate_one(world: &mut World, transfers: usize, latency: UniformLatency) ->
     let mut sums = [0.0f64; 5];
     for _ in 0..transfers {
         let initiator = world.random_node().expect("nodes exist");
-        let fid = Id::random(&mut world.rng);
+        let fid = Id::random(&mut world.stream(Purpose::File));
         // Variant 0: overt transfer along the plain Pastry route.
         let overt = driver.drive_overt(&mut world.overlay, &world.thas, initiator, fid, FILE_BYTES);
         sums[0] += seconds(overt);
@@ -149,7 +149,7 @@ fn simulate_one(world: &mut World, transfers: usize, latency: UniformLatency) ->
                 cache
             });
             let onion = tunnel.build_onion_instrumented(
-                &mut world.rng,
+                &mut world.stream(Purpose::Flow),
                 Destination::KeyRoot(fid),
                 b"push",
                 hints.as_ref(),

@@ -12,13 +12,12 @@
 //! spot-checked here end-to-end); a baseline tunnel functions iff every
 //! relay node survived ([`FixedTunnel::intact`]).
 
-use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
 
 use tap_core::transit::{self, TransitError, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
-use tap_core::{FixedTunnel, World};
+use tap_core::{Draws, FixedTunnel, Purpose, World};
 use tap_id::{Id, IdHashSet};
 use tap_metrics::Registry;
 use tap_pastry::storage::ReplicaStore;
@@ -47,11 +46,8 @@ pub fn run(scale: &Scale) -> Series {
     let l = BASELINE_RELAYS;
     // One overlay and one set of hopids; two stores at k=3 and k=5 so the
     // curves compare the replication factor on identical tunnels.
-    let mut world = World::build(
-        PastryConfig::with_replication(3),
-        scale.nodes,
-        scale.seed ^ 0xF162,
-    );
+    let draws = Draws::from(scale.seed ^ 0xF162);
+    let mut world = World::build(PastryConfig::with_replication(3), scale.nodes, draws);
     let tunnels = world.deploy_tunnels(scale.tunnels, l);
     apply_journal(world.metrics(), scale);
     let thas_k5 = world.thas_replicated(5, world.metrics());
@@ -62,7 +58,10 @@ pub fn run(scale: &Scale) -> Series {
     // and counts as failed.
     let baselines: Vec<Option<FixedTunnel>> = tunnels
         .iter()
-        .map(|(owner, _)| FixedTunnel::form_random(&mut world.rng, &world.overlay, *owner, l))
+        .map(|(owner, _)| {
+            let mut rng = world.stream(Purpose::Formation);
+            FixedTunnel::form_random(&mut rng, &world.overlay, *owner, l)
+        })
         .collect();
 
     let mut series = Series::new(
@@ -81,20 +80,20 @@ pub fn run(scale: &Scale) -> Series {
     let all_ids: Vec<Id> = world.overlay.ids().collect();
 
     // One trial per swept failure fraction. Trials read the shared world
-    // and draw their dead sets from private RNG substreams, so the sweep
+    // and draw their dead sets from their own keyed streams, so the sweep
     // parallelizes with bit-identical results at any thread count.
-    let pool = TrialPool::new(scale, "fig2");
+    let pool = TrialPool::new(scale, draws);
     let (world_ref, tunnels_ref) = (&world, &tunnels);
     let trials = pool.run(
         FAILURE_FRACTIONS.to_vec(),
-        |_idx, &p, rng: &mut StdRng| -> (Vec<f64>, Registry) {
+        |&p, draws| -> (Vec<f64>, Registry) {
             let trial_metrics = Registry::new();
             apply_journal(&trial_metrics, scale);
             let dead_count = ((scale.nodes as f64) * p).round() as usize;
             let dead: IdHashSet = all_ids
                 .iter()
                 .copied()
-                .choose_multiple(rng, dead_count)
+                .choose_multiple(&mut draws.stream(Purpose::Failures, 0), dead_count)
                 .into_iter()
                 .collect();
 
@@ -119,7 +118,7 @@ pub fn run(scale: &Scale) -> Series {
                 }
             }
 
-            spot_check_with_transit(world_ref, tunnels_ref, &trial_metrics, &dead, rng);
+            spot_check_with_transit(world_ref, tunnels_ref, &trial_metrics, &dead, draws);
 
             let n = surveyed.max(1) as f64;
             let row = vec![
@@ -157,13 +156,14 @@ pub fn tunnel_broken(
 /// agrees with [`tunnel_broken`]. Keeps the fast predicate honest.
 ///
 /// Reads the shared world only; the overlay clone records into the
-/// trial's private registry so parallel trials never contend.
+/// trial's private registry so parallel trials never contend. Tunnel `i`'s
+/// probe key and onion draw from the trial's flow stream `i`.
 fn spot_check_with_transit(
     world: &World,
     tunnels: &[(Id, Tunnel)],
     trial_metrics: &Registry,
     dead: &IdHashSet,
-    rng: &mut StdRng,
+    draws: Draws,
 ) {
     // Copy-on-write: the clone shares every node handle with the world's
     // overlay, so this costs O(N) pointer bumps and the sweep point pays
@@ -176,12 +176,13 @@ fn spot_check_with_transit(
     let mut dead_sorted: Vec<Id> = dead.iter().copied().collect();
     dead_sorted.sort();
     overlay.remove_nodes(&dead_sorted);
-    for (owner, tunnel) in tunnels.iter().take(SPOT_CHECKS) {
+    for (flow, (owner, tunnel)) in tunnels.iter().take(SPOT_CHECKS).enumerate() {
         if dead.contains(owner) {
             continue;
         }
-        let probe_key = Id::random(rng);
-        let onion = tunnel.build_onion(rng, Destination::KeyRoot(probe_key), b"fig2-probe", None);
+        let mut rng = draws.stream(Purpose::Flow, flow as u64);
+        let probe = Destination::KeyRoot(Id::random(&mut rng));
+        let onion = tunnel.build_onion(&mut rng, probe, b"fig2-probe", None);
         let outcome = transit::drive(
             &mut overlay,
             &world.thas,

@@ -13,10 +13,9 @@
 //! resends per transfer, and give-ups per transfer. The `x = 0` row is the
 //! fault-free baseline and must deliver everything.
 //!
-//! Fault injection is seed-deterministic ([`tap_netsim::FaultPlan`] owns
-//! its own RNG substream) and each (loss, sim) pair is an independent
-//! trial on the figure's [`TrialPool`], so the emitted CSV is
-//! byte-identical at any `--threads N`.
+//! Each (loss, sim) pair is an independent trial on the figure's
+//! [`TrialPool`], its [`tap_netsim::FaultPlan`] seeded from the trial's
+//! fault stream, so the CSV is byte-identical at any `--threads N`.
 //!
 //! **Multipath mode** (`--multipath N/K`, i.e. [`Scale::mp_n`] > 0)
 //! switches the figure to a head-to-head comparison at each loss level:
@@ -24,13 +23,13 @@
 //! hinted tunnel transfer with the retry shim (`sp_*` columns) and once as
 //! an erasure-coded `(n, k)` stripe set over `n` disjoint tunnels
 //! ([`tap_core::multipath::send_striped`], `mp_*` columns). Both phases
-//! run under the same fault-plan seed and the same partition/crash window,
-//! so every row answers "at this fault level, what did coding buy?":
-//! delivered fraction, p99 transfer latency, resends per transfer, and the
-//! per-relay exposure (the largest fraction of one transfer's stripes any
-//! single relay carried — 1.0 for single-path by construction). With
-//! `mp_n = 0` (the default) this mode is fully off and the classic CSV is
-//! byte-identical to previous releases.
+//! fork the base world with the trial's draws: the same links, faults,
+//! partition/crash window and endpoints, and neither moves the other's
+//! draws. Each row reports, per phase, the delivered fraction, p99 latency,
+//! resends per transfer and per-relay exposure (the largest fraction of a
+//! transfer's stripes one relay carried; 1.0 for single-path).
+
+use rand::Rng;
 
 use tap_core::metrics::CoreInstruments;
 use tap_core::multipath::{form_disjoint_tunnels, send_striped, MultipathConfig, MultipathError};
@@ -39,14 +38,14 @@ use tap_core::tha::ThaSecret;
 use tap_core::transit::{HintCache, TransitError, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
-use tap_core::World;
+use tap_core::{Draws, Purpose, World};
 use tap_id::Id;
 use tap_metrics::Registry;
 use tap_netsim::latency::UniformLatency;
 use tap_netsim::{EndpointId, FaultPlan, SimDuration};
 use tap_pastry::PastryConfig;
 
-use crate::engine::{substream_seed, TrialPool};
+use crate::engine::TrialPool;
 use crate::report::Series;
 use crate::Scale;
 
@@ -58,7 +57,7 @@ const RETRY_BUDGET: u32 = 6;
 
 /// The swept loss levels (permille): the fault-free baseline plus points
 /// around `center`. `center = 0` collapses to the baseline alone.
-pub fn loss_points(center: u32) -> Vec<u32> {
+fn loss_points(center: u32) -> Vec<u32> {
     let mut pts = vec![0, center / 4, center / 2, center, (center * 2).min(1000)];
     pts.sort_unstable();
     pts.dedup();
@@ -77,32 +76,46 @@ const SCATTER_B: u32 = 4;
 /// `mp_n = 0` runs the classic single-path sweep; `mp_n > 0` runs the
 /// coded-multipath-vs-single-path comparison.
 pub fn run(scale: &Scale) -> Series {
-    if scale.mp_n > 0 {
-        run_multipath(scale)
-    } else {
-        run_classic(scale)
-    }
-}
-
-/// The classic sweep: single-path transfers only, the original column set.
-fn run_classic(scale: &Scale) -> Series {
+    let coded = (scale.mp_n > 0).then(|| (scale.mp_n, scale.mp_k.clamp(1, scale.mp_n)));
     let metrics = Registry::new();
     super::apply_journal(&metrics, scale);
-    let mut series = Series::new(
-        "Resilience — tunnel transfer outcomes vs. injected per-link loss (permille)".to_string(),
-        "loss_permille",
-        vec![
-            "delivered_frac".into(),
-            "retries_per_xfer".into(),
-            "giveups_per_xfer".into(),
-        ],
-    );
+    let mut series = match coded {
+        None => Series::new(
+            "Resilience — tunnel transfer outcomes vs. injected per-link loss (permille)",
+            "loss_permille",
+            vec![
+                "delivered_frac".into(),
+                "retries_per_xfer".into(),
+                "giveups_per_xfer".into(),
+            ],
+        ),
+        Some((n, k)) => Series::new(
+            format!(
+                "Resilience — coded {n}/{k} multipath vs. single-path retry \
+                 vs. injected per-link loss (permille)"
+            ),
+            "loss_permille",
+            vec![
+                "sp_delivered_frac".into(),
+                "sp_p99_ms".into(),
+                "sp_retries_per_xfer".into(),
+                "sp_relay_exposure".into(),
+                "mp_delivered_frac".into(),
+                "mp_p99_ms".into(),
+                "mp_retries_per_xfer".into(),
+                "mp_relay_exposure".into(),
+            ],
+        ),
+    };
 
     // Every trial routes over the same membership, and faults live in the
     // wire, not the overlay — so build the world once and hand each trial
     // a copy-on-write fork (O(N) Arc bumps, and since nodes never leave
     // the overlay, routing never evicts and nothing unshares).
-    let base = base_world(scale, &metrics);
+    let draws = Draws::from(scale.seed ^ 0x4E5);
+    let base = World::build(PastryConfig::paper_defaults(), scale.nodes, draws);
+    metrics.merge(base.metrics());
+    let pool = TrialPool::new(scale, draws);
 
     let points = loss_points(scale.fault_permille);
     let sims = scale.latency_sims.max(1);
@@ -111,54 +124,73 @@ fn run_classic(scale: &Scale) -> Series {
         .iter()
         .flat_map(|&loss| (0..sims).map(move |sim| (loss, sim)))
         .collect();
-    let pool = TrialPool::new(scale, "resilience");
-    let results = pool.run(trials, |idx, &(loss, _sim), rng| {
-        let trial_metrics = Registry::new();
-        super::apply_journal(&trial_metrics, scale);
-        let mut world = base.fork(rng.clone(), &trial_metrics);
-        let phase = chaos_phase(
-            &mut world,
-            transfers,
-            loss,
-            pool.trial_seed(idx),
-            |world, driver| {
-                transfer_once(world, driver, b"payload").map(|elapsed| (elapsed.as_micros(), 1.0))
-            },
-        );
-        (phase.delivered, trial_metrics)
+    let payload: Vec<u8> = match coded {
+        None => b"payload".to_vec(),
+        Some(_) => (0..MP_PAYLOAD_LEN).map(|i| (i * 131 + 7) as u8).collect(),
+    };
+    // Both phases fork the base with the trial's draws: paired, not chained.
+    let results = pool.run(trials, |&(loss, _sim), draws| {
+        let sp = chaos_phase(&base, draws, scale, loss, |world, driver, _| {
+            transfer_once(world, driver, &payload).map(|elapsed| (elapsed.as_micros(), 1.0))
+        });
+        let mp = coded.map(|(n, k)| {
+            chaos_phase(&base, draws, scale, loss, |world, driver, ins| {
+                mp_transfer_once(world, driver, &payload, n, k, ins)
+            })
+        });
+        (sp, mp)
     });
 
     let mut results = results.into_iter();
     for &loss in &points {
-        let mut delivered = 0usize;
-        let point_metrics = Registry::new();
+        let (mut sp, mut mp) = (PhaseStats::default(), PhaseStats::default());
+        let (sp_point, mp_point) = (Registry::new(), Registry::new());
         for _ in 0..sims {
-            let (d, trial_metrics) = results.next().expect("one trial per (loss, sim)");
-            delivered += d;
-            point_metrics.merge(&trial_metrics);
-            metrics.merge(&trial_metrics);
+            let ((s, s_reg), m) = results.next().expect("one trial per (loss, sim)");
+            sp.absorb(s);
+            sp_point.merge(&s_reg);
+            metrics.merge(&s_reg);
+            if let Some((m, m_reg)) = m {
+                mp.absorb(m);
+                mp_point.merge(&m_reg);
+                metrics.merge(&m_reg);
+            }
         }
-        let snap = point_metrics.snapshot();
         let denom = (sims * transfers) as f64;
-        series.push(
-            f64::from(loss),
-            vec![
-                delivered as f64 / denom,
-                snap.counter("core.transit.retries") as f64 / denom,
-                snap.counter("core.transit.giveups") as f64 / denom,
+        let per_xfer = |point: &Registry, name| point.snapshot().counter(name) as f64 / denom;
+        let values = match coded {
+            None => vec![
+                sp.delivered as f64 / denom,
+                per_xfer(&sp_point, "core.transit.retries"),
+                per_xfer(&sp_point, "core.transit.giveups"),
             ],
-        );
+            Some(_) => [(&mut sp, &sp_point), (&mut mp, &mp_point)]
+                .into_iter()
+                .flat_map(|(stats, point)| {
+                    [
+                        stats.delivered as f64 / denom,
+                        p99_ms(&mut stats.latencies_us),
+                        per_xfer(point, "core.transit.retries"),
+                        stats.exposure(),
+                    ]
+                })
+                .collect(),
+        };
+        if coded.is_some() && loss == scale.fault_permille && loss > 0 {
+            // The gate-worthy numbers at the sweep's reference fault level.
+            for (name, at) in [
+                ("sp_delivered_frac", 0),
+                ("sp_p99_ms", 1),
+                ("mp_delivered_frac", 4),
+                ("mp_p99_ms", 5),
+            ] {
+                series.bench_extras.push((name.into(), values[at]));
+            }
+        }
+        series.push(f64::from(loss), values);
     }
     series.metrics_json = Some(metrics.snapshot().to_json());
     series
-}
-
-/// The sweep's shared world, its build recorded into `metrics`.
-fn base_world(scale: &Scale, metrics: &Registry) -> World {
-    let seed = substream_seed(scale.seed, "resilience-base", 0);
-    let base = World::build(PastryConfig::paper_defaults(), scale.nodes, seed);
-    metrics.merge(base.metrics());
-    base
 }
 
 /// A random initiator and `count` fresh anchors of its own.
@@ -196,7 +228,8 @@ fn transfer_once(
     let mut hints = HintCache::default();
     hints.refresh(&world.overlay, &tunnel.hop_ids());
     let dest = destination(world, initiator);
-    let onion = tunnel.build_onion(&mut world.rng, Destination::Node(dest), core, Some(&hints));
+    let mut flow = world.stream(Purpose::Flow);
+    let onion = tunnel.build_onion(&mut flow, Destination::Node(dest), core, Some(&hints));
     let outcome = driver.drive_timed_with_hints(
         &mut world.overlay,
         &world.thas,
@@ -231,115 +264,21 @@ struct PhaseStats {
     exposure_sum: f64,
 }
 
-/// The comparison sweep: each trial runs the *same* transfer schedule
-/// twice under the same fault seed — single-path retry vs. coded
-/// `(n, k)` multipath — and each row reports both column families.
-fn run_multipath(scale: &Scale) -> Series {
-    let n = scale.mp_n;
-    let k = scale.mp_k.clamp(1, n);
-    let metrics = Registry::new();
-    super::apply_journal(&metrics, scale);
-    let mut series = Series::new(
-        format!(
-            "Resilience — coded {n}/{k} multipath vs. single-path retry \
-             vs. injected per-link loss (permille)"
-        ),
-        "loss_permille",
-        vec![
-            "sp_delivered_frac".into(),
-            "sp_p99_ms".into(),
-            "sp_retries_per_xfer".into(),
-            "sp_relay_exposure".into(),
-            "mp_delivered_frac".into(),
-            "mp_p99_ms".into(),
-            "mp_retries_per_xfer".into(),
-            "mp_relay_exposure".into(),
-        ],
-    );
-
-    // Same shared base world as the classic sweep.
-    let base = base_world(scale, &metrics);
-
-    let points = loss_points(scale.fault_permille);
-    let sims = scale.latency_sims.max(1);
-    let transfers = scale.latency_transfers.max(1);
-    let trials: Vec<(u32, usize)> = points
-        .iter()
-        .flat_map(|&loss| (0..sims).map(move |sim| (loss, sim)))
-        .collect();
-    let pool = TrialPool::new(scale, "resilience-mp");
-    let results = pool.run(trials, |idx, &(loss, _sim), rng| {
-        let sp_metrics = Registry::new();
-        let mp_metrics = Registry::new();
-        super::apply_journal(&sp_metrics, scale);
-        super::apply_journal(&mp_metrics, scale);
-        let seed = pool.trial_seed(idx);
-        let payload: Vec<u8> = (0..MP_PAYLOAD_LEN).map(|i| (i * 131 + 7) as u8).collect();
-        // The coded phase draws on from where the single-path one stopped.
-        let mut sp_world = base.fork(rng.clone(), &sp_metrics);
-        let sp = chaos_phase(&mut sp_world, transfers, loss, seed, |world, driver| {
-            transfer_once(world, driver, &payload).map(|elapsed| (elapsed.as_micros(), 1.0))
-        });
-        let mut mp_world = base.fork(sp_world.rng, &mp_metrics);
-        let mp_ins = CoreInstruments::new(&mp_metrics);
-        let mp = chaos_phase(&mut mp_world, transfers, loss, seed, |world, driver| {
-            mp_transfer_once(world, driver, &payload, n, k, &mp_ins)
-        });
-        (sp, sp_metrics, mp, mp_metrics)
-    });
-
-    let mut results = results.into_iter();
-    for &loss in &points {
-        let mut sp = PhaseStats::default();
-        let mut mp = PhaseStats::default();
-        let sp_point = Registry::new();
-        let mp_point = Registry::new();
-        for _ in 0..sims {
-            let (s, s_reg, m, m_reg) = results.next().expect("one trial per (loss, sim)");
-            sp.delivered += s.delivered;
-            sp.latencies_us.extend(s.latencies_us);
-            sp.exposure_sum += s.exposure_sum;
-            mp.delivered += m.delivered;
-            mp.latencies_us.extend(m.latencies_us);
-            mp.exposure_sum += m.exposure_sum;
-            sp_point.merge(&s_reg);
-            mp_point.merge(&m_reg);
-            metrics.merge(&s_reg);
-            metrics.merge(&m_reg);
-        }
-        let denom = (sims * transfers) as f64;
-        let expo = |p: &PhaseStats| {
-            if p.delivered > 0 {
-                p.exposure_sum / p.delivered as f64
-            } else {
-                0.0
-            }
-        };
-        let values = vec![
-            sp.delivered as f64 / denom,
-            p99_ms(&mut sp.latencies_us),
-            sp_point.snapshot().counter("core.transit.retries") as f64 / denom,
-            expo(&sp),
-            mp.delivered as f64 / denom,
-            p99_ms(&mut mp.latencies_us),
-            mp_point.snapshot().counter("core.transit.retries") as f64 / denom,
-            expo(&mp),
-        ];
-        if loss == scale.fault_permille && loss > 0 {
-            // The gate-worthy numbers at the sweep's reference fault level.
-            series
-                .bench_extras
-                .push(("sp_delivered_frac".into(), values[0]));
-            series.bench_extras.push(("sp_p99_ms".into(), values[1]));
-            series
-                .bench_extras
-                .push(("mp_delivered_frac".into(), values[4]));
-            series.bench_extras.push(("mp_p99_ms".into(), values[5]));
-        }
-        series.push(f64::from(loss), values);
+impl PhaseStats {
+    fn absorb(&mut self, other: PhaseStats) {
+        self.delivered += other.delivered;
+        self.latencies_us.extend(other.latencies_us);
+        self.exposure_sum += other.exposure_sum;
     }
-    series.metrics_json = Some(metrics.snapshot().to_json());
-    series
+
+    /// Mean exposure of a delivered transfer; 0 when nothing delivered.
+    fn exposure(&self) -> f64 {
+        if self.delivered > 0 {
+            self.exposure_sum / self.delivered as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// p99 of `lat` (microseconds) in milliseconds; 0 when nothing delivered.
@@ -352,26 +291,31 @@ fn p99_ms(lat_us: &mut [u64]) -> f64 {
     lat_us[idx] as f64 / 1000.0
 }
 
-/// One phase of a trial on a fresh fork of the base world: a fresh wire,
-/// the fault plan, and the partition and crash window at the same
-/// transfer indices, around a caller-supplied transfer. The transfer
-/// returns `Some((elapsed_us, relay_exposure))` on delivery.
+/// One phase of a trial on a fork of `base` drawing from `draws`, with its
+/// own registry: a fresh wire, the fault plan, and the partition and crash
+/// window at the same transfer indices, around a caller-supplied transfer.
+/// The transfer returns `Some((elapsed_us, relay_exposure))` on delivery.
 fn chaos_phase<F>(
-    world: &mut World,
-    transfers: usize,
+    base: &World,
+    draws: Draws,
+    scale: &Scale,
     loss: u32,
-    seed: u64,
     mut xfer: F,
-) -> PhaseStats
+) -> (PhaseStats, Registry)
 where
-    F: FnMut(&mut World, &mut NetDriver<UniformLatency>) -> Option<(u64, f64)>,
+    F: FnMut(&mut World, &mut NetDriver<UniformLatency>, &CoreInstruments) -> Option<(u64, f64)>,
 {
-    let mut driver = world.net_driver(UniformLatency::paper(seed ^ 0x1a7e));
-    driver.use_instruments(CoreInstruments::new(world.metrics()));
+    let metrics = Registry::new();
+    super::apply_journal(&metrics, scale);
+    let mut world = base.fork(draws, &metrics);
+    let mut wire = world.stream(Purpose::Wire);
+    let mut driver = world.net_driver(UniformLatency::paper(wire.gen()));
+    let instruments = CoreInstruments::new(&metrics);
+    driver.use_instruments(instruments.clone());
 
     if loss > 0 {
         driver.network_mut().install_faults(
-            FaultPlan::new(seed)
+            FaultPlan::new(wire.gen())
                 .with_loss(loss)
                 .with_duplication(loss / 5)
                 .with_jitter(SimDuration::from_millis(50))
@@ -389,6 +333,7 @@ where
         .filter(|(i, _)| i % 20 != 0)
         .map(|(_, e)| *e)
         .collect();
+    let transfers = scale.latency_transfers.max(1);
     let window = (transfers / 3, 2 * transfers / 3);
 
     let mut stats = PhaseStats::default();
@@ -405,13 +350,13 @@ where
                 driver.revive_node(id);
             }
         }
-        if let Some((us, exposure)) = xfer(world, &mut driver) {
+        if let Some((us, exposure)) = xfer(&mut world, &mut driver, &instruments) {
             stats.delivered += 1;
             stats.latencies_us.push(us);
             stats.exposure_sum += exposure;
         }
     }
-    stats
+    (stats, metrics)
 }
 
 /// One coded `(n, k)` multipath transfer between random nodes: deploy an
@@ -428,16 +373,18 @@ fn mp_transfer_once(
     instruments: &CoreInstruments,
 ) -> Option<(u64, f64)> {
     let (initiator, anchors) = fresh_anchors(world, 2 * n * TUNNEL_LENGTH);
-    let tunnels = form_disjoint_tunnels(&mut world.rng, &anchors, n, TUNNEL_LENGTH, SCATTER_B);
+    let mut rng = world.stream(Purpose::Formation);
+    let tunnels = form_disjoint_tunnels(&mut rng, &anchors, n, TUNNEL_LENGTH, SCATTER_B);
     let mut hints = HintCache::default();
     let hop_ids: Vec<Id> = tunnels.iter().flat_map(|t| t.hop_ids()).collect();
     hints.refresh(&world.overlay, &hop_ids);
     let dest = destination(world, initiator);
+    let mut flow = world.stream(Purpose::Flow);
     let outcome = send_striped(
         driver,
         &mut world.overlay,
         &world.thas,
-        &mut world.rng,
+        &mut flow,
         initiator,
         dest,
         &tunnels,

@@ -16,7 +16,7 @@
 
 use rand::seq::IteratorRandom;
 
-use tap_core::World;
+use tap_core::{Draws, Purpose, World};
 use tap_id::Id;
 use tap_pastry::secure::{
     adversarial_route, iterative_secure_lookup, redundant_route, AttemptOutcome, BehaviorMap,
@@ -32,7 +32,7 @@ use crate::Scale;
 pub const MALICIOUS_FRACTIONS: [f64; 5] = [0.05, 0.10, 0.20, 0.30, 0.40];
 
 /// Redundant-routing fanout.
-pub const FANOUT: usize = 8;
+const FANOUT: usize = 8;
 
 /// Trials per point.
 const TRIALS: usize = 120;
@@ -40,11 +40,8 @@ const TRIALS: usize = 120;
 /// Run the experiment for dropping adversaries (the harder case; against
 /// misrouters the plausibility test alone is already decisive).
 pub fn run(scale: &Scale) -> Series {
-    let world = World::build(
-        PastryConfig::paper_defaults(),
-        scale.nodes,
-        scale.seed ^ 0x5EC,
-    );
+    let draws = Draws::from(scale.seed ^ 0x5EC);
+    let world = World::build(PastryConfig::paper_defaults(), scale.nodes, draws);
     let metrics = world.metrics();
     super::apply_journal(metrics, scale);
 
@@ -65,9 +62,9 @@ pub fn run(scale: &Scale) -> Series {
     // registry folded back in trial order. The clone is copy-on-write —
     // O(N) Arc bumps up front, and a trial pays full copies only for the
     // node handles its lazy table evictions actually touch.
-    let pool = TrialPool::new(scale, "secure");
+    let pool = TrialPool::new(scale, draws);
     let overlay_ref = &world.overlay;
-    let trials = pool.run(MALICIOUS_FRACTIONS.to_vec(), |_idx, &p, rng| {
+    let trials = pool.run(MALICIOUS_FRACTIONS.to_vec(), |&p, draws| {
         let trial_metrics = tap_metrics::Registry::new();
         super::apply_journal(&trial_metrics, scale);
         let mut overlay = overlay_ref.clone();
@@ -75,7 +72,7 @@ pub fn run(scale: &Scale) -> Series {
         let count = (overlay.len() as f64 * p).round() as usize;
         let behavior: BehaviorMap = overlay
             .ids()
-            .choose_multiple(rng, count)
+            .choose_multiple(&mut draws.stream(Purpose::Collusion, 0), count)
             .into_iter()
             .map(|id| (id, NodeBehavior::Drop))
             .collect();
@@ -85,14 +82,15 @@ pub fn run(scale: &Scale) -> Series {
         let mut iterative_ok = 0usize;
         let mut redundant_hops = 0usize;
         let mut iterative_queries = 0usize;
-        for _ in 0..TRIALS {
+        for lookup in 0..TRIALS {
+            let mut rng = draws.stream(Purpose::Pick, lookup as u64);
             let from = loop {
-                let f = overlay.random_node(rng).expect("non-empty");
+                let f = overlay.random_node(&mut rng).expect("non-empty");
                 if !behavior.contains_key(&f) {
                     break f;
                 }
             };
-            let key = Id::random(rng);
+            let key = Id::random(&mut rng);
             let want = closest_responsive(&overlay, &behavior, key);
 
             if let AttemptOutcome::Claimed { root, .. } =
@@ -102,7 +100,7 @@ pub fn run(scale: &Scale) -> Series {
                     naive_ok += 1;
                 }
             }
-            if let Ok(out) = redundant_route(&mut overlay, &behavior, rng, from, key, FANOUT) {
+            if let Ok(out) = redundant_route(&mut overlay, &behavior, &mut rng, from, key, FANOUT) {
                 redundant_hops += out.total_hops;
                 if out.root == want {
                     redundant_ok += 1;

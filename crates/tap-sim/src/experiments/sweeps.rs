@@ -6,7 +6,7 @@
 //! fraction decreases with the increasing tunnel length, and the tunnel
 //! length of 5 catches the knee of the curve."
 
-use tap_core::{Collusion, World};
+use tap_core::{Collusion, Draws, Purpose, World};
 use tap_id::Id;
 use tap_metrics::Registry;
 use tap_pastry::PastryConfig;
@@ -27,17 +27,14 @@ pub const TUNNEL_LENGTHS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 pub const P_MALICIOUS: f64 = 0.1;
 
 /// Independent collusion draws averaged per point.
-const DRAWS: usize = 5;
+const DRAWS: u64 = 5;
 
 /// Fig. 4(a): corruption vs. replication factor.
 pub fn by_replication(scale: &Scale) -> Series {
     let l = 5;
     // Build once at k=3, then re-replicate the same hopids at each k.
-    let mut world = World::build(
-        PastryConfig::with_replication(3),
-        scale.nodes,
-        scale.seed ^ 0xF164A,
-    );
+    let draws = Draws::from(scale.seed ^ 0xF164A);
+    let mut world = World::build(PastryConfig::with_replication(3), scale.nodes, draws);
     let tunnels = world.deploy_tunnels(scale.tunnels, l);
     apply_journal(world.metrics(), scale);
     let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
@@ -50,15 +47,16 @@ pub fn by_replication(scale: &Scale) -> Series {
 
     // One trial per replication factor: each rebuilds its own store over
     // the shared hopids and records into a private registry.
-    let pool = TrialPool::new(scale, "fig4a");
+    let pool = TrialPool::new(scale, draws);
     let world_ref = &world;
-    let trials = pool.run(REPLICATION_FACTORS.to_vec(), |_idx, &k, rng| {
+    let trials = pool.run(REPLICATION_FACTORS.to_vec(), |&k, draws| {
         let trial_metrics = Registry::new();
         apply_journal(&trial_metrics, scale);
         let store = world_ref.thas_replicated(k, &trial_metrics);
         let mut total = 0.0;
-        for _ in 0..DRAWS {
-            let collusion = Collusion::mark_fraction(&world_ref.overlay, rng, P_MALICIOUS);
+        for d in 0..DRAWS {
+            let mut rng = draws.stream(Purpose::Collusion, d);
+            let collusion = Collusion::mark_fraction(&world_ref.overlay, &mut rng, P_MALICIOUS);
             total += collusion.corruption_rate(&store, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - P_MALICIOUS).powi(k as i32)).powi(l as i32);
@@ -82,24 +80,21 @@ pub fn by_length(scale: &Scale) -> Series {
     );
 
     // One overlay reused across lengths; fresh tunnels per length on a
-    // fork of it, each length an independent trial on its own RNG
-    // substream.
-    let world = World::build(
-        PastryConfig::with_replication(k),
-        scale.nodes,
-        scale.seed ^ 0xF164B,
-    );
+    // fork of it, each length an independent trial on its own draws.
+    let draws = Draws::from(scale.seed ^ 0xF164B);
+    let world = World::build(PastryConfig::with_replication(k), scale.nodes, draws);
     apply_journal(world.metrics(), scale);
-    let pool = TrialPool::new(scale, "fig4b");
-    let trials = pool.run(TUNNEL_LENGTHS.to_vec(), |_idx, &l, rng| {
+    let pool = TrialPool::new(scale, draws);
+    let trials = pool.run(TUNNEL_LENGTHS.to_vec(), |&l, draws| {
         let trial_metrics = Registry::new();
         apply_journal(&trial_metrics, scale);
-        let mut trial = world.fork(rng.clone(), &trial_metrics);
+        let mut trial = world.fork(draws, &trial_metrics);
         let tunnels = trial.deploy_tunnels(scale.tunnels, l);
         let hop_lists: Vec<Vec<Id>> = tunnels.iter().map(|(_, t)| t.hop_ids()).collect();
         let mut total = 0.0;
         for _ in 0..DRAWS {
-            let collusion = Collusion::mark_fraction(&trial.overlay, &mut trial.rng, P_MALICIOUS);
+            let mut rng = trial.stream(Purpose::Collusion);
+            let collusion = Collusion::mark_fraction(&trial.overlay, &mut rng, P_MALICIOUS);
             total += collusion.corruption_rate(&trial.thas, &hop_lists);
         }
         let analytic = (1.0 - (1.0 - P_MALICIOUS).powi(k as i32)).powi(l as i32);

@@ -49,7 +49,7 @@ pub struct Scale {
     pub churn_units: usize,
     /// Churn experiment: nodes leaving (and joining) per unit.
     pub churn_per_unit: usize,
-    /// Base RNG seed.
+    /// The one seed every figure's [`tap_core::Draws`] derive from.
     pub seed: u64,
     /// Event-journal capacity for the metrics registry: `0` (the default)
     /// records counters/histograms only; `N > 0` additionally keeps the
@@ -65,7 +65,7 @@ pub struct Scale {
     /// CSVs are byte-identical at any value.
     pub fault_permille: u32,
     /// Worker threads for each figure's [`engine::TrialPool`]. Results are
-    /// bit-identical at any value (per-trial RNG substreams); this knob
+    /// bit-identical at any value (each trial has its own draws); this knob
     /// only trades wall-clock for cores. The CLI defaults it to
     /// [`std::thread::available_parallelism`]; the library default is 1.
     pub threads: usize,
@@ -124,8 +124,8 @@ impl Scale {
         }
     }
 
-    /// Override the seed (each experiment further offsets it so figures
-    /// never share RNG streams).
+    /// Override the seed (each figure offsets it, so figures share no
+    /// stream).
     pub fn with_seed(mut self, seed: u64) -> Scale {
         self.seed = seed;
         self

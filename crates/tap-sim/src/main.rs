@@ -12,9 +12,9 @@
 //! after (see [`tap_sim::cli`]).
 //!
 //! `--threads N` sizes every figure's deterministic trial pool (default:
-//! available parallelism). Results are bit-identical at any thread count —
-//! per-trial RNG substreams, not shared streams — so the flag only trades
-//! wall-clock for cores.
+//! available parallelism). Results are bit-identical at any thread count
+//! (each trial has its own draws), so the flag only trades wall-clock for
+//! cores.
 //!
 //! `--faults PERMILLE` centers the resilience sweep's injected per-link
 //! loss probability (default 100 = 10%; 0 disables fault injection). The

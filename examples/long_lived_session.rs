@@ -22,6 +22,7 @@ use tap::core::transit::{self, TransitOptions};
 use tap::core::tunnel::Tunnel;
 use tap::core::wire::Destination;
 use tap::core::world::{World, TUNNEL_LENGTH};
+use tap::core::Purpose;
 use tap::pastry::PastryConfig;
 use tap::Id;
 
@@ -40,8 +41,9 @@ fn main() {
     let tap_tunnel: Tunnel = sys
         .form_tunnel(user, TUNNEL_LENGTH)
         .expect("anchors deployed");
+    let mut rng = sys.stream(Purpose::Formation);
     let baseline =
-        FixedTunnel::form_random(&mut sys.rng, &sys.overlay, user, 5).expect("network big enough");
+        FixedTunnel::form_random(&mut rng, &sys.overlay, user, 5).expect("network big enough");
     println!(
         "TAP tunnel hops: {:?}",
         tap_tunnel
@@ -82,7 +84,7 @@ fn main() {
 
         // Keep-alive through TAP.
         let onion = tap_tunnel.build_onion(
-            &mut sys.rng,
+            &mut sys.stream(Purpose::Flow),
             Destination::Node(server),
             format!("keepalive {round}").as_bytes(),
             None,
@@ -110,7 +112,7 @@ fn main() {
         }
 
         // A prudent user refreshes tunnels periodically (§7.2 / Fig. 5).
-        if round.is_multiple_of(50) && sys.rng.gen_bool(0.99) {
+        if round.is_multiple_of(50) && sys.stream(Purpose::Pick).gen_bool(0.99) {
             sys.deploy_anchors_direct(user, 10).expect("user stays");
         }
     }

@@ -14,6 +14,7 @@ use tap::core::transit::{self, TransitError, TransitOptions};
 use tap::core::tunnel::Tunnel;
 use tap::core::wire::Destination;
 use tap::core::world::{World, TUNNEL_LENGTH};
+use tap::core::Purpose;
 use tap::pastry::PastryConfig;
 use tap::Id;
 
@@ -41,9 +42,9 @@ fn churn(sys: &mut World, protect: Id, events: usize) {
 
 /// Carry a probe through `t` to a random key root.
 fn probe(sys: &mut World, user: Id, t: &Tunnel) -> Result<(), TransitError> {
-    let probe_key = Id::random(&mut sys.rng);
+    let probe_key = Id::random(&mut sys.stream(Purpose::Pick));
     let onion = t.build_onion(
-        &mut sys.rng,
+        &mut sys.stream(Purpose::Flow),
         Destination::KeyRoot(probe_key),
         b"probe",
         None,

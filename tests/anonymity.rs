@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use tap::core::adversary::Collusion;
 use tap::core::tha::{Tha, ThaFactory};
-use tap::core::World;
+use tap::core::{Purpose, World};
 use tap::crypto::onion;
 use tap::id::Id;
 use tap::pastry::storage::ReplicaStore;
@@ -49,7 +49,7 @@ fn middle_hop_sees_neither_source_nor_destination() {
     let dest = sys.random_node().unwrap();
     let secret_payload = b"the initiator's secret";
     let onion_bytes = t.build_onion(
-        &mut sys.rng,
+        &mut sys.stream(Purpose::Flow),
         tap::core::wire::Destination::Node(dest),
         secret_payload,
         None,

@@ -1,7 +1,6 @@
 //! Full-stack integration: overlay + replication + crypto + tunnels +
 //! retrieval, driven through the public `tap` facade.
 
-use rand::Rng;
 use tap::core::deploy::DeployError;
 use tap::core::world::TUNNEL_LENGTH;
 use tap::core::{World, WorldError};
@@ -182,7 +181,7 @@ fn a_world_too_small_for_a_bootstrap_path_is_refused_before_any_draw() {
     for (n, other_live) in [(2, 1), (3, 2)] {
         let mut sys = system(n, 7);
         let user = sys.random_node().unwrap();
-        let mut before = sys.rng.clone();
+        let mut before = sys.clone();
         assert_eq!(
             sys.deploy_anchors(user, 3, 5),
             Err(WorldError::TooFewRelays {
@@ -191,13 +190,18 @@ fn a_world_too_small_for_a_bootstrap_path_is_refused_before_any_draw() {
             }),
             "{n} nodes"
         );
-        assert_eq!(
-            sys.rng.gen::<u64>(),
-            before.gen::<u64>(),
-            "{n} nodes: nothing drawn"
-        );
         assert!(sys.anchor_pool(user).is_empty());
         assert!(sys.thas.is_empty());
+        assert_eq!(
+            sys.random_node(),
+            before.random_node(),
+            "{n} nodes: no pick drawn"
+        );
+        assert_eq!(
+            sys.fresh_hops(user, 1).map(|h| h[0].hopid),
+            before.fresh_hops(user, 1).map(|h| h[0].hopid),
+            "{n} nodes: no formation drawn"
+        );
     }
     let mut sys = system(4, 7);
     let user = sys.random_node().unwrap();

@@ -18,7 +18,7 @@ use tap_core::tha::{Tha, ThaFactory, ThaSecret};
 use tap_core::transit::{self, Delivery, HintCache, TransitError, TransitOptions, TransitReport};
 use tap_core::tunnel::{ReplyTunnel, Tunnel};
 use tap_core::wire::{Destination, HopHeader};
-use tap_core::World;
+use tap_core::{Purpose, World};
 use tap_crypto::ec::{fragment_meta, EcConfig, EcError};
 use tap_crypto::onion;
 use tap_id::Id;
@@ -66,7 +66,9 @@ fn fnv(digest: u64, bytes: &[u8]) -> u64 {
 
 /// Recorded by running this test on the commit before the single-path
 /// front moved onto the flow machine (PR 22's tree, blocking `ship()`).
-const TRACE_OF_200_TRANSFERS: u64 = 0xf7de_eb73_aadf_2fbf;
+/// Re-recorded once when draws became keyed: the world's node ids, anchors
+/// and picks moved, and the engine code did not.
+const TRACE_OF_200_TRANSFERS: u64 = 0x7035_dade_efac_250e;
 
 /// 200 single-path transfers through one world — l = 3 and 5, hinted and
 /// basic, to a node, to a key's root and down a reply tunnel to an
@@ -79,11 +81,7 @@ fn two_hundred_transfers_leave_the_same_trace() {
     w.driver
         .network_mut()
         .install_faults(FaultPlan::new(0xe791).with_loss(100).with_duplication(20));
-    let dead = w
-        .world
-        .overlay
-        .random_node(&mut w.world.rng)
-        .expect("non-empty overlay");
+    let dead = w.world.random_node().expect("non-empty overlay");
     w.driver.kill_node(dead);
 
     let mut digest = FNV_OFFSET;
@@ -93,11 +91,7 @@ fn two_hundred_transfers_leave_the_same_trace() {
         let hinted = (i / 2) % 2 == 1;
         let payload_bytes = [0, 250_000][(i / 12) % 2];
         let initiator = loop {
-            let n = w
-                .world
-                .overlay
-                .random_node(&mut w.world.rng)
-                .expect("non-empty overlay");
+            let n = w.world.random_node().expect("non-empty overlay");
             if n != dead {
                 break n;
             }
@@ -115,13 +109,9 @@ fn two_hundred_transfers_leave_the_same_trace() {
         let cache = hinted.then_some(&hints);
         let (entry, onion) = match (i / 4) % 3 {
             0 => {
-                let dest = w
-                    .world
-                    .overlay
-                    .random_node(&mut w.world.rng)
-                    .expect("non-empty overlay");
+                let dest = w.world.random_node().expect("non-empty overlay");
                 let onion = t.build_onion(
-                    &mut w.world.rng,
+                    &mut w.world.stream(Purpose::Flow),
                     Destination::Node(dest),
                     b"to a node",
                     cache,
@@ -129,9 +119,9 @@ fn two_hundred_transfers_leave_the_same_trace() {
                 (t.entry_hopid(), onion)
             }
             1 => {
-                let key = Id::random(&mut w.world.rng);
+                let key = Id::random(&mut w.world.stream(Purpose::Pick));
                 let onion = t.build_onion(
-                    &mut w.world.rng,
+                    &mut w.world.stream(Purpose::Flow),
                     Destination::KeyRoot(key),
                     b"to a key",
                     cache,
@@ -140,15 +130,12 @@ fn two_hundred_transfers_leave_the_same_trace() {
             }
             _ => {
                 let bid = initiator.wrapping_add(Id::from_u64(1));
-                let reply = ReplyTunnel::build(&mut w.world.rng, &t, bid, 96, cache);
+                let reply =
+                    ReplyTunnel::build(&mut w.world.stream(Purpose::Flow), &t, bid, 96, cache);
                 (reply.entry_hopid, reply.onion)
             }
         };
-        let from = w
-            .world
-            .overlay
-            .random_node(&mut w.world.rng)
-            .expect("non-empty overlay");
+        let from = w.world.random_node().expect("non-empty overlay");
         let options = TransitOptions {
             use_hints: hinted,
             retry_budget: 3,
@@ -186,13 +173,15 @@ fn two_hundred_transfers_leave_the_same_trace() {
 
 /// Both recorded by running these tests on the commit before the fragment
 /// check became Poly1305 under a public key (SHA-256 check, copy-out encode).
-const TRACE_OF_50_STRIPED_TRANSFERS: u64 = 0xb300_8163_f5f0_0f39;
+/// Re-recorded once when draws became keyed, as the trace above.
+const TRACE_OF_50_STRIPED_TRANSFERS: u64 = 0x4420_80d6_c6e7_75f8;
 const FRAGMENT_LAYOUT: u64 = 0xf815_4bf2_03c7_02a7;
 
 /// 50 striped transfers through one world — a full 5/3 code over five
 /// tunnels, a degraded (4, 3) over four, and the identity-code fallback over
 /// two; payloads of 0, 1, 9 216 and 3·3 072 + 17 bytes; 10 % loss, 2 %
-/// duplication and one relay dead on the wire — leave the deliveries,
+/// duplication and one relay dead on the wire, the last transfer addressed
+/// to it — leave the deliveries,
 /// reports, traffic counters and clock they left before. What a fragment
 /// carries is sealed inside its onion, so its check bytes move none of this.
 #[test]
@@ -201,18 +190,10 @@ fn fifty_striped_transfers_leave_the_same_trace() {
     w.driver
         .network_mut()
         .install_faults(FaultPlan::new(0x5712).with_loss(100).with_duplication(20));
-    let dead = w
-        .world
-        .overlay
-        .random_node(&mut w.world.rng)
-        .expect("non-empty overlay");
+    let dead = w.world.random_node().expect("non-empty overlay");
     w.driver.kill_node(dead);
     let live = |w: &mut Rig| loop {
-        let n = w
-            .world
-            .overlay
-            .random_node(&mut w.world.rng)
-            .expect("non-empty overlay");
+        let n = w.world.random_node().expect("non-empty overlay");
         if n != dead {
             break n;
         }
@@ -225,13 +206,16 @@ fn fifty_striped_transfers_leave_the_same_trace() {
         let len = [0, 1, 9216, 3 * 3072 + 17][(i / 3) % 4];
         let sent: Vec<u8> = (0..len).map(|j| (j * 131 + i) as u8).collect();
         let initiator = live(&mut w);
-        let dest = live(&mut w);
+        // The last transfer is to the dead relay, so the trace holds a
+        // give-up whatever the fault draws deliver.
+        let dest = if i == 49 { dead } else { live(&mut w) };
         let tunnels: Vec<Tunnel> = (0..stripes).map(|_| tunnel(&mut w, initiator, 3)).collect();
+        let mut flow = w.world.stream(Purpose::Flow);
         let result = send_striped(
             &mut w.driver,
             &mut w.world.overlay,
             &w.world.thas,
-            &mut w.world.rng,
+            &mut flow,
             initiator,
             dest,
             &tunnels,
@@ -316,11 +300,7 @@ fn fragment_layout_is_unchanged() {
 #[test]
 fn a_tail_that_is_its_destination_costs_no_hop() {
     let mut w = world(100, 5);
-    let initiator = w
-        .world
-        .overlay
-        .random_node(&mut w.world.rng)
-        .expect("non-empty overlay");
+    let initiator = w.world.random_node().expect("non-empty overlay");
     let t = tunnel(&mut w, initiator, 3);
     let tail = w
         .world
@@ -328,7 +308,7 @@ fn a_tail_that_is_its_destination_costs_no_hop() {
         .owner_of(t.hop_ids()[2])
         .expect("non-empty overlay");
     let onion = t.build_onion(
-        &mut w.world.rng,
+        &mut w.world.stream(Purpose::Flow),
         Destination::Node(tail),
         b"to the tail",
         None,
@@ -384,16 +364,16 @@ proptest! {
         w.driver.network_mut().install_faults(
             FaultPlan::new(seed).with_loss(loss).with_duplication(duplication),
         );
-        let initiator = w.world.overlay.random_node(&mut w.world.rng).expect("non-empty overlay");
+        let initiator = w.world.random_node().expect("non-empty overlay");
         let t = tunnel(&mut w, initiator, l);
         let dest = match dest_kind {
-            0 => Destination::KeyRoot(Id::random(&mut w.world.rng)),
-            1 => Destination::Node(w.world.overlay.random_node(&mut w.world.rng).expect("non-empty overlay")),
+            0 => Destination::KeyRoot(Id::random(&mut w.world.stream(Purpose::Pick))),
+            1 => Destination::Node(w.world.random_node().expect("non-empty overlay")),
             // The tail's own node: a delivery leg of no hops.
             _ => Destination::Node(w.world.overlay.owner_of(t.hop_ids()[l - 1]).expect("non-empty overlay")),
         };
-        let core: Vec<u8> = (0..w.world.rng.gen_range(1..200usize)).map(|i| i as u8).collect();
-        let onion = t.build_onion(&mut w.world.rng, dest, &core, None);
+        let core: Vec<u8> = (0..w.world.stream(Purpose::Pick).gen_range(1..200usize)).map(|i| i as u8).collect();
+        let onion = t.build_onion(&mut w.world.stream(Purpose::Flow), dest, &core, None);
         let options = TransitOptions { use_hints: false, retry_budget: 8 };
 
         let mut oracle = w.world.overlay.clone();
@@ -447,10 +427,7 @@ fn telemetry(registry: &Registry) -> String {
 }
 
 fn live_node(w: &mut Rig) -> Id {
-    w.world
-        .overlay
-        .random_node(&mut w.world.rng)
-        .expect("non-empty overlay")
+    w.world.random_node().expect("non-empty overlay")
 }
 
 /// Both recorded by running these tests on the commit before the logical
@@ -458,9 +435,10 @@ fn live_node(w: &mut Rig) -> Id {
 /// `a_tail_that_is_its_destination_costs_no_hop` already in. The first
 /// digests every counter by name; it was re-recorded when the always-zero
 /// `core.tha.re_replications` counter left the registry, and equals the
-/// old trace with that one key dropped from each counter map.
-const TRACE_OF_300_LOGICAL_TRANSFERS: u64 = 0xa9f7_1062_7b0a_639d;
-const TRACE_OF_80_RETRIEVALS: u64 = 0x6f66_4bfb_9460_9f73;
+/// old trace with that one key dropped from each counter map. Both were
+/// re-recorded once when draws became keyed, as the traces above.
+const TRACE_OF_300_LOGICAL_TRANSFERS: u64 = 0x00c5_27e6_0e68_71ca;
+const TRACE_OF_80_RETRIEVALS: u64 = 0xeae0_dc50_2064_0842;
 
 /// 300 `drive_instrumented` transfers through one 200-node world whose
 /// nodes leave between batches without telling the THA store (so replica
@@ -485,7 +463,7 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
         if i % 30 == 29 {
             // A batch ends: four nodes and every holder of one hop leave.
             let mut leaving: Vec<Id> = (0..4).map(|_| live_node(&mut w)).collect();
-            let victim = &tunnels[w.world.rng.gen_range(0..tunnels.len())];
+            let victim = &tunnels[w.world.stream(Purpose::Pick).gen_range(0..tunnels.len())];
             leaving.extend_from_slice(w.world.thas.holders(victim.entry_hopid()));
             for n in leaving {
                 if w.world.overlay.remove_node(n) {
@@ -497,7 +475,7 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
         let initiator = live_node(&mut w);
         // Every third transfer reuses a tunnel that may predate departures.
         let t = if i % 3 == 2 {
-            tunnels[w.world.rng.gen_range(0..tunnels.len())].clone()
+            tunnels[w.world.stream(Purpose::Pick).gen_range(0..tunnels.len())].clone()
         } else {
             let t = tunnel(&mut w, initiator, l);
             tunnels.push(t.clone());
@@ -519,23 +497,26 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
         }
         let cache = (hint_mode > 0).then_some(&hints);
         let core = vec![i as u8; i % 40];
-        let dest = match w.world.rng.gen_range(0..5u8) {
+        let dest = match w.world.stream(Purpose::Pick).gen_range(0..5u8) {
             0 => Some(Destination::Node(live_node(&mut w))),
             1 => Some(Destination::Node(
                 w.world.overlay.owner_of(last).expect("non-empty overlay"),
             )),
             2 if !departed.is_empty() => Some(Destination::Node(departed[i % departed.len()])),
-            3 => Some(Destination::KeyRoot(Id::random(&mut w.world.rng))),
+            3 => Some(Destination::KeyRoot(Id::random(
+                &mut w.world.stream(Purpose::Pick),
+            ))),
             _ => None,
         };
         let (from, entry, mut onion) = match dest {
             Some(dest) => {
-                let onion = t.build_onion(&mut w.world.rng, dest, &core, cache);
+                let onion = t.build_onion(&mut w.world.stream(Purpose::Flow), dest, &core, cache);
                 (initiator, t.entry_hopid(), onion)
             }
             None => {
                 let bid = initiator.wrapping_add(Id::from_u64(1));
-                let reply = ReplyTunnel::build(&mut w.world.rng, &t, bid, 96, cache);
+                let reply =
+                    ReplyTunnel::build(&mut w.world.stream(Purpose::Flow), &t, bid, 96, cache);
                 (live_node(&mut w), reply.entry_hopid, reply.onion)
             }
         };
@@ -602,7 +583,7 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
     let fids: Vec<Id> = [0usize, 1, 100, 3000]
         .iter()
         .map(|&len| {
-            let fid = Id::random(&mut w.world.rng);
+            let fid = Id::random(&mut w.world.stream(Purpose::File));
             let data = (0..len).map(|j| (j * 31 + len) as u8).collect();
             files
                 .insert(&w.world.overlay, fid, StoredFile { data })
@@ -635,6 +616,7 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
             use_hints: hinted,
             retry_budget: 2,
         };
+        let mut flow = w.world.stream(Purpose::Flow);
         let mut ctx = RetrievalContext {
             overlay: &mut w.world.overlay,
             thas: &w.world.thas,
@@ -643,7 +625,7 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
         };
         let outcome = if i % 2 == 0 {
             retrieve(
-                &mut w.world.rng,
+                &mut flow,
                 &mut ctx,
                 initiator,
                 fid,
@@ -661,7 +643,7 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
             })
         } else {
             retrieve_timed(
-                &mut w.world.rng,
+                &mut flow,
                 &mut ctx,
                 &mut w.driver,
                 initiator,
@@ -687,7 +669,11 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
             }
             Err(e) => format!("{e:?}"),
         };
-        let line = format!("{line} {} {}", hints.len(), w.world.rng.gen::<u64>());
+        let line = format!(
+            "{line} {} {}",
+            hints.len(),
+            w.world.stream(Purpose::Pick).gen::<u64>()
+        );
         digest = fnv(digest, line.as_bytes());
     }
     assert!(delivered >= 50, "{delivered} of 80 delivered");

@@ -5,7 +5,7 @@ use tap::core::baseline::FixedTunnel;
 use tap::core::transit::{self, Delivery, TransitError, TransitOptions};
 use tap::core::tunnel::{ReplyTunnel, Tunnel, FAKEONION_LEN};
 use tap::core::wire::Destination;
-use tap::core::World;
+use tap::core::{Purpose, World};
 use tap::id::Id;
 use tap::pastry::PastryConfig;
 
@@ -21,8 +21,13 @@ fn make_tunnel(w: &mut World, initiator: Id, l: usize) -> Tunnel {
 }
 
 fn drive_probe(w: &mut World, initiator: Id, t: &Tunnel) -> Result<(), TransitError> {
-    let key = Id::random(&mut w.rng);
-    let onion = t.build_onion(&mut w.rng, Destination::KeyRoot(key), b"probe", None);
+    let key = Id::random(&mut w.stream(Purpose::Pick));
+    let onion = t.build_onion(
+        &mut w.stream(Purpose::Flow),
+        Destination::KeyRoot(key),
+        b"probe",
+        None,
+    );
     transit::drive(
         &mut w.overlay,
         &w.thas,
@@ -95,7 +100,8 @@ fn tap_outlives_baseline_under_identical_failures() {
     // is dead; TAP fails over.
     let (mut w, initiator) = world(350, 3, 4);
     let t = make_tunnel(&mut w, initiator, 5);
-    let baseline = FixedTunnel::form_random(&mut w.rng, &w.overlay, initiator, 5).unwrap();
+    let mut rng = w.stream(Purpose::Formation);
+    let baseline = FixedTunnel::form_random(&mut rng, &w.overlay, initiator, 5).unwrap();
     assert!(baseline.intact(|n| w.overlay.is_live(n)));
 
     let tap_victim = w.overlay.owner_of(t.hop_ids()[0]).unwrap();
@@ -118,7 +124,7 @@ fn reply_tunnel_survives_churn_between_send_and_reply() {
     let (mut w, sender) = world(300, 3, 7);
     let rev = make_tunnel(&mut w, sender, 3);
     let bid = w.choose_bid(sender).unwrap();
-    let reply = ReplyTunnel::build(&mut w.rng, &rev, bid, FAKEONION_LEN, None);
+    let reply = ReplyTunnel::build(&mut w.stream(Purpose::Flow), &rev, bid, FAKEONION_LEN, None);
     let recipient = loop {
         let r = w.random_node().unwrap();
         if r != sender {
@@ -180,12 +186,17 @@ fn message_in_flight_when_destination_dies() {
     let (mut w, initiator) = world(200, 3, 6);
     let t = make_tunnel(&mut w, initiator, 3);
     let dest = loop {
-        let d = w.overlay.random_node(&mut w.rng).unwrap();
+        let d = w.random_node().unwrap();
         if d != initiator && !w.thas.holders(t.hop_ids()[0]).contains(&d) {
             break d;
         }
     };
-    let onion = t.build_onion(&mut w.rng, Destination::Node(dest), b"late", None);
+    let onion = t.build_onion(
+        &mut w.stream(Purpose::Flow),
+        Destination::Node(dest),
+        b"late",
+        None,
+    );
     w.overlay.remove_node(dest);
     let result = transit::drive(
         &mut w.overlay,
