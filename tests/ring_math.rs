@@ -385,6 +385,102 @@ fn pastry_routes_survive_checkpoint_churn_and_rollback() {
     assert_eq!(before, PASTRY_ROUTES_AT_CHECKPOINT);
 }
 
+// Recorded at the commit before routing-table cells named nodes by slot.
+const REJOIN_ROUTES_WITHOUT: u64 = 0xc8e4_506c_a592_668c;
+const REJOIN_ROUTES_WITH: u64 = 0xbfb8_438e_e5b0_681e;
+const REJOIN_EVICTIONS: u64 = 97;
+const ROLLBACK_ROUTES_CHURNED: u64 = 0x7fdd_a94f_2e8f_dc90;
+const ROLLBACK_ROUTES: u64 = 0x9538_7a2f_a641_ea9a;
+
+/// Routes `count` random keys from random live nodes and folds their paths.
+fn pastry_routes(overlay: &mut Overlay, rng: &mut StdRng, count: usize) -> u64 {
+    let mut h = FNV_OFFSET;
+    for _ in 0..count {
+        let from = overlay.random_node(rng).expect("non-empty overlay");
+        let key = Id::random(rng);
+        let out = overlay.route(from, key).expect("route completes");
+        assert_eq!(Some(out.root), overlay.owner_of(key));
+        hash_path(&mut h, &out.path);
+    }
+    h
+}
+
+/// A departed id that some routing tables still name comes back: the cells
+/// that named it are live again, and routes use them as before it left.
+#[test]
+fn pastry_routes_through_a_rejoin_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x2e10);
+    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
+    for _ in 0..500 {
+        overlay.add_random_node(&mut rng);
+    }
+    let mut gone = Vec::new();
+    while gone.len() < 50 {
+        let victim = overlay.random_node(&mut rng).expect("non-empty overlay");
+        assert!(overlay.remove_node(victim));
+        gone.push(victim);
+    }
+    let without = pastry_routes(&mut overlay, &mut rng, 2000);
+    let named = overlay
+        .ids()
+        .filter(|&id| {
+            let node = overlay.node(id).expect("ids() lists live nodes");
+            node.table.entries().any(|e| gone.contains(&e))
+        })
+        .count();
+    assert!(named > 0, "some tables still name a departed id");
+    for &id in &gone {
+        assert!(overlay.add_node(id));
+    }
+    let with = pastry_routes(&mut overlay, &mut rng, 2000);
+    let evictions = overlay.metrics().counter("pastry.table.evictions").get();
+    assert_eq!(
+        (without, with, evictions),
+        (REJOIN_ROUTES_WITHOUT, REJOIN_ROUTES_WITH, REJOIN_EVICTIONS),
+        "{without:#x} {with:#x} {evictions}"
+    );
+}
+
+/// Two thousand leave+join pairs between a `checkpoint` and its `rollback`:
+/// the restored overlay routes every pair as it did before the churn.
+#[test]
+fn pastry_routes_after_a_long_rollback_are_the_pre_churn_routes() {
+    let mut rng = StdRng::seed_from_u64(0x7b1);
+    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
+    for _ in 0..NODES {
+        overlay.add_random_node(&mut rng);
+    }
+    let pairs: Vec<(Id, Id)> = (0..ROUTES)
+        .map(|_| {
+            let from = overlay.random_node(&mut rng).expect("non-empty overlay");
+            (from, Id::random(&mut rng))
+        })
+        .collect();
+    let routes = |overlay: &mut Overlay| {
+        let mut h = FNV_OFFSET;
+        for &(from, key) in &pairs {
+            let out = overlay.route(from, key).expect("route completes");
+            hash_path(&mut h, &out.path);
+        }
+        h
+    };
+    let before = routes(&mut overlay);
+    let saved = overlay.checkpoint();
+    for _ in 0..2000 {
+        let victim = overlay.random_node(&mut rng).expect("non-empty overlay");
+        assert!(overlay.remove_node(victim));
+        overlay.add_random_node(&mut rng);
+    }
+    let churned = pastry_routes(&mut overlay, &mut rng, ROUTES);
+    overlay.rollback(&saved);
+    assert_eq!(routes(&mut overlay), before);
+    assert_eq!(
+        (churned, before),
+        (ROLLBACK_ROUTES_CHURNED, ROLLBACK_ROUTES),
+        "{churned:#x} {before:#x}"
+    );
+}
+
 #[test]
 fn chord_route_paths_are_pinned() {
     let mut rng = StdRng::seed_from_u64(0xc40d);
