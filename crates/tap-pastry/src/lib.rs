@@ -5,7 +5,7 @@
 //! implementation sat on FreePastry 1.3; this crate is the equivalent
 //! substrate in Rust, scoped to what the evaluation exercises:
 //!
-//! * **Prefix routing** ([`RoutingTable`], [`Overlay::route`]): each hop
+//! * **Prefix routing** ([`Overlay::route`], [`TableView`]): each hop
 //!   forwards to a node sharing at least one more identifier digit with the
 //!   key, reaching the key's *root* (the live node with the numerically
 //!   closest nodeid) in `~log_{2^b} N` hops — the constant the paper's
@@ -45,6 +45,5 @@ pub mod substrate;
 
 pub use config::PastryConfig;
 pub use leafset::LeafSet;
-pub use overlay::{NodeHandle, Overlay, OverlayCheckpoint, RouteError, RouteOutcome};
-pub use routing_table::RoutingTable;
+pub use overlay::{NodeView, Overlay, OverlayCheckpoint, RouteError, RouteOutcome, TableView};
 pub use substrate::{KeyRouter, Snapshots};

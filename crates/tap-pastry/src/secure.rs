@@ -76,6 +76,8 @@ pub fn adversarial_route(
     key: Id,
 ) -> Result<AttemptOutcome, RouteError> {
     let mut current = from;
+    // A source that never joined is stuck where it stands, as one that left is.
+    let mut at = (overlay.slot(from)).ok_or(RouteError::Stuck { at: from, key })?;
     let mut hops = 0usize;
     let mut ring_mode = false;
     let mut visited = std::collections::HashSet::new();
@@ -85,7 +87,7 @@ pub fn adversarial_route(
         if hops > max_hops {
             return Err(RouteError::Loop);
         }
-        let (next, greedy) = overlay.forward_from(current, key, ring_mode)?;
+        let (next, greedy) = overlay.forward_from(current, at, key, ring_mode)?;
         // Behaviour applies to *forwarders* only: a node that turns out to
         // be the key's root terminates the route either way (a malicious
         // root is a storage-layer problem — TAP's replica set handles it —
@@ -111,7 +113,7 @@ pub fn adversarial_route(
                     forged: false,
                 })
             }
-            Some(n) => {
+            Some((n, slot)) => {
                 if !ring_mode && visited.contains(&n) {
                     // Same loop-avoidance rule as Overlay::route.
                     ring_mode = true;
@@ -120,7 +122,7 @@ pub fn adversarial_route(
                 ring_mode |= greedy;
                 visited.insert(n);
                 hops += 1;
-                current = n;
+                (current, at) = (n, slot);
             }
         }
     }
