@@ -6,12 +6,16 @@
 //! the cursor against a loop over the RFC's block function. The full vector
 //! set (A.3 #1–#11, §2.6.2, §2.8.2, A.5) and the proptests live in the crate.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tap::crypto::chacha20::{self, KeystreamCursor, BLOCK_LEN, NONCE_LEN};
 use tap::crypto::cipher::{CipherError, SymmetricKey, SEAL_OVERHEAD, TAG_LEN};
 use tap::crypto::poly1305::Poly1305;
+
+use common::{fnv, pin, FNV_OFFSET};
 
 fn poly1305(key: [u8; 32], msg: &[u8]) -> [u8; 16] {
     let mut mac = Poly1305::new(&key);
@@ -47,12 +51,6 @@ fn poly1305_matches_rfc8439_vectors() {
     assert_eq!(poly1305(key, &msg), tag);
 }
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn poly1305_at_its_bounds_gives_the_tags_recorded_before_the_rewrite() {
     // All-0xff messages under the largest clamped r keep the accumulator
@@ -76,7 +74,10 @@ fn poly1305_at_its_bounds_gives_the_tags_recorded_before_the_rewrite() {
         key([0; 16], [0xff; 16]),
         key(r1, [0; 16]),
     ];
-    let got = keys.map(|key| fnv1a(lens.iter().flat_map(|&len| poly1305(key, &ones[..len]))));
+    let got = keys.map(|key| {
+        lens.iter()
+            .fold(FNV_OFFSET, |h, &len| fnv(h, &poly1305(key, &ones[..len])))
+    });
     assert_eq!(
         got,
         [
@@ -85,7 +86,8 @@ fn poly1305_at_its_bounds_gives_the_tags_recorded_before_the_rewrite() {
             0xfbff_f734_8d2b_0f85,
             0x55b6_6394_fc4e_a7bd,
         ],
-        "{got:#018x?}"
+        "{:?}",
+        got.map(pin)
     );
 }
 
@@ -197,9 +199,7 @@ fn a_sealed_250_kb_file_is_the_bytes_it_was_before_the_kernel_changed() {
     assert_eq!(sealed.len(), file.len() + SEAL_OVERHEAD);
     // FNV-1a of the sealed bytes, recorded at the commit before the
     // multi-block kernel was replaced: the wire must not move.
-    let digest = sealed.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    assert_eq!(digest, 0xedb3_1416_f8d7_a82c);
+    let digest = fnv(FNV_OFFSET, &sealed);
+    assert_eq!(digest, 0xedb3_1416_f8d7_a82c, "digest {}", pin(digest));
     assert!(k.open(&sealed).unwrap() == file);
 }

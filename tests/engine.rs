@@ -4,6 +4,8 @@
 //! fault schedules (ROADMAP item 1). The erasure codec's fragment layout is
 //! pinned beside them, check bytes aside.
 
+mod common;
+
 use std::time::Instant;
 
 use proptest::prelude::*;
@@ -27,6 +29,8 @@ use tap_netsim::latency::UniformLatency;
 use tap_netsim::{Event, FaultPlan, Network, NetworkConfig};
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::{KeyRouter, Overlay, PastryConfig, RouteError};
+
+use common::{fnv, pin, FNV_OFFSET};
 
 /// A world with its own wire, recording into its own registry. Endpoints
 /// register on first use, so the wire is not [`World::net_driver`]'s.
@@ -53,15 +57,6 @@ fn world(nodes: usize, seed: u64) -> Rig {
 
 fn tunnel(w: &mut Rig, initiator: Id, l: usize) -> Tunnel {
     Tunnel::new(w.world.fresh_hops(initiator, l).expect("non-empty overlay"))
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(digest: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(digest, |d, &b| (d ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Recorded by running this test on the commit before the single-path
@@ -168,7 +163,7 @@ fn two_hundred_transfers_leave_the_same_trace() {
     let snap = w.registry.snapshot();
     assert_eq!(snap.counter("core.transit.giveups"), gave_up);
     assert!(snap.counter("core.transit.retries") > 0);
-    assert_eq!(digest, TRACE_OF_200_TRANSFERS, "digest {digest:#018x}");
+    assert_eq!(digest, TRACE_OF_200_TRANSFERS, "digest {}", pin(digest));
 }
 
 /// Both recorded by running these tests on the commit before the fragment
@@ -256,8 +251,10 @@ fn fifty_striped_transfers_leave_the_same_trace() {
     );
     assert!(failed >= 1, "the faults never ended a transfer");
     assert_eq!(
-        digest, TRACE_OF_50_STRIPED_TRANSFERS,
-        "digest {digest:#018x}"
+        digest,
+        TRACE_OF_50_STRIPED_TRANSFERS,
+        "digest {}",
+        pin(digest)
     );
 }
 
@@ -291,7 +288,7 @@ fn fragment_layout_is_unchanged() {
             }
         }
     }
-    assert_eq!(digest, FRAGMENT_LAYOUT, "digest {digest:#018x}");
+    assert_eq!(digest, FRAGMENT_LAYOUT, "digest {}", pin(digest));
 }
 
 /// A tunnel addressed to its own tail: the tail hop's node is the
@@ -563,8 +560,10 @@ fn three_hundred_logical_transfers_leave_the_same_trace() {
     assert!(snap.counter("core.tha.takeovers") > 0);
     assert!(snap.counter("core.transit.retries") > 0);
     assert_eq!(
-        digest, TRACE_OF_300_LOGICAL_TRANSFERS,
-        "digest {digest:#018x}"
+        digest,
+        TRACE_OF_300_LOGICAL_TRANSFERS,
+        "digest {}",
+        pin(digest)
     );
 }
 
@@ -677,7 +676,7 @@ fn forty_retrievals_a_side_leave_the_same_trace() {
         digest = fnv(digest, line.as_bytes());
     }
     assert!(delivered >= 50, "{delivered} of 80 delivered");
-    assert_eq!(digest, TRACE_OF_80_RETRIEVALS, "digest {digest:#018x}");
+    assert_eq!(digest, TRACE_OF_80_RETRIEVALS, "digest {}", pin(digest));
 }
 
 /// The logical driver as it was before it became a front over the flow

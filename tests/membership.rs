@@ -12,6 +12,8 @@
 //!   from `2k + 2` nodes on each side of the newcomer) and, on Pastry, a
 //!   replica set found by sorting both sides' `k` nearest.
 
+mod common;
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -25,6 +27,8 @@ use tap::id::{Id, IdHashMap, IdHashSet};
 use tap::pastry::storage::ReplicaStore;
 use tap::pastry::{KeyRouter, Overlay, PastryConfig, RouteError};
 use tap_metrics::{Counter, Registry};
+
+use common::{fnv, pin, FNV_OFFSET};
 
 // ----------------------------------------------------------------------
 // Work count
@@ -135,15 +139,6 @@ fn one_membership_event_asks_the_ring_a_fixed_number_of_questions() {
 // The overlay at big-ring scale
 // ----------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(digest: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(digest, |d, &b| (d ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// Every live node's leaf sides and populated routing-table cells in ring
 /// order, the overlay's four counters, and how many node handles are still
 /// the allocations `snap` holds.
@@ -234,7 +229,7 @@ fn churn_at_scale_leaves_the_same_overlay() {
     assert_eq!(ov.leafset_drift(), None);
     ov.assert_tables_structurally_valid();
     assert_eq!(events, 400 * 2 + 200 + 3);
-    assert_eq!(digest, CHURN_AT_SCALE, "digest {digest:#018x}");
+    assert_eq!(digest, CHURN_AT_SCALE, "digest {}", pin(digest));
 }
 
 // ----------------------------------------------------------------------
