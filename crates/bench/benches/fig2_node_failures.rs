@@ -37,7 +37,7 @@ fn bench_fig2(c: &mut Criterion) {
     });
 
     // Kernel 2: the whole figure at bench scale.
-    group.bench_function("whole_figure_quick", |b| {
+    group.bench_function("whole_figure_tiny", |b| {
         b.iter_batched(
             || scale,
             |s| node_failures::run(&s),

@@ -29,7 +29,7 @@ fn bench_fig3(c: &mut Criterion) {
     group.bench_function("corruption_rate_with_history", |b| {
         b.iter(|| adv.corruption_rate(&watched, &hop_lists))
     });
-    group.bench_function("whole_figure_quick", |b| b.iter(|| collusion::run(&scale)));
+    group.bench_function("whole_figure_tiny", |b| b.iter(|| collusion::run(&scale)));
     group.finish();
 }
 

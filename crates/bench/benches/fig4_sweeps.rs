@@ -34,10 +34,10 @@ fn bench_fig4(c: &mut Criterion) {
             })
         });
     }
-    group.bench_function("sweep_replication_quick", |b| {
+    group.bench_function("sweep_replication_tiny", |b| {
         b.iter(|| sweeps::by_replication(&scale))
     });
-    group.bench_function("sweep_length_quick", |b| {
+    group.bench_function("sweep_length_tiny", |b| {
         b.iter(|| sweeps::by_length(&scale))
     });
     group.finish();

@@ -34,7 +34,7 @@ fn bench_fig5(c: &mut Criterion) {
         )
     });
 
-    group.bench_function("whole_figure_quick", |b| b.iter(|| churn::run(&scale)));
+    group.bench_function("whole_figure_tiny", |b| b.iter(|| churn::run(&scale)));
     group.finish();
 }
 

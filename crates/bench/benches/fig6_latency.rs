@@ -1,7 +1,7 @@
 //! Figure 6 bench: regenerate the transfer-latency table and time its
 //! kernels on the wire engine fig6 runs on — the file carried through a
 //! 5-hop tunnel, the file carried along the overt route, and the whole
-//! quick-preset figure.
+//! tiny-preset figure.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -65,7 +65,7 @@ fn bench_fig6(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("whole_figure_quick", |b| b.iter(|| latency::run(&scale)));
+    group.bench_function("whole_figure_tiny", |b| b.iter(|| latency::run(&scale)));
     group.finish();
 }
 

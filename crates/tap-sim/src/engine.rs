@@ -94,10 +94,8 @@ mod tests {
     use rand::RngCore;
 
     fn pool(threads: usize) -> TrialPool {
-        let scale = Scale {
-            threads,
-            ..Scale::quick()
-        };
+        let line = format!("all --threads {threads}");
+        let scale = crate::cli::parse_line(&line).unwrap().scale;
         TrialPool::new(&scale, Draws::from(scale.seed))
     }
 

@@ -130,60 +130,10 @@ fn pick_benign(world: &mut World, collusion: &Collusion) -> Id {
 mod tests {
     use super::*;
 
-    fn tiny() -> Scale {
-        // Churn-heavy: 10% of the network turns over per unit for 20
-        // units, so the THA-knowledge accumulation is statistically
-        // visible with 800 tunnels (the static corruption floor at
-        // p=0.1, k=3, l=5 is only ≈0.15%).
-        Scale {
-            nodes: 400,
-            tunnels: 800,
-            churn_units: 20,
-            churn_per_unit: 40,
-            seed: 17,
-            ..Scale::quick()
-        }
-    }
-
-    #[test]
-    fn figure5_shapes() {
-        let s = run(&tiny());
-        assert_eq!(s.rows.len(), 21, "t=0 plus 20 units");
-        let unref = s.column("unrefreshed").unwrap();
-        let refr = s.column("refreshed").unwrap();
-
-        // "The corrupted rate of unrefreshed increases steadily as time
-        // goes": compare the last third to the first third.
-        let early: f64 = unref[..3].iter().sum::<f64>() / 3.0;
-        let late: f64 = unref[unref.len() - 3..].iter().sum::<f64>() / 3.0;
-        assert!(
-            late > early,
-            "unrefreshed must decay over time: early {early:.4}, late {late:.4}"
-        );
-        // Unrefreshed knowledge is monotone (history only grows).
-        for w in unref.windows(2) {
-            assert!(w[1] + 1e-9 >= w[0], "unrefreshed dipped: {unref:?}");
-        }
-        // "Refreshed keeps almost constant": never exceeds a small bound
-        // above its own start, and ends far below unrefreshed.
-        let refreshed_max = refr.iter().fold(0.0f64, |a, b| a.max(*b));
-        assert!(
-            refreshed_max <= refr[0] + 0.05,
-            "refreshed should stay flat: {refr:?}"
-        );
-        assert!(
-            unref.last().unwrap() > refr.last().unwrap(),
-            "refresh must help by the end"
-        );
-    }
-
     #[test]
     fn population_is_conserved() {
         // The churn loop swaps equal numbers in and out.
-        let scale = Scale {
-            churn_units: 3,
-            ..tiny()
-        };
+        let scale = crate::cli::parse_line("fig5 --preset tiny").unwrap().scale;
         let world = World::build(PastryConfig::with_replication(3), scale.nodes, 1);
         assert_eq!(world.overlay.len(), scale.nodes);
         let _ = run(&scale); // would panic internally if the ring emptied

@@ -60,51 +60,3 @@ pub fn run(scale: &Scale) -> Series {
     series.metrics_json = Some(world.metrics().snapshot().to_json());
     series
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> Scale {
-        Scale {
-            nodes: 600,
-            tunnels: 300,
-            seed: 99,
-            ..Scale::quick()
-        }
-    }
-
-    #[test]
-    fn figure3_shapes() {
-        let s = run(&tiny());
-        assert_eq!(s.rows.len(), MALICIOUS_FRACTIONS.len());
-        let measured = s.column("corrupted").unwrap();
-
-        // Monotone (weakly) increasing in p.
-        for w in measured.windows(2) {
-            assert!(
-                w[1] + 0.02 >= w[0],
-                "corruption should grow with p: {measured:?}"
-            );
-        }
-        // "There is no significant tunnels corrupted even if p is large
-        // enough (e.g., 0.3)": the paper's own plot tops out well under
-        // one-fifth of tunnels.
-        assert!(
-            *measured.last().unwrap() < 0.25,
-            "corruption at p=0.3 should stay small: {measured:?}"
-        );
-        // Early points are near zero.
-        assert!(measured[0] < 0.01, "p=0.05 point: {}", measured[0]);
-    }
-
-    #[test]
-    fn figure3_tracks_analytic_model() {
-        let s = run(&tiny().with_seed(123));
-        let measured = s.column("corrupted").unwrap();
-        let model = s.column("analytic").unwrap();
-        for (m, a) in measured.iter().zip(model.iter()) {
-            assert!((m - a).abs() < 0.06, "measured {m:.4} vs analytic {a:.4}");
-        }
-    }
-}

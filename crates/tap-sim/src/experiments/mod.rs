@@ -39,7 +39,7 @@ mod tests {
     #[test]
     fn journal_flag_selects_event_verbosity() {
         // journal_cap = 0 (the default): events are dropped.
-        let mut scale = Scale::quick();
+        let mut scale = crate::cli::parse_line("all").unwrap().scale;
         let metrics = Registry::new();
         apply_journal(&metrics, &scale);
         metrics.emit(1, "test.event", format_args!("no journal installed"));

@@ -210,65 +210,6 @@ fn spot_check_with_transit(
 mod tests {
     use super::*;
 
-    fn tiny() -> Scale {
-        Scale {
-            nodes: 400,
-            tunnels: 120,
-            seed: 42,
-            ..Scale::quick()
-        }
-    }
-
-    #[test]
-    fn figure2_shapes() {
-        let s = run(&tiny());
-        assert_eq!(s.rows.len(), FAILURE_FRACTIONS.len());
-        let base = s.column("current_tunneling").unwrap();
-        let k3 = s.column("tap_k3").unwrap();
-        let k5 = s.column("tap_k5").unwrap();
-
-        // Baseline climbs steeply: at p = 0.5 most 5-hop tunnels are dead.
-        assert!(base.last().unwrap() > &0.85, "baseline at p=0.5: {base:?}");
-        // "In TAP, there is no significant tunnel failure." At this tiny
-        // scale (400 nodes, ~115 surveyed tunnels) leafset-correlated
-        // replica holders cluster failures, so a hard absolute cutoff is
-        // ~1 sigma from the analytic mean at p = 0.20; assert tracking of
-        // the 1-(1-p^3)^5 model at every point instead.
-        let model_k3 = s.column("analytic_k3").unwrap();
-        for (p, (m, a)) in FAILURE_FRACTIONS.iter().zip(k3.iter().zip(model_k3.iter())) {
-            assert!(
-                (m - a).abs() < 0.12,
-                "k3 diverges from 1-(1-p^3)^5 at p={p}: {m} vs {a}"
-            );
-        }
-        // And at the smallest failure fractions it is essentially zero.
-        assert!(
-            k3.iter().take(2).all(|v| *v < 0.03),
-            "k3 early points {k3:?}"
-        );
-        // Higher k is (weakly) more robust at every point.
-        for (a, b) in k5.iter().zip(k3.iter()) {
-            assert!(a <= b, "k5 must not fail more than k3");
-        }
-        // TAP always (weakly) beats the baseline.
-        for (t, b) in k3.iter().zip(base.iter()) {
-            assert!(t <= b);
-        }
-    }
-
-    #[test]
-    fn figure2_tracks_analytic_model() {
-        let s = run(&tiny().with_seed(7));
-        let base = s.column("current_tunneling").unwrap();
-        let model = s.column("analytic_current").unwrap();
-        for (m, a) in base.iter().zip(model.iter()) {
-            assert!(
-                (m - a).abs() < 0.12,
-                "baseline diverges from 1-(1-p)^5: {m} vs {a}"
-            );
-        }
-    }
-
     #[test]
     fn tunnel_broken_predicate() {
         let mut world = World::build(PastryConfig::with_replication(3), 150, 3);

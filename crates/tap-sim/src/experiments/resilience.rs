@@ -417,16 +417,12 @@ fn mp_transfer_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli;
 
-    fn tiny() -> Scale {
-        Scale {
-            nodes: 250,
-            latency_sims: 1,
-            latency_transfers: 24,
-            fault_permille: 200,
-            seed: 11,
-            ..Scale::quick()
-        }
+    fn tiny(flags: &str) -> Scale {
+        cli::parse_line(&format!("resilience --preset tiny {flags}"))
+            .unwrap()
+            .scale
     }
 
     #[test]
@@ -437,112 +433,8 @@ mod tests {
     }
 
     #[test]
-    fn baseline_is_lossless_and_chaos_degrades_gracefully() {
-        let s = run(&tiny());
-        let delivered = s.column("delivered_frac").unwrap();
-        let retries = s.column("retries_per_xfer").unwrap();
-        let giveups = s.column("giveups_per_xfer").unwrap();
-
-        // Row 0 is the fault-free control: everything arrives, untouched.
-        assert_eq!(s.rows[0].x, 0.0);
-        assert_eq!(delivered[0], 1.0);
-        assert_eq!(retries[0], 0.0);
-        assert_eq!(giveups[0], 0.0);
-
-        // Under faults the shim works for its deliveries…
-        let last = delivered.len() - 1;
-        assert!(retries[last] > 0.0, "40% loss must force resends");
-        // …and degradation is graceful, not a cliff: most transfers still
-        // arrive, and every non-delivery is an accounted give-up.
-        assert!(delivered[last] > 0.5, "delivered {delivered:?}");
-        for i in 0..=last {
-            assert!(
-                (delivered[i] + giveups[i] - 1.0).abs() < 1e-9,
-                "row {i}: delivered {} + giveups {} must cover every transfer",
-                delivered[i],
-                giveups[i]
-            );
-        }
-    }
-
-    fn tiny_mp() -> Scale {
-        Scale {
-            mp_n: 5,
-            mp_k: 3,
-            fault_permille: 100,
-            // A wider sample than the classic test: the coded-vs-retry
-            // delivery gap at one loss point is a few percent, which 24
-            // transfers cannot resolve above binomial noise.
-            latency_sims: 2,
-            latency_transfers: 48,
-            ..tiny()
-        }
-    }
-
-    #[test]
-    fn multipath_mode_beats_single_path_retry_under_chaos() {
-        let s = run(&tiny_mp());
-        let sp_d = s.column("sp_delivered_frac").unwrap();
-        let mp_d = s.column("mp_delivered_frac").unwrap();
-        let sp_p99 = s.column("sp_p99_ms").unwrap();
-        let mp_p99 = s.column("mp_p99_ms").unwrap();
-        let sp_expo = s.column("sp_relay_exposure").unwrap();
-        let mp_expo = s.column("mp_relay_exposure").unwrap();
-
-        // Row 0 is the fault-free control: both modes deliver everything.
-        assert_eq!(s.rows[0].x, 0.0);
-        assert_eq!(sp_d[0], 1.0);
-        assert_eq!(mp_d[0], 1.0);
-
-        // Disjoint stripes mean no relay ever carries the whole transfer;
-        // a single-path relay always does.
-        for i in 0..s.rows.len() {
-            if sp_d[i] > 0.0 {
-                assert_eq!(sp_expo[i], 1.0, "row {i}");
-            }
-            if mp_d[i] > 0.0 {
-                assert!(mp_expo[i] < 1.0, "row {i}: exposure {}", mp_expo[i]);
-            }
-        }
-
-        // The acceptance row: at the reference fault level (100 permille
-        // loss plus the partition/crash window) coding must deliver
-        // strictly more, strictly faster at the tail.
-        let center = s
-            .rows
-            .iter()
-            .position(|r| r.x == 100.0)
-            .expect("center point present");
-        assert!(
-            mp_d[center] > sp_d[center],
-            "coded multipath must out-deliver single-path retry: mp {} vs sp {}",
-            mp_d[center],
-            sp_d[center]
-        );
-        assert!(
-            mp_p99[center] < sp_p99[center],
-            "coded multipath must cut the tail: mp {} ms vs sp {} ms",
-            mp_p99[center],
-            sp_p99[center]
-        );
-
-        // The gate-worthy numbers surface as bench extras.
-        let extra = |key: &str| {
-            s.bench_extras
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing bench extra {key}"))
-        };
-        assert_eq!(extra("mp_delivered_frac"), mp_d[center]);
-        assert_eq!(extra("sp_delivered_frac"), sp_d[center]);
-        assert_eq!(extra("mp_p99_ms"), mp_p99[center]);
-        assert_eq!(extra("sp_p99_ms"), sp_p99[center]);
-    }
-
-    #[test]
     fn multipath_off_keeps_the_classic_columns() {
-        let s = run(&tiny());
+        let s = run(&tiny(""));
         assert_eq!(
             s.columns,
             vec!["delivered_frac", "retries_per_xfer", "giveups_per_xfer"],
@@ -552,10 +444,7 @@ mod tests {
 
     #[test]
     fn faults_zero_turns_the_sweep_off() {
-        let s = run(&Scale {
-            fault_permille: 0,
-            ..tiny()
-        });
+        let s = run(&tiny("--faults 0"));
         assert_eq!(s.rows.len(), 1, "only the control row");
         assert_eq!(s.column("delivered_frac").unwrap()[0], 1.0);
     }

@@ -107,72 +107,3 @@ pub fn by_length(scale: &Scale) -> Series {
     series.metrics_json = Some(world.metrics().snapshot().to_json());
     series
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> Scale {
-        Scale {
-            nodes: 500,
-            tunnels: 400,
-            seed: 5,
-            ..Scale::quick()
-        }
-    }
-
-    #[test]
-    fn figure4a_monotone_in_k() {
-        let s = by_replication(&tiny());
-        let m = s.column("corrupted").unwrap();
-        assert_eq!(m.len(), REPLICATION_FACTORS.len());
-        // "As the replication factor increases, the fraction of tunnels
-        // that are corrupted increases." Allow small statistical wiggle.
-        for w in m.windows(2) {
-            assert!(w[1] + 0.03 >= w[0], "corruption should grow with k: {m:?}");
-        }
-        // Large-k corruption clearly exceeds k=1.
-        assert!(m.last().unwrap() > &(m[0] + 0.01), "{m:?}");
-    }
-
-    #[test]
-    fn figure4b_decreases_with_length_and_knees_at_5() {
-        let s = by_length(&tiny());
-        let m = s.column("corrupted").unwrap();
-        // "The fraction decreases with the increasing tunnel length."
-        for w in m.windows(2) {
-            assert!(w[1] <= w[0] + 0.03, "corruption should fall with l: {m:?}");
-        }
-        // The knee: by l=5 the curve is within a hair of its floor.
-        let at5 = m[4];
-        let floor = m.last().unwrap();
-        assert!(
-            at5 - floor < 0.02,
-            "l=5 should catch the knee (at5={at5:.4}, floor={floor:.4})"
-        );
-        // And l=1 is dramatically worse than l=5.
-        assert!(m[0] > at5 + 0.10, "l=1 ({}) vs l=5 ({at5})", m[0]);
-    }
-
-    #[test]
-    fn sweeps_track_analytic_models() {
-        let a = by_replication(&tiny().with_seed(6));
-        for (m, x) in a
-            .column("corrupted")
-            .unwrap()
-            .iter()
-            .zip(a.column("analytic").unwrap().iter())
-        {
-            assert!((m - x).abs() < 0.07, "4a measured {m} vs analytic {x}");
-        }
-        let b = by_length(&tiny().with_seed(7));
-        for (m, x) in b
-            .column("corrupted")
-            .unwrap()
-            .iter()
-            .zip(b.column("analytic").unwrap().iter())
-        {
-            assert!((m - x).abs() < 0.07, "4b measured {m} vs analytic {x}");
-        }
-    }
-}

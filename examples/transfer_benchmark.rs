@@ -7,10 +7,11 @@
 //! Transfers a 2 Mb file across the emulated Internet (1–230 ms links,
 //! 1.5 Mb/s) five ways — overtly, through basic TAP tunnels, and through
 //! hint-optimized TAP tunnels at lengths 3 and 5 — and prints the
-//! latency table the paper plots.
+//! latency table the paper plots. It runs `tap-sim fig6 --nodes max_nodes`:
+//! the quick preset, 3 × 60 transfers a network size.
 
+use tap::sim::cli;
 use tap::sim::experiments::latency;
-use tap::sim::Scale;
 
 fn main() {
     let max_nodes: usize = std::env::args()
@@ -18,12 +19,9 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2_000);
 
-    let scale = Scale {
-        nodes: max_nodes,
-        latency_sims: 3,
-        latency_transfers: 50,
-        ..Scale::quick()
-    };
+    let scale = cli::parse_line(&format!("fig6 --nodes {max_nodes}"))
+        .expect("a node count of at least 1")
+        .scale;
     println!(
         "2 Mb file, 1.5 Mb/s links, latency U[1,230] ms, {}x{} transfers per size\n",
         scale.latency_sims, scale.latency_transfers

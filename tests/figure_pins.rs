@@ -12,25 +12,23 @@
 //! | quick | `crates/tap-sim/tests/goldens/` | 1, 2, 4 | release only |
 //! | paper | `results/` | 1, 2 | `#[ignore]`d, release only |
 //!
-//! Quick and paper take their scale from `cli::parse` of the documented
-//! command lines (`all`, `all --paper`, `resilience --multipath 5/3`), so a
-//! pin holds what the documented command configures, and `results/` is
-//! exactly what `tap-sim all --paper --csv results/` writes. The paper rows
-//! run with `cargo test --release --test figure_pins -- --include-ignored`.
+//! Each row takes its scale from `cli::parse` of the command line
+//! `scripts/repin.sh` writes its golden with (`all --preset X`, or
+//! `resilience --preset X --multipath 5/3`), so a pin holds what the
+//! documented command configures, and `results/` is exactly what
+//! `tap-sim all --preset paper --csv results/` writes. The paper rows run
+//! with `cargo test --release --test figure_pins -- --include-ignored`.
 
-use tap_sim::{cli, Scale};
+use tap_sim::cli;
 
-/// The scale a documented command line configures.
-fn documented(line: &str) -> Scale {
-    let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-    cli::parse(&args)
-        .expect("a documented command line parses")
-        .scale
-}
-
-/// Runs `figure` at `scale` on each of `threads` and holds every CSV to
-/// `<dir>/<name>.csv` (relative to the repository root).
-fn pin(figure: &str, preset: &str, scale: Scale, dir: &str, threads: &[usize]) {
+/// Runs `figure` at the scale `line` configures on each of `threads` and
+/// holds every CSV to `<dir>/<name>.csv` (relative to the repository root).
+fn pin(figure: &str, line: &str, dir: &str, threads: &[usize]) {
+    let scale = |t: usize| {
+        cli::parse_line(&format!("{line} --threads {t}"))
+            .expect("a documented command line parses")
+            .scale
+    };
     let &(figure, run) = cli::FIGURES
         .iter()
         .find(|(name, _)| *name == figure)
@@ -38,14 +36,14 @@ fn pin(figure: &str, preset: &str, scale: Scale, dir: &str, threads: &[usize]) {
     let path = format!(
         "{}/{dir}/{}.csv",
         env!("CARGO_MANIFEST_DIR"),
-        cli::output_name(figure, &scale)
+        cli::output_name(figure, &scale(1))
     );
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     for &t in threads {
-        let got = run(&scale.with_threads(t)).to_csv();
+        let got = run(&scale(t)).to_csv();
         assert!(
             got == golden,
-            "{figure} at the {preset} preset, --threads {t}: the CSV differs from {path}; got:\n{got}"
+            "{figure} at `{line}`, --threads {t}: the CSV differs from {path}; got:\n{got}"
         );
     }
 }
@@ -60,21 +58,10 @@ macro_rules! rows {
     };
 }
 
-/// The tiny preset: the documented command line's scale at a quarter of
-/// quick's population and far fewer trials.
+/// The tiny preset, in every debug build.
 fn tiny(figure: &str, line: &str) {
-    let scale = Scale {
-        nodes: 250,
-        tunnels: 60,
-        latency_sims: 2,
-        latency_transfers: 8,
-        churn_units: 3,
-        churn_per_unit: 12,
-        seed: 0xD37,
-        ..documented(line)
-    };
     let dir = "crates/tap-sim/tests/goldens/tiny";
-    pin(figure, "tiny", scale, dir, &[1, 2, 4]);
+    pin(figure, &format!("{line} --preset tiny"), dir, &[1, 2, 4]);
 }
 
 rows! {
@@ -90,11 +77,11 @@ rows! {
 }
 
 mod quick {
-    use super::{documented, pin};
+    use super::pin;
 
     fn quick(figure: &str, line: &str) {
         let dir = "crates/tap-sim/tests/goldens";
-        pin(figure, "quick", documented(line), dir, &[1, 2, 4]);
+        pin(figure, &format!("{line} --preset quick"), dir, &[1, 2, 4]);
     }
 
     rows! {
@@ -115,16 +102,10 @@ mod quick {
 /// there.
 #[cfg(not(debug_assertions))]
 mod paper {
-    use super::{documented, pin};
+    use super::pin;
 
     fn paper(figure: &str) {
-        pin(
-            figure,
-            "paper",
-            documented("all --paper"),
-            "results",
-            &[1, 2],
-        );
+        pin(figure, "all --preset paper", "results", &[1, 2]);
     }
 
     rows! {
