@@ -112,6 +112,14 @@ impl<V> Ring<V> {
         self.walk::<true>(from)
     }
 
+    /// [`Ring::counter_clockwise`] with each id's value.
+    pub fn counter_clockwise_entries(
+        &self,
+        from: Bound<Id>,
+    ) -> impl Iterator<Item = (Id, &V)> + '_ {
+        self.walk::<false>(from)
+    }
+
     fn bucket_of(&self, id: Id) -> usize {
         let [a, b, c, d, ..] = *id.as_bytes();
         (u32::from_be_bytes([a, b, c, d]) >> (32 - self.bits)) as usize
@@ -302,12 +310,17 @@ mod tests {
             prop_assert_eq!(entries(ring.walk::<true>(from)), cw.clone());
             let ccw_entries: Vec<(Id, u64)> =
                 ring.walk::<false>(from).map(|(id, v)| (id, *v)).collect();
-            prop_assert_eq!(ccw_entries, ccw);
+            prop_assert_eq!(ccw_entries, ccw.clone());
             let pub_cw: Vec<(Id, u64)> = ring
                 .clockwise_entries(from)
                 .map(|(id, v)| (id, *v))
                 .collect();
             prop_assert_eq!(pub_cw, cw);
+            let pub_ccw: Vec<(Id, u64)> = ring
+                .counter_clockwise_entries(from)
+                .map(|(id, v)| (id, *v))
+                .collect();
+            prop_assert_eq!(pub_ccw, ccw);
         }
         for p in probes {
             prop_assert_eq!(ring.contains(*p), map.contains_key(p));

@@ -7,64 +7,74 @@
 //! root plus its nearest leaves). Leaf sets are kept eagerly consistent
 //! under churn by [`crate::Overlay`].
 //!
-//! Each side is a fixed `[Id; HALF]` plus its length, stored inline in the
-//! node handle: a refresh writes in place and never allocates, and the
-//! copy-on-write unit overlay snapshots rely on is the shared node handle
-//! alone (DESIGN.md §6d). The set does not store its owner; the handle's id
-//! is passed to the few methods that need it. The farthest member of each
-//! side is cached ahead of the sides, so the span test every forwarding
+//! Each side is a fixed `[Slot; HALF]` plus its length, stored inline in
+//! the node handle: a member is named by its [`Slot`] in the overlay's
+//! member arena, as a routing-table cell is, so a side is 32 bytes, a
+//! refresh writes in place and never allocates, and the copy-on-write unit
+//! overlay snapshots rely on is the shared node handle alone (DESIGN.md
+//! §6d). The set does not store its owner; the handle's id (and slot) is
+//! passed to the few methods that need it, and the methods that need a
+//! member's id take the arena's resolver. The farthest member of each side
+//! is cached ahead of the sides as an id, so the span test every forwarding
 //! step makes ([`LeafSet::covers`]) reads the handle's first lines only.
 
 use std::fmt;
 
 use tap_id::Id;
 
+use crate::routing_table::Slot;
+
 /// Leaf-set entries on each side of a node: Pastry's customary `|L| = 16`.
 pub(crate) const HALF: usize = 8;
+
+/// A node as leaf sets name it: its id and its member-arena slot, as the
+/// ring walks pair them.
+pub(crate) type Leaf = (Id, Slot);
 
 /// A node's leaf set. `repr(C)` keeps the cached edges and lengths ahead
 /// of the two sides.
 #[derive(Clone)]
 #[repr(C)]
-pub struct LeafSet {
-    /// `clockwise().last()`, or the owner while that side is empty.
+pub(crate) struct LeafSet {
+    /// The id of `clockwise().last()`, or the owner while that side is empty.
     cw_edge: Id,
-    /// `counter_clockwise().last()`, or the owner while that side is empty.
+    /// The id of `counter_clockwise().last()`, or the owner while that side
+    /// is empty.
     ccw_edge: Id,
     cw_len: u8,
     ccw_len: u8,
     /// Clockwise (successor-side) neighbours, nearest first; the first
     /// `cw_len` are live.
-    cw: [Id; HALF],
+    cw: [Slot; HALF],
     /// Counter-clockwise (predecessor-side) neighbours, nearest first.
-    ccw: [Id; HALF],
+    ccw: [Slot; HALF],
 }
 
 impl LeafSet {
     /// An empty leaf set for `owner`.
-    pub fn new(owner: Id) -> Self {
+    pub(crate) fn new(owner: Id) -> Self {
         LeafSet {
             cw_edge: owner,
             ccw_edge: owner,
             cw_len: 0,
             ccw_len: 0,
-            cw: [Id::ZERO; HALF],
-            ccw: [Id::ZERO; HALF],
+            cw: [Slot::EMPTY; HALF],
+            ccw: [Slot::EMPTY; HALF],
         }
     }
 
     /// Clockwise neighbours, nearest first.
-    pub fn clockwise(&self) -> &[Id] {
+    pub(crate) fn clockwise(&self) -> &[Slot] {
         &self.cw[..usize::from(self.cw_len)]
     }
 
     /// Counter-clockwise neighbours, nearest first.
-    pub fn counter_clockwise(&self) -> &[Id] {
+    pub(crate) fn counter_clockwise(&self) -> &[Slot] {
         &self.ccw[..usize::from(self.ccw_len)]
     }
 
     /// All members (both sides), without the owner.
-    pub fn members(&self) -> impl Iterator<Item = Id> + '_ {
+    pub(crate) fn members(&self) -> impl Iterator<Item = Slot> + '_ {
         self.clockwise()
             .iter()
             .chain(self.counter_clockwise())
@@ -72,34 +82,37 @@ impl LeafSet {
     }
 
     /// Number of members currently known.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         usize::from(self.cw_len) + usize::from(self.ccw_len)
     }
 
     /// True when no neighbours are known (singleton ring).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Write one side (at most [`HALF`] ids) and its cached edge in place.
-    fn set_side(&mut self, owner: Id, cw_side: bool, ids: &[Id]) {
+    /// Write one side (at most [`HALF`] members) and its cached edge in place.
+    fn set_side(&mut self, owner: Id, cw_side: bool, members: &[Leaf]) {
         let (side, len, edge) = if cw_side {
             (&mut self.cw, &mut self.cw_len, &mut self.cw_edge)
         } else {
             (&mut self.ccw, &mut self.ccw_len, &mut self.ccw_edge)
         };
-        side[..ids.len()].copy_from_slice(ids);
-        *len = ids.len() as u8;
-        *edge = ids.last().copied().unwrap_or(owner);
+        for (cell, &(_, slot)) in side.iter_mut().zip(members) {
+            *cell = slot;
+        }
+        *len = members.len() as u8;
+        *edge = members.last().map_or(owner, |&(id, _)| id);
     }
 
-    /// Replace the whole set of `owner` from the ring's ids on each side of
-    /// it, nearest first, trimmed to `HALF` (8, half of `|L|`) per side. On
-    /// rings smaller than `2·HALF + 1` the sides overlap in a run at the far end of
-    /// `ccw`, so only when `ccw`'s last id is on the clockwise side is that
-    /// run cut: [`LeafSet::len`] counts *distinct* members, and routing
-    /// uses `len < 2·HALF` to recognize a ring it can see in its entirety.
-    pub fn rebuild(&mut self, owner: Id, cw: &[Id], ccw: &[Id]) {
+    /// Replace the whole set of `owner` from the ring's members (id and
+    /// slot) on each side of it, nearest first, trimmed to `HALF` (8, half
+    /// of `|L|`) per side. On rings smaller than `2·HALF + 1` the sides
+    /// overlap in a run at the far end of `ccw`, so only when `ccw`'s last
+    /// member is on the clockwise side is that run cut: [`LeafSet::len`]
+    /// counts *distinct* members, and routing uses `len < 2·HALF` to
+    /// recognize a ring it can see in its entirety.
+    pub(crate) fn rebuild(&mut self, owner: Id, cw: &[Leaf], ccw: &[Leaf]) {
         debug_assert!(is_sorted_by_cw_distance(owner, cw));
         debug_assert!(is_sorted_by_ccw_distance(owner, ccw));
         let cw = &cw[..cw.len().min(HALF)];
@@ -116,7 +129,7 @@ impl LeafSet {
     /// between the farthest counter-clockwise and farthest clockwise
     /// members (inclusive). When it does, the routing root is a member of
     /// `leafset ∪ {owner}` and routing can finish in one exact step.
-    pub fn covers(&self, key: Id) -> bool {
+    pub(crate) fn covers(&self, key: Id) -> bool {
         if self.is_empty() {
             return true; // singleton: the owner is root for everything
         }
@@ -125,11 +138,12 @@ impl LeafSet {
     }
 
     /// The member of `leafset ∪ {owner}` numerically closest to `key`
-    /// (deterministic tie-break via [`Id::cmp_distance`]): the nearer of
-    /// the two members that bracket it.
-    pub fn closest_to(&self, owner: Id, key: Id) -> Id {
-        let (a, b) = self.bracket(owner, key);
-        if key.cmp_distance(a, b).is_gt() {
+    /// (deterministic tie-break via [`Id::cmp_distance`]), with its slot:
+    /// the nearer of the two members that bracket it. `owner` is the
+    /// owner's id and slot; `id_of` reads a member's id out of the arena.
+    pub(crate) fn closest_to(&self, owner: Leaf, key: Id, id_of: impl Fn(Slot) -> Id) -> Leaf {
+        let (a, b) = self.bracket(owner, key, id_of);
+        if key.cmp_distance(a.0, b.0).is_gt() {
             b
         } else {
             a
@@ -146,22 +160,50 @@ impl LeafSet {
     /// past `a` or `b` in either direction of travel from `key`, so it is
     /// strictly farther than one of them by ring distance, and the nearest
     /// member — ties included — is one of the pair. Only the key's side is
-    /// walked, at most `HALF` ids; a key beyond both edges lies in the one
-    /// gap of the arc, from `cw_edge` to `ccw_edge`.
-    fn bracket(&self, owner: Id, key: Id) -> (Id, Id) {
+    /// searched, at most three member ids read; a key beyond both edges
+    /// lies in the one gap of the arc, from `cw_edge` to `ccw_edge`.
+    fn bracket(&self, owner: Leaf, key: Id, id_of: impl Fn(Slot) -> Id) -> (Leaf, Leaf) {
         let (cw, ccw) = (self.clockwise(), self.counter_clockwise());
-        if !cw.is_empty() && key.between_cw(owner, self.cw_edge) {
-            let i = cw.iter().position(|&m| key.between_cw(owner, m));
-            let i = i.unwrap_or(cw.len() - 1);
-            (if i == 0 { owner } else { cw[i - 1] }, cw[i])
-        } else if !ccw.is_empty() && key.between_cw(self.ccw_edge, owner) {
-            let i = ccw.iter().position(|&m| key.between_cw(m, owner));
-            let i = i.unwrap_or(ccw.len() - 1);
-            (ccw[i], if i == 0 { owner } else { ccw[i - 1] })
+        let o = owner.0;
+        if !cw.is_empty() && key.between_cw(o, self.cw_edge) {
+            search(owner, cw, self.cw_edge, |m| key.between_cw(o, m), id_of)
+        } else if !ccw.is_empty() && key.between_cw(self.ccw_edge, o) {
+            let (near, far) = search(owner, ccw, self.ccw_edge, |m| key.between_cw(m, o), id_of);
+            (far, near)
         } else {
-            (self.cw_edge, self.ccw_edge)
+            let edge = |side: &[Slot], id| (id, side.last().copied().unwrap_or(owner.1));
+            (edge(cw, self.cw_edge), edge(ccw, self.ccw_edge))
         }
     }
+}
+
+/// On a non-empty `side` (nearest first, its last member's id `edge`) whose
+/// members fail `past` up to some member and pass it from there on: that
+/// first passing member, and the one before it (the owner, before the
+/// side's first). A binary search with the owner and the edge as its known
+/// ends, so a full side of eight reads three member ids.
+fn search(
+    owner: Leaf,
+    side: &[Slot],
+    edge: Id,
+    past: impl Fn(Id) -> bool,
+    id_of: impl Fn(Slot) -> Id,
+) -> (Leaf, Leaf) {
+    // Positions count the owner as 0 and `side[i]` as `i + 1`; `lo` fails
+    // `past` and `hi` passes it.
+    let (mut lo, mut hi) = (0, side.len());
+    let (mut below, mut above) = (owner, (edge, side[hi - 1]));
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        let slot = side[mid - 1];
+        let member = (id_of(slot), slot);
+        if past(member.0) {
+            (hi, above) = (mid, member);
+        } else {
+            (lo, below) = (mid, member);
+        }
+    }
+    (below, above)
 }
 
 /// Equal when the sides and edges are; slots past a side's length are not
@@ -185,83 +227,146 @@ impl fmt::Debug for LeafSet {
     }
 }
 
-fn is_sorted_by_cw_distance(owner: Id, xs: &[Id]) -> bool {
+fn is_sorted_by_cw_distance(owner: Id, xs: &[Leaf]) -> bool {
     xs.windows(2)
-        .all(|w| owner.clockwise_distance(w[0]) <= owner.clockwise_distance(w[1]))
+        .all(|w| owner.clockwise_distance(w[0].0) <= owner.clockwise_distance(w[1].0))
 }
 
-fn is_sorted_by_ccw_distance(owner: Id, xs: &[Id]) -> bool {
-    xs.windows(2)
-        .all(|w| owner.counter_clockwise_distance(w[0]) <= owner.counter_clockwise_distance(w[1]))
+fn is_sorted_by_ccw_distance(owner: Id, xs: &[Leaf]) -> bool {
+    xs.windows(2).all(|w| {
+        owner.counter_clockwise_distance(w[0].0) <= owner.counter_clockwise_distance(w[1].0)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn id(v: u64) -> Id {
         Id::from_u64(v)
     }
 
-    /// Add `id` to `owner`'s set on the side where it is nearer, sorted
-    /// and trimmed to `HALF`, the way one leaf-set exchange would; whether
-    /// the set changed. The overlay installs whole sets with `rebuild`;
-    /// this and [`remove`] build the fixtures.
-    fn insert(ls: &mut LeafSet, owner: Id, id: Id) -> bool {
-        if id == owner || ls.members().any(|m| m == id) {
-            return false;
-        }
-        let cw_side = owner.clockwise_distance(id) <= owner.counter_clockwise_distance(id);
-        let dist = |x: Id| {
-            if cw_side {
-                owner.clockwise_distance(x)
-            } else {
-                owner.counter_clockwise_distance(x)
-            }
-        };
-        let side = if cw_side {
-            ls.clockwise()
-        } else {
-            ls.counter_clockwise()
-        };
-        let mut side = side.to_vec();
-        let pos = side.iter().position(|&x| dist(x) > dist(id));
-        let pos = pos.unwrap_or(side.len());
-        if pos >= HALF {
-            return false;
-        }
-        side.insert(pos, id);
-        side.truncate(HALF);
-        ls.set_side(owner, cw_side, &side);
-        true
+    /// A leaf set and the arena its slots index: slot `i` names `arena[i]`,
+    /// and the owner is slot 0. Tests speak ids; the fixture turns them
+    /// into the slots the set holds and back.
+    #[derive(Clone)]
+    struct Fixture {
+        owner: Id,
+        arena: Vec<Id>,
+        ls: LeafSet,
     }
 
-    /// Drop `id` from `owner`'s set; whether it was a member.
-    fn remove(ls: &mut LeafSet, owner: Id, id: Id) -> bool {
-        for cw_side in [true, false] {
-            let side = if cw_side {
-                ls.clockwise()
-            } else {
-                ls.counter_clockwise()
+    impl Fixture {
+        fn new(owner: Id) -> Self {
+            Fixture {
+                owner,
+                arena: vec![owner],
+                ls: LeafSet::new(owner),
+            }
+        }
+
+        /// `id` with its slot, handed out the first time `id` is seen.
+        fn entry(&mut self, id: Id) -> Leaf {
+            let at = self.arena.iter().position(|&x| x == id);
+            let at = at.unwrap_or_else(|| {
+                self.arena.push(id);
+                self.arena.len() - 1
+            });
+            (id, Slot(at as u32))
+        }
+
+        fn entries(&mut self, ids: &[Id]) -> Vec<Leaf> {
+            ids.iter().map(|&x| self.entry(x)).collect()
+        }
+
+        fn ids(&self, side: &[Slot]) -> Vec<Id> {
+            side.iter().map(|s| self.arena[s.index()]).collect()
+        }
+
+        fn cw(&self) -> Vec<Id> {
+            self.ids(self.ls.clockwise())
+        }
+
+        fn ccw(&self) -> Vec<Id> {
+            self.ids(self.ls.counter_clockwise())
+        }
+
+        fn members(&self) -> Vec<Id> {
+            self.ids(&self.ls.members().collect::<Vec<_>>())
+        }
+
+        fn rebuild(&mut self, cw: &[Id], ccw: &[Id]) {
+            let (cw, ccw) = (self.entries(cw), self.entries(ccw));
+            self.ls.rebuild(self.owner, &cw, &ccw);
+        }
+
+        fn set_side(&mut self, cw_side: bool, ids: &[Id]) {
+            let side = self.entries(ids);
+            self.ls.set_side(self.owner, cw_side, &side);
+        }
+
+        /// `closest_to` by id, checking that the slot it returns is its
+        /// winner's.
+        fn closest_to(&self, key: Id) -> Id {
+            let arena = &self.arena;
+            let (best, slot) =
+                (self.ls).closest_to((self.owner, Slot(0)), key, |s| arena[s.index()]);
+            assert_eq!(arena[slot.index()], best, "the slot names the winner");
+            best
+        }
+
+        /// Add `id` on the side where it is nearer, sorted and trimmed to
+        /// `HALF`, the way one leaf-set exchange would; whether the set
+        /// changed. The overlay installs whole sets with `rebuild`; this
+        /// and [`Fixture::remove`] build the fixtures.
+        fn insert(&mut self, id: Id) -> bool {
+            let owner = self.owner;
+            if id == owner || self.members().contains(&id) {
+                return false;
+            }
+            let cw_side = owner.clockwise_distance(id) <= owner.counter_clockwise_distance(id);
+            let dist = |x: Id| {
+                if cw_side {
+                    owner.clockwise_distance(x)
+                } else {
+                    owner.counter_clockwise_distance(x)
+                }
             };
-            if let Some(at) = side.iter().position(|&x| x == id) {
-                let mut rest = side.to_vec();
-                rest.remove(at);
-                ls.set_side(owner, cw_side, &rest);
-                return true;
+            let mut side = if cw_side { self.cw() } else { self.ccw() };
+            let pos = side.iter().position(|&x| dist(x) > dist(id));
+            let pos = pos.unwrap_or(side.len());
+            if pos >= HALF {
+                return false;
             }
+            side.insert(pos, id);
+            side.truncate(HALF);
+            self.set_side(cw_side, &side);
+            true
         }
-        false
-    }
 
-    /// What `closest_to` was before it bracketed the key: every member
-    /// measured, the smallest distance key kept.
-    fn closest_by_fold(ls: &LeafSet, owner: Id, key: Id) -> Id {
-        ls.members()
-            .map(|m| key.distance_key(m))
-            .fold(key.distance_key(owner), Ord::min)
-            .1
+        /// Drop `id`; whether it was a member.
+        fn remove(&mut self, id: Id) -> bool {
+            for cw_side in [true, false] {
+                let mut side = if cw_side { self.cw() } else { self.ccw() };
+                if let Some(at) = side.iter().position(|&x| x == id) {
+                    side.remove(at);
+                    self.set_side(cw_side, &side);
+                    return true;
+                }
+            }
+            false
+        }
+
+        /// What `closest_to` was before it bracketed the key: every member
+        /// measured, the smallest distance key kept.
+        fn closest_by_fold(&self, key: Id) -> Id {
+            (self.members().into_iter())
+                .map(|m| key.distance_key(m))
+                .fold(key.distance_key(self.owner), Ord::min)
+                .1
+        }
     }
 
     /// `x / 2`, rounded down.
@@ -274,137 +379,127 @@ mod tests {
         Id::from_bytes(b)
     }
 
-    fn set_with(owner: u64, members: &[u64]) -> LeafSet {
-        let mut ls = LeafSet::new(id(owner));
+    fn set_with(owner: u64, members: &[u64]) -> Fixture {
+        let mut fx = Fixture::new(id(owner));
         for &m in members {
-            insert(&mut ls, id(owner), id(m));
+            fx.insert(id(m));
         }
-        ls
+        fx
     }
 
     #[test]
     fn insert_sorts_by_side_distance() {
-        let ls = set_with(100, &[110, 105, 90, 95, 120]);
-        assert_eq!(ls.clockwise(), &[id(105), id(110), id(120)]);
-        assert_eq!(ls.counter_clockwise(), &[id(95), id(90)]);
+        let fx = set_with(100, &[110, 105, 90, 95, 120]);
+        assert_eq!(fx.cw(), [id(105), id(110), id(120)]);
+        assert_eq!(fx.ccw(), [id(95), id(90)]);
     }
 
     #[test]
     fn insert_dedups_and_ignores_owner() {
-        let mut ls = set_with(100, &[105]);
-        assert!(!insert(&mut ls, id(100), id(105)));
-        assert!(!insert(&mut ls, id(100), id(100)));
-        assert_eq!(ls.len(), 1);
+        let mut fx = set_with(100, &[105]);
+        assert!(!fx.insert(id(105)));
+        assert!(!fx.insert(id(100)));
+        assert_eq!(fx.ls.len(), 1);
     }
 
     #[test]
     fn insert_trims_to_half() {
-        let owner = id(100);
-        let mut ls = LeafSet::new(owner); // HALF = 8 per side
+        let mut fx = Fixture::new(id(100)); // HALF = 8 per side
         for m in 101..=110 {
-            insert(&mut ls, owner, id(m));
+            fx.insert(id(m));
         }
         let nearest: Vec<Id> = (101..=108).map(id).collect();
-        assert_eq!(ls.clockwise(), &nearest[..]);
-        assert!(!insert(&mut ls, owner, id(101)), "already present");
-        let mut ls2 = ls.clone();
-        assert!(
-            !insert(&mut ls2, owner, id(110)),
-            "beyond capacity and farther"
-        );
+        assert_eq!(fx.cw(), nearest);
+        assert!(!fx.insert(id(101)), "already present");
+        let mut fx2 = fx.clone();
+        assert!(!fx2.insert(id(110)), "beyond capacity and farther");
     }
 
     #[test]
     fn nearer_node_displaces_farther() {
-        let owner = id(100);
-        let mut ls = LeafSet::new(owner);
+        let mut fx = Fixture::new(id(100));
         for m in (110..=180).step_by(10) {
-            insert(&mut ls, owner, id(m));
+            fx.insert(id(m));
         }
-        assert_eq!(ls.clockwise().len(), HALF);
-        assert_eq!(ls.clockwise().last(), Some(&id(180)));
-        assert!(insert(&mut ls, owner, id(105)));
-        assert_eq!(ls.clockwise()[..2], [id(105), id(110)]);
-        assert_eq!(ls.clockwise().last(), Some(&id(170)), "the farthest left");
-        assert!(ls.covers(id(170)) && !ls.covers(id(171)));
+        assert_eq!(fx.cw().len(), HALF);
+        assert_eq!(fx.cw().last(), Some(&id(180)));
+        assert!(fx.insert(id(105)));
+        assert_eq!(fx.cw()[..2], [id(105), id(110)]);
+        assert_eq!(fx.cw().last(), Some(&id(170)), "the farthest left");
+        assert!(fx.ls.covers(id(170)) && !fx.ls.covers(id(171)));
     }
 
     #[test]
     fn remove_either_side() {
-        let mut ls = set_with(100, &[105, 95]);
-        assert!(remove(&mut ls, id(100), id(105)));
-        assert!(remove(&mut ls, id(100), id(95)));
-        assert!(!remove(&mut ls, id(100), id(42)));
-        assert!(ls.is_empty());
+        let mut fx = set_with(100, &[105, 95]);
+        assert!(fx.remove(id(105)));
+        assert!(fx.remove(id(95)));
+        assert!(!fx.remove(id(42)));
+        assert!(fx.ls.is_empty());
     }
 
     #[test]
     fn covers_and_closest() {
-        let ls = set_with(100, &[105, 110, 95, 90]);
+        let fx = set_with(100, &[105, 110, 95, 90]);
+        let ls = &fx.ls;
         assert!(ls.covers(id(100)));
         assert!(ls.covers(id(107)));
         assert!(ls.covers(id(90)), "ccw edge inclusive");
         assert!(ls.covers(id(110)), "cw edge inclusive");
         assert!(!ls.covers(id(111)));
         assert!(!ls.covers(id(89)));
-        assert_eq!(ls.closest_to(id(100), id(104)), id(105));
-        assert_eq!(
-            ls.closest_to(id(100), id(101)),
-            id(100),
-            "owner can be closest"
-        );
-        assert_eq!(ls.closest_to(id(100), id(93)), id(95));
+        assert_eq!(fx.closest_to(id(104)), id(105));
+        assert_eq!(fx.closest_to(id(101)), id(100), "owner can be closest");
+        assert_eq!(fx.closest_to(id(93)), id(95));
     }
 
     #[test]
     fn covers_wrapping_ring() {
-        let owner = Id::from_u64(2);
-        let mut ls = LeafSet::new(owner);
-        insert(&mut ls, owner, Id::MAX); // predecessor across zero
-        insert(&mut ls, owner, Id::from_u64(5));
-        assert!(ls.covers(Id::ZERO));
-        assert!(ls.covers(Id::from_u64(4)));
-        assert!(!ls.covers(Id::from_u64(9)));
+        let mut fx = Fixture::new(Id::from_u64(2));
+        fx.insert(Id::MAX); // predecessor across zero
+        fx.insert(Id::from_u64(5));
+        assert!(fx.ls.covers(Id::ZERO));
+        assert!(fx.ls.covers(Id::from_u64(4)));
+        assert!(!fx.ls.covers(Id::from_u64(9)));
     }
 
     #[test]
     fn singleton_covers_everything() {
-        let ls = LeafSet::new(id(7));
-        assert!(ls.covers(Id::MAX));
-        assert_eq!(ls.closest_to(id(7), Id::MAX), id(7));
+        let fx = Fixture::new(id(7));
+        assert!(fx.ls.covers(Id::MAX));
+        assert_eq!(fx.closest_to(Id::MAX), id(7));
     }
 
     #[test]
     fn clones_are_independent_snapshots() {
-        let owner = id(100);
-        let mut ls = set_with(100, &[105, 110, 95]);
-        let snap = ls.clone();
+        let mut fx = set_with(100, &[105, 110, 95]);
+        let snap = fx.clone();
         // Reads and no-op writes change nothing.
-        assert!(ls.covers(id(107)));
-        assert!(!insert(&mut ls, owner, id(105)));
-        assert!(!remove(&mut ls, owner, id(42)));
-        assert_eq!(ls, snap);
-        assert!(insert(&mut ls, owner, id(103)));
+        assert!(fx.ls.covers(id(107)));
+        assert!(!fx.insert(id(105)));
+        assert!(!fx.remove(id(42)));
+        assert_eq!(fx.ls, snap.ls);
+        assert!(fx.insert(id(103)));
         assert_eq!(
-            snap.clockwise(),
-            &[id(105), id(110)],
+            snap.cw(),
+            [id(105), id(110)],
             "snapshot must not see the insert"
         );
         // A rebuild that changes a side moves its edge, and only in the
         // set written.
-        let before = ls.clone();
-        ls.rebuild(owner, &[id(103), id(105), id(110)], &[id(95)]);
-        assert_eq!(ls, before, "no-op rebuild");
-        ls.rebuild(owner, &[id(103), id(105), id(110)], &[id(95), id(90)]);
-        assert!(ls.covers(id(91)) && !before.covers(id(91)));
-        assert_eq!(before.counter_clockwise(), &[id(95)]);
+        let before = fx.clone();
+        fx.rebuild(&[id(103), id(105), id(110)], &[id(95)]);
+        assert_eq!(fx.ls, before.ls, "no-op rebuild");
+        fx.rebuild(&[id(103), id(105), id(110)], &[id(95), id(90)]);
+        assert!(fx.ls.covers(id(91)) && !before.ls.covers(id(91)));
+        assert_eq!(before.ccw(), [id(95)]);
     }
 
     #[test]
     fn the_sides_come_after_the_edges() {
         // What `covers` reads sits ahead of the two sides, so a node
         // handle's first lines hold it (overlay.rs checks the handle).
-        let sides = 2 * HALF * std::mem::size_of::<Id>();
+        let sides = 2 * HALF * std::mem::size_of::<Slot>();
         assert_eq!(
             std::mem::offset_of!(LeafSet, cw) + sides,
             std::mem::size_of::<LeafSet>()
@@ -413,11 +508,36 @@ mod tests {
 
     #[test]
     fn rebuild_replaces_and_trims() {
-        let mut ls = LeafSet::new(id(0));
+        let mut fx = Fixture::new(id(0));
         let cw: Vec<Id> = (1..=10).map(id).collect();
-        ls.rebuild(id(0), &cw, &[Id::MAX]);
-        assert_eq!(ls.clockwise(), &cw[..HALF]);
-        assert_eq!(ls.counter_clockwise(), &[Id::MAX]);
+        fx.rebuild(&cw, &[Id::MAX]);
+        assert_eq!(fx.cw(), &cw[..HALF]);
+        assert_eq!(fx.ccw(), [Id::MAX]);
+    }
+
+    /// The bracket searches the key's side: with both sides full, no key
+    /// costs more than three member-id reads, and the edges and the owner
+    /// none.
+    #[test]
+    fn the_bracket_reads_at_most_three_member_ids() {
+        let mut fx = Fixture::new(id(1000));
+        let cw: Vec<Id> = (1..=HALF as u64).map(|d| id(1000 + 10 * d)).collect();
+        let ccw: Vec<Id> = (1..=HALF as u64).map(|d| id(1000 - 10 * d)).collect();
+        fx.rebuild(&cw, &ccw);
+        let reads = Cell::new(0);
+        let arena = &fx.arena;
+        let mut most = 0;
+        for key in (900..=1100).map(id) {
+            reads.set(0);
+            let id_of = |s: Slot| {
+                reads.set(reads.get() + 1);
+                arena[s.index()]
+            };
+            let (best, _) = fx.ls.closest_to((fx.owner, Slot(0)), key, id_of);
+            assert_eq!(best, fx.closest_by_fold(key), "key {key:?}");
+            most = most.max(reads.get());
+        }
+        assert_eq!(most, 3);
     }
 
     proptest! {
@@ -429,14 +549,12 @@ mod tests {
         ) {
             let owner = Id::from_bytes(owner);
             let key = Id::from_bytes(key);
-            let mut ls = LeafSet::new(owner);
+            let mut fx = Fixture::new(owner);
             for m in &members {
-                insert(&mut ls, owner, Id::from_bytes(*m));
+                fx.insert(Id::from_bytes(*m));
             }
-            let best = ls.closest_to(owner, key);
-            let candidates: Vec<Id> =
-                ls.members().chain(std::iter::once(owner)).collect();
-            for c in candidates {
+            let best = fx.closest_to(key);
+            for c in fx.members().into_iter().chain(std::iter::once(owner)) {
                 prop_assert_ne!(
                     key.cmp_distance(c, best),
                     std::cmp::Ordering::Less,
@@ -474,15 +592,16 @@ mod tests {
             let owner = ring[at];
             let cw: Vec<Id> = (1..n).map(|t| ring[(at + t) % n]).take(HALF).collect();
             let ccw: Vec<Id> = (1..n).map(|t| ring[(at + n - t) % n]).take(HALF).collect();
-            let mut ls = LeafSet::new(owner);
-            ls.rebuild(owner, &cw, &ccw);
-            prop_assert!(ls.len() < n, "overlapping sides are deduplicated");
+            let mut fx = Fixture::new(owner);
+            fx.rebuild(&cw, &ccw);
+            prop_assert!(fx.ls.len() < n, "overlapping sides are deduplicated");
 
-            let want = ls
+            let want = fx
                 .members()
+                .into_iter()
                 .chain(std::iter::once(owner))
                 .min_by(|a, b| key.cmp_distance(*a, *b));
-            prop_assert_eq!(Some(ls.closest_to(owner, key)), want);
+            prop_assert_eq!(Some(fx.closest_to(key)), want);
         }
 
         /// After any sequence of inserts, removes and rebuilds on a small
@@ -505,15 +624,15 @@ mod tests {
             ring.dedup();
             let n = ring.len();
             let owner = ring[at % n];
-            let mut ls = LeafSet::new(owner);
+            let mut fx = Fixture::new(owner);
             for (op, pick) in std::iter::once((2, at)).chain(ops) {
                 let x = ring[pick % n];
                 match op {
                     0 => {
-                        insert(&mut ls, owner, x);
+                        fx.insert(x);
                     }
                     1 => {
-                        remove(&mut ls, owner, x);
+                        fx.remove(x);
                     }
                     _ => {
                         // The exact sides of a ring that lost `x` (if not
@@ -525,16 +644,16 @@ mod tests {
                         let cw: Vec<Id> = (1..m).map(|t| live[(o + t) % m]).take(HALF).collect();
                         let ccw: Vec<Id> =
                             (1..m).map(|t| live[(o + m - t) % m]).take(HALF).collect();
-                        ls.rebuild(owner, &cw, &ccw);
+                        fx.rebuild(&cw, &ccw);
                     }
                 }
-                let cw_edge = ls.clockwise().last().copied().unwrap_or(owner);
-                let ccw_edge = ls.counter_clockwise().last().copied().unwrap_or(owner);
-                prop_assert_eq!((ls.cw_edge, ls.ccw_edge), (cw_edge, ccw_edge));
+                let cw_edge = fx.cw().last().copied().unwrap_or(owner);
+                let ccw_edge = fx.ccw().last().copied().unwrap_or(owner);
+                prop_assert_eq!((fx.ls.cw_edge, fx.ls.ccw_edge), (cw_edge, ccw_edge));
                 for key in keys.iter().map(|&v| place(v)).chain([owner, Id::HALF]) {
                     let want =
-                        ls.is_empty() || key == ccw_edge || key.between_cw(ccw_edge, cw_edge);
-                    prop_assert_eq!(ls.covers(key), want, "key {:?}", key);
+                        fx.ls.is_empty() || key == ccw_edge || key.between_cw(ccw_edge, cw_edge);
+                    prop_assert_eq!(fx.ls.covers(key), want, "key {:?}", key);
                 }
             }
         }
@@ -545,18 +664,19 @@ mod tests {
             ops in proptest::collection::vec((any::<[u8; 20]>(), any::<bool>()), 0..40),
         ) {
             let owner = Id::from_bytes(owner);
-            let mut ls = LeafSet::new(owner);
+            let mut fx = Fixture::new(owner);
             for (bytes, leave) in ops {
                 let x = Id::from_bytes(bytes);
                 if leave {
-                    remove(&mut ls, owner, x);
+                    fx.remove(x);
                 } else {
-                    insert(&mut ls, owner, x);
+                    fx.insert(x);
                 }
-                prop_assert!(super::is_sorted_by_cw_distance(owner, ls.clockwise()));
-                prop_assert!(super::is_sorted_by_ccw_distance(owner, ls.counter_clockwise()));
-                prop_assert!(ls.clockwise().len() <= HALF);
-                prop_assert!(ls.counter_clockwise().len() <= HALF);
+                let (cw, ccw) = (fx.entries(&fx.cw()), fx.entries(&fx.ccw()));
+                prop_assert!(super::is_sorted_by_cw_distance(owner, &cw));
+                prop_assert!(super::is_sorted_by_ccw_distance(owner, &ccw));
+                prop_assert!(cw.len() <= HALF);
+                prop_assert!(ccw.len() <= HALF);
             }
         }
     }
@@ -597,25 +717,25 @@ mod tests {
             let n = ring.len();
             let at = at % n;
             let owner = ring[at];
-            let mut ls = LeafSet::new(owner);
+            let mut fx = Fixture::new(owner);
             if grown.is_empty() {
                 let cw: Vec<Id> = (1..n).map(|t| ring[(at + t) % n]).take(HALF).collect();
                 let ccw: Vec<Id> = (1..n).map(|t| ring[(at + n - t) % n]).take(HALF).collect();
-                ls.rebuild(owner, &cw, &ccw);
+                fx.rebuild(&cw, &ccw);
             } else {
                 for (pick, leave) in grown {
                     let x = ring[pick % n];
                     if leave {
-                        remove(&mut ls, owner, x);
+                        fx.remove(x);
                     } else {
-                        insert(&mut ls, owner, x);
+                        fx.insert(x);
                     }
                 }
             }
             let one = Id::from_u64(1);
-            let mut arc: Vec<Id> = ls.counter_clockwise().iter().rev().copied().collect();
+            let mut arc: Vec<Id> = fx.ccw().into_iter().rev().collect();
             arc.push(owner);
-            arc.extend_from_slice(ls.clockwise());
+            arc.extend(fx.cw());
             let mut probes: Vec<Id> = keys.into_iter().map(place).collect();
             for (i, &m) in arc.iter().enumerate() {
                 probes.extend([m, m.wrapping_add(one), m.wrapping_sub(one)]);
@@ -625,12 +745,12 @@ mod tests {
             }
             for key in probes {
                 prop_assert_eq!(
-                    ls.closest_to(owner, key),
-                    closest_by_fold(&ls, owner, key),
+                    fx.closest_to(key),
+                    fx.closest_by_fold(key),
                     "key {:?}, cw {:?}, ccw {:?}",
                     key,
-                    ls.clockwise(),
-                    ls.counter_clockwise()
+                    fx.cw(),
+                    fx.ccw()
                 );
             }
         }

@@ -10,7 +10,7 @@
 //!   key, reaching the key's *root* (the live node with the numerically
 //!   closest nodeid) in `~log_{2^b} N` hops — the constant the paper's
 //!   performance analysis (§5) turns on.
-//! * **Leaf sets** ([`LeafSet`]): the `|L|` nodes numerically closest to
+//! * **Leaf sets** ([`LeafSetView`]): the `|L|` nodes numerically closest to
 //!   each node, maintained eagerly under churn; they make routing's last
 //!   hop exact and define replica placement.
 //! * **Join, leave, and fail-stop failure** ([`Overlay`]): joins route to
@@ -44,6 +44,7 @@ pub mod storage;
 pub mod substrate;
 
 pub use config::PastryConfig;
-pub use leafset::LeafSet;
-pub use overlay::{NodeView, Overlay, OverlayCheckpoint, RouteError, RouteOutcome, TableView};
+pub use overlay::{
+    LeafIds, LeafSetView, NodeView, Overlay, OverlayCheckpoint, RouteError, RouteOutcome, TableView,
+};
 pub use substrate::{KeyRouter, Snapshots};

@@ -16,9 +16,10 @@
 //!   prefix and strictly closer numerically).
 //!
 //! Node state lives in a member arena indexed by [`Slot`]: every id that
-//! has ever joined has one entry, and routing-table cells name nodes by
-//! their slot (four bytes, not twenty), so a forwarding step reaches the
-//! next hop's liveness and handle with one index.
+//! has ever joined has one entry, and routing-table cells, leaf-set sides
+//! and the ring name nodes by their slot (four bytes, not twenty), so a
+//! forwarding step reaches the next hop's liveness and handle with one
+//! index.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -30,12 +31,12 @@ use tap_id::{DistanceKey, Id, Ring};
 use tap_metrics::{Counter, Histogram, Registry};
 
 use crate::config::PastryConfig;
-use crate::leafset::{LeafSet, HALF};
+use crate::leafset::{Leaf, LeafSet, HALF};
 use crate::routing_table::{RoutingTable, Slot};
 
 /// Per-node overlay state, in one allocation beside the table's grid: the
-/// leaf set's sides are inline. `repr(C)` keeps what a forwarding step
-/// reads (the table's grid pointer, the leaf set's edges) ahead of the
+/// leaf set's sides of slots are inline. `repr(C)` keeps what a forwarding
+/// step reads (the table's grid pointer, the leaf set's edges) ahead of the
 /// sides. The node's id is its arena entry's (and its table's owner).
 #[derive(Debug, Clone)]
 #[repr(C)]
@@ -62,7 +63,7 @@ pub struct NodeView<'a> {
     /// Its prefix routing table.
     pub table: TableView<'a>,
     /// Its leaf set.
-    pub leafset: &'a LeafSet,
+    pub leafset: LeafSetView<'a>,
 }
 
 /// A node's routing table with each cell read as the id it names.
@@ -88,6 +89,58 @@ impl<'a> TableView<'a> {
         self.table.depth()
     }
 }
+
+/// A node's leaf set with each member read as the id it names.
+#[derive(Clone, Copy)]
+pub struct LeafSetView<'a> {
+    leafset: &'a LeafSet,
+    overlay: &'a Overlay,
+}
+
+impl<'a> LeafSetView<'a> {
+    /// Clockwise neighbours, nearest first.
+    pub fn clockwise(self) -> LeafIds<'a> {
+        self.ids(self.leafset.clockwise())
+    }
+
+    /// Counter-clockwise neighbours, nearest first.
+    pub fn counter_clockwise(self) -> LeafIds<'a> {
+        self.ids(self.leafset.counter_clockwise())
+    }
+
+    /// All members (both sides), without the owner.
+    pub fn members(self) -> impl Iterator<Item = Id> + 'a {
+        self.clockwise().chain(self.counter_clockwise())
+    }
+
+    fn ids(self, side: &'a [Slot]) -> LeafIds<'a> {
+        LeafIds {
+            side: side.iter(),
+            overlay: self.overlay,
+        }
+    }
+}
+
+/// The ids of one leaf-set side, nearest first ([`LeafSetView`]).
+#[derive(Clone)]
+pub struct LeafIds<'a> {
+    side: std::slice::Iter<'a, Slot>,
+    overlay: &'a Overlay,
+}
+
+impl Iterator for LeafIds<'_> {
+    type Item = Id;
+
+    fn next(&mut self) -> Option<Id> {
+        Some(self.overlay.leaf_id(*self.side.next()?))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.side.size_hint()
+    }
+}
+
+impl ExactSizeIterator for LeafIds<'_> {}
 
 /// Why a route could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +239,9 @@ pub struct Overlay {
     /// so a table cell that names a departed node comes alive again when
     /// that id rejoins, as a cell holding the id itself would.
     slots: IdHashMap<Slot>,
-    /// The live ids in ring order: exactly the members with a handle.
-    ring: Ring,
+    /// The live ids in ring order, each with its slot: exactly the members
+    /// with a handle.
+    ring: Ring<Slot>,
     /// Dense list of the live slots for O(1) *uniform* random-node
     /// sampling (successor-of-a-random-probe sampling would be biased by
     /// ring-gap size, which skews relay selection statistics in the
@@ -205,7 +259,7 @@ pub struct Overlay {
 pub struct OverlayCheckpoint {
     members: Vec<Member>,
     slots: IdHashMap<Slot>,
-    ring: Ring,
+    ring: Ring<Slot>,
     order: Vec<Slot>,
 }
 
@@ -281,7 +335,10 @@ impl Overlay {
                 table: &node.table,
                 overlay: self,
             },
-            leafset: &node.leafset,
+            leafset: LeafSetView {
+                leafset: &node.leafset,
+                overlay: self,
+            },
         })
     }
 
@@ -302,15 +359,27 @@ impl Overlay {
         Some((slot, self.handle(slot)?))
     }
 
-    /// A live node's shared handle, to unshare and write.
-    fn live_mut(&mut self, id: Id) -> Option<&mut Arc<NodeHandle>> {
-        let slot = self.slot(id)?;
+    /// The shared handle in `slot`, if that node is live, to unshare and
+    /// write.
+    fn handle_mut(&mut self, slot: Slot) -> Option<&mut Arc<NodeHandle>> {
         self.members.get_mut(slot.index())?.handle.as_mut()
+    }
+
+    /// A live node's shared handle, to unshare and write.
+    #[cfg(test)]
+    fn live_mut(&mut self, id: Id) -> Option<&mut Arc<NodeHandle>> {
+        self.handle_mut(self.slot(id)?)
     }
 
     /// The id `slot` names, live or departed.
     fn id_of(&self, slot: Slot) -> Option<Id> {
         self.members.get(slot.index()).map(|m| m.id)
+    }
+
+    /// The id a leaf-set member's slot names. A leaf was a ring member
+    /// when its set was installed, so its slot indexes the arena.
+    fn leaf_id(&self, slot: Slot) -> Id {
+        self.members[slot.index()].id
     }
 
     /// Record (counter + journal) a leaf-set reference to a node that is
@@ -556,22 +625,22 @@ impl Overlay {
         // newcomer as a leaf are, by window symmetry, the `HALF` ids on
         // each side of it, and each of their own leaf sets reaches `HALF`
         // further: everything lies within `2·HALF` ids of `id`.
-        self.ring.insert(id);
+        self.ring.put(id, slot);
         // `order` is no longer than the arena, whose indexes fit a `u32`.
         let pos = self.order.len() as u32;
         self.order.push(slot);
         let mut window = self.window(id, 2 * HALF);
-        let (n, at) = (window.ids.len(), window.at);
+        let (n, at) = (window.entries.len(), window.at);
 
         // The newcomer's exact leaf set (the converged result of leaf-set
-        // exchange with the root).
+        // exchange with the root). Its leaves come with their slots from
+        // the walk; a member on both sides of a small ring is considered
+        // twice, and the second time finds its cell taken.
         let mut leafset = LeafSet::new(id);
         let (cw, ccw) = window.sides(at);
         leafset.rebuild(id, cw, ccw);
-        for m in leafset.members() {
-            if let Some(s) = self.slot(m) {
-                table.consider(m, s);
-            }
+        for &(m, s) in cw.iter().chain(ccw) {
+            table.consider(m, s);
         }
         let (n_cw, n_ccw) = (leafset.clockwise().len(), leafset.counter_clockwise().len());
         // `intern` handed `slot` out of the arena above, and only a
@@ -621,13 +690,13 @@ impl Overlay {
         if self.detach(slot).is_none() {
             return false;
         }
-        self.ring.remove(id);
+        self.ring.take(id);
 
         // Repair the `HALF` survivors on each side of the gap. Their new
         // leaf sets reach `HALF` further, so one walk of `2·HALF` ids
         // either side serves them all.
         let mut window = self.window(id, 2 * HALF);
-        let (n, at) = (window.ids.len(), window.at);
+        let (n, at) = (window.entries.len(), window.at);
         let take = HALF.min(n);
         let survivors = (0..take)
             .map(|t| (at + t) % n)
@@ -654,7 +723,7 @@ impl Overlay {
                 continue;
             };
             if let Some(handle) = self.detach(slot) {
-                self.ring.remove(id);
+                self.ring.take(id);
                 departed.push((slot, handle));
             }
         }
@@ -668,11 +737,12 @@ impl Overlay {
         // was itself removed earlier in the same batch is a stale
         // reference — skip and journal it, exactly the case the old
         // one-at-a-time repair path turned into a panic.
-        let mut candidates: BTreeSet<Id> = BTreeSet::new();
+        let mut candidates: BTreeSet<Leaf> = BTreeSet::new();
         for (_, handle) in &departed {
-            for m in handle.leafset.members() {
-                if self.is_live(m) {
-                    candidates.insert(m);
+            for slot in handle.leafset.members() {
+                let m = self.leaf_id(slot);
+                if self.handle(slot).is_some() {
+                    candidates.insert((m, slot));
                 } else {
                     self.note_stale_leafset_ref(m);
                 }
@@ -682,9 +752,14 @@ impl Overlay {
         // Phase 3: every candidate held a departed leaf, so each is written.
         let mut removed: Vec<Slot> = departed.iter().map(|&(slot, _)| slot).collect();
         removed.sort_unstable();
-        for a in candidates {
-            let (cw, ccw) = (self.successors(a, HALF), self.predecessors(a, HALF));
-            let Some(node) = self.live_mut(a) else {
+        let (mut cw, mut ccw) = (Vec::with_capacity(HALF), Vec::with_capacity(HALF));
+        for (a, slot) in candidates {
+            let from = Bound::Excluded(a);
+            cw.clear();
+            cw.extend(self.ring.clockwise_entries(from).take(HALF).map(leaf));
+            ccw.clear();
+            ccw.extend((self.ring.counter_clockwise_entries(from).take(HALF)).map(leaf));
+            let Some(node) = self.handle_mut(slot) else {
                 continue;
             };
             let node = Arc::make_mut(node);
@@ -714,7 +789,7 @@ impl Overlay {
         Some(handle)
     }
 
-    /// Install the exact leaf set of `window.ids[i]` for each `i` in
+    /// Install the exact leaf set of `window.entries[i]` for each `i` in
     /// `members` (the converged result of Pastry's leaf-set exchange) and
     /// apply `table` to its routing table. Each member gained or lost the
     /// event's id as a leaf, or sees a ring too small to fill one: all are
@@ -726,9 +801,9 @@ impl Overlay {
         table: impl Fn(&mut RoutingTable) -> R,
     ) {
         for i in members {
-            let owner = window.ids[i];
+            let (owner, slot) = window.entries[i];
             // `ring` lists exactly the live members.
-            let Some(node) = self.live_mut(owner) else {
+            let Some(node) = self.handle_mut(slot) else {
                 continue;
             };
             let node = Arc::make_mut(node);
@@ -739,28 +814,25 @@ impl Overlay {
         }
     }
     /// The ring stretch a membership event at `around` can touch, in
-    /// clockwise order: the `reach` live ids on each side of `around`, and
-    /// `around` itself when live — or the whole ring, when it is no larger
-    /// than that.
+    /// clockwise order, each id with its slot: the `reach` live ids on each
+    /// side of `around`, and `around` itself when live — or the whole ring,
+    /// when it is no larger than that.
     fn window(&self, around: Id, reach: usize) -> Window {
         let whole = self.ring.len() <= 2 * reach + 1;
+        let from = Bound::Excluded(around);
         let mut window = Vec::with_capacity(self.ring.len().min(2 * reach + 1));
         if !whole {
-            window.extend(
-                self.ring
-                    .counter_clockwise(Bound::Excluded(around))
-                    .take(reach),
-            );
+            window.extend((self.ring.counter_clockwise_entries(from).take(reach)).map(leaf));
             window.reverse();
         }
         let at = window.len();
-        if self.ring.contains(around) {
-            window.push(around);
+        if let Some(&slot) = self.ring.get(around) {
+            window.push((around, slot));
         }
         let rest = if whole { usize::MAX } else { reach };
-        window.extend(self.ring.clockwise(Bound::Excluded(around)).take(rest));
+        window.extend(self.ring.clockwise_entries(from).take(rest).map(leaf));
         Window {
-            ids: window,
+            entries: window,
             at,
             cw: Vec::new(),
             ccw: Vec::new(),
@@ -843,16 +915,16 @@ impl Overlay {
         let stuck = RouteError::Stuck { at: current, key };
         let mut node = self.handle(at).ok_or(stuck)?;
 
-        // Phase 1: leaf set covers the key → exact final step(s). Leaf
-        // sets hold ids, so the next hop's slot is one map probe.
+        // Phase 1: leaf set covers the key → exact final step(s). The
+        // bracket reads at most three leaves' ids out of the arena and
+        // returns the winner with its slot.
         if node.leafset.covers(key) {
-            let best = node.leafset.closest_to(current, key);
+            let (best, slot) = (node.leafset).closest_to((current, at), key, |s| self.leaf_id(s));
             if best == current {
                 return Ok((None, false));
             }
-            // Every leaf has joined, so it has a slot; the step after
-            // this one finds it departed only if the leaf set is corrupt.
-            let slot = self.slot(best).unwrap_or(Slot::EMPTY);
+            // The step after this one finds the leaf departed only if the
+            // leaf set is corrupt.
             debug_assert!(
                 self.handle(slot).is_some(),
                 "leaf sets are eagerly maintained"
@@ -907,17 +979,14 @@ impl Overlay {
         let mut best_pastry: Option<(DistanceKey, Slot)> = None;
         let mut best_greedy: Option<(DistanceKey, Slot)> = None;
         let mut stale = Vec::new();
-        // Table cells resolve through the arena; leaves, which hold ids,
-        // through the slot map. Each candidate comes with its liveness.
-        let table = node.table.entries().filter_map(|slot| {
+        // Table cells and leaves resolve through the arena, each candidate
+        // with its liveness.
+        let slots = node.table.entries().chain(node.leafset.members());
+        let candidates = slots.filter_map(|slot| {
             let m = self.members.get(slot.index())?;
             Some((m.id, slot, m.handle.is_some()))
         });
-        let leaves = node.leafset.members().map(|c| {
-            let slot = self.slot(c).unwrap_or(Slot::EMPTY);
-            (c, slot, self.handle(slot).is_some())
-        });
-        for (c, slot, live) in table.chain(leaves) {
+        for (c, slot, live) in candidates {
             if !live {
                 stale.push((c, slot));
                 continue;
@@ -984,8 +1053,9 @@ impl Overlay {
             // Small rings: sides overlap; `rebuild` keeps shared nodes on
             // the clockwise side only.
             want_ccw.retain(|x| !want_cw.contains(x));
-            self.live(id).is_none_or(|(_, node)| {
-                node.leafset.clockwise() != want_cw || node.leafset.counter_clockwise() != want_ccw
+            self.node(id).is_none_or(|node| {
+                !node.leafset.clockwise().eq(want_cw)
+                    || !node.leafset.counter_clockwise().eq(want_ccw)
             })
         })
     }
@@ -998,25 +1068,30 @@ impl Overlay {
     }
 }
 
-/// The ring stretch of [`Overlay::window`], and two leaf-side buffers that
-/// each neighbour's sides are read into in turn: the sixteen neighbours of
-/// a join or leave allocate nothing each.
+/// A ring entry as a leaf-set side is installed from.
+fn leaf((id, &slot): (Id, &Slot)) -> Leaf {
+    (id, slot)
+}
+
+/// The ring stretch of [`Overlay::window`] (ids with their slots), and two
+/// leaf-side buffers that each neighbour's sides are read into in turn: the
+/// sixteen neighbours of a join or leave allocate nothing each.
 struct Window {
-    ids: Vec<Id>,
+    entries: Vec<Leaf>,
     /// Where the event's id sits: its own index when live, its clockwise neighbour's when not.
     at: usize,
-    cw: Vec<Id>,
-    ccw: Vec<Id>,
+    cw: Vec<Leaf>,
+    ccw: Vec<Leaf>,
 }
 
 impl Window {
-    /// The leaf-set sides of `ids[i]`: the `HALF` ids after it and the
-    /// `HALF` before it, nearest first. Both walks continue round the end
-    /// of the stretch — exact when it is the whole ring, and never reached
-    /// when it is not, because the ids asked about sit `HALF` or more from
-    /// either end.
-    fn sides(&mut self, i: usize) -> (&[Id], &[Id]) {
-        let (before, after) = (&self.ids[..i], &self.ids[i + 1..]);
+    /// The leaf-set sides of `entries[i]`: the `HALF` members after it and
+    /// the `HALF` before it, nearest first. Both walks continue round the
+    /// end of the stretch — exact when it is the whole ring, and never
+    /// reached when it is not, because the members asked about sit `HALF`
+    /// or more from either end.
+    fn sides(&mut self, i: usize) -> (&[Leaf], &[Leaf]) {
+        let (before, after) = (&self.entries[..i], &self.entries[i + 1..]);
         self.cw.clear();
         self.cw.extend(after.iter().chain(before).take(HALF));
         self.ccw.clear();
@@ -1123,16 +1198,19 @@ mod tests {
         let ids: Vec<Id> = ov.ids().collect();
         for (at, cw_side) in [(30, true), (7, false)] {
             let id = ids[at];
-            let node = Arc::make_mut(ov.live_mut(id).unwrap());
+            let leaves = ov.node(id).unwrap().leafset;
+            let entries =
+                |side: LeafIds| -> Vec<Leaf> { side.map(|m| (m, ov.slot(m).unwrap())).collect() };
             let (cw, ccw) = (
-                node.leafset.clockwise().to_vec(),
-                node.leafset.counter_clockwise().to_vec(),
+                entries(leaves.clockwise()),
+                entries(leaves.counter_clockwise()),
             );
             let (cw, ccw) = if cw_side {
                 (&cw[..HALF - 1], &ccw[..])
             } else {
                 (&cw[..], &ccw[1..])
             };
+            let node = Arc::make_mut(ov.live_mut(id).unwrap());
             node.leafset.rebuild(id, cw, ccw);
             assert_eq!(ov.leafset_drift(), Some(id));
         }
@@ -1325,27 +1403,26 @@ mod tests {
     #[test]
     fn join_survives_a_stranded_bootstrap_route() {
         // Wear the bootstrap node out the way sustained churn does: an
-        // empty routing table and a full leaf set of dead ids that does
-        // not cover the key. Its route is `Stuck`; the join must fall back
-        // to the oracle root instead of panicking.
+        // empty routing table and a full leaf set of dead ids (given arena
+        // slots, as departed ids keep theirs) that does not cover the key.
+        // Its route is `Stuck`; the join must fall back to the oracle root
+        // instead of panicking.
         let (mut ov, mut rng) = build(80, 25);
         let id = Id::random(&mut rng);
         let bootstrap = (ov.ring.clockwise(Bound::Included(id.flip_bit(0))))
             .next()
             .unwrap();
-        let ghosts = |step: fn(Id, Id) -> Id| -> Vec<Id> {
+        let mut ghosts = |step: fn(Id, Id) -> Id| -> Vec<Leaf> {
+            let ghost = |d| step(bootstrap, Id::from_u64(d));
             (1..=HALF as u64)
-                .map(|d| step(bootstrap, Id::from_u64(d)))
+                .map(|d| (ghost(d), ov.intern(ghost(d)).unwrap()))
                 .collect()
         };
+        let (cw, ccw) = (ghosts(Id::wrapping_add), ghosts(Id::wrapping_sub));
         let b = ov.config.b;
         let worn = Arc::make_mut(ov.live_mut(bootstrap).unwrap());
         worn.table = RoutingTable::new(bootstrap, b);
-        worn.leafset.rebuild(
-            bootstrap,
-            &ghosts(Id::wrapping_add),
-            &ghosts(Id::wrapping_sub),
-        );
+        worn.leafset.rebuild(bootstrap, &cw, &ccw);
         assert!(matches!(
             ov.clone().route(bootstrap, id),
             Err(RouteError::Stuck { .. })
@@ -1364,11 +1441,8 @@ mod tests {
         // The newcomer is a full member: exact leaf set, rows from the
         // root, and routes that agree with the oracle.
         let joined = ov.node(id).unwrap();
-        assert_eq!(joined.leafset.clockwise(), &ov.successors(id, HALF)[..]);
-        assert_eq!(
-            joined.leafset.counter_clockwise(),
-            &ov.predecessors(id, HALF)[..]
-        );
+        assert!(joined.leafset.clockwise().eq(ov.successors(id, HALF)));
+        assert!((joined.leafset.counter_clockwise()).eq(ov.predecessors(id, HALF)));
         assert!(joined.table.entries().any(|e| e == root));
         ov.assert_tables_structurally_valid();
         for _ in 0..20 {
@@ -1575,12 +1649,19 @@ mod tests {
         // sides come last) — and one four-byte cell. The next hop's arena
         // entry, read for liveness, is the one the next step starts from.
         // A field put ahead of them must not silently cost another line.
+        // A leaf step reads the sides too: with slots the whole handle is
+        // 152 bytes, three lines with its header.
         use std::mem::{offset_of, size_of};
         assert_eq!(size_of::<Member>(), 32);
-        let sides = 2 * HALF * size_of::<Id>();
+        let sides = 2 * HALF * size_of::<Slot>();
         let table = offset_of!(NodeHandle, table) + size_of::<RoutingTable>();
         let edges = offset_of!(NodeHandle, leafset) + size_of::<LeafSet>() - sides;
         assert!(table <= 112 && edges <= 112, "{table} {edges}");
+        assert!(
+            size_of::<NodeHandle>() <= 152,
+            "{}",
+            size_of::<NodeHandle>()
+        );
     }
 
     #[test]
@@ -1631,7 +1712,7 @@ mod proptests {
         let mut best_greedy: Option<(Id, Id)> = None;
         let mut stale = Vec::new();
         let table = node.table.entries().filter_map(|s| ov.id_of(s));
-        for c in table.chain(node.leafset.members()) {
+        for c in table.chain(node.leafset.members().map(|s| ov.leaf_id(s))) {
             if !ov.is_live(c) {
                 stale.push(c);
                 continue;

@@ -7,7 +7,8 @@
 //! the ranges read off a `BTreeSet` built from `ov.ids()` — the overlay's
 //! own ring walks are what this oracle checks — and the node map's reads
 //! and writes made through the member arena (`intern`, `detach`, `live`,
-//! `live_mut`), with table cells named by slot.
+//! `live_mut`), with table cells and leaf-set members named by slot (a
+//! rebuild's ids paired with theirs by `entries`).
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use tap_id::{Id, IdHashSet};
 
 use super::{NodeHandle, Overlay};
-use crate::leafset::{LeafSet, HALF};
+use crate::leafset::{Leaf, LeafSet, HALF};
 use crate::routing_table::RoutingTable;
 use crate::routing_table::Slot;
 
@@ -54,6 +55,12 @@ pub(super) fn predecessors(ov: &Overlay, from: Id, n: usize) -> Vec<Id> {
         out.push(*id);
     }
     out
+}
+
+/// `ids` with their slots, as the ring walks pair them.
+fn entries(ov: &Overlay, ids: &[Id]) -> Vec<Leaf> {
+    let slot = |id| ov.slot(id).expect("a ring member has joined");
+    ids.iter().map(|&id| (id, slot(id))).collect()
 }
 
 pub(super) fn k_closest(ov: &Overlay, key: Id, k: usize) -> Vec<Id> {
@@ -95,21 +102,23 @@ pub(super) fn add_node(ov: &mut Overlay, id: Id) -> bool {
             }
             table.consider(*hop, hop_slot);
         }
-        leafset.rebuild(id, &successors(ov, id, half), &predecessors(ov, id, half));
-        for m in leafset.members().collect::<Vec<_>>() {
-            table.consider(m, ov.slot(m).expect("a leaf has joined"));
+        let cw = entries(ov, &successors(ov, id, half));
+        let ccw = entries(ov, &predecessors(ov, id, half));
+        leafset.rebuild(id, &cw, &ccw);
+        for s in leafset.members().collect::<Vec<_>>() {
+            table.consider(ov.leaf_id(s), s);
         }
     }
 
-    let members: Vec<Id> = leafset.members().collect();
-    ov.ring.insert(id);
+    let members: Vec<Id> = leafset.members().map(|s| ov.leaf_id(s)).collect();
+    ov.ring.put(id, slot);
     let member = &mut ov.members[slot.index()];
     member.pos = ov.order.len() as u32;
     member.handle = Some(Arc::new(NodeHandle { table, leafset }));
     ov.order.push(slot);
     for m in &members {
-        let cw = successors(ov, *m, half);
-        let ccw = predecessors(ov, *m, half);
+        let cw = entries(ov, &successors(ov, *m, half));
+        let ccw = entries(ov, &predecessors(ov, *m, half));
         let repaired = match ov.live_mut(*m) {
             Some(node) => {
                 let peer = Arc::make_mut(node);
@@ -129,7 +138,7 @@ pub(super) fn add_node(ov: &mut Overlay, id: Id) -> bool {
 }
 
 pub(super) fn remove_node(ov: &mut Overlay, id: Id) -> bool {
-    if !ov.ring.remove(id) {
+    if ov.ring.take(id).is_none() {
         return false;
     }
     ov.detach(ov.slot(id).expect("a live id has a slot"));
@@ -147,7 +156,7 @@ pub(super) fn remove_node(ov: &mut Overlay, id: Id) -> bool {
 pub(super) fn remove_nodes(ov: &mut Overlay, ids: &[Id]) -> usize {
     let mut departed: Vec<(Id, Arc<NodeHandle>)> = Vec::new();
     for &id in ids {
-        if !ov.ring.remove(id) {
+        if ov.ring.take(id).is_none() {
             continue;
         }
         if let Some(handle) = ov.slot(id).and_then(|slot| ov.detach(slot)) {
@@ -159,7 +168,7 @@ pub(super) fn remove_nodes(ov: &mut Overlay, ids: &[Id]) -> usize {
     }
     let mut candidates: BTreeSet<Id> = BTreeSet::new();
     for (_, handle) in &departed {
-        for m in handle.leafset.members() {
+        for m in handle.leafset.members().map(|s| ov.leaf_id(s)) {
             if ov.is_live(m) {
                 candidates.insert(m);
             } else {
@@ -178,7 +187,8 @@ fn repair_survivor(ov: &mut Overlay, a: Id, dead: &dyn Fn(Id) -> bool) {
     let half = HALF;
     let (needs_leafset, dead_cells) = match ov.live(a) {
         Some((_, node)) => (
-            node.leafset.members().any(dead) || node.leafset.len() < 2 * half,
+            node.leafset.members().map(|s| ov.leaf_id(s)).any(dead)
+                || node.leafset.len() < 2 * half,
             (node.table.entries())
                 .filter(|&s| ov.id_of(s).is_some_and(dead))
                 .collect::<Vec<Slot>>(),
@@ -192,8 +202,8 @@ fn repair_survivor(ov: &mut Overlay, a: Id, dead: &dyn Fn(Id) -> bool) {
     if !needs_leafset && !needs_eviction {
         return;
     }
-    let cw = successors(ov, a, half);
-    let ccw = predecessors(ov, a, half);
+    let cw = entries(ov, &successors(ov, a, half));
+    let ccw = entries(ov, &predecessors(ov, a, half));
     let repaired = match ov.live_mut(a) {
         Some(node) => {
             let node = Arc::make_mut(node);
@@ -253,8 +263,13 @@ mod differential {
             "{what}: shared handles"
         );
         for id in new.ids() {
+            // The arenas are equal, so equal slots are equal ids.
+            let (leaves, want) = (
+                &new.live(id).unwrap().1.leafset,
+                &old.live(id).unwrap().1.leafset,
+            );
+            assert_eq!(leaves, want, "{what}: leaf set of {id:?}");
             let (node, want) = (new.node(id).unwrap(), old.node(id).unwrap());
-            assert_eq!(node.leafset, want.leafset, "{what}: leaf set of {id:?}");
             assert_eq!(
                 grid(node.table),
                 grid(want.table),

@@ -324,10 +324,10 @@ pub fn iterative_secure_lookup(
         };
         queries += 1;
 
-        if !overlay.is_live(c) {
+        let Some(node) = overlay.node(c) else {
             unresponsive += 1;
             continue;
-        }
+        };
         if c != from {
             match behavior.get(&c).copied().unwrap_or_default() {
                 NodeBehavior::Drop => {
@@ -350,7 +350,6 @@ pub fn iterative_secure_lookup(
         if best_claim.is_none_or(|b| c.closer_to(key, b)) {
             best_claim = Some(c);
         }
-        let node = overlay.node(c).expect("live node has state");
         let closer: Vec<Id> = node
             .table
             .entries()

@@ -481,6 +481,54 @@ fn pastry_routes_after_a_long_rollback_are_the_pre_churn_routes() {
     );
 }
 
+// Recorded at the commit before leaf-set sides named their members by slot.
+const LEAFSETS_BUILT: u64 = 0x0840_cf62_2a14_7138;
+const LEAFSETS_CHURNED: u64 = 0x9de4_c4b3_0583_d4e7;
+
+/// Every live node's id and leaf set, both sides nearest first, in ring
+/// order, as [`Overlay::node`] reads them.
+fn hash_leafsets(overlay: &Overlay) -> u64 {
+    let mut h = FNV_OFFSET;
+    for id in overlay.ids() {
+        let node = overlay.node(id).expect("ids() lists live nodes");
+        fnv1a(&mut h, id.as_bytes());
+        for side in [node.leafset.clockwise(), node.leafset.counter_clockwise()] {
+            fnv1a(&mut h, &(side.len() as u64).to_be_bytes());
+            for m in side {
+                fnv1a(&mut h, m.as_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// The leaf sets of a 2 000-node overlay after its build, after 2 000
+/// leave+join pairs under a held checkpoint, and after the rollback, which
+/// restores the built ones.
+#[test]
+fn pastry_leaf_sets_through_churn_and_rollback_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x1eaf);
+    let mut overlay = Overlay::new(PastryConfig::paper_defaults());
+    for _ in 0..NODES {
+        overlay.add_random_node(&mut rng);
+    }
+    let built = hash_leafsets(&overlay);
+    let saved = overlay.checkpoint();
+    for _ in 0..2000 {
+        let victim = overlay.random_node(&mut rng).expect("non-empty overlay");
+        assert!(overlay.remove_node(victim));
+        overlay.add_random_node(&mut rng);
+    }
+    let churned = hash_leafsets(&overlay);
+    overlay.rollback(&saved);
+    assert_eq!(hash_leafsets(&overlay), built);
+    assert_eq!(
+        (built, churned),
+        (LEAFSETS_BUILT, LEAFSETS_CHURNED),
+        "{built:#x} {churned:#x}"
+    );
+}
+
 #[test]
 fn chord_route_paths_are_pinned() {
     let mut rng = StdRng::seed_from_u64(0xc40d);
