@@ -454,12 +454,12 @@ impl KeyRouter for ChordOverlay {
         out
     }
 
-    fn following(&self, from: Id, n: usize) -> Vec<Id> {
-        self.successors(from, n)
+    fn following(&self, from: Id, n: usize, out: &mut Vec<Id>) {
+        out.extend(self.ring.clockwise(Bound::Excluded(from)).take(n))
     }
 
-    fn preceding(&self, from: Id, n: usize) -> Vec<Id> {
-        self.predecessors(from, n)
+    fn preceding(&self, from: Id, n: usize, out: &mut Vec<Id>) {
+        out.extend(self.ring.counter_clockwise(Bound::Excluded(from)).take(n))
     }
 
     fn route_path(&mut self, from: Id, key: Id) -> Result<Vec<Id>, RouteError> {
@@ -591,7 +591,7 @@ mod tests {
             assert!(store.insert(&ov, key, i).unwrap());
             keys.push(key);
         }
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
         // Churn with repair.
         for _ in 0..30 {
             let victim = ov.random_node(&mut rng).unwrap();
@@ -600,7 +600,7 @@ mod tests {
             let id = ov.add_random_node(&mut rng);
             store.on_node_added(&ov, id);
         }
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
     }
 
     #[test]

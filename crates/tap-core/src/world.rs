@@ -661,7 +661,7 @@ mod tests {
         let tunnels = w.deploy_tunnels(20, 4);
         assert_eq!(tunnels.len(), 20);
         assert_eq!(w.thas.len(), 80);
-        w.thas.assert_replica_invariant(&w.overlay);
+        assert_eq!(w.thas.replica_drift(&w.overlay), None);
         let k5 = w.thas_replicated(5, w.metrics());
         assert_eq!(k5.len(), 80);
         for (owner, t) in &tunnels {

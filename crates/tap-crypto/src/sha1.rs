@@ -91,17 +91,29 @@ fn compress(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
     for i in 16..80 {
         w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
     }
-    let [mut a, mut b, mut c, mut d, mut e] = *state;
-    for (i, &wi) in w.iter().enumerate() {
-        let (f, k) = match i {
-            0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-            20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-            _ => (b ^ c ^ d, 0xCA62C1D6),
-        };
+    // The four stages of twenty rounds, each with its own function and
+    // constant, as four loops: no round picks its function at run time.
+    let mut v = *state;
+    rounds(&mut v, &w[..20], 0x5A827999, |b, c, d| (b & c) | (!b & d));
+    rounds(&mut v, &w[20..40], 0x6ED9EBA1, |b, c, d| b ^ c ^ d);
+    rounds(&mut v, &w[40..60], 0x8F1BBCDC, |b, c, d| {
+        (b & c) | (b & d) | (c & d)
+    });
+    rounds(&mut v, &w[60..], 0xCA62C1D6, |b, c, d| b ^ c ^ d);
+    for (s, v) in state.iter_mut().zip(v) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// One stage: a round per word of `w`, with round function `f` and
+/// constant `k`, on the working variables `a..e`.
+#[inline(always)]
+fn rounds(v: &mut [u32; 5], w: &[u32], k: u32, f: impl Fn(u32, u32, u32) -> u32) {
+    let [mut a, mut b, mut c, mut d, mut e] = *v;
+    for &wi in w {
         let tmp = a
             .rotate_left(5)
-            .wrapping_add(f)
+            .wrapping_add(f(b, c, d))
             .wrapping_add(e)
             .wrapping_add(k)
             .wrapping_add(wi);
@@ -111,9 +123,7 @@ fn compress(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
         b = a;
         a = tmp;
     }
-    for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
-        *s = s.wrapping_add(v);
-    }
+    *v = [a, b, c, d, e];
 }
 
 /// One-shot SHA-1 of `data`.
@@ -126,6 +136,7 @@ pub fn sha1(data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -207,6 +218,58 @@ mod tests {
         for len in 50..70 {
             let data = vec![0xabu8; len];
             assert!(seen.insert(sha1(&data)), "collision at length {len}");
+        }
+    }
+
+    /// `compress` as it was before its stages became four loops: one loop
+    /// of eighty rounds that picks each round's function and constant.
+    fn compress_one_loop(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+        let mut w = [0u32; 80];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i {
+                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
+                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+                _ => (b ^ c ^ d, 0xCA62C1D6),
+            };
+            let tmp = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = tmp;
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    proptest! {
+        // Any state and any block come out of the four stage loops as they
+        // came out of the one loop.
+        #[test]
+        fn prop_stage_loops_equal_the_one_loop(
+            state in any::<[u8; DIGEST_LEN]>(),
+            block in any::<[u8; BLOCK_LEN]>(),
+        ) {
+            let state: [u32; 5] =
+                core::array::from_fn(|i| u32::from_be_bytes(state[4 * i..4 * i + 4].try_into().unwrap()));
+            let (mut got, mut want) = (state, state);
+            compress(&mut got, &block);
+            compress_one_loop(&mut want, &block);
+            prop_assert_eq!(got, want);
         }
     }
 }

@@ -120,6 +120,20 @@ impl<V> Ring<V> {
         self.walk::<false>(from)
     }
 
+    /// [`Ring::clockwise_entries`] from `Included(from)`, each value to
+    /// write: every entry once, the first at or after `from` leading.
+    pub fn clockwise_entries_mut(&mut self, from: Id) -> impl Iterator<Item = (Id, &mut V)> + '_ {
+        let (bucket, at) = self.find(from);
+        let (head, tail) = self.buckets.split_at_mut(bucket);
+        let (this, tail) = tail.split_at_mut(1);
+        let (early, late) = this[0].split_at_mut(at.unwrap_or_else(|at| at));
+        (late.iter_mut())
+            .chain(tail.iter_mut().flatten())
+            .chain(head.iter_mut().flatten())
+            .chain(early)
+            .map(|(id, value)| (*id, value))
+    }
+
     fn bucket_of(&self, id: Id) -> usize {
         let [a, b, c, d, ..] = *id.as_bytes();
         (u32::from_be_bytes([a, b, c, d]) >> (32 - self.bits)) as usize
@@ -387,6 +401,22 @@ mod tests {
                         *want += 1_000_000;
                     }
                 }
+                if step % 11 == 5 {
+                    // A write walk from `id`, member or not, of up to a few
+                    // more entries than the ring holds.
+                    let want: Vec<Id> = expected(&map, Included(id), true)
+                        .into_iter()
+                        .map(|e| e.0)
+                        .collect();
+                    let mut walked = Vec::new();
+                    for (at, value) in ring.clockwise_entries_mut(id).take(step % 13) {
+                        walked.push(at);
+                        *value += 1;
+                        *map.get_mut(&at).unwrap() += 1;
+                    }
+                    prop_assert_eq!(&walked[..], &want[..walked.len()]);
+                    prop_assert_eq!(walked.len(), want.len().min(step % 13));
+                }
                 if filling && map.len() >= peak {
                     let mut reused = Ring::new();
                     reused.put(Id::MAX, u64::MAX);
@@ -426,6 +456,15 @@ mod tests {
             }
         }
         assert_eq!(ring.clockwise(Excluded(id)).count(), 0);
+        let mut valued: Ring<u8> = Ring::new();
+        assert_eq!(valued.clockwise_entries_mut(id).count(), 0);
+        valued.put(id, 1);
+        for probe in [id, Id::ZERO, Id::MAX] {
+            for (_, value) in valued.clockwise_entries_mut(probe) {
+                *value += 1;
+            }
+        }
+        assert_eq!(valued.get(id), Some(&4));
         assert_eq!(ring.counter_clockwise(Excluded(id)).count(), 0);
         assert!(ring.remove(id) && !ring.remove(id) && ring.is_empty());
     }

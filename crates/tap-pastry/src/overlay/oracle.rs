@@ -8,7 +8,9 @@
 //! own ring walks are what this oracle checks — and the node map's reads
 //! and writes made through the member arena (`intern`, `detach`, `live`,
 //! `live_mut`), with table cells and leaf-set members named by slot (a
-//! rebuild's ids paired with theirs by `entries`).
+//! rebuild's ids paired with theirs by `entries`), and a donated row
+//! placed entry by entry (`absorb_row_per_cell`), as before the overlay
+//! copied a deeper donor's row whole.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -94,10 +96,10 @@ pub(super) fn add_node(ov: &mut Overlay, id: Id) -> bool {
             .expect("routing within a consistent overlay cannot fail");
         for (i, hop) in outcome.path.iter().enumerate() {
             let (hop_slot, donor) = ov.live(*hop).expect("a route visits live nodes");
-            table.absorb_row(&donor.table, i, |s| ov.id_of(s));
+            table.absorb_row_per_cell(&donor.table, i, |s| ov.id_of(s));
             if *hop == outcome.root {
                 for r in i..donor.table.depth() {
-                    table.absorb_row(&donor.table, r, |s| ov.id_of(s));
+                    table.absorb_row_per_cell(&donor.table, r, |s| ov.id_of(s));
                 }
             }
             table.consider(*hop, hop_slot);

@@ -11,8 +11,11 @@
 //! reachable (Fig. 2), in one index: a [`Ring`] of records in key order.
 //! A replica set is `k` ring-contiguous nodes (DESIGN.md §6i), so the keys
 //! a membership event can move lie in one short arc around the node that
-//! came or went, and repair reads their holders off the walk of that arc;
-//! a lookup by key is one search of one short bucket.
+//! came or went. Repair reads their holders off one walk of that arc, asks
+//! the overlay for all their new sets at once
+//! ([`KeyRouter::replica_sets`], one walk of the overlay's ring), and
+//! writes each set into its record in place on a second walk; a lookup by
+//! key is one search of one short bucket.
 //!
 //! Exposure is opt-in. "Malicious nodes can take advantage of the leaves
 //! of other nodes to learn more THAs" (§7.2): a malicious node *ever* given
@@ -97,6 +100,21 @@ impl Ledger {
     }
 }
 
+/// Buffers a membership event reuses: once they have grown, a repair
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The walks of the ring either side of the event's node.
+    before: Vec<Id>,
+    after: Vec<Id>,
+    /// A leave's departed ids, sorted and distinct.
+    gone: Vec<Id>,
+    /// The keys a repair recomputes, in ring order, and their replica
+    /// sets, one after another.
+    keys: Vec<Id>,
+    sets: Vec<Id>,
+}
+
 /// The replication manager.
 ///
 /// **Repair contract.** The membership hooks ([`ReplicaStore::on_node_added`],
@@ -112,11 +130,17 @@ pub struct ReplicaStore<V> {
     records: Ring<ObjectRecord<V>>,
     ledger: Option<Ledger>,
     instruments: StoreInstruments,
+    scratch: Scratch,
 }
 
 impl<V> ReplicaStore<V> {
     /// A store with replication factor `k`, recording into its own private
     /// metrics registry (share one with [`ReplicaStore::use_metrics`]).
+    ///
+    /// # Panics
+    ///
+    /// If `k` is 0: a store that keeps no replica of anything is a
+    /// configuration error, not a state churn can bring about.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "replication factor must be at least 1");
         ReplicaStore {
@@ -124,6 +148,7 @@ impl<V> ReplicaStore<V> {
             records: Ring::new(),
             ledger: None,
             instruments: StoreInstruments::new(Registry::new()),
+            scratch: Scratch::default(),
         }
     }
 
@@ -230,50 +255,47 @@ impl<V> ReplicaStore<V> {
         self.ledger.as_ref().is_some_and(|l| l.keys.contains(&key))
     }
 
-    fn reassign(&mut self, key: Id, new_holders: Vec<Id>) {
-        // Callers name stored keys; a miss would be a bookkeeping bug, not
-        // an input.
-        debug_assert!(self.records.contains(key), "reassigning known key");
-        let Some(rec) = self.records.get_mut(key) else {
-            return;
-        };
-        if rec.holders == new_holders {
-            return;
-        }
-        self.instruments.repairs.inc();
-        let evicted = rec.holders.iter().filter(|h| !new_holders.contains(h));
-        self.instruments.evictions.add(evicted.count() as u64);
-        if let Some(ledger) = &mut self.ledger {
-            ledger.hand_off(key, &new_holders);
-        }
-        rec.holders = new_holders;
-    }
-
     /// Recompute the replica sets of the stored keys whose holders pass
-    /// `touched` in the closed ring arc from the far end of `before` to the
-    /// far end of `after`: walks of `reach` live nodes either side of a
-    /// membership event. On a ring of at most `2·reach + 1` nodes the walks
-    /// may meet, and the whole ring is scanned. The holders are read off
-    /// the walk of the records itself, in ring order.
+    /// `touched` in the closed ring arc `(from, to)` — or on the whole ring
+    /// when `arc` is `None` — and write each changed set into its record.
+    /// One walk of the records reads the keys in ring order, one
+    /// [`KeyRouter::replica_sets`] call answers them all, and a second walk
+    /// from the first key writes the sets in place.
     fn repair_arc(
         &mut self,
         overlay: &impl KeyRouter,
-        (before, after): (&[Id], &[Id]),
-        reach: usize,
+        arc: Option<(Id, Id)>,
         touched: impl Fn(&[Id]) -> bool,
     ) {
-        let (from, to) = match (before.last(), after.last()) {
-            (Some(&from), Some(&to)) if overlay.node_count() > 2 * reach + 1 => (from, to),
-            _ => (Id::ZERO, Id::MAX),
-        };
+        let (from, to) = arc.unwrap_or((Id::ZERO, Id::MAX));
         let span = from.clockwise_distance(to);
-        let keys: Vec<Id> = (self.records.clockwise_entries(Bound::Included(from)))
-            .take_while(|(key, _)| from.clockwise_distance(*key) <= span)
-            .filter(|(_, rec)| touched(&rec.holders))
-            .map(|(key, _)| key)
-            .collect();
-        for key in keys {
-            self.reassign(key, overlay.replica_set(key, self.k));
+        let Scratch { keys, sets, .. } = &mut self.scratch;
+        keys.clear();
+        keys.extend(
+            (self.records.clockwise_entries(Bound::Included(from)))
+                .take_while(|(key, _)| from.clockwise_distance(*key) <= span)
+                .filter(|(_, rec)| touched(&rec.holders))
+                .map(|(key, _)| key),
+        );
+        let Some(&first) = keys.first() else {
+            return;
+        };
+        sets.clear();
+        overlay.replica_sets(keys, self.k, sets);
+        // Every set is this long; none on a ring emptied by the event, so
+        // every key's holders are emptied then.
+        let take = self.k.min(overlay.node_count());
+        debug_assert_eq!(sets.len(), keys.len() * take, "replica_sets contract");
+        let mut i = 0;
+        for (key, rec) in self.records.clockwise_entries_mut(first) {
+            let Some(&next) = keys.get(i) else {
+                break;
+            };
+            if key == next {
+                let set = sets.get(i * take..(i + 1) * take).unwrap_or_default();
+                rehome(key, rec, set, &self.instruments, &mut self.ledger);
+                i += 1;
+            }
         }
     }
 
@@ -286,15 +308,33 @@ impl<V> ReplicaStore<V> {
     /// observed in transit, a partition healed, a leave went unreported)
     /// and want that one anchor back to full strength.
     pub fn repair_key(&mut self, overlay: &impl KeyRouter, key: Id) -> bool {
-        if !self.records.contains(key) {
+        let Some(rec) = self.records.get_mut(key) else {
             return false;
-        }
+        };
         let new_holders = overlay.replica_set(key, self.k);
-        if new_holders.is_empty() || self.holders(key) == new_holders {
-            return false;
+        !new_holders.is_empty()
+            && rehome(key, rec, &new_holders, &self.instruments, &mut self.ledger)
+    }
+
+    /// The walks of `reach` live nodes either side of `node`, into the
+    /// scratch buffers, and the closed arc between their far ends: `None`
+    /// (the whole ring) when the ring holds at most `2·reach + 1` nodes and
+    /// the walks may meet.
+    fn walk_around(
+        &mut self,
+        overlay: &impl KeyRouter,
+        node: Id,
+        reach: usize,
+    ) -> Option<(Id, Id)> {
+        let Scratch { before, after, .. } = &mut self.scratch;
+        before.clear();
+        after.clear();
+        overlay.preceding(node, reach, before);
+        overlay.following(node, reach, after);
+        match (before.last(), after.last()) {
+            (Some(&from), Some(&to)) if overlay.node_count() > 2 * reach + 1 => Some((from, to)),
+            _ => None,
         }
-        self.reassign(key, new_holders);
-        true
     }
 
     /// Repair after `node` left or failed. Call **after** the overlay has
@@ -315,15 +355,17 @@ impl<V> ReplicaStore<V> {
     /// departed node, so it still covers every key that node held (see
     /// the repair contract).
     pub fn on_nodes_removed(&mut self, overlay: &impl KeyRouter, nodes: &[Id]) {
-        let mut gone = nodes.to_vec();
+        let mut gone = std::mem::take(&mut self.scratch.gone);
+        gone.clear();
+        gone.extend_from_slice(nodes);
         gone.sort_unstable();
         gone.dedup();
         let touched = |holders: &[Id]| holders.iter().any(|h| gone.binary_search(h).is_ok());
-        for n in &gone {
-            let before = overlay.preceding(*n, self.k);
-            let after = overlay.following(*n, self.k);
-            self.repair_arc(overlay, (&before, &after), self.k, touched);
+        for &n in &gone {
+            let arc = self.walk_around(overlay, n, self.k);
+            self.repair_arc(overlay, arc, touched);
         }
+        self.scratch.gone = gone;
     }
 
     /// Rebalance after `node` joined. Call **after** the overlay has added
@@ -335,25 +377,45 @@ impl<V> ReplicaStore<V> {
     /// the neighbours come from the same walks. Every candidate is
     /// recomputed in full (see the repair contract).
     pub fn on_node_added(&mut self, overlay: &impl KeyRouter, node: Id) {
-        let reach = self.k + 1;
-        let before = overlay.preceding(node, reach);
-        let after = overlay.following(node, reach);
-        let neighbours = [before.first(), after.first()];
+        let arc = self.walk_around(overlay, node, self.k + 1);
+        let neighbours =
+            [self.scratch.before.first(), self.scratch.after.first()].map(|n| n.copied());
         let touched = |holders: &[Id]| neighbours.iter().flatten().any(|n| holders.contains(n));
-        self.repair_arc(overlay, (&before, &after), reach, touched);
+        self.repair_arc(overlay, arc, touched);
     }
 
-    /// Assert every object's holder set equals the overlay oracle's
-    /// k-closest. Test helper; O(objects · k · log N).
-    pub fn assert_replica_invariant(&self, overlay: &impl KeyRouter) {
-        for (key, rec) in self.iter() {
-            let want = overlay.replica_set(key, self.k);
-            assert_eq!(
-                rec.holders, want,
-                "replica set for {key:?} diverged from k-closest"
-            );
-        }
+    /// The first stored key, in ring order, whose holders differ from the
+    /// overlay's replica set for it; `None` when every set is exact.
+    /// Diagnostic; O(objects · k · log N).
+    pub fn replica_drift(&self, overlay: &impl KeyRouter) -> Option<Id> {
+        self.iter()
+            .find(|(key, rec)| rec.holders != overlay.replica_set(*key, self.k))
+            .map(|(key, _)| key)
     }
+}
+
+/// Make `new` `key`'s holders, unless they already are: count the repair
+/// and the holders it evicts, and hand the key to the ledger's watch.
+/// Returns whether the holders changed. The record's buffer is reused.
+fn rehome<V>(
+    key: Id,
+    rec: &mut ObjectRecord<V>,
+    new: &[Id],
+    instruments: &StoreInstruments,
+    ledger: &mut Option<Ledger>,
+) -> bool {
+    if rec.holders == new {
+        return false;
+    }
+    instruments.repairs.inc();
+    let evicted = rec.holders.iter().filter(|h| !new.contains(h));
+    instruments.evictions.add(evicted.count() as u64);
+    if let Some(ledger) = ledger {
+        ledger.hand_off(key, new);
+    }
+    rec.holders.clear();
+    rec.holders.extend_from_slice(new);
+    true
 }
 
 #[cfg(test)]
@@ -390,7 +452,7 @@ mod tests {
         let key = Id::random(&mut rng);
         assert!(store.insert(&ov, key, "tha").unwrap());
         assert_eq!(store.holders(key), ov.k_closest(key, 3));
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
     }
 
     #[test]
@@ -416,7 +478,7 @@ mod tests {
         assert_eq!(store.remove(key), None);
         assert!(held_by(&store, holder).is_empty());
         assert!(!store.exposed(key), "the ledger drops a removed key");
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
     }
 
     #[test]
@@ -433,7 +495,7 @@ mod tests {
         let after = store.holders(key).to_vec();
         assert_eq!(after[0], before[1], "first candidate takes over as root");
         assert_eq!(after.len(), 3, "a fresh replica is drafted");
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
         // The ledger remembers the dead root's replica.
         assert!(store.exposed(key));
     }
@@ -461,7 +523,7 @@ mod tests {
         let repairs_before = metrics.snapshot().counter("pastry.replica.repairs");
         assert_eq!(ov.remove_nodes(&victims), victims.len());
         store.on_nodes_removed(&ov, &victims);
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
         // keys[0] was repaired once; other objects holding a victim were
         // each repaired at most once too, so the repair count is bounded
         // by the number of affected objects (strictly fewer than the
@@ -486,7 +548,7 @@ mod tests {
         assert!(ov.add_node(adjacent));
         store.on_node_added(&ov, adjacent);
         assert_eq!(store.holders(key)[0], adjacent);
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
     }
 
     #[test]
@@ -521,10 +583,10 @@ mod tests {
                 store.on_node_added(&ov, id);
             }
             if round % 10 == 9 {
-                store.assert_replica_invariant(&ov);
+                assert_eq!(store.replica_drift(&ov), None);
             }
         }
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
     }
 
     #[test]
@@ -559,7 +621,7 @@ mod tests {
             }
             prev = now;
         }
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
     }
 
     #[test]
@@ -577,7 +639,33 @@ mod tests {
         store.insert(&ov, later, ()).unwrap();
         assert!(store.holders(later).contains(&root));
         assert!(store.exposed(later));
-        store.assert_replica_invariant(&ov);
+        assert_eq!(store.replica_drift(&ov), None);
+    }
+
+    #[test]
+    fn the_last_leave_empties_every_holder_set() {
+        let (mut ov, mut rng) = build(4, 12);
+        let mut store = ReplicaStore::new(3);
+        let keys: Vec<Id> = (0..10).map(|_| Id::random(&mut rng)).collect();
+        for key in &keys {
+            store.insert(&ov, *key, ()).unwrap();
+        }
+        let members: Vec<Id> = ov.ids().collect();
+        for (i, node) in members.iter().enumerate() {
+            ov.remove_node(*node);
+            store.on_node_removed(&ov, *node);
+            assert_eq!(store.replica_drift(&ov), None, "after {} leaves", i + 1);
+        }
+        for key in &keys {
+            assert!(
+                store.holders(*key).is_empty(),
+                "{key:?} kept a departed holder"
+            );
+        }
+        // A newcomer's neighbours hold nothing, so nothing moves onto it.
+        let id = ov.add_random_node(&mut rng);
+        store.on_node_added(&ov, id);
+        assert!(keys.iter().all(|key| store.holders(*key).is_empty()));
     }
 
     #[test]

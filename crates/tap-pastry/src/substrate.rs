@@ -22,6 +22,8 @@
 //! implements it here and the `tap-chord` crate implements it for a
 //! from-scratch Chord, which is the portability demonstration.
 
+use std::ops::Bound;
+
 use tap_id::Id;
 
 use crate::overlay::{Overlay, RouteError};
@@ -36,15 +38,27 @@ pub trait KeyRouter {
     fn owner_of(&self, key: Id) -> Option<Id>;
 
     /// The ordered replica set for `key`: the responsible node first, then
-    /// the nodes that take over (in order) as earlier entries fail.
+    /// the nodes that take over (in order) as earlier entries fail —
+    /// `k.min(node_count())` of them.
     fn replica_set(&self, key: Id, k: usize) -> Vec<Id>;
 
-    /// Up to `n` live nodes following `from` in responsibility order
-    /// (exclusive). Used by replica migration on joins.
-    fn following(&self, from: Id, n: usize) -> Vec<Id>;
+    /// The replica sets of `keys`, in order, appended to `out`, each
+    /// exactly what [`KeyRouter::replica_set`] gives for its key. Replica
+    /// repair asks for the keys of a whole ring arc at once, in clockwise
+    /// order, so a substrate can answer from one walk of its ring; this
+    /// body asks for one set a key.
+    fn replica_sets(&self, keys: &[Id], k: usize, out: &mut Vec<Id>) {
+        for &key in keys {
+            out.extend(self.replica_set(key, k));
+        }
+    }
 
-    /// Up to `n` live nodes preceding `from` (exclusive).
-    fn preceding(&self, from: Id, n: usize) -> Vec<Id>;
+    /// Up to `n` live nodes following `from` in responsibility order
+    /// (exclusive), appended to `out`. Used by replica migration.
+    fn following(&self, from: Id, n: usize, out: &mut Vec<Id>);
+
+    /// Up to `n` live nodes preceding `from` (exclusive), appended to `out`.
+    fn preceding(&self, from: Id, n: usize, out: &mut Vec<Id>);
 
     /// Route `key` from `from` using per-node state; returns the node path
     /// (source first, responsible node last). `&mut self` because routing
@@ -102,12 +116,16 @@ impl KeyRouter for Overlay {
         Overlay::k_closest(self, key, k)
     }
 
-    fn following(&self, from: Id, n: usize) -> Vec<Id> {
-        Overlay::successors(self, from, n)
+    fn replica_sets(&self, keys: &[Id], k: usize, out: &mut Vec<Id>) {
+        Overlay::replica_sets(self, keys, k, out)
     }
 
-    fn preceding(&self, from: Id, n: usize) -> Vec<Id> {
-        Overlay::predecessors(self, from, n)
+    fn following(&self, from: Id, n: usize, out: &mut Vec<Id>) {
+        out.extend(self.ring().clockwise(Bound::Excluded(from)).take(n))
+    }
+
+    fn preceding(&self, from: Id, n: usize, out: &mut Vec<Id>) {
+        out.extend(self.ring().counter_clockwise(Bound::Excluded(from)).take(n))
     }
 
     fn route_path(&mut self, from: Id, key: Id) -> Result<Vec<Id>, RouteError> {

@@ -7,17 +7,20 @@
 # Each side is a revision of this repository or a directory holding a tree
 # of it. A revision is cloned (`git clone --shared`, detached checkout) under
 # a temp dir; a directory is used as it is, uncommitted changes included.
-# Builds each side's own benchmark/ package into the temp dir, runs N pairs
-# of `tap-bench run` (pair i uses seed S+i on both sides, and the sides
-# alternate which one runs first), and prints a pairs-won table and
-# `tap-bench compare a1,…,aN b1,…,bN` — exit 1 if B is worse than A beyond a
-# bound of A's BENCHMARK.json or fails more ops. Needs python3. Nothing is
-# written inside the repository or a directory side; the results stay in
-# the temp dir, whose path is printed. Keep the host otherwise idle.
+# Builds each side's own benchmark/ package into the temp dir and runs N
+# pairs: pair i runs `tap-bench run --only <w>` with seed S+i for each
+# workload w in turn (A's BENCHMARK.json order, or the one named), the two
+# sides back to back, so both see the host in the same state; pairs
+# alternate which side runs first. Each side's workloads make the pair's
+# result.json. Prints a pairs-won table and `tap-bench compare a1,…,aN
+# b1,…,bN` — exit 1 if B is worse than A beyond a bound of A's
+# BENCHMARK.json or fails more ops. Needs python3. Nothing is written
+# inside the repository or a directory side; the results stay in the temp
+# dir, whose path is printed. Keep the host otherwise idle.
 set -euo pipefail
 
 usage() {
-    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -68,19 +71,45 @@ for side in a b; do
         --manifest-path "$work/$side/benchmark/Cargo.toml"
 done
 
-run_side() { # <side> <pair>
-    out=$work/runs/$1_$2/result.json
+if [ ${#only[@]} -gt 0 ]; then
+    workloads=("${only[1]}")
+else
+    mapfile -t workloads < <(python3 -c '
+import json, sys
+for w in json.load(open(sys.argv[1]))["workloads"]:
+    print(w["name"])' "$work/a/BENCHMARK.json")
+fi
+
+run_side() { # <side> <pair> <workload>
+    out=$work/runs/$1_$2/$3/result.json
     mkdir -p "$(dirname "$out")"
     # From the side's tree, so that `run` stamps the result with its sha.
     (cd "$work/$1" && "$work/build_$1/release/tap-bench" run \
-        --seed $((seed0 + $2)) ${only[@]+"${only[@]}"} --out "$out" >/dev/null)
+        --seed $((seed0 + $2)) --only "$3" --out "$out" >/dev/null)
+}
+
+merge_side() { # <side> <pair>: the pair's workloads into one result.json
+    dir=$work/runs/$1_$2
+    python3 - "$dir/result.json" "${workloads[@]/#/$dir/}" <<'PY'
+import json, sys
+out, parts = sys.argv[1], sys.argv[2:]
+runs = [json.load(open(f"{part}/result.json")) for part in parts]
+merged = runs[0]
+merged["workloads"] = {name: w for run in runs for name, w in run["workloads"].items()}
+json.dump(merged, open(out, "w"))
+PY
 }
 
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi
     echo "bench_ab: pair $i/$pairs, seed $((seed0 + i)), order: $order" >&2
-    for side in $order; do
-        run_side "$side" "$i"
+    for w in "${workloads[@]}"; do
+        for side in $order; do
+            run_side "$side" "$i" "$w"
+        done
+    done
+    for side in a b; do
+        merge_side "$side" "$i"
     done
 done
 

@@ -64,13 +64,13 @@ impl KeyRouter for Counting<'_> {
         self.replica_sets.set(self.replica_sets.get() + 1);
         self.inner.replica_set(key, k)
     }
-    fn following(&self, from: Id, n: usize) -> Vec<Id> {
+    fn following(&self, from: Id, n: usize, out: &mut Vec<Id>) {
         self.following.borrow_mut().push(n);
-        self.inner.following(from, n)
+        self.inner.following(from, n, out)
     }
-    fn preceding(&self, from: Id, n: usize) -> Vec<Id> {
+    fn preceding(&self, from: Id, n: usize, out: &mut Vec<Id>) {
         self.preceding.borrow_mut().push(n);
-        self.inner.preceding(from, n)
+        self.inner.preceding(from, n, out)
     }
     fn route_path(&mut self, from: Id, _key: Id) -> Result<Vec<Id>, RouteError> {
         Err(RouteError::UnknownSource(from))
@@ -126,7 +126,7 @@ fn one_membership_event_asks_the_ring_a_fixed_number_of_questions() {
         assert_eq!(counting.replica_sets.get(), held);
         leave_queries += held;
     }
-    store.assert_replica_invariant(&overlay);
+    assert_eq!(store.replica_drift(&overlay), None);
     // 15 000 replicas on 2 000 nodes: 7.5 keys a node, so about 11 distinct
     // keys at a newcomer's two neighbours. A join walks k + 1 nodes each
     // way and a leave k, and each recomputes exactly the replica sets of
@@ -313,11 +313,11 @@ impl<R: Ring> KeyRouter for Reference<'_, R> {
     fn replica_set(&self, key: Id, k: usize) -> Vec<Id> {
         self.0.reference_replica_set(key, k)
     }
-    fn following(&self, from: Id, n: usize) -> Vec<Id> {
-        self.0.following(from, n)
+    fn following(&self, from: Id, n: usize, out: &mut Vec<Id>) {
+        self.0.following(from, n, out)
     }
-    fn preceding(&self, from: Id, n: usize) -> Vec<Id> {
-        self.0.preceding(from, n)
+    fn preceding(&self, from: Id, n: usize, out: &mut Vec<Id>) {
+        self.0.preceding(from, n, out)
     }
     fn route_path(&mut self, from: Id, _key: Id) -> Result<Vec<Id>, RouteError> {
         Err(RouteError::UnknownSource(from))
@@ -512,12 +512,11 @@ impl<V> OldStore<V> {
 /// `2k + 2` ring positions of the newcomer is a candidate.
 fn wide_join_repair(store: &mut OldStore<u32>, ring: &impl KeyRouter, node: Id) {
     let reach = 2 * store.replication() + 2;
+    let mut near = Vec::new();
+    ring.following(node, reach, &mut near);
+    ring.preceding(node, reach, &mut near);
     let mut candidates = BTreeSet::new();
-    for n in ring
-        .following(node, reach)
-        .into_iter()
-        .chain(ring.preceding(node, reach))
-    {
+    for n in near {
         candidates.extend(store.held_by(n));
     }
     for key in candidates {
@@ -730,7 +729,8 @@ fn run<R: Ring>(seed: u64, k: usize, start: usize, script: &[u8]) {
             5 if live > 4 => {
                 // A whole replica set at once, a stranger and a duplicate.
                 let first = pair.ring.sample(&mut rng).unwrap();
-                let mut batch = pair.ring.following(first, 2);
+                let mut batch = Vec::new();
+                pair.ring.following(first, 2, &mut batch);
                 batch.push(first);
                 batch.extend(pair.ring.sample(&mut rng));
                 batch.push(first);
