@@ -4,7 +4,9 @@
 //! GF(2^8) multiply-accumulate (the hoisted-log table loop, the one GF
 //! kernel), and onion sealing (one full-buffer cipher sweep per
 //! layer vs the fused single-pass codec) — plus the AEAD's MAC, Poly1305,
-//! beside the HMAC-SHA-256 it replaced.
+//! beside the HMAC-SHA-256 it replaced, and the small transfer's per-layer
+//! cost: a warmed l = 5 seal of a 4-byte core and one open of a short
+//! body, where every keystream block is a lane of a shared pass.
 //!
 //! Every pair is bit-identical — proptested in `tap-crypto` — so the
 //! ratios here are pure kernel speed, not different outputs.
@@ -13,12 +15,14 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use tap_core::wire::{Destination, HopHeader};
 use tap_crypto::chacha20::{self, BLOCK_LEN, KEY_LEN, NONCE_LEN};
 use tap_crypto::ec::gf_mul_acc;
 use tap_crypto::hmac::hmac_sha256;
 use tap_crypto::onion::{OnionBuilder, LAYER_MARGIN};
 use tap_crypto::poly1305::Poly1305;
 use tap_crypto::SymmetricKey;
+use tap_id::Id;
 
 /// One `block()` per 64 bytes: what `apply_keystream` does below the
 /// kernel's threshold, here at every length.
@@ -119,11 +123,67 @@ fn bench_onion_seal(c: &mut Criterion) {
     }
 }
 
+/// The small transfer's onion, as `tap-bench`'s `seal_small_ns` probe lays
+/// it out: l = 5, four hinted forward headers and a deliver header, a
+/// 4-byte core. One warmed builder; every layer's keystream blocks, its
+/// MAC key block included, come out of two shared kernel passes.
+fn bench_onion_seal_small(c: &mut Criterion) {
+    const L: usize = 5;
+    let mut rng = StdRng::seed_from_u64(0x5EA1);
+    let node = Id::random(&mut rng);
+    let hopids: Vec<Id> = (0..L).map(|_| Id::random(&mut rng)).collect();
+    let layers: Vec<(SymmetricKey, Vec<u8>)> = (0..L)
+        .map(|i| {
+            let header = match hopids.get(i + 1) {
+                Some(&next_hop) => HopHeader::Forward {
+                    next_hop,
+                    hint: Some(node),
+                },
+                None => HopHeader::Deliver {
+                    dest: Destination::Node(node),
+                },
+            };
+            (SymmetricKey::generate(&mut rng), header.encode())
+        })
+        .collect();
+    let core = [7u8; 4];
+    let mut group = c.benchmark_group(format!("onion_seal_small_l{L}"));
+    group.bench_function("fused", |b| {
+        let mut builder = OnionBuilder::new();
+        b.iter(|| {
+            builder.seal(&mut rng, &layers, &core);
+            builder.as_bytes().len()
+        })
+    });
+    group.finish();
+}
+
+/// One AEAD open of a body the size of the small onion's outer layer
+/// (≈ 6 blocks): block 0 and the body's blocks in one kernel pass, then
+/// the tag check, then the XOR.
+fn bench_open_small(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(0x0BE1);
+    let key = SymmetricKey::generate(&mut rng);
+    let sealed = key.seal(&mut rng, &[0xA5u8; 360]);
+    let mut buf = sealed.clone();
+    let mut group = c.benchmark_group("open_small");
+    group.throughput(Throughput::Bytes(360));
+    group.bench_function("open_in_place", |b| {
+        b.iter(|| {
+            buf.copy_from_slice(&sealed);
+            key.open_in_place(&mut buf).is_ok()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_chacha20,
     bench_mac,
     bench_gf_mul_acc,
-    bench_onion_seal
+    bench_onion_seal,
+    bench_onion_seal_small,
+    bench_open_small
 );
 criterion_main!(kernels);

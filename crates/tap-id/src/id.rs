@@ -134,17 +134,9 @@ impl Id {
         Id::from_limbs(limb_distance(self.limbs(), other.limbs()))
     }
 
-    /// A sort key for `candidate` whose order is [`Id::cmp_distance`]'s:
-    /// its ring distance to `self`, then the candidate itself. A scan that
-    /// carries its incumbent's key measures every candidate once.
-    #[inline]
-    pub fn distance_key(self, candidate: Id) -> (Id, Id) {
-        (self.ring_distance(candidate), candidate)
-    }
-
-    /// [`Id::distance_key`] for a scan: a measure of candidates against
-    /// `self` that loads `self`'s limbs once and gives each candidate a
-    /// [`DistanceKey`], which never goes back to bytes.
+    /// A measure of candidates against `self` whose order is
+    /// [`Id::cmp_distance`]'s: it loads `self`'s limbs once and gives each
+    /// candidate a [`DistanceKey`], which never goes back to bytes.
     #[inline]
     pub fn distance_keys(self) -> impl Fn(Id) -> DistanceKey + Copy {
         let key = self.limbs();
@@ -295,7 +287,7 @@ fn limb_distance(a: (u32, u128), b: (u32, u128)) -> (u32, u128) {
 
 /// A candidate measured by [`Id::distance_keys`]: its ring distance to the
 /// key, then the candidate itself, both in limbs. The derived order is
-/// that of [`Id::distance_key`]'s `(Id, Id)` tuple, and so that of
+/// that of the `(ring distance, candidate)` tuple of `Id`s, and so that of
 /// [`Id::cmp_distance`], because limb order is the bytes' order; a scan
 /// that carries its incumbent's key measures every candidate once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -797,11 +789,9 @@ mod tests {
                 b.closer_to(a, c),
                 oracle::cmp_distance(a, b, c) == Ordering::Less
             );
-            prop_assert_eq!(a.distance_key(b), (oracle::ring_distance(a, b), b));
-            prop_assert_eq!(
-                a.distance_key(b).cmp(&a.distance_key(c)),
-                oracle::cmp_distance(a, b, c)
-            );
+            let tuple = |x: Id| (a.ring_distance(x), x);
+            prop_assert_eq!(tuple(b), (oracle::ring_distance(a, b), b));
+            prop_assert_eq!(tuple(b).cmp(&tuple(c)), oracle::cmp_distance(a, b, c));
             let measure = a.distance_keys();
             prop_assert_eq!(measure(b).cmp(&measure(c)), oracle::cmp_distance(a, b, c));
             prop_assert_eq!(measure(b).id(), b);

@@ -363,8 +363,8 @@ mod tests {
         /// measured, the smallest distance key kept.
         fn closest_by_fold(&self, key: Id) -> Id {
             (self.members().into_iter())
-                .map(|m| key.distance_key(m))
-                .fold(key.distance_key(self.owner), Ord::min)
+                .map(|m| (key.ring_distance(m), m))
+                .fold((key.ring_distance(self.owner), self.owner), Ord::min)
                 .1
         }
     }

@@ -1826,7 +1826,7 @@ mod proptests {
         ring_mode: bool,
     ) -> (IdStep, Vec<Id>) {
         let own_prefix = current.shared_prefix_digits(key, ov.config.b);
-        let here = key.distance_key(current);
+        let here = (key.ring_distance(current), current);
         let mut best_pastry: Option<(Id, Id)> = None;
         let mut best_greedy: Option<(Id, Id)> = None;
         let mut stale = Vec::new();
@@ -1836,7 +1836,7 @@ mod proptests {
                 stale.push(c);
                 continue;
             }
-            let cand = key.distance_key(c);
+            let cand = (key.ring_distance(c), c);
             if cand >= here {
                 continue;
             }

@@ -76,8 +76,8 @@ fn cmp_distance_breaks_ties_on_the_smaller_id() {
     assert_eq!(key.cmp_distance(above, above), Ordering::Equal);
     assert!(below.closer_to(key, above));
     assert!(!above.closer_to(key, below));
-    assert_eq!(key.distance_key(above), (Id::from_u64(9), above));
-    assert!(key.distance_key(below) < key.distance_key(above));
+    assert_eq!(key.ring_distance(above), Id::from_u64(9));
+    assert!((key.ring_distance(below), below) < (key.ring_distance(above), above));
     // Antipodes: ZERO and HALF are both exactly HALF away from each other's
     // quarter points; the tie still resolves to the smaller id.
     let quarter = hex("4000000000000000000000000000000000000000");
@@ -85,7 +85,7 @@ fn cmp_distance_breaks_ties_on_the_smaller_id() {
 }
 
 /// A scan's `DistanceKey` orders candidates exactly as the byte order of
-/// the `(ring distance, candidate)` pair `distance_key` gives: across the
+/// the `(ring distance, candidate)` pair of `Id`s: across the
 /// limb seam at bit 128, the half-ring tie and the wrap at zero.
 #[test]
 fn distance_key_order_is_the_byte_order_of_the_tuple() {
@@ -105,10 +105,7 @@ fn distance_key_order_is_the_byte_order_of_the_tuple() {
     ];
     let mut rng = StdRng::seed_from_u64(0xd15);
     ids.extend((0..8).map(|_| Id::random(&mut rng)));
-    let bytes = |key: Id, c: Id| {
-        let (d, c) = key.distance_key(c);
-        (*d.as_bytes(), *c.as_bytes())
-    };
+    let bytes = |key: Id, c: Id| (*key.ring_distance(c).as_bytes(), *c.as_bytes());
     for &key in &ids {
         let measure = key.distance_keys();
         for &a in &ids {
