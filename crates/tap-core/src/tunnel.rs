@@ -136,15 +136,13 @@ impl Tunnel {
         match instruments {
             None => tap_crypto::onion::wrap(rng, &layers, core),
             Some(ins) => {
-                // The fused single-pass seal — identical bytes and RNG use
-                // to `wrap`. All layers are applied in one sweep, so the
-                // timeable unit is the whole onion: one sample per build
-                // (the old per-layer samples summed to the same wall time).
+                // All layers are applied in one sweep, so the timeable unit
+                // is the whole onion: one sample per build (the old
+                // per-layer samples summed to the same wall time).
                 let t0 = std::time::Instant::now();
-                let mut b = tap_crypto::onion::OnionBuilder::new();
-                b.seal(rng, &layers, core);
+                let onion = tap_crypto::onion::wrap(rng, &layers, core);
                 ins.onion_wrap_us.record(t0.elapsed().as_micros() as u64);
-                b.into_vec()
+                onion
             }
         }
     }
