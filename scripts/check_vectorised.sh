@@ -2,7 +2,10 @@
 # Holds the compiler to the code the ChaCha20 kernel's speed rests on
 # (DESIGN.md §6h): `tap_crypto::chacha20::quarter_round_lanes` must come out
 # of the shipped release profile as SSE2 vector code, not as one scalar `rol`
-# per lane. A toolchain bump that re-scalarises it then fails here instead of
+# per lane. Every multi-block pass runs through it: a stream's consecutive
+# blocks (`xor_blocks`) and the first blocks of several streams filled
+# together (`KeystreamCursor::fill_windows`, the onion seal's cross-layer
+# lanes). A toolchain bump that re-scalarises it then fails here instead of
 # showing up as a 30 % `retrieve_2mb` regression three PRs later.
 #
 #   scripts/check_vectorised.sh
